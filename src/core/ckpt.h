@@ -1,17 +1,18 @@
 // The continuous checkpoint daemon (sibling of the commit daemon).
 //
-// FSD originally bounded recovery the cheap way: when the circular log
-// entered a new third, FlushThird synchronously wrote home every page whose
-// only durable copy lived there — a stop-the-world drain that stalls the
-// parallel commit path and caps how large the log can usefully be. The
-// checkpoint daemon replaces that economy with a continuous one: a
-// background thread watches live-log growth (the force path notifies it
-// whenever an append pushes the live span past the configured recovery
-// window), writes home the pages backing the oldest log region in small
-// elevator-ordered batches, and durably advances the log's oldest-record
-// pointer, so a crash-now mount replays a bounded window instead of up to
-// three thirds. FlushThird remains as the fallback for whatever the daemon
-// did not get to before a third wrapped.
+// FSD has one home-writeback path, Fsd::CheckpointTo: write home every page
+// whose latest logged image is older than a target LSN, retire those
+// frames, then move the log's oldest-record pointer up to the target. It
+// has two callers. Third entry runs it synchronously, unchunked, to the end
+// of the third the log is about to reuse — the paper's cheap bound on
+// recovery, but a stop-the-world drain that stalls the parallel commit path
+// and caps how large the log can usefully be. The checkpoint daemon runs it
+// continuously instead: a background thread watches live-log growth (the
+// force path notifies it whenever an append pushes the live span past the
+// configured recovery window) and checkpoints the oldest log region in
+// small elevator-ordered batches, so a crash-now mount replays a bounded
+// window instead of up to three thirds. When the daemon keeps up, third
+// entry finds nothing left to write (fsd.third_flush_fallbacks stays 0).
 //
 // Division of labor: this class owns only the thread and its wakeup state
 // (mutex at rank kCkpt — above kForce, so the force path can notify while

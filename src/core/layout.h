@@ -78,7 +78,7 @@ struct FsdConfig {
     bool daemon = false;
     // Recovery-window bound in log sectors: the daemon starts checkpointing
     // when the live log exceeds this and drains it back to about half. 0
-    // means "one log third" — the classic FlushThird economy.
+    // means "one log third" — what the third-entry checkpoint alone bounds.
     std::uint32_t window_sectors = 0;
     // Home pages written per IoScheduler batch inside a checkpoint round.
     // Small batches keep the daemon's disk occupancy polite: mutators only

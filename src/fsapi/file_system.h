@@ -54,11 +54,13 @@ struct MaintenanceStats {
   std::uint64_t log_live_bytes = 0;       // live log a crash-now mount replays
   std::uint64_t log_capacity_bytes = 0;   // total log record area
   std::uint64_t recovery_window_bytes = 0;  // configured bound (0 = none)
-  std::uint64_t checkpoint_batches = 0;   // checkpoint rounds run
+  std::uint64_t checkpoint_batches = 0;   // Checkpoint()/daemon rounds run
   std::uint64_t checkpoint_pages = 0;     // home pages written by checkpoints
+                                          // (including third entry)
   std::uint64_t checkpoint_advances = 0;  // durable checkpoint-pointer moves
-  std::uint64_t third_flush_fallbacks = 0;  // stop-the-world flushes that
-                                            // still had to do work
+  // Third entries whose synchronous checkpoint still had pages to write
+  // home: work the background checkpointer did not get to in time.
+  std::uint64_t third_flush_fallbacks = 0;
 };
 
 // Media-health summary: what the file system has detected, healed, or given

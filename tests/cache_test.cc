@@ -24,10 +24,10 @@ TEST(PageCacheTest, InsertReplacesAndResetsFlags) {
   PageCache cache(8);
   Frame& first = cache.Insert(1, Data(1));
   first.dirty = true;
-  first.logged_third = 2;
+  first.logged_lsn = 2;
   Frame& second = cache.Insert(1, Data(2));
   EXPECT_FALSE(second.dirty);
-  EXPECT_EQ(second.logged_third, -1);
+  EXPECT_EQ(second.logged_lsn, 0u);
   EXPECT_EQ(second.data, Data(2));
   EXPECT_EQ(cache.size(), 1u);
 }
@@ -157,10 +157,10 @@ TEST(PageCacheTest, ForEachVisitsAll) {
   int visited = 0;
   cache.ForEach([&](std::uint32_t, Frame& frame) {
     ++visited;
-    frame.logged_third = 1;
+    frame.logged_lsn = 1;
   });
   EXPECT_EQ(visited, 5);
-  EXPECT_EQ(cache.Find(3)->logged_third, 1);
+  EXPECT_EQ(cache.Find(3)->logged_lsn, 1u);
 }
 
 }  // namespace

@@ -244,8 +244,11 @@ TEST(FsdWritebackTest, ThirdFlushCoalescesHomeWrites) {
     }
     CEDAR_CHECK_OK(fsd.Force());
   }
+  // No Checkpoint() ran, so every home page came from third entry.
   EXPECT_GT(fsd.log_stats().third_entries, 0u);
-  EXPECT_GT(fsd.stats().third_flush_pages, 0u);
+  EXPECT_EQ(fsd.stats().ckpt_batches, 0u);
+  EXPECT_GT(fsd.stats().third_flush_fallbacks, 0u);
+  EXPECT_GT(fsd.stats().ckpt_pages, 0u);
   EXPECT_GT(fsd.stats().home_write_batches, 0u);
   EXPECT_GT(fsd.stats().home_writes_coalesced, 0u);
   EXPECT_LT(fsd.stats().home_write_requests -
@@ -271,7 +274,8 @@ TEST(FsdWritebackTest, BatchingReducesThirdFlushDiskTime) {
       }
       CEDAR_CHECK_OK(fsd.Force());
     }
-    CEDAR_CHECK(fsd.stats().third_flush_pages > 0);
+    CEDAR_CHECK(fsd.stats().ckpt_batches == 0 &&
+                fsd.stats().ckpt_pages > 0);
     const obs::OpClassAggregate third = tracer.AggregateFor("fsd.flush_third");
     return third.seek_us + third.rotational_us;
   };
