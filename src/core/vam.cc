@@ -149,6 +149,7 @@ Status Vam::Load(sim::BlockDevice* disk, sim::Lba base, std::uint32_t sectors,
     word = pr.U64();
   }
   shadow_.Clear();
+  nt_shadow_.Clear();
   if (lsn != nullptr) {
     *lsn = saved_lsn;
   }

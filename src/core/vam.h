@@ -1,9 +1,11 @@
 // The FSD Volume Allocation Map (paper section 5.5).
 //
 // Entirely volatile during normal operation: no disk writes at all. Pages of
-// deleted files go to a *shadow* bitmap first, because they are not really
-// free until the delete is committed (logged); CommitShadow() folds them
-// into the free map at each group commit.
+// deleted files — and name-table pages the B-tree frees — go to a *shadow*
+// bitmap first, because they are not really free until the change is
+// committed (logged); CommitShadow() folds them into the free maps at each
+// group commit. So a saved map (the VAM-logging base) never shows a page
+// free that a crash could bring back into use.
 //
 // The map is saved to its disk region only on orderly shutdown, stamped with
 // the boot count; at mount a stamp mismatch means the save is stale and the
@@ -59,9 +61,10 @@ class Vam {
   Vam(std::uint32_t total_sectors, std::uint32_t nt_pages)
       : free_(total_sectors, false),
         shadow_(total_sectors, false),
-        nt_free_(nt_pages, false) {}
+        nt_free_(nt_pages, false),
+        nt_shadow_(nt_pages, false) {}
 
-  // Reinitializes all three maps to the all-used state for a volume with
+  // Reinitializes all four maps to the all-used state for a volume with
   // these dimensions (what the constructor builds). Mount/Format use this
   // instead of replacing the Vam object, so the mutex stays put.
   void Reset(std::uint32_t total_sectors, std::uint32_t nt_pages) {
@@ -69,6 +72,7 @@ class Vam {
     free_ = Bitmap(total_sectors, false);
     shadow_ = Bitmap(total_sectors, false);
     nt_free_ = Bitmap(nt_pages, false);
+    nt_shadow_ = Bitmap(nt_pages, false);
   }
 
   // ---- Free map. The raw bitmap accessors bypass the internal lock: core
@@ -97,11 +101,11 @@ class Vam {
     std::lock_guard<std::mutex> lock(mu_);
     shadow_.SetRange(run.start, run.count, true);
   }
-  void CommitShadow() {
+  void MarkNtFreeShadow(std::uint32_t pid) {
     std::lock_guard<std::mutex> lock(mu_);
-    free_.OrWith(shadow_);
-    shadow_.Clear();
+    nt_shadow_.Set(pid, true);
   }
+  void CommitShadow() { FoldShadow(TakeShadow()); }
   std::uint32_t ShadowCount() const {
     std::lock_guard<std::mutex> lock(mu_);
     return shadow_.Count();
@@ -109,21 +113,28 @@ class Vam {
 
   // ---- Shadow handoff for the parallel commit path. The log capture phase
   // *takes* the accumulated shadow (new deletes keep shadowing into a fresh
-  // map while the append runs), then folds it into the free map once the
+  // map while the append runs), then folds it into the free maps once the
   // group is durable — or merges it back if the append fails.
-  Bitmap TakeShadow() {
+  struct Shadow {
+    Bitmap sectors;
+    Bitmap nt_pages;
+  };
+  Shadow TakeShadow() {
     std::lock_guard<std::mutex> lock(mu_);
-    Bitmap taken = std::move(shadow_);
-    shadow_ = Bitmap(taken.size(), false);
+    Shadow taken{std::move(shadow_), std::move(nt_shadow_)};
+    shadow_ = Bitmap(taken.sectors.size(), false);
+    nt_shadow_ = Bitmap(taken.nt_pages.size(), false);
     return taken;
   }
-  void FoldShadow(const Bitmap& taken) {
+  void FoldShadow(const Shadow& taken) {
     std::lock_guard<std::mutex> lock(mu_);
-    free_.OrWith(taken);
+    free_.OrWith(taken.sectors);
+    nt_free_.OrWith(taken.nt_pages);
   }
-  void MergeShadow(const Bitmap& taken) {
+  void MergeShadow(const Shadow& taken) {
     std::lock_guard<std::mutex> lock(mu_);
-    shadow_.OrWith(taken);
+    shadow_.OrWith(taken.sectors);
+    nt_shadow_.OrWith(taken.nt_pages);
   }
 
   // ---- Name-table page allocation map (piggybacks on the VAM save).
@@ -155,6 +166,7 @@ class Vam {
   Bitmap free_;
   Bitmap shadow_;
   Bitmap nt_free_;
+  Bitmap nt_shadow_;
 };
 
 }  // namespace cedar::core
