@@ -12,8 +12,6 @@ namespace cedar::obs {
 namespace {
 
 constexpr char kMagic[8] = {'C', 'E', 'D', 'T', 'R', 'C', '0', '4'};
-constexpr char kMagicV3[8] = {'C', 'E', 'D', 'T', 'R', 'C', '0', '3'};
-constexpr char kMagicV2[8] = {'C', 'E', 'D', 'T', 'R', 'C', '0', '2'};
 constexpr std::string_view kNoContext = "(none)";
 
 std::uint64_t NextTracerKey() {
@@ -290,14 +288,9 @@ Result<DiskTracer> DiskTracer::ParseBinary(
     std::span<const std::uint8_t> bytes) {
   ByteReader r(bytes);
   const std::vector<std::uint8_t> magic = r.Bytes(sizeof(kMagic));
-  auto magic_is = [&](const char* m) {
-    return r.ok() && std::equal(magic.begin(), magic.end(),
-                                reinterpret_cast<const std::uint8_t*>(m));
-  };
-  const bool is_v4 = magic_is(kMagic);
-  const bool is_v3 = !is_v4 && magic_is(kMagicV3);
-  const bool is_v2 = !is_v4 && !is_v3 && magic_is(kMagicV2);
-  if (!is_v4 && !is_v3 && !is_v2) {
+  if (!r.ok() ||
+      !std::equal(magic.begin(), magic.end(),
+                  reinterpret_cast<const std::uint8_t*>(kMagic))) {
     return MakeError(ErrorCode::kCorruptMetadata, "bad trace magic");
   }
 
@@ -323,20 +316,16 @@ Result<DiskTracer> DiskTracer::ParseBinary(
     TraceEvent ev;
     ev.seq = r.U64();
     ev.start_us = r.U64();
-    // V2/V3 dumps predate 64-bit LBAs and the spindle column: their single
-    // spindle is index 0.
-    ev.lba = is_v4 ? r.U64() : r.U32();
+    ev.lba = r.U64();
     ev.sectors = r.U32();
-    ev.spindle = is_v4 ? r.U32() : 0;
+    ev.spindle = r.U32();
     ev.kind = static_cast<DiskOpKind>(r.U8());
     ev.seek_us = r.U64();
     ev.rotational_us = r.U64();
     ev.transfer_us = r.U64();
     ev.controller_us = r.U64();
     ev.op_id = r.U32();
-    // V2 dumps also predate the root-context column; the innermost context
-    // is the best available root for them.
-    ev.root_id = is_v2 ? ev.op_id : r.U32();
+    ev.root_id = r.U32();
     ev.batch = r.U32();
     if (!r.ok()) {
       return MakeError(ErrorCode::kCorruptMetadata, "truncated trace event");

@@ -170,10 +170,9 @@ class DiskTracer {
       const;
 
   // Serialization. The binary format is versioned ("CEDTRC04": 64-bit LBA +
-  // spindle column; "CEDTRC03"/"CEDTRC02" dumps still load, with spindle 0
-  // and — for v2 — root = innermost) and holds the op-name table plus the
-  // ring contents; LoadBinary reconstructs a tracer whose
-  // Events()/Aggregates() reflect the dump.
+  // spindle column; any other magic is rejected with kCorruptMetadata) and
+  // holds the op-name table plus the ring contents; LoadBinary reconstructs
+  // a tracer whose Events()/Aggregates() reflect the dump.
   Status DumpBinary(const std::string& path) const;
   static Result<DiskTracer> LoadBinary(const std::string& path);
   Status DumpJsonl(const std::string& path) const;

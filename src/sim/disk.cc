@@ -525,9 +525,7 @@ namespace {
 // crashed disk dumped by the harness replays bit-identically when reloaded.
 // v03 appends the media-fault state (persistent defects, armed lying
 // writes, the seeded fault schedule and its counters) after the v02 tail.
-constexpr char kImageMagicV1[8] = {'C', 'E', 'D', 'I', 'M', 'G', '0', '1'};
-constexpr char kImageMagicV2[8] = {'C', 'E', 'D', 'I', 'M', 'G', '0', '2'};
-constexpr char kImageMagicV3[8] = {'C', 'E', 'D', 'I', 'M', 'G', '0', '3'};
+constexpr char kImageMagic[8] = {'C', 'E', 'D', 'I', 'M', 'G', '0', '3'};
 
 void PutU8(std::ofstream& out, std::uint8_t v) {
   out.write(reinterpret_cast<const char*>(&v), sizeof(v));
@@ -561,7 +559,7 @@ Status SimDisk::SaveImage(const std::string& path) const {
   if (!out) {
     return MakeError(ErrorCode::kInternal, "cannot open " + path);
   }
-  out.write(kImageMagicV3, sizeof(kImageMagicV3));
+  out.write(kImageMagic, sizeof(kImageMagic));
   const std::uint32_t header[3] = {geometry_.cylinders, geometry_.heads,
                                    geometry_.sectors_per_track};
   out.write(reinterpret_cast<const char*>(header), sizeof(header));
@@ -628,13 +626,7 @@ Status SimDisk::LoadImage(const std::string& path) {
   }
   char magic[8];
   in.read(magic, sizeof(magic));
-  const bool is_v1 =
-      in && std::memcmp(magic, kImageMagicV1, sizeof(magic)) == 0;
-  const bool is_v2 =
-      in && std::memcmp(magic, kImageMagicV2, sizeof(magic)) == 0;
-  const bool is_v3 =
-      in && std::memcmp(magic, kImageMagicV3, sizeof(magic)) == 0;
-  if (!is_v1 && !is_v2 && !is_v3) {
+  if (!in || std::memcmp(magic, kImageMagic, sizeof(magic)) != 0) {
     return MakeError(ErrorCode::kCorruptMetadata, "not a cedar disk image");
   }
   std::uint32_t header[3];
@@ -657,72 +649,64 @@ Status SimDisk::LoadImage(const std::string& path) {
     in.read(reinterpret_cast<char*>(&bad), 1);
     damaged_[lba] = bad != 0;
   }
-  crashed_ = false;
   crash_plan_.reset();
-  crash_writes_seen_ = 0;
   transient_read_faults_.clear();
   persistent_faults_.clear();
   pending_write_faults_.clear();
   fault_schedule_ = FaultSchedule{};
-  fault_events_ = 0;
-  write_seq_ = 0;
-  if (is_v2 || is_v3) {
-    std::uint8_t crashed = 0;
-    in.read(reinterpret_cast<char*>(&crashed), 1);
-    crashed_ = crashed != 0;
-    std::uint8_t has_plan = 0;
-    in.read(reinterpret_cast<char*>(&has_plan), 1);
-    if (has_plan != 0) {
-      CrashPlan plan;
-      plan.at_write_index = GetU64(in);
-      plan.sectors_completed = GetU32(in);
-      plan.sectors_damaged = GetU32(in);
-      const std::uint32_t ndrops = GetU32(in);
-      if (!in || ndrops > (1u << 20)) {
-        return MakeError(ErrorCode::kCorruptMetadata, "truncated disk image");
-      }
-      plan.drop_writes.reserve(ndrops);
-      for (std::uint32_t i = 0; i < ndrops; ++i) {
-        plan.drop_writes.push_back(GetU64(in));
-      }
-      crash_plan_ = plan;
-    }
-    crash_writes_seen_ = GetU64(in);
-    const std::uint32_t nfaults = GetU32(in);
-    if (!in || nfaults > geometry_.TotalSectors()) {
+  std::uint8_t crashed = 0;
+  in.read(reinterpret_cast<char*>(&crashed), 1);
+  crashed_ = crashed != 0;
+  std::uint8_t has_plan = 0;
+  in.read(reinterpret_cast<char*>(&has_plan), 1);
+  if (has_plan != 0) {
+    CrashPlan plan;
+    plan.at_write_index = GetU64(in);
+    plan.sectors_completed = GetU32(in);
+    plan.sectors_damaged = GetU32(in);
+    const std::uint32_t ndrops = GetU32(in);
+    if (!in || ndrops > (1u << 20)) {
       return MakeError(ErrorCode::kCorruptMetadata, "truncated disk image");
     }
-    for (std::uint32_t i = 0; i < nfaults; ++i) {
-      const Lba lba = GetU32(in);
-      const std::uint32_t failures = GetU32(in);
-      transient_read_faults_[lba] = failures;
+    plan.drop_writes.reserve(ndrops);
+    for (std::uint32_t i = 0; i < ndrops; ++i) {
+      plan.drop_writes.push_back(GetU64(in));
     }
+    crash_plan_ = plan;
   }
-  if (is_v3) {
-    const std::uint32_t npersistent = GetU32(in);
-    if (!in || npersistent > geometry_.TotalSectors()) {
-      return MakeError(ErrorCode::kCorruptMetadata, "truncated disk image");
-    }
-    for (std::uint32_t i = 0; i < npersistent; ++i) {
-      const Lba lba = GetU32(in);
-      persistent_faults_[lba] = static_cast<FaultMode>(GetU8(in));
-    }
-    const std::uint32_t npending = GetU32(in);
-    if (!in || npending > geometry_.TotalSectors()) {
-      return MakeError(ErrorCode::kCorruptMetadata, "truncated disk image");
-    }
-    for (std::uint32_t i = 0; i < npending; ++i) {
-      const Lba lba = GetU32(in);
-      pending_write_faults_[lba] = static_cast<WriteFaultKind>(GetU8(in));
-    }
-    fault_schedule_.seed = GetU64(in);
-    fault_schedule_.persistent_ppm = GetU32(in);
-    fault_schedule_.write_fault_ppm = GetU32(in);
-    fault_schedule_.corrupt_ppm = GetU32(in);
-    fault_schedule_.max_events = GetU32(in);
-    fault_events_ = GetU64(in);
-    write_seq_ = GetU64(in);
+  crash_writes_seen_ = GetU64(in);
+  const std::uint32_t nfaults = GetU32(in);
+  if (!in || nfaults > geometry_.TotalSectors()) {
+    return MakeError(ErrorCode::kCorruptMetadata, "truncated disk image");
   }
+  for (std::uint32_t i = 0; i < nfaults; ++i) {
+    const Lba lba = GetU32(in);
+    const std::uint32_t failures = GetU32(in);
+    transient_read_faults_[lba] = failures;
+  }
+  const std::uint32_t npersistent = GetU32(in);
+  if (!in || npersistent > geometry_.TotalSectors()) {
+    return MakeError(ErrorCode::kCorruptMetadata, "truncated disk image");
+  }
+  for (std::uint32_t i = 0; i < npersistent; ++i) {
+    const Lba lba = GetU32(in);
+    persistent_faults_[lba] = static_cast<FaultMode>(GetU8(in));
+  }
+  const std::uint32_t npending = GetU32(in);
+  if (!in || npending > geometry_.TotalSectors()) {
+    return MakeError(ErrorCode::kCorruptMetadata, "truncated disk image");
+  }
+  for (std::uint32_t i = 0; i < npending; ++i) {
+    const Lba lba = GetU32(in);
+    pending_write_faults_[lba] = static_cast<WriteFaultKind>(GetU8(in));
+  }
+  fault_schedule_.seed = GetU64(in);
+  fault_schedule_.persistent_ppm = GetU32(in);
+  fault_schedule_.write_fault_ppm = GetU32(in);
+  fault_schedule_.corrupt_ppm = GetU32(in);
+  fault_schedule_.max_events = GetU32(in);
+  fault_events_ = GetU64(in);
+  write_seq_ = GetU64(in);
   if (!in) {
     return MakeError(ErrorCode::kCorruptMetadata, "truncated disk image");
   }

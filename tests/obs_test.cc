@@ -211,10 +211,15 @@ TEST(DiskTracerTest, BinaryRoundtripPreservesEventsAndNames) {
   }
   EXPECT_EQ(loaded->AggregateFor("beta").sectors, 4u);
 
-  // Corrupt magic is rejected.
+  // Corrupt magic is rejected, and so is an older format's.
   std::vector<std::uint8_t> bad = bytes;
   bad[0] ^= 0xFF;
-  EXPECT_FALSE(DiskTracer::ParseBinary(bad).ok());
+  EXPECT_EQ(DiskTracer::ParseBinary(bad).status().code(),
+            ErrorCode::kCorruptMetadata);
+  std::vector<std::uint8_t> old_format = bytes;
+  old_format[7] = '3';  // "CEDTRC03"
+  EXPECT_EQ(DiskTracer::ParseBinary(old_format).status().code(),
+            ErrorCode::kCorruptMetadata);
 }
 
 TEST(DiskTracerTest, JsonlDumpWritesOneLinePerEvent) {

@@ -1,7 +1,7 @@
 // The media-fault model (DESIGN.md section 4h): persistent grown defects,
 // lying (dropped/torn) writes, silent bit rot, the seeded background fault
 // schedule, and the persistence of all of it across DiskSnapshot and the
-// CEDIMG03 image format (including CEDIMG02 back-compat).
+// CEDIMG03 image format (older formats are rejected).
 
 #include <gtest/gtest.h>
 
@@ -201,53 +201,23 @@ TEST_F(SimFaultTest, ImageV3RoundTripsFaultState) {
   std::remove(path.c_str());
 }
 
-TEST_F(SimFaultTest, ImageV2LoadsWithEmptyFaultState) {
-  // A CEDIMG02 image is a CEDIMG03 image without the fault-state tail
-  // (and with its magic). Build one from the current disk by saving v3 and
-  // rewriting the magic + truncating the tail is fragile; instead craft
-  // the v2 layout directly, which the loader documents: magic, geometry,
-  // data, labels, damage map, crash flag+plan, transient-fault map.
+TEST_F(SimFaultTest, ImageWithOldOrUnknownMagicIsRejected) {
+  // Only CEDIMG03 loads: an image from an older format (CEDIMG01/02) or
+  // with a garbage magic fails cleanly, even when the bytes that follow
+  // are a well-formed current image.
   ASSERT_TRUE(disk_.Write(10, Pattern(1, 77)).ok());
-  disk_.DamageSectors(11, 1);
-  const DiskGeometry g = disk_.geometry();
-  const std::string path = ::testing::TempDir() + "/fault_v2.img";
-  {
-    const DiskSnapshot snap = disk_.Snapshot();
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write("CEDIMG02", 8);
-    const std::uint32_t header[3] = {g.cylinders, g.heads,
-                                     g.sectors_per_track};
-    out.write(reinterpret_cast<const char*>(header), sizeof(header));
-    out.write(reinterpret_cast<const char*>(snap.data.data()),
-              static_cast<std::streamsize>(snap.data.size()));
-    for (const Label& label : snap.labels) {
-      out.write(reinterpret_cast<const char*>(&label.file_uid), 8);
-      out.write(reinterpret_cast<const char*>(&label.page_number), 4);
-      const auto type = static_cast<std::uint8_t>(label.type);
-      out.write(reinterpret_cast<const char*>(&type), 1);
+  const std::string path = ::testing::TempDir() + "/fault_magic.img";
+  for (const char* magic : {"CEDIMG01", "CEDIMG02", "NOTANIMG"}) {
+    SCOPED_TRACE(magic);
+    ASSERT_TRUE(disk_.SaveImage(path).ok());
+    {
+      std::fstream io(path, std::ios::binary | std::ios::in | std::ios::out);
+      io.write(magic, 8);
     }
-    for (std::uint32_t lba = 0; lba < g.TotalSectors(); ++lba) {
-      const std::uint8_t bad = snap.damaged[lba] ? 1 : 0;
-      out.write(reinterpret_cast<const char*>(&bad), 1);
-    }
-    const char tail[2] = {0, 0};  // crashed = 0, has_plan = 0
-    out.write(tail, 2);
-    const std::uint64_t crash_writes_seen = 0;
-    out.write(reinterpret_cast<const char*>(&crash_writes_seen), 8);
-    const std::uint32_t ntransient = 0;
-    out.write(reinterpret_cast<const char*>(&ntransient), 4);
+    VirtualClock clock2;
+    SimDisk loaded(TestGeometry(), DiskTimingParams{}, &clock2);
+    EXPECT_EQ(loaded.LoadImage(path).code(), ErrorCode::kCorruptMetadata);
   }
-
-  VirtualClock clock2;
-  SimDisk loaded(TestGeometry(), DiskTimingParams{}, &clock2);
-  ASSERT_TRUE(loaded.LoadImage(path).ok());
-  std::vector<std::uint8_t> out(kSectorSize);
-  ASSERT_TRUE(loaded.Read(10, out).ok());
-  EXPECT_TRUE(std::equal(out.begin(), out.end(), Pattern(1, 77).begin()));
-  EXPECT_EQ(loaded.Read(11, out).code(), ErrorCode::kSectorDamaged);
-  // Pre-fault-model images carry no fault state.
-  EXPECT_FALSE(loaded.PersistentFault(41).has_value());
-  EXPECT_FALSE(loaded.fault_schedule().Active());
   std::remove(path.c_str());
 }
 

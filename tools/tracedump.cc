@@ -7,7 +7,7 @@
 //                                    and summarize — the smoke test
 //
 // The binary format is produced by obs::DiskTracer::DumpBinary (magic
-// "CEDTRC03"; "CEDTRC02" traces still load); see src/obs/trace.h.
+// "CEDTRC04"); see src/obs/trace.h.
 
 #include <cstdio>
 #include <cstring>
