@@ -21,8 +21,14 @@
 // and eviction walks from the LRU end past them; the walk is O(1) in the
 // common case and bounded by the dirty population in the worst case.
 //
-// Thread safety: an internal mutex guards the map, the LRU list, and the
-// hit/miss/eviction counters. Two access disciplines coexist:
+// Counters: hits, misses, evictions and eviction-walk steps are registry
+// counters ("cache.hits", "cache.misses", "cache.evictions",
+// "cache.eviction_scan_steps"). An owner with a metrics registry passes it
+// in, so the cache reports beside the owner's other counters; without one
+// the cache keeps a registry of its own.
+//
+// Thread safety: an internal mutex guards the map and the LRU list. Two
+// access disciplines coexist:
 //
 //   - Closure APIs (ReadInto / Apply / Upsert / InsertIfAbsent) run entirely
 //     under the cache mutex, so frame *contents and flags* accessed through
@@ -43,11 +49,13 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <span>
 #include <unordered_map>
 #include <vector>
 
+#include "src/obs/metrics.h"
 #include "src/util/check.h"
 
 namespace cedar::cache {
@@ -71,11 +79,23 @@ struct Frame {
 
 class PageCache {
  public:
-  // `capacity` bounds the number of *clean* frames kept; dirty frames are
-  // never evicted (the log may hold their only durable copy), so the cache
-  // can exceed capacity transiently between group commits.
-  explicit PageCache(std::size_t capacity) : capacity_(capacity) {
+  // `capacity` bounds the number of frames, dirty and clean together: an
+  // insert at capacity evicts the least recently used clean frame, so every
+  // dirty frame shrinks the clean working set by one. Dirty frames are never
+  // evicted (the log may hold their only durable copy); when all frames are
+  // dirty the cache grows past capacity until a checkpoint cleans some.
+  explicit PageCache(std::size_t capacity,
+                     obs::MetricsRegistry* metrics = nullptr)
+      : capacity_(capacity) {
     CEDAR_CHECK(capacity >= 8);
+    if (metrics == nullptr) {
+      own_metrics_ = std::make_unique<obs::MetricsRegistry>();
+      metrics = own_metrics_.get();
+    }
+    hits_ = metrics->GetCounter("cache.hits");
+    misses_ = metrics->GetCounter("cache.misses");
+    evictions_ = metrics->GetCounter("cache.evictions");
+    eviction_scan_steps_ = metrics->GetCounter("cache.eviction_scan_steps");
   }
 
   // Returns the frame for `key`, or nullptr on miss. Bumps LRU.
@@ -83,10 +103,10 @@ class PageCache {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = frames_.find(key);
     if (it == frames_.end()) {
-      ++misses_;
+      misses_->Increment();
       return nullptr;
     }
-    ++hits_;
+    hits_->Increment();
     MoveToFront(&it->second);
     return &it->second;
   }
@@ -153,10 +173,10 @@ class PageCache {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = frames_.find(key);
     if (it == frames_.end()) {
-      ++misses_;
+      misses_->Increment();
       return false;
     }
-    ++hits_;
+    hits_->Increment();
     MoveToFront(&it->second);
     const std::size_t n = std::min(out.size(), it->second.data.size());
     std::copy_n(it->second.data.begin(), n, out.begin());
@@ -237,23 +257,13 @@ class PageCache {
     std::lock_guard<std::mutex> lock(mu_);
     return frames_.size();
   }
-  std::uint64_t hits() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return hits_;
-  }
-  std::uint64_t misses() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return misses_;
-  }
-  std::uint64_t evictions() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return evictions_;
-  }
+  std::uint64_t hits() const { return hits_->value(); }
+  std::uint64_t misses() const { return misses_->value(); }
+  std::uint64_t evictions() const { return evictions_->value(); }
   // Frames examined by eviction walks; evictions == steps when every
   // eviction found a clean frame at the exact LRU tail.
   std::uint64_t eviction_scan_steps() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return eviction_scan_steps_;
+    return eviction_scan_steps_->value();
   }
 
  private:
@@ -301,7 +311,7 @@ class PageCache {
     // may hold their only durable copy) to the oldest clean frame.
     Frame* victim = tail_;
     while (victim != nullptr) {
-      ++eviction_scan_steps_;
+      eviction_scan_steps_->Increment();
       if (!victim->dirty && !victim->dirty_since_log) {
         break;
       }
@@ -310,7 +320,7 @@ class PageCache {
     if (victim != nullptr) {
       Unlink(victim);
       frames_.erase(victim->key);
-      ++evictions_;
+      evictions_->Increment();
     }
     // If everything is dirty, grow past capacity; the next checkpoint will
     // make frames clean again.
@@ -321,10 +331,11 @@ class PageCache {
   std::unordered_map<std::uint32_t, Frame> frames_;
   Frame* head_ = nullptr;  // most recently used
   Frame* tail_ = nullptr;  // least recently used
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
-  std::uint64_t evictions_ = 0;
-  std::uint64_t eviction_scan_steps_ = 0;
+  std::unique_ptr<obs::MetricsRegistry> own_metrics_;  // when none was given
+  obs::Counter* hits_ = nullptr;
+  obs::Counter* misses_ = nullptr;
+  obs::Counter* evictions_ = nullptr;
+  obs::Counter* eviction_scan_steps_ = nullptr;
 };
 
 }  // namespace cedar::cache

@@ -304,12 +304,51 @@ class Fsd::NtStore : public btree::PageStore {
   std::atomic<std::uint32_t> seq_clock_{0};
 };
 
+// A read-only name-table PageStore over the preload sweep's elected images
+// (the mount-time rebuild walks the tree through it, so a cache smaller
+// than the table never sends the walk back to disk). A page neither copy
+// held is lost exactly as NtStore::ReadPage reports it.
+class Fsd::NtImageStore : public btree::PageStore {
+ public:
+  NtImageStore(Fsd* fsd, const NtImages* images) : fsd_(fsd), images_(images) {}
+
+  std::uint32_t page_size() const override { return NtStore::kPayload; }
+
+  Status ReadPage(btree::PageId id, std::span<std::uint8_t> out) override {
+    if (id >= images_->present.size() || !images_->present[id]) {
+      fsd_->NoteLostNtPage(id);
+      return MakeError(ErrorCode::kSectorDamaged,
+                       "both name-table copies unreadable, page " +
+                           std::to_string(id));
+    }
+    std::copy_n(images_->sectors.begin() + static_cast<std::size_t>(id) * 512,
+                NtStore::kPayload, out.begin());
+    return OkStatus();
+  }
+
+  Status WritePage(btree::PageId, std::span<const std::uint8_t>) override {
+    return ReadOnly();
+  }
+  Result<btree::PageId> AllocatePage() override { return ReadOnly(); }
+  Status FreePage(btree::PageId) override { return ReadOnly(); }
+  bool CanAllocate(std::uint32_t) override { return false; }
+
+ private:
+  static Status ReadOnly() {
+    return MakeError(ErrorCode::kFailedPrecondition,
+                     "name-table image store is read-only");
+  }
+
+  Fsd* fsd_;
+  const NtImages* images_;
+};
+
 Fsd::Fsd(sim::BlockDevice* disk, FsdConfig config)
     : disk_(disk),
       config_(config),
       layout_(FsdLayout::Compute(disk->geometry(), config)),
       vam_(disk->geometry().TotalSectors(), config.nt_pages),
-      cache_(config.cache_frames) {
+      cache_(config.cache_frames, &metrics_) {
   CEDAR_CHECK(disk != nullptr);
   nt_store_ = std::make_unique<NtStore>(this);
   tree_ = std::make_unique<btree::BTree>(nt_store_.get(), /*root=*/0);
@@ -968,7 +1007,7 @@ Status Fsd::MountDegradedLocked() {
   return OkStatus();
 }
 
-Status Fsd::PreloadNameTable() {
+Status Fsd::PreloadNameTable(NtImages* winners) {
   const std::uint32_t n = config_.nt_pages;
   std::vector<std::uint8_t> region_a(static_cast<std::size_t>(n) * 512);
   std::vector<std::uint8_t> region_b(static_cast<std::size_t>(n) * 512);
@@ -1038,9 +1077,12 @@ Status Fsd::PreloadNameTable() {
   CEDAR_RETURN_IF_ERROR(patch_remapped(region_b, layout_.ntb_base, bad_b_set));
   HomeBatch repairs(disk_, config_.durability.batched_writeback);
   const bool degraded = degraded_.load(std::memory_order_relaxed);
+  // Region A's buffer doubles as the winners: a winning B copy is copied
+  // into A's slot once the election is made.
+  std::vector<bool> present(n, false);
   for (std::uint32_t pid = 0; pid < n; ++pid) {
-    auto a = std::span<const std::uint8_t>(region_a)
-                 .subspan(static_cast<std::size_t>(pid) * 512, 512);
+    auto a = std::span<std::uint8_t>(region_a).subspan(
+        static_cast<std::size_t>(pid) * 512, 512);
     auto b = std::span<const std::uint8_t>(region_b)
                  .subspan(static_cast<std::size_t>(pid) * 512, 512);
     std::uint32_t seq_a = 0;
@@ -1061,9 +1103,13 @@ Status Fsd::PreloadNameTable() {
     nt_store_->MergeSeq(std::max(ok_a ? seq_a : 0u, ok_b ? seq_b : 0u));
     // Winner: newest valid copy; tie → primary (historical direction).
     const bool b_wins = ok_b && (!ok_a || seq_b > seq_a);
-    auto good = b_wins ? b : a;
     const bool diverged =
         !ok_a || !ok_b || !std::equal(a.begin(), a.end(), b.begin());
+    if (b_wins) {
+      std::copy(b.begin(), b.end(), a.begin());
+    }
+    const std::span<const std::uint8_t> good = a;
+    present[pid] = true;
     if (diverged && !degraded) {
       const sim::Lba loser_home =
           b_wins ? layout_.nta_base + pid : layout_.ntb_base + pid;
@@ -1073,26 +1119,35 @@ Status Fsd::PreloadNameTable() {
     }
     cache_.Insert(pid, std::vector<std::uint8_t>(good.begin(), good.end()));
   }
-  return FlushHomeBatch(repairs);
+  CEDAR_RETURN_IF_ERROR(FlushHomeBatch(repairs));
+  if (winners != nullptr) {
+    winners->sectors = std::move(region_a);
+    winners->present = std::move(present);
+  }
+  return OkStatus();
 }
 
 Status Fsd::RebuildVolatileState() {
   // Reconstruct the VAM from the name table (paper section 5.5): the name
   // table is compact and local, so this scan is fast; the cost is mostly
-  // per-entry CPU. Both regions are slurped sequentially first.
-  CEDAR_RETURN_IF_ERROR(PreloadNameTable());
+  // per-entry CPU. Both regions are slurped in one sweep first, and the
+  // walk reads the images that sweep elected, never the bounded cache.
+  NtImages images;
+  CEDAR_RETURN_IF_ERROR(PreloadNameTable(&images));
+  NtImageStore store(this, &images);
+  btree::BTree tree(&store, tree_->root());
   vam_.free().SetRange(0, vam_.free().size(), true);
   CEDAR_RETURN_IF_ERROR(MarkSystemRegionsUsed());
   vam_.nt_free().SetRange(0, config_.nt_pages, true);
 
   std::vector<btree::PageId> pages;
-  CEDAR_RETURN_IF_ERROR(tree_->CollectPages(&pages));
+  CEDAR_RETURN_IF_ERROR(tree.CollectPages(&pages));
   for (btree::PageId pid : pages) {
     vam_.nt_free().Set(pid, false);
   }
 
-  Status scan = tree_->Scan({}, [&](std::span<const std::uint8_t>,
-                                    std::span<const std::uint8_t> value) {
+  Status scan = tree.Scan({}, [&](std::span<const std::uint8_t>,
+                                  std::span<const std::uint8_t> value) {
     FsdEntry entry;
     if (ParseEntry(value, &entry).ok()) {
       vam_.MarkUsed(fs::Extent{.start = entry.leader_lba, .count = 1});

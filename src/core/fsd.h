@@ -328,6 +328,7 @@ class Fsd : public fs::FileSystem {
 
  private:
   class NtStore;
+  class NtImageStore;
 
   struct OpenState {
     std::string name;
@@ -600,10 +601,19 @@ class Fsd : public fs::FileSystem {
   Status WriteVolumeRoot(bool clean);
   Status ReadVolumeRoot(bool* clean);
   Status RebuildVolatileState();  // VAM + name-table page map from the tree
-  // Bulk sequential read of both name-table regions into the cache (with
-  // replica cross-check), so the rebuild scan runs at media rate instead of
-  // seeking between the copies per page.
-  Status PreloadNameTable();
+  // The elected winner of every name-table page, in page order: page p's
+  // 512-byte sector sits at sectors[p * 512] when present[p]; present[p] is
+  // false when neither copy validated (a free page, or a lost one).
+  struct NtImages {
+    std::vector<std::uint8_t> sectors;
+    std::vector<bool> present;
+  };
+  // One elevator sweep over both name-table regions: elects each page's
+  // winner (newest valid copy), counts corruption, repairs the loser, and
+  // fills the cache. When `winners` is non-null the elected images are
+  // also handed back, so the rebuild walks them in memory instead of
+  // re-reading through a cache smaller than the table.
+  Status PreloadNameTable(NtImages* winners = nullptr);
   Status MarkSystemRegionsUsed();
 
   Result<std::pair<std::uint32_t, FsdEntry>> HighestVersion(
@@ -645,6 +655,10 @@ class Fsd : public fs::FileSystem {
   sim::BlockDevice* disk_;
   FsdConfig config_;
   FsdLayout layout_;
+  // Every counter lives here (exposed via fs::FileSystem::Metrics()),
+  // including the page cache's "cache.*" counters; declared before cache_,
+  // which registers into it on construction.
+  obs::MetricsRegistry metrics_;
 
   std::unique_ptr<NtStore> nt_store_;
   std::unique_ptr<btree::BTree> tree_;
@@ -716,10 +730,9 @@ class Fsd : public fs::FileSystem {
   // Completed name-keyed ops per shard (relaxed; test/bench telemetry).
   std::array<std::atomic<std::uint64_t>, kNameShardCount> shard_ops_{};
 
-  // All counters live in metrics_ (exposed via fs::FileSystem::Metrics());
-  // c_ caches the counter pointers so hot paths skip the name lookup, and
-  // h_ holds per-operation latency histograms ("op.fsd.<name>.us").
-  obs::MetricsRegistry metrics_;
+  // c_ caches metrics_'s counter pointers so hot paths skip the name
+  // lookup, and h_ holds per-operation latency histograms
+  // ("op.fsd.<name>.us").
   struct CounterSet {
     obs::Counter* forces = nullptr;
     obs::Counter* empty_forces = nullptr;

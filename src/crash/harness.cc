@@ -62,7 +62,9 @@ core::FsdConfig CrashHarness::FsdConfigFor(bool vam_logging) {
 
 CrashHarness::CrashHarness(HarnessOptions options)
     : options_(std::move(options)),
-      config_(FsdConfigFor(options_.vam_logging)) {}
+      config_(FsdConfigFor(options_.vam_logging)) {
+  config_.cache_frames = options_.cache_frames;
+}
 
 CrashHarness::~CrashHarness() = default;
 

@@ -68,6 +68,10 @@ struct HarnessOptions {
   // Run FSD with the VAM-logging extension on (the fast-recovery path has
   // its own crash windows, so the harness covers both modes).
   bool vam_logging = false;
+  // FSD page-cache frames. The default holds the whole name table; 8 (the
+  // minimum) is below the standard workload's live table, so recording,
+  // recovery and the VAM rebuild run under eviction.
+  std::size_t cache_frames = 512;
   // Cap on enumerated cases; 0 = run everything. When the cap bites, every
   // clean cut is kept and the torn/reorder variants are sampled.
   std::uint64_t max_cases = 0;

@@ -68,6 +68,29 @@ TEST(CrashHarnessTest, BoundedSweepPassesVamLoggingMode) {
   EXPECT_TRUE(report->AllPassed()) << report->results.size() << " cases";
 }
 
+// The same bounded sweep with the smallest cache FSD allows. The standard
+// workload's name table peaks at 11 live pages, so 16 frames never evict;
+// 8 frames evict both while the schedule is recorded and in the recovery
+// mount's preload, so cuts, replay and the VAM rebuild run under eviction.
+TEST(CrashHarnessTest, BoundedSweepPassesUnderCacheEviction) {
+  for (const bool vam_logging : {false, true}) {
+    HarnessOptions options;
+    options.vam_logging = vam_logging;
+    options.cache_frames = 8;
+    options.max_cases = 120;
+    options.double_crash_points = 1;
+    CrashHarness harness(options);
+    auto report = harness.Run();
+    ASSERT_TRUE(report.ok()) << report.status().message();
+    EXPECT_GT(report->enumerated, options.max_cases);
+    for (const CaseResult& r : report->results) {
+      EXPECT_TRUE(r.pass) << (vam_logging ? "vamlog" : "plain") << " w"
+                          << r.c.plan.at_write_index << " [" << r.c.variant
+                          << "]: " << r.failure;
+    }
+  }
+}
+
 // The standard workload must keep giving the enumerator real material:
 // multi-write IoScheduler batches (otherwise the reorder variants are
 // vacuous) and mid-workload third-entry home writes (log wrap). A workload or

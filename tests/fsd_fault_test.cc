@@ -240,5 +240,145 @@ TEST_F(FsdFaultTest, RootCopyReadFaultHealedOnMount) {
   ASSERT_TRUE(fsd->Shutdown().ok());
 }
 
+// ---------------------------------------------------------------------------
+// Small-cache variants of the preload cases. A crash-recovery mount rebuilds
+// the VAM by walking the name table; the walk reads the images the preload
+// sweep elected, so with a table many times the cache's size every fault is
+// counted and healed once, exactly as with a cache that holds the table.
+
+enum class PreloadFault {
+  kNone,
+  kReplicaCorrupt,
+  kPrimaryUnreadable,
+  kRemappedHome
+};
+
+struct RebuildOutcome {
+  std::uint64_t nt_pages = 0;
+  std::uint32_t free_sectors = 0;
+  std::uint64_t nt_repairs = 0;
+  std::uint64_t repairs = 0;
+  std::uint64_t corruption_detected = 0;
+  std::uint64_t remaps = 0;
+  std::uint64_t remaps_before_crash = 0;
+};
+
+// Live name-table pages the faults land on (pages allocate from 0 upward,
+// and the table below has dozens of live pages).
+constexpr std::uint32_t kFaultPages = 4;
+
+// Builds a volume whose name table dwarfs a 16-frame cache, checkpoints it
+// (so replay rewrites none of the faulted home copies), crashes
+// it (VAM logging off, so Mount rebuilds from the name table), injects
+// `fault`, and mounts with `cache_frames`. *free_live is the VAM's
+// free count just before the crash.
+RebuildOutcome MountAfterFault(PreloadFault fault, std::size_t cache_frames,
+                               std::uint32_t* free_live) {
+  sim::VirtualClock clock;
+  sim::SimDisk disk(sim::TestGeometry(), sim::DiskTimingParams{}, &clock);
+  core::FsdConfig config = FaultCfg();
+  config.nt_pages = 256;
+  core::FsdLayout layout;
+  std::uint64_t remaps_before_crash = 0;
+  {
+    core::Fsd fsd(&disk, config);
+    CEDAR_CHECK_OK(fsd.Format());
+    layout = fsd.layout();
+    if (fault == PreloadFault::kRemappedHome) {
+      // Dead before the first checkpoint: the home writes remap it durably,
+      // and the recovery mount's sweep reads the page from its spare.
+      for (std::uint32_t pid = 0; pid < kFaultPages; ++pid) {
+        disk.InjectPersistentFault(layout.nta_base + pid,
+                                   sim::FaultMode::kDead);
+      }
+    }
+    for (int i = 0; i < 300; ++i) {
+      CEDAR_CHECK_OK(
+          fsd.CreateFile("big/f" + std::to_string(i), Bytes(600, 7))
+              .status());
+    }
+    CEDAR_CHECK_OK(fsd.Force());
+    CEDAR_CHECK_OK(fsd.Checkpoint());
+    *free_live = fsd.FreeSectors();
+    remaps_before_crash = fsd.Health().remaps;
+    disk.CrashNow();
+  }
+  disk.Reopen();
+  for (std::uint32_t pid = 0; pid < kFaultPages; ++pid) {
+    if (fault == PreloadFault::kReplicaCorrupt) {
+      disk.CorruptSector(layout.ntb_base + pid, 3000 + pid);
+    } else if (fault == PreloadFault::kPrimaryUnreadable) {
+      disk.InjectPersistentFault(layout.nta_base + pid,
+                                 sim::FaultMode::kReadFail);
+    }
+  }
+  config.cache_frames = cache_frames;
+  core::Fsd fsd(&disk, config);
+  CEDAR_CHECK_OK(fsd.Mount());
+  auto report = fsd.Fsck();
+  CEDAR_CHECK_OK(report.status());
+  EXPECT_EQ(report->violations(), 0u);
+  const fs::HealthStats health = fsd.Health();
+  return RebuildOutcome{.nt_pages = report->nt_pages_checked,
+                        .free_sectors = fsd.FreeSectors(),
+                        .nt_repairs = fsd.stats().nt_repairs,
+                        .repairs = health.repairs,
+                        .corruption_detected = health.corruption_detected,
+                        .remaps = health.remaps,
+                        .remaps_before_crash = remaps_before_crash};
+}
+
+constexpr const char* kFaultNames[] = {"None", "ReplicaCorrupt",
+                                        "PrimaryUnreadable", "RemappedHome"};
+
+class SmallCacheRebuildTest : public ::testing::TestWithParam<PreloadFault> {};
+
+TEST_P(SmallCacheRebuildTest, FaultsCountOnceAndVamMatches) {
+  std::uint32_t free_clean = 0;
+  MountAfterFault(PreloadFault::kNone, 1024, &free_clean);
+  std::uint32_t free_big = 0;
+  std::uint32_t free_small = 0;
+  const RebuildOutcome big = MountAfterFault(GetParam(), 1024, &free_big);
+  const RebuildOutcome small = MountAfterFault(GetParam(), 16, &free_small);
+  EXPECT_GT(small.nt_pages, 2u * 16) << "the name table must dwarf the cache";
+  // The rebuilt VAM equals the live one and the fault-free one.
+  EXPECT_EQ(big.free_sectors, free_big);
+  EXPECT_EQ(small.free_sectors, free_small);
+  EXPECT_EQ(small.free_sectors, free_clean);
+  EXPECT_EQ(small.nt_repairs, big.nt_repairs);
+  EXPECT_EQ(small.repairs, big.repairs);
+  EXPECT_EQ(small.corruption_detected, big.corruption_detected);
+  EXPECT_EQ(small.remaps, big.remaps);
+  switch (GetParam()) {
+    case PreloadFault::kReplicaCorrupt:
+      EXPECT_EQ(small.corruption_detected, kFaultPages);
+      EXPECT_GE(small.nt_repairs, kFaultPages);
+      break;
+    case PreloadFault::kPrimaryUnreadable:
+      EXPECT_EQ(small.corruption_detected, 0u);
+      EXPECT_GE(small.nt_repairs, kFaultPages);
+      break;
+    case PreloadFault::kRemappedHome:
+      // The sweep reads the remapped pages from their spares: nothing to
+      // detect, repair or remap again.
+      EXPECT_GE(small.remaps_before_crash, kFaultPages);
+      EXPECT_EQ(small.remaps, 0u);
+      EXPECT_EQ(small.nt_repairs, 0u);
+      EXPECT_EQ(small.corruption_detected, 0u);
+      break;
+    case PreloadFault::kNone:
+      break;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PreloadFaults, SmallCacheRebuildTest,
+    ::testing::Values(PreloadFault::kReplicaCorrupt,
+                      PreloadFault::kPrimaryUnreadable,
+                      PreloadFault::kRemappedHome),
+    [](const ::testing::TestParamInfo<PreloadFault>& p) {
+      return std::string(kFaultNames[static_cast<int>(p.param)]);
+    });
+
 }  // namespace
 }  // namespace cedar

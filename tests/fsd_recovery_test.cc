@@ -201,6 +201,60 @@ TEST_F(FsdRecoveryTest, VamRebuildMatchesNameTable) {
   EXPECT_EQ(after.FreeSectors(), free_live);
 }
 
+// The VAM rebuild reads the name table once, in the mount's preload sweep:
+// a cache far smaller than the table costs the mount no extra disk reads,
+// and the rebuilt VAM is the same.
+TEST(FsdRebuildCacheTest, SmallCacheMountReadsNameTableOnce) {
+  FsdConfig config = SmallConfig();
+  config.nt_pages = 1024;
+  sim::VirtualClock clock;
+  sim::SimDisk disk(sim::TestGeometry(), sim::DiskTimingParams{}, &clock);
+  std::uint32_t free_live = 0;
+  {
+    Fsd fsd(&disk, config);
+    ASSERT_TRUE(fsd.Format().ok());
+    for (int i = 0; i < 1500; ++i) {
+      ASSERT_TRUE(
+          fsd.CreateFile("pin/f" + std::to_string(i), Bytes(100, 3)).ok());
+    }
+    ASSERT_TRUE(fsd.Force().ok());
+    free_live = fsd.FreeSectors();
+    disk.CrashNow();
+  }
+  const sim::DiskSnapshot crashed = disk.Snapshot();
+
+  struct MountResult {
+    std::uint64_t reads = 0;
+    std::uint32_t free = 0;
+    std::uint64_t nt_pages = 0;
+  };
+  auto mount_with = [&](std::size_t frames) {
+    disk.Restore(crashed);
+    disk.Reopen();
+    FsdConfig small = config;
+    small.cache_frames = frames;
+    Fsd fsd(&disk, small);
+    MountResult result;
+    const std::uint64_t before = disk.stats().reads;
+    EXPECT_TRUE(fsd.Mount().ok());
+    result.reads = disk.stats().reads - before;
+    result.free = fsd.FreeSectors();
+    auto report = fsd.Fsck();
+    EXPECT_TRUE(report.ok());
+    if (report.ok()) {
+      EXPECT_EQ(report->violations(), 0u);
+      result.nt_pages = report->nt_pages_checked;
+    }
+    return result;
+  };
+  const MountResult big = mount_with(1024);
+  const MountResult small = mount_with(16);
+  EXPECT_GE(big.nt_pages, 200u) << "the name table must dwarf 16 frames";
+  EXPECT_EQ(small.reads, big.reads);
+  EXPECT_EQ(small.free, big.free);
+  EXPECT_EQ(big.free, free_live);
+}
+
 TEST_F(FsdRecoveryTest, CrashDuringThirdFlushIsSafe) {
   // Drive enough commits to wrap the log and trigger third flushes, with a
   // crash armed in the middle of the churn.

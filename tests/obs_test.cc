@@ -314,6 +314,46 @@ TEST(FsObservabilityTest, SnapshotKeySetStableAcrossMountCycles) {
   EXPECT_EQ(reset.CounterValue("fsd.forces"), 0u);
 }
 
+// The page cache counts into FSD's registry, beside the fsd.* counters: a
+// name table far larger than an 8-frame cache misses, hits on a repeated
+// lookup, and evicts, and each eviction walks at least one frame.
+TEST(FsObservabilityTest, FsdPageCacheCountersLiveInTheRegistry) {
+  sim::VirtualClock clock;
+  sim::SimDisk disk(sim::TestGeometry(), sim::DiskTimingParams{}, &clock);
+  core::FsdConfig config = SmallFsdConfig();
+  config.cache_frames = 8;
+  core::Fsd fsd(&disk, config);
+  CEDAR_CHECK_OK(fsd.Format());
+  for (int i = 0; i < 200; ++i) {
+    CEDAR_CHECK_OK(fsd.CreateFile("k/f" + std::to_string(i),
+                                  std::vector<std::uint8_t>(100, 4))
+                       .status());
+  }
+  CEDAR_CHECK_OK(fsd.Shutdown());
+  CEDAR_CHECK_OK(fsd.Mount());  // clean: the name table is read lazily
+
+  const fs::FileSystem& base = fsd;
+  const MetricsSnapshot before = base.SnapshotMetrics();
+  for (const char* name : {"cache.hits", "cache.misses", "cache.evictions",
+                           "cache.eviction_scan_steps"}) {
+    EXPECT_NE(base.Metrics().FindCounter(name), nullptr) << name;
+  }
+  ASSERT_TRUE(fsd.List("k/").ok());
+  for (int i = 0; i < 2; ++i) {
+    auto handle = fsd.Open("k/f7");
+    ASSERT_TRUE(handle.ok());
+    CEDAR_CHECK_OK(fsd.Close(*handle));
+  }
+  const MetricsSnapshot after = base.SnapshotMetrics();
+  auto delta = [&](const char* name) {
+    return after.CounterValue(name) - before.CounterValue(name);
+  };
+  EXPECT_GT(delta("cache.misses"), 0u);
+  EXPECT_GT(delta("cache.hits"), 0u);
+  EXPECT_GT(delta("cache.evictions"), 0u);
+  EXPECT_GE(delta("cache.eviction_scan_steps"), delta("cache.evictions"));
+}
+
 TEST(FsObservabilityTest, FsdCloseDropsLeaderVerification) {
   FsdRig rig;
   CEDAR_CHECK_OK(rig.fsd->Format());

@@ -8,6 +8,8 @@
 //   crashtest --max-cases=N          override the bounded-sweep cap
 //   crashtest --double-crash=N       recovery re-crash points per clean cut
 //   crashtest --seed=N               sampling seed
+//   crashtest --cache-frames=N       FSD page-cache frames (default 512,
+//                                    which holds the whole name table)
 //   crashtest --dump-dir=DIR        dump failing disk images + schedules
 //   crashtest --quiet               summary + failures only, no table
 //
@@ -101,6 +103,7 @@ int main(int argc, char** argv) {
   std::uint64_t seed = 0x5EEDCA5Eu;
   std::string dump_dir;
   std::string mode = "both";
+  std::size_t cache_frames = HarnessOptions{}.cache_frames;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto value = [&](const char* prefix) -> const char* {
@@ -117,6 +120,8 @@ int main(int argc, char** argv) {
           std::strtoul(value("--double-crash="), nullptr, 10));
     } else if (arg.rfind("--seed=", 0) == 0) {
       seed = std::strtoull(value("--seed="), nullptr, 10);
+    } else if (arg.rfind("--cache-frames=", 0) == 0) {
+      cache_frames = std::strtoull(value("--cache-frames="), nullptr, 10);
     } else if (arg.rfind("--dump-dir=", 0) == 0) {
       dump_dir = value("--dump-dir=");
     } else if (arg.rfind("--mode=", 0) == 0) {
@@ -125,12 +130,17 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "usage: crashtest [--exhaustive] [--quiet] "
                    "[--mode=plain|vamlog|both] [--max-cases=N] "
-                   "[--double-crash=N] [--seed=N] [--dump-dir=DIR]\n");
+                   "[--double-crash=N] [--seed=N] [--cache-frames=N] "
+                   "[--dump-dir=DIR]\n");
       return 2;
     }
   }
   if (mode != "plain" && mode != "vamlog" && mode != "both") {
     std::fprintf(stderr, "crashtest: bad --mode '%s'\n", mode.c_str());
+    return 2;
+  }
+  if (cache_frames < 8) {
+    std::fprintf(stderr, "crashtest: --cache-frames must be at least 8\n");
     return 2;
   }
 
@@ -140,6 +150,7 @@ int main(int argc, char** argv) {
   options.double_crash_points = double_crash;
   options.seed = seed;
   options.dump_dir = dump_dir;
+  options.cache_frames = cache_frames;
 
   int status = 0;
   if (mode != "vamlog") {
