@@ -12,11 +12,9 @@
 // raw volume capacity — the paper's point that scavenge-style recovery is
 // untenable "as disk capacity continues to grow".
 
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -65,13 +63,15 @@ double FsdRecoverySeconds(std::uint32_t files, double* replay_s,
 
 // ---- --ckpt mode: recovery window vs log fill, thirds vs continuous. ----
 //
-// The continuous checkpoint daemon's contract is that mount-time replay
+// The continuous checkpoint round's contract is that mount-time replay
 // covers at most `checkpoint.window_sectors` of log, no matter how much
 // work ran before the crash. Without it, the replay window grows with log
 // fill until third reclamation trims it — up to two thirds of the record
 // area. This sweep churns metadata (touch + force) to fill levels well past
-// a log wrap and crashes at each level, with the daemon off and on, so the
-// bounded-vs-linear contrast is measured rather than asserted.
+// a log wrap and crashes at each level, with the round off and on, so the
+// bounded-vs-linear contrast is measured rather than asserted. Commit runs
+// inline, so the checkpoint round steps at the end of each Force() and
+// every row is a deterministic function of the fill.
 
 constexpr std::uint32_t kCkptWindowSectors = 200;
 constexpr std::uint32_t kCkptFiles = 120;
@@ -89,7 +89,6 @@ cedar::core::FsdConfig CkptConfig(bool daemon) {
   // Single-record groups keep the window floor (one clamped commit group)
   // small, so a tight 200-sector window is a legal configuration.
   config.commit.group_records = 1;
-  config.commit.daemon = true;
   config.checkpoint.daemon = daemon;
   config.checkpoint.window_sectors = kCkptWindowSectors;
   // VAM logging removes the ~20 s rebuild constant from every mount, so the
@@ -114,18 +113,6 @@ CkptPoint RunCkptFill(int touches, bool daemon) {
         fsd.Touch("v/f" + std::to_string(i % kCkptFiles) + ".db"));
     CEDAR_CHECK_OK(fs.Force());
   }
-  if (daemon) {
-    // Checkpointing is asynchronous: give the daemon (real) time to finish
-    // the round the last force kicked off before taking the measurement.
-    for (int i = 0; i < 5000; ++i) {
-      auto window = fs.RecoveryWindow();
-      CEDAR_CHECK_OK(window.status());
-      if (window.value() <= std::uint64_t{kCkptWindowSectors} * 512) {
-        break;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  }
   CkptPoint point;
   point.touches = touches;
   point.daemon = daemon;
@@ -134,13 +121,9 @@ CkptPoint RunCkptFill(int touches, bool daemon) {
   point.pre_crash_window_bytes = window.value();
   rig.disk.CrashNow();
   rig.disk.Reopen();
-  // Recover with both daemons off so the measured virtual time is exactly
-  // the deterministic mount (replay + rebuild), with no background rounds
-  // racing the clock read.
-  cedar::core::FsdConfig recover_config = config;
-  recover_config.commit.daemon = false;
-  recover_config.checkpoint.daemon = false;
-  cedar::core::Fsd recovered(&rig.disk, recover_config);
+  // Mount runs no round: the measured virtual time is exactly the mount
+  // (replay + rebuild).
+  cedar::core::Fsd recovered(&rig.disk, config);
   point.mount_ms =
       TimedMs(rig.clock, [&] { CEDAR_CHECK_OK(recovered.Mount()); });
   point.replay_pages = recovered.stats().recovery_pages_replayed;
@@ -148,7 +131,7 @@ CkptPoint RunCkptFill(int touches, bool daemon) {
   return point;
 }
 
-// Mount time and replay volume gate; the pre-crash window is the daemon's
+// Mount time and replay volume gate; the pre-crash window is the round's
 // contract and is already hard-gated below, so it rides along as info.
 void WriteCkptJson(const char* path, bool smoke,
                    const std::vector<CkptPoint>& points) {
@@ -201,9 +184,9 @@ int CkptMain(int argc, char** argv) {
   WriteCkptJson(json_path, smoke, points);
 
   // Gates (CI runs this mode and fails on nonzero exit):
-  //   1. with the daemon, the pre-crash recovery window never exceeds the
-  //      configured bound — the daemon's contract;
-  //   2. with the daemon, mount replays at most the window's worth of
+  //   1. with the round, the pre-crash recovery window never exceeds the
+  //      configured bound — the round's contract;
+  //   2. with the round, mount replays at most the window's worth of
   //      pages, regardless of fill;
   //   3. at the deepest fill, daemon replay is strictly below third-based
   //      replay — bounded vs linear.

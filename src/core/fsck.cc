@@ -56,8 +56,8 @@ std::string FsckReport::Summary() const {
 }
 
 Result<FsckReport> Fsd::Fsck() {
-  // Quiesce client operations (and the commit daemon): close the op gate,
-  // drain in-flight ops, and hold force_mu_, so the audit sees a consistent
+  // Quiesce client operations (and the rounds): close the op gate, drain
+  // in-flight ops, and hold force_mu_, so the audit sees a consistent
   // cache/VAM/tree snapshot — the same exclusive view a log capture gets.
   ScopedQuiesce quiesce(this);
   if (!mounted_) {

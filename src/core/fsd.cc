@@ -5,6 +5,7 @@
 #include <map>
 #include <optional>
 #include <unordered_set>
+#include <utility>
 
 #include "src/fsapi/name_key.h"
 #include "src/obs/trace.h"
@@ -23,6 +24,13 @@ void PutU32(std::uint8_t* p, std::uint32_t v) {
   p[1] = static_cast<std::uint8_t>(v >> 8);
   p[2] = static_cast<std::uint8_t>(v >> 16);
   p[3] = static_cast<std::uint8_t>(v >> 24);
+}
+
+// commit.daemon picks the executor of both round runners: background
+// threads, or rounds stepped on the calling thread (inline mode).
+RoundRunner::Executor RoundExecutor(const FsdConfig& config) {
+  return config.commit.daemon ? RoundRunner::Executor::kThread
+                              : RoundRunner::Executor::kStepped;
 }
 
 }  // namespace
@@ -348,7 +356,10 @@ Fsd::Fsd(sim::BlockDevice* disk, FsdConfig config)
       config_(config),
       layout_(FsdLayout::Compute(disk->geometry(), config)),
       vam_(disk->geometry().TotalSectors(), config.nt_pages),
-      cache_(config.cache_frames, &metrics_) {
+      cache_(config.cache_frames, &metrics_),
+      commit_rounds_(RoundExecutor(config), [this] { CommitRound(); }),
+      ckpt_rounds_(RoundExecutor(config), [this] { CkptRound(); }),
+      queue_(&commit_rounds_, &metrics_) {
   CEDAR_CHECK(disk != nullptr);
   nt_store_ = std::make_unique<NtStore>(this);
   tree_ = std::make_unique<btree::BTree>(nt_store_.get(), /*root=*/0);
@@ -395,7 +406,6 @@ Fsd::Fsd(sim::BlockDevice* disk, FsdConfig config)
   h_.setkeep = metrics_.GetHistogram("op.fsd.setkeep.us");
   h_.force = metrics_.GetHistogram("op.fsd.force.us");
   disk_->AttachMetrics(&metrics_);
-  ckpt_daemon_ = std::make_unique<CkptDaemon>([this] { CkptRound(); });
 }
 
 FsdStats Fsd::stats() const {
@@ -424,10 +434,9 @@ FsdStats Fsd::stats() const {
   s.scrub_healed = c_.scrub_healed->value();
   s.scrub_unrepairable = c_.scrub_unrepairable->value();
   s.max_parallel_ops = gate_.max_outstanding();
-  const CommitQueue::Stats queue_stats = log_->commit_queue().stats();
-  s.force_requests = queue_stats.force_requests;
-  s.piggybacked = queue_stats.piggybacked;
-  s.daemon_forces = queue_stats.daemon_forces;
+  s.force_requests = metrics_.FindCounter("commit.force_requests")->value();
+  s.piggybacked = metrics_.FindCounter("commit.piggybacked")->value();
+  s.daemon_forces = metrics_.FindCounter("commit.rounds")->value();
   return s;
 }
 
@@ -479,10 +488,7 @@ Status Fsd::RepairLeader(const FsdEntry& entry, std::uint32_t version) {
   return wrote;
 }
 
-Fsd::~Fsd() {
-  StopCkptDaemon();
-  StopDaemon();
-}
+Fsd::~Fsd() { StopRounds(); }
 
 const LogStats& Fsd::log_stats() const { return log_->stats(); }
 
@@ -647,16 +653,14 @@ Status Fsd::ReadVolumeRoot(bool* clean) {
 
 Status Fsd::Format() {
   CEDAR_RETURN_IF_ERROR(config_.Validate());
-  StopCkptDaemon();
-  StopDaemon();
+  StopRounds();
   Status status;
   {
     ScopedQuiesce quiesce(this);
     status = FormatLocked();
   }
   if (status.ok()) {
-    StartDaemon();
-    StartCkptDaemon();
+    StartRounds();
   }
   return status;
 }
@@ -737,16 +741,14 @@ Status Fsd::FormatLocked() {
 
 Status Fsd::Mount() {
   CEDAR_RETURN_IF_ERROR(config_.Validate());
-  StopCkptDaemon();
-  StopDaemon();
+  StopRounds();
   Status status;
   {
     ScopedQuiesce quiesce(this);
     status = MountLocked();
   }
   if (status.ok()) {
-    StartDaemon();
-    StartCkptDaemon();
+    StartRounds();
   }
   return status;
 }
@@ -877,9 +879,8 @@ Status Fsd::MountLocked() {
 
 Status Fsd::MountDegraded() {
   CEDAR_RETURN_IF_ERROR(config_.Validate());
-  StopCkptDaemon();
-  StopDaemon();
-  // No daemons are started: a degraded mount is read-only and quiescent.
+  StopRounds();
+  // No rounds are started: a degraded mount is read-only and quiescent.
   ScopedQuiesce quiesce(this);
   return MountDegradedLocked();
 }
@@ -1458,7 +1459,7 @@ Status Fsd::ForceLogImpl(GateMode mode, std::uint64_t* covered_seq) {
   // belongs to the NEXT force.
   last_force_.store(disk_->clock().now(), std::memory_order_relaxed);
   if (covered_seq != nullptr) {
-    *covered_seq = log_->commit_queue().latest_update();
+    *covered_seq = queue_.latest_update();
   }
 
   // Gather everything dirtied since the last capture, in deterministic
@@ -1649,17 +1650,17 @@ Status Fsd::ForceLogImpl(GateMode mode, std::uint64_t* covered_seq) {
     vam_.FoldShadow(shadow);
   }
   c_.forces->Increment();
-  // Wake the checkpoint daemon when this append pushed the live span past
-  // the recovery window (force_mu_ is held; kForce < kCkpt so the notify
-  // nests cleanly). The daemon then takes force_mu_ itself for each batch.
-  if (ckpt_daemon_->running() &&
-      log_->LiveSectors() > CheckpointWindowSectors()) {
-    ckpt_daemon_->Notify();
+  // Request a checkpoint round when this append pushed the live span past
+  // the recovery window (force_mu_ is held; the runner's mutex is a leaf).
+  // The round takes force_mu_ itself: on its thread, or stepped at the
+  // caller's next lock-free point.
+  if (log_->LiveSectors() > CheckpointWindowSectors()) {
+    ckpt_rounds_.Request();
   }
   return OkStatus();
 }
 
-Status Fsd::MaybeDeadlineForce(std::uint64_t* await_seq) {
+Status Fsd::MaybeDeadlineForce(std::uint64_t* ticket) {
   if (!mounted_ || degraded_.load(std::memory_order_relaxed)) {
     return OkStatus();
   }
@@ -1668,59 +1669,41 @@ Status Fsd::MaybeDeadlineForce(std::uint64_t* await_seq) {
   if (now - last < config_.commit.interval) {
     return OkStatus();
   }
-  if (!config_.commit.daemon || await_seq == nullptr) {
-    util::RankedLockGuard lock(force_mu_, util::LockRank::kForce);
-    // Re-check under force_mu_: a raced force may have just reset the timer.
-    if (disk_->clock().now() - last_force_.load(std::memory_order_relaxed) <
-        config_.commit.interval) {
-      return OkStatus();
-    }
-    return ForceLogImpl(GateMode::kCloseAndReopen);
-  }
-  // Daemon mode: hand the expired deadline to the flusher thread. The
-  // wrapper blocks on the commit queue AFTER dropping every lock, so the
-  // daemon can close the gate and run, and concurrent ops that hit the
-  // same deadline piggyback on the one force.
-  CommitQueue& queue = log_->commit_queue();
-  const std::uint64_t latest = queue.latest_update();
-  if (latest <= queue.durable_seq()) {
-    // Nothing new since the last force — the inline path would have been
-    // an empty force. Shadow sectors can't be pending either: a delete
+  *ticket = queue_.Request(queue_.latest_update(), /*fresh=*/false);
+  if (*ticket == 0) {
+    // Nothing new since the last successful round: the empty force,
+    // without a round. Shadow sectors can't be pending either: a delete
     // always bumps the update sequence, so anything shadowed is already
-    // covered by a completed force (which committed it). Restart the timer;
-    // the CAS makes concurrent ops hitting the same expired deadline count
-    // it once.
+    // covered by a completed round. Restart the timer; the CAS makes
+    // concurrent ops hitting the same expired deadline count it once.
     if (last_force_.compare_exchange_strong(last, now,
                                             std::memory_order_relaxed)) {
       c_.empty_forces->Increment();
     }
     return OkStatus();
   }
-  *await_seq = latest;
+  // A round already published (a stepped one runs inside Request) is
+  // reported now, so a failed round keeps the op out. One still to come is
+  // awaited after the wrapper drops its locks, so it can close the gate and
+  // concurrent ops hitting the same deadline piggyback on it.
+  if (queue_.Published(*ticket)) {
+    return queue_.Await(std::exchange(*ticket, 0));
+  }
   return OkStatus();
 }
 
 Status Fsd::SpaceForce() {
   c_.space_forces->Increment();
-  if (config_.commit.daemon) {
-    // Ride the daemon's force when one will run: it resets the pending
-    // capture count. (A page can be pending before its op records an
-    // update; the inline fallback below covers that window.)
-    CommitQueue& queue = log_->commit_queue();
-    const std::uint64_t latest = queue.latest_update();
-    if (latest > queue.durable_seq()) {
-      return queue.AwaitDurable(latest);
-    }
-  }
-  util::RankedLockGuard lock(force_mu_, util::LockRank::kForce);
   if (gate_.pending_capture_pages() == 0) {
-    return OkStatus();  // a raced force already made room
+    return OkStatus();  // a raced round already made room
   }
-  return ForceLogImpl(GateMode::kCloseAndReopen);
+  // Fresh: a page can be pending before its op records an update, so the
+  // round must capture even when the sequence is already durable.
+  return queue_.Await(queue_.Request(queue_.latest_update(), /*fresh=*/true));
 }
 
-Status Fsd::BeginOp(std::uint64_t* await_seq) {
-  CEDAR_RETURN_IF_ERROR(MaybeDeadlineForce(await_seq));
+Status Fsd::BeginOp(std::uint64_t* ticket) {
+  CEDAR_RETURN_IF_ERROR(MaybeDeadlineForce(ticket));
   while (!gate_.TryBegin()) {
     CEDAR_RETURN_IF_ERROR(SpaceForce());
   }
@@ -1728,80 +1711,58 @@ Status Fsd::BeginOp(std::uint64_t* await_seq) {
 }
 
 Status Fsd::Tick() {
-  std::uint64_t await_seq = 0;
-  CEDAR_RETURN_IF_ERROR(
-      MaybeDeadlineForce(config_.commit.daemon ? &await_seq : nullptr));
-  return AwaitCommit(await_seq);
+  std::uint64_t ticket = 0;
+  Status status = MaybeDeadlineForce(&ticket);
+  if (status.ok()) {
+    status = queue_.Await(ticket);
+  }
+  ckpt_rounds_.Step();
+  return status;
 }
 
 Status Fsd::Force() {
   obs::ScopedLatency op_latency(h_.force, &disk_->clock());
   CEDAR_RETURN_IF_ERROR(CheckWritable());
-  if (!config_.commit.daemon) {
-    util::RankedLockGuard lock(force_mu_, util::LockRank::kForce);
-    CEDAR_RETURN_IF_ERROR(CheckWritable());
-    return ForceLogImpl(GateMode::kCloseAndReopen);
-  }
-  // Group commit (paper section 3.2): block until a daemon force covers
-  // every update recorded so far. If a force already in flight covers the
+  // Group commit (paper section 3.2): wait for a commit round covering
+  // every update recorded so far. If a round already in flight covers the
   // sequence, this wait rides on it — one log write commits them all.
-  CommitQueue& queue = log_->commit_queue();
-  return queue.AwaitDurable(queue.latest_update());
+  const Status status =
+      queue_.Await(queue_.Request(queue_.latest_update(), /*fresh=*/false));
+  ckpt_rounds_.Step();
+  return status;
 }
 
-void Fsd::StartDaemon() {
-  if (!config_.commit.daemon || commit_daemon_.joinable()) {
-    return;
+void Fsd::StartRounds() {
+  commit_rounds_.Start();
+  if (config_.checkpoint.daemon) {
+    ckpt_rounds_.Start();
   }
-  log_->commit_queue().Restart();
-  commit_daemon_ = std::thread([this] { DaemonLoop(); });
 }
 
-void Fsd::StopDaemon() {
-  if (!commit_daemon_.joinable()) {
-    return;
-  }
-  log_->commit_queue().Stop();
-  commit_daemon_.join();
+void Fsd::StopRounds() {
+  ckpt_rounds_.Stop();
+  queue_.Stop();
 }
 
-void Fsd::DaemonLoop() {
-  CommitQueue& queue = log_->commit_queue();
-  while (queue.AwaitWork()) {
-    const std::uint64_t seq = queue.latest_update();
-    queue.BeginForce(seq);
-    Status status;
-    std::uint64_t covered = seq;
-    if (!mounted_) {
-      status = MakeError(ErrorCode::kFailedPrecondition, "not mounted");
-    } else {
-      // The capture phase closes the op gate and drains in-flight ops, so
-      // every update recorded before the capture — in particular everything
-      // numbered <= the sequence read above — is in the captured dirty set.
-      // covered re-reads the sequence at the drained point, so the publish
-      // credits piggybacked updates that slipped in before the gate closed.
-      util::RankedLockGuard lock(force_mu_, util::LockRank::kForce);
+void Fsd::CommitRound() {
+  const std::uint64_t seq = queue_.latest_update();
+  queue_.BeginForce(seq);
+  std::uint64_t covered = seq;
+  Status status;
+  {
+    // The capture phase closes the op gate and drains in-flight ops, so
+    // every update recorded before the capture — in particular everything
+    // numbered <= seq — is in the captured dirty set. covered re-reads the
+    // sequence at the drained point, so the publish credits piggybacked
+    // updates that slipped in before the gate closed.
+    util::RankedLockGuard lock(force_mu_, util::LockRank::kForce);
+    status = CheckWritable();
+    if (status.ok()) {
       status = ForceLogImpl(GateMode::kCloseAndReopen, &covered);
     }
-    queue.Publish(std::max(seq, covered), status);
   }
+  queue_.Publish(std::max(seq, covered), status);
 }
-
-Status Fsd::AwaitCommit(std::uint64_t seq) {
-  if (seq == 0) {
-    return OkStatus();
-  }
-  return log_->commit_queue().AwaitDurable(seq);
-}
-
-void Fsd::StartCkptDaemon() {
-  if (!config_.checkpoint.daemon) {
-    return;
-  }
-  ckpt_daemon_->Start();
-}
-
-void Fsd::StopCkptDaemon() { ckpt_daemon_->Stop(); }
 
 std::uint32_t Fsd::CheckpointWindowSectors() const {
   const std::uint32_t window = config_.checkpoint.window_sectors;
@@ -1829,7 +1790,7 @@ void Fsd::CkptRound() {
       break;
     }
     if (log_->LiveSectors() >= live) {
-      break;  // no progress (one giant straddling group); retry next notify
+      break;  // no progress (one giant straddling group); retry next request
     }
   }
 }
@@ -1869,12 +1830,13 @@ Status Fsd::CheckpointTo(std::uint64_t target, Checkpointer caller) {
   obs::ScopedOp scope(disk_->tracer(),
                       third_entry ? "fsd.flush_third" : "fsd.ckpt");
   if (third_entry && !victims.empty()) {
-    // Pages the checkpoint daemon (if any) did not write home before the
+    // Pages the checkpoint round (if any) did not write home before the
     // log wrapped back into their third.
     c_.third_flush_fallbacks->Increment();
   }
   // Third entry writes everything in one sweep per copy; Checkpoint() and
-  // the daemon go out in small chunks so they never monopolize the disk.
+  // the checkpoint round go out in small chunks so they never monopolize
+  // the disk.
   const std::size_t chunk =
       third_entry ? std::max<std::size_t>(1, victims.size())
                   : std::max<std::uint32_t>(1, config_.checkpoint.batch_pages);
@@ -1966,8 +1928,7 @@ Status Fsd::RunQuiesced(const std::function<Status()>& fn) {
 }
 
 Status Fsd::Shutdown() {
-  StopCkptDaemon();
-  StopDaemon();
+  StopRounds();
   ScopedQuiesce quiesce(this);
   return ShutdownLocked();
 }
@@ -2109,13 +2070,13 @@ auto Fsd::RunOp(const char* trace_name, obs::Histogram* latency,
       nshards = 1;
     }
   }
-  std::uint64_t await_seq = 0;
+  std::uint64_t ticket = 0;
   auto result = [&]() -> decltype(body()) {
     std::array<std::optional<util::RankedLockGuard<std::mutex>>, 2> locks;
     for (std::size_t i = 0; i < nshards; ++i) {
       locks[i].emplace(name_mu_[shards[i]], util::LockRank::kNameShard);
     }
-    CEDAR_RETURN_IF_ERROR(BeginOp(&await_seq));
+    CEDAR_RETURN_IF_ERROR(BeginOp(&ticket));
     GateRelease gate{&gate_};
     auto r = body();
     if (credit && r.ok()) {
@@ -2125,7 +2086,8 @@ auto Fsd::RunOp(const char* trace_name, obs::Histogram* latency,
     }
     return r;
   }();
-  const Status durable = AwaitCommit(await_seq);
+  const Status durable = queue_.Await(ticket);
+  ckpt_rounds_.Step();
   if (result.ok() && !durable.ok()) {
     return durable;
   }

@@ -48,11 +48,11 @@
 #include "src/btree/page_store.h"
 #include "src/cache/page_cache.h"
 #include "src/core/allocator.h"
-#include "src/core/ckpt.h"
 #include "src/core/layout.h"
 #include "src/core/log.h"
 #include "src/core/name_table.h"
 #include "src/core/opgate.h"
+#include "src/core/rounds.h"
 #include "src/core/vam.h"
 #include "src/fsapi/file_system.h"
 #include "src/obs/metrics.h"
@@ -87,10 +87,11 @@ struct FsdStats {
   // Soft read errors absorbed by the bounded retry path.
   std::uint64_t read_retries = 0;
 
-  // Group-commit daemon rendezvous (commit_daemon mode only; all zero when
-  // forces run inline). force_requests counts AwaitDurable calls that had
-  // to flag new work; piggybacked counts waits satisfied by a force already
-  // in flight — the paper's "one log write commits them all".
+  // Group-commit rendezvous (registry commit.*; stepped rounds count too).
+  // force_requests counts requests that asked for a new commit round;
+  // piggybacked counts requests served by a round already pending or in
+  // flight — the paper's "one log write commits them all"; daemon_forces
+  // counts the commit rounds run (commit.rounds).
   std::uint64_t force_requests = 0;
   std::uint64_t piggybacked = 0;
   std::uint64_t daemon_forces = 0;
@@ -104,11 +105,11 @@ struct FsdStats {
   std::uint64_t max_parallel_ops = 0;
 
   // Checkpointing (section 4g): one home-writeback path with two callers,
-  // Checkpoint()/the daemon and third entry. ckpt_pages counts the home
-  // pages either caller wrote; ckpt_batches the Checkpoint()/daemon rounds
-  // and ckpt_advances their durable pointer moves. third_flush_fallbacks
-  // counts third entries that still found pages to write home — zero when
-  // the daemon keeps up.
+  // Checkpoint()/the checkpoint round and third entry. ckpt_pages counts
+  // the home pages either caller wrote; ckpt_batches the Checkpoint()/round
+  // batches and ckpt_advances their durable pointer moves.
+  // third_flush_fallbacks counts third entries that still found pages to
+  // write home — zero when the checkpoint round keeps up.
   std::uint64_t ckpt_batches = 0;
   std::uint64_t ckpt_pages = 0;
   std::uint64_t ckpt_advances = 0;
@@ -183,15 +184,15 @@ struct FsckReport {
 //      the VAM bitmaps + allocator, pending_mu_ for the tombstone/delta
 //      queues, open_mu_ for the open-file table.
 //
-// A log force (daemon round, inline deadline, Force(), space force) runs
+// A log force (a commit round, or a quiesced lifecycle force) runs
 // under force_mu_ and splits into two phases: a short CAPTURE with the gate
 // closed (copy dirty images, swap pending queues, take the delete shadow —
 // a consistent prefix of the update history), then the long APPEND with the
 // gate reopened, so mutators overlap the log write. Clients needing
-// durability block on the log's CommitQueue holding NO locks, so a force in
-// flight commits every waiter it covers with a single log write (group
-// commit, paper section 3.2). Fsck/Scrub/lifecycle ops quiesce: they hold
-// force_mu_ and close the gate for their whole run.
+// durability wait on the CommitQueue holding no lock a round takes, so a
+// round in flight commits every waiter it covers with a single log write
+// (group commit, paper section 3.2). Fsck/Scrub/lifecycle ops quiesce:
+// they hold force_mu_ and close the gate for their whole run.
 class Fsd : public fs::FileSystem {
  public:
   explicit Fsd(sim::BlockDevice* disk, FsdConfig config = {});
@@ -301,8 +302,8 @@ class Fsd : public fs::FileSystem {
   // Shutdown/Fsck/Scrub get. Re-entrant per the ScopedQuiesce contract:
   // calling RunQuiesced from inside a quiesced section on the same thread
   // nests (the inner call runs under the existing quiesce; the gate reopens
-  // only when the outermost scope exits). The commit and checkpoint daemons
-  // are blocked, not stopped, for the duration.
+  // only when the outermost scope exits). Commit and checkpoint rounds are
+  // blocked, not stopped, for the duration.
   Status RunQuiesced(const std::function<Status()>& fn);
 
   // Name-shard geometry, exposed so benches and tests can construct
@@ -399,7 +400,7 @@ class Fsd : public fs::FileSystem {
   }
 
   // Locked bodies of the public lifecycle entry points. Format/Mount/
-  // Shutdown wrappers stop the commit daemon first, then run these
+  // Shutdown wrappers stop the round runners first, then run these
   // quiesced (FormatLocked ends by calling MountLocked).
   Status FormatLocked();
   Status MountLocked();
@@ -439,21 +440,18 @@ class Fsd : public fs::FileSystem {
   Result<fs::FileInfo> StatLocked(std::string_view name);
   Result<ScrubReport> ScrubLocked();
 
-  // Commit daemon plumbing. StartDaemon spawns the flusher thread when
-  // config_.commit_daemon is set; StopDaemon stops the queue and joins —
-  // always called while NOT holding force_mu_ (the daemon takes it per
-  // round).
-  void StartDaemon();
-  void StopDaemon();
-  void DaemonLoop();
-  // Checkpoint daemon plumbing (DESIGN.md section 4g). Start/Stop follow
-  // the same lifecycle discipline as the commit daemon: called only while
-  // NOT holding force_mu_; the daemon's round takes force_mu_ itself, so
-  // quiesced sections block it without stopping it.
-  void StartCkptDaemon();
-  void StopCkptDaemon();
-  // Daemon round: while the live log exceeds the window, pick a target and
-  // checkpoint toward window/2.
+  // Round plumbing (src/core/rounds.h). StartRounds arms the commit runner,
+  // and the checkpoint runner when checkpoint.daemon is set, after a
+  // successful Format/Mount; StopRounds disarms both (joining their threads
+  // under the thread executor) and fails any commit waiter left behind.
+  // Both are called while NOT holding force_mu_: a round takes it itself.
+  void StartRounds();
+  void StopRounds();
+  // The commit round: BeginForce, then ForceLogImpl under force_mu_, then
+  // Publish of the sequence the capture covered.
+  void CommitRound();
+  // The checkpoint round: while the live log exceeds the window, pick a
+  // target and checkpoint toward window/2.
   void CkptRound();
   // Effective recovery-window bound in log sectors: the configured value,
   // or one log third when checkpoint.window_sectors == 0.
@@ -462,30 +460,28 @@ class Fsd : public fs::FileSystem {
   // cached page whose latest logged image is in a record with lsn <
   // `target`, retires those frames, and saves the VAM base under VAM
   // logging, so no record below `target` is needed any more. kCheckpoint
-  // (Checkpoint(), the daemon) writes in batch_pages chunks, then advances
-  // the log's pointer to `target`; kThirdEntry (the log's callback, inside
-  // a force's append) writes one sweep and the log moves the pointer.
+  // (Checkpoint(), the checkpoint round) writes in batch_pages chunks,
+  // then advances the log's pointer to `target`; kThirdEntry (the log's
+  // callback, inside a force's append) writes one sweep and the log moves
+  // the pointer.
   // Caller holds force_mu_ with the gate OPEN. A frame the in-flight force
   // captured (capture_keys_) stays dirty: its new image is en route.
   enum class Checkpointer { kCheckpoint, kThirdEntry };
   Status CheckpointTo(std::uint64_t target, Checkpointer caller);
-  // Wrapper tail: blocks on the commit queue when a deadline force was
-  // deferred to the daemon (no-op for seq 0 / inline mode).
-  Status AwaitCommit(std::uint64_t seq);
   // The shell shared by the ten public file operations: tracer op scope
   // and latency histogram (`latency` may be null), the shard mutexes of
   // `names` in index order (none for List), gate admission, `body()` with
   // the gate held, a shard_ops_ credit per locked shard when `credit` is
   // set and the body succeeded, and — after every lock is dropped — the
-  // commit wait for a deadline force handed to the daemon. The gate is
-  // released before the shard locks drop, so a drained gate really means
-  // no mutator is touching anything.
+  // wait for a deadline round run by a thread, then a due stepped
+  // checkpoint round. The gate is released before the shard locks drop,
+  // so a drained gate really means no mutator is touching anything.
   template <typename Fn>
   auto RunOp(const char* trace_name, obs::Histogram* latency,
              std::initializer_list<std::string_view> names, bool credit,
              Fn&& body) -> decltype(body());
   // Marks one durable-metadata mutation for the group-commit rendezvous.
-  void BumpUpdateSeq() { log_->commit_queue().RecordUpdate(); }
+  void BumpUpdateSeq() { queue_.RecordUpdate(); }
   // Shard mutex for a file name (rank kNameShard; taken before everything
   // else; cross-name ops take two, ordered by shard index).
   std::mutex& NameShard(std::string_view name) {
@@ -496,13 +492,15 @@ class Fsd : public fs::FileSystem {
   // then gate admission, forcing the log for space when the capture budget
   // is exhausted. On success the caller MUST call gate_.End() (wrappers use
   // a scope guard).
-  Status BeginOp(std::uint64_t* await_seq);
-  // Makes room when TryBegin fails: waits for the daemon's force when one
-  // will run, else forces inline under force_mu_.
+  Status BeginOp(std::uint64_t* ticket);
+  // Makes room when TryBegin fails: requests a fresh commit round and
+  // waits for it.
   Status SpaceForce();
-  // Half-second timer: forces inline, or sets *await_seq so the wrapper
-  // blocks on the daemon's force after releasing its locks.
-  Status MaybeDeadlineForce(std::uint64_t* await_seq);
+  // Half-second timer: requests a commit round once the interval expired.
+  // A stepped round runs here and its status is returned; a thread round
+  // leaves its ticket in *ticket for the wrapper to await after releasing
+  // its locks.
+  Status MaybeDeadlineForce(std::uint64_t* ticket);
 
   // The group-commit force. Caller holds force_mu_. kCloseAndReopen closes
   // the gate for the capture phase and reopens it for the append phase;
@@ -702,11 +700,12 @@ class Fsd : public fs::FileSystem {
   // Locking hierarchy (DESIGN.md section 4f, ranks in util/lockrank.h):
   //   name shard (10) -> force_mu_ (20) -> op gate (30) -> tree (40/45) ->
   //   alloc_mu_ (50) -> pending_mu_ (55) -> open_mu_ (58) -> cache (60) ->
-  //   disk -> clock/tracer/metrics. The commit queue's mutex (90) is a
-  //   leaf waited on with nothing held.
+  //   disk -> clock/tracer/metrics. The commit queue's mutex (90) is
+  //   waited on with at most a name shard held; the round runners' (95)
+  //   is a leaf.
   mutable std::array<std::mutex, kNameShardCount> name_mu_;
-  // Serializes log forces (daemon rounds, inline deadline/space forces,
-  // Force(), quiesced sections). Never held by an admitted op.
+  // Serializes log forces (commit rounds, checkpoint rounds, quiesced
+  // sections). Never held by an admitted op.
   mutable std::mutex force_mu_;
   // Admission gate: bounds in-flight ops by log capture budget and drains
   // them for the capture phase of a force.
@@ -718,8 +717,11 @@ class Fsd : public fs::FileSystem {
   mutable std::mutex pending_mu_;
   // open_files_.
   mutable std::mutex open_mu_;
-  std::thread commit_daemon_;
-  std::unique_ptr<CkptDaemon> ckpt_daemon_;
+  // The two round runners (one executor, chosen by commit.daemon) and the
+  // group-commit rendezvous in front of the commit runner.
+  RoundRunner commit_rounds_;
+  RoundRunner ckpt_rounds_;
+  CommitQueue queue_;
 
   // ScopedQuiesce re-entrancy bookkeeping: the owning thread's id (set by
   // the outermost scope while force_mu_ is held, cleared on exit) and the

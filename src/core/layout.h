@@ -22,8 +22,8 @@ namespace cedar::core {
 //
 //   - top level: on-disk geometry knobs (these are parsed back out of the
 //     volume root at mount, so they must stay flat and stable)
-//   - commit:     group-commit policy (interval, daemon, group size)
-//   - checkpoint: continuous checkpoint daemon policy (recovery window)
+//   - commit:     group-commit policy (interval, executor, group size)
+//   - checkpoint: continuous checkpoint policy (recovery window)
 //   - durability: read/write hardening and recovery ablations
 //   - cpu:        the virtual CPU cost model
 //
@@ -48,13 +48,15 @@ struct FsdConfig {
     // Group commit: the log is forced when this much virtual time has
     // passed since the last force ("FSD forces its log twice a second").
     sim::Micros interval = 500 * sim::kMillisecond;
-    // Run group commit as a real background daemon thread: Force() and the
-    // half-second deadline enqueue on the log's CommitQueue and block until
-    // the daemon's log write covers them, so concurrent clients share one
-    // write (paper section 3.2). Off (the default) keeps the historical
-    // inline force — single-threaded tests, benches, and the crash harness
-    // are unchanged. Both modes issue identical disk traffic for the same
-    // serialized operation order.
+    // Which executor runs the commit and checkpoint rounds
+    // (src/core/rounds.h). On: each runs on a background daemon thread;
+    // Force() and the half-second deadline request a round and block until
+    // it covers them, so concurrent clients share one log write (paper
+    // section 3.2). Off (the default): the rounds are stepped on the
+    // calling thread — a commit round where the op asks for it, a
+    // checkpoint round at the op's lock-free tail — so single-threaded
+    // tests, benches and the crash harness are deterministic. Stepped
+    // rounds serve one client thread at a time; concurrent clients want on.
     bool daemon = false;
     // Records per atomic commit group. Forces larger than one record are
     // split into records tagged with group start/end flags; recovery
@@ -67,21 +69,20 @@ struct FsdConfig {
 
   // ---- Continuous checkpoint policy.
   struct Checkpoint {
-    // Run the continuous checkpoint daemon: a background thread that
-    // incrementally writes home pages for the oldest log region and
-    // advances the persisted checkpoint pointer, keeping the live log (the
-    // recovery window) bounded by `window_sectors` instead of letting it
-    // grow until a stop-the-world third flush. Requires commit.daemon (the
-    // checkpoint daemon exists to unstall the parallel commit path; the
-    // combination of a background checkpointer with inline forces has no
-    // supported use and is rejected by Validate()).
+    // Run the continuous checkpoint round: it incrementally writes home
+    // pages for the oldest log region and advances the persisted checkpoint
+    // pointer, keeping the live log (the recovery window) bounded by
+    // `window_sectors` instead of letting it grow until a stop-the-world
+    // third flush. A force requests a round when the live log exceeds the
+    // window; commit.daemon picks where it runs (a thread, or stepped at
+    // the forcing op's tail).
     bool daemon = false;
-    // Recovery-window bound in log sectors: the daemon starts checkpointing
+    // Recovery-window bound in log sectors: a round starts checkpointing
     // when the live log exceeds this and drains it back to about half. 0
     // means "one log third" — what the third-entry checkpoint alone bounds.
     std::uint32_t window_sectors = 0;
     // Home pages written per IoScheduler batch inside a checkpoint round.
-    // Small batches keep the daemon's disk occupancy polite: mutators only
+    // Small batches keep a round's disk occupancy polite: mutators only
     // ever wait behind one batch, not a whole third drain.
     std::uint32_t batch_pages = 32;
   };
@@ -128,6 +129,10 @@ struct FsdConfig {
     std::uint64_t per_rebuild_entry = 1800;
   };
   CpuModel cpu;
+
+  // The smallest checkpoint.window_sectors Validate() accepts: one commit
+  // group, as clamped to this log's thirds.
+  std::uint32_t MinCheckpointWindowSectors() const;
 
   // Checks the configuration for internal consistency. Returns
   // kInvalidArgument naming the offending field(s) otherwise. Format() and

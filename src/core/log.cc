@@ -130,33 +130,20 @@ Status FsdConfig::Validate() const {
     return MakeError(ErrorCode::kInvalidArgument,
                      "commit.group_records must be >= 1");
   }
+  if (checkpoint.batch_pages == 0) {
+    return MakeError(ErrorCode::kInvalidArgument,
+                     "checkpoint.batch_pages must be >= 1");
+  }
   // A requested group larger than one third is clamped to MaxGroupPages at
   // force time (a policy choice, not an error), so group_records needs no
   // upper bound here — but the checkpoint window below is validated against
   // the group size that clamping actually yields.
   const std::uint32_t area = log_sectors - 4;
-  const std::uint32_t third = area / 3;
-  if (checkpoint.daemon && !commit.daemon) {
-    return MakeError(ErrorCode::kInvalidArgument,
-                     "checkpoint.daemon requires commit.daemon (the "
-                     "continuous checkpointer backstops the parallel "
-                     "commit path; inline forces rely on third entry)");
-  }
-  if (checkpoint.batch_pages == 0) {
-    return MakeError(ErrorCode::kInvalidArgument,
-                     "checkpoint.batch_pages must be >= 1");
-  }
   if (checkpoint.window_sectors != 0) {
     // The live log can never be drained below the newest commit group, so
     // a window smaller than one (clamped) group is unsatisfiable; one
     // larger than the record area can never trigger.
-    std::uint32_t max_group_pages = 0;
-    for (std::uint32_t n = 1; FsdLog::GroupSectors(n) < third; ++n) {
-      max_group_pages = n;
-    }
-    const std::uint32_t effective_pages = std::min(
-        commit.group_records * FsdLog::kMaxPagesPerRecord, max_group_pages);
-    const std::uint32_t min_window = FsdLog::GroupSectors(effective_pages);
+    const std::uint32_t min_window = MinCheckpointWindowSectors();
     if (checkpoint.window_sectors < min_window ||
         checkpoint.window_sectors > area) {
       return MakeError(
@@ -167,6 +154,16 @@ Status FsdConfig::Validate() const {
     }
   }
   return OkStatus();
+}
+
+std::uint32_t FsdConfig::MinCheckpointWindowSectors() const {
+  const std::uint32_t third = (log_sectors - 4) / 3;
+  std::uint32_t max_group_pages = 0;
+  for (std::uint32_t n = 1; FsdLog::GroupSectors(n) < third; ++n) {
+    max_group_pages = n;
+  }
+  return FsdLog::GroupSectors(std::min(
+      commit.group_records * FsdLog::kMaxPagesPerRecord, max_group_pages));
 }
 
 FsdLog::FsdLog(sim::BlockDevice* disk, sim::Lba base, std::uint32_t size_sectors)

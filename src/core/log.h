@@ -29,12 +29,9 @@
 #ifndef CEDAR_CORE_LOG_H_
 #define CEDAR_CORE_LOG_H_
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <mutex>
 #include <vector>
 
 #include "src/sim/device.h"
@@ -43,139 +40,6 @@
 namespace cedar::core {
 
 inline constexpr sim::Lba kNoLba = 0xFFFFFFFFu;
-
-// Group-commit rendezvous between N client threads and the one commit
-// daemon (paper section 3.2: "if several processes are waiting, one log
-// write commits them all").
-//
-// Sequence discipline:
-//   - Every mutating FS operation calls RecordUpdate() after applying its
-//     change, obtaining a monotonically increasing update sequence number.
-//   - A client needing durability calls AwaitDurable(seq), which blocks —
-//     holding NO file-system locks — until some daemon force whose capture
-//     covers `seq` completes. If a force already in flight will cover it,
-//     the client merely waits (a *piggyback*: no new log write is asked
-//     for); otherwise the call flags work and wakes the daemon.
-//   - The daemon loops on AwaitWork(); for each round it takes the FS core
-//     lock, reads latest_update() (exact: mutators are blocked), calls
-//     BeginForce(seq) so later arrivals piggyback on this round, performs
-//     the log write, then Publish(seq, status) wakes every waiter with
-//     seq <= captured.
-//
-// The queue's mutex is a leaf: it is never held while acquiring any other
-// lock, and clients block on it with no FS locks held, so the daemon can
-// always make progress (DESIGN.md section 4e).
-class CommitQueue {
- public:
-  struct Stats {
-    std::uint64_t force_requests = 0;  // AwaitDurable calls that needed work
-    std::uint64_t piggybacked = 0;     // satisfied by an in-flight force
-    std::uint64_t daemon_forces = 0;   // forces the daemon performed
-  };
-
-  // Called by mutating operations (with the core lock held); returns the
-  // operation's update sequence number.
-  std::uint64_t RecordUpdate() {
-    return update_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
-  }
-  std::uint64_t latest_update() const {
-    return update_seq_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t durable_seq() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return durable_seq_;
-  }
-
-  // Client side. Blocks until updates up to `seq` are durable; returns the
-  // status of the force that satisfied the wait (or kUnavailable if the
-  // queue is stopped first). MUST be called with no FS locks held.
-  Status AwaitDurable(std::uint64_t seq) {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (durable_seq_ >= seq) return last_status_;
-    // A pending (not yet started) force also covers `seq`: the daemon reads
-    // latest_update() when it begins, and `seq` was recorded before now.
-    if (work_pending_ || (in_flight_ && requested_seq_ >= seq)) {
-      ++stats_.piggybacked;
-    } else {
-      ++stats_.force_requests;
-      work_pending_ = true;
-      work_cv_.notify_one();
-    }
-    done_cv_.wait(lock, [&] { return durable_seq_ >= seq || stopped_; });
-    if (durable_seq_ >= seq) return last_status_;
-    return MakeError(ErrorCode::kFailedPrecondition, "commit queue stopped");
-  }
-
-  // Daemon side. Blocks until there is work or Stop(); false means stop.
-  bool AwaitWork() {
-    std::unique_lock<std::mutex> lock(mu_);
-    work_cv_.wait(lock, [&] { return work_pending_ || stopped_; });
-    if (stopped_) return false;
-    work_pending_ = false;
-    return true;
-  }
-
-  // Daemon side, called with the FS core lock held just before capturing:
-  // arrivals with seq <= `seq` now piggyback instead of flagging new work.
-  void BeginForce(std::uint64_t seq) {
-    std::lock_guard<std::mutex> lock(mu_);
-    in_flight_ = true;
-    requested_seq_ = seq;
-  }
-
-  // Daemon side: publishes the force outcome and wakes every waiter whose
-  // seq is covered.
-  void Publish(std::uint64_t captured_seq, const Status& status) {
-    std::lock_guard<std::mutex> lock(mu_);
-    in_flight_ = false;
-    ++stats_.daemon_forces;
-    if (captured_seq > durable_seq_) durable_seq_ = captured_seq;
-    last_status_ = status;
-    done_cv_.notify_all();
-  }
-
-  // Wakes the daemon (AwaitWork returns false) and any stray waiters.
-  // Shutdown calls this before joining the daemon thread.
-  void Stop() {
-    std::lock_guard<std::mutex> lock(mu_);
-    stopped_ = true;
-    work_cv_.notify_all();
-    done_cv_.notify_all();
-  }
-
-  // Re-arms the queue for a fresh daemon (Mount after Shutdown). Sequence
-  // numbers continue, matching the still-monotonic update counter.
-  void Restart() {
-    std::lock_guard<std::mutex> lock(mu_);
-    stopped_ = false;
-    work_pending_ = false;
-    in_flight_ = false;
-  }
-
-  bool stopped() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return stopped_;
-  }
-
-  Stats stats() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return stats_;
-  }
-
- private:
-  std::atomic<std::uint64_t> update_seq_{0};
-
-  mutable std::mutex mu_;
-  std::condition_variable work_cv_;  // daemon waits here
-  std::condition_variable done_cv_;  // clients wait here
-  std::uint64_t durable_seq_ = 0;    // everything <= this is in the log
-  std::uint64_t requested_seq_ = 0;  // covered by the in-flight force
-  bool in_flight_ = false;
-  bool work_pending_ = false;
-  bool stopped_ = false;
-  Status last_status_ = OkStatus();
-  Stats stats_;
-};
 
 // One logged page: its image and where it lives on disk (secondary is
 // kNoLba for leader pages, which have a single home).
@@ -213,9 +77,8 @@ struct LogStats {
 };
 
 // Thread safety: FsdLog's append/recover paths and stats run under the
-// owning file system's core lock (there is exactly one log writer at a
-// time — the group-commit discipline demands it). The embedded CommitQueue
-// is the only part clients touch without that lock.
+// owning file system's force lock (there is exactly one log writer at a
+// time — the group-commit discipline demands it).
 class FsdLog {
  public:
   // Third-entry callback: the third about to be overwritten holds exactly
@@ -294,9 +157,6 @@ class FsdLog {
   // records dropped from the replay window.
   Result<std::uint32_t> AdvanceCheckpoint(std::uint64_t target_lsn);
 
-  // Group-commit rendezvous; safe to use from any thread.
-  CommitQueue& commit_queue() { return commit_queue_; }
-
   const LogStats& stats() const { return stats_; }
   std::uint32_t record_area_sectors() const { return size_sectors_ - 4; }
   std::uint32_t third_sectors() const { return record_area_sectors() / 3; }
@@ -355,7 +215,6 @@ class FsdLog {
   std::uint32_t oldest_pointer_ = 0;
   std::deque<LiveRecord> live_;
   LogStats stats_;
-  CommitQueue commit_queue_;
 };
 
 }  // namespace cedar::core

@@ -64,6 +64,10 @@ CrashHarness::CrashHarness(HarnessOptions options)
     : options_(std::move(options)),
       config_(FsdConfigFor(options_.vam_logging)) {
   config_.cache_frames = options_.cache_frames;
+  if (options_.checkpoint_daemon) {
+    config_.checkpoint.daemon = true;
+    config_.checkpoint.window_sectors = config_.MinCheckpointWindowSectors();
+  }
 }
 
 CrashHarness::~CrashHarness() = default;
@@ -198,6 +202,7 @@ Result<RecordedRun> CrashHarness::Record() {
     }
   }
   disk_->set_tracer(nullptr);
+  run.metrics = fsd->SnapshotMetrics();
 
   const std::uint64_t total_writes = disk_->stats().writes - writes0;
   for (const obs::TraceEvent& ev : tracer.Events()) {

@@ -72,6 +72,12 @@ struct HarnessOptions {
   // minimum) is below the standard workload's live table, so recording,
   // recovery and the VAM rebuild run under eviction.
   std::size_t cache_frames = 512;
+  // Run the continuous checkpoint round (checkpoint.daemon) with the
+  // smallest window Validate() allows for the harness's log and group
+  // sizing, so rounds fire often. Commit stays inline, so the rounds step
+  // at deterministic points and cuts land inside their batches and pointer
+  // advances.
+  bool checkpoint_daemon = false;
   // Cap on enumerated cases; 0 = run everything. When the cap bites, every
   // clean cut is kept and the torn/reorder variants are sampled.
   std::uint64_t max_cases = 0;
@@ -123,6 +129,9 @@ struct RecordedRun {
   std::vector<ForcePoint> forces;             // [0] = pre-workload baseline
   std::map<std::string, std::vector<ContentVersion>> history;
   std::map<std::string, std::vector<int>> delete_steps;
+  // FSD's metrics registry at the end of the recording (e.g. how many
+  // checkpoint batches the schedule holds).
+  obs::MetricsSnapshot metrics;
 };
 
 struct CrashCase {

@@ -30,9 +30,6 @@ enum class LockRank : std::uint8_t {
   kNameShard = 10,    // per-shard name mutex (equal-rank nesting allowed,
                       // ordered by shard index)
   kForce = 20,        // force_mu_: serializes log capture/append
-  kCkpt = 25,         // checkpoint daemon wakeup state (notified by the
-                      // force path under force_mu_; the daemon itself never
-                      // holds it while taking force_mu_)
   kOpGate = 30,       // op gate internal mutex (begin/end/drain)
   kTree = 40,         // B-tree structure lock (tree_mu_)
   kTreeLeaf = 45,     // B-tree leaf latch (under shared tree_mu_)
@@ -41,6 +38,8 @@ enum class LockRank : std::uint8_t {
   kOpenFiles = 58,    // open-file table (open_mu_)
   kCache = 60,        // page-cache internal mutex (leaf for cache closures)
   kCommitQueue = 90,  // commit-queue mutex (waited on with at most shards)
+  kRounds = 95,       // round-runner request state: a leaf, taken under the
+                      // commit queue or force_mu_; never held by a round
 };
 
 #if defined(CEDAR_LOCK_RANK_CHECKS) && CEDAR_LOCK_RANK_CHECKS

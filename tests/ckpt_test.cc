@@ -1,13 +1,17 @@
-// The continuous checkpoint daemon and the maintenance/config API around it.
+// The continuous checkpoint round and the maintenance/config API around it.
 //
 // Contracts pinned here:
-//   - FsdConfig::Validate() rejects inconsistent combinations (checkpoint
-//     daemon without commit daemon, unsatisfiable recovery windows), and
-//     Format/Mount fail fast on them instead of misbehaving later.
+//   - FsdConfig::Validate() rejects inconsistent combinations (unsatisfiable
+//     recovery windows, degenerate sizes), and Format/Mount fail fast on
+//     them instead of misbehaving later. The checkpoint round without the
+//     commit daemon is valid: both rounds then step on the calling thread.
 //   - With both daemons on, 8 mutator threads cannot grow the crash-replay
 //     exposure without bound: the daemon advances the durable checkpoint
 //     pointer, and once the mutators stop the live log settles under the
 //     configured window.
+//   - Stepped (inline commit), the round runs before Force() returns, so
+//     the window holds after every Force() and the schedule is
+//     deterministic.
 //   - The daemon stops and restarts across Shutdown/Mount cycles.
 //   - ScopedQuiesce is re-entrant on one thread (RunQuiesced can nest, and
 //     quiesced entry points like Scrub/Fsck work inside it), and the gate
@@ -26,6 +30,7 @@
 
 #include "src/core/fsd.h"
 #include "src/fsapi/file_system.h"
+#include "src/obs/metrics.h"
 #include "src/sim/clock.h"
 #include "src/sim/disk.h"
 
@@ -63,11 +68,11 @@ TEST(CkptConfigTest, ValidateAcceptsTheDefaultsAndTheCkptConfig) {
   EXPECT_TRUE(CkptConfig().Validate().ok());
 }
 
-TEST(CkptConfigTest, ValidateRejectsCheckpointDaemonWithoutCommitDaemon) {
+TEST(CkptConfigTest, ValidateAcceptsCheckpointDaemonWithoutCommitDaemon) {
+  // Inline commit steps the checkpoint round on the forcing thread.
   FsdConfig config = CkptConfig();
   config.commit.daemon = false;
-  const Status status = config.Validate();
-  EXPECT_EQ(status.code(), ErrorCode::kInvalidArgument);
+  EXPECT_TRUE(config.Validate().ok());
 }
 
 TEST(CkptConfigTest, ValidateRejectsUnsatisfiableWindows) {
@@ -102,7 +107,7 @@ TEST(CkptConfigTest, FormatAndMountFailFastOnInvalidConfig) {
   sim::VirtualClock clock;
   sim::SimDisk disk(sim::TestGeometry(), sim::DiskTimingParams{}, &clock);
   FsdConfig config = CkptConfig();
-  config.commit.daemon = false;  // checkpoint daemon now dangling
+  config.checkpoint.batch_pages = 0;  // a round could never write a page
   Fsd fsd(&disk, config);
   EXPECT_EQ(fsd.Format().code(), ErrorCode::kInvalidArgument);
   EXPECT_EQ(fsd.Mount().code(), ErrorCode::kInvalidArgument);
@@ -263,6 +268,56 @@ TEST_F(CkptTest, MaintenanceSurfaceWorksThroughTheInterface) {
   EXPECT_EQ(m.recovery_window_bytes, std::uint64_t{kWindowSectors} * 512);
   EXPECT_GT(m.checkpoint_batches, 0u);
   EXPECT_GT(m.checkpoint_advances, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// The stepped checkpoint round: inline commit with checkpoint.daemon on. A
+// force that pushes the live log past the window requests a round, and
+// Force() steps it before returning, so the window holds after EVERY
+// Force() and the whole schedule is a function of the operation order.
+
+struct SteppedCkptRun {
+  std::uint64_t ckpt_batches = 0;
+  std::uint64_t ckpt_pages = 0;
+  std::uint64_t disk_writes = 0;
+};
+
+SteppedCkptRun RunSteppedCkpt() {
+  sim::VirtualClock clock;
+  sim::SimDisk disk(sim::TestGeometry(), sim::DiskTimingParams{}, &clock);
+  FsdConfig config = CkptConfig();
+  config.commit.daemon = false;
+  Fsd fsd(&disk, config);
+  CEDAR_CHECK_OK(fsd.Format());
+  const std::uint64_t bound = std::uint64_t{kWindowSectors} * 512;
+  for (int i = 0; i < 120; ++i) {
+    EXPECT_TRUE(fsd.CreateFile("s/f" + std::to_string(i % 9),
+                               Bytes(500, static_cast<std::uint8_t>(i)))
+                    .ok());
+    EXPECT_TRUE(fsd.Force().ok());
+    auto window = fsd.RecoveryWindow();
+    CEDAR_CHECK_OK(window.status());
+    EXPECT_LE(*window, bound) << "after force " << i;
+  }
+  auto report = fsd.Fsck();
+  CEDAR_CHECK_OK(report.status());
+  EXPECT_EQ(report->violations(), 0u) << report->Summary();
+  const obs::MetricsSnapshot metrics = fsd.SnapshotMetrics();
+  SteppedCkptRun run;
+  run.ckpt_batches = metrics.CounterValue("fsd.ckpt_batches");
+  run.ckpt_pages = metrics.CounterValue("fsd.ckpt_pages");
+  run.disk_writes = disk.stats().writes;
+  return run;
+}
+
+TEST(CkptSteppedTest, WindowHoldsAfterEveryForceAndRunsRepeat) {
+  const SteppedCkptRun first = RunSteppedCkpt();
+  EXPECT_GT(first.ckpt_batches, 0u) << "no checkpoint round ran";
+  EXPECT_GT(first.ckpt_pages, 0u);
+  const SteppedCkptRun second = RunSteppedCkpt();
+  EXPECT_EQ(second.ckpt_batches, first.ckpt_batches);
+  EXPECT_EQ(second.ckpt_pages, first.ckpt_pages);
+  EXPECT_EQ(second.disk_writes, first.disk_writes);
 }
 
 TEST(CkptFallbackTest, ThirdFlushFallbackCountsWithoutTheDaemon) {

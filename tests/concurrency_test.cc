@@ -3,9 +3,10 @@
 //
 // These tests carry the "concurrency" ctest label and are the workload the
 // tsan CMake preset runs (ctest --preset tsan): every cross-thread access
-// here is exercised under ThreadSanitizer in CI. The determinism pin at the
-// bottom is the strongest property: virtual-time I/O accounting must not
-// depend on how many threads issued the (identically ordered) operations.
+// here is exercised under ThreadSanitizer in CI, including a crash cut
+// during parallel commit. The determinism pin at the bottom is the
+// strongest property: virtual-time I/O accounting must not depend on how
+// many threads issued the (identically ordered) operations.
 
 #include <gtest/gtest.h>
 
@@ -237,6 +238,37 @@ TEST_F(ConcurrencyTest, DaemonHandlesDeadlineForces) {
   ExpectClean();
 }
 
+TEST_F(ConcurrencyTest, FailedRoundIsRetriedByTheNextForce) {
+  // A round whose log append fails re-queues what it captured, so its
+  // updates are not durable: while the log cannot be written every Force()
+  // runs a round and fails, and once it can, the next Force() appends them.
+  ASSERT_TRUE(fsd_.CreateFile("retry.test", Bytes(64, 6)).ok());
+  const sim::Lba log_base = fsd_.layout().log_base;
+  const std::uint32_t log_sectors = DaemonConfig().log_sectors;
+  for (std::uint32_t i = 0; i < log_sectors; ++i) {
+    disk_.InjectPersistentFault(log_base + i, sim::FaultMode::kWriteFail);
+  }
+  EXPECT_FALSE(fsd_.Force().ok());
+  EXPECT_FALSE(fsd_.Force().ok());
+  EXPECT_TRUE(fsd_.HasPendingUpdates());
+  const std::uint64_t failed_rounds = fsd_.stats().daemon_forces;
+  EXPECT_EQ(failed_rounds, 2u);
+
+  for (std::uint32_t i = 0; i < log_sectors; ++i) {
+    disk_.ClearPersistentFault(log_base + i);
+  }
+  ASSERT_TRUE(fsd_.Force().ok());
+  EXPECT_FALSE(fsd_.HasPendingUpdates());
+  EXPECT_EQ(fsd_.stats().daemon_forces, failed_rounds + 1);
+
+  // The retried round made the create durable: it survives a crash.
+  disk_.CrashNow();
+  disk_.Reopen();
+  Fsd recovered(&disk_, DaemonConfig());
+  ASSERT_TRUE(recovered.Mount().ok());
+  EXPECT_TRUE(recovered.Open("retry.test").ok());
+}
+
 TEST_F(ConcurrencyTest, ConcurrentReadersShareTheTree) {
   constexpr int kFiles = 24;
   for (int i = 0; i < kFiles; ++i) {
@@ -434,6 +466,84 @@ TEST_F(ConcurrencyTest, CrossShardRenameCreateInterleaving) {
   ASSERT_TRUE(fsd_.Shutdown().ok());
   ASSERT_TRUE(fsd_.Mount().ok());
   ExpectClean();
+}
+
+// ---------------------------------------------------------------------------
+// Crash during PARALLEL commit: several client threads create and force
+// concurrently (per-shard locks, commit daemon, two-phase force) when the
+// disk dies at an arbitrary write. Recovery must be exactly as strong as in
+// the serial world: every create whose Force() was acknowledged before the
+// crash is present and intact afterwards, and fsck finds no violations —
+// regardless of which thread's write the cut landed on.
+
+TEST(ParallelCommitCrashTest, AcknowledgedCreatesSurviveCrash) {
+  FsdConfig config = DaemonConfig();
+  config.nt_pages = 64;
+  config.cache_frames = 512;
+  constexpr int kWorkers = 4;
+  constexpr int kRoundsPerWorker = 12;
+
+  bool any_crashed = false;
+  for (const std::uint64_t cut : {25ull, 60ull, 110ull, 170ull}) {
+    sim::VirtualClock clock;
+    sim::SimDisk disk(sim::TestGeometry(), sim::DiskTimingParams{}, &clock);
+    std::vector<std::string> acknowledged;
+    std::mutex ack_mu;
+    {
+      Fsd fsd(&disk, config);
+      ASSERT_TRUE(fsd.Format().ok());
+      sim::CrashPlan plan;
+      plan.at_write_index = cut;
+      disk.ArmCrash(plan);
+      auto worker = [&](int tid) {
+        for (int i = 0; i < kRoundsPerWorker; ++i) {
+          const std::string name =
+              "par.t" + std::to_string(tid) + "." + std::to_string(i);
+          const auto seed = static_cast<std::uint8_t>(16 * tid + i);
+          if (!fsd.CreateFile(name, Bytes(600, seed)).ok()) {
+            return;  // the cut landed on (or before) this create's write
+          }
+          if (!fsd.Force().ok()) {
+            return;  // force did not complete — no durability claim
+          }
+          std::lock_guard<std::mutex> lock(ack_mu);
+          acknowledged.push_back(name);
+        }
+      };
+      std::vector<std::thread> threads;
+      threads.reserve(kWorkers);
+      for (int t = 0; t < kWorkers; ++t) {
+        threads.emplace_back(worker, t);
+      }
+      for (std::thread& t : threads) {
+        t.join();
+      }
+    }
+    if (!disk.crashed()) {
+      continue;  // cut beyond this run's write count — nothing to verify
+    }
+    any_crashed = true;
+
+    disk.Reopen();
+    Fsd fsd(&disk, config);
+    ASSERT_TRUE(fsd.Mount().ok()) << "cut=" << cut;
+    auto fsck = fsd.Fsck();
+    ASSERT_TRUE(fsck.ok()) << "cut=" << cut;
+    EXPECT_TRUE(fsck->Clean()) << "cut=" << cut << ": " << fsck->Summary();
+    for (const std::string& name : acknowledged) {
+      auto handle = fsd.Open(name);
+      ASSERT_TRUE(handle.ok())
+          << "cut=" << cut << ": acknowledged " << name << " lost";
+      // seed reconstructible from the name: par.t<tid>.<i>
+      const int tid = name[5] - '0';
+      const int i = std::stoi(name.substr(7));
+      std::vector<std::uint8_t> out(handle->byte_size);
+      ASSERT_TRUE(fsd.Read(*handle, 0, out).ok()) << name;
+      EXPECT_EQ(out, Bytes(600, static_cast<std::uint8_t>(16 * tid + i)))
+          << "cut=" << cut << ": " << name << " corrupt after recovery";
+    }
+  }
+  EXPECT_TRUE(any_crashed) << "no cut landed inside the parallel workload";
 }
 
 // ---------------------------------------------------------------------------

@@ -14,9 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/core/fsd.h"
@@ -87,6 +85,38 @@ TEST(CrashHarnessTest, BoundedSweepPassesUnderCacheEviction) {
       EXPECT_TRUE(r.pass) << (vam_logging ? "vamlog" : "plain") << " w"
                           << r.c.plan.at_write_index << " [" << r.c.variant
                           << "]: " << r.failure;
+    }
+  }
+}
+
+// The bounded sweep with the continuous checkpoint round on at the smallest
+// window Validate() allows. Commit stays inline, so the rounds step at the
+// forcing step's tail — deterministic, hence replayable cut by cut. The
+// recording must run real rounds (more checkpoint batches than the
+// workload's own Checkpoint() steps), and every cut inside their home
+// batches and pointer advances must recover.
+TEST(CrashHarnessTest, BoundedSweepPassesWithSteppedCheckpointRounds) {
+  for (const bool vam_logging : {false, true}) {
+    SCOPED_TRACE(vam_logging ? "vamlog" : "plain");
+    HarnessOptions options;
+    options.vam_logging = vam_logging;
+    options.checkpoint_daemon = true;
+    options.max_cases = 120;
+    options.double_crash_points = 1;
+    CrashHarness harness(options);
+    auto report = harness.Run();
+    ASSERT_TRUE(report.ok()) << report.status().message();
+    const RecordedRun& run = report->run;
+    std::uint64_t checkpoint_steps = 0;
+    for (const Step& step : run.steps) {
+      checkpoint_steps += step.kind == Step::Kind::kCheckpoint ? 1 : 0;
+    }
+    EXPECT_GT(run.metrics.CounterValue("fsd.ckpt_batches"), checkpoint_steps)
+        << "no checkpoint round ran while recording";
+    EXPECT_EQ(report->failed(), 0u);
+    for (const CaseResult& r : report->results) {
+      EXPECT_TRUE(r.pass) << "w" << r.c.plan.at_write_index << " ["
+                          << r.c.variant << "]: " << r.failure;
     }
   }
 }
@@ -459,81 +489,6 @@ TEST(ForceGroupAtomicityTest, IntactGroupReplaysEveryPage) {
                   .ok());
   EXPECT_EQ(records, 2u);
   EXPECT_EQ(pages_delivered, 60u);
-}
-
-// ---------------------------------------------------------------------------
-// Crash during PARALLEL commit: several client threads create and force
-// concurrently (per-shard locks, commit daemon, two-phase force) when the
-// disk dies at an arbitrary write. Recovery must be exactly as strong as in
-// the serial world: every create whose Force() was acknowledged before the
-// crash is present and intact afterwards, and fsck finds no violations —
-// regardless of which thread's write the cut landed on.
-
-TEST(ParallelCommitCrashTest, AcknowledgedCreatesSurviveCrash) {
-  FsdConfig config = SmallConfig();
-  config.commit.daemon = true;
-  constexpr int kWorkers = 4;
-  constexpr int kRoundsPerWorker = 12;
-
-  bool any_crashed = false;
-  for (const std::uint64_t cut : {25ull, 60ull, 110ull, 170ull}) {
-    sim::VirtualClock clock;
-    sim::SimDisk disk(sim::TestGeometry(), sim::DiskTimingParams{}, &clock);
-    std::vector<std::string> acknowledged;
-    std::mutex ack_mu;
-    {
-      Fsd fsd(&disk, config);
-      ASSERT_TRUE(fsd.Format().ok());
-      disk.ArmCrash(CleanCut(cut));
-      auto worker = [&](int tid) {
-        for (int i = 0; i < kRoundsPerWorker; ++i) {
-          const std::string name =
-              "par.t" + std::to_string(tid) + "." + std::to_string(i);
-          const auto seed = static_cast<std::uint8_t>(16 * tid + i);
-          if (!fsd.CreateFile(name, Bytes(600, seed)).ok()) {
-            return;  // the cut landed on (or before) this create's write
-          }
-          if (!fsd.Force().ok()) {
-            return;  // force did not complete — no durability claim
-          }
-          std::lock_guard<std::mutex> lock(ack_mu);
-          acknowledged.push_back(name);
-        }
-      };
-      std::vector<std::thread> threads;
-      threads.reserve(kWorkers);
-      for (int t = 0; t < kWorkers; ++t) {
-        threads.emplace_back(worker, t);
-      }
-      for (std::thread& t : threads) {
-        t.join();
-      }
-    }
-    if (!disk.crashed()) {
-      continue;  // cut beyond this run's write count — nothing to verify
-    }
-    any_crashed = true;
-
-    disk.Reopen();
-    Fsd fsd(&disk, config);
-    ASSERT_TRUE(fsd.Mount().ok()) << "cut=" << cut;
-    auto fsck = fsd.Fsck();
-    ASSERT_TRUE(fsck.ok()) << "cut=" << cut;
-    EXPECT_TRUE(fsck->Clean()) << "cut=" << cut << ": " << fsck->Summary();
-    for (const std::string& name : acknowledged) {
-      auto handle = fsd.Open(name);
-      ASSERT_TRUE(handle.ok())
-          << "cut=" << cut << ": acknowledged " << name << " lost";
-      // seed reconstructible from the name: par.t<tid>.<i>
-      const int tid = name[5] - '0';
-      const int i = std::stoi(name.substr(7));
-      std::vector<std::uint8_t> out(handle->byte_size);
-      ASSERT_TRUE(fsd.Read(*handle, 0, out).ok()) << name;
-      EXPECT_EQ(out, Bytes(600, static_cast<std::uint8_t>(16 * tid + i)))
-          << "cut=" << cut << ": " << name << " corrupt after recovery";
-    }
-  }
-  EXPECT_TRUE(any_crashed) << "no cut landed inside the parallel workload";
 }
 
 // ---------------------------------------------------------------------------

@@ -314,6 +314,50 @@ TEST(FsObservabilityTest, SnapshotKeySetStableAcrossMountCycles) {
   EXPECT_EQ(reset.CounterValue("fsd.forces"), 0u);
 }
 
+// The commit queue counts into FSD's registry: commit.rounds is the number
+// of commit rounds run, whether stepped on the forcing thread (inline) or
+// run by the daemon thread, and FsdStats reads the same counters. An empty
+// Force() is a round only when stepped: inline forcing always wrote (or
+// counted) a force, while the daemon skips a sequence already durable.
+TEST(FsObservabilityTest, CommitRoundsCountInBothExecutors) {
+  for (const bool daemon : {false, true}) {
+    sim::VirtualClock clock;
+    sim::SimDisk disk(sim::TestGeometry(), sim::DiskTimingParams{}, &clock);
+    core::FsdConfig config = SmallFsdConfig();
+    config.commit.daemon = daemon;
+    // Only Force() commits: no deadline round runs.
+    config.commit.interval = 3600ull * 1000 * 1000;
+    core::Fsd fsd(&disk, config);
+    CEDAR_CHECK_OK(fsd.Format());
+    const MetricsSnapshot before = fsd.SnapshotMetrics();
+    constexpr std::uint64_t kForces = 7;
+    for (std::uint64_t i = 0; i < kForces; ++i) {
+      CEDAR_CHECK_OK(fsd.CreateFile("r/f" + std::to_string(i),
+                                    std::vector<std::uint8_t>(300, 1))
+                         .status());
+      CEDAR_CHECK_OK(fsd.Force());
+    }
+    CEDAR_CHECK_OK(fsd.Force());  // nothing new since the last round
+    const MetricsSnapshot after = fsd.SnapshotMetrics();
+    auto delta = [&](const char* name) {
+      return after.CounterValue(name) - before.CounterValue(name);
+    };
+    const std::uint64_t rounds = daemon ? kForces : kForces + 1;
+    EXPECT_EQ(delta("commit.rounds"), rounds) << "daemon=" << daemon;
+    EXPECT_EQ(delta("commit.force_requests"), rounds) << "daemon=" << daemon;
+    EXPECT_EQ(delta("commit.piggybacked"), 0u) << "daemon=" << daemon;
+    EXPECT_EQ(delta("fsd.forces"), kForces) << "daemon=" << daemon;
+    EXPECT_EQ(delta("fsd.empty_forces"), rounds - kForces)
+        << "daemon=" << daemon;
+    const core::FsdStats stats = fsd.stats();
+    EXPECT_EQ(stats.daemon_forces, after.CounterValue("commit.rounds"));
+    EXPECT_EQ(stats.force_requests,
+              after.CounterValue("commit.force_requests"));
+    EXPECT_EQ(stats.piggybacked, after.CounterValue("commit.piggybacked"));
+    CEDAR_CHECK_OK(fsd.Shutdown());
+  }
+}
+
 // The page cache counts into FSD's registry, beside the fsd.* counters: a
 // name table far larger than an 8-frame cache misses, hits on a repeated
 // lookup, and evicts, and each eviction walks at least one frame.

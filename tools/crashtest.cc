@@ -10,6 +10,8 @@
 //   crashtest --seed=N               sampling seed
 //   crashtest --cache-frames=N       FSD page-cache frames (default 512,
 //                                    which holds the whole name table)
+//   crashtest --ckpt-daemon          run the stepped checkpoint round with
+//                                    the smallest valid recovery window
 //   crashtest --dump-dir=DIR        dump failing disk images + schedules
 //   crashtest --quiet               summary + failures only, no table
 //
@@ -104,6 +106,7 @@ int main(int argc, char** argv) {
   std::string dump_dir;
   std::string mode = "both";
   std::size_t cache_frames = HarnessOptions{}.cache_frames;
+  bool checkpoint_daemon = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto value = [&](const char* prefix) -> const char* {
@@ -113,6 +116,8 @@ int main(int argc, char** argv) {
       exhaustive = true;
     } else if (arg == "--quiet") {
       quiet = true;
+    } else if (arg == "--ckpt-daemon") {
+      checkpoint_daemon = true;
     } else if (arg.rfind("--max-cases=", 0) == 0) {
       max_cases = std::strtoull(value("--max-cases="), nullptr, 10);
     } else if (arg.rfind("--double-crash=", 0) == 0) {
@@ -131,7 +136,7 @@ int main(int argc, char** argv) {
                    "usage: crashtest [--exhaustive] [--quiet] "
                    "[--mode=plain|vamlog|both] [--max-cases=N] "
                    "[--double-crash=N] [--seed=N] [--cache-frames=N] "
-                   "[--dump-dir=DIR]\n");
+                   "[--ckpt-daemon] [--dump-dir=DIR]\n");
       return 2;
     }
   }
@@ -151,6 +156,7 @@ int main(int argc, char** argv) {
   options.seed = seed;
   options.dump_dir = dump_dir;
   options.cache_frames = cache_frames;
+  options.checkpoint_daemon = checkpoint_daemon;
 
   int status = 0;
   if (mode != "vamlog") {
