@@ -1,10 +1,11 @@
 // Wall-clock microbenchmarks (google-benchmark) for the library's hot
-// paths: CRC, serialization, B-tree operations, the simulated disk, the
-// redo log, and FSD operation throughput. These measure this codebase, not
-// the paper's hardware.
+// paths: CRC, VAM run search, page-cache eviction, serialization, B-tree
+// operations, the simulated disk, the redo log, and FSD operation
+// throughput. These measure this codebase, not the paper's hardware.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -12,9 +13,11 @@
 #include "bench/bench_common.h"
 #include "src/btree/btree.h"
 #include "src/btree/mem_page_store.h"
+#include "src/cache/page_cache.h"
 #include "src/core/fsd.h"
 #include "src/core/log.h"
 #include "src/sim/disk.h"
+#include "src/util/bitmap.h"
 #include "src/util/crc32.h"
 #include "src/util/random.h"
 
@@ -29,6 +32,58 @@ void BM_Crc32(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_Crc32)->Arg(512)->Arg(4096)->Arg(65536);
+
+// A small-file allocation on a VAM-shaped map (the default disk's 585,200
+// sectors): the low 40,000 sectors of the data area are ~90% used, with
+// the free space left in one- and two-sector holes, so a forward search
+// for a leader plus two data pages crosses the whole used area before it
+// reaches the untouched free region (the RunAllocator's small-file path).
+void BM_BitmapFindRun(benchmark::State& state) {
+  const std::uint32_t kSectors = 585200;
+  const std::uint32_t kDataLow = 2000;
+  const std::uint32_t kUsedEnd = kDataLow + 40000;
+  Bitmap vam(kSectors, true);
+  vam.SetRange(0, kUsedEnd, false);
+  Rng rng(6);
+  for (std::uint32_t i = kDataLow; i + 2 < kUsedEnd; i += 20) {
+    vam.SetRange(i + static_cast<std::uint32_t>(rng.Below(17)),
+                 static_cast<std::uint32_t>(rng.Between(1, 2)), true);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(vam.FindRunForward(kDataLow, 3));
+  }
+}
+BENCHMARK(BM_BitmapFindRun);
+
+// Eviction under meta-1vol's cache shape: 512 frames, 190 of them dirty
+// (waiting for a checkpoint) and drifting to the LRU end, and a stream of
+// miss fills that each evict one clean frame. Every 16th fill an update
+// re-dirties a dirty page, moving it back to the front.
+void BM_PageCacheEvict(benchmark::State& state) {
+  const std::uint32_t kFrames = 512;
+  const std::uint32_t kDirty = 190;
+  cache::PageCache cache(kFrames);
+  const std::vector<std::uint8_t> page(512, 0x44);
+  for (std::uint32_t key = 0; key < kFrames; ++key) {
+    cache.Upsert(key, [&](cache::Frame& frame, bool) {
+      frame.data = page;
+      frame.dirty = key < kDirty;
+    });
+  }
+  Rng rng(7);
+  std::uint32_t next = kFrames;
+  for (auto _ : state) {
+    cache.InsertIfAbsent(next++, page);
+    if (next % 16 == 0) {
+      cache.Upsert(static_cast<std::uint32_t>(rng.Below(kDirty)),
+                   [](cache::Frame& frame, bool) { frame.dirty = true; });
+    }
+  }
+  state.counters["scan_steps_per_eviction"] =
+      static_cast<double>(cache.eviction_scan_steps()) /
+      static_cast<double>(std::max<std::uint64_t>(1, cache.evictions()));
+}
+BENCHMARK(BM_PageCacheEvict);
 
 void BM_BTreeInsert(benchmark::State& state) {
   btree::MemPageStore store(512);

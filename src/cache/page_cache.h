@@ -15,11 +15,23 @@
 //
 // Recency is tracked with an intrusive doubly-linked LRU list threaded
 // through the frames (std::unordered_map nodes are pointer-stable), so
-// Find/Insert/eviction are O(1) instead of the former full-map scan on
-// every eviction. Dirty frames stay in the list — FSD flips dirty bits
-// directly on frames, so the cache cannot maintain a separate pinned list —
-// and eviction walks from the LRU end past them; the walk is O(1) in the
-// common case and bounded by the dirty population in the worst case.
+// Find/Insert are O(1). Eviction takes the least recently used clean frame;
+// dirty frames are never evicted (the log may hold their only durable copy).
+// To keep eviction O(1), the walk from the LRU tail moves each dirty frame
+// it meets off the list onto a pinned list, so no later eviction walks past
+// it again. A pinned frame stays there until it is touched (back to the
+// front of the list, like any touch) or becomes clean. FSD flips dirty bits
+// on frames, not through a cache setter, so the cache looks at a frame's
+// flags after each closure that can flip them without a touch (Apply,
+// EraseIf, ForEach); a pinned frame found clean there moves to a cleaned set
+// ordered by recency stamp. A pinned or cleaned frame is untouched since a
+// walk took it off the list, so it is older than every frame on the list
+// (walks take frames from the tail, and the list only grows at the front);
+// the oldest cleaned frame, when there is one, is therefore the least
+// recently used clean frame of all, and the victim sequence is exactly that
+// of a tail walk over one LRU list.
+// Raw Frame pointers (Find/Insert) may change flags only until the next
+// cache call: a pinned frame's flags must change through the closures.
 //
 // Counters: hits, misses, evictions and eviction-walk steps are registry
 // counters ("cache.hits", "cache.misses", "cache.evictions",
@@ -49,6 +61,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -70,11 +83,19 @@ struct Frame {
   std::uint64_t logged_lsn = 0;  // LSN of the record holding logged_image
   bool is_leader = false;        // leader page (single home, no replica)
 
-  // Intrusive LRU links, maintained by the cache. `key` is duplicated here
-  // so eviction can erase the map entry without a search.
+  // Recency bookkeeping, maintained by the cache. `key` is duplicated here
+  // so eviction can erase the map entry without a search. The links thread
+  // the LRU list or the pinned list, whichever `place` names; `stamp`
+  // orders the cleaned set.
+  enum class Place : std::uint8_t { kLru, kPinned, kCleaned };
   Frame* lru_prev = nullptr;
   Frame* lru_next = nullptr;
   std::uint32_t key = 0;
+  std::uint64_t stamp = 0;  // recency: renewed at every touch
+  Place place = Place::kLru;
+
+  // Neither flag is set: the home copies are current, so the frame may go.
+  bool Evictable() const { return !dirty && !dirty_since_log; }
 };
 
 class PageCache {
@@ -107,7 +128,7 @@ class PageCache {
       return nullptr;
     }
     hits_->Increment();
-    MoveToFront(&it->second);
+    Touch(&it->second);
     return &it->second;
   }
 
@@ -122,7 +143,7 @@ class PageCache {
       it->second.key = key;
       PushFront(&it->second);
     } else {
-      MoveToFront(&it->second);
+      Touch(&it->second);
     }
     Frame& frame = it->second;
     frame.data = std::move(data);
@@ -143,7 +164,7 @@ class PageCache {
       return false;
     }
     const bool was_pending = it->second.dirty_since_log;
-    Unlink(&it->second);
+    Detach(&it->second);
     frames_.erase(it);
     return was_pending;
   }
@@ -155,10 +176,14 @@ class PageCache {
   bool EraseIf(std::uint32_t key, Fn&& fn) {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = frames_.find(key);
-    if (it == frames_.end() || !fn(it->second)) {
+    if (it == frames_.end()) {
       return false;
     }
-    Unlink(&it->second);
+    if (!fn(it->second)) {
+      Resettle(&it->second);
+      return false;
+    }
+    Detach(&it->second);
     frames_.erase(it);
     return true;
   }
@@ -177,7 +202,7 @@ class PageCache {
       return false;
     }
     hits_->Increment();
-    MoveToFront(&it->second);
+    Touch(&it->second);
     const std::size_t n = std::min(out.size(), it->second.data.size());
     std::copy_n(it->second.data.begin(), n, out.begin());
     return true;
@@ -194,6 +219,7 @@ class PageCache {
       return false;
     }
     fn(it->second);
+    Resettle(&it->second);
     return true;
   }
 
@@ -213,7 +239,7 @@ class PageCache {
       PushFront(&it->second);
       inserted = true;
     } else {
-      MoveToFront(&it->second);
+      Touch(&it->second);
     }
     fn(it->second, inserted);
   }
@@ -241,6 +267,8 @@ class PageCache {
     frames_.clear();
     head_ = nullptr;
     tail_ = nullptr;
+    pinned_ = nullptr;
+    cleaned_.clear();
   }
 
   // Iterates all frames (order unspecified) with the cache lock held. The
@@ -250,6 +278,7 @@ class PageCache {
     std::lock_guard<std::mutex> lock(mu_);
     for (auto& [key, frame] : frames_) {
       visit(key, frame);
+      Resettle(&frame);
     }
   }
 
@@ -260,65 +289,111 @@ class PageCache {
   std::uint64_t hits() const { return hits_->value(); }
   std::uint64_t misses() const { return misses_->value(); }
   std::uint64_t evictions() const { return evictions_->value(); }
-  // Frames examined by eviction walks; evictions == steps when every
-  // eviction found a clean frame at the exact LRU tail.
+  // Frames examined by evictions: each victim, plus each dirty frame a walk
+  // moved to the pinned list. steps - evictions counts those moves, and a
+  // dirty frame is moved at most once per touch.
   std::uint64_t eviction_scan_steps() const {
     return eviction_scan_steps_->value();
   }
 
  private:
   // LRU/eviction helpers run with mu_ held by the public entry point.
-  void PushFront(Frame* frame) {
+  static void Link(Frame* frame, Frame** head) {
     frame->lru_prev = nullptr;
-    frame->lru_next = head_;
-    if (head_ != nullptr) {
-      head_->lru_prev = frame;
+    frame->lru_next = *head;
+    if (*head != nullptr) {
+      (*head)->lru_prev = frame;
     }
-    head_ = frame;
+    *head = frame;
+  }
+
+  void PushFront(Frame* frame) {
+    frame->stamp = ++next_stamp_;
+    frame->place = Frame::Place::kLru;
+    Link(frame, &head_);
     if (tail_ == nullptr) {
       tail_ = frame;
     }
   }
 
-  void Unlink(Frame* frame) {
-    if (frame->lru_prev != nullptr) {
-      frame->lru_prev->lru_next = frame->lru_next;
-    } else {
-      head_ = frame->lru_next;
-    }
-    if (frame->lru_next != nullptr) {
-      frame->lru_next->lru_prev = frame->lru_prev;
-    } else {
-      tail_ = frame->lru_prev;
+  // Takes `frame` out of whichever place holds it.
+  void Detach(Frame* frame) {
+    switch (frame->place) {
+      case Frame::Place::kLru:
+      case Frame::Place::kPinned: {
+        Frame** head = frame->place == Frame::Place::kLru ? &head_ : &pinned_;
+        if (frame->lru_prev != nullptr) {
+          frame->lru_prev->lru_next = frame->lru_next;
+        } else {
+          *head = frame->lru_next;
+        }
+        if (frame->lru_next != nullptr) {
+          frame->lru_next->lru_prev = frame->lru_prev;
+        } else if (frame->place == Frame::Place::kLru) {
+          tail_ = frame->lru_prev;
+        }
+        break;
+      }
+      case Frame::Place::kCleaned:
+        cleaned_.erase(frame->stamp);
+        break;
     }
     frame->lru_prev = nullptr;
     frame->lru_next = nullptr;
   }
 
-  void MoveToFront(Frame* frame) {
+  void Touch(Frame* frame) {
     if (head_ == frame) {
       return;
     }
-    Unlink(frame);
+    Detach(frame);
     PushFront(frame);
+  }
+
+  // Moves a frame off the list whose flags changed without a touch between
+  // the pinned list and the cleaned set, so the pinned list holds only
+  // dirty frames and the cleaned set only clean ones.
+  void Resettle(Frame* frame) {
+    if (frame->place == Frame::Place::kPinned && frame->Evictable()) {
+      Detach(frame);
+      frame->place = Frame::Place::kCleaned;
+      cleaned_.emplace(frame->stamp, frame);
+    } else if (frame->place == Frame::Place::kCleaned && !frame->Evictable()) {
+      Pin(frame);
+    }
+  }
+
+  void Pin(Frame* frame) {
+    Detach(frame);
+    frame->place = Frame::Place::kPinned;
+    Link(frame, &pinned_);
   }
 
   void MaybeEvict() {
     if (frames_.size() < capacity_) {
       return;
     }
-    // Walk from the LRU end past dirty frames (which must survive — the log
-    // may hold their only durable copy) to the oldest clean frame.
-    Frame* victim = tail_;
-    while (victim != nullptr) {
+    // The oldest cleaned frame is older than the whole LRU list; otherwise
+    // walk from the LRU end, pinning the dirty frames (which must survive:
+    // the log may hold their only durable copy), to the oldest clean frame.
+    Frame* victim = nullptr;
+    if (!cleaned_.empty()) {
       eviction_scan_steps_->Increment();
-      if (!victim->dirty && !victim->dirty_since_log) {
+      victim = cleaned_.begin()->second;
+      CEDAR_CHECK(victim->Evictable());
+    }
+    for (Frame* frame = tail_; victim == nullptr && frame != nullptr;) {
+      eviction_scan_steps_->Increment();
+      if (frame->Evictable()) {
+        victim = frame;
         break;
       }
-      victim = victim->lru_prev;
+      Frame* newer = frame->lru_prev;
+      Pin(frame);
+      frame = newer;
     }
     if (victim != nullptr) {
-      Unlink(victim);
+      Detach(victim);
       frames_.erase(victim->key);
       evictions_->Increment();
     }
@@ -329,8 +404,11 @@ class PageCache {
   mutable std::mutex mu_;
   std::size_t capacity_;
   std::unordered_map<std::uint32_t, Frame> frames_;
-  Frame* head_ = nullptr;  // most recently used
-  Frame* tail_ = nullptr;  // least recently used
+  Frame* head_ = nullptr;    // most recently used
+  Frame* tail_ = nullptr;    // least recently used
+  Frame* pinned_ = nullptr;  // dirty frames an eviction walk moved aside
+  std::map<std::uint64_t, Frame*> cleaned_;  // pinned, since cleaned; by stamp
+  std::uint64_t next_stamp_ = 0;
   std::unique_ptr<obs::MetricsRegistry> own_metrics_;  // when none was given
   obs::Counter* hits_ = nullptr;
   obs::Counter* misses_ = nullptr;

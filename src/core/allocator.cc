@@ -29,12 +29,13 @@ Result<std::vector<fs::Extent>> RunAllocator::AllocateFrom(
     const std::uint32_t floor = extents.empty() ? min_first : 1;
     std::optional<std::uint32_t> start;
     while (want >= floor) {
-      start = big ? vam_->free().FindRunBackward(data_high_ - 1, want)
-                  : vam_->free().FindRunForward(data_low_, want);
-      if (start && *start >= data_low_ && *start + want <= data_high_) {
+      const std::optional<std::uint32_t> found =
+          big ? vam_->free().FindRunBackward(data_high_ - 1, want)
+              : vam_->free().FindRunForward(data_low_, want);
+      if (found && *found >= data_low_ && *found + want <= data_high_) {
+        start = found;
         break;
       }
-      start.reset();
       if (want == floor) {
         break;
       }

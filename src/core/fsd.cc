@@ -1973,6 +1973,16 @@ Status Fsd::ShutdownLocked() {
 
 Result<std::pair<std::uint32_t, FsdEntry>> Fsd::HighestVersion(
     std::string_view name) {
+  CEDAR_ASSIGN_OR_RETURN(auto best, FindHighestVersion(name));
+  if (!best) {
+    return MakeError(ErrorCode::kNotFound,
+                     "no such file: " + std::string(name));
+  }
+  return std::move(*best);
+}
+
+Result<std::optional<std::pair<std::uint32_t, FsdEntry>>>
+Fsd::FindHighestVersion(std::string_view name) {
   std::optional<std::pair<std::uint32_t, FsdEntry>> best;
   Status scan = tree_->Scan(
       fs::NameKeyLow(name),
@@ -1991,11 +2001,7 @@ Result<std::pair<std::uint32_t, FsdEntry>> Fsd::HighestVersion(
         return true;
       });
   CEDAR_RETURN_IF_ERROR(scan);
-  if (!best) {
-    return MakeError(ErrorCode::kNotFound,
-                     "no such file: " + std::string(name));
-  }
-  return *best;
+  return best;
 }
 
 Result<FsdEntry> Fsd::GetEntry(std::string_view name, std::uint32_t version) {
@@ -2106,9 +2112,9 @@ Result<fs::FileUid> Fsd::CreateFileLocked(
   CEDAR_RETURN_IF_ERROR(CheckWritable());
   std::uint32_t version = 1;
   std::uint16_t keep = 0;
-  if (auto highest = HighestVersion(name); highest.ok()) {
-    version = highest->first + 1;
-    keep = highest->second.keep;  // new versions inherit the keep count
+  if (auto highest = FindHighestVersion(name); highest.ok() && *highest) {
+    version = (*highest)->first + 1;
+    keep = (*highest)->second.keep;  // new versions inherit the keep count
   }
   const auto npages =
       static_cast<std::uint32_t>((contents.size() + 511) / 512);
@@ -2880,8 +2886,8 @@ Status Fsd::RenameLocked(std::string_view from, std::string_view to) {
   // The new name continues its own version chain (a rename onto an
   // existing name stacks a new version on top, like CreateFile).
   std::uint32_t to_version = 1;
-  if (auto highest = HighestVersion(to); highest.ok()) {
-    to_version = highest->first + 1;
+  if (auto highest = FindHighestVersion(to); highest.ok() && *highest) {
+    to_version = (*highest)->first + 1;
   }
   CEDAR_RETURN_IF_ERROR(PutEntry(to, to_version, entry));
   CEDAR_RETURN_IF_ERROR(tree_->Erase(fs::EncodeNameKey(from, from_version)));

@@ -614,7 +614,12 @@ class Fsd : public fs::FileSystem {
   Status PreloadNameTable(NtImages* winners = nullptr);
   Status MarkSystemRegionsUsed();
 
+  // The newest version of `name`. HighestVersion fails with kNotFound
+  // when there is none; FindHighestVersion returns nullopt instead, so the
+  // expected miss of a create or rename target builds no error message.
   Result<std::pair<std::uint32_t, FsdEntry>> HighestVersion(
+      std::string_view name);
+  Result<std::optional<std::pair<std::uint32_t, FsdEntry>>> FindHighestVersion(
       std::string_view name);
   Result<FsdEntry> GetEntry(std::string_view name, std::uint32_t version);
   Status PutEntry(std::string_view name, std::uint32_t version,

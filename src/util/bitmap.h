@@ -1,9 +1,17 @@
 // A packed bitmap over sector numbers, the representation behind both
 // systems' Volume Allocation Map (VAM). Bit set = sector free.
+//
+// Run searches work a 64-bit word at a time: a run crossing words is
+// carried as a length from countr_one / countl_one, and runs inside a word
+// are found with a few shift-and steps, so no search tests single bits. For
+// every (from, count) they return exactly what a bit-at-a-time scan returns,
+// so allocation decisions do not depend on the representation.
 
 #ifndef CEDAR_UTIL_BITMAP_H_
 #define CEDAR_UTIL_BITMAP_H_
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -36,59 +44,133 @@ class Bitmap {
     }
   }
 
+  // Sets or clears [start, start + count), a word at a time.
   void SetRange(std::uint32_t start, std::uint32_t count, bool value) {
-    for (std::uint32_t i = 0; i < count; ++i) {
-      Set(start + i, value);
+    if (count == 0) {
+      return;
+    }
+    CEDAR_CHECK(start < size_ && count <= size_ - start);
+    const std::uint32_t first = start / 64;
+    const std::uint32_t last = (start + count - 1) / 64;
+    for (std::uint32_t w = first; w <= last; ++w) {
+      std::uint64_t mask = ~0ull;
+      if (w == first) {
+        mask &= ~0ull << (start % 64);
+      }
+      if (w == last) {
+        mask &= ~0ull >> (63 - (start + count - 1) % 64);
+      }
+      if (value) {
+        words_[w] |= mask;
+      } else {
+        words_[w] &= ~mask;
+      }
     }
   }
 
   // Number of set bits.
   std::uint32_t Count() const {
     std::uint32_t n = 0;
-    for (std::uint64_t w : words_) {
-      n += static_cast<std::uint32_t>(__builtin_popcountll(w));
+    for (std::uint32_t w = 0; w < words_.size(); ++w) {
+      n += static_cast<std::uint32_t>(std::popcount(Word(w)));
     }
     return n;
   }
 
   // First run of >= count consecutive set bits at or after `from`, searching
-  // forward. Returns the run start.
+  // forward. Returns the run start. Works a word at a time: `carry` is the
+  // run reaching the top of the previous word, and runs inside a word come
+  // from RunStarts.
   std::optional<std::uint32_t> FindRunForward(std::uint32_t from,
                                               std::uint32_t count) const {
-    std::uint32_t run = 0;
-    for (std::uint32_t i = from; i < size_; ++i) {
-      run = Get(i) ? run + 1 : 0;
-      if (run >= count) {
-        return i - count + 1;
+    if (from >= size_) {
+      return std::nullopt;
+    }
+    if (count == 0) {
+      return from + 1;  // what a bit-at-a-time scan returns for an empty run
+    }
+    if (count > size_ - from) {
+      return std::nullopt;
+    }
+    std::uint32_t carry = 0;
+    for (std::uint32_t w = from / 64; w < words_.size(); ++w) {
+      std::uint64_t x = Word(w);
+      if (w == from / 64) {
+        x &= ~0ull << (from % 64);
       }
+      const std::uint32_t base = w * 64;
+      if (x == ~0ull) {
+        carry += 64;
+        if (carry >= count) {
+          return base + 64 - carry;
+        }
+        continue;
+      }
+      if (carry + static_cast<std::uint32_t>(std::countr_one(x)) >= count) {
+        return base - carry;
+      }
+      if (const std::uint64_t starts = RunStarts(x, count); starts != 0) {
+        return base + static_cast<std::uint32_t>(std::countr_zero(starts));
+      }
+      carry = static_cast<std::uint32_t>(std::countl_one(x));
     }
     return std::nullopt;
   }
 
   // First run of >= count consecutive set bits at or before `from`,
-  // searching backward (run end <= from). Returns the run start.
+  // searching backward (run end <= from). Returns the run start: the
+  // highest start whose run fits, as a bit-at-a-time downward scan finds it.
   std::optional<std::uint32_t> FindRunBackward(std::uint32_t from,
                                                std::uint32_t count) const {
     if (size_ == 0) {
       return std::nullopt;
     }
-    std::uint32_t run = 0;
-    for (std::uint32_t i = std::min(from, size_ - 1) + 1; i-- > 0;) {
-      run = Get(i) ? run + 1 : 0;
-      if (run >= count) {
-        return i;
+    const std::uint32_t top = std::min(from, size_ - 1);  // highest usable bit
+    if (count == 0) {
+      return top;
+    }
+    if (count > top + 1) {
+      return std::nullopt;
+    }
+    // `carry` is the run reaching the bottom of the next-higher word.
+    std::uint32_t carry = 0;
+    for (std::uint32_t w = top / 64 + 1; w-- > 0;) {
+      std::uint64_t x = Word(w);
+      if (w == top / 64) {
+        x &= ~0ull >> (63 - top % 64);
       }
+      const std::uint32_t base = w * 64;
+      if (x == ~0ull) {
+        carry += 64;
+        if (carry >= count) {
+          return base + carry - count;
+        }
+        continue;
+      }
+      if (carry + static_cast<std::uint32_t>(std::countl_one(x)) >= count) {
+        return base + 64 + carry - count;
+      }
+      if (const std::uint64_t starts = RunStarts(x, count); starts != 0) {
+        return base + 63 - static_cast<std::uint32_t>(std::countl_zero(starts));
+      }
+      carry = static_cast<std::uint32_t>(std::countr_one(x));
     }
     return std::nullopt;
   }
 
-  // Longest run of set bits in [start, end); used by fragmentation metrics.
+  // Longest run of set bits in [start, end).
   std::uint32_t LongestRun(std::uint32_t start, std::uint32_t end) const {
+    end = std::min(end, size_);
     std::uint32_t best = 0;
-    std::uint32_t run = 0;
-    for (std::uint32_t i = start; i < end && i < size_; ++i) {
-      run = Get(i) ? run + 1 : 0;
-      best = std::max(best, run);
+    std::uint32_t pos = start;
+    while (pos < end) {
+      pos = Next(pos, true);
+      if (pos >= end) {
+        break;
+      }
+      const std::uint32_t run_end = std::min(Next(pos, false), end);
+      best = std::max(best, run_end - pos);
+      pos = run_end;
     }
     return best;
   }
@@ -113,6 +195,47 @@ class Bitmap {
   }
 
  private:
+  // Word `w` with any bits at or past size_ cleared: a caller may have put
+  // garbage there through mutable_words(), and no search may report it.
+  std::uint64_t Word(std::uint32_t w) const {
+    const std::uint64_t word = words_[w];
+    if (w + 1 == words_.size() && size_ % 64 != 0) {
+      return word & ((1ull << (size_ % 64)) - 1);
+    }
+    return word;
+  }
+
+  // Index of the first bit equal to `value` at or after `pos` (pos <
+  // size_), or size_ if none.
+  std::uint32_t Next(std::uint32_t pos, bool value) const {
+    const std::uint64_t flip = value ? 0 : ~0ull;
+    std::uint32_t w = pos / 64;
+    std::uint64_t bits = (Word(w) ^ flip) & (~0ull << (pos % 64));
+    while (bits == 0) {
+      if (++w == words_.size()) {
+        return size_;
+      }
+      bits = Word(w) ^ flip;
+    }
+    return std::min(
+        size_, w * 64 + static_cast<std::uint32_t>(std::countr_zero(bits)));
+  }
+
+  // Bit i of the result is set iff bits [i, i + count) of `x` are all set.
+  // A run must fit inside the word, so a count over 64 finds none.
+  static std::uint64_t RunStarts(std::uint64_t x, std::uint32_t count) {
+    if (count > 64) {
+      return 0;
+    }
+    // Invariant: bit i of x is set iff bits [i, i + len) were all set.
+    for (std::uint32_t len = 1; len < count && x != 0;) {
+      const std::uint32_t step = std::min(len, count - len);
+      x &= x >> step;
+      len += step;
+    }
+    return x;
+  }
+
   void TrimTail() {
     // Clear bits past size_ so Count() and == stay exact.
     if (size_ % 64 != 0 && !words_.empty()) {

@@ -1,32 +1,66 @@
 #include "src/util/crc32.h"
 
 #include <array>
+#include <bit>
+#include <cstring>
 
 namespace cedar {
 namespace {
 
 constexpr std::uint32_t kPolynomial = 0xEDB88320u;
 
-constexpr std::array<std::uint32_t, 256> MakeTable() {
-  std::array<std::uint32_t, 256> table{};
+// Slicing-by-8 tables: kTables[0] is the classic bytewise table, and
+// kTables[k][b] is what byte b contributes to the register once k more
+// zero bytes have passed, so eight lookups advance the CRC over eight input
+// bytes at once.
+using Tables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr Tables MakeTables() {
+  Tables tables{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t crc = i;
     for (int bit = 0; bit < 8; ++bit) {
       crc = (crc >> 1) ^ ((crc & 1u) ? kPolynomial : 0u);
     }
-    table[i] = crc;
+    tables[0][i] = crc;
   }
-  return table;
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    for (std::size_t k = 1; k < 8; ++k) {
+      const std::uint32_t prev = tables[k - 1][i];
+      tables[k][i] = (prev >> 8) ^ tables[0][prev & 0xFFu];
+    }
+  }
+  return tables;
 }
 
-constexpr std::array<std::uint32_t, 256> kTable = MakeTable();
+constexpr Tables kTables = MakeTables();
+
+// Eight input bytes as a little-endian word; memcpy keeps the unaligned
+// load well defined.
+std::uint64_t LoadLittle64(const std::uint8_t* p) {
+  std::uint64_t word;
+  std::memcpy(&word, p, sizeof(word));
+  if constexpr (std::endian::native == std::endian::big) {
+    word = __builtin_bswap64(word);
+  }
+  return word;
+}
 
 }  // namespace
 
 std::uint32_t Crc32(std::span<const std::uint8_t> data, std::uint32_t seed) {
   std::uint32_t crc = ~seed;
-  for (std::uint8_t byte : data) {
-    crc = (crc >> 8) ^ kTable[(crc ^ byte) & 0xFFu];
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint64_t word = LoadLittle64(p) ^ crc;
+    crc = kTables[7][word & 0xFFu] ^ kTables[6][(word >> 8) & 0xFFu] ^
+          kTables[5][(word >> 16) & 0xFFu] ^ kTables[4][(word >> 24) & 0xFFu] ^
+          kTables[3][(word >> 32) & 0xFFu] ^ kTables[2][(word >> 40) & 0xFFu] ^
+          kTables[1][(word >> 48) & 0xFFu] ^ kTables[0][word >> 56];
+  }
+  for (; n > 0; ++p, --n) {
+    crc = (crc >> 8) ^ kTables[0][(crc ^ *p) & 0xFFu];
   }
   return ~crc;
 }

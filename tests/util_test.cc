@@ -98,6 +98,57 @@ TEST(Crc32Test, ChainingMatchesWhole) {
   EXPECT_EQ(chained, whole);
 }
 
+// Bytewise reflected CRC-32, one bit at a time: the definition the sliced
+// implementation must reproduce.
+std::uint32_t ReferenceCrc32(std::span<const std::uint8_t> data,
+                             std::uint32_t seed) {
+  std::uint32_t crc = ~seed;
+  for (std::uint8_t byte : data) {
+    crc ^= byte;
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1u) ? 0xEDB88320u : 0u);
+    }
+  }
+  return ~crc;
+}
+
+TEST(Crc32Test, MatchesBytewiseReferenceAtEveryLengthAndOffset) {
+  Rng rng(32);
+  std::vector<std::uint8_t> buf(1100 + 8);
+  for (std::uint8_t& byte : buf) {
+    byte = static_cast<std::uint8_t>(rng.Next());
+  }
+  const std::span<const std::uint8_t> all(buf);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 1100; ++len) {
+      const auto data = all.subspan(offset, len);
+      const auto seed = static_cast<std::uint32_t>(rng.Next());
+      ASSERT_EQ(Crc32(data), ReferenceCrc32(data, 0))
+          << "offset " << offset << " len " << len;
+      ASSERT_EQ(Crc32(data, seed), ReferenceCrc32(data, seed))
+          << "offset " << offset << " len " << len << " seed " << seed;
+    }
+  }
+}
+
+TEST(Crc32Test, ChainedAtEverySplitMatchesReference) {
+  Rng rng(33);
+  std::vector<std::uint8_t> buf(300);
+  for (std::uint8_t& byte : buf) {
+    byte = static_cast<std::uint8_t>(rng.Next());
+  }
+  const std::span<const std::uint8_t> all(buf);
+  const std::uint32_t whole = ReferenceCrc32(all, 0);
+  for (std::size_t a = 0; a <= all.size(); a += 7) {
+    for (std::size_t b = a; b <= all.size(); b += 13) {
+      std::uint32_t crc = Crc32(all.subspan(0, a));
+      crc = Crc32(all.subspan(a, b - a), crc);
+      crc = Crc32(all.subspan(b), crc);
+      ASSERT_EQ(crc, whole) << "splits " << a << " " << b;
+    }
+  }
+}
+
 TEST(SerialTest, RoundTripAllTypes) {
   ByteWriter w;
   w.U8(0xAB);
