@@ -60,6 +60,10 @@ int CompareKeys(std::span<const std::uint8_t> a,
   return a.size() < b.size() ? -1 : 1;
 }
 
+bool BTree::IsInteriorPage(std::span<const std::uint8_t> page) {
+  return !page.empty() && page[0] == kInternal;
+}
+
 // In-memory view over one page buffer.
 class BTree::Node {
  public:

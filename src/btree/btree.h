@@ -92,6 +92,11 @@ class BTree {
 
   PageId root() const { return root_; }
 
+  // Whether `page`, a page image as the store holds it, is an interior
+  // node, so a page cache can keep the tree's upper levels without knowing
+  // the page layout.
+  static bool IsInteriorPage(std::span<const std::uint8_t> page);
+
  private:
   struct SplitResult {
     bool split = false;

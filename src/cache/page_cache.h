@@ -30,8 +30,24 @@
 // the oldest cleaned frame, when there is one, is therefore the least
 // recently used clean frame of all, and the victim sequence is exactly that
 // of a tail walk over one LRU list.
+//
+// Interior pages. An owner may pass a classifier that marks a frame as a
+// B-tree interior page (FSD does, for its name table). Every lookup passes
+// through the tree's root and upper levels, yet under plain LRU a miss
+// cluster of leaves pushes them out: interior frames are therefore kept on
+// a recency list of their own, which the LRU walk never reaches, and the
+// oldest clean interior frame is the victim only when no other clean frame
+// is left (so a cache too small for the tree's upper levels still evicts).
+// The victim order is: the oldest cleaned frame, then the LRU tail walk,
+// then a walk from the interior list's tail to its oldest clean frame. The
+// flag is re-evaluated after every call that may change a frame's data
+// (Insert, InsertIfAbsent, Upsert, Apply, and the EraseIf/ForEach
+// closures); a frame whose class changed moves to the other list at the
+// position its recency stamp gives it, so both lists stay in recency order.
+// Without a classifier every frame is a leaf and the cache is plain LRU.
 // Raw Frame pointers (Find/Insert) may change flags only until the next
-// cache call: a pinned frame's flags must change through the closures.
+// cache call: a pinned frame's flags must change through the closures, and
+// a frame's data only through the calls above.
 //
 // Counters: hits, misses, evictions and eviction-walk steps are registry
 // counters ("cache.hits", "cache.misses", "cache.evictions",
@@ -85,14 +101,15 @@ struct Frame {
 
   // Recency bookkeeping, maintained by the cache. `key` is duplicated here
   // so eviction can erase the map entry without a search. The links thread
-  // the LRU list or the pinned list, whichever `place` names; `stamp`
-  // orders the cleaned set.
-  enum class Place : std::uint8_t { kLru, kPinned, kCleaned };
+  // the LRU list, the pinned list or the interior list, whichever `place`
+  // names; `stamp` orders the cleaned set and places a reclassified frame.
+  enum class Place : std::uint8_t { kLru, kPinned, kCleaned, kInterior };
   Frame* lru_prev = nullptr;
   Frame* lru_next = nullptr;
   std::uint32_t key = 0;
   std::uint64_t stamp = 0;  // recency: renewed at every touch
   Place place = Place::kLru;
+  bool interior = false;  // B-tree interior page, per the owner's classifier
 
   // Neither flag is set: the home copies are current, so the frame may go.
   bool Evictable() const { return !dirty && !dirty_since_log; }
@@ -100,14 +117,22 @@ struct Frame {
 
 class PageCache {
  public:
+  // Says whether the frame for `key` holding `data` is a B-tree interior
+  // page, which is evicted only when no other clean frame is left. Called
+  // under the cache mutex; it must not reenter the cache.
+  using Classifier = bool (*)(std::uint32_t key,
+                              std::span<const std::uint8_t> data);
+
   // `capacity` bounds the number of frames, dirty and clean together: an
   // insert at capacity evicts the least recently used clean frame, so every
   // dirty frame shrinks the clean working set by one. Dirty frames are never
   // evicted (the log may hold their only durable copy); when all frames are
   // dirty the cache grows past capacity until a checkpoint cleans some.
+  // A null `interior` classes every frame a leaf (plain LRU).
   explicit PageCache(std::size_t capacity,
-                     obs::MetricsRegistry* metrics = nullptr)
-      : capacity_(capacity) {
+                     obs::MetricsRegistry* metrics = nullptr,
+                     Classifier interior = nullptr)
+      : capacity_(capacity), interior_of_(interior) {
     CEDAR_CHECK(capacity >= 8);
     if (metrics == nullptr) {
       own_metrics_ = std::make_unique<obs::MetricsRegistry>();
@@ -136,22 +161,14 @@ class PageCache {
   // if over capacity.
   Frame& Insert(std::uint32_t key, std::vector<std::uint8_t> data) {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = frames_.find(key);
-    if (it == frames_.end()) {
-      MaybeEvict();
-      it = frames_.try_emplace(key).first;
-      it->second.key = key;
-      PushFront(&it->second);
-    } else {
-      Touch(&it->second);
-    }
-    Frame& frame = it->second;
+    Frame& frame = FindOrAdd(key, nullptr);
     frame.data = std::move(data);
     frame.dirty = false;
     frame.dirty_since_log = false;
     frame.logged_image.clear();
     frame.logged_lsn = 0;
     frame.is_leader = false;
+    Settle(&frame);
     return frame;
   }
 
@@ -180,7 +197,7 @@ class PageCache {
       return false;
     }
     if (!fn(it->second)) {
-      Resettle(&it->second);
+      Settle(&it->second);
       return false;
     }
     Detach(&it->second);
@@ -219,7 +236,7 @@ class PageCache {
       return false;
     }
     fn(it->second);
-    Resettle(&it->second);
+    Settle(&it->second);
     return true;
   }
 
@@ -230,18 +247,10 @@ class PageCache {
   template <typename Fn>
   void Upsert(std::uint32_t key, Fn&& fn) {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = frames_.find(key);
     bool inserted = false;
-    if (it == frames_.end()) {
-      MaybeEvict();
-      it = frames_.try_emplace(key).first;
-      it->second.key = key;
-      PushFront(&it->second);
-      inserted = true;
-    } else {
-      Touch(&it->second);
-    }
-    fn(it->second, inserted);
+    Frame& frame = FindOrAdd(key, &inserted);
+    fn(frame, inserted);
+    Settle(&frame);
   }
 
   // Inserts a clean frame holding a copy of `data` only when `key` is
@@ -249,25 +258,21 @@ class PageCache {
   // frame. Returns whether it inserted.
   bool InsertIfAbsent(std::uint32_t key, std::span<const std::uint8_t> data) {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = frames_.find(key);
-    if (it != frames_.end()) {
+    if (frames_.contains(key)) {
       return false;
     }
-    MaybeEvict();
-    it = frames_.try_emplace(key).first;
-    Frame& frame = it->second;
-    frame.key = key;
+    Frame& frame = Add(key);
     frame.data.assign(data.begin(), data.end());
-    PushFront(&frame);
+    Settle(&frame);
     return true;
   }
 
   void Clear() {
     std::lock_guard<std::mutex> lock(mu_);
     frames_.clear();
-    head_ = nullptr;
-    tail_ = nullptr;
-    pinned_ = nullptr;
+    lru_ = {};
+    pinned_ = {};
+    interior_ = {};
     cleaned_.clear();
   }
 
@@ -278,7 +283,7 @@ class PageCache {
     std::lock_guard<std::mutex> lock(mu_);
     for (auto& [key, frame] : frames_) {
       visit(key, frame);
-      Resettle(&frame);
+      Settle(&frame);
     }
   }
 
@@ -290,83 +295,141 @@ class PageCache {
   std::uint64_t misses() const { return misses_->value(); }
   std::uint64_t evictions() const { return evictions_->value(); }
   // Frames examined by evictions: each victim, plus each dirty frame a walk
-  // moved to the pinned list. steps - evictions counts those moves, and a
-  // dirty frame is moved at most once per touch.
+  // moved to the pinned list, plus each dirty interior frame the rare
+  // interior walk passed. On the LRU side a dirty frame is moved at most
+  // once per touch.
   std::uint64_t eviction_scan_steps() const {
     return eviction_scan_steps_->value();
   }
 
  private:
+  // An intrusive recency list: head most recent, tail least recent.
+  struct List {
+    Frame* head = nullptr;
+    Frame* tail = nullptr;
+  };
+
   // LRU/eviction helpers run with mu_ held by the public entry point.
-  static void Link(Frame* frame, Frame** head) {
-    frame->lru_prev = nullptr;
-    frame->lru_next = *head;
-    if (*head != nullptr) {
-      (*head)->lru_prev = frame;
-    }
-    *head = frame;
+
+  // A new frame for the absent `key`, after an eviction at capacity.
+  Frame& Add(std::uint32_t key) {
+    MaybeEvict();
+    Frame& frame = frames_.try_emplace(key).first->second;
+    frame.key = key;
+    PushFront(&frame);
+    return frame;
   }
 
+  // The frame for `key`, touched, or a new one; `*inserted`, when given,
+  // says which.
+  Frame& FindOrAdd(std::uint32_t key, bool* inserted) {
+    auto it = frames_.find(key);
+    if (inserted != nullptr) {
+      *inserted = it == frames_.end();
+    }
+    if (it == frames_.end()) {
+      return Add(key);
+    }
+    Touch(&it->second);
+    return it->second;
+  }
+
+  List& ListAt(Frame::Place place) {
+    switch (place) {
+      case Frame::Place::kPinned:
+        return pinned_;
+      case Frame::Place::kInterior:
+        return interior_;
+      default:
+        return lru_;
+    }
+  }
+
+  // Links `frame` into `list` just before `next` (nullptr: at the tail).
+  static void LinkBefore(List* list, Frame* frame, Frame* next) {
+    Frame* prev = next != nullptr ? next->lru_prev : list->tail;
+    frame->lru_prev = prev;
+    frame->lru_next = next;
+    (prev != nullptr ? prev->lru_next : list->head) = frame;
+    (next != nullptr ? next->lru_prev : list->tail) = frame;
+  }
+
+  // Links `frame` into `list` at the position its stamp gives it. A frame
+  // just touched has the newest stamp and goes straight to the head; only a
+  // frame reclassified without a touch walks.
+  static void LinkByStamp(List* list, Frame* frame) {
+    Frame* next = list->head;
+    while (next != nullptr && next->stamp > frame->stamp) {
+      next = next->lru_next;
+    }
+    LinkBefore(list, frame, next);
+  }
+
+  // Makes `frame` the most recent of its class.
   void PushFront(Frame* frame) {
     frame->stamp = ++next_stamp_;
-    frame->place = Frame::Place::kLru;
-    Link(frame, &head_);
-    if (tail_ == nullptr) {
-      tail_ = frame;
-    }
+    frame->place = frame->interior ? Frame::Place::kInterior
+                                   : Frame::Place::kLru;
+    LinkBefore(&ListAt(frame->place), frame, ListAt(frame->place).head);
   }
 
   // Takes `frame` out of whichever place holds it.
   void Detach(Frame* frame) {
-    switch (frame->place) {
-      case Frame::Place::kLru:
-      case Frame::Place::kPinned: {
-        Frame** head = frame->place == Frame::Place::kLru ? &head_ : &pinned_;
-        if (frame->lru_prev != nullptr) {
-          frame->lru_prev->lru_next = frame->lru_next;
-        } else {
-          *head = frame->lru_next;
-        }
-        if (frame->lru_next != nullptr) {
-          frame->lru_next->lru_prev = frame->lru_prev;
-        } else if (frame->place == Frame::Place::kLru) {
-          tail_ = frame->lru_prev;
-        }
-        break;
-      }
-      case Frame::Place::kCleaned:
-        cleaned_.erase(frame->stamp);
-        break;
+    if (frame->place == Frame::Place::kCleaned) {
+      cleaned_.erase(frame->stamp);
+    } else {
+      List& list = ListAt(frame->place);
+      (frame->lru_prev != nullptr ? frame->lru_prev->lru_next : list.head) =
+          frame->lru_next;
+      (frame->lru_next != nullptr ? frame->lru_next->lru_prev : list.tail) =
+          frame->lru_prev;
     }
     frame->lru_prev = nullptr;
     frame->lru_next = nullptr;
   }
 
   void Touch(Frame* frame) {
-    if (head_ == frame) {
-      return;
-    }
     Detach(frame);
     PushFront(frame);
   }
 
-  // Moves a frame off the list whose flags changed without a touch between
-  // the pinned list and the cleaned set, so the pinned list holds only
-  // dirty frames and the cleaned set only clean ones.
-  void Resettle(Frame* frame) {
-    if (frame->place == Frame::Place::kPinned && frame->Evictable()) {
-      Detach(frame);
+  // Takes `frame` out of its place and files it by class, stamp and flags:
+  // an interior frame into the interior list by stamp; a leaf newer than
+  // the LRU tail into the LRU list by stamp; an older leaf into the cleaned
+  // set when clean, else onto the pinned list. So every pinned or cleaned
+  // frame stays older than the whole LRU list.
+  void Refile(Frame* frame) {
+    Detach(frame);
+    if (frame->interior) {
+      frame->place = Frame::Place::kInterior;
+      LinkByStamp(&interior_, frame);
+    } else if (lru_.tail != nullptr && frame->stamp > lru_.tail->stamp) {
+      frame->place = Frame::Place::kLru;
+      LinkByStamp(&lru_, frame);
+    } else if (frame->Evictable()) {
       frame->place = Frame::Place::kCleaned;
       cleaned_.emplace(frame->stamp, frame);
-    } else if (frame->place == Frame::Place::kCleaned && !frame->Evictable()) {
-      Pin(frame);
+    } else {
+      frame->place = Frame::Place::kPinned;
+      LinkBefore(&pinned_, frame, pinned_.head);
     }
   }
 
-  void Pin(Frame* frame) {
-    Detach(frame);
-    frame->place = Frame::Place::kPinned;
-    Link(frame, &pinned_);
+  // Re-evaluates a frame after a call that may have changed its data or
+  // flags: a frame whose class changed moves to the other side, a pinned
+  // frame found clean to the cleaned set, and a cleaned one found dirty
+  // back to the pinned list, so the pinned list holds only dirty frames and
+  // the cleaned set only clean ones.
+  void Settle(Frame* frame) {
+    const bool interior =
+        interior_of_ != nullptr && interior_of_(frame->key, frame->data);
+    const bool misfiled =
+        (frame->place == Frame::Place::kPinned && frame->Evictable()) ||
+        (frame->place == Frame::Place::kCleaned && !frame->Evictable());
+    if (interior != frame->interior || misfiled) {
+      frame->interior = interior;
+      Refile(frame);
+    }
   }
 
   void MaybeEvict() {
@@ -376,21 +439,30 @@ class PageCache {
     // The oldest cleaned frame is older than the whole LRU list; otherwise
     // walk from the LRU end, pinning the dirty frames (which must survive:
     // the log may hold their only durable copy), to the oldest clean frame.
+    // Only when no clean leaf is left does an interior frame go: the oldest
+    // clean one, found by a walk that leaves the dirty ones in place.
     Frame* victim = nullptr;
     if (!cleaned_.empty()) {
       eviction_scan_steps_->Increment();
       victim = cleaned_.begin()->second;
       CEDAR_CHECK(victim->Evictable());
     }
-    for (Frame* frame = tail_; victim == nullptr && frame != nullptr;) {
+    for (Frame* frame = lru_.tail; victim == nullptr && frame != nullptr;) {
       eviction_scan_steps_->Increment();
       if (frame->Evictable()) {
         victim = frame;
         break;
       }
       Frame* newer = frame->lru_prev;
-      Pin(frame);
+      Refile(frame);  // dirty and older than the rest: onto the pinned list
       frame = newer;
+    }
+    for (Frame* frame = interior_.tail; victim == nullptr && frame != nullptr;
+         frame = frame->lru_prev) {
+      eviction_scan_steps_->Increment();
+      if (frame->Evictable()) {
+        victim = frame;
+      }
     }
     if (victim != nullptr) {
       Detach(victim);
@@ -403,10 +475,11 @@ class PageCache {
 
   mutable std::mutex mu_;
   std::size_t capacity_;
+  Classifier interior_of_;
   std::unordered_map<std::uint32_t, Frame> frames_;
-  Frame* head_ = nullptr;    // most recently used
-  Frame* tail_ = nullptr;    // least recently used
-  Frame* pinned_ = nullptr;  // dirty frames an eviction walk moved aside
+  List lru_;       // clean and dirty leaf frames not yet walked past
+  List pinned_;    // dirty leaf frames an eviction walk moved aside
+  List interior_;  // interior frames, clean and dirty
   std::map<std::uint64_t, Frame*> cleaned_;  // pinned, since cleaned; by stamp
   std::uint64_t next_stamp_ = 0;
   std::unique_ptr<obs::MetricsRegistry> own_metrics_;  // when none was given

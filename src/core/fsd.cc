@@ -215,6 +215,11 @@ class Fsd::NtStore : public btree::PageStore {
       }
     }
     CEDAR_CHECK(found);
+    if (btree::BTree::IsInteriorPage(out)) {
+      fsd_->c_.nt_misses_interior->Increment();
+    } else {
+      fsd_->c_.nt_misses_leaf->Increment();
+    }
     return OkStatus();
   }
 
@@ -351,12 +356,21 @@ class Fsd::NtImageStore : public btree::PageStore {
   const NtImages* images_;
 };
 
+bool Fsd::IsInteriorFrame(std::uint32_t key,
+                          std::span<const std::uint8_t> data) {
+  return !(key & kLeaderKeyBit) && btree::BTree::IsInteriorPage(data);
+}
+
 Fsd::Fsd(sim::BlockDevice* disk, FsdConfig config)
+    : Fsd(disk, config, &Fsd::IsInteriorFrame) {}
+
+Fsd::Fsd(sim::BlockDevice* disk, FsdConfig config,
+         cache::PageCache::Classifier interior)
     : disk_(disk),
       config_(config),
       layout_(FsdLayout::Compute(disk->geometry(), config)),
       vam_(disk->geometry().TotalSectors(), config.nt_pages),
-      cache_(config.cache_frames, &metrics_),
+      cache_(config.cache_frames, &metrics_, interior),
       commit_rounds_(RoundExecutor(config), [this] { CommitRound(); }),
       ckpt_rounds_(RoundExecutor(config), [this] { CkptRound(); }),
       queue_(&commit_rounds_, &metrics_) {
@@ -395,6 +409,8 @@ Fsd::Fsd(sim::BlockDevice* disk, FsdConfig config)
   c_.read_retry_exhausted = metrics_.GetCounter("fsd.read_retry_exhausted");
   c_.scrub_healed = metrics_.GetCounter("fsd.scrub_healed");
   c_.scrub_unrepairable = metrics_.GetCounter("fsd.scrub_unrepairable");
+  c_.nt_misses_interior = metrics_.GetCounter("nt.misses_interior");
+  c_.nt_misses_leaf = metrics_.GetCounter("nt.misses_leaf");
   h_.create = metrics_.GetHistogram("op.fsd.create.us");
   h_.open = metrics_.GetHistogram("op.fsd.open.us");
   h_.read = metrics_.GetHistogram("op.fsd.read.us");
@@ -2112,9 +2128,12 @@ Result<fs::FileUid> Fsd::CreateFileLocked(
   CEDAR_RETURN_IF_ERROR(CheckWritable());
   std::uint32_t version = 1;
   std::uint16_t keep = 0;
-  if (auto highest = FindHighestVersion(name); highest.ok() && *highest) {
-    version = (*highest)->first + 1;
-    keep = (*highest)->second.keep;  // new versions inherit the keep count
+  // A failed scan (a name-table page neither copy holds) is not "no such
+  // name": version 1 could overwrite an existing one.
+  CEDAR_ASSIGN_OR_RETURN(auto highest, FindHighestVersion(name));
+  if (highest) {
+    version = highest->first + 1;
+    keep = highest->second.keep;  // new versions inherit the keep count
   }
   const auto npages =
       static_cast<std::uint32_t>((contents.size() + 511) / 512);
@@ -2886,8 +2905,9 @@ Status Fsd::RenameLocked(std::string_view from, std::string_view to) {
   // The new name continues its own version chain (a rename onto an
   // existing name stacks a new version on top, like CreateFile).
   std::uint32_t to_version = 1;
-  if (auto highest = FindHighestVersion(to); highest.ok() && *highest) {
-    to_version = (*highest)->first + 1;
+  CEDAR_ASSIGN_OR_RETURN(auto highest, FindHighestVersion(to));
+  if (highest) {
+    to_version = highest->first + 1;
   }
   CEDAR_RETURN_IF_ERROR(PutEntry(to, to_version, entry));
   CEDAR_RETURN_IF_ERROR(tree_->Erase(fs::EncodeNameKey(from, from_version)));

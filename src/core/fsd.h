@@ -327,6 +327,22 @@ class Fsd : public fs::FileSystem {
   bool HasPendingUpdates() const;
   Status CheckNameTableInvariants() { return tree_->CheckInvariants(); }
 
+  // Cache keys: name-table pages use their PageId; leader pages use their
+  // LBA with the top bit set.
+  static constexpr std::uint32_t kLeaderKeyBit = 0x80000000u;
+
+  // The page cache's classifier: a name-table frame holding a B-tree
+  // interior node. Leader frames are never interior, whatever their bytes.
+  static bool IsInteriorFrame(std::uint32_t key,
+                              std::span<const std::uint8_t> data);
+
+ protected:
+  // As the public constructor, with the page cache's interior classifier
+  // given explicitly; nullptr classes every frame a leaf (plain LRU), which
+  // lets a test measure the same volume under both victim orders.
+  Fsd(sim::BlockDevice* disk, FsdConfig config,
+      cache::PageCache::Classifier interior);
+
  private:
   class NtStore;
   class NtImageStore;
@@ -336,10 +352,6 @@ class Fsd : public fs::FileSystem {
     std::uint32_t version = 0;
     bool leader_verified = false;
   };
-
-  // Cache keys: name-table pages use their PageId; leader pages use their
-  // LBA with the top bit set.
-  static constexpr std::uint32_t kLeaderKeyBit = 0x80000000u;
 
   // RAII quiesce: holds force_mu_ and closes the op gate, so the holder has
   // the same exclusive view a capture has — no op in flight, cache flags
@@ -764,6 +776,8 @@ class Fsd : public fs::FileSystem {
     obs::Counter* read_retry_exhausted = nullptr;
     obs::Counter* scrub_healed = nullptr;
     obs::Counter* scrub_unrepairable = nullptr;
+    obs::Counter* nt_misses_interior = nullptr;
+    obs::Counter* nt_misses_leaf = nullptr;
   } c_;
   struct HistogramSet {
     obs::Histogram* create = nullptr;

@@ -46,8 +46,7 @@ std::string_view DiskOpKindName(DiskOpKind kind) {
 DiskTracer::DiskTracer(std::size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity) {
   tls_key_.store(NextTracerKey(), std::memory_order_relaxed);
-  op_names_.emplace_back(kNoContext);
-  op_ids_.emplace(std::string(kNoContext), 0u);
+  InternOp(kNoContext);
 }
 
 DiskTracer::DiskTracer(DiskTracer&& other) noexcept {
@@ -88,7 +87,38 @@ std::uint32_t DiskTracer::InternOp(std::string_view name) {
   const auto id = static_cast<std::uint32_t>(op_names_.size());
   op_names_.emplace_back(name);
   op_ids_.emplace(std::string(name), id);
+  aggregates_.emplace_back();
+  root_aggregates_.emplace_back();
   return id;
+}
+
+void DiskTracer::AddLocked(const TraceEvent& ev) {
+  for (OpClassAggregate* agg : {&aggregates_[ev.op_id],
+                                &root_aggregates_[ev.root_id],
+                                &spindle_aggregates_[ev.spindle]}) {
+    ++agg->requests;
+    agg->sectors += ev.sectors;
+    agg->seek_us += ev.seek_us;
+    agg->rotational_us += ev.rotational_us;
+    agg->transfer_us += ev.transfer_us;
+    agg->controller_us += ev.controller_us;
+  }
+}
+
+OpClassAggregate DiskTracer::SlotFor(
+    const std::vector<OpClassAggregate>& aggs,
+    std::string_view op_class) const {
+  auto it = op_ids_.find(op_class);
+  return it == op_ids_.end() ? OpClassAggregate{} : aggs[it->second];
+}
+
+std::vector<std::pair<std::string, OpClassAggregate>> DiskTracer::ByName(
+    const std::vector<OpClassAggregate>& aggs) const {
+  std::vector<std::pair<std::string, OpClassAggregate>> out;
+  for (const auto& [name, id] : op_ids_) {
+    if (aggs[id].requests > 0) out.emplace_back(name, aggs[id]);
+  }
+  return out;
 }
 
 void DiskTracer::PushOp(std::string_view name) {
@@ -162,16 +192,7 @@ void DiskTracer::Record(std::uint64_t lba, std::uint32_t sectors,
     ++dropped_;
   }
 
-  for (OpClassAggregate* agg : {&aggregates_[op_names_[ev.op_id]],
-                                &root_aggregates_[op_names_[ev.root_id]],
-                                &spindle_aggregates_[ev.spindle]}) {
-    ++agg->requests;
-    agg->sectors += sectors;
-    agg->seek_us += seek_us;
-    agg->rotational_us += rotational_us;
-    agg->transfer_us += transfer_us;
-    agg->controller_us += controller_us;
-  }
+  AddLocked(ev);
 }
 
 std::vector<TraceEvent> DiskTracer::EventsLocked() const {
@@ -209,32 +230,24 @@ std::uint64_t DiskTracer::dropped_events() const {
 
 OpClassAggregate DiskTracer::AggregateFor(std::string_view op_class) const {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = aggregates_.find(op_class);
-  return it == aggregates_.end() ? OpClassAggregate{} : it->second;
+  return SlotFor(aggregates_, op_class);
 }
 
 std::vector<std::pair<std::string, OpClassAggregate>> DiskTracer::Aggregates()
     const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::pair<std::string, OpClassAggregate>> out;
-  out.reserve(aggregates_.size());
-  for (const auto& [name, agg] : aggregates_) out.emplace_back(name, agg);
-  return out;
+  return ByName(aggregates_);
 }
 
 OpClassAggregate DiskTracer::RootAggregateFor(std::string_view op_class) const {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = root_aggregates_.find(op_class);
-  return it == root_aggregates_.end() ? OpClassAggregate{} : it->second;
+  return SlotFor(root_aggregates_, op_class);
 }
 
 std::vector<std::pair<std::string, OpClassAggregate>>
 DiskTracer::RootAggregates() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::pair<std::string, OpClassAggregate>> out;
-  out.reserve(root_aggregates_.size());
-  for (const auto& [name, agg] : root_aggregates_) out.emplace_back(name, agg);
-  return out;
+  return ByName(root_aggregates_);
 }
 
 OpClassAggregate DiskTracer::SpindleAggregateFor(std::uint32_t spindle) const {
@@ -333,17 +346,7 @@ Result<DiskTracer> DiskTracer::ParseBinary(
     if (ev.op_id >= tracer.op_names_.size()) ev.op_id = 0;
     if (ev.root_id >= tracer.op_names_.size()) ev.root_id = 0;
     tracer.ring_.push_back(ev);
-    for (OpClassAggregate* agg :
-         {&tracer.aggregates_[tracer.op_names_[ev.op_id]],
-          &tracer.root_aggregates_[tracer.op_names_[ev.root_id]],
-          &tracer.spindle_aggregates_[ev.spindle]}) {
-      ++agg->requests;
-      agg->sectors += ev.sectors;
-      agg->seek_us += ev.seek_us;
-      agg->rotational_us += ev.rotational_us;
-      agg->transfer_us += ev.transfer_us;
-      agg->controller_us += ev.controller_us;
-    }
+    tracer.AddLocked(ev);
   }
   tracer.next_seq_ = total;
   tracer.dropped_ = dropped;
@@ -423,8 +426,8 @@ void DiskTracer::Reset() {
   // any still-live ScopedOp would remain valid — but their stacks are gone,
   // which is the point of a reset.
   tls_key_.store(NextTracerKey(), std::memory_order_relaxed);
-  aggregates_.clear();
-  root_aggregates_.clear();
+  aggregates_.assign(op_names_.size(), OpClassAggregate{});
+  root_aggregates_.assign(op_names_.size(), OpClassAggregate{});
   spindle_aggregates_.clear();
 }
 

@@ -187,6 +187,13 @@ class DiskTracer {
  private:
   std::uint32_t InternOp(std::string_view name);           // caller holds mu_
   std::vector<TraceEvent> EventsLocked() const;            // caller holds mu_
+  void AddLocked(const TraceEvent& ev);                    // caller holds mu_
+  // The slot of `aggs` for `op_class`, or zeros; caller holds mu_.
+  OpClassAggregate SlotFor(const std::vector<OpClassAggregate>& aggs,
+                           std::string_view op_class) const;
+  // Every slot of `aggs` with a request, by name; caller holds mu_.
+  std::vector<std::pair<std::string, OpClassAggregate>> ByName(
+      const std::vector<OpClassAggregate>& aggs) const;
 
   // Identifies this tracer incarnation in each thread's TLS stack map; a
   // fresh id (issued at construction, move, and Reset) abandons old stacks.
@@ -203,8 +210,10 @@ class DiskTracer {
   // stable addresses while new ops are interned concurrently.
   std::deque<std::string> op_names_;
   std::map<std::string, std::uint32_t, std::less<>> op_ids_;
-  std::map<std::string, OpClassAggregate, std::less<>> aggregates_;
-  std::map<std::string, OpClassAggregate, std::less<>> root_aggregates_;
+  // Indexed by op id, one slot per interned name, so Record adds to a slot
+  // without a name lookup; the readers build the name-sorted views.
+  std::vector<OpClassAggregate> aggregates_;
+  std::vector<OpClassAggregate> root_aggregates_;
   std::map<std::uint32_t, OpClassAggregate> spindle_aggregates_;
 };
 

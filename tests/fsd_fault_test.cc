@@ -225,6 +225,70 @@ TEST_F(FsdFaultTest, ScrubCountsHealedAndUnrepairable) {
   EXPECT_FALSE(fsd->Health().notes.empty());
 }
 
+// A name-table page neither copy holds is not "no such name": a create or
+// a rename onto a name whose leaf is lost fails with kSectorDamaged, where
+// it used to go on with version 1 (and could overwrite a version it could
+// not see). Nothing is allocated or written, and once the media heals the
+// volume checks clean with the name as it was.
+TEST_F(FsdFaultTest, CreateAndRenameOntoLostLeafFail) {
+  ASSERT_TRUE(fsd_->Shutdown().ok());
+  const core::FsdLayout layout = fsd_->layout();
+  auto damage = [&](std::uint32_t pid, bool on) {
+    for (const sim::Lba lba : {layout.nta_base + pid, layout.ntb_base + pid}) {
+      if (on) {
+        disk_.InjectPersistentFault(lba, sim::FaultMode::kReadFail);
+      } else {
+        disk_.ClearPersistentFault(lba);
+      }
+    }
+  };
+  // The leaf holding the target: the first page past the root whose loss
+  // fails the target's lookup on a fresh (lazily reading) mount.
+  const std::string target = "lib/m5";
+  core::Fsd* fsd = nullptr;
+  std::uint32_t leaf = 0;
+  for (std::uint32_t pid = 1; pid < FaultCfg().nt_pages && leaf == 0; ++pid) {
+    damage(pid, true);
+    fsd = Remake();
+    ASSERT_TRUE(fsd->Mount().ok());
+    if (fsd->Stat(target).status().code() == ErrorCode::kSectorDamaged) {
+      leaf = pid;
+    } else {
+      damage(pid, false);
+    }
+  }
+  ASSERT_NE(leaf, 0u);
+  std::string source;
+  for (int i = 39; i >= 0 && source.empty(); --i) {
+    const std::string name = "lib/m" + std::to_string(i);
+    if (fsd->Stat(name).ok()) {
+      source = name;
+    }
+  }
+  ASSERT_FALSE(source.empty());
+
+  const std::uint32_t free_before = fsd->FreeSectors();
+  EXPECT_EQ(fsd->CreateFile(target, Bytes(1200, 9)).status().code(),
+            ErrorCode::kSectorDamaged);
+  EXPECT_EQ(fsd->Rename(source, target).code(), ErrorCode::kSectorDamaged);
+  EXPECT_EQ(fsd->FreeSectors(), free_before);
+  ASSERT_TRUE(fsd->Force().ok());
+
+  damage(leaf, false);
+  for (const std::string& name : {target, source}) {
+    auto info = fsd->Stat(name);
+    ASSERT_TRUE(info.ok()) << name << ": " << info.status().message();
+    EXPECT_EQ(info->version, 1u) << name;
+  }
+  auto list = fsd->List("lib/");
+  ASSERT_TRUE(list.ok());
+  EXPECT_EQ(list->size(), 40u);
+  ExpectReadable(fsd, target);
+  auto report = fsd->Fsck();
+  ASSERT_TRUE(report.ok());
+  EXPECT_TRUE(report->Clean()) << report->Summary();
+}
+
 // The volume root rides in three sectors with two copies; a grown read
 // defect on the first copy is healed by the mount-time rewrite.
 TEST_F(FsdFaultTest, RootCopyReadFaultHealedOnMount) {

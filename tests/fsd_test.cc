@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -9,6 +11,7 @@
 #include "src/sim/clock.h"
 #include "src/sim/disk.h"
 #include "src/util/random.h"
+#include "src/workload/zipf.h"
 
 namespace cedar::core {
 namespace {
@@ -408,6 +411,92 @@ TEST_F(FsdTest, StressWithOracleAcrossCommitWindows) {
     ASSERT_TRUE(again.Read(*handle, 0, out).ok());
     EXPECT_EQ(out, contents) << name;
   }
+}
+
+// The same volume with a page cache that classes every frame a leaf: the
+// victim order of a plain LRU, for comparison.
+class AllLeafFsd : public Fsd {
+ public:
+  AllLeafFsd(sim::BlockDevice* disk, FsdConfig config)
+      : Fsd(disk, config, /*interior=*/nullptr) {}
+};
+
+struct NtMisses {
+  std::uint64_t interior = 0;
+  std::uint64_t leaf = 0;
+  std::uint64_t nt_pages = 0;
+};
+
+// Zipf Stat lookups over a name table several times larger than a
+// 512-frame cache. Warm-up lists every name once (each tree page enters
+// the cache) and runs as many lookups as the measured phase; the result is
+// the measured phase's name-table misses.
+NtMisses ZipfLookupMisses(bool all_leaf) {
+  constexpr std::uint32_t kFiles = 6000;
+  constexpr int kLookups = 10000;
+  sim::VirtualClock clock;
+  sim::SimDisk disk(sim::DiskGeometry{.cylinders = 120},
+                    sim::DiskTimingParams{}, &clock);
+  FsdConfig config;
+  config.nt_pages = 2048;
+  config.cache_frames = 512;
+  std::unique_ptr<Fsd> fsd = all_leaf
+                                 ? std::make_unique<AllLeafFsd>(&disk, config)
+                                 : std::make_unique<Fsd>(&disk, config);
+  CEDAR_CHECK_OK(fsd->Format());
+  auto name = [](std::uint32_t i) {
+    return "zipf/dir" + std::to_string(i % 37) + "/file" + std::to_string(i);
+  };
+  for (std::uint32_t i = 0; i < kFiles; ++i) {
+    CEDAR_CHECK_OK(fsd->CreateFile(name(i), Bytes(1, 0)).status());
+  }
+  CEDAR_CHECK_OK(fsd->Shutdown());
+  CEDAR_CHECK_OK(fsd->Mount());  // clean: the name table is read lazily
+
+  workload::ZipfSampler zipf(kFiles, 0.9);
+  Rng rng(42);
+  auto lookups = [&] {
+    for (int i = 0; i < kLookups; ++i) {
+      // Scatter the popular ranks over the key space.
+      const auto file = static_cast<std::uint32_t>(
+          (std::uint64_t{zipf.Sample(rng)} * 7919) % kFiles);
+      CEDAR_CHECK_OK(fsd->Stat(name(file)).status());
+    }
+  };
+  auto counter = [&](const char* counter_name) {
+    return fsd->Metrics().FindCounter(counter_name)->value();
+  };
+  CEDAR_CHECK(fsd->List("zipf/").ok());
+  lookups();
+  const std::uint64_t interior = counter("nt.misses_interior");
+  const std::uint64_t leaf = counter("nt.misses_leaf");
+  lookups();
+  NtMisses out{.interior = counter("nt.misses_interior") - interior,
+               .leaf = counter("nt.misses_leaf") - leaf};
+  auto report = fsd->Fsck();
+  CEDAR_CHECK_OK(report.status());
+  out.nt_pages = report->nt_pages_checked;
+  return out;
+}
+
+// The page cache keeps the name table's interior pages: after warm-up no
+// lookup misses on one, and the lookups miss less in total than under the
+// plain LRU order, which evicts the tree's upper levels.
+TEST(FsdBoundedCacheTest, InteriorPagesStayCachedUnderZipfLookups) {
+  const NtMisses kept = ZipfLookupMisses(/*all_leaf=*/false);
+  const NtMisses lru = ZipfLookupMisses(/*all_leaf=*/true);
+  EXPECT_GE(kept.nt_pages, 3u * 512u);
+  EXPECT_EQ(kept.nt_pages, lru.nt_pages);
+  EXPECT_EQ(kept.interior, 0u);
+  EXPECT_GT(lru.interior, 0u);
+  EXPECT_LT(kept.interior + kept.leaf, lru.interior + lru.leaf);
+  std::printf("nt pages %llu; measured misses: interior-kept %llu+%llu, "
+              "all-leaf %llu+%llu\n",
+              static_cast<unsigned long long>(kept.nt_pages),
+              static_cast<unsigned long long>(kept.interior),
+              static_cast<unsigned long long>(kept.leaf),
+              static_cast<unsigned long long>(lru.interior),
+              static_cast<unsigned long long>(lru.leaf));
 }
 
 }  // namespace

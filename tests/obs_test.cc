@@ -165,6 +165,37 @@ TEST(DiskTracerTest, NestedContextsAttributeToInnermost) {
   EXPECT_EQ(tracer.AggregateFor("never").requests, 0u);
 }
 
+// The listings hold every class with a request, sorted by name, and no
+// class that was only entered; Reset zeroes them but keeps the names.
+TEST(DiskTracerTest, AggregateListingsSortByNameAndSkipIdleClasses) {
+  DiskTracer tracer;
+  auto names = [](const auto& listing) {
+    std::vector<std::string> out;
+    for (const auto& [name, agg] : listing) out.push_back(name);
+    return out;
+  };
+  {
+    obs::ScopedOp zeta(&tracer, "zeta");
+    tracer.Record(1, 1, DiskOpKind::kRead, 0, 1, 1, 1, 1);
+    obs::ScopedOp idle(&tracer, "idle");
+    obs::ScopedOp alpha(&tracer, "alpha");
+    tracer.Record(2, 3, DiskOpKind::kWrite, 10, 1, 1, 1, 1);
+  }
+  EXPECT_EQ(names(tracer.Aggregates()),
+            (std::vector<std::string>{"alpha", "zeta"}));
+  EXPECT_EQ(names(tracer.RootAggregates()), (std::vector<std::string>{"zeta"}));
+  EXPECT_EQ(tracer.RootAggregateFor("zeta").sectors, 4u);
+  tracer.Reset();
+  EXPECT_TRUE(tracer.Aggregates().empty());
+  EXPECT_TRUE(tracer.RootAggregates().empty());
+  {
+    obs::ScopedOp alpha(&tracer, "alpha");
+    tracer.Record(3, 2, DiskOpKind::kRead, 20, 1, 1, 1, 1);
+  }
+  EXPECT_EQ(names(tracer.Aggregates()), (std::vector<std::string>{"alpha"}));
+  EXPECT_EQ(tracer.AggregateFor("alpha").sectors, 2u);
+}
+
 TEST(DiskTracerTest, RingOverwritesOldestAndCountsDropped) {
   DiskTracer tracer(4);
   for (std::uint32_t i = 0; i < 10; ++i) {
@@ -360,7 +391,9 @@ TEST(FsObservabilityTest, CommitRoundsCountInBothExecutors) {
 
 // The page cache counts into FSD's registry, beside the fsd.* counters: a
 // name table far larger than an 8-frame cache misses, hits on a repeated
-// lookup, and evicts, and each eviction walks at least one frame.
+// lookup, and evicts, and each eviction walks at least one frame. Each
+// name-table miss is split by the requested page's kind: the cold walk
+// misses on the root (interior) and on leaves.
 TEST(FsObservabilityTest, FsdPageCacheCountersLiveInTheRegistry) {
   sim::VirtualClock clock;
   sim::SimDisk disk(sim::TestGeometry(), sim::DiskTimingParams{}, &clock);
@@ -378,8 +411,9 @@ TEST(FsObservabilityTest, FsdPageCacheCountersLiveInTheRegistry) {
 
   const fs::FileSystem& base = fsd;
   const MetricsSnapshot before = base.SnapshotMetrics();
-  for (const char* name : {"cache.hits", "cache.misses", "cache.evictions",
-                           "cache.eviction_scan_steps"}) {
+  for (const char* name :
+       {"cache.hits", "cache.misses", "cache.evictions",
+        "cache.eviction_scan_steps", "nt.misses_interior", "nt.misses_leaf"}) {
     EXPECT_NE(base.Metrics().FindCounter(name), nullptr) << name;
   }
   ASSERT_TRUE(fsd.List("k/").ok());
@@ -396,6 +430,10 @@ TEST(FsObservabilityTest, FsdPageCacheCountersLiveInTheRegistry) {
   EXPECT_GT(delta("cache.hits"), 0u);
   EXPECT_GT(delta("cache.evictions"), 0u);
   EXPECT_GE(delta("cache.eviction_scan_steps"), delta("cache.evictions"));
+  EXPECT_GT(delta("nt.misses_interior"), 0u);
+  EXPECT_GT(delta("nt.misses_leaf"), 0u);
+  EXPECT_LE(delta("nt.misses_interior") + delta("nt.misses_leaf"),
+            delta("cache.misses"));
 }
 
 TEST(FsObservabilityTest, FsdCloseDropsLeaderVerification) {
