@@ -18,6 +18,7 @@
 
 #include "bench/bench_common.h"
 #include "src/core/fsd.h"
+#include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/util/random.h"
 
@@ -85,18 +86,19 @@ FlushResult Run(bool batched) {
   }
 
   FlushResult result;
-  result.third_entries = fsd.log_stats().third_entries;
+  const cedar::obs::MetricsSnapshot m = fsd.SnapshotMetrics();
+  result.third_entries = m.CounterValue("log.third_entries");
   // No Checkpoint() and no daemon here: every checkpointed page was written
   // home at third entry.
-  result.third_entry_pages = fsd.stats().ckpt_pages;
+  result.third_entry_pages = m.CounterValue("fsd.ckpt_pages");
   const cedar::obs::OpClassAggregate third =
       tracer.AggregateFor("fsd.flush_third");
   result.third_seek_us = third.seek_us;
   result.third_rot_us = third.rotational_us;
   result.third_busy_us = third.TotalUs();
-  result.home_batches = fsd.stats().home_write_batches;
-  result.home_requests = fsd.stats().home_write_requests;
-  result.home_coalesced = fsd.stats().home_writes_coalesced;
+  result.home_batches = m.CounterValue("fsd.home_write_batches");
+  result.home_requests = m.CounterValue("fsd.home_write_requests");
+  result.home_coalesced = m.CounterValue("fsd.home_writes_coalesced");
 
   const cedar::sim::DiskStats before = rig.disk.stats();
   CEDAR_CHECK_OK(fsd.Shutdown());

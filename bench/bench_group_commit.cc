@@ -27,6 +27,7 @@
 #include "bench/bench_common.h"
 #include "bench/bench_json.h"
 #include "src/core/fsd.h"
+#include "src/obs/metrics.h"
 #include "src/util/random.h"
 #include "src/workload/workload.h"
 
@@ -56,7 +57,10 @@ BulkResult RunBulk(cedar::sim::Micros interval) {
   const std::uint64_t data_ios_before = rig.disk.stats().TotalIos();
   (void)data_ios_before;
   rig.disk.ResetStats();
-  const std::uint64_t t0_records = fsd.log_stats().records;
+  auto record_sectors = [&] {
+    return *fsd.SnapshotMetrics().FindHistogram("log.record_sectors");
+  };
+  const std::uint64_t t0_records = record_sectors().count;
   CEDAR_CHECK_OK(cedar::workload::BulkUpdate(
       &fsd, "wd/", bulk, rng, [&](cedar::sim::Micros think) {
         rig.clock.Advance(think);
@@ -70,14 +74,14 @@ BulkResult RunBulk(cedar::sim::Micros interval) {
   // leader+data write per create/rewrite).
   const std::uint64_t creates = bulk.files + bulk.rounds * bulk.rewrites_per_round;
   result.metadata_ios = result.total_ios - creates;
-  result.log_records = fsd.log_stats().records - t0_records;
-  result.pages_logged = fsd.log_stats().pages_logged;
-  result.max_record_sectors = fsd.log_stats().max_record_sectors;
+  const cedar::obs::MetricsSnapshot::HistogramData records = record_sectors();
+  result.log_records = records.count - t0_records;
+  result.pages_logged = fsd.SnapshotMetrics().CounterValue("log.pages_logged");
+  result.max_record_sectors = static_cast<std::uint32_t>(records.max);
   result.avg_record_sectors =
-      result.log_records == 0
-          ? 0
-          : static_cast<double>(fsd.log_stats().total_record_sectors) /
-                static_cast<double>(fsd.log_stats().records);
+      result.log_records == 0 ? 0
+                              : static_cast<double>(records.sum) /
+                                    static_cast<double>(records.count);
   return result;
 }
 
@@ -138,7 +142,7 @@ CurvePoint RunConcurrent(int threads, int rounds) {
                        .status());
   }
   CEDAR_CHECK_OK(fsd.Force());
-  const cedar::core::FsdStats before = fsd.stats();
+  const cedar::obs::MetricsSnapshot before = fsd.SnapshotMetrics();
 
   RoundBarrier barrier(threads);
   std::vector<std::thread> workers;
@@ -158,13 +162,16 @@ CurvePoint RunConcurrent(int threads, int rounds) {
     w.join();
   }
 
-  const cedar::core::FsdStats after = fsd.stats();
+  const cedar::obs::MetricsSnapshot after = fsd.SnapshotMetrics();
+  auto delta = [&](const char* name) {
+    return after.CounterValue(name) - before.CounterValue(name);
+  };
   CurvePoint point;
   point.threads = threads;
   point.updates = static_cast<std::uint64_t>(threads) * rounds;
-  point.forces = after.forces - before.forces;
-  point.force_requests = after.force_requests - before.force_requests;
-  point.piggybacked = after.piggybacked - before.piggybacked;
+  point.forces = delta("fsd.forces");
+  point.force_requests = delta("commit.force_requests");
+  point.piggybacked = delta("commit.piggybacked");
   point.forces_per_update =
       static_cast<double>(point.forces) / static_cast<double>(point.updates);
   CEDAR_CHECK_OK(fsd.Shutdown());
@@ -221,7 +228,8 @@ SatPoint RunSaturation(int threads, int rounds) {
   }
   CEDAR_CHECK_OK(fsd.Force());
 
-  const cedar::core::FsdStats before = fsd.stats();
+  const std::uint64_t forces0 =
+      fsd.SnapshotMetrics().CounterValue("fsd.forces");
   const cedar::sim::Micros virt0 = rig.clock.now();
   const cedar::sim::Micros cpu0 = rig.clock.cpu_time();
   const auto wall0 = std::chrono::steady_clock::now();
@@ -244,11 +252,10 @@ SatPoint RunSaturation(int threads, int rounds) {
   }
 
   const auto wall1 = std::chrono::steady_clock::now();
-  const cedar::core::FsdStats after = fsd.stats();
   SatPoint point;
   point.threads = threads;
   point.updates = static_cast<std::uint64_t>(threads) * rounds;
-  point.forces = after.forces - before.forces;
+  point.forces = fsd.SnapshotMetrics().CounterValue("fsd.forces") - forces0;
   point.forces_per_update =
       static_cast<double>(point.forces) / static_cast<double>(point.updates);
   point.virtual_us = rig.clock.now() - virt0;

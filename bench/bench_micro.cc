@@ -16,6 +16,7 @@
 #include "src/cache/page_cache.h"
 #include "src/core/fsd.h"
 #include "src/core/log.h"
+#include "src/obs/metrics.h"
 #include "src/sim/disk.h"
 #include "src/util/bitmap.h"
 #include "src/util/crc32.h"
@@ -136,7 +137,8 @@ BENCHMARK(BM_SimDiskWrite)->Arg(1)->Arg(8)->Arg(64);
 void BM_LogAppend(benchmark::State& state) {
   sim::VirtualClock clock;
   sim::SimDisk disk(sim::DiskGeometry{}, sim::DiskTimingParams{}, &clock);
-  core::FsdLog log(&disk, 1000, 4000);
+  obs::MetricsRegistry metrics;
+  core::FsdLog log(&disk, 1000, 4000, &metrics);
   CEDAR_CHECK_OK(log.Format(1));
   std::vector<core::PageImage> pages(state.range(0));
   for (std::size_t i = 0; i < pages.size(); ++i) {

@@ -54,8 +54,8 @@ double FsdRecoverySeconds(std::uint32_t files, double* replay_s,
   const double total =
       TimedMs(rig.clock, [&] { CEDAR_CHECK_OK(recovered.Mount()); }) / 1000.0;
   // Replay share estimate: pages replayed x (write + short seek).
-  *replay_s = static_cast<double>(
-                  recovered.stats().recovery_pages_replayed) *
+  *replay_s = static_cast<double>(recovered.SnapshotMetrics().CounterValue(
+                  "fsd.recovery_pages_replayed")) *
               15.0 / 1000.0;
   *rebuild_s = total - *replay_s;
   return total;
@@ -126,7 +126,8 @@ CkptPoint RunCkptFill(int touches, bool daemon) {
   cedar::core::Fsd recovered(&rig.disk, config);
   point.mount_ms =
       TimedMs(rig.clock, [&] { CEDAR_CHECK_OK(recovered.Mount()); });
-  point.replay_pages = recovered.stats().recovery_pages_replayed;
+  point.replay_pages = recovered.SnapshotMetrics().CounterValue(
+      "fsd.recovery_pages_replayed");
   CEDAR_CHECK_OK(recovered.Shutdown());
   return point;
 }

@@ -192,7 +192,7 @@ VolumePoint RunVolumeSweep(const ScaleoutShape& shape,
   point.ops = shape.ops;
   point.elapsed = rig.MaxElapsed();
   for (std::uint32_t v = 0; v < volumes; ++v) {
-    point.forces += rig.fsd(v).stats().forces;
+    point.forces += rig.fsd(v).SnapshotMetrics().CounterValue("fsd.forces");
     point.busiest_share =
         std::max(point.busiest_share, static_cast<double>(per_volume_ops[v]) /
                                           static_cast<double>(shape.ops));

@@ -196,10 +196,10 @@ ReplayPoint RunReplay(const std::vector<cedar::workload::TraceEntry>& trace,
   point.ops = result.value().totals.ops;
   point.not_found = result.value().totals.not_found;
   point.per_tenant = result.value().per_tenant;
-  point.forces = fsd.stats().forces;
   point.virtual_us = rig.clock.now() - v0;
   point.disk = rig.disk.stats();
   point.metrics = fsd.Metrics().Snapshot();
+  point.forces = point.metrics.CounterValue("fsd.forces");
   point.ops_per_vsec =
       point.virtual_us == 0
           ? 0

@@ -53,7 +53,8 @@ int main() {
   std::printf("recovery mount took %.2f virtual seconds "
               "(%llu log pages replayed)\n",
               static_cast<double>(clock.now() - t0) / 1e6,
-              (unsigned long long)fsd->stats().recovery_pages_replayed);
+              (unsigned long long)fsd->SnapshotMetrics().CounterValue(
+                  "fsd.recovery_pages_replayed"));
 
   auto safe = fsd->List("safe/");
   CEDAR_CHECK_OK(safe.status());

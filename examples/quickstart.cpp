@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "src/core/fsd.h"
+#include "src/obs/metrics.h"
 #include "src/sim/clock.h"
 #include "src/sim/disk.h"
 
@@ -64,9 +65,11 @@ int main() {
   CEDAR_CHECK_OK(fsd.Force());
   std::printf("pending updates after force:  %s\n",
               fsd.HasPendingUpdates() ? "yes" : "no");
+  const obs::MetricsSnapshot metrics = fsd.SnapshotMetrics();
   std::printf("log so far: %llu records, %llu pages captured\n",
-              (unsigned long long)fsd.log_stats().records,
-              (unsigned long long)fsd.log_stats().pages_logged);
+              (unsigned long long)metrics.FindHistogram("log.record_sectors")
+                  ->count,
+              (unsigned long long)metrics.CounterValue("log.pages_logged"));
 
   CEDAR_CHECK_OK(fsd.Shutdown());
   std::printf("clean shutdown: VAM saved, volume marked clean.\n");

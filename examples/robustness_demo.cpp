@@ -43,7 +43,9 @@ int main() {
   auto list = fsd->List("lib/");
   CEDAR_CHECK_OK(list.status());
   std::printf("    list still sees %zu files; %llu replica repairs issued\n",
-              list->size(), (unsigned long long)fsd->stats().nt_repairs);
+              list->size(),
+              (unsigned long long)fsd->SnapshotMetrics().CounterValue(
+                  "fsd.nt_repairs"));
 
   Headline(2, "medium error inside a log record");
   CEDAR_CHECK_OK(fsd->Touch("lib/m1"));
@@ -54,7 +56,8 @@ int main() {
   fsd = std::make_unique<core::Fsd>(&disk, core::FsdConfig{});
   CEDAR_CHECK_OK(fsd->Mount());
   std::printf("    recovery replayed %llu pages despite the damage\n",
-              (unsigned long long)fsd->stats().recovery_pages_replayed);
+              (unsigned long long)fsd->SnapshotMetrics().CounterValue(
+                  "fsd.recovery_pages_replayed"));
 
   Headline(3, "wild write (memory smash) over a leader page");
   CEDAR_CHECK_OK(

@@ -378,82 +378,12 @@ Fsd::Fsd(sim::BlockDevice* disk, FsdConfig config,
   nt_store_ = std::make_unique<NtStore>(this);
   tree_ = std::make_unique<btree::BTree>(nt_store_.get(), /*root=*/0);
   log_ = std::make_unique<FsdLog>(disk_, layout_.log_base,
-                                  config_.log_sectors);
+                                  config_.log_sectors, &metrics_);
   allocator_ = std::make_unique<RunAllocator>(
       &vam_, layout_.data_low, layout_.data_high,
       config_.big_file_threshold_sectors);
 
-  c_.forces = metrics_.GetCounter("fsd.forces");
-  c_.empty_forces = metrics_.GetCounter("fsd.empty_forces");
-  c_.pages_captured = metrics_.GetCounter("fsd.pages_captured");
-  c_.piggyback_leader_writes =
-      metrics_.GetCounter("fsd.piggyback_leader_writes");
-  c_.piggyback_leader_verifies =
-      metrics_.GetCounter("fsd.piggyback_leader_verifies");
-  c_.nt_repairs = metrics_.GetCounter("fsd.nt_repairs");
-  c_.recovery_pages_replayed =
-      metrics_.GetCounter("fsd.recovery_pages_replayed");
-  c_.fast_recoveries = metrics_.GetCounter("fsd.fast_recoveries");
-  c_.home_write_batches = metrics_.GetCounter("fsd.home_write_batches");
-  c_.home_write_requests = metrics_.GetCounter("fsd.home_write_requests");
-  c_.home_writes_coalesced = metrics_.GetCounter("fsd.home_writes_coalesced");
-  c_.read_retries = metrics_.GetCounter("fsd.read_retries");
-  c_.space_forces = metrics_.GetCounter("fsd.space_forces");
-  c_.ckpt_batches = metrics_.GetCounter("fsd.ckpt_batches");
-  c_.ckpt_pages = metrics_.GetCounter("fsd.ckpt_pages");
-  c_.ckpt_advances = metrics_.GetCounter("fsd.ckpt_advances");
-  c_.third_flush_fallbacks = metrics_.GetCounter("fsd.third_flush_fallbacks");
-  c_.repairs = metrics_.GetCounter("fsd.repairs");
-  c_.remaps = metrics_.GetCounter("fsd.remaps");
-  c_.corruption_detected = metrics_.GetCounter("fsd.corruption_detected");
-  c_.read_retry_exhausted = metrics_.GetCounter("fsd.read_retry_exhausted");
-  c_.scrub_healed = metrics_.GetCounter("fsd.scrub_healed");
-  c_.scrub_unrepairable = metrics_.GetCounter("fsd.scrub_unrepairable");
-  c_.nt_misses_interior = metrics_.GetCounter("nt.misses_interior");
-  c_.nt_misses_leaf = metrics_.GetCounter("nt.misses_leaf");
-  h_.create = metrics_.GetHistogram("op.fsd.create.us");
-  h_.open = metrics_.GetHistogram("op.fsd.open.us");
-  h_.read = metrics_.GetHistogram("op.fsd.read.us");
-  h_.write = metrics_.GetHistogram("op.fsd.write.us");
-  h_.extend = metrics_.GetHistogram("op.fsd.extend.us");
-  h_.del = metrics_.GetHistogram("op.fsd.delete.us");
-  h_.list = metrics_.GetHistogram("op.fsd.list.us");
-  h_.touch = metrics_.GetHistogram("op.fsd.touch.us");
-  h_.setkeep = metrics_.GetHistogram("op.fsd.setkeep.us");
-  h_.force = metrics_.GetHistogram("op.fsd.force.us");
   disk_->AttachMetrics(&metrics_);
-}
-
-FsdStats Fsd::stats() const {
-  FsdStats s;
-  s.forces = c_.forces->value();
-  s.empty_forces = c_.empty_forces->value();
-  s.pages_captured = c_.pages_captured->value();
-  s.piggyback_leader_writes = c_.piggyback_leader_writes->value();
-  s.piggyback_leader_verifies = c_.piggyback_leader_verifies->value();
-  s.nt_repairs = c_.nt_repairs->value();
-  s.recovery_pages_replayed = c_.recovery_pages_replayed->value();
-  s.fast_recoveries = c_.fast_recoveries->value();
-  s.home_write_batches = c_.home_write_batches->value();
-  s.home_write_requests = c_.home_write_requests->value();
-  s.home_writes_coalesced = c_.home_writes_coalesced->value();
-  s.read_retries = c_.read_retries->value();
-  s.space_forces = c_.space_forces->value();
-  s.ckpt_batches = c_.ckpt_batches->value();
-  s.ckpt_pages = c_.ckpt_pages->value();
-  s.ckpt_advances = c_.ckpt_advances->value();
-  s.third_flush_fallbacks = c_.third_flush_fallbacks->value();
-  s.repairs = c_.repairs->value();
-  s.remaps = c_.remaps->value();
-  s.corruption_detected = c_.corruption_detected->value();
-  s.read_retry_exhausted = c_.read_retry_exhausted->value();
-  s.scrub_healed = c_.scrub_healed->value();
-  s.scrub_unrepairable = c_.scrub_unrepairable->value();
-  s.max_parallel_ops = gate_.max_outstanding();
-  s.force_requests = metrics_.FindCounter("commit.force_requests")->value();
-  s.piggybacked = metrics_.FindCounter("commit.piggybacked")->value();
-  s.daemon_forces = metrics_.FindCounter("commit.rounds")->value();
-  return s;
 }
 
 Status Fsd::ReadWithRetry(sim::Lba start, std::span<std::uint8_t> out,
@@ -505,8 +435,6 @@ Status Fsd::RepairLeader(const FsdEntry& entry, std::uint32_t version) {
 }
 
 Fsd::~Fsd() { StopRounds(); }
-
-const LogStats& Fsd::log_stats() const { return log_->stats(); }
 
 std::uint32_t Fsd::FreeSectors() const {
   util::RankedLockGuard lock(alloc_mu_, util::LockRank::kAlloc);

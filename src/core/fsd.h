@@ -62,74 +62,6 @@
 
 namespace cedar::core {
 
-// A point-in-time view of FSD's counters, materialized from the metrics
-// registry (the registry is the source of truth; this struct survives as a
-// convenience for existing tests and benches). Disk time per phase comes
-// from the disk tracer's op-class aggregates ("fsd.flush_third" for
-// third-entry checkpoints, "fsd.ckpt", "fsd.log_force").
-struct FsdStats {
-  std::uint64_t forces = 0;            // group commits that wrote the log
-  std::uint64_t empty_forces = 0;      // timer fired with nothing dirty
-  std::uint64_t pages_captured = 0;    // page images handed to the log
-  std::uint64_t piggyback_leader_writes = 0;
-  std::uint64_t piggyback_leader_verifies = 0;
-  std::uint64_t nt_repairs = 0;        // replica repairs on read
-  std::uint64_t recovery_pages_replayed = 0;
-  std::uint64_t fast_recoveries = 0;   // VAM-logging fast path taken
-
-  // Writeback scheduler: every home write (checkpoints, shutdown, format,
-  // recovery replay, repairs) goes through elevator-ordered,
-  // coalesced batches; these prove the batching actually happened.
-  std::uint64_t home_write_batches = 0;     // non-empty scheduler flushes
-  std::uint64_t home_write_requests = 0;    // page writes queued
-  std::uint64_t home_writes_coalesced = 0;  // requests merged away
-
-  // Soft read errors absorbed by the bounded retry path.
-  std::uint64_t read_retries = 0;
-
-  // Group-commit rendezvous (registry commit.*; stepped rounds count too).
-  // force_requests counts requests that asked for a new commit round;
-  // piggybacked counts requests served by a round already pending or in
-  // flight — the paper's "one log write commits them all"; daemon_forces
-  // counts the commit rounds run (commit.rounds).
-  std::uint64_t force_requests = 0;
-  std::uint64_t piggybacked = 0;
-  std::uint64_t daemon_forces = 0;
-
-  // Fine-grained concurrency telemetry (section 4f). Neither is part of
-  // the determinism footprint: both depend on physical thread scheduling.
-  // space_forces counts ops that had to force (or wait for) the log
-  // because the capture budget was exhausted; max_parallel_ops is the
-  // high-water mark of ops concurrently admitted through the op gate.
-  std::uint64_t space_forces = 0;
-  std::uint64_t max_parallel_ops = 0;
-
-  // Checkpointing (section 4g): one home-writeback path with two callers,
-  // Checkpoint()/the checkpoint round and third entry. ckpt_pages counts
-  // the home pages either caller wrote; ckpt_batches the Checkpoint()/round
-  // batches and ckpt_advances their durable pointer moves.
-  // third_flush_fallbacks counts third entries that still found pages to
-  // write home — zero when the checkpoint round keeps up.
-  std::uint64_t ckpt_batches = 0;
-  std::uint64_t ckpt_pages = 0;
-  std::uint64_t ckpt_advances = 0;
-  std::uint64_t third_flush_fallbacks = 0;
-
-  // Media-fault handling (section 4h). repairs counts every successful
-  // repair from redundancy (name-table copy rewrites, leader rebuilds,
-  // volume-root copy restores); remaps counts name-table home sectors
-  // durably remapped to spares; corruption_detected counts content-CRC
-  // mismatches caught on otherwise-successful reads; read_retry_exhausted
-  // counts reads whose bounded soft-error retry gave up.
-  std::uint64_t repairs = 0;
-  std::uint64_t remaps = 0;
-  std::uint64_t corruption_detected = 0;
-  std::uint64_t read_retry_exhausted = 0;
-  // Scrub repair-pass outcomes (mirrors the last ScrubReport, cumulatively).
-  std::uint64_t scrub_healed = 0;
-  std::uint64_t scrub_unrepairable = 0;
-};
-
 // One finding from Fsd::Fsck(). Warnings are conditions the system repairs
 // in the normal course of operation (a stale leader, a leaked sector, a
 // replica divergence with a readable primary); violations are states that
@@ -320,8 +252,6 @@ class Fsd : public fs::FileSystem {
 
   const FsdLayout& layout() const { return layout_; }
   const FsdConfig& config() const { return config_; }
-  FsdStats stats() const;  // registry-backed view
-  const LogStats& log_stats() const;
   std::uint32_t FreeSectors() const;
   std::uint32_t ShadowSectors() const;
   bool HasPendingUpdates() const;
@@ -550,7 +480,7 @@ class Fsd : public fs::FileSystem {
   // every primary (and leader) first, then every replica, so coalescing
   // can never merge a page's two copies.
   Status SweepHome(std::span<const HomeImage> pages);
-  // Issues a queued batch and folds its counters into stats_. When the
+  // Issues a queued batch and counts it in the registry. When the
   // elevator flush hits a media error, the batch is replayed one write at a
   // time: name-table homes on permanently bad sectors are remapped to
   // spares; other targets (leader pages) are recorded as unrepairable in
@@ -749,48 +679,87 @@ class Fsd : public fs::FileSystem {
   // Completed name-keyed ops per shard (relaxed; test/bench telemetry).
   std::array<std::atomic<std::uint64_t>, kNameShardCount> shard_ops_{};
 
-  // c_ caches metrics_'s counter pointers so hot paths skip the name
-  // lookup, and h_ holds per-operation latency histograms
-  // ("op.fsd.<name>.us").
-  struct CounterSet {
-    obs::Counter* forces = nullptr;
-    obs::Counter* empty_forces = nullptr;
-    obs::Counter* pages_captured = nullptr;
-    obs::Counter* piggyback_leader_writes = nullptr;
-    obs::Counter* piggyback_leader_verifies = nullptr;
-    obs::Counter* nt_repairs = nullptr;
-    obs::Counter* recovery_pages_replayed = nullptr;
-    obs::Counter* fast_recoveries = nullptr;
-    obs::Counter* home_write_batches = nullptr;
-    obs::Counter* home_write_requests = nullptr;
-    obs::Counter* home_writes_coalesced = nullptr;
-    obs::Counter* read_retries = nullptr;
-    obs::Counter* space_forces = nullptr;
-    obs::Counter* ckpt_batches = nullptr;
-    obs::Counter* ckpt_pages = nullptr;
-    obs::Counter* ckpt_advances = nullptr;
-    obs::Counter* third_flush_fallbacks = nullptr;
-    obs::Counter* repairs = nullptr;
-    obs::Counter* remaps = nullptr;
-    obs::Counter* corruption_detected = nullptr;
-    obs::Counter* read_retry_exhausted = nullptr;
-    obs::Counter* scrub_healed = nullptr;
-    obs::Counter* scrub_unrepairable = nullptr;
-    obs::Counter* nt_misses_interior = nullptr;
-    obs::Counter* nt_misses_leaf = nullptr;
-  } c_;
-  struct HistogramSet {
-    obs::Histogram* create = nullptr;
-    obs::Histogram* open = nullptr;
-    obs::Histogram* read = nullptr;
-    obs::Histogram* write = nullptr;
-    obs::Histogram* extend = nullptr;
-    obs::Histogram* del = nullptr;
-    obs::Histogram* list = nullptr;
-    obs::Histogram* touch = nullptr;
-    obs::Histogram* setkeep = nullptr;
-    obs::Histogram* force = nullptr;
-  } h_;
+  // FSD's counters and per-operation latency histograms, each registered
+  // in metrics_ under the name on its line — the one place that name is
+  // written. Members cache the registry pointers so hot paths skip the name
+  // lookup; Format resets the values, never the names. Disk time per phase
+  // comes from the disk tracer's op classes ("fsd.log_force", "fsd.ckpt",
+  // "fsd.flush_third"), not from here.
+  struct Counters {
+    obs::MetricsRegistry& m;
+    // Group commit (section 4b): forces that wrote the log, timer rounds
+    // that found nothing dirty, and the page images handed to the log.
+    obs::Counter* forces = m.GetCounter("fsd.forces");
+    obs::Counter* empty_forces = m.GetCounter("fsd.empty_forces");
+    obs::Counter* pages_captured = m.GetCounter("fsd.pages_captured");
+    // Ops that forced (or waited for) the log because the capture budget
+    // was exhausted (section 4f; depends on thread scheduling).
+    obs::Counter* space_forces = m.GetCounter("fsd.space_forces");
+    // Leader pages written or verified by piggybacking on a data access.
+    obs::Counter* piggyback_leader_writes =
+        m.GetCounter("fsd.piggyback_leader_writes");
+    obs::Counter* piggyback_leader_verifies =
+        m.GetCounter("fsd.piggyback_leader_verifies");
+    // Recovery: pages replayed from the log, and mounts that took the
+    // VAM-logging fast path.
+    obs::Counter* recovery_pages_replayed =
+        m.GetCounter("fsd.recovery_pages_replayed");
+    obs::Counter* fast_recoveries = m.GetCounter("fsd.fast_recoveries");
+    // Writeback scheduler: every home write (checkpoints, shutdown, format,
+    // recovery replay, repairs) goes through elevator-ordered, coalesced
+    // batches — non-empty flushes, page writes queued, requests merged.
+    obs::Counter* home_write_batches = m.GetCounter("fsd.home_write_batches");
+    obs::Counter* home_write_requests =
+        m.GetCounter("fsd.home_write_requests");
+    obs::Counter* home_writes_coalesced =
+        m.GetCounter("fsd.home_writes_coalesced");
+    // Checkpointing (section 4g): one home-writeback path with two callers,
+    // Checkpoint()/the checkpoint round and third entry. ckpt_pages counts
+    // the home pages either caller wrote; ckpt_batches the Checkpoint()/
+    // round batches and ckpt_advances their durable pointer moves;
+    // third_flush_fallbacks the third entries that still found pages to
+    // write home — zero when the checkpoint round keeps up.
+    obs::Counter* ckpt_batches = m.GetCounter("fsd.ckpt_batches");
+    obs::Counter* ckpt_pages = m.GetCounter("fsd.ckpt_pages");
+    obs::Counter* ckpt_advances = m.GetCounter("fsd.ckpt_advances");
+    obs::Counter* third_flush_fallbacks =
+        m.GetCounter("fsd.third_flush_fallbacks");
+    // Media faults (section 4h). nt_repairs counts name-table replica
+    // repairs on read; repairs every successful repair from redundancy
+    // (name-table copy rewrites, leader rebuilds, volume-root restores);
+    // remaps name-table home sectors durably moved to spares;
+    // corruption_detected content-CRC mismatches on otherwise-successful
+    // reads; read_retries soft read errors absorbed by the bounded retry,
+    // read_retry_exhausted the reads whose retry gave up.
+    obs::Counter* nt_repairs = m.GetCounter("fsd.nt_repairs");
+    obs::Counter* repairs = m.GetCounter("fsd.repairs");
+    obs::Counter* remaps = m.GetCounter("fsd.remaps");
+    obs::Counter* corruption_detected =
+        m.GetCounter("fsd.corruption_detected");
+    obs::Counter* read_retries = m.GetCounter("fsd.read_retries");
+    obs::Counter* read_retry_exhausted =
+        m.GetCounter("fsd.read_retry_exhausted");
+    // Scrub repair-pass outcomes (the ScrubReport's, cumulatively).
+    obs::Counter* scrub_healed = m.GetCounter("fsd.scrub_healed");
+    obs::Counter* scrub_unrepairable = m.GetCounter("fsd.scrub_unrepairable");
+    // Name-table cache misses, split by the requested page's kind
+    // (section 4l).
+    obs::Counter* nt_misses_interior = m.GetCounter("nt.misses_interior");
+    obs::Counter* nt_misses_leaf = m.GetCounter("nt.misses_leaf");
+  } c_{metrics_};
+  struct Histograms {  // virtual microseconds per public operation
+    obs::MetricsRegistry& m;
+    obs::Histogram* create = m.GetHistogram("op.fsd.create.us");
+    obs::Histogram* open = m.GetHistogram("op.fsd.open.us");
+    obs::Histogram* read = m.GetHistogram("op.fsd.read.us");
+    obs::Histogram* write = m.GetHistogram("op.fsd.write.us");
+    obs::Histogram* extend = m.GetHistogram("op.fsd.extend.us");
+    obs::Histogram* del = m.GetHistogram("op.fsd.delete.us");
+    obs::Histogram* list = m.GetHistogram("op.fsd.list.us");
+    obs::Histogram* touch = m.GetHistogram("op.fsd.touch.us");
+    obs::Histogram* setkeep = m.GetHistogram("op.fsd.setkeep.us");
+    obs::Histogram* force = m.GetHistogram("op.fsd.force.us");
+  } h_{metrics_};
 
   std::map<fs::FileUid, OpenState> open_files_;
 };

@@ -166,8 +166,16 @@ std::uint32_t FsdConfig::MinCheckpointWindowSectors() const {
       commit.group_records * FsdLog::kMaxPagesPerRecord, max_group_pages));
 }
 
-FsdLog::FsdLog(sim::BlockDevice* disk, sim::Lba base, std::uint32_t size_sectors)
-    : disk_(disk), base_(base), size_sectors_(size_sectors) {
+FsdLog::FsdLog(sim::BlockDevice* disk, sim::Lba base,
+               std::uint32_t size_sectors, obs::MetricsRegistry* metrics)
+    : disk_(disk),
+      base_(base),
+      size_sectors_(size_sectors),
+      pages_logged_(metrics->GetCounter("log.pages_logged")),
+      sectors_written_(metrics->GetCounter("log.sectors_written")),
+      markers_(metrics->GetCounter("log.markers")),
+      third_entries_(metrics->GetCounter("log.third_entries")),
+      record_sectors_(metrics->GetHistogram("log.record_sectors")) {
   CEDAR_CHECK(disk != nullptr);
   // Room for pointer pages plus a third that fits a maximal record.
   CEDAR_CHECK(size_sectors_ >= 4 + 3 * (2 * kMaxPagesPerRecord + 5));
@@ -223,7 +231,7 @@ Status FsdLog::WritePointer() {
   std::vector<std::uint8_t> buf(3 * 512, 0);
   std::copy(ptr.begin(), ptr.end(), buf.begin());
   std::copy(ptr.begin(), ptr.end(), buf.begin() + 2 * 512);
-  stats_.sectors_written += 3;
+  sectors_written_->Add(3);
   return disk_->Write(base_, buf);
 }
 
@@ -267,12 +275,11 @@ Status FsdLog::Format(std::uint32_t boot_count) {
   current_third_ = 0;
   oldest_pointer_ = 0;
   live_.clear();
-  stats_ = LogStats{};
   CEDAR_RETURN_IF_ERROR(WritePointer());
   // Invalidate the first header position so recovery of a fresh log stops
   // immediately even if the area holds stale records.
   std::vector<std::uint8_t> zero(512, 0);
-  stats_.sectors_written += 1;
+  sectors_written_->Increment();
   return disk_->Write(AreaLba(0), zero);
 }
 
@@ -293,8 +300,8 @@ Status FsdLog::PrepareSpace(std::uint32_t len,
       // they never sit inside a reserved group).
       live_.push_back(LiveRecord{next_lsn_, pos_, true});
       ++next_lsn_;
-      ++stats_.markers;
-      stats_.sectors_written += 1;
+      markers_->Increment();
+      sectors_written_->Increment();
     }
     pos_ = boundary == record_area_sectors() ? 0 : boundary;
   }
@@ -318,7 +325,7 @@ Status FsdLog::PrepareSpace(std::uint32_t len,
     oldest_pointer_ = live_.empty() ? pos_ : live_.front().offset;
     CEDAR_RETURN_IF_ERROR(WritePointer());
     current_third_ = third;
-    ++stats_.third_entries;
+    third_entries_->Increment();
   }
   return OkStatus();
 }
@@ -355,11 +362,9 @@ Status FsdLog::AppendPrepared(std::span<const PageImage> pages,
     pos_ = 0;
   }
   ++next_lsn_;
-  ++stats_.records;
-  stats_.pages_logged += pages.size();
-  stats_.sectors_written += len;
-  stats_.total_record_sectors += len;
-  stats_.max_record_sectors = std::max(stats_.max_record_sectors, len);
+  pages_logged_->Add(pages.size());
+  sectors_written_->Add(len);
+  record_sectors_->Record(len);
   return OkStatus();
 }
 

@@ -34,6 +34,7 @@
 #include <functional>
 #include <vector>
 
+#include "src/obs/metrics.h"
 #include "src/sim/device.h"
 #include "src/util/status.h"
 
@@ -65,20 +66,21 @@ struct PageImage {
   std::vector<std::uint8_t> data;  // exactly one sector
 };
 
-struct LogStats {
-  std::uint64_t records = 0;
-  std::uint64_t pages_logged = 0;
-  std::uint64_t sectors_written = 0;  // record + marker + pointer sectors
-  std::uint64_t markers = 0;
-  std::uint64_t third_entries = 0;
-  std::uint32_t max_record_sectors = 0;
-  // Histogram-ish: record size accumulators for the section 5.4 numbers.
-  std::uint64_t total_record_sectors = 0;
-};
-
-// Thread safety: FsdLog's append/recover paths and stats run under the
-// owning file system's force lock (there is exactly one log writer at a
-// time — the group-commit discipline demands it).
+// Thread safety: FsdLog's append/recover paths run under the owning file
+// system's force lock (there is exactly one log writer at a time — the
+// group-commit discipline demands it).
+//
+// Counters (registered in the owner's metrics registry):
+//   log.pages_logged     page images written in records
+//   log.sectors_written  record, skip-marker and pointer sectors
+//   log.markers          skip markers
+//   log.third_entries    thirds entered (each one a third-entry checkpoint)
+//   log.record_sectors   histogram of record sizes in sectors: its count is
+//                        the records written, its sum and max the section
+//                        5.4 size figures
+// They count from the registry's last reset, which the owner does at
+// Format only: they keep counting across a clean Shutdown + Mount, although
+// the clean Mount re-formats the log itself.
 class FsdLog {
  public:
   // Third-entry callback: the third about to be overwritten holds exactly
@@ -89,7 +91,8 @@ class FsdLog {
 
   static constexpr std::uint32_t kMaxPagesPerRecord = 52;
 
-  FsdLog(sim::BlockDevice* disk, sim::Lba base, std::uint32_t size_sectors);
+  FsdLog(sim::BlockDevice* disk, sim::Lba base, std::uint32_t size_sectors,
+         obs::MetricsRegistry* metrics);
 
   // Initializes an empty log (pointer at offset 0).
   Status Format(std::uint32_t boot_count);
@@ -157,7 +160,6 @@ class FsdLog {
   // records dropped from the replay window.
   Result<std::uint32_t> AdvanceCheckpoint(std::uint64_t target_lsn);
 
-  const LogStats& stats() const { return stats_; }
   std::uint32_t record_area_sectors() const { return size_sectors_ - 4; }
   std::uint32_t third_sectors() const { return record_area_sectors() / 3; }
   int current_third() const { return current_third_; }
@@ -214,7 +216,12 @@ class FsdLog {
   int current_third_ = 0;
   std::uint32_t oldest_pointer_ = 0;
   std::deque<LiveRecord> live_;
-  LogStats stats_;
+
+  obs::Counter* pages_logged_;
+  obs::Counter* sectors_written_;
+  obs::Counter* markers_;
+  obs::Counter* third_entries_;
+  obs::Histogram* record_sectors_;
 };
 
 }  // namespace cedar::core

@@ -42,9 +42,6 @@ class OpGate {
       return false;
     }
     ++outstanding_;
-    if (outstanding_ > max_outstanding_) {
-      max_outstanding_ = outstanding_;
-    }
     return true;
   }
 
@@ -105,14 +102,6 @@ class OpGate {
     return capture_pages_.load(std::memory_order_relaxed);
   }
 
-  // High-water mark of concurrently admitted ops — evidence that the gate
-  // actually admits in parallel (reported by benches, not part of the
-  // determinism footprint).
-  std::size_t max_outstanding() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return max_outstanding_;
-  }
-
  private:
   // Admission stops short of the full budget so ops already admitted can
   // still dirty a few pages each without overflowing the group; when the
@@ -123,12 +112,11 @@ class OpGate {
     return budget_ > kHeadroomPages ? budget_ - kHeadroomPages : 1;
   }
 
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable open_cv_;     // waited by TryBegin while committing
   std::condition_variable drained_cv_;  // waited by CloseForCommit
   std::size_t budget_ = 0;
   std::size_t outstanding_ = 0;
-  std::size_t max_outstanding_ = 0;
   bool committing_ = false;
   std::atomic<std::size_t> capture_pages_{0};
 };

@@ -3,9 +3,12 @@
 //
 // The paper validates its analytic disk model against measurement
 // (section 4); a reproduction needs the measurement half. Every subsystem
-// (the simulated disk, all three file systems) registers its counters and
-// histograms here instead of keeping private stats structs, so benches and
-// tests read one snapshot format regardless of which file system ran.
+// (the simulated disk, all three file systems, FSD's log and commit queue)
+// registers its counters and histograms here, so benches and tests read one
+// snapshot format regardless of which file system ran. For FSD the registry
+// is the only counter mechanism: each name is written once, where the
+// counter is registered, and readers look it up by name —
+// Snapshot().CounterValue(name), or a delta between two snapshots.
 //
 // Design points:
 //   - Create-on-first-use: GetCounter/GetHistogram return a stable pointer

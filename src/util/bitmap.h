@@ -158,23 +158,6 @@ class Bitmap {
     return std::nullopt;
   }
 
-  // Longest run of set bits in [start, end).
-  std::uint32_t LongestRun(std::uint32_t start, std::uint32_t end) const {
-    end = std::min(end, size_);
-    std::uint32_t best = 0;
-    std::uint32_t pos = start;
-    while (pos < end) {
-      pos = Next(pos, true);
-      if (pos >= end) {
-        break;
-      }
-      const std::uint32_t run_end = std::min(Next(pos, false), end);
-      best = std::max(best, run_end - pos);
-      pos = run_end;
-    }
-    return best;
-  }
-
   // Merges another bitmap with OR (used to fold the shadow free map into
   // the VAM at commit).
   void OrWith(const Bitmap& other) {
@@ -203,22 +186,6 @@ class Bitmap {
       return word & ((1ull << (size_ % 64)) - 1);
     }
     return word;
-  }
-
-  // Index of the first bit equal to `value` at or after `pos` (pos <
-  // size_), or size_ if none.
-  std::uint32_t Next(std::uint32_t pos, bool value) const {
-    const std::uint64_t flip = value ? 0 : ~0ull;
-    std::uint32_t w = pos / 64;
-    std::uint64_t bits = (Word(w) ^ flip) & (~0ull << (pos % 64));
-    while (bits == 0) {
-      if (++w == words_.size()) {
-        return size_;
-      }
-      bits = Word(w) ^ flip;
-    }
-    return std::min(
-        size_, w * 64 + static_cast<std::uint32_t>(std::countr_zero(bits)));
   }
 
   // Bit i of the result is set iff bits [i, i + count) of `x` are all set.

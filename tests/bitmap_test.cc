@@ -62,14 +62,6 @@ TEST(BitmapTest, FindRunBackwardAtZero) {
   EXPECT_EQ(*bits.FindRunBackward(9, 1), 0u);
 }
 
-TEST(BitmapTest, LongestRun) {
-  Bitmap bits(100);
-  bits.SetRange(5, 3, true);
-  bits.SetRange(20, 8, true);
-  EXPECT_EQ(bits.LongestRun(0, 100), 8u);
-  EXPECT_EQ(bits.LongestRun(0, 24), 4u);  // clipped window
-}
-
 TEST(BitmapTest, OrWith) {
   Bitmap a(128);
   Bitmap b(128);
@@ -142,16 +134,6 @@ struct RefBits {
     return std::nullopt;
   }
 
-  std::uint32_t LongestRun(std::uint32_t start, std::uint32_t end) const {
-    std::uint32_t best = 0;
-    std::uint32_t run = 0;
-    for (std::uint32_t i = start; i < end && i < size(); ++i) {
-      run = bits[i] ? run + 1 : 0;
-      best = std::max(best, run);
-    }
-    return best;
-  }
-
   std::uint32_t Count() const {
     return static_cast<std::uint32_t>(
         std::count(bits.begin(), bits.end(), true));
@@ -216,8 +198,6 @@ TEST(BitmapTest, WordSearchesMatchBitByBitReference) {
         ASSERT_EQ(map.FindRunBackward(from, count),
                   ref.FindRunBackward(from, count))
             << "size " << size << " from " << from << " count " << count;
-        ASSERT_EQ(map.LongestRun(from, count), ref.LongestRun(from, count))
-            << "size " << size << " start " << from << " end " << count;
       }
     }
   }
@@ -255,8 +235,6 @@ TEST(BitmapTest, RunsAcrossWordBoundaries) {
   EXPECT_FALSE(bits.FindRunForward(61, 70).has_value());
   EXPECT_EQ(bits.FindRunBackward(255, 70), 60u);
   EXPECT_EQ(bits.FindRunBackward(128, 10), 119u);
-  EXPECT_EQ(bits.LongestRun(0, 256), 70u);
-  EXPECT_EQ(bits.LongestRun(64, 128), 64u);
 }
 
 TEST(BitmapTest, EmptyRunRequests) {

@@ -175,9 +175,10 @@ TEST_F(CkptTest, DaemonBoundsRecoveryWindowUnderMutators) {
 
   // The workload wrote far more log than the 400-sector volume holds, so
   // the daemon must have durably advanced the pointer at least once.
-  const FsdStats stats = fsd_.stats();
-  EXPECT_GT(stats.ckpt_advances, 0u) << "daemon never advanced the pointer";
-  EXPECT_GT(stats.ckpt_batches, 0u);
+  const obs::MetricsSnapshot m = fsd_.SnapshotMetrics();
+  EXPECT_GT(m.CounterValue("fsd.ckpt_advances"), 0u)
+      << "daemon never advanced the pointer";
+  EXPECT_GT(m.CounterValue("fsd.ckpt_batches"), 0u);
 
   // Once the mutators stop, the last notified round settles the live log
   // under the configured window — a crash now replays a bounded region.
@@ -194,16 +195,18 @@ TEST_F(CkptTest, DaemonStopsAndRestartsAcrossShutdownMount) {
   for (int cycle = 0; cycle < 3; ++cycle) {
     // A clean Mount reformats the log, so each cycle must prove the daemon
     // restarted by itself: churn until the advance counter moves again.
-    const std::uint64_t advances_before = fsd_.stats().ckpt_advances;
-    for (int i = 0; i < 500 && fsd_.stats().ckpt_advances == advances_before;
-         ++i) {
+    auto advances = [&] {
+      return fsd_.SnapshotMetrics().CounterValue("fsd.ckpt_advances");
+    };
+    const std::uint64_t advances_before = advances();
+    for (int i = 0; i < 500 && advances() == advances_before; ++i) {
       ASSERT_TRUE(fsd_.CreateFile("c" + std::to_string(cycle) + "/f" +
                                       std::to_string(i % 9),
                                   Bytes(500, static_cast<std::uint8_t>(i)))
                       .ok());
       ASSERT_TRUE(fsd_.Force().ok());
     }
-    EXPECT_GT(fsd_.stats().ckpt_advances, advances_before)
+    EXPECT_GT(advances(), advances_before)
         << "daemon did not advance after mount cycle " << cycle;
     ASSERT_TRUE(fsd_.Shutdown().ok());
     // Unmounted: the maintenance surface reports the precondition failure
@@ -348,10 +351,11 @@ TEST(CkptFallbackTest, ThirdFlushFallbackCountsWithoutTheDaemon) {
                     .ok());
     ASSERT_TRUE(fsd.Force().ok());
   }
-  EXPECT_GT(fsd.stats().third_flush_fallbacks, 0u);
-  EXPECT_GT(fsd.stats().ckpt_pages, 0u);
-  EXPECT_EQ(fsd.stats().ckpt_batches, 0u);
-  EXPECT_EQ(fsd.stats().ckpt_advances, 0u);
+  const obs::MetricsSnapshot m = fsd.SnapshotMetrics();
+  EXPECT_GT(m.CounterValue("fsd.third_flush_fallbacks"), 0u);
+  EXPECT_GT(m.CounterValue("fsd.ckpt_pages"), 0u);
+  EXPECT_EQ(m.CounterValue("fsd.ckpt_batches"), 0u);
+  EXPECT_EQ(m.CounterValue("fsd.ckpt_advances"), 0u);
   ASSERT_TRUE(fsd.Shutdown().ok());
 }
 
@@ -381,17 +385,19 @@ TEST(CkptTagTest, GroupAfterSkipMarkerIsTaggedWithItsOwnLsn) {
   ASSERT_TRUE(fsd.Checkpoint().ok());
   bool marker = false;
   for (int i = 0; i < 100 && !marker; ++i) {
-    const std::uint64_t markers = fsd.log_stats().markers;
+    const std::uint64_t markers =
+        fsd.SnapshotMetrics().CounterValue("log.markers");
     ASSERT_TRUE(fsd.Touch("a").ok());
     ASSERT_TRUE(fsd.Force().ok());
-    marker = fsd.log_stats().markers > markers;
+    marker = fsd.SnapshotMetrics().CounterValue("log.markers") > markers;
   }
   ASSERT_TRUE(marker) << "no force ever needed a skip marker";
   // The maximal checkpoint's target is the newest group — the one right
   // after the marker — so none of its pages may go home.
-  const std::uint64_t before = fsd.stats().ckpt_pages;
+  const std::uint64_t before =
+      fsd.SnapshotMetrics().CounterValue("fsd.ckpt_pages");
   ASSERT_TRUE(fsd.Checkpoint().ok());
-  EXPECT_EQ(fsd.stats().ckpt_pages - before, 0u);
+  EXPECT_EQ(fsd.SnapshotMetrics().CounterValue("fsd.ckpt_pages"), before);
   ASSERT_TRUE(fsd.Shutdown().ok());
 }
 

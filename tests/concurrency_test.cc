@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "src/core/fsd.h"
+#include "src/obs/metrics.h"
 #include "src/sim/clock.h"
 #include "src/sim/disk.h"
 
@@ -181,7 +182,7 @@ TEST_F(ConcurrencyTest, GroupCommitPiggybacksConcurrentForces) {
       barrier.Arrive();
       if (tid == 0) {
         ++rounds;
-        if (fsd_.stats().piggybacked > 0) {
+        if (fsd_.SnapshotMetrics().CounterValue("commit.piggybacked") > 0) {
           done.store(true, std::memory_order_relaxed);
         }
       }
@@ -201,18 +202,20 @@ TEST_F(ConcurrencyTest, GroupCommitPiggybacksConcurrentForces) {
   }
   EXPECT_EQ(failures.load(), 0);
 
-  const FsdStats stats = fsd_.stats();
+  const obs::MetricsSnapshot m = fsd_.SnapshotMetrics();
   const std::uint64_t force_calls =
       static_cast<std::uint64_t>(kThreads) * rounds;
-  EXPECT_GT(stats.piggybacked, 0u);
+  const std::uint64_t piggybacked = m.CounterValue("commit.piggybacked");
+  const std::uint64_t force_requests = m.CounterValue("commit.force_requests");
+  EXPECT_GT(piggybacked, 0u);
   // Every round produced kThreads Force() calls but the daemon needed at
   // most a couple of log writes for them (one force covers the whole
   // barrier generation; a straggler may trigger one more).
-  EXPECT_LT(stats.daemon_forces, force_calls / 2);
+  EXPECT_LT(m.CounterValue("commit.rounds"), force_calls / 2);
   // A Force() arriving after the group's write already published returns
   // without touching either counter, so <= rather than ==.
-  EXPECT_LE(stats.force_requests + stats.piggybacked, force_calls);
-  EXPECT_GE(stats.force_requests, 1u);
+  EXPECT_LE(force_requests + piggybacked, force_calls);
+  EXPECT_GE(force_requests, 1u);
   ExpectClean();
 }
 
@@ -225,9 +228,9 @@ TEST_F(ConcurrencyTest, DaemonHandlesDeadlineForces) {
   clock_.Advance(600 * sim::kMillisecond);
   ASSERT_TRUE(fsd_.Tick().ok());
   EXPECT_FALSE(fsd_.HasPendingUpdates());
-  const FsdStats stats = fsd_.stats();
-  EXPECT_GE(stats.daemon_forces, 1u);
-  EXPECT_GE(stats.forces, 1u);
+  const obs::MetricsSnapshot m = fsd_.SnapshotMetrics();
+  EXPECT_GE(m.CounterValue("commit.rounds"), 1u);
+  EXPECT_GE(m.CounterValue("fsd.forces"), 1u);
 
   // And via an ordinary operation rather than Tick().
   ASSERT_TRUE(fsd_.Touch("deadline.test").ok());
@@ -251,7 +254,8 @@ TEST_F(ConcurrencyTest, FailedRoundIsRetriedByTheNextForce) {
   EXPECT_FALSE(fsd_.Force().ok());
   EXPECT_FALSE(fsd_.Force().ok());
   EXPECT_TRUE(fsd_.HasPendingUpdates());
-  const std::uint64_t failed_rounds = fsd_.stats().daemon_forces;
+  const std::uint64_t failed_rounds =
+      fsd_.SnapshotMetrics().CounterValue("commit.rounds");
   EXPECT_EQ(failed_rounds, 2u);
 
   for (std::uint32_t i = 0; i < log_sectors; ++i) {
@@ -259,7 +263,8 @@ TEST_F(ConcurrencyTest, FailedRoundIsRetriedByTheNextForce) {
   }
   ASSERT_TRUE(fsd_.Force().ok());
   EXPECT_FALSE(fsd_.HasPendingUpdates());
-  EXPECT_EQ(fsd_.stats().daemon_forces, failed_rounds + 1);
+  EXPECT_EQ(fsd_.SnapshotMetrics().CounterValue("commit.rounds"),
+            failed_rounds + 1);
 
   // The retried round made the create durable: it survives a crash.
   disk_.CrashNow();
@@ -638,9 +643,9 @@ WorkloadFootprint RunPinnedWorkload(int threads, int total_ops) {
   footprint.writes = disk_stats.writes;
   footprint.sectors_read = disk_stats.sectors_read;
   footprint.sectors_written = disk_stats.sectors_written;
-  const FsdStats stats = fsd.stats();
-  footprint.forces = stats.forces;
-  footprint.pages_captured = stats.pages_captured;
+  const obs::MetricsSnapshot m = fsd.SnapshotMetrics();
+  footprint.forces = m.CounterValue("fsd.forces");
+  footprint.pages_captured = m.CounterValue("fsd.pages_captured");
   auto report = fsd.Fsck();
   CEDAR_CHECK(report.ok());
   footprint.fsck_violations = report->violations();

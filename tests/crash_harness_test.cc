@@ -19,6 +19,7 @@
 
 #include "src/core/fsd.h"
 #include "src/core/log.h"
+#include "src/obs/metrics.h"
 #include "src/crash/harness.h"
 #include "src/crash/workload.h"
 #include "src/sim/clock.h"
@@ -235,7 +236,7 @@ TEST(TransientReadErrorTest, RetriedWithinLimitAndCounted) {
   disk.InjectTransientReadError(/*lba=*/0, /*failures=*/2);
   Fsd fsd(&disk, SmallConfig());
   ASSERT_TRUE(fsd.Mount().ok());
-  EXPECT_EQ(fsd.stats().read_retries, 2u);
+  EXPECT_EQ(fsd.SnapshotMetrics().CounterValue("fsd.read_retries"), 2u);
   auto handle = fsd.Open("glitch");
   ASSERT_TRUE(handle.ok());
   std::vector<std::uint8_t> out(handle->byte_size);
@@ -257,7 +258,8 @@ TEST(TransientReadErrorTest, ExhaustedRetriesSurfaceTheError) {
   Status mounted = fsd.Mount();
   ASSERT_FALSE(mounted.ok());
   EXPECT_EQ(mounted.code(), ErrorCode::kReadTransient);
-  EXPECT_EQ(fsd.stats().read_retries, SmallConfig().durability.read_retry_limit);
+  EXPECT_EQ(fsd.SnapshotMetrics().CounterValue("fsd.read_retries"),
+            SmallConfig().durability.read_retry_limit);
 }
 
 // ---------------------------------------------------------------------------
@@ -431,7 +433,8 @@ core::PageImage GroupPage(sim::Lba primary, std::uint8_t fill) {
 TEST(ForceGroupAtomicityTest, CrashBetweenGroupRecordsReplaysNothing) {
   sim::VirtualClock clock;
   sim::SimDisk disk(sim::TestGeometry(), sim::DiskTimingParams{}, &clock);
-  core::FsdLog log(&disk, /*base=*/100, /*size_sectors=*/400);
+  obs::MetricsRegistry metrics;
+  core::FsdLog log(&disk, /*base=*/100, /*size_sectors=*/400, &metrics);
   ASSERT_TRUE(log.Format(1).ok());
 
   // 60 pages = two records (52 + 8). The group append issues one disk
@@ -448,7 +451,8 @@ TEST(ForceGroupAtomicityTest, CrashBetweenGroupRecordsReplaysNothing) {
   ASSERT_TRUE(disk.crashed());
 
   disk.Reopen();
-  core::FsdLog recovered(&disk, /*base=*/100, /*size_sectors=*/400);
+  core::FsdLog recovered(&disk, /*base=*/100, /*size_sectors=*/400,
+                         &metrics);
   std::uint64_t pages_delivered = 0;
   ASSERT_TRUE(recovered
                   .Recover(
@@ -466,7 +470,8 @@ TEST(ForceGroupAtomicityTest, CrashBetweenGroupRecordsReplaysNothing) {
 TEST(ForceGroupAtomicityTest, IntactGroupReplaysEveryPage) {
   sim::VirtualClock clock;
   sim::SimDisk disk(sim::TestGeometry(), sim::DiskTimingParams{}, &clock);
-  core::FsdLog log(&disk, /*base=*/100, /*size_sectors=*/400);
+  obs::MetricsRegistry metrics;
+  core::FsdLog log(&disk, /*base=*/100, /*size_sectors=*/400, &metrics);
   ASSERT_TRUE(log.Format(1).ok());
   std::vector<core::PageImage> group;
   for (std::uint32_t p = 0; p < 60; ++p) {
@@ -474,7 +479,8 @@ TEST(ForceGroupAtomicityTest, IntactGroupReplaysEveryPage) {
   }
   ASSERT_TRUE(log.AppendGroup(group, [](std::uint64_t) { return OkStatus(); }).ok());
 
-  core::FsdLog recovered(&disk, /*base=*/100, /*size_sectors=*/400);
+  core::FsdLog recovered(&disk, /*base=*/100, /*size_sectors=*/400,
+                         &metrics);
   std::uint64_t pages_delivered = 0;
   std::uint64_t records = 0;
   ASSERT_TRUE(recovered

@@ -385,7 +385,8 @@ RebuildOutcome MountAfterFault(PreloadFault fault, std::size_t cache_frames,
   const fs::HealthStats health = fsd.Health();
   return RebuildOutcome{.nt_pages = report->nt_pages_checked,
                         .free_sectors = fsd.FreeSectors(),
-                        .nt_repairs = fsd.stats().nt_repairs,
+                        .nt_repairs = fsd.SnapshotMetrics().CounterValue(
+                            "fsd.nt_repairs"),
                         .repairs = health.repairs,
                         .corruption_detected = health.corruption_detected,
                         .remaps = health.remaps,

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
+#include "src/core/fsd.h"
 #include "src/core/log.h"
+#include "src/obs/metrics.h"
 #include "src/sim/clock.h"
 #include "src/sim/disk.h"
 #include "src/util/random.h"
@@ -26,7 +29,7 @@ class FsdLogTest : public ::testing::Test {
  protected:
   FsdLogTest()
       : disk_(sim::TestGeometry(), sim::DiskTimingParams{}, &clock_),
-        log_(&disk_, kLogBase, kLogSize) {
+        log_(&disk_, kLogBase, kLogSize, &metrics_) {
     CEDAR_CHECK_OK(log_.Format(1));
   }
 
@@ -51,8 +54,14 @@ class FsdLogTest : public ::testing::Test {
     return records;
   }
 
+  // The log's record histogram: count, sum and max of record sizes.
+  const obs::Histogram& RecordSectors() const {
+    return *metrics_.FindHistogram("log.record_sectors");
+  }
+
   sim::VirtualClock clock_;
   sim::SimDisk disk_;
+  obs::MetricsRegistry metrics_;
   FsdLog log_;
   // Checkpoint target passed to each third-entry callback.
   std::vector<std::uint64_t> entry_targets_;
@@ -179,7 +188,8 @@ TEST_F(FsdLogTest, TwoAdjacentDamagedSectorsNeverLoseARecord) {
     SCOPED_TRACE(off);
     sim::VirtualClock clock;
     sim::SimDisk disk(sim::TestGeometry(), sim::DiskTimingParams{}, &clock);
-    FsdLog log(&disk, kLogBase, kLogSize);
+    obs::MetricsRegistry metrics;
+    FsdLog log(&disk, kLogBase, kLogSize, &metrics);
     ASSERT_TRUE(log.Format(1).ok());
     std::vector<PageImage> pages = {Image(5000, kNoLba, 7),
                                     Image(5001, kNoLba, 9)};
@@ -244,16 +254,71 @@ TEST_F(FsdLogTest, MaxSizeRecord) {
   auto records = Recover(2);
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0].size(), FsdLog::kMaxPagesPerRecord);
-  EXPECT_EQ(log_.stats().max_record_sectors,
+  EXPECT_EQ(RecordSectors().max(),
             FsdLog::RecordSectors(FsdLog::kMaxPagesPerRecord));
 }
 
 TEST_F(FsdLogTest, StatsTrackRecordsAndSectors) {
   Append({Image(5000, kNoLba, 1)});
   Append({Image(5001, kNoLba, 2), Image(5002, kNoLba, 3)});
-  EXPECT_EQ(log_.stats().records, 2u);
-  EXPECT_EQ(log_.stats().pages_logged, 3u);
-  EXPECT_EQ(log_.stats().total_record_sectors, 7u + 9u);
+  EXPECT_EQ(RecordSectors().count(), 2u);
+  EXPECT_EQ(RecordSectors().sum(), 7u + 9u);
+  EXPECT_EQ(RecordSectors().max(), 9u);
+  EXPECT_EQ(metrics_.FindCounter("log.pages_logged")->value(), 3u);
+  // Format wrote the pointer pair (3 sectors) and a blank header sector.
+  EXPECT_EQ(metrics_.FindCounter("log.sectors_written")->value(),
+            3u + 1u + 7u + 9u);
+  EXPECT_EQ(metrics_.FindCounter("log.markers")->value(), 0u);
+  EXPECT_EQ(metrics_.FindCounter("log.third_entries")->value(), 0u);
+}
+
+// The log's counters live in its owner's registry, which FSD resets at
+// Format only: a clean Shutdown + Mount re-formats the log but keeps
+// counting, and Format zeroes every log.* value.
+TEST(FsdLogCountersTest, SurviveCleanRemountAndResetAtFormat) {
+  sim::VirtualClock clock;
+  sim::SimDisk disk(sim::TestGeometry(), sim::DiskTimingParams{}, &clock);
+  FsdConfig config;
+  config.log_sectors = kLogSize;
+  config.nt_pages = 256;
+  config.cache_frames = 1024;
+  Fsd fsd(&disk, config);
+  ASSERT_TRUE(fsd.Format().ok());
+  for (int i = 0; i < 40; ++i) {
+    ASSERT_TRUE(fsd.CreateFile("c/f" + std::to_string(i % 5),
+                               std::vector<std::uint8_t>(300, 1))
+                    .ok());
+    ASSERT_TRUE(fsd.Force().ok());
+  }
+  const obs::MetricsSnapshot before = fsd.SnapshotMetrics();
+  const std::uint64_t records =
+      before.FindHistogram("log.record_sectors")->count;
+  ASSERT_EQ(records, 40u);
+  ASSERT_GT(before.CounterValue("log.third_entries"), 0u);
+  ASSERT_GT(before.CounterValue("log.markers"), 0u);
+
+  ASSERT_TRUE(fsd.Shutdown().ok());
+  ASSERT_TRUE(fsd.Mount().ok());
+  const obs::MetricsSnapshot remounted = fsd.SnapshotMetrics();
+  for (const char* name : {"log.pages_logged", "log.sectors_written",
+                           "log.markers", "log.third_entries"}) {
+    EXPECT_GE(remounted.CounterValue(name), before.CounterValue(name)) << name;
+  }
+  EXPECT_GT(remounted.CounterValue("log.sectors_written"),
+            before.CounterValue("log.sectors_written"))
+      << "the remount's log format counts on top";
+  EXPECT_EQ(remounted.FindHistogram("log.record_sectors")->count, records);
+
+  ASSERT_TRUE(fsd.Format().ok());
+  const obs::MetricsSnapshot formatted = fsd.SnapshotMetrics();
+  // Since the reset the log was only formatted: by Format, then again by
+  // its clean mount (pointer pair + blank header, 4 sectors each).
+  EXPECT_EQ(formatted.CounterValue("log.sectors_written"), 2 * (3u + 1u));
+  EXPECT_EQ(formatted.CounterValue("log.pages_logged"), 0u);
+  EXPECT_EQ(formatted.CounterValue("log.markers"), 0u);
+  EXPECT_EQ(formatted.CounterValue("log.third_entries"), 0u);
+  EXPECT_EQ(formatted.FindHistogram("log.record_sectors")->count, 0u);
+  EXPECT_EQ(formatted.FindHistogram("log.record_sectors")->max, 0u);
 }
 
 // Damage fuzz: append records, then injure 1-2 consecutive sectors at a
@@ -267,7 +332,8 @@ TEST_P(FsdLogDamageFuzzTest, DamageNeverYieldsCorruptRecords) {
   Rng rng(GetParam());
   sim::VirtualClock clock;
   sim::SimDisk disk(sim::TestGeometry(), sim::DiskTimingParams{}, &clock);
-  FsdLog log(&disk, kLogBase, kLogSize);
+  obs::MetricsRegistry metrics;
+  FsdLog log(&disk, kLogBase, kLogSize, &metrics);
   ASSERT_TRUE(log.Format(1).ok());
 
   // Each record's pages carry a fill derived from the record number, which
@@ -319,7 +385,8 @@ class FsdLogChurnTest : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(FsdLogChurnTest, ChurnAndRecover) {
   sim::VirtualClock clock;
   sim::SimDisk disk(sim::TestGeometry(), sim::DiskTimingParams{}, &clock);
-  FsdLog log(&disk, kLogBase, kLogSize);
+  obs::MetricsRegistry metrics;
+  FsdLog log(&disk, kLogBase, kLogSize, &metrics);
   ASSERT_TRUE(log.Format(1).ok());
 
   Rng rng(GetParam());

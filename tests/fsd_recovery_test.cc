@@ -268,7 +268,7 @@ TEST_F(FsdRecoveryTest, CrashDuringThirdFlushIsSafe) {
     clock_.Advance(600 * sim::kMillisecond);
     ASSERT_TRUE(fsd_->Tick().ok());
   }
-  EXPECT_GE(fsd_->log_stats().third_entries, 1u);
+  EXPECT_GE(fsd_->SnapshotMetrics().CounterValue("log.third_entries"), 1u);
   ASSERT_TRUE(fsd_->Force().ok());
   auto live = fsd_->List("w/");
   ASSERT_TRUE(live.ok());

@@ -101,7 +101,7 @@ TEST_F(FsdTest, GroupCommitForcesEveryHalfSecond) {
   clock_.Advance(600 * sim::kMillisecond);
   ASSERT_TRUE(fsd_.Tick().ok());
   EXPECT_FALSE(fsd_.HasPendingUpdates());
-  EXPECT_GE(fsd_.stats().forces, 1u);
+  EXPECT_GE(fsd_.SnapshotMetrics().CounterValue("fsd.forces"), 1u);
 }
 
 TEST_F(FsdTest, UpdatesWithinWindowShareOneLogWrite) {
@@ -110,10 +110,13 @@ TEST_F(FsdTest, UpdatesWithinWindowShareOneLogWrite) {
   for (int i = 0; i < 10; ++i) {
     ASSERT_TRUE(fsd_.CreateFile("batch/f" + std::to_string(i), Bytes(32, 1)).ok());
   }
-  const std::uint64_t records_before = fsd_.log_stats().records;
+  auto records = [&] {
+    return fsd_.SnapshotMetrics().FindHistogram("log.record_sectors")->count;
+  };
+  const std::uint64_t records_before = records();
   clock_.Advance(600 * sim::kMillisecond);
   ASSERT_TRUE(fsd_.Tick().ok());
-  EXPECT_EQ(fsd_.log_stats().records, records_before + 1);
+  EXPECT_EQ(records(), records_before + 1);
 }
 
 TEST_F(FsdTest, ClientForceMakesUpdatesDurableImmediately) {
@@ -175,7 +178,8 @@ TEST_F(FsdTest, EmptyCreateThenWritePiggybacksLeader) {
   ASSERT_TRUE(fsd_.Write(*handle, 0, Bytes(1024, 3)).ok());
   // One combined leader+data write.
   EXPECT_EQ(disk_.stats().writes, 1u);
-  EXPECT_EQ(fsd_.stats().piggyback_leader_writes, 1u);
+  EXPECT_EQ(
+      fsd_.SnapshotMetrics().CounterValue("fsd.piggyback_leader_writes"), 1u);
 }
 
 TEST_F(FsdTest, FirstReadVerifiesLeaderByPiggyback) {
@@ -188,7 +192,9 @@ TEST_F(FsdTest, FirstReadVerifiesLeaderByPiggyback) {
   // One read covering leader + both data pages.
   EXPECT_EQ(disk_.stats().reads, 1u);
   EXPECT_EQ(disk_.stats().sectors_read, 3u);
-  EXPECT_EQ(fsd_.stats().piggyback_leader_verifies, 1u);
+  EXPECT_EQ(
+      fsd_.SnapshotMetrics().CounterValue("fsd.piggyback_leader_verifies"),
+      1u);
   // Second read: no verification needed.
   disk_.ResetStats();
   ASSERT_TRUE(fsd_.Read(*handle, 0, out).ok());
@@ -270,7 +276,7 @@ TEST_F(FsdTest, NameTablePageDamageRepairedFromReplica) {
   auto list = again.List("r/");
   ASSERT_TRUE(list.ok());
   EXPECT_EQ(list->size(), 40u);
-  EXPECT_GE(again.stats().nt_repairs, 1u);
+  EXPECT_GE(again.SnapshotMetrics().CounterValue("fsd.nt_repairs"), 1u);
 }
 
 TEST_F(FsdTest, NameTableReplicaDamageAlsoRepaired) {

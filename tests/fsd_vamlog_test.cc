@@ -101,7 +101,7 @@ TEST_F(VamLoggingTest, FastPathTakenAndStateMatchesRebuild) {
 
   // Fast path.
   Fsd& fast = CrashAndRemount(/*vam_logging=*/true);
-  EXPECT_EQ(fast.stats().fast_recoveries, 1u);
+  EXPECT_EQ(fast.SnapshotMetrics().CounterValue("fsd.fast_recoveries"), 1u);
   EXPECT_EQ(fast.FreeSectors(), live_free);
 
   // The slow path over the same image agrees exactly.
@@ -109,7 +109,7 @@ TEST_F(VamLoggingTest, FastPathTakenAndStateMatchesRebuild) {
   disk_.Reopen();
   Fsd slow(&disk_, Config(false));
   ASSERT_TRUE(slow.Mount().ok());
-  EXPECT_EQ(slow.stats().fast_recoveries, 0u);
+  EXPECT_EQ(slow.SnapshotMetrics().CounterValue("fsd.fast_recoveries"), 0u);
   EXPECT_EQ(slow.FreeSectors(), live_free);
 }
 
@@ -125,7 +125,7 @@ TEST_F(VamLoggingTest, FastRecoveryDoesNotScanNameTable) {
   Fsd fast(&disk_, Config(true));
   ASSERT_TRUE(fast.Mount().ok());
   const sim::Micros fast_time = clock_.now() - t0;
-  EXPECT_EQ(fast.stats().fast_recoveries, 1u);
+  EXPECT_EQ(fast.SnapshotMetrics().CounterValue("fsd.fast_recoveries"), 1u);
 
   disk_.CrashNow();
   disk_.Reopen();
@@ -153,11 +153,11 @@ TEST_F(VamLoggingTest, SurvivesLogWrapWithBaseResnapshots) {
     ASSERT_TRUE(fsd_->Tick().ok());
   }
   ASSERT_TRUE(fsd_->Force().ok());
-  ASSERT_GE(fsd_->log_stats().third_entries, 1u);
+  ASSERT_GE(fsd_->SnapshotMetrics().CounterValue("log.third_entries"), 1u);
   const std::uint32_t live_free = fsd_->FreeSectors();
 
   Fsd& after = CrashAndRemount();
-  EXPECT_EQ(after.stats().fast_recoveries, 1u);
+  EXPECT_EQ(after.SnapshotMetrics().CounterValue("fsd.fast_recoveries"), 1u);
   EXPECT_EQ(after.FreeSectors(), live_free);
   EXPECT_TRUE(after.CheckNameTableInvariants().ok());
 }
@@ -208,7 +208,8 @@ TEST_F(VamLoggingTest, CleanShutdownAndRemountStillWork) {
   Fsd again(&disk_, Config(true));
   ASSERT_TRUE(again.Mount().ok());
   EXPECT_EQ(again.FreeSectors(), live_free);
-  EXPECT_EQ(again.stats().fast_recoveries, 0u);  // clean path, no recovery
+  // Clean path, no recovery.
+  EXPECT_EQ(again.SnapshotMetrics().CounterValue("fsd.fast_recoveries"), 0u);
   auto handle = again.Open("c/7");
   ASSERT_TRUE(handle.ok());
 }
@@ -226,7 +227,7 @@ TEST_F(VamLoggingTest, DamagedBaseFallsBackToRebuild) {
   disk_.DamageSectors(fsd_->layout().vam_base, 1);
   Fsd after(&disk_, Config(true));
   ASSERT_TRUE(after.Mount().ok());
-  EXPECT_EQ(after.stats().fast_recoveries, 0u);
+  EXPECT_EQ(after.SnapshotMetrics().CounterValue("fsd.fast_recoveries"), 0u);
   EXPECT_EQ(after.FreeSectors(), live_free);
 }
 

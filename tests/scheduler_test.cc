@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "src/core/fsd.h"
+#include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/sim/clock.h"
 #include "src/sim/disk.h"
@@ -245,15 +246,16 @@ TEST(FsdWritebackTest, ThirdFlushCoalescesHomeWrites) {
     CEDAR_CHECK_OK(fsd.Force());
   }
   // No Checkpoint() ran, so every home page came from third entry.
-  EXPECT_GT(fsd.log_stats().third_entries, 0u);
-  EXPECT_EQ(fsd.stats().ckpt_batches, 0u);
-  EXPECT_GT(fsd.stats().third_flush_fallbacks, 0u);
-  EXPECT_GT(fsd.stats().ckpt_pages, 0u);
-  EXPECT_GT(fsd.stats().home_write_batches, 0u);
-  EXPECT_GT(fsd.stats().home_writes_coalesced, 0u);
-  EXPECT_LT(fsd.stats().home_write_requests -
-                fsd.stats().home_writes_coalesced,
-            fsd.stats().home_write_requests);
+  const obs::MetricsSnapshot m = fsd.SnapshotMetrics();
+  EXPECT_GT(m.CounterValue("log.third_entries"), 0u);
+  EXPECT_EQ(m.CounterValue("fsd.ckpt_batches"), 0u);
+  EXPECT_GT(m.CounterValue("fsd.third_flush_fallbacks"), 0u);
+  EXPECT_GT(m.CounterValue("fsd.ckpt_pages"), 0u);
+  EXPECT_GT(m.CounterValue("fsd.home_write_batches"), 0u);
+  EXPECT_GT(m.CounterValue("fsd.home_writes_coalesced"), 0u);
+  EXPECT_LT(m.CounterValue("fsd.home_write_requests") -
+                m.CounterValue("fsd.home_writes_coalesced"),
+            m.CounterValue("fsd.home_write_requests"));
 }
 
 TEST(FsdWritebackTest, BatchingReducesThirdFlushDiskTime) {
@@ -274,8 +276,9 @@ TEST(FsdWritebackTest, BatchingReducesThirdFlushDiskTime) {
       }
       CEDAR_CHECK_OK(fsd.Force());
     }
-    CEDAR_CHECK(fsd.stats().ckpt_batches == 0 &&
-                fsd.stats().ckpt_pages > 0);
+    const obs::MetricsSnapshot m = fsd.SnapshotMetrics();
+    CEDAR_CHECK(m.CounterValue("fsd.ckpt_batches") == 0 &&
+                m.CounterValue("fsd.ckpt_pages") > 0);
     const obs::OpClassAggregate third = tracer.AggregateFor("fsd.flush_third");
     return third.seek_us + third.rotational_us;
   };
@@ -314,7 +317,8 @@ TEST(FsdWritebackTest, CrashTearingCoalescedHomeWriteRecovers) {
   disk.Reopen();
   fsd = std::make_unique<core::Fsd>(&disk, SmallCfg());
   CEDAR_CHECK_OK(fsd->Mount());
-  EXPECT_GT(fsd->stats().recovery_pages_replayed, 0u);
+  EXPECT_GT(fsd->SnapshotMetrics().CounterValue("fsd.recovery_pages_replayed"),
+            0u);
   CEDAR_CHECK_OK(fsd->CheckNameTableInvariants());
   for (int i = 0; i < 50; ++i) {
     const std::string name = "crash/f" + std::to_string(i);

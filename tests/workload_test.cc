@@ -111,7 +111,7 @@ TEST_F(WorkloadFsTest, BulkUpdateDrivesCommits) {
                          })
                   .ok());
   // The half-second timer fired repeatedly across the bursts.
-  EXPECT_GT(fsd_.stats().forces, 3u);
+  EXPECT_GT(fsd_.SnapshotMetrics().CounterValue("fsd.forces"), 3u);
   // Rewrites made new versions; the set of distinct names is unchanged.
   auto list = fsd_.List("bulk/");
   ASSERT_TRUE(list.ok());

@@ -230,7 +230,9 @@ int Run(const Options& options) {
                 disk.geometry().TotalBytes() / 1e6);
     std::printf("free sectors: %u\n", fsd.FreeSectors());
     std::printf("log: %llu records so far this mount\n",
-                (unsigned long long)fsd.log_stats().records);
+                (unsigned long long)fsd.SnapshotMetrics()
+                    .FindHistogram("log.record_sectors")
+                    ->count);
   } else {
     return Usage();
   }
