@@ -118,24 +118,23 @@ Result<FsckReport> Fsd::Fsck() {
     const bool readable_b =
         ReadWithRetry(MapNt(layout_.ntb_base + pid), b, &bad_b).ok() &&
         bad_b.empty();
-    std::uint32_t seq_a = 0;
-    std::uint32_t seq_b = 0;
-    const bool ok_a = readable_a && NtTrailerValid(a, &seq_a);
-    const bool ok_b = readable_b && NtTrailerValid(b, &seq_b);
-    if (!ok_a && !ok_b) {
+    // Read-only: the vote counts nothing here.
+    const NtVote vote = VoteNtCopies(a, readable_a, b, readable_b,
+                                     /*read_b=*/true, /*corruption=*/nullptr);
+    if (!vote.any()) {
       violate("nt-both-copies-bad",
               "live name-table page " + std::to_string(pid) +
                   ": both home copies unreadable or corrupt");
       continue;
     }
-    if (!ok_a || !ok_b) {
+    if (!vote.ok_a || !vote.ok_b) {
       warn("nt-copy-unreadable",
            "name-table page " + std::to_string(pid) + ": " +
-               (ok_a ? "replica" : "primary") +
+               (vote.ok_a ? "replica" : "primary") +
                " copy unreadable or corrupt (repairable from the other)");
       continue;
     }
-    if (!std::equal(a.begin(), a.end(), b.begin())) {
+    if (vote.diverged) {
       warn("nt-copies-diverge",
            "name-table page " + std::to_string(pid) +
                ": primary and replica differ (newest valid copy wins; "

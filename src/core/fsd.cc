@@ -121,9 +121,9 @@ class Fsd::NtStore : public btree::PageStore {
     // Miss: read an aligned cluster of pages from each region in one
     // request (tree pages allocate roughly sequentially, so siblings come
     // along for free — the clustering effect the paper gets from its larger
-    // name-table pages), validate trailers, elect the newest valid copy,
-    // and repair the loser in place (remapping its home sector when the
-    // rewrite hits permanently bad media).
+    // name-table pages), vote, and repair the loser in place (remapping its
+    // home sector when the rewrite hits permanently bad media). The replica
+    // is read only under double_read_check or when the primary is bad.
     const std::uint32_t cluster = fsd_->config_.durability.nt_read_ahead_pages;
     const std::uint32_t first = (id / cluster) * cluster;
     const std::uint32_t count =
@@ -143,12 +143,9 @@ class Fsd::NtStore : public btree::PageStore {
       return std::span<const std::uint8_t>(region).subspan(
           static_cast<std::size_t>(i) * 512, 512);
     };
-    std::uint32_t seq_req = 0;
-    const bool req_a_valid =
-        !is_bad(bad_a, id - first) &&
-        ParseTrailer(sector_of(a, id - first), &seq_req);
     const bool read_b = fsd_->config_.durability.double_read_check ||
-                        !bad_a.empty() || !req_a_valid;
+                        !bad_a.empty() ||
+                        !ParseTrailer(sector_of(a, id - first), nullptr);
     if (read_b) {
       CEDAR_RETURN_IF_ERROR(
           ReadRegion(fsd_->layout_.ntb_base + first, count, b, &bad_b));
@@ -159,21 +156,10 @@ class Fsd::NtStore : public btree::PageStore {
       const std::uint32_t pid = first + i;
       auto page_a = sector_of(a, i);
       auto page_b = sector_of(b, i);
-      std::uint32_t seq_a = 0;
-      std::uint32_t seq_b = 0;
-      const bool readable_a = !is_bad(bad_a, i);
-      const bool readable_b = read_b && !is_bad(bad_b, i);
-      const bool ok_a = readable_a && ParseTrailer(page_a, &seq_a);
-      const bool ok_b = readable_b && ParseTrailer(page_b, &seq_b);
-      // A readable sector whose CRC fails while the other copy proves the
-      // page holds real data is silent corruption, caught.
-      if (readable_a && !ok_a && ok_b) {
-        fsd_->c_.corruption_detected->Increment();
-      }
-      if (readable_b && !ok_b && ok_a) {
-        fsd_->c_.corruption_detected->Increment();
-      }
-      if (!ok_a && !ok_b) {
+      const NtVote vote =
+          VoteNtCopies(page_a, !is_bad(bad_a, i), page_b, !is_bad(bad_b, i),
+                       read_b, fsd_->c_.corruption_detected);
+      if (!vote.any()) {
         if (pid == id) {
           fsd_->NoteLostNtPage(pid);
           return MakeError(ErrorCode::kSectorDamaged,
@@ -182,11 +168,7 @@ class Fsd::NtStore : public btree::PageStore {
         }
         continue;  // a free page, or a loss the per-page path will report
       }
-      // Winner: the valid copy with the higher write sequence; on a tie
-      // (the common case — both copies carry the same composed sector) the
-      // primary wins, preserving the historical repair direction.
-      const bool b_wins = ok_b && (!ok_a || seq_b > seq_a);
-      auto good = b_wins ? page_b : page_a;
+      auto good = vote.b_wins ? page_b : page_a;
       if (!fsd_->cache_.InsertIfAbsent(
               pid, std::vector<std::uint8_t>(good.begin(), good.end()))) {
         // Cached — never clobber a (possibly dirty) frame, and skip the
@@ -199,15 +181,10 @@ class Fsd::NtStore : public btree::PageStore {
         }
         continue;
       }
-      MergeSeq(std::max(ok_a ? seq_a : 0u, ok_b ? seq_b : 0u));
-      const bool diverged =
-          read_b && (!ok_a || !ok_b ||
-                     !std::equal(page_a.begin(), page_a.end(),
-                                 page_b.begin()));
-      if (diverged) {
-        const sim::Lba loser_home = b_wins ? fsd_->layout_.nta_base + pid
-                                           : fsd_->layout_.ntb_base + pid;
-        CEDAR_RETURN_IF_ERROR(fsd_->RepairNtCopy(loser_home, good));
+      MergeSeq(vote.seq);
+      if (vote.diverged) {
+        CEDAR_RETURN_IF_ERROR(
+            fsd_->RepairNtCopy(fsd_->NtLoserHome(vote, pid), good));
       }
       if (pid == id) {
         std::copy_n(good.begin(), kPayload, out.begin());
@@ -285,37 +262,47 @@ class Fsd::NtStore : public btree::PageStore {
 
  private:
   // One region's slice of the cluster: a single bulk request, then the
-  // handful of remapped home sectors patched in individually (the bulk read
-  // saw the dead original, the live content sits on the spare).
+  // remap patch.
   Status ReadRegion(sim::Lba base, std::uint32_t count,
                     std::vector<std::uint8_t>& buf,
                     std::vector<std::uint32_t>* bad) {
     CEDAR_RETURN_IF_ERROR(fsd_->ReadWithRetry(base, buf, bad));
     fsd_->ChargeSectors(count);
-    for (std::uint32_t i = 0; i < count; ++i) {
-      const sim::Lba home = base + i;
-      const sim::Lba mapped = fsd_->MapNt(home);
-      if (mapped == home) {
-        continue;
-      }
-      auto slot = std::span<std::uint8_t>(buf).subspan(
-          static_cast<std::size_t>(i) * 512, 512);
-      bad->erase(std::remove(bad->begin(), bad->end(), i), bad->end());
-      std::vector<std::uint32_t> spare_bad;
-      const Status spare = fsd_->ReadWithRetry(mapped, slot, &spare_bad);
-      if (spare.code() == ErrorCode::kDeviceCrashed) {
-        return spare;
-      }
-      if (!spare.ok() || !spare_bad.empty()) {
-        bad->push_back(i);
-      }
-    }
-    return OkStatus();
+    return fsd_->PatchRemapped(base, count, buf, bad);
   }
 
   Fsd* fsd_;
   std::atomic<std::uint32_t> seq_clock_{0};
 };
+
+Fsd::NtVote Fsd::VoteNtCopies(std::span<const std::uint8_t> a,
+                              bool readable_a,
+                              std::span<const std::uint8_t> b,
+                              bool readable_b, bool read_b,
+                              obs::Counter* corruption) {
+  readable_b = readable_b && read_b;
+  NtVote vote;
+  std::uint32_t seq_a = 0;
+  std::uint32_t seq_b = 0;
+  vote.ok_a = readable_a && NtStore::ParseTrailer(a, &seq_a);
+  vote.ok_b = readable_b && NtStore::ParseTrailer(b, &seq_b);
+  if (!vote.any()) {
+    return vote;  // a free page, or a lost one: nothing to elect or count
+  }
+  // With one copy ok, a readable copy whose CRC fails held real data:
+  // silent corruption, caught (at most one copy can be that copy).
+  if (corruption != nullptr &&
+      ((readable_a && !vote.ok_a) || (readable_b && !vote.ok_b))) {
+    corruption->Increment();
+  }
+  // On a tie (the common case — both copies carry the same composed
+  // sector) the primary wins, preserving the historical repair direction.
+  vote.b_wins = vote.ok_b && (!vote.ok_a || seq_b > seq_a);
+  vote.seq = std::max(vote.ok_a ? seq_a : 0u, vote.ok_b ? seq_b : 0u);
+  vote.diverged = read_b && (!vote.ok_a || !vote.ok_b ||
+                             !std::equal(a.begin(), a.end(), b.begin()));
+  return vote;
+}
 
 // A read-only name-table PageStore over the preload sweep's elected images
 // (the mount-time rebuild walks the tree through it, so a cache smaller
@@ -391,7 +378,7 @@ Status Fsd::ReadWithRetry(sim::Lba start, std::span<std::uint8_t> out,
   Status status = disk_->Read(start, out, bad);
   std::uint32_t attempts = 0;
   while (status.code() == ErrorCode::kReadTransient &&
-         attempts < config_.durability.read_retry_limit) {
+         attempts < kReadRetryLimit) {
     ++attempts;
     c_.read_retries->Increment();
     status = disk_->Read(start, out, bad);
@@ -408,7 +395,7 @@ Status Fsd::ReadWithRetry(sim::Lba start, std::span<std::uint8_t> out,
     }
     return MakeError(ErrorCode::kReadTransient,
                      "read retries exhausted (" +
-                         std::to_string(config_.durability.read_retry_limit) +
+                         std::to_string(kReadRetryLimit) +
                          "), " + span_text + ": " + status.message());
   }
   return status;
@@ -512,7 +499,13 @@ Status Fsd::WriteVolumeRoot(bool clean) {
   std::vector<std::uint8_t> buf(3 * 512, 0);
   std::copy(root.begin(), root.end(), buf.begin());
   std::copy(root.begin(), root.end(), buf.begin() + 2 * 512);
-  return disk_->Write(layout_.root_lba, buf);
+  const Status wrote = disk_->Write(layout_.root_lba, buf);
+  if (!wrote.ok() && wrote.code() != ErrorCode::kDeviceCrashed) {
+    NoteUnrepairable("volume root unwritable at lba " +
+                     std::to_string(layout_.root_lba) + ": " +
+                     wrote.message());
+  }
+  return wrote;
 }
 
 Status Fsd::ReadVolumeRoot(bool* clean) {
@@ -714,49 +707,11 @@ Status Fsd::MountLocked() {
 
   bool need_rebuild = false;
   if (!clean) {
-    // Crash recovery: replay the log. Later images supersede earlier ones
-    // and tombstones cancel queued leader writes, so collect first. VAM
-    // delta pages are kept with their record LSNs for the fast path below.
+    // Crash recovery: replay the log, VAM delta pages kept with their
+    // record LSNs for the fast path below.
     std::map<sim::Lba, PageImage> replay;
     std::vector<std::pair<std::uint64_t, VamDelta>> deltas;
-    CEDAR_RETURN_IF_ERROR(log_->Recover(
-        [&](std::uint64_t lsn, const std::vector<PageImage>& pages) {
-          for (const PageImage& page : pages) {
-            switch (page.kind) {
-              case PageKind::kTombstone:
-                replay.erase(MapNt(page.primary));
-                break;
-              case PageKind::kVamDelta: {
-                std::vector<VamDelta> parsed;
-                CEDAR_RETURN_IF_ERROR(ParseDeltas(page.data, &parsed));
-                for (const VamDelta& delta : parsed) {
-                  deltas.emplace_back(lsn, delta);
-                }
-                break;
-              }
-              case PageKind::kPage: {
-                // Key the replay map on the remapped home so a record
-                // captured before a remap and one captured after collapse to
-                // the same page (LSN order keeps the newest). Known edge: a
-                // record carrying a spare LBA whose mapping later moved to a
-                // different spare is not renormalized.
-                PageImage mapped = page;
-                mapped.primary = MapNt(page.primary);
-                if (page.secondary != kNoLba) {
-                  mapped.secondary = MapNt(page.secondary);
-                  std::uint32_t seq = 0;
-                  if (NtStore::ParseTrailer(mapped.data, &seq)) {
-                    nt_store_->MergeSeq(seq);
-                  }
-                }
-                replay[mapped.primary] = std::move(mapped);
-                break;
-              }
-            }
-          }
-          return OkStatus();
-        },
-        boot_count_));
+    CEDAR_RETURN_IF_ERROR(CollectReplay(&replay, &deltas));
     // Write the surviving images home through the elevator scheduler
     // (name-table pages cluster, so this turns hundreds of rotational
     // misses into a few streaming writes). Primaries flush before replicas
@@ -857,34 +812,13 @@ Status Fsd::MountDegradedLocked() {
     return remap;
   }
 
-  // Unclean volume: collect the committed log images. FsdLog::Recover is
-  // read-only, so this is safe on damaged media; if the log itself is
-  // unreadable the mount continues with whatever the home copies hold.
+  // Unclean volume: collect the committed log images (the VAM is not
+  // reconstructed in this mode). FsdLog::Recover is read-only, so this is
+  // safe on damaged media; if the log itself is unreadable the mount
+  // continues with whatever the home copies hold.
   std::map<sim::Lba, PageImage> replay;
   if (!clean) {
-    const Status recovered = log_->Recover(
-        [&](std::uint64_t, const std::vector<PageImage>& pages) {
-          for (const PageImage& page : pages) {
-            switch (page.kind) {
-              case PageKind::kTombstone:
-                replay.erase(MapNt(page.primary));
-                break;
-              case PageKind::kVamDelta:
-                break;  // the VAM is not reconstructed in degraded mode
-              case PageKind::kPage: {
-                PageImage mapped = page;
-                mapped.primary = MapNt(page.primary);
-                if (page.secondary != kNoLba) {
-                  mapped.secondary = MapNt(page.secondary);
-                }
-                replay[mapped.primary] = std::move(mapped);
-                break;
-              }
-            }
-          }
-          return OkStatus();
-        },
-        boot_count_);
+    const Status recovered = CollectReplay(&replay, /*deltas=*/nullptr);
     if (recovered.code() == ErrorCode::kDeviceCrashed) {
       return recovered;
     }
@@ -908,31 +842,18 @@ Status Fsd::MountDegradedLocked() {
     NoteUnrepairable("name-table preload failed: " + preload.message());
   }
   for (const auto& [lba, page] : replay) {
-    std::uint32_t key = 0;
-    bool is_leader = false;
-    sim::Lba home = lba;
-    if (!IsNtHome(home)) {
-      // A spare, or a leader. Reverse-map spares to their original home.
-      std::lock_guard<std::mutex> lock(remap_mu_);
-      bool spare = false;
-      for (const auto& [orig, target] : nt_remap_) {
-        if (target == lba) {
-          home = orig;
-          spare = true;
-          break;
-        }
+    // A name-table home, a spare (mapped back to its original home), or a
+    // leader.
+    const std::optional<sim::Lba> home =
+        IsNtHome(lba) ? std::optional<sim::Lba>(lba) : RemapOrigin(lba);
+    const bool is_leader = !home.has_value();
+    std::uint32_t key = kLeaderKeyBit | static_cast<std::uint32_t>(lba);
+    if (!is_leader) {
+      if (*home < layout_.nta_base ||
+          *home >= layout_.nta_base + config_.nt_pages) {
+        continue;  // a replica-home image; the primary image covers the page
       }
-      if (!spare) {
-        is_leader = true;
-      }
-    }
-    if (is_leader) {
-      key = kLeaderKeyBit | lba;
-    } else if (home >= layout_.nta_base &&
-               home < layout_.nta_base + config_.nt_pages) {
-      key = home - layout_.nta_base;
-    } else {
-      continue;  // a replica-home image; the primary image covers the page
+      key = static_cast<std::uint32_t>(*home - layout_.nta_base);
     }
     cache_.Upsert(key, [&](cache::Frame& frame, bool) {
       frame.data = page.data;
@@ -950,6 +871,51 @@ Status Fsd::MountDegradedLocked() {
   last_force_.store(disk_->clock().now(), std::memory_order_relaxed);
   mounted_ = true;
   return OkStatus();
+}
+
+Status Fsd::CollectReplay(
+    std::map<sim::Lba, PageImage>* replay,
+    std::vector<std::pair<std::uint64_t, VamDelta>>* deltas) {
+  // Later images supersede earlier ones and tombstones cancel queued leader
+  // writes, so everything is collected before anything is written. Known
+  // edge: a record carrying a spare LBA whose mapping later moved to a
+  // different spare is not renormalized.
+  return log_->Recover(
+      [&](std::uint64_t lsn, const std::vector<PageImage>& pages) {
+        for (const PageImage& page : pages) {
+          switch (page.kind) {
+            case PageKind::kTombstone:
+              replay->erase(MapNt(page.primary));
+              break;
+            case PageKind::kVamDelta: {
+              if (deltas == nullptr) {
+                break;
+              }
+              std::vector<VamDelta> parsed;
+              CEDAR_RETURN_IF_ERROR(ParseDeltas(page.data, &parsed));
+              for (const VamDelta& delta : parsed) {
+                deltas->emplace_back(lsn, delta);
+              }
+              break;
+            }
+            case PageKind::kPage: {
+              PageImage mapped = page;
+              mapped.primary = MapNt(page.primary);
+              if (page.secondary != kNoLba) {
+                mapped.secondary = MapNt(page.secondary);
+                std::uint32_t seq = 0;
+                if (NtStore::ParseTrailer(mapped.data, &seq)) {
+                  nt_store_->MergeSeq(seq);
+                }
+              }
+              (*replay)[mapped.primary] = std::move(mapped);
+              break;
+            }
+          }
+        }
+        return OkStatus();
+      },
+      boot_count_);
 }
 
 Status Fsd::PreloadNameTable(NtImages* winners) {
@@ -992,34 +958,12 @@ Status Fsd::PreloadNameTable(NtImages* winners) {
       chunk.sink->push_back(chunk.off + b);
     }
   }
-  std::unordered_set<std::uint32_t> bad_a_set(bad_a.begin(), bad_a.end());
-  std::unordered_set<std::uint32_t> bad_b_set(bad_b.begin(), bad_b.end());
-  // The sweep read the (possibly dead) original home sectors; patch in the
-  // spare contents for every remapped home.
-  auto patch_remapped = [&](std::vector<std::uint8_t>& region, sim::Lba base,
-                            std::unordered_set<std::uint32_t>& bad_set) {
-    for (std::uint32_t pid = 0; pid < n; ++pid) {
-      const sim::Lba home = base + pid;
-      const sim::Lba mapped = MapNt(home);
-      if (mapped == home) {
-        continue;
-      }
-      auto slot = std::span<std::uint8_t>(region).subspan(
-          static_cast<std::size_t>(pid) * 512, 512);
-      bad_set.erase(pid);
-      std::vector<std::uint32_t> spare_bad;
-      const Status spare = ReadWithRetry(mapped, slot, &spare_bad);
-      if (spare.code() == ErrorCode::kDeviceCrashed) {
-        return spare;
-      }
-      if (!spare.ok() || !spare_bad.empty()) {
-        bad_set.insert(pid);
-      }
-    }
-    return OkStatus();
-  };
-  CEDAR_RETURN_IF_ERROR(patch_remapped(region_a, layout_.nta_base, bad_a_set));
-  CEDAR_RETURN_IF_ERROR(patch_remapped(region_b, layout_.ntb_base, bad_b_set));
+  CEDAR_RETURN_IF_ERROR(PatchRemapped(layout_.nta_base, n, region_a, &bad_a));
+  CEDAR_RETURN_IF_ERROR(PatchRemapped(layout_.ntb_base, n, region_b, &bad_b));
+  const std::unordered_set<std::uint32_t> bad_a_set(bad_a.begin(),
+                                                    bad_a.end());
+  const std::unordered_set<std::uint32_t> bad_b_set(bad_b.begin(),
+                                                    bad_b.end());
   HomeBatch repairs(disk_, config_.durability.batched_writeback);
   const bool degraded = degraded_.load(std::memory_order_relaxed);
   // Region A's buffer doubles as the winners: a winning B copy is copied
@@ -1030,35 +974,20 @@ Status Fsd::PreloadNameTable(NtImages* winners) {
         static_cast<std::size_t>(pid) * 512, 512);
     auto b = std::span<const std::uint8_t>(region_b)
                  .subspan(static_cast<std::size_t>(pid) * 512, 512);
-    std::uint32_t seq_a = 0;
-    std::uint32_t seq_b = 0;
-    const bool readable_a = !bad_a_set.contains(pid);
-    const bool readable_b = !bad_b_set.contains(pid);
-    const bool ok_a = readable_a && NtStore::ParseTrailer(a, &seq_a);
-    const bool ok_b = readable_b && NtStore::ParseTrailer(b, &seq_b);
-    if (!ok_a && !ok_b) {
+    const NtVote vote =
+        VoteNtCopies(a, !bad_a_set.contains(pid), b, !bad_b_set.contains(pid),
+                     /*read_b=*/true, c_.corruption_detected);
+    if (!vote.any()) {
       continue;  // free page, or a loss the per-page read path will report
     }
-    if (readable_a && !ok_a) {
-      c_.corruption_detected->Increment();
-    }
-    if (readable_b && !ok_b) {
-      c_.corruption_detected->Increment();
-    }
-    nt_store_->MergeSeq(std::max(ok_a ? seq_a : 0u, ok_b ? seq_b : 0u));
-    // Winner: newest valid copy; tie → primary (historical direction).
-    const bool b_wins = ok_b && (!ok_a || seq_b > seq_a);
-    const bool diverged =
-        !ok_a || !ok_b || !std::equal(a.begin(), a.end(), b.begin());
-    if (b_wins) {
+    nt_store_->MergeSeq(vote.seq);
+    if (vote.b_wins) {
       std::copy(b.begin(), b.end(), a.begin());
     }
     const std::span<const std::uint8_t> good = a;
     present[pid] = true;
-    if (diverged && !degraded) {
-      const sim::Lba loser_home =
-          b_wins ? layout_.nta_base + pid : layout_.ntb_base + pid;
-      repairs.QueueWrite(MapNt(loser_home), good);
+    if (vote.diverged && !degraded) {
+      repairs.QueueWrite(MapNt(NtLoserHome(vote, pid)), good);
       c_.nt_repairs->Increment();
       c_.repairs->Increment();
     }
@@ -1143,15 +1072,48 @@ Status Fsd::FlushHomeBatch(HomeBatch& batch) {
   return OkStatus();
 }
 
-bool Fsd::NtTrailerValid(std::span<const std::uint8_t> sector,
-                         std::uint32_t* seq) {
-  return NtStore::ParseTrailer(sector, seq);
-}
-
 sim::Lba Fsd::MapNt(sim::Lba lba) const {
   std::lock_guard<std::mutex> lock(remap_mu_);
   const auto it = nt_remap_.find(lba);
   return it == nt_remap_.end() ? lba : it->second;
+}
+
+std::optional<sim::Lba> Fsd::RemapOrigin(sim::Lba spare) const {
+  std::lock_guard<std::mutex> lock(remap_mu_);
+  for (const auto& [orig, target] : nt_remap_) {
+    if (target == spare) {
+      return orig;
+    }
+  }
+  return std::nullopt;
+}
+
+Status Fsd::PatchRemapped(sim::Lba base, std::uint32_t count,
+                          std::span<std::uint8_t> buf,
+                          std::vector<std::uint32_t>* bad) {
+  std::vector<std::pair<sim::Lba, sim::Lba>> moved;
+  {
+    std::lock_guard<std::mutex> lock(remap_mu_);
+    for (auto it = nt_remap_.lower_bound(base);
+         it != nt_remap_.end() && it->first < base + count; ++it) {
+      moved.push_back(*it);
+    }
+  }
+  for (const auto& [home, spare] : moved) {
+    const auto i = static_cast<std::uint32_t>(home - base);
+    bad->erase(std::remove(bad->begin(), bad->end(), i), bad->end());
+    std::vector<std::uint32_t> spare_bad;
+    const Status read = ReadWithRetry(
+        spare, buf.subspan(static_cast<std::size_t>(i) * 512, 512),
+        &spare_bad);
+    if (read.code() == ErrorCode::kDeviceCrashed) {
+      return read;
+    }
+    if (!read.ok() || !spare_bad.empty()) {
+      bad->push_back(i);
+    }
+  }
+  return OkStatus();
 }
 
 bool Fsd::IsNtHome(sim::Lba lba) const {
@@ -1167,20 +1129,10 @@ Status Fsd::RemapNtSector(sim::Lba from, std::span<const std::uint8_t> image) {
   const sim::Lba spare_low = layout_.remap_base + FsdLayout::kRemapDirCopies;
   const sim::Lba spare_high = layout_.remap_base + layout_.remap_sectors;
   for (sim::Lba spare = spare_low; spare < spare_high; ++spare) {
-    bool in_use = false;
-    {
-      std::lock_guard<std::mutex> lock(remap_mu_);
-      for (const auto& [orig, target] : nt_remap_) {
-        // A spare already serving any mapping is off limits — including
-        // `from`'s own current spare, which is exactly the sector that just
-        // failed when a remap moves.
-        if (target == spare) {
-          in_use = true;
-          break;
-        }
-      }
-    }
-    if (in_use) {
+    // A spare already serving any mapping is off limits — including
+    // `from`'s own current spare, which is exactly the sector that just
+    // failed when a remap moves.
+    if (RemapOrigin(spare).has_value()) {
       continue;
     }
     const Status wrote = disk_->Write(spare, image);
@@ -1213,17 +1165,7 @@ Status Fsd::RetryHomeWrite(sim::Lba lba, std::span<const std::uint8_t> image) {
     return RemapNtSector(lba, image);
   }
   // A spare serving a remapped home can itself go bad; move the mapping.
-  std::optional<sim::Lba> original;
-  {
-    std::lock_guard<std::mutex> lock(remap_mu_);
-    for (const auto& [orig, target] : nt_remap_) {
-      if (target == lba) {
-        original = orig;
-        break;
-      }
-    }
-  }
-  if (original.has_value()) {
+  if (const std::optional<sim::Lba> original = RemapOrigin(lba)) {
     return RemapNtSector(*original, image);
   }
   // A leader page: reconstructible from its name-table entry, so the loss
@@ -2646,48 +2588,33 @@ Result<Fsd::ScrubReport> Fsd::ScrubLocked() {
     std::vector<btree::PageId> live;
     CEDAR_RETURN_IF_ERROR(tree_->CollectPages(&live));
     for (btree::PageId pid : live) {
-      std::array<std::uint8_t, 512> a{};
-      std::array<std::uint8_t, 512> b{};
-      std::uint32_t seq_a = 0;
-      std::uint32_t seq_b = 0;
-      std::vector<std::uint32_t> bad;
-      const Status ra = ReadWithRetry(MapNt(layout_.nta_base + pid), a, &bad);
-      if (ra.code() == ErrorCode::kDeviceCrashed) {
-        return ra;
+      std::array<std::array<std::uint8_t, 512>, 2> copy{};
+      std::array<bool, 2> readable{};
+      for (int c = 0; c < 2; ++c) {
+        const sim::Lba base = c == 0 ? layout_.nta_base : layout_.ntb_base;
+        std::vector<std::uint32_t> bad;
+        const Status read = ReadWithRetry(MapNt(base + pid), copy[c], &bad);
+        if (read.code() == ErrorCode::kDeviceCrashed) {
+          return read;
+        }
+        readable[c] = read.ok() && bad.empty();
       }
-      const bool readable_a = ra.ok() && bad.empty();
-      bad.clear();
-      const Status rb = ReadWithRetry(MapNt(layout_.ntb_base + pid), b, &bad);
-      if (rb.code() == ErrorCode::kDeviceCrashed) {
-        return rb;
-      }
-      const bool readable_b = rb.ok() && bad.empty();
       ChargeSectors(2);
-      const bool ok_a = readable_a && NtStore::ParseTrailer(a, &seq_a);
-      const bool ok_b = readable_b && NtStore::ParseTrailer(b, &seq_b);
-      if (!ok_a && !ok_b) {
+      const NtVote vote =
+          VoteNtCopies(copy[0], readable[0], copy[1], readable[1],
+                       /*read_b=*/true, c_.corruption_detected);
+      if (!vote.any()) {
         NoteLostNtPage(pid);
         ++report.unrepairable;
         c_.scrub_unrepairable->Increment();
         continue;
       }
-      if (readable_a && !ok_a) {
-        c_.corruption_detected->Increment();
-      }
-      if (readable_b && !ok_b) {
-        c_.corruption_detected->Increment();
-      }
-      const bool diverged =
-          !ok_a || !ok_b || !std::equal(a.begin(), a.end(), b.begin());
-      if (!diverged) {
+      if (!vote.diverged) {
         continue;
       }
-      const bool b_wins = ok_b && (!ok_a || seq_b > seq_a);
-      const auto good = std::span<const std::uint8_t>(b_wins ? b : a);
-      const sim::Lba loser_home =
-          b_wins ? layout_.nta_base + pid : layout_.ntb_base + pid;
       const std::uint64_t remaps_before = c_.remaps->value();
-      const Status fixed = RetryHomeWrite(MapNt(loser_home), good);
+      const Status fixed = RetryHomeWrite(MapNt(NtLoserHome(vote, pid)),
+                                          copy[vote.b_wins ? 1 : 0]);
       if (fixed.code() == ErrorCode::kDeviceCrashed) {
         return fixed;
       }

@@ -261,6 +261,34 @@ class Fsd : public fs::FileSystem {
   // LBA with the top bit set.
   static constexpr std::uint32_t kLeaderKeyBit = 0x80000000u;
 
+  // Bounded retry for soft (transient) read errors: ReadWithRetry reissues
+  // a kReadTransient read up to this many times (each counted in
+  // fsd.read_retries) before it surfaces the error.
+  static constexpr std::uint32_t kReadRetryLimit = 3;
+
+  // The one election between a name-table page's two home copies (DESIGN.md
+  // section 4h), shared by the miss path, the mount sweep, scrub and fsck.
+  // `a` is the primary's sector and `b` the replica's; readable_* says the
+  // device returned the sector; read_b is false when the caller never read
+  // the replica. A copy is ok when readable with a valid CRC trailer. The
+  // winner is the ok copy with the higher write sequence, the primary on a
+  // tie; seq is the higher ok sequence (for the clock's max-merge), and
+  // diverged says the replica was read and the loser must be rewritten
+  // from the winner. A readable copy whose CRC fails while the other copy
+  // is ok is silent corruption caught, counted in *corruption (when
+  // non-null).
+  struct NtVote {
+    bool ok_a = false;
+    bool ok_b = false;
+    bool b_wins = false;
+    std::uint32_t seq = 0;
+    bool diverged = false;
+    bool any() const { return ok_a || ok_b; }
+  };
+  static NtVote VoteNtCopies(std::span<const std::uint8_t> a, bool readable_a,
+                             std::span<const std::uint8_t> b, bool readable_b,
+                             bool read_b, obs::Counter* corruption);
+
   // The page cache's classifier: a name-table frame holding a B-tree
   // interior node. Leader frames are never interior, whatever their bytes.
   static bool IsInteriorFrame(std::uint32_t key,
@@ -495,13 +523,22 @@ class Fsd : public fs::FileSystem {
   // force capture time, so log records carry post-remap addresses and
   // recovery replay is self-contained).
   sim::Lba MapNt(sim::Lba lba) const;
+  // The reverse lookup: the original home `spare` currently serves, or
+  // nullopt when no mapping targets it.
+  std::optional<sim::Lba> RemapOrigin(sim::Lba spare) const;
   // True if `lba` is inside either name-table home region.
   bool IsNtHome(sim::Lba lba) const;
-  // Validates a composed name-table home sector's CRC trailer (delegates to
-  // the NtStore; lets fsck.cc check trailers without the class definition).
-  // On success stores the write sequence in *seq when non-null.
-  static bool NtTrailerValid(std::span<const std::uint8_t> sector,
-                             std::uint32_t* seq);
+  // The (unmapped) home of the copy `vote` lost, for page `pid`.
+  sim::Lba NtLoserHome(const NtVote& vote, std::uint32_t pid) const {
+    return (vote.b_wins ? layout_.nta_base : layout_.ntb_base) + pid;
+  }
+  // The remap patch: a bulk read of homes [base, base + count) saw the dead
+  // originals of remapped sectors, so each one is re-read from its spare
+  // into its 512-byte slot of `buf`, and `bad` (slot indexes) is updated to
+  // what the spare read returned.
+  Status PatchRemapped(sim::Lba base, std::uint32_t count,
+                       std::span<std::uint8_t> buf,
+                       std::vector<std::uint32_t>* bad);
   // Durably remaps the (original) name-table home `from` to a fresh spare
   // and writes `image` there. Fails when the spare pool is exhausted or the
   // directory cannot be persisted.
@@ -540,6 +577,17 @@ class Fsd : public fs::FileSystem {
 
   Status WriteVolumeRoot(bool clean);
   Status ReadVolumeRoot(bool* clean);
+  // The one log-replay collector of both mounts: the committed images of an
+  // unclean volume, keyed on their remapped home so a record captured
+  // before a remap and one captured after collapse to one page (LSN order
+  // keeps the newest); a tombstone cancels its leader's image, and every
+  // name-table image's trailer sequence is merged into the clock. VAM delta
+  // pages are parsed into *deltas, with their record LSNs, only when
+  // `deltas` is non-null: the degraded mount passes null, so a damaged
+  // delta page cannot void its replay.
+  Status CollectReplay(
+      std::map<sim::Lba, PageImage>* replay,
+      std::vector<std::pair<std::uint64_t, VamDelta>>* deltas);
   Status RebuildVolatileState();  // VAM + name-table page map from the tree
   // The elected winner of every name-table page, in page order: page p's
   // 512-byte sector sits at sectors[p * 512] when present[p]; present[p] is

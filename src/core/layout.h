@@ -108,10 +108,6 @@ struct FsdConfig {
     // behavior in hash-map order — the unbatched baseline bench_flush
     // measures against.
     bool batched_writeback = true;
-    // Bounded retry for soft (transient) read errors: a sector read that
-    // fails with kReadTransient is reissued up to this many times before
-    // the error is surfaced. Each retry bumps the fsd.read_retries counter.
-    std::uint32_t read_retry_limit = 3;
   };
   Durability durability;
 

@@ -35,7 +35,6 @@ struct RigConfig {
   sim::DiskGeometry geometry;  // per member
   sim::DiskTimingParams timing;
   core::FsdConfig fsd;
-  RouterConfig router;
 };
 
 class ScaleoutRig {
@@ -64,7 +63,7 @@ class ScaleoutRig {
       CEDAR_CHECK_OK(volume->fsd->Format());
       mounted.push_back(volume->fsd.get());
     }
-    router_.emplace(std::move(mounted), config.router);
+    router_.emplace(std::move(mounted));
   }
 
   VolumeRouter& router() { return *router_; }

@@ -7,30 +7,14 @@
 
 namespace cedar::vol {
 
-VolumeRouter::VolumeRouter(std::vector<fs::FileSystem*> volumes,
-                           RouterConfig config)
-    : volumes_(std::move(volumes)), config_(config) {
+VolumeRouter::VolumeRouter(std::vector<fs::FileSystem*> volumes)
+    : volumes_(std::move(volumes)) {
   CEDAR_CHECK(!volumes_.empty() && volumes_.size() <= kMaxVolumes);
   for (fs::FileSystem* volume : volumes_) {
     CEDAR_CHECK(volume != nullptr);
   }
   c_local_renames_ = metrics_.GetCounter("router.local_renames");
   c_cross_renames_ = metrics_.GetCounter("router.cross_renames");
-  c_async_renames_ = metrics_.GetCounter("router.async_renames");
-  if (config_.async_rename) {
-    worker_ = std::thread([this] { WorkerLoop(); });
-  }
-}
-
-VolumeRouter::~VolumeRouter() {
-  if (worker_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(rename_mu_);
-      stopping_ = true;
-    }
-    rename_cv_.notify_all();
-    worker_.join();
-  }
 }
 
 fs::FileSystem& VolumeRouter::Unwrap(const fs::FileHandle& file,
@@ -45,12 +29,10 @@ fs::FileSystem& VolumeRouter::Unwrap(const fs::FileHandle& file,
 
 Result<fs::FileUid> VolumeRouter::CreateFile(
     std::string_view name, std::span<const std::uint8_t> contents) {
-  WaitForName(name);
   return Route(name).CreateFile(name, contents);
 }
 
 Result<fs::FileHandle> VolumeRouter::Open(std::string_view name) {
-  WaitForName(name);
   const std::size_t index = VolumeOf(name, volumes_.size());
   Result<fs::FileHandle> opened = volumes_[index]->Open(name);
   if (!opened.ok()) {
@@ -82,14 +64,10 @@ Status VolumeRouter::Extend(const fs::FileHandle& file, std::uint64_t bytes) {
 }
 
 Status VolumeRouter::DeleteFile(std::string_view name) {
-  WaitForName(name);
   return Route(name).DeleteFile(name);
 }
 
 Result<std::vector<fs::FileInfo>> VolumeRouter::List(std::string_view prefix) {
-  // A prefix can match names on any volume, including ones still moving;
-  // drain the whole rename queue rather than guessing which jobs matter.
-  CEDAR_RETURN_IF_ERROR(DrainRenames());
   std::vector<fs::FileInfo> merged;
   for (fs::FileSystem* volume : volumes_) {
     Result<std::vector<fs::FileInfo>> part = volume->List(prefix);
@@ -107,12 +85,10 @@ Result<std::vector<fs::FileInfo>> VolumeRouter::List(std::string_view prefix) {
 }
 
 Status VolumeRouter::Touch(std::string_view name) {
-  WaitForName(name);
   return Route(name).Touch(name);
 }
 
 Status VolumeRouter::SetKeep(std::string_view name, std::uint16_t keep) {
-  WaitForName(name);
   return Route(name).SetKeep(name, keep);
 }
 
@@ -122,8 +98,6 @@ Status VolumeRouter::Close(const fs::FileHandle& file) {
 }
 
 Status VolumeRouter::Rename(std::string_view from, std::string_view to) {
-  WaitForName(from);
-  WaitForName(to);
   const std::size_t src = VolumeOf(from, volumes_.size());
   const std::size_t dst = VolumeOf(to, volumes_.size());
   if (src == dst) {
@@ -131,28 +105,17 @@ Status VolumeRouter::Rename(std::string_view from, std::string_view to) {
     return volumes_[src]->Rename(from, to);
   }
   c_cross_renames_->Increment();
-  RenameJob job{.from = std::string(from), .to = std::string(to),
-                .src = src, .dst = dst};
-  if (!config_.async_rename) {
-    return ExecuteRename(job);
-  }
-  c_async_renames_->Increment();
-  {
-    std::lock_guard<std::mutex> lock(rename_mu_);
-    jobs_.push_back(std::move(job));
-  }
-  rename_cv_.notify_all();
-  return OkStatus();
+  return MoveAcrossVolumes(*volumes_[src], from, *volumes_[dst], to);
 }
 
-Status VolumeRouter::ExecuteRename(const RenameJob& job) {
-  fs::FileSystem& src = *volumes_[job.src];
-  fs::FileSystem& dst = *volumes_[job.dst];
-
+Status VolumeRouter::MoveAcrossVolumes(fs::FileSystem& src,
+                                       std::string_view from,
+                                       fs::FileSystem& dst,
+                                       std::string_view to) {
   // Step 1: copy to the destination and force its log. Properties (keep)
   // travel with the file; create/setkeep are one committed group from the
   // destination volume's point of view once the force returns.
-  Result<fs::FileHandle> opened = src.Open(job.from);
+  Result<fs::FileHandle> opened = src.Open(from);
   if (!opened.ok()) {
     return opened.status();
   }
@@ -165,92 +128,44 @@ Status VolumeRouter::ExecuteRename(const RenameJob& job) {
     }
   }
   std::uint16_t keep = 0;
-  if (Result<std::vector<fs::FileInfo>> infos = src.List(job.from);
+  if (Result<std::vector<fs::FileInfo>> infos = src.List(from);
       infos.ok()) {
     for (const fs::FileInfo& info : *infos) {
-      if (info.name == job.from) {
+      if (info.name == from) {
         keep = info.keep;
       }
     }
   }
   (void)src.Close(*opened);
-  Result<fs::FileUid> created = dst.CreateFile(job.to, contents);
+  Result<fs::FileUid> created = dst.CreateFile(to, contents);
   if (!created.ok()) {
     return created.status();
   }
   if (keep != 0) {
-    CEDAR_RETURN_IF_ERROR(dst.SetKeep(job.to, keep));
+    CEDAR_RETURN_IF_ERROR(dst.SetKeep(to, keep));
   }
   CEDAR_RETURN_IF_ERROR(dst.Force());
 
   // Step 2: delete the source name and force. A crash before this point
   // leaves the file under both names — duplicated, never lost; recovery on
   // each volume is local and ordinary.
-  CEDAR_RETURN_IF_ERROR(src.DeleteFile(job.from));
+  CEDAR_RETURN_IF_ERROR(src.DeleteFile(from));
   return src.Force();
 }
 
-void VolumeRouter::WaitForName(std::string_view name) {
-  if (!config_.async_rename) {
-    return;
-  }
-  std::unique_lock<std::mutex> lock(rename_mu_);
-  rename_cv_.wait(lock, [&] {
-    for (const RenameJob& job : jobs_) {
-      if (job.from == name || job.to == name) {
-        return false;
-      }
-    }
-    return true;
-  });
-}
-
-Status VolumeRouter::DrainRenames() {
-  if (!config_.async_rename) {
-    return OkStatus();
-  }
-  std::unique_lock<std::mutex> lock(rename_mu_);
-  rename_cv_.wait(lock, [&] { return jobs_.empty(); });
-  Status deferred = deferred_error_;
-  deferred_error_ = OkStatus();
-  return deferred;
-}
-
-void VolumeRouter::WorkerLoop() {
-  std::unique_lock<std::mutex> lock(rename_mu_);
-  while (true) {
-    rename_cv_.wait(lock, [&] { return !jobs_.empty() || stopping_; });
-    if (jobs_.empty()) {
-      break;  // stopping, queue drained
-    }
-    // The job stays at the front of the queue while it runs, so per-name
-    // waiters keep blocking until it has fully completed (FIFO = the
-    // dependency order renames were issued in).
-    const RenameJob job = jobs_.front();
-    lock.unlock();
-    const Status status = ExecuteRename(job);
-    lock.lock();
-    jobs_.pop_front();
-    if (!status.ok() && deferred_error_.ok()) {
-      deferred_error_ = status;
-    }
-    rename_cv_.notify_all();
-  }
-}
-
 Status VolumeRouter::Force() {
-  Status deferred = DrainRenames();
+  Status result;
   for (fs::FileSystem* volume : volumes_) {
     const Status status = volume->Force();
-    if (!status.ok() && deferred.ok()) {
-      deferred = status;
+    if (!status.ok() && result.ok()) {
+      result = status;
     }
   }
-  return deferred;
+  return result;
 }
 
 Status VolumeRouter::Shutdown() {
-  Status result = DrainRenames();
+  Status result;
   for (fs::FileSystem* volume : volumes_) {
     const Status status = volume->Shutdown();
     if (!status.ok() && result.ok()) {

@@ -25,22 +25,15 @@
 // A crash between the steps leaves both names present — duplicate, never
 // lost — and each volume's own recovery makes its step atomic, so the
 // durability oracle and Fsck stay clean on both volumes (the crash harness
-// exercises exactly this cut). With `async_rename` the two-step runs on a
-// background worker; dependency ordering is preserved by draining, before
-// any routed operation, every queued rename that involves the operation's
-// name (and Force/Shutdown/List drain the whole queue). Deferred errors
-// surface at the next Force, like fsync.
+// exercises exactly this cut). The two-step runs on the caller's thread, so
+// Rename returns its status and every later operation sees its result.
 
 #ifndef CEDAR_VOLUME_ROUTER_H_
 #define CEDAR_VOLUME_ROUTER_H_
 
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <mutex>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "src/core/fsd.h"
@@ -50,12 +43,6 @@
 
 namespace cedar::vol {
 
-struct RouterConfig {
-  // Run cross-volume renames on a background worker thread instead of
-  // inline. Completion (and any error) is observable at the next Force().
-  bool async_rename = false;
-};
-
 class VolumeRouter : public fs::FileSystem {
  public:
   static constexpr std::size_t kMaxVolumes = 16;  // 4 uid bits
@@ -63,9 +50,7 @@ class VolumeRouter : public fs::FileSystem {
   // `volumes` are borrowed, fully mounted file systems (normally core::Fsd
   // instances — each with its own device and daemons); the router adds the
   // namespace partition on top. Count must be in [1, kMaxVolumes].
-  explicit VolumeRouter(std::vector<fs::FileSystem*> volumes,
-                        RouterConfig config = {});
-  ~VolumeRouter() override;
+  explicit VolumeRouter(std::vector<fs::FileSystem*> volumes);
 
   // Which volume owns `name`: FSD's 16-way shard key folded onto N volumes,
   // so the name -> shard -> volume map is stable as N varies over the
@@ -100,19 +85,7 @@ class VolumeRouter : public fs::FileSystem {
   fs::HealthStats Health() override;
   const obs::MetricsRegistry& Metrics() const override { return metrics_; }
 
-  // Waits until every queued cross-volume rename has completed and returns
-  // the first deferred error (clearing it). A no-op in sync mode.
-  Status DrainRenames();
-
  private:
-  struct RenameJob {
-    std::string from;
-    std::string to;
-    std::size_t src = 0;
-    std::size_t dst = 0;
-    bool done = false;
-  };
-
   fs::FileSystem& Route(std::string_view name) {
     return *volumes_[VolumeOf(name, volumes_.size())];
   }
@@ -120,32 +93,15 @@ class VolumeRouter : public fs::FileSystem {
   fs::FileSystem& Unwrap(const fs::FileHandle& file,
                          fs::FileHandle* local) const;
 
-  // Executes the two-step copy+delete for one job. Called by the worker
-  // (async) or inline (sync); never holds rename_mu_.
-  Status ExecuteRename(const RenameJob& job);
-
-  // Blocks until no queued job involves `name` (dependency ordering: an
-  // operation on a name must observe every rename that precedes it).
-  void WaitForName(std::string_view name);
-  void WorkerLoop();
+  // The two-step copy+delete of one cross-volume rename.
+  static Status MoveAcrossVolumes(fs::FileSystem& src, std::string_view from,
+                                  fs::FileSystem& dst, std::string_view to);
 
   std::vector<fs::FileSystem*> volumes_;
-  RouterConfig config_;
 
   obs::MetricsRegistry metrics_;
   obs::Counter* c_local_renames_ = nullptr;
   obs::Counter* c_cross_renames_ = nullptr;
-  obs::Counter* c_async_renames_ = nullptr;
-
-  // Async-rename state. jobs_ holds queued-but-unfinished jobs; the worker
-  // pops work in FIFO order (which is what makes the per-name drain a
-  // dependency barrier, not just a flush).
-  mutable std::mutex rename_mu_;
-  std::condition_variable rename_cv_;
-  std::deque<RenameJob> jobs_;
-  Status deferred_error_;
-  bool stopping_ = false;
-  std::thread worker_;
 };
 
 }  // namespace cedar::vol

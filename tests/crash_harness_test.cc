@@ -252,14 +252,14 @@ TEST(TransientReadErrorTest, ExhaustedRetriesSurfaceTheError) {
     ASSERT_TRUE(fsd.Format().ok());
     ASSERT_TRUE(fsd.Shutdown().ok());
   }
-  // More failures than 1 + read_retry_limit attempts: the error surfaces.
+  // More failures than 1 + kReadRetryLimit attempts: the error surfaces.
   disk.InjectTransientReadError(/*lba=*/0, /*failures=*/10);
   Fsd fsd(&disk, SmallConfig());
   Status mounted = fsd.Mount();
   ASSERT_FALSE(mounted.ok());
   EXPECT_EQ(mounted.code(), ErrorCode::kReadTransient);
   EXPECT_EQ(fsd.SnapshotMetrics().CounterValue("fsd.read_retries"),
-            SmallConfig().durability.read_retry_limit);
+            Fsd::kReadRetryLimit);
 }
 
 // ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 // durable bad-sector remapping to spares, lying-write divergence arbitration
 // by write sequence, bounded-retry exhaustion attribution, the degraded
 // read-only mount, and the scrub patrol's healed/remapped/unrepairable
-// accounting. Companion to sim_fault_test.cc (device model) and the
-// faultcampaign tool (randomized end-to-end sweeps).
+// accounting, and the A/B copy vote all of these paths share. Companion to
+// sim_fault_test.cc (device model) and the faultcampaign tool (randomized
+// end-to-end sweeps).
 
 #include <gtest/gtest.h>
 
@@ -13,9 +14,11 @@
 #include <vector>
 
 #include "src/core/fsd.h"
+#include "src/obs/metrics.h"
 #include "src/sim/clock.h"
 #include "src/sim/disk.h"
 #include "src/util/check.h"
+#include "src/util/crc32.h"
 
 namespace cedar {
 namespace {
@@ -302,6 +305,105 @@ TEST_F(FsdFaultTest, RootCopyReadFaultHealedOnMount) {
   EXPECT_FALSE(disk_.PersistentFault(root).has_value());
   ExpectReadable(fsd, "lib/m1");
   ASSERT_TRUE(fsd->Shutdown().ok());
+}
+
+// A root write that fails for good is attributed: the mount that cannot
+// mark the volume unclean fails with the device's error, and the degraded
+// mount that follows carries a note naming the volume root.
+TEST_F(FsdFaultTest, UnwritableRootIsAttributed) {
+  ASSERT_TRUE(fsd_->Shutdown().ok());
+  disk_.InjectPersistentFault(fsd_->layout().root_lba,
+                              sim::FaultMode::kWriteFail);
+  core::Fsd* fsd = Remake();
+  const Status mount = fsd->Mount();
+  EXPECT_EQ(mount.code(), ErrorCode::kSectorDamaged) << mount.message();
+  ASSERT_TRUE(fsd->MountDegraded().ok());
+  const fs::HealthStats health = fsd->Health();
+  bool named = false;
+  for (const std::string& note : health.notes) {
+    named = named || note.find("volume root unwritable") != std::string::npos;
+  }
+  EXPECT_TRUE(named) << "no note names the volume root";
+  EXPECT_GE(health.unrepairable, 1u);
+  ExpectReadable(fsd, "lib/m4");
+}
+
+// ---------------------------------------------------------------------------
+// The copy vote, over every combination of its inputs. The expectations
+// spell out the rule of DESIGN.md section 4h: a copy is ok when readable
+// (the replica only when read) with a valid CRC; the ok copy with the
+// higher write sequence wins and the primary wins a tie; the loser needs a
+// rewrite when the replica was read and the two sectors differ; a readable
+// copy with a bad CRC is corruption only when the other copy is ok.
+
+// A composed home sector: `fill` payload, sequence `seq`, CRC trailer
+// (broken when `crc_ok` is false).
+std::vector<std::uint8_t> NtSector(std::uint8_t fill, std::uint32_t seq,
+                                   bool crc_ok) {
+  std::vector<std::uint8_t> sector(512, fill);
+  auto put = [&](std::size_t at, std::uint32_t v) {
+    for (int i = 0; i < 4; ++i) {
+      sector[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+  };
+  put(504, seq);
+  put(508, Crc32(std::span<const std::uint8_t>(sector).subspan(0, 508)) ^
+               (crc_ok ? 0u : 1u));
+  return sector;
+}
+
+TEST(NtVoteTest, EveryInputCombination) {
+  int rows = 0;
+  for (int bits = 0; bits < 64; ++bits) {
+    const bool readable_a = bits & 1;
+    const bool readable_b = bits & 2;
+    const bool crc_a = bits & 4;
+    const bool crc_b = bits & 8;
+    const bool same_payload = bits & 16;
+    const bool read_b = bits & 32;
+    for (const std::uint32_t seq_b : {9u, 10u, 11u}) {
+      const std::uint32_t seq_a = 10;
+      const auto a = NtSector(0x5A, seq_a, crc_a);
+      const auto b = NtSector(same_payload ? 0x5A : 0xA5, seq_b, crc_b);
+      obs::Counter corruption;
+      const core::Fsd::NtVote vote = core::Fsd::VoteNtCopies(
+          a, readable_a, b, readable_b, read_b, &corruption);
+      ++rows;
+
+      const bool ok_a = readable_a && crc_a;
+      const bool ok_b = read_b && readable_b && crc_b;
+      SCOPED_TRACE(testing::Message()
+                   << "readable " << readable_a << readable_b << " crc "
+                   << crc_a << crc_b << " seq_b " << seq_b << " same "
+                   << same_payload << " read_b " << read_b);
+      EXPECT_EQ(vote.ok_a, ok_a);
+      EXPECT_EQ(vote.ok_b, ok_b);
+      if (!ok_a && !ok_b) {
+        EXPECT_FALSE(vote.any());
+        EXPECT_FALSE(vote.diverged);
+        EXPECT_EQ(corruption.value(), 0u);
+        continue;
+      }
+      ASSERT_TRUE(vote.any());
+      bool b_wins = !ok_a;
+      if (ok_a && ok_b) {
+        b_wins = seq_b > seq_a;  // a tie goes to the primary
+      }
+      EXPECT_EQ(vote.b_wins, b_wins);
+      EXPECT_EQ(vote.seq, b_wins ? seq_b : seq_a);
+      const bool identical = ok_a && ok_b && seq_a == seq_b && same_payload;
+      EXPECT_EQ(vote.diverged, read_b && !identical);
+      const bool corrupt_a = readable_a && !crc_a;
+      const bool corrupt_b = read_b && readable_b && !crc_b;
+      EXPECT_EQ(corruption.value(), (corrupt_a || corrupt_b) ? 1u : 0u);
+    }
+  }
+  EXPECT_EQ(rows, 192);
+  // A null counter is allowed (fsck votes without counting).
+  const auto good = NtSector(1, 4, true);
+  const auto bad = NtSector(1, 4, false);
+  EXPECT_TRUE(
+      core::Fsd::VoteNtCopies(bad, true, good, true, true, nullptr).b_wins);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 // VolumeRouter: shard routing, stateless handle encoding, merged listing,
-// same-volume and cross-volume rename (sync and async), and an FSD volume
+// same-volume and cross-volume rename, and an FSD volume
 // running end-to-end on a striped DiskArray.
 
 #include <gtest/gtest.h>
@@ -185,7 +185,6 @@ TEST(VolumeRouterTest, CrossVolumeRenameMovesContentsAndProperties) {
 
   const auto snapshot = rig.router().Metrics().Snapshot();
   EXPECT_EQ(snapshot.CounterValue("router.cross_renames"), 1u);
-  EXPECT_EQ(snapshot.CounterValue("router.async_renames"), 0u);
 }
 
 TEST(VolumeRouterTest, RenameOfMissingFileFails) {
@@ -193,45 +192,8 @@ TEST(VolumeRouterTest, RenameOfMissingFileFails) {
   EXPECT_FALSE(rig.router().Rename("nope/src", "nope/dst").ok());
 }
 
-TEST(VolumeRouterTest, AsyncRenameOrdersDependentOperations) {
-  RigConfig config = SmallRig(4);
-  config.router.async_rename = true;
-  ScaleoutRig rig(config);
-  const auto [from, to] = CrossVolumePair(4);
-  const auto contents = Bytes(900, 5);
-  ASSERT_TRUE(rig.router().CreateFile(from, contents).ok());
-
-  ASSERT_TRUE(rig.router().Rename(from, to).ok());  // queued, not yet done
-  // An immediate operation on either name must observe the rename: the
-  // router blocks it until the queued job involving that name completes.
-  auto handle = rig.router().Open(to);
-  ASSERT_TRUE(handle.ok());
-  std::vector<std::uint8_t> out(contents.size());
-  ASSERT_TRUE(rig.router().Read(*handle, 0, out).ok());
-  EXPECT_EQ(out, contents);
-  EXPECT_FALSE(rig.router().Open(from).ok());
-
-  ASSERT_TRUE(rig.router().Force().ok());
-  const auto snapshot = rig.router().Metrics().Snapshot();
-  EXPECT_EQ(snapshot.CounterValue("router.async_renames"), 1u);
-}
-
-TEST(VolumeRouterTest, AsyncRenameDefersErrorsToForce) {
-  RigConfig config = SmallRig(4);
-  config.router.async_rename = true;
-  ScaleoutRig rig(config);
-  const auto [from, to] = CrossVolumePair(4);
-  // No such source file: the enqueue itself succeeds (fsync-like), the
-  // failure surfaces at the next Force, and is cleared by reporting it.
-  ASSERT_TRUE(rig.router().Rename(from, to).ok());
-  EXPECT_FALSE(rig.router().Force().ok());
-  EXPECT_TRUE(rig.router().Force().ok());
-}
-
-TEST(VolumeRouterTest, ManyAsyncRenamesAllComplete) {
-  RigConfig config = SmallRig(2);
-  config.router.async_rename = true;
-  ScaleoutRig rig(config);
+TEST(VolumeRouterTest, ManyRenamesAllComplete) {
+  ScaleoutRig rig(SmallRig(2));
   std::vector<std::pair<std::string, std::string>> moves;
   for (int i = 0; i < 16; ++i) {
     const std::string from = "bulk/src" + std::to_string(i);
