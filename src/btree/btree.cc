@@ -447,19 +447,37 @@ Status BTree::InsertRec(PageId page, std::span<const std::uint8_t> key,
     cells.push_back(cell);
   }
 
-  std::size_t total_bytes = 0;
-  for (const auto& c : cells) {
-    total_bytes += c.size() + kSlotSize;
+  const bool leaf = node.IsLeaf();
+  // prefix[i] = bytes (cells + slots) of cells[0, i).
+  std::vector<std::size_t> prefix(cells.size() + 1, 0);
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    prefix[i + 1] = prefix[i] + cells[i].size() + kSlotSize;
   }
-  std::size_t acc = 0;
+  const std::size_t total_bytes = prefix.back();
+  // The byte midpoint: the first index whose prefix reaches half the bytes.
+  std::size_t mid = 1;
+  while (mid < cells.size() - 1 && prefix[mid] < total_bytes / 2) {
+    ++mid;
+  }
+  // Left keeps cells[0, idx); right gets cells[idx, n) — minus cells[idx]
+  // itself in an interior node, whose separator moves up. One cell larger
+  // than about a third of a page can leave the midpoint's left half too
+  // full, so take the index nearest the midpoint at which both halves fit.
+  const std::size_t usable = page_size_ - kHeaderSize;
+  auto fits = [&](std::size_t idx) {
+    const std::size_t right_from = leaf ? prefix[idx] : prefix[idx + 1];
+    return prefix[idx] <= usable && total_bytes - right_from <= usable;
+  };
   std::size_t split_idx = 0;
-  while (split_idx < cells.size() - 1 && acc < total_bytes / 2) {
-    acc += cells[split_idx].size() + kSlotSize;
-    ++split_idx;
+  for (std::size_t d = 0; split_idx == 0 && d < cells.size(); ++d) {
+    if (mid >= d + 1 && fits(mid - d)) {
+      split_idx = mid - d;
+    } else if (mid + d < cells.size() && fits(mid + d)) {
+      split_idx = mid + d;
+    }
   }
   CEDAR_CHECK(split_idx >= 1 && split_idx < cells.size());
 
-  const bool leaf = node.IsLeaf();
   const PageId old_leftmost = leaf ? kInvalidPage : node.LeftmostChild();
 
   CEDAR_ASSIGN_OR_RETURN(PageId right_pid, store_->AllocatePage());

@@ -147,8 +147,7 @@ Result<FsckReport> Fsd::Fsck() {
   auto reference = [&](sim::Lba start, std::uint32_t count,
                        const std::string& what) {
     if (start < layout_.data_low || start + count > layout_.data_high ||
-        (start + count > layout_.ntb_base &&
-         start < layout_.nta_base + config_.nt_pages)) {
+        (start + count > layout_.ntb_base && start < layout_.nta_end)) {
       violate("extent-out-of-bounds",
               what + " " + LbaRange(start, count) +
                   " lies outside the file data region");
@@ -211,8 +210,7 @@ Result<FsckReport> Fsd::Fsck() {
   // direction: the allocator could hand a live file's sector to a new one.
   std::uint64_t leaked = 0;
   for (sim::Lba lba = layout_.data_low; lba < layout_.data_high; ++lba) {
-    if (lba >= layout_.ntb_base &&
-        lba < layout_.nta_base + config_.nt_pages) {
+    if (lba >= layout_.ntb_base && lba < layout_.nta_end) {
       continue;  // the central metadata complex is not file space
     }
     const bool used = !vam_.IsFree(lba);

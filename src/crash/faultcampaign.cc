@@ -94,6 +94,27 @@ Result<CampaignReport> FaultCampaign::Run() {
     CEDAR_RETURN_IF_ERROR(fsd.Shutdown());
   }
   base_ = disk_->Snapshot();
+  {
+    // On a private clock and disk, so the cases run exactly as they would
+    // without this pass.
+    sim::VirtualClock clock;
+    sim::SimDisk disk(disk_->geometry(), sim::DiskTimingParams{}, &clock);
+    disk.Restore(base_);
+    core::Fsd fsd(&disk, config_);
+    CEDAR_RETURN_IF_ERROR(fsd.Mount());
+    for (const Step& step : StandardWorkload()) {
+      CEDAR_RETURN_IF_ERROR(ExecuteStep(&fsd, step));
+    }
+    const core::FsdLayout& layout = fsd.layout();
+    live_data_.clear();
+    for (sim::Lba lba = layout.data_low; lba < layout.data_high; ++lba) {
+      if ((lba < layout.ntb_base || lba >= layout.nta_end) &&
+          fsd.SectorInUse(lba)) {
+        live_data_.push_back(lba);
+      }
+    }
+    CEDAR_CHECK(!live_data_.empty());
+  }
 
   std::vector<FaultClass> classes = options_.classes;
   if (classes.empty()) {
@@ -137,6 +158,7 @@ CampaignCase FaultCampaign::RunCase(FaultClass fault_class,
   // unrepairable page and muddy the campaign's 0-violation expectation.
   std::set<std::uint32_t> nt_pids_hit;
   bool root_hit = false;
+  std::vector<sim::Lba> data_lbas;
   auto note_injection = [&](const std::string& line) {
     ++result.injected;
     result.injection_log.push_back(line);
@@ -159,9 +181,10 @@ CampaignCase FaultCampaign::RunCase(FaultClass fault_class,
         if (!nt_pids_hit.insert(pid).second) continue;
         lba = layout.ntb_base + pid;
         what = "nt-replica";
-      } else if (kind == 3) {  // small-file data area (data + leaders)
-        lba = layout.data_low + rng.Below(220);
+      } else if (kind == 3) {  // a file sector (data or leader)
+        lba = live_data_[rng.Below(live_data_.size())];
         what = "data";
+        data_lbas.push_back(lba);
       } else if (kind == 4) {  // log record area (skip the pointer pair)
         lba = layout.log_base + 4 + rng.Below(config_.log_sectors - 4);
         what = "log";
@@ -336,6 +359,10 @@ CampaignCase FaultCampaign::RunCase(FaultClass fault_class,
       default:
         break;
     }
+  }
+  result.data_faults = data_lbas.size();
+  for (const sim::Lba lba : data_lbas) {
+    result.data_faults_on_files += fsd->SectorInUse(lba) ? 1 : 0;
   }
   (void)fsd->Shutdown();  // no-op when the workload's shutdown succeeded
   // Healing done by THIS instance (e.g. a checkpoint write remapped to a

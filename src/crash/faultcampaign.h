@@ -17,7 +17,8 @@
 //
 //   persistent  — grown defects (read-fail / write-fail / dead) injected
 //                 before the workload at seeded LBAs across the name-table
-//                 homes, file-data area, and log region.
+//                 homes, the sectors the workload's files occupy, and the
+//                 log region.
 //   write-fault — one-shot lying writes (acked but dropped or torn) armed
 //                 on name-table home sectors; they fire during checkpoint
 //                 or shutdown flushes and must be caught by the CRC/seq
@@ -86,6 +87,10 @@ struct CampaignCase {
   std::uint64_t attributed_losses = 0;  // acked reads lost WITH attribution
   std::uint64_t escapes = 0;            // silent-corruption escapes (fatal)
   std::uint64_t fsck_violations = 0;
+  // Persistent faults aimed at file sectors, and how many of them sit in
+  // sectors allocated to a file when the workload ends.
+  std::uint64_t data_faults = 0;
+  std::uint64_t data_faults_on_files = 0;
   fs::HealthStats health;               // post-verification snapshot
   core::Fsd::ScrubReport scrub;         // zeros when the mount was degraded
   std::vector<std::string> injection_log;  // one line per planted fault
@@ -121,6 +126,10 @@ class FaultCampaign {
   std::unique_ptr<sim::VirtualClock> clock_;
   std::unique_ptr<sim::SimDisk> disk_;
   sim::DiskSnapshot base_;
+  // Sectors outside the metadata complex that the standard workload's
+  // files occupy when it ends on a fault-free copy of base_: the "data"
+  // target of the persistent fault class.
+  std::vector<sim::Lba> live_data_;
   std::uint64_t dump_counter_ = 0;
 };
 

@@ -173,6 +173,9 @@ ValidationReport RunPaperValidation(const ValidationConfig& config) {
   const AllSamples m = MeasureAll(config);
   const CpuParams& cpu = config.cpu;
   const std::uint32_t pages = config.small_pages;
+  // MeasureAll's FSD runs on the default geometry and layout.
+  const std::uint32_t fsd_data =
+      FsdSmallFilePermille(sim::DiskGeometry{}, core::FsdConfig{});
 
   ValidationReport report;
   report.rows.push_back(
@@ -183,11 +186,11 @@ ValidationReport RunPaperValidation(const ValidationConfig& config) {
   report.rows.push_back(
       MakeRow(model, "cfs.delete", CfsDelete(pages, cpu), m.cfs_delete));
   report.rows.push_back(
-      MakeRow(model, "fsd.create", FsdCreate(pages, cpu), m.fsd_create));
+      MakeRow(model, "fsd.create", FsdCreate(pages, fsd_data, cpu), m.fsd_create));
   report.rows.push_back(
       MakeRow(model, "fsd.open", FsdOpenHit(cpu), m.fsd_open));
   report.rows.push_back(
-      MakeRow(model, "fsd.read", FsdReadPage(cpu), m.fsd_read));
+      MakeRow(model, "fsd.read", FsdReadPage(fsd_data, cpu), m.fsd_read));
   report.rows.push_back(
       MakeRow(model, "fsd.delete", FsdDelete(cpu), m.fsd_delete));
 

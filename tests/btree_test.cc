@@ -139,6 +139,45 @@ TEST_F(BTreeTest, VariableLengthValues) {
   ASSERT_TRUE(tree_.CheckInvariants().ok());
 }
 
+// A split at the byte midpoint once left a half too full to hold its
+// cells: with three 150-byte entries on a 512-byte page, a 230-byte entry
+// for "c" lands right after the midpoint. Every entry is under
+// MaxEntrySize(), so the insert must split somewhere both halves fit.
+TEST_F(BTreeTest, SplitAroundLargeCellKeepsBothHalvesInPage) {
+  ASSERT_LT(230u, tree_.MaxEntrySize());
+  for (const char* key : {"a", "b", "d"}) {
+    ASSERT_TRUE(tree_.Insert(K(key), Value(150, 0x11)).ok());
+  }
+  ASSERT_TRUE(tree_.Insert(K("c"), Value(230, 0x22)).ok());
+  ASSERT_TRUE(tree_.CheckInvariants().ok());
+  for (const char* key : {"a", "b", "c", "d"}) {
+    EXPECT_TRUE(tree_.Lookup(K(key)).ok()) << key;
+  }
+  EXPECT_EQ(tree_.Lookup(K("c"))->size(), 230u);
+}
+
+// Entries of any size up to MaxEntrySize(), in random key order, with
+// keys long enough to make interior separators large too: every split,
+// leaf and interior, must leave a valid tree.
+TEST_F(BTreeTest, RandomSizesUpToMaxEntrySizeKeepInvariants) {
+  Rng rng(2113);
+  std::map<std::string, std::size_t> oracle;
+  for (int step = 0; step < 600; ++step) {
+    const std::string key = "k" + std::to_string(rng.Below(400)) +
+                            std::string(rng.Below(120), 'x');
+    const std::size_t size = rng.Between(1, tree_.MaxEntrySize() - key.size());
+    ASSERT_TRUE(tree_.Insert(K(key), Value(size, 0x5A)).ok()) << step;
+    oracle[key] = size;
+    ASSERT_TRUE(tree_.CheckInvariants().ok()) << "step " << step;
+  }
+  EXPECT_EQ(*tree_.Count(), oracle.size());
+  for (const auto& [key, size] : oracle) {
+    auto value = tree_.Lookup(K(key));
+    ASSERT_TRUE(value.ok()) << key;
+    EXPECT_EQ(value->size(), size) << key;
+  }
+}
+
 TEST_F(BTreeTest, BinaryKeysWithEmbeddedZeros) {
   Key k1{0x00, 0x01, 0x00};
   Key k2{0x00, 0x01};

@@ -18,6 +18,7 @@
 // The image embeds its geometry; mkfs --big makes a full 300 MB Trident,
 // the default is the small 5.5 MB test geometry (fast to save/load).
 
+#include <cinttypes>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -140,7 +141,7 @@ int Run(const Options& options) {
   Status result = OkStatus();
   bool mutated = fresh;
   if (options.command == "mkfs") {
-    std::printf("formatted %s volume (%u sectors, vam_logging=%s)\n",
+    std::printf("formatted %s volume (%" PRIu64 " sectors, vam_logging=%s)\n",
                 big ? "300 MB" : "5.5 MB",
                 disk.geometry().TotalSectors(), vamlog ? "on" : "off");
   } else if (options.command == "put" && options.args.size() == 2) {
