@@ -6,10 +6,11 @@
 //  of the sectors."
 //
 // Ablation: the same create/delete churn with the split enabled (small
-// files low, big files high) and disabled (everything first-fit from the
-// bottom). Metrics: the largest contiguous free run left in the data area
+// files next to the central name table, big files at the volume's edges)
+// and disabled (every file placed as a small file). Metrics: the largest contiguous free run left in the data area
 // (can a big file still be allocated contiguously?) and the average number
-// of extents per big file.
+// of extents per big file. A second section measures files grown by
+// appends.
 
 #include <cstdio>
 #include <string>
@@ -146,6 +147,82 @@ FragResult RunChurn(bool split_enabled) {
   return result;
 }
 
+// Appends. Every Extend goes through the allocator too, so a file that
+// grows a page at a time is placed by the same policy. 20 files, one after
+// another, each get 10 one-page appends (Extend, then Write of the new
+// page); after each append the workload creates a small file and reads a
+// page of an older one, so the head and the small-file area move between
+// appends. Then every appended file is read back whole.
+struct AppendResult {
+  double ms_per_append = 0;      // virtual ms for Extend + Write
+  double requests_per_read = 0;  // per whole-file read of an appended file
+  std::uint32_t failed_appends = 0;
+};
+
+AppendResult RunAppends() {
+  constexpr int kOlder = 200;
+  constexpr int kFiles = 20;
+  constexpr int kAppends = 10;
+  Rig rig;
+  cedar::core::Fsd fsd(&rig.disk);
+  CEDAR_CHECK_OK(fsd.Format());
+  cedar::Rng rng(17);
+  auto small_file = [&] {
+    return std::vector<std::uint8_t>(rng.Between(100, 3000), 0x33);
+  };
+  for (int i = 0; i < kOlder; ++i) {
+    CEDAR_CHECK_OK(
+        fsd.CreateFile("old/f" + std::to_string(i), small_file()).status());
+  }
+  AppendResult result;
+  double append_ms = 0;
+  int appends = 0;
+  int created = 0;
+  std::vector<std::uint8_t> page(512, 0x55);
+  for (int f = 0; f < kFiles; ++f) {
+    const std::string name = "app/f" + std::to_string(f);
+    CEDAR_CHECK_OK(fsd.CreateFile(name, page).status());
+    auto handle = fsd.Open(name);
+    CEDAR_CHECK_OK(handle.status());
+    std::uint64_t size = page.size();
+    for (int a = 0; a < kAppends; ++a) {
+      bool ok = false;
+      append_ms += TimedMs(rig.clock, [&] {
+        ok = fsd.Extend(*handle, page.size()).ok() &&
+             fsd.Write(*handle, size, page).ok();
+      });
+      if (ok) {
+        size += page.size();
+        ++appends;
+      } else {
+        ++result.failed_appends;
+      }
+      CEDAR_CHECK_OK(
+          fsd.CreateFile("new/f" + std::to_string(created++), small_file())
+              .status());
+      auto older = fsd.Open("old/f" + std::to_string(rng.Below(kOlder)));
+      CEDAR_CHECK_OK(older.status());
+      std::vector<std::uint8_t> out(100);
+      CEDAR_CHECK_OK(fsd.Read(*older, 0, out));
+      rig.clock.Advance(30 * cedar::sim::kMillisecond);
+      CEDAR_CHECK_OK(fsd.Tick());
+    }
+  }
+  CEDAR_CHECK_OK(fsd.Force());
+  std::uint64_t requests = 0;
+  for (int f = 0; f < kFiles; ++f) {
+    auto handle = fsd.Open("app/f" + std::to_string(f));
+    CEDAR_CHECK_OK(handle.status());
+    requests += CountedIos(rig.disk, [&] {
+      std::vector<std::uint8_t> out(handle->byte_size);
+      CEDAR_CHECK_OK(fsd.Read(*handle, 0, out));
+    });
+  }
+  result.ms_per_append = appends == 0 ? 0 : append_ms / appends;
+  result.requests_per_read = static_cast<double>(requests) / kFiles;
+  return result;
+}
+
 }  // namespace
 }  // namespace cedar::bench
 
@@ -171,5 +248,14 @@ int main(int argc, char** argv) {
               with_split.avg_big_file_extents, without.avg_big_file_extents);
   std::printf("%-32s %14u %14u\n", "failed allocations",
               with_split.failed_allocations, without.failed_allocations);
+
+  const AppendResult appends = RunAppends();
+  std::printf("\nappends: 20 files x 10 one-page appends, interleaved with "
+              "creates and reads\n");
+  std::printf("%-40s %8.2f\n", "virtual ms per append (Extend + Write)",
+              appends.ms_per_append);
+  std::printf("%-40s %8.2f\n", "requests per whole-file read",
+              appends.requests_per_read);
+  std::printf("%-40s %8u\n", "failed appends", appends.failed_appends);
   return 0;
 }

@@ -169,7 +169,8 @@ TEST_F(FsdRecoveryTest, DeletedLeaderTombstoneProtectsReallocatedSector) {
   ASSERT_TRUE(fsd_->Force().ok());  // F's leader image is in the log
   ASSERT_TRUE(fsd_->DeleteFile("F").ok());
   ASSERT_TRUE(fsd_->Force().ok());  // delete commits; sector reusable
-  // G reuses F's sector (small files allocate first-fit from the bottom).
+  // G reuses F's sector (small files pack down from the name table, so
+  // G's run ends where F's leader was).
   ASSERT_TRUE(fsd_->CreateFile("G", Bytes(1500, 9)).ok());
   ASSERT_TRUE(fsd_->Force().ok());
 
@@ -180,6 +181,45 @@ TEST_F(FsdRecoveryTest, DeletedLeaderTombstoneProtectsReallocatedSector) {
   std::vector<std::uint8_t> out(1500);
   ASSERT_TRUE(after.Read(*handle, 0, out).ok());
   EXPECT_EQ(out, Bytes(1500, 9));
+}
+
+// The first Extend of an empty file moves its leader next to the new
+// pages. The old leader's image is buffered and in the log; neither copy
+// may come back over the sector's next owner, and the moved file must
+// read back whole.
+TEST_F(FsdRecoveryTest, LeaderMovedByFirstExtendSurvivesCrash) {
+  // Small files pack down from the name table: A, then E's leader, then B.
+  ASSERT_TRUE(fsd_->CreateFile("A", Bytes(512, 1)).ok());
+  ASSERT_TRUE(fsd_->CreateFile("E", {}).ok());
+  ASSERT_TRUE(fsd_->CreateFile("B", Bytes(512, 2)).ok());
+  ASSERT_TRUE(fsd_->Force().ok());  // E's first leader image is in the log
+  ASSERT_TRUE(fsd_->DeleteFile("A").ok());
+  ASSERT_TRUE(fsd_->Force().ok());
+  // A's two sectors are too few for E's leader + 3 pages, so E moves
+  // below B, and A's sectors plus E's old leader form a 3-sector hole.
+  auto handle = fsd_->Open("E");
+  ASSERT_TRUE(handle.ok());
+  ASSERT_TRUE(fsd_->Extend(*handle, 1500).ok());
+  ASSERT_TRUE(fsd_->Write(*handle, 0, Bytes(1500, 4)).ok());
+  ASSERT_TRUE(fsd_->Force().ok());
+  // G (leader + 2 pages) fills that hole, its leader on E's old sector.
+  ASSERT_TRUE(fsd_->CreateFile("G", Bytes(1000, 9)).ok());
+  ASSERT_TRUE(fsd_->Force().ok());
+
+  Fsd& after = CrashAndRemount();
+  for (const auto& [name, want] :
+       {std::pair{"E", Bytes(1500, 4)}, std::pair{"G", Bytes(1000, 9)},
+        std::pair{"B", Bytes(512, 2)}}) {
+    auto file = after.Open(name);
+    ASSERT_TRUE(file.ok()) << name;
+    std::vector<std::uint8_t> out(want.size());
+    ASSERT_TRUE(after.Read(*file, 0, out).ok()) << name;
+    EXPECT_EQ(out, want) << name;
+  }
+  EXPECT_EQ(after.Health().corruption_detected, 0u);
+  auto report = after.Fsck();
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report->violations(), 0u);
 }
 
 TEST_F(FsdRecoveryTest, VamRebuildMatchesNameTable) {
