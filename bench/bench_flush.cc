@@ -63,7 +63,8 @@ FlushResult Run(bool batched) {
   const int kFiles = g_files;
   constexpr int kDirs = 40;
   auto name = [](int i) {
-    return "d" + std::to_string(i % kDirs) + "/f" + std::to_string(i);
+    return std::string("d").append(std::to_string(i % kDirs)) + "/f" +
+           std::to_string(i);
   };
   for (int i = 0; i < kFiles; ++i) {
     CEDAR_CHECK_OK(

@@ -40,8 +40,10 @@ int main() {
 
   // Crash: the next disk write is torn after one sector, with one sector
   // detectably damaged at the cut — the paper's failure model.
-  disk.ArmCrash(sim::CrashPlan{
-      .at_write_index = 0, .sectors_completed = 1, .sectors_damaged = 1});
+  disk.ArmCrash(sim::CrashPlan{.at_write_index = 0,
+                               .sectors_completed = 1,
+                               .sectors_damaged = 1,
+                               .drop_writes = {}});
   Status s = fsd->Force();  // this log write is the victim
   std::printf("force during crash -> %s\n", s.ToString().c_str());
 

@@ -16,7 +16,10 @@
 namespace cedar::core {
 namespace {
 
-constexpr std::uint32_t kRootMagic = 0x46534452;   // "FSDR"
+// "FSDV": the name table holds varint-coded entries. A volume from before
+// that layout (magic "FSDR") fails Mount on the magic instead of having its
+// fixed-width entries misread.
+constexpr std::uint32_t kRootMagic = 0x46534456;
 constexpr std::uint32_t kRemapMagic = 0x4E54524D;  // "NTRM"
 
 void PutU32(std::uint8_t* p, std::uint32_t v) {
@@ -2262,11 +2265,10 @@ Status Fsd::Write(const fs::FileHandle& file, std::uint64_t offset,
                   std::span<const std::uint8_t> data) {
   CEDAR_ASSIGN_OR_RETURN(const OpenState state, LookupOpenState(file.uid));
   return RunOp("fsd.write", h_.write, {state.name}, /*credit=*/false,
-               [&] { return WriteLocked(file, state, offset, data); });
+               [&] { return WriteLocked(state, offset, data); });
 }
 
-Status Fsd::WriteLocked(const fs::FileHandle& file, const OpenState& state,
-                        std::uint64_t offset,
+Status Fsd::WriteLocked(const OpenState& state, std::uint64_t offset,
                         std::span<const std::uint8_t> data) {
   ChargeOp();
   CEDAR_RETURN_IF_ERROR(CheckWritable());
@@ -2348,11 +2350,10 @@ Status Fsd::WriteLocked(const fs::FileHandle& file, const OpenState& state,
 Status Fsd::Extend(const fs::FileHandle& file, std::uint64_t bytes) {
   CEDAR_ASSIGN_OR_RETURN(const OpenState state, LookupOpenState(file.uid));
   return RunOp("fsd.extend", h_.extend, {state.name}, /*credit=*/true,
-               [&] { return ExtendLocked(file, state, bytes); });
+               [&] { return ExtendLocked(state, bytes); });
 }
 
-Status Fsd::ExtendLocked(const fs::FileHandle& file, const OpenState& state,
-                         std::uint64_t bytes) {
+Status Fsd::ExtendLocked(const OpenState& state, std::uint64_t bytes) {
   ChargeOp();
   CEDAR_RETURN_IF_ERROR(CheckWritable());
   CEDAR_ASSIGN_OR_RETURN(FsdEntry entry,

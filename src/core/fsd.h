@@ -401,10 +401,9 @@ class Fsd : public fs::FileSystem {
   Result<fs::FileHandle> OpenLocked(std::string_view name);
   Status ReadLocked(const fs::FileHandle& file, const OpenState& state,
                     std::uint64_t offset, std::span<std::uint8_t> out);
-  Status WriteLocked(const fs::FileHandle& file, const OpenState& state,
-                     std::uint64_t offset, std::span<const std::uint8_t> data);
-  Status ExtendLocked(const fs::FileHandle& file, const OpenState& state,
-                      std::uint64_t bytes);
+  Status WriteLocked(const OpenState& state, std::uint64_t offset,
+                     std::span<const std::uint8_t> data);
+  Status ExtendLocked(const OpenState& state, std::uint64_t bytes);
   Status DeleteFileLocked(std::string_view name);
   Result<std::vector<fs::FileInfo>> ListLocked(std::string_view prefix);
   Status TouchLocked(std::string_view name);

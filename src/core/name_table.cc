@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/core/allocator.h"
 #include "src/util/check.h"
 #include "src/util/crc32.h"
 #include "src/util/serial.h"
@@ -14,39 +15,54 @@ constexpr std::uint32_t kLeaderMagic = 0x4653444C;  // "FSDL"
 }  // namespace
 
 std::vector<std::uint8_t> SerializeEntry(const FsdEntry& entry) {
+  CEDAR_CHECK(entry.runs.size() <= RunAllocator::kMaxRuns);
   ByteWriter w;
-  w.U64(entry.uid);
-  w.U16(entry.keep);
-  w.U64(entry.byte_size);
-  w.U64(entry.create_time);
-  w.U64(entry.last_used);
-  w.U32(entry.leader_lba);
-  w.U16(static_cast<std::uint16_t>(entry.runs.size()));
+  w.Var(entry.uid);
+  w.Var(entry.keep);
+  w.Var(entry.byte_size);
+  w.Var(entry.create_time);
+  w.Var(entry.last_used);
+  w.Var(entry.leader_lba);
+  w.Var(entry.runs.size());
   for (const fs::Extent& run : entry.runs) {
-    w.U32(run.start);
-    w.U32(run.count);
+    w.Var(run.start);
+    w.Var(run.count);
   }
   return w.Take();
 }
 
 Status ParseEntry(std::span<const std::uint8_t> buf, FsdEntry* out) {
-  ByteReader r(buf);
-  out->uid = r.U64();
-  out->keep = r.U16();
-  out->byte_size = r.U64();
-  out->create_time = r.U64();
-  out->last_used = r.U64();
-  out->leader_lba = r.U32();
-  const std::uint16_t nruns = r.U16();
-  out->runs.clear();
-  for (std::uint16_t i = 0; i < nruns && r.ok(); ++i) {
-    fs::Extent run;
-    run.start = r.U32();
-    run.count = r.U32();
-    out->runs.push_back(run);
-  }
-  if (!r.ok() || r.remaining() != 0) {
+  constexpr std::uint64_t kU32Limit = std::uint64_t{1} << 32;
+  auto malformed = [] {
     return MakeError(ErrorCode::kCorruptMetadata, "malformed name entry");
+  };
+  ByteReader r(buf);
+  out->uid = r.Var();
+  const std::uint64_t keep = r.Var();
+  out->byte_size = r.Var();
+  out->create_time = r.Var();
+  out->last_used = r.Var();
+  const std::uint64_t leader_lba = r.Var();
+  const std::uint64_t nruns = r.Var();
+  if (!r.ok() || keep > 0xFFFF || leader_lba >= kU32Limit ||
+      nruns > RunAllocator::kMaxRuns) {
+    return malformed();
+  }
+  out->keep = static_cast<std::uint16_t>(keep);
+  out->leader_lba = static_cast<std::uint32_t>(leader_lba);
+  out->runs.clear();
+  for (std::uint64_t i = 0; i < nruns; ++i) {
+    const std::uint64_t start = r.Var();
+    const std::uint64_t count = r.Var();
+    // A run must end inside the 32-bit sector space it is addressed in.
+    if (!r.ok() || start >= kU32Limit || count > kU32Limit - start) {
+      return malformed();
+    }
+    out->runs.push_back({.start = static_cast<std::uint32_t>(start),
+                         .count = static_cast<std::uint32_t>(count)});
+  }
+  if (r.remaining() != 0) {
+    return malformed();
   }
   return OkStatus();
 }

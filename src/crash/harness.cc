@@ -75,9 +75,10 @@ CrashHarness::~CrashHarness() = default;
 Result<HarnessReport> CrashHarness::Run() {
   clock_ = std::make_unique<sim::VirtualClock>();
   if (options_.topology == Topology::kSingle) {
-    disk_ = std::make_unique<sim::SimDisk>(sim::TestGeometry(),
-                                           sim::DiskTimingParams{},
-                                           clock_.get());
+    auto disk = std::make_unique<sim::SimDisk>(
+        sim::TestGeometry(), sim::DiskTimingParams{}, clock_.get());
+    single_ = disk.get();
+    disk_ = std::move(disk);
   } else {
     sim::ArrayConfig array;
     array.mode = options_.topology == Topology::kStriped
@@ -86,7 +87,9 @@ Result<HarnessReport> CrashHarness::Run() {
     array.spindles = options_.spindles;
     array.chunk_sectors = options_.chunk_sectors;
     array.member_geometry = sim::TestGeometry();
-    disk_ = std::make_unique<sim::DiskArray>(array, clock_.get());
+    auto disks = std::make_unique<sim::DiskArray>(array, clock_.get());
+    array_ = disks.get();
+    disk_ = std::move(disks);
   }
 
   // Phase A: a pristine, cleanly-shut-down volume with one baseline file.
@@ -143,7 +146,7 @@ Result<RecordedRun> CrashHarness::Record() {
   RecordedRun run;
   run.steps = StandardWorkload();
 
-  disk_->RestoreDevice(base_);
+  RestoreBase();
   auto fsd = std::make_unique<core::Fsd>(disk_.get(), config_);
   CEDAR_RETURN_IF_ERROR(fsd->Mount());
 
@@ -222,6 +225,15 @@ Result<RecordedRun> CrashHarness::Record() {
                          std::to_string(total_writes));
   }
   return run;
+}
+
+void CrashHarness::RestoreBase() {
+  disk_->RestoreDevice(base_);
+  if (array_ != nullptr) {
+    array_->RestoreTimeline(base_);
+  } else {
+    single_->RestoreTimeline(base_.disks[0]);
+  }
 }
 
 std::vector<CrashCase> CrashHarness::Enumerate(const RecordedRun& run) const {
@@ -320,7 +332,7 @@ void CrashHarness::RunCase(const RecordedRun& run, const CrashCase& c,
                                          .recovery_writes = recovery_writes});
   };
 
-  disk_->RestoreDevice(base_);
+  RestoreBase();
   auto fsd = std::make_unique<core::Fsd>(disk_.get(), config_);
   if (Status status = fsd->Mount(); !status.ok()) {
     fail("pre-crash mount failed: " + std::string(status.message()));

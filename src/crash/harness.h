@@ -19,7 +19,9 @@
 //      same-batch writes acked but dropped, modeling device-internal
 //      reordering across the power cut). Exhaustive when the variant count
 //      is small; seeded deterministic sampling above max_cases.
-//   3. REPLAY — per variant: restore the pristine snapshot, re-run the
+//   3. REPLAY — per variant: restore the pristine snapshot (its clock and
+//      head position included, so the replay's timestamps, and with them
+//      the size of every name-table entry, match the recording), re-run the
 //      workload with the crash armed, then Reopen() + Mount() recovery and
 //      judge the result with Fsd::Fsck() plus the oracle: every op acked
 //      by the last completed Force must be durable with acceptable
@@ -170,11 +172,23 @@ class CrashHarness {
   // the full report. Deterministic for fixed options.
   Result<HarnessReport> Run();
 
+  // After Run(): re-runs the workload from the base snapshot with no crash
+  // armed and returns the writes it issued. Every crash case relies on this
+  // matching the recorded schedule entry for entry.
+  Result<std::vector<ScheduleEntry>> ReplaySchedule() {
+    CEDAR_ASSIGN_OR_RETURN(RecordedRun again, Record());
+    return std::move(again.writes);
+  }
+
   // The FSD configuration the harness uses (small log so the schedule
   // crosses log thirds; exposed for tests that pin schedules).
   static core::FsdConfig FsdConfigFor(bool vam_logging);
 
  private:
+  // Restores the base image together with its clocks and head positions,
+  // so every run from it (the recording and each case) stamps the same
+  // times.
+  void RestoreBase();
   Result<RecordedRun> Record();
   std::vector<CrashCase> Enumerate(const RecordedRun& run) const;
   // Replays one case (and, for clean cuts, its double-crash children),
@@ -191,6 +205,10 @@ class CrashHarness {
   core::FsdConfig config_;
   std::unique_ptr<sim::VirtualClock> clock_;
   std::unique_ptr<sim::BlockDevice> disk_;
+  // disk_ as its concrete type (exactly one is set): rewinding the clocks
+  // is not part of the BlockDevice interface.
+  sim::SimDisk* single_ = nullptr;
+  sim::DiskArray* array_ = nullptr;
   sim::DeviceSnapshot base_;
   std::uint64_t dump_counter_ = 0;
 };

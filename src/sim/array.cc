@@ -505,6 +505,7 @@ DeviceSnapshot DiskArray::SnapshotDevice() const {
   snapshot.crash_plan = crash_plan_;
   snapshot.crash_writes_seen = crash_writes_seen_;
   snapshot.read_rr = read_rr_;
+  snapshot.clock_us = clock_->now();
   return snapshot;
 }
 
@@ -518,6 +519,15 @@ void DiskArray::RestoreDevice(const DeviceSnapshot& snapshot) {
   crash_plan_ = snapshot.crash_plan;
   crash_writes_seen_ = snapshot.crash_writes_seen;
   read_rr_ = snapshot.read_rr;
+}
+
+void DiskArray::RestoreTimeline(const DeviceSnapshot& snapshot) {
+  std::lock_guard<std::mutex> lock(mu_);
+  CEDAR_CHECK(snapshot.disks.size() == members_.size());
+  for (std::size_t i = 0; i < members_.size(); ++i) {
+    members_[i]->RestoreTimeline(snapshot.disks[i]);
+  }
+  clock_->Set(snapshot.clock_us);
 }
 
 bool DiskArray::DeviceStateEquals(const DeviceSnapshot& snapshot) const {

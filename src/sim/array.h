@@ -127,6 +127,9 @@ class DiskArray : public BlockDevice {
 
   DeviceSnapshot SnapshotDevice() const override;
   void RestoreDevice(const DeviceSnapshot& snapshot) override;
+  // Sets the rig clock and every member's clock and head back to their
+  // values in `snapshot` (RestoreDevice leaves them where they are).
+  void RestoreTimeline(const DeviceSnapshot& snapshot);
   bool DeviceStateEquals(const DeviceSnapshot& snapshot) const override;
   // Member 0 at `path`, members 1+ at `path`.s<i>.
   Status SaveImage(const std::string& path) const override;

@@ -43,6 +43,13 @@ class VirtualClock {
     }
   }
 
+  // Sets the clock to `t`, earlier or later. Only a device's
+  // RestoreTimeline uses it: a replay from a snapshot must run on the
+  // timeline the snapshot was taken on, or every timestamp it stores (and
+  // so the size of every varint-coded name-table entry) differs from the
+  // recording's.
+  void Set(Micros t) { now_us_.store(t, std::memory_order_relaxed); }
+
   // CPU time is tracked separately from disk time so benchmarks can report
   // the CPU/bandwidth split of Table 5, but it advances the same timeline
   // (no CPU/IO overlap; the Dorado discussion in section 6 notes the CPU was

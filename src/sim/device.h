@@ -124,6 +124,14 @@ struct DiskSnapshot {
   FaultSchedule fault_schedule;
   std::uint64_t fault_events = 0;
   std::uint64_t write_seq = 0;
+  // The spindle's timeline: its clock (the rig clock for a lone disk, the
+  // private spindle clock for an array member) and its head's cylinder.
+  // Neither is medium state: Restore and StateEquals ignore them and
+  // images do not carry them. RestoreTimeline puts both back, so a replay
+  // from the snapshot sees the service times and timestamps of the run it
+  // replays.
+  Micros clock_us = 0;
+  std::uint32_t head_cylinder = 0;
 };
 
 // Complete device state: one DiskSnapshot per spindle plus the array-level
@@ -135,6 +143,7 @@ struct DeviceSnapshot {
   std::optional<CrashPlan> crash_plan;
   std::uint64_t crash_writes_seen = 0;
   std::uint64_t read_rr = 0;  // mirrored-read round-robin cursor
+  Micros clock_us = 0;        // the array's logical (rig) clock
 };
 
 class BlockDevice {

@@ -738,6 +738,8 @@ DiskSnapshot SimDisk::Snapshot() const {
   snap.fault_schedule = fault_schedule_;
   snap.fault_events = fault_events_;
   snap.write_seq = write_seq_;
+  snap.clock_us = clock_->now();
+  snap.head_cylinder = timing_.current_cylinder();
   return snap;
 }
 
@@ -758,6 +760,12 @@ void SimDisk::Restore(const DiskSnapshot& snapshot) {
   fault_schedule_ = snapshot.fault_schedule;
   fault_events_ = snapshot.fault_events;
   write_seq_ = snapshot.write_seq;
+}
+
+void SimDisk::RestoreTimeline(const DiskSnapshot& snapshot) {
+  std::lock_guard<std::mutex> lock(mu_);
+  clock_->Set(snapshot.clock_us);
+  timing_.set_current_cylinder(snapshot.head_cylinder);
 }
 
 bool SimDisk::StateEquals(const DiskSnapshot& snapshot) const {

@@ -240,9 +240,12 @@ class SimDisk : public BlockDevice {
   // state including the damage map and any armed crash plan, so a restored
   // disk replays the exact same crash deterministically. Restore requires
   // matching geometry. StateEquals is the round-trip assertion used by the
-  // harness and tests.
+  // harness and tests. The snapshot also records the clock and head
+  // position; RestoreTimeline puts those back (Restore leaves them alone,
+  // so a restore onto a fresh rig keeps that rig's time).
   DiskSnapshot Snapshot() const;
   void Restore(const DiskSnapshot& snapshot);
+  void RestoreTimeline(const DiskSnapshot& snapshot);
   bool StateEquals(const DiskSnapshot& snapshot) const;
 
   // BlockDevice cloning: a single-spindle device snapshot wraps the one

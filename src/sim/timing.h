@@ -66,6 +66,10 @@ class DiskTimingModel {
   }
 
   std::uint32_t current_cylinder() const { return current_cylinder_; }
+  // Puts the head back where a device snapshot found it.
+  void set_current_cylinder(std::uint32_t cylinder) {
+    current_cylinder_ = cylinder;
+  }
   const DiskTimingParams& params() const { return params_; }
 
  private:

@@ -18,8 +18,8 @@
 
 namespace cedar {
 
-// Appends fixed-width little-endian values and length-prefixed strings to a
-// growable byte vector.
+// Appends fixed-width little-endian values, varints and length-prefixed
+// strings to a growable byte vector.
 class ByteWriter {
  public:
   ByteWriter() = default;
@@ -29,6 +29,16 @@ class ByteWriter {
   void U16(std::uint16_t v) { PushLe(v); }
   void U32(std::uint32_t v) { PushLe(v); }
   void U64(std::uint64_t v) { PushLe(v); }
+
+  // Unsigned LEB128: seven bits per byte, low group first, the high bit set
+  // on every byte but the last. 1 byte below 2^7, at most 10 for a u64.
+  void Var(std::uint64_t v) {
+    while (v >= 0x80) {
+      U8(static_cast<std::uint8_t>(v | 0x80));
+      v >>= 7;
+    }
+    U8(static_cast<std::uint8_t>(v));
+  }
 
   // Length-prefixed (u16) string; limited to 65535 bytes.
   void Str(std::string_view s) {
@@ -81,6 +91,28 @@ class ByteReader {
   std::uint16_t U16() { return ReadLe<std::uint16_t>(); }
   std::uint32_t U32() { return ReadLe<std::uint32_t>(); }
   std::uint64_t U64() { return ReadLe<std::uint64_t>(); }
+
+  // Reads a varint written by ByteWriter::Var. Only the canonical (shortest)
+  // encoding is accepted: truncation, an overlong form (a zero final byte
+  // after the first) and a 10th byte carrying bits past 2^64 all fail.
+  std::uint64_t Var() {
+    std::uint64_t v = 0;
+    for (int shift = 0; Need(1); shift += 7) {
+      const std::uint8_t byte = data_[pos_++];
+      if (shift == 63 && byte > 1) {
+        break;
+      }
+      v |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
+      if ((byte & 0x80) == 0) {
+        if (byte == 0 && shift != 0) {
+          break;
+        }
+        return v;
+      }
+    }
+    ok_ = false;
+    return 0;
+  }
 
   std::string Str() {
     std::uint16_t n = U16();

@@ -27,7 +27,7 @@ bool HasFileName(TraceOp op) {
 }  // namespace
 
 std::string TenantPrefix(std::uint16_t tenant) {
-  return "t" + std::to_string(tenant) + "/";
+  return std::string("t").append(std::to_string(tenant)) + "/";
 }
 
 std::vector<TraceEntry> ExpandTrace(std::span<const TraceEntry> entries,

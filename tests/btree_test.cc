@@ -96,7 +96,8 @@ TEST_F(BTreeTest, ScanFromMidpoint) {
 
 TEST_F(BTreeTest, ScanEarlyStop) {
   for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(tree_.Insert(K("k" + std::to_string(1000 + i)), V("v")).ok());
+    const std::string key = std::string("k").append(std::to_string(1000 + i));
+    ASSERT_TRUE(tree_.Insert(K(key), V("v")).ok());
   }
   int visited = 0;
   ASSERT_TRUE(tree_.Scan({}, [&](auto, auto) {
@@ -124,7 +125,8 @@ TEST_F(BTreeTest, DeleteEverythingFreesInteriorPages) {
 
 TEST_F(BTreeTest, CollectPagesCoversAllocated) {
   for (int i = 0; i < 300; ++i) {
-    ASSERT_TRUE(tree_.Insert(K("f" + std::to_string(i)), V("vv")).ok());
+    const std::string key = std::string("f").append(std::to_string(i));
+    ASSERT_TRUE(tree_.Insert(K(key), V("vv")).ok());
   }
   std::vector<PageId> pages;
   ASSERT_TRUE(tree_.CollectPages(&pages).ok());
@@ -163,8 +165,9 @@ TEST_F(BTreeTest, RandomSizesUpToMaxEntrySizeKeepInvariants) {
   Rng rng(2113);
   std::map<std::string, std::size_t> oracle;
   for (int step = 0; step < 600; ++step) {
-    const std::string key = "k" + std::to_string(rng.Below(400)) +
-                            std::string(rng.Below(120), 'x');
+    const std::string key =
+        std::string("k").append(std::to_string(rng.Below(400))) +
+        std::string(rng.Below(120), 'x');
     const std::size_t size = rng.Between(1, tree_.MaxEntrySize() - key.size());
     ASSERT_TRUE(tree_.Insert(K(key), Value(size, 0x5A)).ok()) << step;
     oracle[key] = size;

@@ -152,8 +152,8 @@ TEST_F(CkptTest, DaemonBoundsRecoveryWindowUnderMutators) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < 40; ++i) {
-        const std::string name =
-            "w" + std::to_string(t) + "/f" + std::to_string(i % 5);
+        const std::string name = std::string("w").append(std::to_string(t)) +
+                                 "/f" + std::to_string(i % 5);
         if (!fsd_.CreateFile(name, Bytes(600, static_cast<std::uint8_t>(i)))
                  .ok()) {
           failures.fetch_add(1);
@@ -200,10 +200,10 @@ TEST_F(CkptTest, DaemonStopsAndRestartsAcrossShutdownMount) {
     };
     const std::uint64_t advances_before = advances();
     for (int i = 0; i < 500 && advances() == advances_before; ++i) {
-      ASSERT_TRUE(fsd_.CreateFile("c" + std::to_string(cycle) + "/f" +
-                                      std::to_string(i % 9),
-                                  Bytes(500, static_cast<std::uint8_t>(i)))
-                      .ok());
+      const std::string name = std::string("c").append(std::to_string(cycle)) +
+                               "/f" + std::to_string(i % 9);
+      ASSERT_TRUE(
+          fsd_.CreateFile(name, Bytes(500, static_cast<std::uint8_t>(i))).ok());
       ASSERT_TRUE(fsd_.Force().ok());
     }
     EXPECT_GT(advances(), advances_before)
@@ -333,12 +333,14 @@ TEST(CkptFallbackTest, ThirdFlushFallbackCountsWithoutTheDaemon) {
   Fsd fsd(&disk, config);
   ASSERT_TRUE(fsd.Format().ok());
   // Cold pages first: leaves in name regions the churn below never touches
-  // keep their one logged image until the log wraps back over it.
-  for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(fsd.CreateFile(std::string(1, static_cast<char>('a' + i)) +
-                                   "a/cold",
-                               Bytes(450, static_cast<std::uint8_t>(i)))
-                    .ok());
+  // keep their one logged image until the log wraps back over it. Four
+  // names in each of five regions, so the cold names fill leaves of their
+  // own rather than sharing one with the churned names.
+  for (int i = 0; i < 20; ++i) {
+    const std::string name = std::string(1, static_cast<char>('a' + i % 5)) +
+                             "a/cold" + std::to_string(i / 5);
+    ASSERT_TRUE(
+        fsd.CreateFile(name, Bytes(450, static_cast<std::uint8_t>(i))).ok());
   }
   ASSERT_TRUE(fsd.Force().ok());
   // Enough forced metadata churn to wrap the 396-sector record area: with

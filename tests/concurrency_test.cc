@@ -100,8 +100,8 @@ TEST_F(ConcurrencyTest, MixedStressStaysConsistent) {
   std::atomic<int> failures{0};
   auto worker = [&](int tid) {
     for (int r = 0; r < kRounds; ++r) {
-      const std::string mine =
-          "t" + std::to_string(tid) + ".own." + std::to_string(r % 5);
+      const std::string mine = std::string("t").append(std::to_string(tid)) +
+                               ".own." + std::to_string(r % 5);
       const std::string shared = "shared." + std::to_string(r % 3);
       auto contents = Bytes(700 + 64 * tid, static_cast<std::uint8_t>(tid));
       if (!fsd_.CreateFile(mine, contents).ok()) {
@@ -130,7 +130,7 @@ TEST_F(ConcurrencyTest, MixedStressStaysConsistent) {
         }
       }
       if (r % 4 == 0) {
-        (void)fsd_.List("t" + std::to_string(tid));
+        (void)fsd_.List(std::string("t").append(std::to_string(tid)));
       }
       if (r % 6 == 0) {
         (void)fsd_.DeleteFile(mine);
@@ -170,8 +170,8 @@ TEST_F(ConcurrencyTest, GroupCommitPiggybacksConcurrentForces) {
   std::atomic<bool> done{false};
   auto worker = [&](int tid) {
     for (int r = 0; r < kMaxRounds; ++r) {
-      const std::string name =
-          "t" + std::to_string(tid) + ".r" + std::to_string(r);
+      const std::string name = std::string("t").append(std::to_string(tid)) +
+                               ".r" + std::to_string(r);
       if (!fsd_.CreateFile(name, Bytes(256, 1)).ok()) {
         ++failures;
       }

@@ -162,6 +162,39 @@ TEST(CrashHarnessTest, StandardWorkloadYieldsReorderCoverage) {
       << "no checkpoint writes recorded (kCheckpoint steps became no-ops)";
 }
 
+// A replay with no crash armed issues exactly the recorded schedule. The
+// base snapshot carries the clock and head position, so a replay stamps
+// the recording's times, and the varint-coded name-table entries (whose
+// size depends on those times) split pages at the same writes. Without
+// the rewind, a replay after another case drifts, and cuts land on the
+// wrong write or never fire.
+TEST(CrashHarnessTest, UnarmedReplayIssuesTheRecordedSchedule) {
+  for (const Topology topology : {Topology::kSingle, Topology::kStriped}) {
+    for (const bool vam_logging : {false, true}) {
+      SCOPED_TRACE(std::string(topology == Topology::kSingle ? "single"
+                                                             : "striped") +
+                   (vam_logging ? " vamlog" : " plain"));
+      HarnessOptions options;
+      options.topology = topology;
+      options.vam_logging = vam_logging;
+      options.max_cases = 1;
+      options.double_crash_points = 0;
+      CrashHarness harness(options);
+      auto report = harness.Run();
+      ASSERT_TRUE(report.ok()) << report.status().message();
+      auto again = harness.ReplaySchedule();
+      ASSERT_TRUE(again.ok()) << again.status().message();
+      const std::vector<ScheduleEntry>& recorded = report->run.writes;
+      ASSERT_EQ(again->size(), recorded.size());
+      for (std::size_t i = 0; i < recorded.size(); ++i) {
+        ASSERT_EQ((*again)[i].lba, recorded[i].lba) << "write " << i;
+        ASSERT_EQ((*again)[i].sectors, recorded[i].sectors) << "write " << i;
+        ASSERT_EQ((*again)[i].op, recorded[i].op) << "write " << i;
+      }
+    }
+  }
+}
+
 // The workload's free-page phase must keep cutting inside both droppers of
 // a freed leaf's log record, in both recovery modes: the Checkpoint() right
 // after the first leaf is emptied writes pages home, and the force right

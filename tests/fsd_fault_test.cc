@@ -257,7 +257,11 @@ TEST_F(FsdFaultTest, CreateAndRenameOntoLostLeafFail) {
     if (fsd->Stat(target).status().code() == ErrorCode::kSectorDamaged) {
       leaf = pid;
     } else {
+      // Each probe starts from a clean mount, which reads pages lazily.
+      // Without the shutdown the next mount is a recovery mount, and its
+      // log replay rewrites the homes, healing the faults it injects.
       damage(pid, false);
+      ASSERT_TRUE(fsd->Shutdown().ok());
     }
   }
   ASSERT_NE(leaf, 0u);

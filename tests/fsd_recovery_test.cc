@@ -121,7 +121,8 @@ TEST_F(FsdRecoveryTest, TornLogWriteLosesOnlyTheTornBatch) {
   // The next force's log write is torn after 2 sectors.
   disk_.ArmCrash(sim::CrashPlan{.at_write_index = 0,
                                 .sectors_completed = 2,
-                                .sectors_damaged = 2});
+                                .sectors_damaged = 2,
+                                .drop_writes = {}});
   EXPECT_EQ(fsd_->Force().code(), ErrorCode::kDeviceCrashed);
 
   disk_.Reopen();
@@ -361,7 +362,8 @@ TEST_P(FsdCrashMatrixTest, ConsistentAfterCrashAtAnyWrite) {
   disk.ArmCrash(sim::CrashPlan{
       .at_write_index = static_cast<std::uint64_t>(crash_write),
       .sectors_completed = 1,
-      .sectors_damaged = 1});
+      .sectors_damaged = 1,
+      .drop_writes = {}});
 
   // Churn until the crash fires (creates, deletes, touches, commits).
   Rng rng(static_cast<std::uint64_t>(crash_write) * 31 + 7);

@@ -112,7 +112,8 @@ TEST_P(FsdScrubConvergenceTest, ScrubConvergesToRebuildTruth) {
   disk.ArmCrash(sim::CrashPlan{
       .at_write_index = static_cast<std::uint64_t>(GetParam()),
       .sectors_completed = 1,
-      .sectors_damaged = 1});
+      .sectors_damaged = 1,
+      .drop_writes = {}});
   Status forced = fsd->Force();
   if (forced.ok()) {
     // The crash is still armed; fire it on the next write.

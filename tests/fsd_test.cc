@@ -11,6 +11,7 @@
 #include "src/core/fsd.h"
 #include "src/sim/clock.h"
 #include "src/sim/disk.h"
+#include "src/util/crc32.h"
 #include "src/util/random.h"
 #include "src/workload/zipf.h"
 
@@ -55,6 +56,34 @@ TEST_F(FsdTest, CreateReadRoundTrip) {
   std::vector<std::uint8_t> out(1300);
   ASSERT_TRUE(fsd_.Read(*handle, 0, out).ok());
   EXPECT_EQ(out, contents);
+}
+
+// A volume written before name-table entries were varint-coded carries the
+// root magic "FSDR". Its fixed-width entries would misparse, so Mount must
+// refuse the volume at the root instead of reading the table.
+TEST_F(FsdTest, OldEntryLayoutVolumeFailsMount) {
+  ASSERT_TRUE(fsd_.CreateFile("old", Bytes(700, 3)).ok());
+  ASSERT_TRUE(fsd_.Shutdown().ok());
+  const sim::Lba root = fsd_.layout().root_lba;
+  std::vector<std::uint8_t> sector(512);
+  ASSERT_TRUE(disk_.Read(root, sector).ok());
+  // The root body is the magic, seven u32 fields and the clean flag, then
+  // its CRC; re-stamp it as the old layout wrote it, CRC included.
+  constexpr std::size_t kBody = 4 + 7 * 4 + 1;
+  const std::uint32_t old_magic = 0x46534452;  // "FSDR"
+  for (int i = 0; i < 4; ++i) {
+    sector[i] = static_cast<std::uint8_t>(old_magic >> (8 * i));
+  }
+  const std::uint32_t crc =
+      Crc32(std::span<const std::uint8_t>(sector).subspan(0, kBody));
+  for (int i = 0; i < 4; ++i) {
+    sector[kBody + i] = static_cast<std::uint8_t>(crc >> (8 * i));
+  }
+  for (const sim::Lba lba : {root, root + 2}) {
+    ASSERT_TRUE(disk_.Write(lba, sector).ok());
+  }
+  Fsd mounted(&disk_, SmallConfig());
+  EXPECT_EQ(mounted.Mount().code(), ErrorCode::kCorruptMetadata);
 }
 
 TEST_F(FsdTest, CreateIsOneSynchronousIo) {
@@ -457,7 +486,7 @@ struct NtMisses {
 // the cache) and runs as many lookups as the measured phase; the result is
 // the measured phase's name-table misses.
 NtMisses ZipfLookupMisses(bool all_leaf) {
-  constexpr std::uint32_t kFiles = 6000;
+  constexpr std::uint32_t kFiles = 8000;
   constexpr int kLookups = 10000;
   sim::VirtualClock clock;
   sim::SimDisk disk(sim::DiskGeometry{.cylinders = 120},

@@ -76,7 +76,8 @@ TEST(MetricsRegistryTest, StablePointersAcrossInsertions) {
   a->Add(5);
   // Insert many more names; the first pointer must stay valid & identical.
   for (int i = 0; i < 100; ++i) {
-    registry.GetCounter("c" + std::to_string(i))->Increment();
+    registry.GetCounter(std::string("c").append(std::to_string(i)))
+        ->Increment();
   }
   EXPECT_EQ(registry.GetCounter("a"), a);
   EXPECT_EQ(a->value(), 5u);

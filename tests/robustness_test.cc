@@ -68,7 +68,8 @@ TEST_F(RobustnessTest, TornNameTableWriteIsInvisible) {
   // entry, arming a crash that cuts a multi-sector write.
   disk_.ArmCrash(sim::CrashPlan{.at_write_index = 5,
                                 .sectors_completed = 1,
-                                .sectors_damaged = 2});
+                                .sectors_damaged = 2,
+                                .drop_writes = {}});
   Status status = OkStatus();
   for (int i = 0; i < 200 && status.ok(); ++i) {
     status =
@@ -224,7 +225,8 @@ TEST(CfsContrastTest, TornNameTableWriteBreaksCfsUntilScavenge) {
   // Tear the next 4-sector name-table write in the middle.
   disk.ArmCrash(sim::CrashPlan{.at_write_index = 4,
                                .sectors_completed = 2,
-                               .sectors_damaged = 1});
+                               .sectors_damaged = 1,
+                               .drop_writes = {}});
   Status status = OkStatus();
   for (int i = 0; i < 100 && status.ok(); ++i) {
     status = cfs.CreateFile("t/g" + std::to_string(i), Bytes(500, 2)).status();
@@ -259,7 +261,8 @@ TEST_P(CfsScavengeMatrixTest, ScavengeRestoresConsistencyAtAnyCrashPoint) {
   disk.ArmCrash(sim::CrashPlan{
       .at_write_index = static_cast<std::uint64_t>(GetParam()),
       .sectors_completed = 1,
-      .sectors_damaged = 1});
+      .sectors_damaged = 1,
+      .drop_writes = {}});
   Status status = OkStatus();
   for (int i = 0; i < 200 && status.ok(); ++i) {
     switch (i % 3) {

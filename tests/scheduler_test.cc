@@ -238,7 +238,7 @@ TEST(FsdWritebackTest, ThirdFlushCoalescesHomeWrites) {
   // Dirty a pile of name-table pages and churn the small log until it
   // cycles thirds, forcing home flushes.
   for (int round = 0; round < 12; ++round) {
-    for (int i = 0; i < 40; ++i) {
+    for (int i = 0; i < 80; ++i) {
       CEDAR_CHECK_OK(fsd.CreateFile("dir/f" + std::to_string(i),
                                     std::vector<std::uint8_t>(600, 7))
                          .status());
@@ -269,7 +269,7 @@ TEST(FsdWritebackTest, BatchingReducesThirdFlushDiskTime) {
     core::Fsd fsd(&disk, config);
     CEDAR_CHECK_OK(fsd.Format());
     for (int round = 0; round < 12; ++round) {
-      for (int i = 0; i < 40; ++i) {
+      for (int i = 0; i < 80; ++i) {
         CEDAR_CHECK_OK(fsd.CreateFile("dir/f" + std::to_string(i),
                                       std::vector<std::uint8_t>(600, 7))
                            .status());
@@ -308,7 +308,8 @@ TEST(FsdWritebackTest, CrashTearingCoalescedHomeWriteRecovers) {
   // (the paper's worst-case event), the rest of the transfer never happens.
   disk.ArmCrash(sim::CrashPlan{.at_write_index = 0,
                                .sectors_completed = 2,
-                               .sectors_damaged = 2});
+                               .sectors_damaged = 2,
+                               .drop_writes = {}});
   EXPECT_FALSE(fsd->Shutdown().ok());
   EXPECT_TRUE(disk.crashed());
 

@@ -259,7 +259,8 @@ TEST_F(SimDiskTest, TornWriteCompletesPrefixAndDamagesCut) {
   // Crash during the next write after 2 sectors, damaging 2 at the cut.
   disk_.ArmCrash(CrashPlan{.at_write_index = 0,
                            .sectors_completed = 2,
-                           .sectors_damaged = 2});
+                           .sectors_damaged = 2,
+                           .drop_writes = {}});
   auto update = Pattern(6, 0x50);
   EXPECT_EQ(disk_.Write(100, update).code(), ErrorCode::kDeviceCrashed);
   EXPECT_TRUE(disk_.crashed());
@@ -282,7 +283,8 @@ TEST_F(SimDiskTest, TornWriteCompletesPrefixAndDamagesCut) {
 TEST_F(SimDiskTest, CrashAtLaterWriteIndex) {
   disk_.ArmCrash(CrashPlan{.at_write_index = 2,
                            .sectors_completed = 0,
-                           .sectors_damaged = 0});
+                           .sectors_damaged = 0,
+                           .drop_writes = {}});
   EXPECT_TRUE(disk_.Write(0, Pattern(1, 1)).ok());
   EXPECT_TRUE(disk_.Write(1, Pattern(1, 2)).ok());
   EXPECT_EQ(disk_.Write(2, Pattern(1, 3)).code(), ErrorCode::kDeviceCrashed);

@@ -190,6 +190,50 @@ TEST(SerialTest, TruncatedStringFails) {
   EXPECT_FALSE(r.ok());
 }
 
+// Every width boundary round-trips in the fewest bytes: one byte per seven
+// bits, ten for the top of the u64 range.
+TEST(SerialTest, VarRoundTripsAtEveryWidth) {
+  for (int bits = 0; bits <= 64; ++bits) {
+    const std::uint64_t top = bits == 64 ? ~std::uint64_t{0}
+                                         : (std::uint64_t{1} << bits) - 1;
+    for (const std::uint64_t v : {top, top + (bits == 64 ? 0 : 1)}) {
+      ByteWriter w;
+      w.Var(v);
+      int want = 1;
+      for (std::uint64_t rest = v >> 7; rest != 0; rest >>= 7) {
+        ++want;
+      }
+      EXPECT_EQ(w.size(), static_cast<std::size_t>(want)) << v;
+      ByteReader r(w.buffer());
+      EXPECT_EQ(r.Var(), v);
+      EXPECT_TRUE(r.ok());
+      EXPECT_EQ(r.remaining(), 0u);
+    }
+  }
+}
+
+TEST(SerialTest, VarRejectsNonCanonicalInput) {
+  auto parses = [](std::vector<std::uint8_t> bytes) {
+    ByteReader r(bytes);
+    r.Var();
+    return r.ok();
+  };
+  EXPECT_TRUE(parses({0x00}));
+  EXPECT_FALSE(parses({}));                  // truncated
+  EXPECT_FALSE(parses({0x80}));              // truncated continuation
+  EXPECT_FALSE(parses({0x80, 0x00}));        // overlong zero
+  EXPECT_FALSE(parses({0xFF, 0x80, 0x00}));  // overlong 127
+  std::vector<std::uint8_t> max(9, 0xFF);
+  max.push_back(0x01);
+  EXPECT_TRUE(parses(max));  // 2^64 - 1
+  max.back() = 0x02;
+  EXPECT_FALSE(parses(max));  // bit 64 set in the 10th byte
+  max.back() = 0x81;
+  EXPECT_FALSE(parses(max));  // an 11th byte announced
+  max.back() = 0x00;
+  EXPECT_FALSE(parses(max));  // overlong 10th byte
+}
+
 TEST(RngTest, Deterministic) {
   Rng a(12345);
   Rng b(12345);
