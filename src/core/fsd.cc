@@ -628,7 +628,7 @@ Status Fsd::FormatLocked() {
     unrepairable_ = 0;
   }
 
-  CEDAR_RETURN_IF_ERROR(log_->Format(0));
+  // The log is formatted once, by the clean mount that ends Format.
 
   // Zero both name-table home regions: a reused disk could hold sectors
   // from a previous volume whose trailers still validate, and the

@@ -312,9 +312,9 @@ TEST(FsdLogCountersTest, SurviveCleanRemountAndResetAtFormat) {
 
   ASSERT_TRUE(fsd.Format().ok());
   const obs::MetricsSnapshot formatted = fsd.SnapshotMetrics();
-  // Since the reset the log was only formatted: by Format, then again by
-  // its clean mount (pointer pair + blank header, 4 sectors each).
-  EXPECT_EQ(formatted.CounterValue("log.sectors_written"), 2 * (3u + 1u));
+  // Since the reset the log was only formatted, once, by Format's clean
+  // mount: the pointer pair and a blank first header, 4 sectors.
+  EXPECT_EQ(formatted.CounterValue("log.sectors_written"), 3u + 1u);
   EXPECT_EQ(formatted.CounterValue("log.pages_logged"), 0u);
   EXPECT_EQ(formatted.CounterValue("log.markers"), 0u);
   EXPECT_EQ(formatted.CounterValue("log.third_entries"), 0u);
