@@ -752,8 +752,15 @@ Status Fsd::MountLocked() {
       }
     }
   } else {
-    // Clean boot: the log contents are all applied; start it fresh.
-    CEDAR_RETURN_IF_ERROR(log_->Format(boot_count_));
+    // Clean boot: the log contents are all applied; start it fresh. The log
+    // has no spare sectors, so a write fault here leaves the volume only
+    // the read-only degraded mount; attribute it for that mount's report.
+    if (Status formatted = log_->Format(boot_count_); !formatted.ok()) {
+      if (formatted.code() != ErrorCode::kDeviceCrashed) {
+        NoteUnrepairable("log unwritable at mount: " + formatted.message());
+      }
+      return formatted;
+    }
     Status loaded = vam_.Load(disk_, layout_.vam_base, layout_.vam_sectors,
                               previous_boot);
     need_rebuild = !loaded.ok();

@@ -296,6 +296,24 @@ TEST_F(FsdFaultTest, CreateAndRenameOntoLostLeafFail) {
   EXPECT_TRUE(report->Clean()) << report->Summary();
 }
 
+// A clean mount formats the log, and the log has no spare sectors: a grown
+// write defect on its pointer fails the mount, and the degraded mount that
+// follows must say why (the fault campaign found this unattributed).
+TEST_F(FsdFaultTest, UnwritableLogPointerFailsMountAttributed) {
+  ASSERT_TRUE(fsd_->Shutdown().ok());
+  disk_.InjectPersistentFault(fsd_->layout().log_base,
+                              sim::FaultMode::kWriteFail);
+  core::Fsd* fsd = Remake();
+  EXPECT_FALSE(fsd->Mount().ok());
+  ASSERT_TRUE(fsd->MountDegraded().ok());
+  const fs::HealthStats health = fsd->Health();
+  EXPECT_TRUE(health.degraded);
+  ASSERT_FALSE(health.notes.empty());
+  EXPECT_NE(health.notes.front().find("log unwritable"), std::string::npos)
+      << health.notes.front();
+  ExpectReadable(fsd, "lib/m7");
+}
+
 // The volume root rides in three sectors with two copies; a grown read
 // defect on the first copy is healed by the mount-time rewrite.
 TEST_F(FsdFaultTest, RootCopyReadFaultHealedOnMount) {
