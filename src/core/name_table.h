@@ -34,6 +34,11 @@ struct FsdEntry {
   std::vector<fs::Extent> runs;  // data extents (leader NOT included)
 };
 
+// The entry is one LEB128 varint per field, in declaration order, the run
+// count before the runs (DESIGN.md section 5). ParseEntry accepts exactly
+// the bytes SerializeEntry writes: anything else, including a field out of
+// its type's range or more than RunAllocator::kMaxRuns runs, is
+// kCorruptMetadata.
 std::vector<std::uint8_t> SerializeEntry(const FsdEntry& entry);
 Status ParseEntry(std::span<const std::uint8_t> buf, FsdEntry* out);
 
