@@ -409,12 +409,7 @@ Status Ffs::WriteSuperblock() {
   w.U32(group_count_);
   w.U32(config_.sectors_per_block);
   w.U32(config_.inodes_per_group);
-  std::vector<std::uint8_t> buf = w.Take();
-  const std::uint32_t crc = Crc32(buf);
-  ByteWriter tail(&buf);
-  tail.U32(crc);
-  buf.resize(block_bytes(), 0);
-  return disk_->Write(0, buf);
+  return disk_->Write(0, SealSector(std::move(w), block_bytes()));
 }
 
 Status Ffs::ReadSuperblock() {
@@ -429,9 +424,7 @@ Status Ffs::ReadSuperblock() {
   group_count_ = r.U32();
   config_.sectors_per_block = r.U32();
   config_.inodes_per_group = r.U32();
-  const std::size_t body = r.position();
-  ByteReader cr(std::span<const std::uint8_t>(buf).subspan(body, 4));
-  if (cr.U32() != Crc32(std::span<const std::uint8_t>(buf).subspan(0, body))) {
+  if (!CheckSeal(buf, r.position())) {
     return MakeError(ErrorCode::kCorruptMetadata, "superblock crc");
   }
   return OkStatus();

@@ -415,13 +415,7 @@ std::vector<std::uint8_t> Cfs::SerializeHeader(
     w.U32(run.start);
     w.U32(run.count);
   }
-  std::vector<std::uint8_t> buf = w.Take();
-  CEDAR_CHECK(buf.size() <= 1020);
-  const std::uint32_t crc = Crc32(buf);
-  ByteWriter tail(&buf);
-  tail.U32(crc);
-  buf.resize(1024, 0);
-  return buf;
+  return SealSector(std::move(w), 1024);
 }
 
 Status Cfs::ParseHeader(std::span<const std::uint8_t> buf,
@@ -448,11 +442,7 @@ Status Cfs::ParseHeader(std::span<const std::uint8_t> buf,
   if (!r.ok()) {
     return MakeError(ErrorCode::kCorruptMetadata, "truncated header");
   }
-  const std::size_t body = r.position();
-  const std::uint32_t crc =
-      Crc32(std::span<const std::uint8_t>(buf).subspan(0, body));
-  ByteReader cr(buf.subspan(body, 4));
-  if (cr.U32() != crc) {
+  if (!CheckSeal(buf, r.position())) {
     return MakeError(ErrorCode::kCorruptMetadata, "header crc mismatch");
   }
   return OkStatus();

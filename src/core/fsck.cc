@@ -17,9 +17,7 @@
 // which may self-repair a damaged copy — that is the documented behavior of
 // the read path, not a mutation by Fsck.
 
-#include <algorithm>
 #include <cstdio>
-#include <mutex>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -105,22 +103,13 @@ Result<FsckReport> Fsd::Fsck() {
         frame != nullptr && frame->dirty) {
       continue;
     }
-    std::vector<std::uint8_t> a(512);
-    std::vector<std::uint8_t> b(512);
-    std::vector<std::uint32_t> bad_a;
-    std::vector<std::uint32_t> bad_b;
     // Home reads go through the remap table; a CRC-invalid trailer on a
     // readable sector is silent corruption and counts as unreadable (the
     // content cannot be trusted any more than a failed read can).
-    const bool readable_a =
-        ReadWithRetry(MapNt(layout_.nta_base + pid), a, &bad_a).ok() &&
-        bad_a.empty();
-    const bool readable_b =
-        ReadWithRetry(MapNt(layout_.ntb_base + pid), b, &bad_b).ok() &&
-        bad_b.empty();
     // Read-only: the vote counts nothing here.
-    const NtVote vote = VoteNtCopies(a, readable_a, b, readable_b,
-                                     /*read_b=*/true, /*corruption=*/nullptr);
+    CEDAR_ASSIGN_OR_RETURN(const NtStore::Copies copies,
+                           nt_.ReadCopies(pid, /*corruption=*/nullptr));
+    const NtStore::Vote& vote = copies.vote;
     if (!vote.any()) {
       violate("nt-both-copies-bad",
               "live name-table page " + std::to_string(pid) +
@@ -147,7 +136,7 @@ Result<FsckReport> Fsd::Fsck() {
   auto reference = [&](sim::Lba start, std::uint32_t count,
                        const std::string& what) {
     if (start < layout_.data_low || start + count > layout_.data_high ||
-        (start + count > layout_.ntb_base && start < layout_.nta_end)) {
+        layout_.InMetadataComplex(start, count)) {
       violate("extent-out-of-bounds",
               what + " " + LbaRange(start, count) +
                   " lies outside the file data region");
@@ -186,17 +175,7 @@ Result<FsckReport> Fsd::Fsck() {
     // like the scrub does. A stale or unreadable leader is a warning — the
     // entry is authoritative and the leader is rebuilt from it.
     ++report.leaders_checked;
-    bool ok;
-    if (cache::Frame* frame = cache_.Find(kLeaderKeyBit | entry.leader_lba);
-        frame != nullptr && frame->dirty) {
-      ok = VerifyLeader(frame->data, entry, version).ok();
-    } else {
-      std::vector<std::uint8_t> sector(512);
-      std::vector<std::uint32_t> bad;
-      ok = ReadWithRetry(entry.leader_lba, sector, &bad).ok() && bad.empty() &&
-           VerifyLeader(sector, entry, version).ok();
-    }
-    if (!ok) {
+    if (!LeaderMatches(entry, version, /*charge=*/false)) {
       warn("leader-stale",
            ident + ": leader page disagrees with the entry (repairable)");
     }
@@ -210,7 +189,7 @@ Result<FsckReport> Fsd::Fsck() {
   // direction: the allocator could hand a live file's sector to a new one.
   std::uint64_t leaked = 0;
   for (sim::Lba lba = layout_.data_low; lba < layout_.data_high; ++lba) {
-    if (lba >= layout_.ntb_base && lba < layout_.nta_end) {
+    if (layout_.InMetadataComplex(lba)) {
       continue;  // the central metadata complex is not file space
     }
     const bool used = !vam_.IsFree(lba);

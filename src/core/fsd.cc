@@ -4,13 +4,11 @@
 #include <array>
 #include <map>
 #include <optional>
-#include <unordered_set>
 #include <utility>
 
 #include "src/fsapi/name_key.h"
 #include "src/obs/trace.h"
 #include "src/util/check.h"
-#include "src/util/crc32.h"
 #include "src/util/serial.h"
 
 namespace cedar::core {
@@ -20,14 +18,6 @@ namespace {
 // that layout (magic "FSDR") fails Mount on the magic instead of having its
 // fixed-width entries misread.
 constexpr std::uint32_t kRootMagic = 0x46534456;
-constexpr std::uint32_t kRemapMagic = 0x4E54524D;  // "NTRM"
-
-void PutU32(std::uint8_t* p, std::uint32_t v) {
-  p[0] = static_cast<std::uint8_t>(v);
-  p[1] = static_cast<std::uint8_t>(v >> 8);
-  p[2] = static_cast<std::uint8_t>(v >> 16);
-  p[3] = static_cast<std::uint8_t>(v >> 24);
-}
 
 // commit.daemon picks the executor of both round runners: background
 // threads, or rounds stepped on the calling thread (inline mode).
@@ -39,161 +29,43 @@ RoundRunner::Executor RoundExecutor(const FsdConfig& config) {
 }  // namespace
 
 // The name-table PageStore: reads come from the buffer pool, falling back
-// to the double-written home copies (primary preferred, replica used for
-// repair); writes only dirty cached frames — the log captures them at the
-// next group commit, so a multi-page B-tree update is atomic.
+// to the name-table store's cluster read on a miss; writes only dirty
+// cached frames — the log captures them at the next group commit, so a
+// multi-page B-tree update is atomic.
 //
 // Concurrency: only the cache's closure APIs are used (reads copy out an
 // atomic image, writes mutate under the cache mutex), so tree readers on
 // shared pages never see torn frames; the allocation-map bitmaps are
 // guarded by the owning Fsd's alloc_mu_.
-class Fsd::NtStore : public btree::PageStore {
+class Fsd::NtPages : public btree::PageStore {
  public:
-  // Content CRCs (DESIGN.md section 4h): every home sector is 504 bytes of
-  // tree payload plus an 8-byte trailer — a u32 write sequence from a
-  // volume-global monotonic clock and a u32 CRC over the first 508 bytes.
-  // The CRC catches silent corruption (bit rot under an intact label, which
-  // the device acks as a successful read); the sequence arbitrates between
-  // two copies that BOTH validate but disagree — a dropped (acked-but-lost)
-  // home write leaves the stale copy with the lower stamp, so the newer
-  // copy wins regardless of which region holds it. Cache frames and log
-  // images carry the full composed sector, so group commit and recovery
-  // replay preserve trailers without knowing about them.
-  static constexpr std::uint32_t kPayload = 504;
-  static constexpr std::size_t kSeqOffset = 504;
-  static constexpr std::size_t kCrcOffset = 508;
+  explicit NtPages(Fsd* fsd) : fsd_(fsd) {}
 
-  explicit NtStore(Fsd* fsd) : fsd_(fsd) {}
-
-  std::uint32_t page_size() const override { return kPayload; }
-
-  // Validates `sector`'s trailer CRC; on success stores the write sequence
-  // in *seq (when non-null). Free (never-written) pages fail the CRC.
-  static bool ParseTrailer(std::span<const std::uint8_t> sector,
-                           std::uint32_t* seq) {
-    CEDAR_CHECK(sector.size() == 512);
-    ByteReader cr(sector.subspan(kCrcOffset, 4));
-    if (cr.U32() != Crc32(sector.subspan(0, kCrcOffset))) {
-      return false;
-    }
-    if (seq != nullptr) {
-      ByteReader sr(sector.subspan(kSeqOffset, 4));
-      *seq = sr.U32();
-    }
-    return true;
-  }
-
-  // Builds a full 512-byte home sector: payload, fresh sequence stamp, CRC.
-  std::vector<std::uint8_t> Compose(std::span<const std::uint8_t> payload) {
-    CEDAR_CHECK(payload.size() == kPayload);
-    std::vector<std::uint8_t> sector(512, 0);
-    std::copy(payload.begin(), payload.end(), sector.begin());
-    const std::uint32_t seq =
-        seq_clock_.fetch_add(1, std::memory_order_relaxed) + 1;
-    PutU32(sector.data() + kSeqOffset, seq);
-    PutU32(sector.data() + kCrcOffset,
-           Crc32(std::span<const std::uint8_t>(sector).subspan(0,
-                                                               kCrcOffset)));
-    return sector;
-  }
-
-  // The sequence clock must dominate every stamp on disk or the winner
-  // election above could prefer a stale copy. Mount max-merges it from the
-  // volume root (a floor persisted at every root write), from every trailer
-  // the preload sweep sees, and from every replayed log image; Format
-  // resets it alongside the zeroed regions.
-  void MergeSeq(std::uint32_t seq) {
-    std::uint32_t cur = seq_clock_.load(std::memory_order_relaxed);
-    while (seq > cur && !seq_clock_.compare_exchange_weak(
-                            cur, seq, std::memory_order_relaxed)) {
-    }
-  }
-  std::uint32_t seq_clock() const {
-    return seq_clock_.load(std::memory_order_relaxed);
-  }
-  void ResetSeqClock(std::uint32_t value) {
-    seq_clock_.store(value, std::memory_order_relaxed);
-  }
+  std::uint32_t page_size() const override { return NtStore::kPayload; }
 
   Status ReadPage(btree::PageId id, std::span<std::uint8_t> out) override {
     std::array<std::uint8_t, 512> cached;
     if (fsd_->cache_.ReadInto(id, cached)) {
-      std::copy_n(cached.begin(), kPayload, out.begin());
+      std::copy_n(cached.begin(), NtStore::kPayload, out.begin());
       return OkStatus();
     }
-    // Miss: read an aligned cluster of pages from each region in one
-    // request (tree pages allocate roughly sequentially, so siblings come
-    // along for free — the clustering effect the paper gets from its larger
-    // name-table pages), vote, and repair the loser in place (remapping its
-    // home sector when the rewrite hits permanently bad media). The replica
-    // is read only under double_read_check or when the primary is bad.
-    const std::uint32_t cluster = fsd_->config_.durability.nt_read_ahead_pages;
-    const std::uint32_t first = (id / cluster) * cluster;
-    const std::uint32_t count =
-        std::min(cluster, fsd_->config_.nt_pages - first);
-
-    std::vector<std::uint8_t> a(static_cast<std::size_t>(count) * 512);
-    std::vector<std::uint8_t> b(a.size());
-    std::vector<std::uint32_t> bad_a;
-    std::vector<std::uint32_t> bad_b;
-    CEDAR_RETURN_IF_ERROR(
-        ReadRegion(fsd_->layout_.nta_base + first, count, a, &bad_a));
-    auto is_bad = [](const std::vector<std::uint32_t>& bad,
-                     std::uint32_t i) {
-      return std::find(bad.begin(), bad.end(), i) != bad.end();
-    };
-    auto sector_of = [](std::vector<std::uint8_t>& region, std::uint32_t i) {
-      return std::span<const std::uint8_t>(region).subspan(
-          static_cast<std::size_t>(i) * 512, 512);
-    };
-    const bool read_b = fsd_->config_.durability.double_read_check ||
-                        !bad_a.empty() ||
-                        !ParseTrailer(sector_of(a, id - first), nullptr);
-    if (read_b) {
-      CEDAR_RETURN_IF_ERROR(
-          ReadRegion(fsd_->layout_.ntb_base + first, count, b, &bad_b));
-    }
-
+    // Miss: every page the cluster read elects is cached unless a frame
+    // already holds it — never clobber a (possibly dirty) frame.
     bool found = false;
-    for (std::uint32_t i = 0; i < count; ++i) {
-      const std::uint32_t pid = first + i;
-      auto page_a = sector_of(a, i);
-      auto page_b = sector_of(b, i);
-      const NtVote vote =
-          VoteNtCopies(page_a, !is_bad(bad_a, i), page_b, !is_bad(bad_b, i),
-                       read_b, fsd_->c_.corruption_detected);
-      if (!vote.any()) {
-        if (pid == id) {
-          fsd_->NoteLostNtPage(pid);
-          return MakeError(ErrorCode::kSectorDamaged,
-                           "both name-table copies unreadable, page " +
-                               std::to_string(pid));
-        }
-        continue;  // a free page, or a loss the per-page path will report
-      }
-      auto good = vote.b_wins ? page_b : page_a;
-      if (!fsd_->cache_.InsertIfAbsent(
-              pid, std::vector<std::uint8_t>(good.begin(), good.end()))) {
-        // Cached — never clobber a (possibly dirty) frame, and skip the
-        // repair: a frame with a newer image will reach home through a
-        // checkpoint anyway.
-        if (pid == id) {
-          CEDAR_CHECK(fsd_->cache_.ReadInto(id, cached));
-          std::copy_n(cached.begin(), kPayload, out.begin());
-          found = true;
-        }
-        continue;
-      }
-      MergeSeq(vote.seq);
-      if (vote.diverged) {
-        CEDAR_RETURN_IF_ERROR(
-            fsd_->RepairNtCopy(fsd_->NtLoserHome(vote, pid), good));
-      }
-      if (pid == id) {
-        std::copy_n(good.begin(), kPayload, out.begin());
-        found = true;
-      }
-    }
+    CEDAR_RETURN_IF_ERROR(fsd_->nt_.ReadCluster(
+        id, [&](std::uint32_t pid, std::span<const std::uint8_t> good) {
+          const bool inserted = fsd_->cache_.InsertIfAbsent(
+              pid, std::vector<std::uint8_t>(good.begin(), good.end()));
+          if (pid == id) {
+            if (!inserted) {
+              CEDAR_CHECK(fsd_->cache_.ReadInto(id, cached));
+              good = cached;
+            }
+            std::copy_n(good.begin(), NtStore::kPayload, out.begin());
+            found = true;
+          }
+          return inserted;
+        }));
     CEDAR_CHECK(found);
     if (btree::BTree::IsInteriorPage(out)) {
       fsd_->c_.nt_misses_interior->Increment();
@@ -205,7 +77,7 @@ class Fsd::NtStore : public btree::PageStore {
 
   Status WritePage(btree::PageId id,
                    std::span<const std::uint8_t> data) override {
-    std::vector<std::uint8_t> sector = Compose(data);
+    std::vector<std::uint8_t> sector = fsd_->nt_.Compose(data);
     bool became_pending = false;
     fsd_->cache_.Upsert(id, [&](cache::Frame& frame, bool) {
       frame.data = std::move(sector);
@@ -264,86 +136,7 @@ class Fsd::NtStore : public btree::PageStore {
   }
 
  private:
-  // One region's slice of the cluster: a single bulk request, then the
-  // remap patch.
-  Status ReadRegion(sim::Lba base, std::uint32_t count,
-                    std::vector<std::uint8_t>& buf,
-                    std::vector<std::uint32_t>* bad) {
-    CEDAR_RETURN_IF_ERROR(fsd_->ReadWithRetry(base, buf, bad));
-    fsd_->ChargeSectors(count);
-    return fsd_->PatchRemapped(base, count, buf, bad);
-  }
-
   Fsd* fsd_;
-  std::atomic<std::uint32_t> seq_clock_{0};
-};
-
-Fsd::NtVote Fsd::VoteNtCopies(std::span<const std::uint8_t> a,
-                              bool readable_a,
-                              std::span<const std::uint8_t> b,
-                              bool readable_b, bool read_b,
-                              obs::Counter* corruption) {
-  readable_b = readable_b && read_b;
-  NtVote vote;
-  std::uint32_t seq_a = 0;
-  std::uint32_t seq_b = 0;
-  vote.ok_a = readable_a && NtStore::ParseTrailer(a, &seq_a);
-  vote.ok_b = readable_b && NtStore::ParseTrailer(b, &seq_b);
-  if (!vote.any()) {
-    return vote;  // a free page, or a lost one: nothing to elect or count
-  }
-  // With one copy ok, a readable copy whose CRC fails held real data:
-  // silent corruption, caught (at most one copy can be that copy).
-  if (corruption != nullptr &&
-      ((readable_a && !vote.ok_a) || (readable_b && !vote.ok_b))) {
-    corruption->Increment();
-  }
-  // On a tie (the common case — both copies carry the same composed
-  // sector) the primary wins, preserving the historical repair direction.
-  vote.b_wins = vote.ok_b && (!vote.ok_a || seq_b > seq_a);
-  vote.seq = std::max(vote.ok_a ? seq_a : 0u, vote.ok_b ? seq_b : 0u);
-  vote.diverged = read_b && (!vote.ok_a || !vote.ok_b ||
-                             !std::equal(a.begin(), a.end(), b.begin()));
-  return vote;
-}
-
-// A read-only name-table PageStore over the preload sweep's elected images
-// (the mount-time rebuild walks the tree through it, so a cache smaller
-// than the table never sends the walk back to disk). A page neither copy
-// held is lost exactly as NtStore::ReadPage reports it.
-class Fsd::NtImageStore : public btree::PageStore {
- public:
-  NtImageStore(Fsd* fsd, const NtImages* images) : fsd_(fsd), images_(images) {}
-
-  std::uint32_t page_size() const override { return NtStore::kPayload; }
-
-  Status ReadPage(btree::PageId id, std::span<std::uint8_t> out) override {
-    if (id >= images_->present.size() || !images_->present[id]) {
-      fsd_->NoteLostNtPage(id);
-      return MakeError(ErrorCode::kSectorDamaged,
-                       "both name-table copies unreadable, page " +
-                           std::to_string(id));
-    }
-    std::copy_n(images_->sectors.begin() + static_cast<std::size_t>(id) * 512,
-                NtStore::kPayload, out.begin());
-    return OkStatus();
-  }
-
-  Status WritePage(btree::PageId, std::span<const std::uint8_t>) override {
-    return ReadOnly();
-  }
-  Result<btree::PageId> AllocatePage() override { return ReadOnly(); }
-  Status FreePage(btree::PageId) override { return ReadOnly(); }
-  bool CanAllocate(std::uint32_t) override { return false; }
-
- private:
-  static Status ReadOnly() {
-    return MakeError(ErrorCode::kFailedPrecondition,
-                     "name-table image store is read-only");
-  }
-
-  Fsd* fsd_;
-  const NtImages* images_;
 };
 
 bool Fsd::IsInteriorFrame(std::uint32_t key,
@@ -365,8 +158,8 @@ Fsd::Fsd(sim::BlockDevice* disk, FsdConfig config,
       ckpt_rounds_(RoundExecutor(config), [this] { CkptRound(); }),
       queue_(&commit_rounds_, &metrics_) {
   CEDAR_CHECK(disk != nullptr);
-  nt_store_ = std::make_unique<NtStore>(this);
-  tree_ = std::make_unique<btree::BTree>(nt_store_.get(), /*root=*/0);
+  nt_pages_ = std::make_unique<NtPages>(this);
+  tree_ = std::make_unique<btree::BTree>(nt_pages_.get(), /*root=*/0);
   log_ = std::make_unique<FsdLog>(disk_, layout_.log_base,
                                   config_.log_sectors, &metrics_);
   allocator_ = std::make_unique<RunAllocator>(
@@ -375,36 +168,24 @@ Fsd::Fsd(sim::BlockDevice* disk, FsdConfig config,
   disk_->AttachMetrics(&metrics_);
 }
 
-Status Fsd::ReadWithRetry(sim::Lba start, std::span<std::uint8_t> out,
-                          std::vector<std::uint32_t>* bad) {
-  Status status = disk_->Read(start, out, bad);
-  std::uint32_t attempts = 0;
-  while (status.code() == ErrorCode::kReadTransient &&
-         attempts < kReadRetryLimit) {
-    ++attempts;
-    c_.read_retries->Increment();
-    status = disk_->Read(start, out, bad);
+bool Fsd::LeaderMatches(const FsdEntry& entry, std::uint32_t version,
+                        bool charge) {
+  if (cache::Frame* frame = cache_.Find(kLeaderKeyBit | entry.leader_lba);
+      frame != nullptr && frame->dirty) {
+    return VerifyLeader(frame->data, entry, version).ok();
   }
-  if (status.code() == ErrorCode::kReadTransient) {
-    // The retry budget is spent and the sector still reads soft: surface it
-    // with the failing span attached, so callers (and their callers'
-    // operators) see WHICH sectors gave up instead of a bare device error.
-    c_.read_retry_exhausted->Increment();
-    const sim::Lba last = start + static_cast<sim::Lba>(out.size() / 512) - 1;
-    std::string span_text = "lba " + std::to_string(start);
-    if (last > start) {
-      span_text += ".." + std::to_string(last);
-    }
-    return MakeError(ErrorCode::kReadTransient,
-                     "read retries exhausted (" +
-                         std::to_string(kReadRetryLimit) +
-                         "), " + span_text + ": " + status.message());
+  std::vector<std::uint8_t> sector(512);
+  std::vector<std::uint32_t> bad;
+  const bool ok = health_.ReadWithRetry(entry.leader_lba, sector, &bad).ok() &&
+                  bad.empty() && VerifyLeader(sector, entry, version).ok();
+  if (charge) {
+    ChargeSectors(1);
   }
-  return status;
+  return ok;
 }
 
 Status Fsd::RepairLeader(const FsdEntry& entry, std::uint32_t version) {
-  if (degraded_.load(std::memory_order_relaxed)) {
+  if (health_.degraded()) {
     return OkStatus();  // read-only: the entry serves as the authority
   }
   obs::ScopedOp op_scope(disk_->tracer(), "fsd.repair");
@@ -412,13 +193,13 @@ Status Fsd::RepairLeader(const FsdEntry& entry, std::uint32_t version) {
       SerializeLeader(MakeLeader(entry, version));
   const Status wrote = disk_->Write(entry.leader_lba, image);
   if (wrote.ok()) {
-    c_.repairs->Increment();
+    health_.c.repairs->Increment();
     return OkStatus();
   }
   if (wrote.code() == ErrorCode::kDeviceCrashed) {
     return wrote;
   }
-  NoteUnrepairable("leader unrepairable at lba " +
+  health_.NoteUnrepairable("leader unrepairable at lba " +
                    std::to_string(entry.leader_lba) + ": " + wrote.message());
   return wrote;
 }
@@ -475,11 +256,10 @@ void Fsd::RecordDelta(VamDelta::Op op, std::uint32_t start,
   }
 }
 
-Status Fsd::MarkSystemRegionsUsed() {
+void Fsd::MarkSystemRegionsUsed() {
   vam_.free().SetRange(0, layout_.data_low, false);
-  vam_.free().SetRange(layout_.ntb_base, layout_.nta_end - layout_.ntb_base,
-                       false);
-  return OkStatus();
+  vam_.free().SetRange(layout_.complex_begin(),
+                       layout_.nta_end - layout_.complex_begin(), false);
 }
 
 Status Fsd::WriteVolumeRoot(bool clean) {
@@ -494,20 +274,16 @@ Status Fsd::WriteVolumeRoot(bool clean) {
   // Name-table write-sequence high-water mark: a clean shutdown persists
   // the exact clock, every other root write a floor, so the next mount can
   // never stamp new home sectors below ones already on disk.
-  w.U32(nt_store_->seq_clock());
+  w.U32(nt_.seq_clock());
   w.U8(clean ? 1 : 0);
-  std::vector<std::uint8_t> root = w.Take();
-  const std::uint32_t crc = Crc32(root);
-  ByteWriter tail(&root);
-  tail.U32(crc);
-  root.resize(512, 0);
+  const std::vector<std::uint8_t> root = SealSector(std::move(w));
   // [root][blank][copy] in one write; the copies are never adjacent.
   std::vector<std::uint8_t> buf(3 * 512, 0);
   std::copy(root.begin(), root.end(), buf.begin());
   std::copy(root.begin(), root.end(), buf.begin() + 2 * 512);
   const Status wrote = disk_->Write(layout_.root_lba, buf);
   if (!wrote.ok() && wrote.code() != ErrorCode::kDeviceCrashed) {
-    NoteUnrepairable("volume root unwritable at lba " +
+    health_.NoteUnrepairable("volume root unwritable at lba " +
                      std::to_string(layout_.root_lba) + ": " +
                      wrote.message());
   }
@@ -541,9 +317,7 @@ Status Fsd::ReadVolumeRoot(bool* clean) {
     if (!r.ok()) {
       return MakeError(ErrorCode::kCorruptMetadata, "truncated root");
     }
-    const std::size_t body = r.position();
-    ByteReader cr(sector.subspan(body, 4));
-    if (cr.U32() != Crc32(sector.subspan(0, body))) {
+    if (!CheckSeal(sector, r.position())) {
       return MakeError(ErrorCode::kCorruptMetadata, "root crc mismatch");
     }
     return OkStatus();
@@ -551,7 +325,7 @@ Status Fsd::ReadVolumeRoot(bool* clean) {
 
   std::vector<std::uint8_t> buf(3 * 512);
   std::vector<std::uint32_t> bad;
-  CEDAR_RETURN_IF_ERROR(ReadWithRetry(layout_.root_lba, buf, &bad));
+  CEDAR_RETURN_IF_ERROR(health_.ReadWithRetry(layout_.root_lba, buf, &bad));
   auto span = std::span<const std::uint8_t>(buf);
   RootFields f0;
   RootFields f2;
@@ -570,14 +344,14 @@ Status Fsd::ReadVolumeRoot(bool* clean) {
   config_.log_sectors = f.log_sectors;
   config_.nt_pages = f.nt_pages;
   boot_count_ = f.boot_count;
-  nt_store_->MergeSeq(f.nt_seq);
+  nt_.MergeSeq(f.nt_seq);
   *clean = f.clean;
   // Heal the lost/stale copy from the survivor while we are here (never in
   // degraded mode — nothing writes there).
   const bool diverged =
       ok0 != ok2 ||
       !std::equal(span.begin(), span.begin() + 512, span.begin() + 2 * 512);
-  if (diverged && !degraded_.load(std::memory_order_relaxed)) {
+  if (diverged && !health_.degraded()) {
     auto good = span.subspan(use2 ? 2 * 512 : 0, 512);
     const sim::Lba stale = layout_.root_lba + (use2 ? 0 : 2);
     const Status repaired = disk_->Write(stale, good);
@@ -585,9 +359,9 @@ Status Fsd::ReadVolumeRoot(bool* clean) {
       return repaired;
     }
     if (repaired.ok()) {
-      c_.repairs->Increment();
+      health_.c.repairs->Increment();
     } else {
-      NoteUnrepairable("volume root copy unwritable at lba " +
+      health_.NoteUnrepairable("volume root copy unwritable at lba " +
                        std::to_string(stale) + ": " + repaired.message());
     }
   }
@@ -615,66 +389,20 @@ Status Fsd::FormatLocked() {
   metrics_.Reset();
   cache_.Clear();
   open_files_.clear();
-  degraded_.store(false, std::memory_order_relaxed);
-  nt_store_->ResetSeqClock(0);
-  {
-    std::lock_guard<std::mutex> lock(remap_mu_);
-    nt_remap_.clear();
-  }
-  {
-    std::lock_guard<std::mutex> lock(health_mu_);
-    health_notes_.clear();
-    nt_pages_lost_ = 0;
-    unrepairable_ = 0;
-  }
-
+  health_.Reset();
   // The log is formatted once, by the clean mount that ends Format.
-
-  // Zero both name-table home regions: a reused disk could hold sectors
-  // from a previous volume whose trailers still validate, and the
-  // newest-copy election must never resurrect them. Write errors (a
-  // pre-damaged sector) are tolerated — the first real write to that page
-  // goes through the repair/remap path.
-  {
-    constexpr std::uint32_t kZeroChunk = 1024;
-    std::vector<std::uint8_t> zeros(
-        static_cast<std::size_t>(std::min(kZeroChunk, config_.nt_pages)) *
-        512);
-    for (const sim::Lba base : {layout_.nta_base, layout_.ntb_base}) {
-      for (std::uint32_t off = 0; off < config_.nt_pages; off += kZeroChunk) {
-        const std::uint32_t take = std::min(kZeroChunk, config_.nt_pages - off);
-        const Status wiped = disk_->Write(
-            base + off, std::span<const std::uint8_t>(
-                            zeros.data(), static_cast<std::size_t>(take) * 512));
-        if (wiped.code() == ErrorCode::kDeviceCrashed) {
-          return wiped;
-        }
-      }
-    }
-  }
-  // Fresh volume, empty remap directory (both copies).
-  CEDAR_RETURN_IF_ERROR(SaveRemapTable());
+  CEDAR_RETURN_IF_ERROR(nt_.Format());
 
   vam_.Reset(disk_->geometry().TotalSectors(), config_.nt_pages);
   vam_.free().SetRange(0, vam_.free().size(), true);
-  CEDAR_RETURN_IF_ERROR(MarkSystemRegionsUsed());
+  MarkSystemRegionsUsed();
   vam_.nt_free().SetRange(0, config_.nt_pages, true);
   vam_.nt_free().Set(0, false);  // tree root
 
   CEDAR_RETURN_IF_ERROR(tree_->Create());
   // Write the fresh pages straight home (both copies) and clear flags;
   // nothing needs the log yet.
-  std::vector<HomeImage> fresh;
-  cache_.ForEach([&](std::uint32_t key, cache::Frame& frame) {
-    if (frame.dirty) {
-      fresh.push_back(HomeImage{.key = key, .image = frame.data});
-    }
-  });
-  CEDAR_RETURN_IF_ERROR(SweepHome(fresh));
-  cache_.ForEach([](std::uint32_t, cache::Frame& frame) {
-    frame.dirty = false;
-    frame.dirty_since_log = false;
-  });
+  CEDAR_RETURN_IF_ERROR(WriteDirtyHome());
 
   CEDAR_RETURN_IF_ERROR(
       vam_.Save(disk_, layout_.vam_base, layout_.vam_sectors, 0));
@@ -698,12 +426,12 @@ Status Fsd::Mount() {
 
 Status Fsd::MountLocked() {
   obs::ScopedOp op_scope(disk_->tracer(), "fsd.mount");
-  degraded_.store(false, std::memory_order_relaxed);
+  health_.set_degraded(false);
   bool clean = false;
   CEDAR_RETURN_IF_ERROR(ReadVolumeRoot(&clean));
   // The remap table routes every name-table home access from here on, so
   // it loads before recovery replay or the preload sweep touch the region.
-  CEDAR_RETURN_IF_ERROR(LoadRemapTable());
+  CEDAR_RETURN_IF_ERROR(nt_.LoadRemapTable());
   const std::uint32_t previous_boot = boot_count_;
   ++boot_count_;
   uid_counter_ = 0;
@@ -731,8 +459,8 @@ Status Fsd::MountLocked() {
       }
       c_.recovery_pages_replayed->Increment();
     }
-    CEDAR_RETURN_IF_ERROR(FlushHomeBatch(primaries));
-    CEDAR_RETURN_IF_ERROR(FlushHomeBatch(secondaries));
+    CEDAR_RETURN_IF_ERROR(nt_.Flush(primaries));
+    CEDAR_RETURN_IF_ERROR(nt_.Flush(secondaries));
 
     // VAM: fast path = last base snapshot + the deltas logged since it
     // (idempotent, applied in LSN order); otherwise scan the name table.
@@ -757,7 +485,8 @@ Status Fsd::MountLocked() {
     // the read-only degraded mount; attribute it for that mount's report.
     if (Status formatted = log_->Format(boot_count_); !formatted.ok()) {
       if (formatted.code() != ErrorCode::kDeviceCrashed) {
-        NoteUnrepairable("log unwritable at mount: " + formatted.message());
+        health_.NoteUnrepairable("log unwritable at mount: " +
+                                 formatted.message());
       }
       return formatted;
     }
@@ -803,7 +532,7 @@ Status Fsd::MountDegradedLocked() {
   // Set FIRST: every write path below (root repair, preload repairs, remap
   // saves) checks this flag and stands down — the medium is preserved
   // exactly as found for offline salvage.
-  degraded_.store(true, std::memory_order_relaxed);
+  health_.set_degraded(true);
   bool clean = false;
   const Status root = ReadVolumeRoot(&clean);
   if (root.code() == ErrorCode::kDeviceCrashed) {
@@ -812,7 +541,7 @@ Status Fsd::MountDegradedLocked() {
   if (!root.ok()) {
     // Keep the constructed config and assume unclean so the log replay
     // below recovers whatever it can.
-    NoteUnrepairable("volume root unreadable: " + root.message());
+    health_.NoteUnrepairable("volume root unreadable: " + root.message());
     clean = false;
   }
   ++boot_count_;  // in-memory only; nothing writes the root in this mode
@@ -820,7 +549,7 @@ Status Fsd::MountDegradedLocked() {
   cache_.Clear();
   open_files_.clear();
   vam_.Reset(disk_->geometry().TotalSectors(), config_.nt_pages);
-  const Status remap = LoadRemapTable();
+  const Status remap = nt_.LoadRemapTable();
   if (remap.code() == ErrorCode::kDeviceCrashed) {
     return remap;
   }
@@ -836,7 +565,7 @@ Status Fsd::MountDegradedLocked() {
       return recovered;
     }
     if (!recovered.ok()) {
-      NoteUnrepairable("log unreadable, recovery skipped: " +
+      health_.NoteUnrepairable("log unreadable, recovery skipped: " +
                        recovered.message());
       replay.clear();
     }
@@ -847,26 +576,25 @@ Status Fsd::MountDegradedLocked() {
   // than any home copy. Overlaid frames are marked dirty: dirty frames are
   // never evicted and nothing flushes in this mode, so the log's images
   // stay pinned in memory without ever touching the disk.
-  const Status preload = PreloadNameTable();
+  NtImages images;
+  const Status preload = PreloadNameTable(&images);
   if (preload.code() == ErrorCode::kDeviceCrashed) {
     return preload;
   }
   if (!preload.ok()) {
-    NoteUnrepairable("name-table preload failed: " + preload.message());
+    health_.NoteUnrepairable("name-table preload failed: " + preload.message());
   }
   for (const auto& [lba, page] : replay) {
-    // A name-table home, a spare (mapped back to its original home), or a
+    // A name-table copy (a home, or a spare standing in for one) or a
     // leader.
-    const std::optional<sim::Lba> home =
-        IsNtHome(lba) ? std::optional<sim::Lba>(lba) : RemapOrigin(lba);
-    const bool is_leader = !home.has_value();
-    std::uint32_t key = kLeaderKeyBit | static_cast<std::uint32_t>(lba);
-    if (!is_leader) {
-      if (*home < layout_.nta_base || *home >= layout_.nta_end) {
-        continue;  // a replica-home image; the primary image covers the page
-      }
-      key = static_cast<std::uint32_t>(*home - layout_.nta_base);
+    const std::optional<NtStore::CopyRef> copy = nt_.CopyAt(lba);
+    if (copy && copy->replica) {
+      continue;  // a replica-home image; the primary image covers the page
     }
+    const bool is_leader = !copy.has_value();
+    const std::uint32_t key =
+        is_leader ? kLeaderKeyBit | static_cast<std::uint32_t>(lba)
+                  : copy->pid;
     cache_.Upsert(key, [&](cache::Frame& frame, bool) {
       frame.data = page.data;
       frame.dirty = true;  // pins the frame; nothing writes it back
@@ -897,7 +625,7 @@ Status Fsd::CollectReplay(
         for (const PageImage& page : pages) {
           switch (page.kind) {
             case PageKind::kTombstone:
-              replay->erase(MapNt(page.primary));
+              replay->erase(nt_.Map(page.primary));
               break;
             case PageKind::kVamDelta: {
               if (deltas == nullptr) {
@@ -912,13 +640,10 @@ Status Fsd::CollectReplay(
             }
             case PageKind::kPage: {
               PageImage mapped = page;
-              mapped.primary = MapNt(page.primary);
+              mapped.primary = nt_.Map(page.primary);
               if (page.secondary != kNoLba) {
-                mapped.secondary = MapNt(page.secondary);
-                std::uint32_t seq = 0;
-                if (NtStore::ParseTrailer(mapped.data, &seq)) {
-                  nt_store_->MergeSeq(seq);
-                }
+                mapped.secondary = nt_.Map(page.secondary);
+                nt_.MergeTrailerSeq(mapped.data);
               }
               (*replay)[mapped.primary] = std::move(mapped);
               break;
@@ -931,84 +656,12 @@ Status Fsd::CollectReplay(
 }
 
 Status Fsd::PreloadNameTable(NtImages* winners) {
-  const std::uint32_t n = config_.nt_pages;
-  std::vector<std::uint8_t> region_a(static_cast<std::size_t>(n) * 512);
-  std::vector<std::uint8_t> region_b(static_cast<std::size_t>(n) * 512);
-  constexpr std::uint32_t kChunk = 1024;
-  // Both regions in one elevator sweep; replica B sits below the log and
-  // primary A above it, so the sweep reads B then A with a single crossing
-  // instead of ping-ponging per chunk.
-  const std::uint32_t chunks = (n + kChunk - 1) / kChunk;
-  struct ChunkBad {
-    std::uint32_t off = 0;
-    std::vector<std::uint32_t>* sink = nullptr;
-    std::vector<std::uint32_t> bad;
-  };
-  std::vector<std::uint32_t> bad_a;
-  std::vector<std::uint32_t> bad_b;
-  std::vector<ChunkBad> chunk_bads;
-  chunk_bads.reserve(2 * static_cast<std::size_t>(chunks));
-  sim::IoScheduler sched(disk_, config_.durability.batched_writeback, kChunk);
-  auto queue_region = [&](std::vector<std::uint8_t>& region, sim::Lba base,
-                          std::vector<std::uint32_t>& sink) {
-    for (std::uint32_t off = 0; off < n; off += kChunk) {
-      const std::uint32_t take = std::min(kChunk, n - off);
-      chunk_bads.push_back(ChunkBad{.off = off, .sink = &sink, .bad = {}});
-      sched.QueueRead(
-          base + off,
-          std::span<std::uint8_t>(region.data() +
-                                      static_cast<std::size_t>(off) * 512,
-                                  static_cast<std::size_t>(take) * 512),
-          &chunk_bads.back().bad);
+  CEDAR_RETURN_IF_ERROR(nt_.Sweep(winners));
+  for (std::uint32_t pid = 0; pid < winners->present.size(); ++pid) {
+    if (winners->present[pid]) {
+      const auto at = winners->sectors.begin() + std::size_t{pid} * 512;
+      cache_.Insert(pid, std::vector<std::uint8_t>(at, at + 512));
     }
-  };
-  queue_region(region_a, layout_.nta_base, bad_a);
-  queue_region(region_b, layout_.ntb_base, bad_b);
-  CEDAR_RETURN_IF_ERROR(sched.Flush());
-  for (const ChunkBad& chunk : chunk_bads) {
-    for (std::uint32_t b : chunk.bad) {
-      chunk.sink->push_back(chunk.off + b);
-    }
-  }
-  CEDAR_RETURN_IF_ERROR(PatchRemapped(layout_.nta_base, n, region_a, &bad_a));
-  CEDAR_RETURN_IF_ERROR(PatchRemapped(layout_.ntb_base, n, region_b, &bad_b));
-  const std::unordered_set<std::uint32_t> bad_a_set(bad_a.begin(),
-                                                    bad_a.end());
-  const std::unordered_set<std::uint32_t> bad_b_set(bad_b.begin(),
-                                                    bad_b.end());
-  HomeBatch repairs(disk_, config_.durability.batched_writeback);
-  const bool degraded = degraded_.load(std::memory_order_relaxed);
-  // Region A's buffer doubles as the winners: a winning B copy is copied
-  // into A's slot once the election is made.
-  std::vector<bool> present(n, false);
-  for (std::uint32_t pid = 0; pid < n; ++pid) {
-    auto a = std::span<std::uint8_t>(region_a).subspan(
-        static_cast<std::size_t>(pid) * 512, 512);
-    auto b = std::span<const std::uint8_t>(region_b)
-                 .subspan(static_cast<std::size_t>(pid) * 512, 512);
-    const NtVote vote =
-        VoteNtCopies(a, !bad_a_set.contains(pid), b, !bad_b_set.contains(pid),
-                     /*read_b=*/true, c_.corruption_detected);
-    if (!vote.any()) {
-      continue;  // free page, or a loss the per-page read path will report
-    }
-    nt_store_->MergeSeq(vote.seq);
-    if (vote.b_wins) {
-      std::copy(b.begin(), b.end(), a.begin());
-    }
-    const std::span<const std::uint8_t> good = a;
-    present[pid] = true;
-    if (vote.diverged && !degraded) {
-      repairs.QueueWrite(MapNt(NtLoserHome(vote, pid)), good);
-      c_.nt_repairs->Increment();
-      c_.repairs->Increment();
-    }
-    cache_.Insert(pid, std::vector<std::uint8_t>(good.begin(), good.end()));
-  }
-  CEDAR_RETURN_IF_ERROR(FlushHomeBatch(repairs));
-  if (winners != nullptr) {
-    winners->sectors = std::move(region_a);
-    winners->present = std::move(present);
   }
   return OkStatus();
 }
@@ -1020,10 +673,10 @@ Status Fsd::RebuildVolatileState() {
   // walk reads the images that sweep elected, never the bounded cache.
   NtImages images;
   CEDAR_RETURN_IF_ERROR(PreloadNameTable(&images));
-  NtImageStore store(this, &images);
+  NtImageStore store(&images, &health_);
   btree::BTree tree(&store, tree_->root());
   vam_.free().SetRange(0, vam_.free().size(), true);
-  CEDAR_RETURN_IF_ERROR(MarkSystemRegionsUsed());
+  MarkSystemRegionsUsed();
   vam_.nt_free().SetRange(0, config_.nt_pages, true);
 
   std::vector<btree::PageId> pages;
@@ -1047,6 +700,23 @@ Status Fsd::RebuildVolatileState() {
   return scan;
 }
 
+Status Fsd::WriteDirtyHome() {
+  std::vector<HomeImage> dirty;
+  cache_.ForEach([&](std::uint32_t key, cache::Frame& frame) {
+    if (frame.dirty) {
+      dirty.push_back(HomeImage{.key = key, .image = frame.data});
+    }
+  });
+  CEDAR_RETURN_IF_ERROR(SweepHome(dirty));
+  cache_.ForEach([](std::uint32_t, cache::Frame& frame) {
+    frame.dirty = false;
+    frame.dirty_since_log = false;
+    frame.logged_lsn = 0;
+    frame.logged_image.clear();
+  });
+  return OkStatus();
+}
+
 Status Fsd::SweepHome(std::span<const HomeImage> pages) {
   HomeBatch primary(disk_, config_.durability.batched_writeback);
   HomeBatch replica(disk_, config_.durability.batched_writeback);
@@ -1055,294 +725,14 @@ Status Fsd::SweepHome(std::span<const HomeImage> pages) {
       primary.QueueWrite(page.key & ~kLeaderKeyBit, page.image);
       continue;
     }
-    primary.QueueWrite(MapNt(layout_.nta_base + page.key), page.image);
-    replica.QueueWrite(MapNt(layout_.ntb_base + page.key), page.image);
+    const NtStore::Homes homes = nt_.HomesOf(page.key);
+    primary.QueueWrite(homes.primary, page.image);
+    replica.QueueWrite(homes.replica, page.image);
   }
-  CEDAR_RETURN_IF_ERROR(FlushHomeBatch(primary));
-  return FlushHomeBatch(replica);
+  CEDAR_RETURN_IF_ERROR(nt_.Flush(primary));
+  return nt_.Flush(replica);
 }
 
-Status Fsd::FlushHomeBatch(HomeBatch& batch) {
-  if (batch.pending() == 0) {
-    return OkStatus();
-  }
-  sim::BatchStats stats;
-  Status status = batch.sched.Flush(&stats);
-  c_.home_write_batches->Increment();
-  c_.home_write_requests->Add(stats.requests_queued);
-  c_.home_writes_coalesced->Add(stats.requests_merged);
-  if (status.ok() || status.code() == ErrorCode::kDeviceCrashed) {
-    return status;
-  }
-  // The elevator flush hit bad media somewhere in the batch; replay the
-  // recorded writes individually so the one bad sector is isolated, retried,
-  // and (for name-table homes) remapped instead of failing the whole sweep.
-  for (const auto& [lba, image] : batch.writes) {
-    CEDAR_RETURN_IF_ERROR(RetryHomeWrite(
-        lba, std::span<const std::uint8_t>(image)));
-  }
-  return OkStatus();
-}
-
-sim::Lba Fsd::MapNt(sim::Lba lba) const {
-  std::lock_guard<std::mutex> lock(remap_mu_);
-  const auto it = nt_remap_.find(lba);
-  return it == nt_remap_.end() ? lba : it->second;
-}
-
-std::optional<sim::Lba> Fsd::RemapOrigin(sim::Lba spare) const {
-  std::lock_guard<std::mutex> lock(remap_mu_);
-  for (const auto& [orig, target] : nt_remap_) {
-    if (target == spare) {
-      return orig;
-    }
-  }
-  return std::nullopt;
-}
-
-Status Fsd::PatchRemapped(sim::Lba base, std::uint32_t count,
-                          std::span<std::uint8_t> buf,
-                          std::vector<std::uint32_t>* bad) {
-  std::vector<std::pair<sim::Lba, sim::Lba>> moved;
-  {
-    std::lock_guard<std::mutex> lock(remap_mu_);
-    for (auto it = nt_remap_.lower_bound(base);
-         it != nt_remap_.end() && it->first < base + count; ++it) {
-      moved.push_back(*it);
-    }
-  }
-  for (const auto& [home, spare] : moved) {
-    const auto i = static_cast<std::uint32_t>(home - base);
-    bad->erase(std::remove(bad->begin(), bad->end(), i), bad->end());
-    std::vector<std::uint32_t> spare_bad;
-    const Status read = ReadWithRetry(
-        spare, buf.subspan(static_cast<std::size_t>(i) * 512, 512),
-        &spare_bad);
-    if (read.code() == ErrorCode::kDeviceCrashed) {
-      return read;
-    }
-    if (!read.ok() || !spare_bad.empty()) {
-      bad->push_back(i);
-    }
-  }
-  return OkStatus();
-}
-
-bool Fsd::IsNtHome(sim::Lba lba) const {
-  return (lba >= layout_.nta_base && lba < layout_.nta_end) ||
-         (lba >= layout_.ntb_base && lba < layout_.ntb_base + config_.nt_pages);
-}
-
-Status Fsd::RemapNtSector(sim::Lba from, std::span<const std::uint8_t> image) {
-  if (degraded_.load(std::memory_order_relaxed)) {
-    return OkStatus();  // read-only: serve what survives, write nothing
-  }
-  const sim::Lba spare_low = layout_.remap_base + FsdLayout::kRemapDirCopies;
-  const sim::Lba spare_high = layout_.remap_base + layout_.remap_sectors;
-  for (sim::Lba spare = spare_low; spare < spare_high; ++spare) {
-    // A spare already serving any mapping is off limits — including
-    // `from`'s own current spare, which is exactly the sector that just
-    // failed when a remap moves.
-    if (RemapOrigin(spare).has_value()) {
-      continue;
-    }
-    const Status wrote = disk_->Write(spare, image);
-    if (wrote.code() == ErrorCode::kDeviceCrashed) {
-      return wrote;
-    }
-    if (!wrote.ok()) {
-      continue;  // this spare is bad too; try the next
-    }
-    {
-      std::lock_guard<std::mutex> lock(remap_mu_);
-      nt_remap_[from] = spare;
-    }
-    CEDAR_RETURN_IF_ERROR(SaveRemapTable());
-    c_.remaps->Increment();
-    return OkStatus();
-  }
-  NoteUnrepairable("spare pool exhausted remapping name-table home lba " +
-                   std::to_string(from));
-  return MakeError(ErrorCode::kNoFreeSpace,
-                   "name-table spare pool exhausted");
-}
-
-Status Fsd::RetryHomeWrite(sim::Lba lba, std::span<const std::uint8_t> image) {
-  const Status status = disk_->Write(lba, image);
-  if (status.ok() || status.code() == ErrorCode::kDeviceCrashed) {
-    return status;
-  }
-  if (IsNtHome(lba)) {
-    return RemapNtSector(lba, image);
-  }
-  // A spare serving a remapped home can itself go bad; move the mapping.
-  if (const std::optional<sim::Lba> original = RemapOrigin(lba)) {
-    return RemapNtSector(*original, image);
-  }
-  // A leader page: reconstructible from its name-table entry, so the loss
-  // degrades reads (served via RepairLeader / the entry) but never the
-  // namespace. Attribute it and keep going.
-  NoteUnrepairable("unwritable sector at lba " + std::to_string(lba) + ": " +
-                   status.message());
-  return OkStatus();
-}
-
-Status Fsd::RepairNtCopy(sim::Lba home, std::span<const std::uint8_t> image) {
-  if (degraded_.load(std::memory_order_relaxed)) {
-    return OkStatus();  // reads keep serving the surviving copy
-  }
-  const Status wrote = disk_->Write(MapNt(home), image);
-  if (wrote.ok()) {
-    c_.nt_repairs->Increment();
-    c_.repairs->Increment();
-    return OkStatus();
-  }
-  if (wrote.code() == ErrorCode::kDeviceCrashed) {
-    return wrote;
-  }
-  const Status remapped = RemapNtSector(home, image);
-  if (remapped.code() == ErrorCode::kDeviceCrashed) {
-    return remapped;
-  }
-  // Remap exhaustion was already attributed; the page still has one good
-  // copy, so the read succeeds either way.
-  return OkStatus();
-}
-
-Status Fsd::SaveRemapTable() {
-  std::vector<std::pair<sim::Lba, sim::Lba>> entries;
-  {
-    std::lock_guard<std::mutex> lock(remap_mu_);
-    entries.assign(nt_remap_.begin(), nt_remap_.end());
-  }
-  ByteWriter w;
-  w.U32(kRemapMagic);
-  w.U32(static_cast<std::uint32_t>(entries.size()));
-  for (const auto& [from, to] : entries) {
-    // Wire stays 32-bit: volume LBAs are bounded to 2^31 by FsdLayout.
-    w.U32(static_cast<std::uint32_t>(from));
-    w.U32(static_cast<std::uint32_t>(to));
-  }
-  std::vector<std::uint8_t> dir = w.Take();
-  const std::uint32_t crc = Crc32(dir);
-  ByteWriter tail(&dir);
-  tail.U32(crc);
-  dir.resize(512, 0);
-  // Two directory copies; losing one is survivable, losing both means the
-  // table cannot be made durable (in-memory mappings still serve reads).
-  Status first;
-  bool any_ok = false;
-  for (std::uint32_t copy = 0; copy < FsdLayout::kRemapDirCopies; ++copy) {
-    const Status wrote = disk_->Write(layout_.remap_base + copy, dir);
-    if (wrote.code() == ErrorCode::kDeviceCrashed) {
-      return wrote;
-    }
-    if (wrote.ok()) {
-      any_ok = true;
-    } else if (first.ok()) {
-      first = wrote;
-    }
-  }
-  if (any_ok) {
-    return OkStatus();
-  }
-  NoteUnrepairable("remap directory unwritable: " + first.message());
-  return first;
-}
-
-Status Fsd::LoadRemapTable() {
-  {
-    std::lock_guard<std::mutex> lock(remap_mu_);
-    nt_remap_.clear();
-  }
-  bool damage_seen = false;
-  for (std::uint32_t copy = 0; copy < FsdLayout::kRemapDirCopies; ++copy) {
-    std::vector<std::uint8_t> dir(512);
-    std::vector<std::uint32_t> bad;
-    const Status read = ReadWithRetry(layout_.remap_base + copy, dir, &bad);
-    if (read.code() == ErrorCode::kDeviceCrashed) {
-      return read;
-    }
-    if (!read.ok() || !bad.empty()) {
-      damage_seen = true;
-      continue;
-    }
-    ByteReader r(dir);
-    if (r.U32() != kRemapMagic) {
-      continue;  // a fresh volume formatted before the table existed
-    }
-    const std::uint32_t count = r.U32();
-    if (count > (512 - 12) / 8) {
-      damage_seen = true;
-      continue;
-    }
-    std::map<sim::Lba, sim::Lba> parsed;
-    for (std::uint32_t i = 0; i < count; ++i) {
-      const sim::Lba from = r.U32();
-      const sim::Lba to = r.U32();
-      parsed[from] = to;
-    }
-    if (!r.ok()) {
-      damage_seen = true;
-      continue;
-    }
-    const std::size_t body = r.position();
-    ByteReader cr(std::span<const std::uint8_t>(dir).subspan(body, 4));
-    if (cr.U32() != Crc32(std::span<const std::uint8_t>(dir).subspan(0,
-                                                                     body))) {
-      damage_seen = true;
-      continue;
-    }
-    {
-      std::lock_guard<std::mutex> lock(remap_mu_);
-      nt_remap_ = std::move(parsed);
-    }
-    if (copy != 0 && !degraded_.load(std::memory_order_relaxed)) {
-      // Copy 0 was lost or stale; refresh it from the survivor.
-      if (disk_->Write(layout_.remap_base, dir).ok()) {
-        c_.repairs->Increment();
-      }
-    }
-    return OkStatus();
-  }
-  // No valid directory. An empty table is the common (undamaged) case; only
-  // note when we actually saw damage — mappings may exist that we cannot
-  // recover, and reads through dead originals will surface per page.
-  if (damage_seen) {
-    NoteUnrepairable("remap directory unreadable (both copies)");
-  }
-  return OkStatus();
-}
-
-void Fsd::NoteUnrepairable(const std::string& note) {
-  std::lock_guard<std::mutex> lock(health_mu_);
-  health_notes_.push_back(note);
-  ++unrepairable_;
-}
-
-void Fsd::NoteLostNtPage(std::uint32_t pid) {
-  std::lock_guard<std::mutex> lock(health_mu_);
-  health_notes_.push_back("name-table page " + std::to_string(pid) +
-                          ": both home copies unreadable");
-  ++nt_pages_lost_;
-  ++unrepairable_;
-}
-
-fs::HealthStats Fsd::Health() {
-  fs::HealthStats h;
-  h.degraded = degraded_.load(std::memory_order_relaxed);
-  h.repairs = c_.repairs->value();
-  h.remaps = c_.remaps->value();
-  h.corruption_detected = c_.corruption_detected->value();
-  h.read_retry_exhausted = c_.read_retry_exhausted->value();
-  {
-    std::lock_guard<std::mutex> lock(health_mu_);
-    h.nt_pages_lost = nt_pages_lost_;
-    h.unrepairable = unrepairable_;
-    h.notes = health_notes_;
-  }
-  return h;
-}
 
 Status Fsd::ForceLogImpl(GateMode mode, std::uint64_t* covered_seq) {
   obs::ScopedOp op_scope(disk_->tracer(), "fsd.log_force");
@@ -1423,8 +813,9 @@ Status Fsd::ForceLogImpl(GateMode mode, std::uint64_t* covered_seq) {
     } else {
       // Capture post-remap addresses so recovery replay is self-contained:
       // replaying a record never writes to a sector already known bad.
-      page.primary = MapNt(layout_.nta_base + key);
-      page.secondary = MapNt(layout_.ntb_base + key);
+      const NtStore::Homes homes = nt_.HomesOf(key);
+      page.primary = homes.primary;
+      page.secondary = homes.replica;
     }
     const bool present = cache_.Apply(key, [&](cache::Frame& frame) {
       page.data = frame.data;
@@ -1558,7 +949,7 @@ Status Fsd::ForceLogImpl(GateMode mode, std::uint64_t* covered_seq) {
 }
 
 Status Fsd::MaybeDeadlineForce(std::uint64_t* ticket) {
-  if (!mounted_ || degraded_.load(std::memory_order_relaxed)) {
+  if (!mounted_ || health_.degraded()) {
     return OkStatus();
   }
   const sim::Micros now = disk_->clock().now();
@@ -1671,7 +1062,7 @@ std::uint32_t Fsd::CheckpointWindowSectors() const {
 
 void Fsd::CkptRound() {
   util::RankedLockGuard lock(force_mu_, util::LockRank::kForce);
-  if (!mounted_ || degraded_.load(std::memory_order_relaxed)) {
+  if (!mounted_ || health_.degraded()) {
     return;
   }
   const std::uint32_t window = CheckpointWindowSectors();
@@ -1835,9 +1226,9 @@ Status Fsd::ShutdownLocked() {
   if (!mounted_) {
     return OkStatus();
   }
-  if (degraded_.load(std::memory_order_relaxed)) {
+  if (health_.degraded()) {
     // Degraded mounts are read-only: nothing to flush and the medium must
-    // not be written. Tear down the volatile state only; degraded_ stays
+    // not be written. Tear down the volatile state only; degraded stays
     // set until the next Format/Mount resets it.
     open_files_.clear();
     mounted_ = false;
@@ -1847,18 +1238,7 @@ Status Fsd::ShutdownLocked() {
   // Write every dirty page home (the force above made cache contents equal
   // to the last logged images): all primaries in one elevator sweep, then
   // all replicas.
-  std::vector<HomeImage> dirty;
-  cache_.ForEach([&](std::uint32_t key, cache::Frame& frame) {
-    if (frame.dirty) {
-      dirty.push_back(HomeImage{.key = key, .image = frame.data});
-    }
-  });
-  CEDAR_RETURN_IF_ERROR(SweepHome(dirty));
-  cache_.ForEach([](std::uint32_t, cache::Frame& frame) {
-    frame.dirty = false;
-    frame.logged_lsn = 0;
-    frame.logged_image.clear();
-  });
+  CEDAR_RETURN_IF_ERROR(WriteDirtyHome());
   CEDAR_RETURN_IF_ERROR(vam_.Save(disk_, layout_.vam_base,
                                   layout_.vam_sectors, boot_count_,
                                   log_->next_lsn()));
@@ -1880,24 +1260,11 @@ Result<std::pair<std::uint32_t, FsdEntry>> Fsd::HighestVersion(
 
 Result<std::optional<std::pair<std::uint32_t, FsdEntry>>>
 Fsd::FindHighestVersion(std::string_view name) {
+  CEDAR_ASSIGN_OR_RETURN(auto versions, ListVersions(name));
   std::optional<std::pair<std::uint32_t, FsdEntry>> best;
-  Status scan = tree_->Scan(
-      fs::NameKeyLow(name),
-      [&](std::span<const std::uint8_t> key,
-          std::span<const std::uint8_t> value) {
-        if (!fs::KeyIsName(key, name)) {
-          return false;
-        }
-        std::string decoded;
-        std::uint32_t version = 0;
-        FsdEntry entry;
-        if (fs::DecodeNameKey(key, &decoded, &version) &&
-            ParseEntry(value, &entry).ok()) {
-          best = {version, std::move(entry)};
-        }
-        return true;
-      });
-  CEDAR_RETURN_IF_ERROR(scan);
+  if (!versions.empty()) {
+    best = std::move(versions.back());
+  }
   return best;
 }
 
@@ -2171,17 +1538,20 @@ Status Fsd::ReadLocked(const fs::FileHandle& file, const OpenState& state,
   // File data has no redundancy by design (the paper logs only metadata),
   // so a damaged data sector is an attributed loss — named LBA, hard error,
   // never silently wrong bytes.
-  auto read_data = [&](sim::Lba start, std::span<std::uint8_t> dst) {
+  std::size_t pos = 0;
+  auto read_data = [&](const fs::Extent& run) {
     std::vector<std::uint32_t> bad;
-    CEDAR_RETURN_IF_ERROR(ReadWithRetry(start, dst, &bad));
+    CEDAR_RETURN_IF_ERROR(health_.ReadWithRetry(
+        run.start,
+        std::span<std::uint8_t>(buf).subspan(pos, std::size_t{run.count} * 512),
+        &bad));
     if (!bad.empty()) {
       return MakeError(ErrorCode::kSectorDamaged,
                        "file data sector damaged, lba " +
-                           std::to_string(start + bad.front()));
+                           std::to_string(run.start + bad.front()));
     }
     return OkStatus();
   };
-  std::size_t pos = 0;
   for (std::size_t r = 0; r < extents.size(); ++r) {
     const fs::Extent& run = extents[r];
     const bool piggyback_verify =
@@ -2202,18 +1572,15 @@ Status Fsd::ReadLocked(const fs::FileHandle& file, const OpenState& state,
       if (!cached_leader.empty()) {
         CEDAR_RETURN_IF_ERROR(
             VerifyLeader(cached_leader, entry, state.version));
-        CEDAR_RETURN_IF_ERROR(read_data(
-            run.start,
-            std::span<std::uint8_t>(buf.data() + pos,
-                                    static_cast<std::size_t>(run.count) *
-                                        512)));
+        CEDAR_RETURN_IF_ERROR(read_data(run));
       } else {
         // One request covering leader + data (section 5.7: "it usually
         // costs only the transfer time for a page to read the leader").
         std::vector<std::uint8_t> tmp(
             static_cast<std::size_t>(1 + run.count) * 512);
         std::vector<std::uint32_t> bad;
-        CEDAR_RETURN_IF_ERROR(ReadWithRetry(entry.leader_lba, tmp, &bad));
+        CEDAR_RETURN_IF_ERROR(
+            health_.ReadWithRetry(entry.leader_lba, tmp, &bad));
         const bool leader_readable =
             std::find(bad.begin(), bad.end(), 0u) == bad.end();
         const bool leader_ok =
@@ -2227,7 +1594,7 @@ Status Fsd::ReadLocked(const fs::FileHandle& file, const OpenState& state,
           // content disagrees is caught silent corruption; either way the
           // leader is rebuilt in place and the read is SERVED, not failed.
           if (leader_readable) {
-            c_.corruption_detected->Increment();
+            health_.c.corruption_detected->Increment();
           }
           const Status repaired = RepairLeader(entry, state.version);
           if (repaired.code() == ErrorCode::kDeviceCrashed) {
@@ -2244,21 +1611,14 @@ Status Fsd::ReadLocked(const fs::FileHandle& file, const OpenState& state,
         if (data_clean) {
           std::copy(tmp.begin() + 512, tmp.end(), buf.begin() + pos);
         } else {
-          CEDAR_RETURN_IF_ERROR(read_data(
-              run.start,
-              std::span<std::uint8_t>(buf.data() + pos,
-                                      static_cast<std::size_t>(run.count) *
-                                          512)));
+          CEDAR_RETURN_IF_ERROR(read_data(run));
         }
         c_.piggyback_leader_verifies->Increment();
       }
       MarkLeaderVerified(file.uid);
       ChargeDataSectors(1 + run.count);
     } else {
-      CEDAR_RETURN_IF_ERROR(read_data(
-          run.start,
-          std::span<std::uint8_t>(buf.data() + pos,
-                                  static_cast<std::size_t>(run.count) * 512)));
+      CEDAR_RETURN_IF_ERROR(read_data(run));
       ChargeDataSectors(run.count);
     }
     pos += static_cast<std::size_t>(run.count) * 512;
@@ -2300,7 +1660,7 @@ Status Fsd::WriteLocked(const OpenState& state, std::uint64_t offset,
   if (!aligned) {
     std::size_t pos = 0;
     for (const fs::Extent& run : extents) {
-      CEDAR_RETURN_IF_ERROR(ReadWithRetry(
+      CEDAR_RETURN_IF_ERROR(health_.ReadWithRetry(
           run.start,
           std::span<std::uint8_t>(buf.data() + pos,
                                   static_cast<std::size_t>(run.count) * 512)));
@@ -2620,53 +1980,38 @@ Result<Fsd::ScrubReport> Fsd::ScrubLocked() {
   // trailers, and settle any disagreement from the newest valid copy — the
   // scrub is where latent faults are found BEFORE a second fault makes the
   // page unrecoverable.
-  {
-    std::vector<btree::PageId> live;
-    CEDAR_RETURN_IF_ERROR(tree_->CollectPages(&live));
-    for (btree::PageId pid : live) {
-      std::array<std::array<std::uint8_t, 512>, 2> copy{};
-      std::array<bool, 2> readable{};
-      for (int c = 0; c < 2; ++c) {
-        const sim::Lba base = c == 0 ? layout_.nta_base : layout_.ntb_base;
-        std::vector<std::uint32_t> bad;
-        const Status read = ReadWithRetry(MapNt(base + pid), copy[c], &bad);
-        if (read.code() == ErrorCode::kDeviceCrashed) {
-          return read;
-        }
-        readable[c] = read.ok() && bad.empty();
-      }
-      ChargeSectors(2);
-      const NtVote vote =
-          VoteNtCopies(copy[0], readable[0], copy[1], readable[1],
-                       /*read_b=*/true, c_.corruption_detected);
-      if (!vote.any()) {
-        NoteLostNtPage(pid);
-        ++report.unrepairable;
-        c_.scrub_unrepairable->Increment();
-        continue;
-      }
-      if (!vote.diverged) {
-        continue;
-      }
-      const std::uint64_t remaps_before = c_.remaps->value();
-      const Status fixed = RetryHomeWrite(MapNt(NtLoserHome(vote, pid)),
-                                          copy[vote.b_wins ? 1 : 0]);
-      if (fixed.code() == ErrorCode::kDeviceCrashed) {
-        return fixed;
-      }
-      if (!fixed.ok()) {
-        // Spare pool exhausted: the page still has one good copy, but the
-        // redundancy cannot be restored.
-        ++report.unrepairable;
-        c_.scrub_unrepairable->Increment();
-      } else if (c_.remaps->value() > remaps_before) {
-        ++report.remapped;
-      } else {
-        ++report.healed;
-        c_.scrub_healed->Increment();
-        c_.nt_repairs->Increment();
-        c_.repairs->Increment();
-      }
+  std::vector<btree::PageId> live;
+  CEDAR_RETURN_IF_ERROR(tree_->CollectPages(&live));
+  for (btree::PageId pid : live) {
+    CEDAR_ASSIGN_OR_RETURN(
+        const NtStore::Copies copies,
+        nt_.ReadCopies(pid, health_.c.corruption_detected));
+    ChargeSectors(2);
+    if (!copies.vote.any()) {
+      health_.NoteLostNtPage(pid);
+      ++report.unrepairable;
+      c_.scrub_unrepairable->Increment();
+      continue;
+    }
+    if (!copies.vote.diverged) {
+      continue;
+    }
+    const Result<NtStore::Repair> fixed =
+        nt_.RepairCopy(nt_.LoserOf(copies.vote, pid), copies.winner());
+    if (fixed.status().code() == ErrorCode::kDeviceCrashed) {
+      return fixed.status();
+    }
+    if (!fixed.ok()) {
+      // Spare pool exhausted: the page still has one good copy, but the
+      // redundancy cannot be restored.
+      ++report.unrepairable;
+      c_.scrub_unrepairable->Increment();
+    } else if (*fixed == NtStore::Repair::kRemapped) {
+      ++report.remapped;
+    } else {
+      ++report.healed;
+      c_.scrub_healed->Increment();
+      health_.CountNtRepair();
     }
   }
 
@@ -2693,19 +2038,7 @@ Result<Fsd::ScrubReport> Fsd::ScrubLocked() {
     for (const fs::Extent& run : entry.runs) {
       referenced.SetRange(run.start, run.count, true);
     }
-    // Leader check: prefer the buffered copy if one is pending.
-    std::vector<std::uint8_t> sector(512);
-    bool ok;
-    if (cache::Frame* frame = cache_.Find(kLeaderKeyBit | entry.leader_lba);
-        frame != nullptr && frame->dirty) {
-      ok = VerifyLeader(frame->data, entry, version).ok();
-    } else {
-      std::vector<std::uint32_t> bad;
-      ok = ReadWithRetry(entry.leader_lba, sector, &bad).ok() &&
-           bad.empty() && VerifyLeader(sector, entry, version).ok();
-      ChargeSectors(1);
-    }
-    if (!ok) {
+    if (!LeaderMatches(entry, version, /*charge=*/true)) {
       stale_leaders.push_back(Damaged{.name = std::move(name),
                                       .version = version,
                                       .entry = std::move(entry)});
@@ -2738,7 +2071,7 @@ Result<Fsd::ScrubReport> Fsd::ScrubLocked() {
   // The layout bounds a volume to 2^31 sectors, so an LBA fits an Extent.
   for (auto lba = static_cast<std::uint32_t>(layout_.data_low);
        lba < layout_.data_high; ++lba) {
-    if (lba >= layout_.ntb_base && lba < layout_.nta_end) {
+    if (layout_.InMetadataComplex(lba)) {
       continue;  // the central metadata complex is not file space
     }
     const bool used = !vam_.IsFree(lba);
@@ -2780,7 +2113,8 @@ Result<fs::FileInfo> Fsd::Stat(std::string_view name) {
   ChargeOp();
   // Pure name-table read: shard lock orders it against same-name mutators;
   // no gate admission (it writes nothing the log must capture).
-  util::RankedLockGuard shard(NameShard(name), util::LockRank::kNameShard);
+  util::RankedLockGuard shard(name_mu_[ShardOf(name)],
+                              util::LockRank::kNameShard);
   return StatLocked(name);
 }
 

@@ -51,6 +51,7 @@
 #include "src/core/layout.h"
 #include "src/core/log.h"
 #include "src/core/name_table.h"
+#include "src/core/nt_store.h"
 #include "src/core/opgate.h"
 #include "src/core/rounds.h"
 #include "src/core/vam.h"
@@ -179,7 +180,7 @@ class Fsd : public fs::FileSystem {
 
   // Media-health snapshot: the fault counters plus degraded-mount state and
   // per-find attribution notes. Safe from any thread.
-  fs::HealthStats Health() override;
+  fs::HealthStats Health() override { return health_.Snapshot(); }
 
   // Moves the highest version of `from` to `to` (becoming to's next
   // version); the uid is unchanged, so open handles keep working. Takes
@@ -264,34 +265,6 @@ class Fsd : public fs::FileSystem {
   // LBA with the top bit set.
   static constexpr std::uint32_t kLeaderKeyBit = 0x80000000u;
 
-  // Bounded retry for soft (transient) read errors: ReadWithRetry reissues
-  // a kReadTransient read up to this many times (each counted in
-  // fsd.read_retries) before it surfaces the error.
-  static constexpr std::uint32_t kReadRetryLimit = 3;
-
-  // The one election between a name-table page's two home copies (DESIGN.md
-  // section 4h), shared by the miss path, the mount sweep, scrub and fsck.
-  // `a` is the primary's sector and `b` the replica's; readable_* says the
-  // device returned the sector; read_b is false when the caller never read
-  // the replica. A copy is ok when readable with a valid CRC trailer. The
-  // winner is the ok copy with the higher write sequence, the primary on a
-  // tie; seq is the higher ok sequence (for the clock's max-merge), and
-  // diverged says the replica was read and the loser must be rewritten
-  // from the winner. A readable copy whose CRC fails while the other copy
-  // is ok is silent corruption caught, counted in *corruption (when
-  // non-null).
-  struct NtVote {
-    bool ok_a = false;
-    bool ok_b = false;
-    bool b_wins = false;
-    std::uint32_t seq = 0;
-    bool diverged = false;
-    bool any() const { return ok_a || ok_b; }
-  };
-  static NtVote VoteNtCopies(std::span<const std::uint8_t> a, bool readable_a,
-                             std::span<const std::uint8_t> b, bool readable_b,
-                             bool read_b, obs::Counter* corruption);
-
   // The page cache's classifier: a name-table frame holding a B-tree
   // interior node. Leader frames are never interior, whatever their bytes.
   static bool IsInteriorFrame(std::uint32_t key,
@@ -305,8 +278,7 @@ class Fsd : public fs::FileSystem {
       cache::PageCache::Classifier interior);
 
  private:
-  class NtStore;
-  class NtImageStore;
+  class NtPages;
 
   struct OpenState {
     std::string name;
@@ -386,7 +358,7 @@ class Fsd : public fs::FileSystem {
     if (!mounted_) {
       return MakeError(ErrorCode::kFailedPrecondition, "not mounted");
     }
-    if (degraded_.load(std::memory_order_relaxed)) {
+    if (health_.degraded()) {
       return MakeError(ErrorCode::kFailedPrecondition,
                        "degraded read-only mount");
     }
@@ -454,11 +426,6 @@ class Fsd : public fs::FileSystem {
              Fn&& body) -> decltype(body());
   // Marks one durable-metadata mutation for the group-commit rendezvous.
   void BumpUpdateSeq() { queue_.RecordUpdate(); }
-  // Shard mutex for a file name (rank kNameShard; taken before everything
-  // else; cross-name ops take two, ordered by shard index).
-  std::mutex& NameShard(std::string_view name) {
-    return name_mu_[ShardOf(name)];
-  }
 
   // Admission protocol (wrapper side, shard lock held): deadline check,
   // then gate admission, forcing the log for space when the capture budget
@@ -485,93 +452,24 @@ class Fsd : public fs::FileSystem {
   // free-type deltas after, so a torn force can only leak sectors, never
   // double-allocate them.
   void RecordDelta(VamDelta::Op op, std::uint32_t start, std::uint32_t count);
-  // A batch of home-sector writes: the elevator scheduler plus a record of
-  // every queued (lba, image) pair, so a flush that hits a bad sector can
-  // replay the batch per-write through the repair/remap path instead of
-  // failing the whole operation. Queued spans are borrowed until Flush.
-  struct HomeBatch {
-    HomeBatch(sim::BlockDevice* disk, bool reorder) : sched(disk, reorder) {}
-    void QueueWrite(sim::Lba lba, std::span<const std::uint8_t> image) {
-      sched.QueueWrite(lba, image);
-      writes.emplace_back(lba, image);
-    }
-    std::size_t pending() const { return writes.size(); }
-    sim::IoScheduler sched;
-    std::vector<std::pair<sim::Lba, std::span<const std::uint8_t>>> writes;
-  };
-
   // One page for SweepHome: a cache key and the image its home gets.
   struct HomeImage {
     std::uint32_t key = 0;
     std::span<const std::uint8_t> image;
   };
   // Writes each image to its home sector(s) — the single home of a leader
-  // key, else the remapped primary and replica — as two elevator sweeps:
-  // every primary (and leader) first, then every replica, so coalescing
-  // can never merge a page's two copies.
+  // key, else the page's two homes as the name-table store maps them — as
+  // two elevator sweeps: every primary (and leader) first, then every
+  // replica, so coalescing can never merge a page's two copies.
   Status SweepHome(std::span<const HomeImage> pages);
-  // Issues a queued batch and counts it in the registry. When the
-  // elevator flush hits a media error, the batch is replayed one write at a
-  // time: name-table homes on permanently bad sectors are remapped to
-  // spares; other targets (leader pages) are recorded as unrepairable in
-  // health_ and dropped — their content is reconstructible from the entry,
-  // so losing the home copy degrades reads, never the namespace.
-  Status FlushHomeBatch(HomeBatch& batch);
-
-  // ---- Bad-sector remap table (section 4h). nt_remap_ maps an original
-  // name-table home LBA to the spare currently serving it; the table lives
-  // in layout_.remap_base's duplicated directory sector and is loaded at
-  // mount. MapNt is applied on every name-table home read and write (and at
-  // force capture time, so log records carry post-remap addresses and
-  // recovery replay is self-contained).
-  sim::Lba MapNt(sim::Lba lba) const;
-  // The reverse lookup: the original home `spare` currently serves, or
-  // nullopt when no mapping targets it.
-  std::optional<sim::Lba> RemapOrigin(sim::Lba spare) const;
-  // True if `lba` is inside either name-table home region.
-  bool IsNtHome(sim::Lba lba) const;
-  // The (unmapped) home of the copy `vote` lost, for page `pid`.
-  sim::Lba NtLoserHome(const NtVote& vote, std::uint32_t pid) const {
-    return (vote.b_wins ? layout_.nta_base : layout_.ntb_base) + pid;
-  }
-  // The remap patch: a bulk read of homes [base, base + count) saw the dead
-  // originals of remapped sectors, so each one is re-read from its spare
-  // into its 512-byte slot of `buf`, and `bad` (slot indexes) is updated to
-  // what the spare read returned.
-  Status PatchRemapped(sim::Lba base, std::uint32_t count,
-                       std::span<std::uint8_t> buf,
-                       std::vector<std::uint32_t>* bad);
-  // Durably remaps the (original) name-table home `from` to a fresh spare
-  // and writes `image` there. Fails when the spare pool is exhausted or the
-  // directory cannot be persisted.
-  Status RemapNtSector(sim::Lba from, std::span<const std::uint8_t> image);
-  // Per-write fallback after a failed batch flush: retries `lba`, remapping
-  // a name-table home whose sector is permanently bad; non-remappable
-  // targets are attributed in health_ and dropped (returns OK).
-  Status RetryHomeWrite(sim::Lba lba, std::span<const std::uint8_t> image);
-  // Rewrites one stale/corrupt name-table home copy from the surviving
-  // copy's image, remapping `home` when its sector is permanently bad.
-  // A no-op in degraded mode (reads still serve the surviving copy).
-  Status RepairNtCopy(sim::Lba home, std::span<const std::uint8_t> image);
-  Status LoadRemapTable();
-  Status SaveRemapTable();
-
-  // Health bookkeeping: counters live in the metrics registry; notes and
-  // the lost-page tally live here under health_mu_.
-  void NoteUnrepairable(const std::string& note);
-  // Records a name-table page with no usable copy anywhere (health note +
-  // nt_pages_lost tally).
-  void NoteLostNtPage(std::uint32_t pid);
-
-  // SimDisk::Read with bounded retry on kReadTransient (satellite of the
-  // paper's section 5.8 transient-error class); every retry is counted in
-  // fsd.read_retries. When the retry budget is exhausted the error comes
-  // back annotated with the failing LBA span and is counted in
-  // fsd.read_retry_exhausted — a permanently soft-failing sector surfaces
-  // cleanly instead of as a bare device error.
-  Status ReadWithRetry(sim::Lba start, std::span<std::uint8_t> out,
-                       std::vector<std::uint32_t>* bad = nullptr);
-
+  // Format and Shutdown: SweepHome of every dirty cached page, then every
+  // frame clean — nothing pending capture, no logged image left to retire.
+  Status WriteDirtyHome();
+  // Whether `entry`'s leader page agrees with it — the buffered image when
+  // one is pending, else the home sector, read (and, when `charge`, its
+  // CPU charged). Scrub and Fsck share it.
+  bool LeaderMatches(const FsdEntry& entry, std::uint32_t version,
+                     bool charge);
   // Rebuilds `entry`'s leader page from the authoritative name-table entry
   // and writes it home, counting the outcome (fsd.repairs on success, an
   // unrepairable health note when the sector cannot be written).
@@ -591,20 +489,12 @@ class Fsd : public fs::FileSystem {
       std::map<sim::Lba, PageImage>* replay,
       std::vector<std::pair<std::uint64_t, VamDelta>>* deltas);
   Status RebuildVolatileState();  // VAM + name-table page map from the tree
-  // The elected winner of every name-table page, in page order: page p's
-  // 512-byte sector sits at sectors[p * 512] when present[p]; present[p] is
-  // false when neither copy validated (a free page, or a lost one).
-  struct NtImages {
-    std::vector<std::uint8_t> sectors;
-    std::vector<bool> present;
-  };
-  // One elevator sweep over both name-table regions: elects each page's
-  // winner (newest valid copy), counts corruption, repairs the loser, and
-  // fills the cache. When `winners` is non-null the elected images are
-  // also handed back, so the rebuild walks them in memory instead of
-  // re-reading through a cache smaller than the table.
-  Status PreloadNameTable(NtImages* winners = nullptr);
-  Status MarkSystemRegionsUsed();
+  // The name-table store's mount sweep (elect, merge, repair), then every
+  // elected page into the cache. The images stay in *winners, so the
+  // rebuild walks them in memory instead of re-reading through a cache
+  // smaller than the table.
+  Status PreloadNameTable(NtImages* winners);
+  void MarkSystemRegionsUsed();
 
   // The newest version of `name`. HighestVersion fails with kNotFound
   // when there is none; FindHighestVersion returns nullopt instead, so the
@@ -659,7 +549,12 @@ class Fsd : public fs::FileSystem {
   // which registers into it on construction.
   obs::MetricsRegistry metrics_;
 
-  std::unique_ptr<NtStore> nt_store_;
+  // The media-health sink and the name table's two home copies (section
+  // 4h); both register into metrics_.
+  MediaHealth health_{disk_, &metrics_};
+  NtStore nt_{disk_, layout_, config_, &metrics_, &health_};
+  // The tree's cache-facing page store over nt_.
+  std::unique_ptr<NtPages> nt_pages_;
   std::unique_ptr<btree::BTree> tree_;
   std::unique_ptr<FsdLog> log_;
   Vam vam_;
@@ -681,22 +576,6 @@ class Fsd : public fs::FileSystem {
   // route to the log, so eviction would orphan it.
   std::unordered_set<std::uint32_t> capture_keys_;
   std::atomic<bool> mounted_{false};  // written quiesced; read lock-free
-  // Degraded read-only mount (section 4h): set by MountDegraded, cleared by
-  // Format/Mount/Shutdown. Read lock-free on every mutating path.
-  std::atomic<bool> degraded_{false};
-
-  // Bad-sector remap table: original name-table home LBA -> spare LBA.
-  // remap_mu_ is a leaf mutex (taken with any of the structure locks held,
-  // never the other way around; critical sections are map lookups only).
-  mutable std::mutex remap_mu_;
-  std::map<sim::Lba, sim::Lba> nt_remap_;
-
-  // Health attribution: notes and the lost-metadata tallies that have no
-  // natural counter. Leaf mutex, same discipline as remap_mu_.
-  mutable std::mutex health_mu_;
-  std::vector<std::string> health_notes_;
-  std::uint64_t nt_pages_lost_ = 0;
-  std::uint64_t unrepairable_ = 0;
 
   // Locking hierarchy (DESIGN.md section 4f, ranks in util/lockrank.h):
   //   name shard (10) -> force_mu_ (20) -> op gate (30) -> tree (40/45) ->
@@ -736,9 +615,10 @@ class Fsd : public fs::FileSystem {
   // FSD's counters and per-operation latency histograms, each registered
   // in metrics_ under the name on its line — the one place that name is
   // written. Members cache the registry pointers so hot paths skip the name
-  // lookup; Format resets the values, never the names. Disk time per phase
-  // comes from the disk tracer's op classes ("fsd.log_force", "fsd.ckpt",
-  // "fsd.flush_third"), not from here.
+  // lookup; Format resets the values, never the names. The media-fault and
+  // home-write counters are registered by health_ and nt_. Disk time per
+  // phase comes from the disk tracer's op classes ("fsd.log_force",
+  // "fsd.ckpt", "fsd.flush_third"), not from here.
   struct Counters {
     obs::MetricsRegistry& m;
     // Group commit (section 4b): forces that wrote the log, timer rounds
@@ -759,14 +639,6 @@ class Fsd : public fs::FileSystem {
     obs::Counter* recovery_pages_replayed =
         m.GetCounter("fsd.recovery_pages_replayed");
     obs::Counter* fast_recoveries = m.GetCounter("fsd.fast_recoveries");
-    // Writeback scheduler: every home write (checkpoints, shutdown, format,
-    // recovery replay, repairs) goes through elevator-ordered, coalesced
-    // batches — non-empty flushes, page writes queued, requests merged.
-    obs::Counter* home_write_batches = m.GetCounter("fsd.home_write_batches");
-    obs::Counter* home_write_requests =
-        m.GetCounter("fsd.home_write_requests");
-    obs::Counter* home_writes_coalesced =
-        m.GetCounter("fsd.home_writes_coalesced");
     // Checkpointing (section 4g): one home-writeback path with two callers,
     // Checkpoint()/the checkpoint round and third entry. ckpt_pages counts
     // the home pages either caller wrote; ckpt_batches the Checkpoint()/
@@ -778,21 +650,6 @@ class Fsd : public fs::FileSystem {
     obs::Counter* ckpt_advances = m.GetCounter("fsd.ckpt_advances");
     obs::Counter* third_flush_fallbacks =
         m.GetCounter("fsd.third_flush_fallbacks");
-    // Media faults (section 4h). nt_repairs counts name-table replica
-    // repairs on read; repairs every successful repair from redundancy
-    // (name-table copy rewrites, leader rebuilds, volume-root restores);
-    // remaps name-table home sectors durably moved to spares;
-    // corruption_detected content-CRC mismatches on otherwise-successful
-    // reads; read_retries soft read errors absorbed by the bounded retry,
-    // read_retry_exhausted the reads whose retry gave up.
-    obs::Counter* nt_repairs = m.GetCounter("fsd.nt_repairs");
-    obs::Counter* repairs = m.GetCounter("fsd.repairs");
-    obs::Counter* remaps = m.GetCounter("fsd.remaps");
-    obs::Counter* corruption_detected =
-        m.GetCounter("fsd.corruption_detected");
-    obs::Counter* read_retries = m.GetCounter("fsd.read_retries");
-    obs::Counter* read_retry_exhausted =
-        m.GetCounter("fsd.read_retry_exhausted");
     // Scrub repair-pass outcomes (the ScrubReport's, cumulatively).
     obs::Counter* scrub_healed = m.GetCounter("fsd.scrub_healed");
     obs::Counter* scrub_unrepairable = m.GetCounter("fsd.scrub_unrepairable");

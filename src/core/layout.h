@@ -161,6 +161,13 @@ struct FsdLayout {
   sim::Lba data_low = 0;  // first sector eligible for file data
   sim::Lba data_high = 0; // one past the last data sector
 
+  // The central metadata complex, [complex_begin(), nta_end): replica B,
+  // the log and primary A. It is never file space.
+  sim::Lba complex_begin() const { return ntb_base; }
+  bool InMetadataComplex(sim::Lba start, std::uint32_t count = 1) const {
+    return start + count > ntb_base && start < nta_end;
+  }
+
   // The whole metadata complex — replica B, log, primary A — sits on the
   // central cylinders (paper sections 5.1/5.3: log and name table are
   // "allocated to sectors near the central cylinder"). The two name-table

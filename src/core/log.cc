@@ -32,25 +32,6 @@ struct ParsedHeader {
   std::vector<HomeRef> homes;
 };
 
-// Appends a trailing crc over everything written so far and pads to 512.
-std::vector<std::uint8_t> Seal(ByteWriter w) {
-  std::vector<std::uint8_t> buf = w.Take();
-  const std::uint32_t crc = Crc32(buf);
-  ByteWriter tail(&buf);
-  tail.U32(crc);
-  buf.resize(512, 0);
-  return buf;
-}
-
-// Checks the trailing crc written by Seal given the payload length.
-bool CheckSeal(std::span<const std::uint8_t> sector, std::size_t body_len) {
-  if (body_len + 4 > sector.size()) {
-    return false;
-  }
-  ByteReader r(sector.subspan(body_len, 4));
-  return r.U32() == Crc32(sector.subspan(0, body_len));
-}
-
 bool ParseHeaderSector(std::span<const std::uint8_t> sector,
                        ParsedHeader* out) {
   ByteReader r(sector);
@@ -157,13 +138,9 @@ Status FsdConfig::Validate() const {
 }
 
 std::uint32_t FsdConfig::MinCheckpointWindowSectors() const {
-  const std::uint32_t third = (log_sectors - 4) / 3;
-  std::uint32_t max_group_pages = 0;
-  for (std::uint32_t n = 1; FsdLog::GroupSectors(n) < third; ++n) {
-    max_group_pages = n;
-  }
-  return FsdLog::GroupSectors(std::min(
-      commit.group_records * FsdLog::kMaxPagesPerRecord, max_group_pages));
+  return FsdLog::GroupSectors(
+      std::min(commit.group_records * FsdLog::kMaxPagesPerRecord,
+               FsdLog::MaxGroupPagesIn((log_sectors - 4) / 3)));
 }
 
 FsdLog::FsdLog(sim::BlockDevice* disk, sim::Lba base,
@@ -201,31 +178,24 @@ std::vector<std::uint8_t> FsdLog::BuildHeaderSector(
     w.U32(page.secondary);
     w.U8(static_cast<std::uint8_t>(page.kind));
   }
-  return Seal(std::move(w));
+  return SealSector(std::move(w));
 }
 
-std::vector<std::uint8_t> FsdLog::BuildEndSector() const {
+std::vector<std::uint8_t> FsdLog::BuildStamp(std::uint32_t magic) const {
   ByteWriter w;
-  w.U32(kEndMagic);
+  w.U32(magic);
   w.U64(next_lsn_);
   w.U32(boot_count_);
-  return Seal(std::move(w));
-}
-
-std::vector<std::uint8_t> FsdLog::BuildMarkerSector() const {
-  ByteWriter w;
-  w.U32(kMarkerMagic);
-  w.U64(next_lsn_);
-  w.U32(boot_count_);
-  return Seal(std::move(w));
+  return SealSector(std::move(w));
 }
 
 Status FsdLog::WritePointer() {
   ByteWriter w;
   w.U32(kPointerMagic);
-  w.U32(oldest_pointer_);
-  w.U32(boot_count_);
-  std::vector<std::uint8_t> ptr = Seal(std::move(w));
+  w.U32(oldest_.offset);
+  w.U64(oldest_.lsn);
+  w.U32(oldest_.boot);
+  std::vector<std::uint8_t> ptr = SealSector(std::move(w));
   // [pointer][blank][pointer copy] in one request: the duplicates are not
   // adjacent, so one torn write cannot destroy both.
   std::vector<std::uint8_t> buf(3 * 512, 0);
@@ -235,35 +205,31 @@ Status FsdLog::WritePointer() {
   return disk_->Write(base_, buf);
 }
 
-Result<std::uint32_t> FsdLog::ReadPointer() {
-  auto parse = [&](std::span<const std::uint8_t> sector,
-                   std::uint32_t* offset) {
+Result<FsdLog::LiveRecord> FsdLog::ReadPointer() {
+  auto parse = [&](std::span<const std::uint8_t> sector, LiveRecord* named) {
     ByteReader r(sector);
     if (r.U32() != kPointerMagic) {
       return false;
     }
-    *offset = r.U32();
-    r.U32();  // boot count (diagnostic only)
+    named->offset = r.U32();
+    named->lsn = r.U64();
+    named->boot = r.U32();
     if (!r.ok() || !CheckSeal(sector, r.position())) {
       return false;
     }
-    return *offset < record_area_sectors();
+    return named->offset < record_area_sectors();
   };
 
   std::vector<std::uint8_t> buf(3 * 512);
   std::vector<std::uint32_t> bad;
   CEDAR_RETURN_IF_ERROR(disk_->Read(base_, buf, &bad));
-  std::uint32_t offset = 0;
-  auto primary = std::span<const std::uint8_t>(buf).subspan(0, 512);
-  auto copy = std::span<const std::uint8_t>(buf).subspan(2 * 512, 512);
-  const bool primary_bad =
-      std::find(bad.begin(), bad.end(), 0u) != bad.end();
-  const bool copy_bad = std::find(bad.begin(), bad.end(), 2u) != bad.end();
-  if (!primary_bad && parse(primary, &offset)) {
-    return offset;
-  }
-  if (!copy_bad && parse(copy, &offset)) {
-    return offset;
+  LiveRecord named;
+  for (const std::uint32_t copy : {0u, 2u}) {  // the pointer, then its copy
+    if (std::find(bad.begin(), bad.end(), copy) == bad.end() &&
+        parse(std::span<const std::uint8_t>(buf).subspan(copy * 512, 512),
+              &named)) {
+      return named;
+    }
   }
   return MakeError(ErrorCode::kCorruptMetadata, "log pointer unreadable");
 }
@@ -273,7 +239,7 @@ Status FsdLog::Format(std::uint32_t boot_count) {
   next_lsn_ = 1;
   pos_ = 0;
   current_third_ = 0;
-  oldest_pointer_ = 0;
+  oldest_ = LiveRecord{1, 0, true, boot_count};
   live_.clear();
   CEDAR_RETURN_IF_ERROR(WritePointer());
   // Invalidate the first header position so recovery of a fresh log stops
@@ -293,12 +259,12 @@ Status FsdLog::PrepareSpace(std::uint32_t len,
       pos_third < 2 ? ThirdStart(pos_third + 1) : record_area_sectors();
   if (pos_ + len > boundary) {
     if (pos_ < boundary) {
-      std::vector<std::uint8_t> marker = BuildMarkerSector();
+      std::vector<std::uint8_t> marker = BuildStamp(kMarkerMagic);
       CEDAR_RETURN_IF_ERROR(disk_->Write(AreaLba(pos_), marker));
       // Markers are chain elements: the pointer may legally name one, so
       // they live in the index like records (and as group boundaries —
       // they never sit inside a reserved group).
-      live_.push_back(LiveRecord{next_lsn_, pos_, true});
+      live_.push_back(LiveRecord{next_lsn_, pos_, true, boot_count_});
       ++next_lsn_;
       markers_->Increment();
       sectors_written_->Increment();
@@ -322,7 +288,8 @@ Status FsdLog::PrepareSpace(std::uint32_t len,
     while (!live_.empty() && ThirdOf(live_.front().offset) == third) {
       live_.pop_front();
     }
-    oldest_pointer_ = live_.empty() ? pos_ : live_.front().offset;
+    oldest_ = live_.empty() ? LiveRecord{next_lsn_, pos_, true, boot_count_}
+                            : live_.front();
     CEDAR_RETURN_IF_ERROR(WritePointer());
     current_third_ = third;
     third_entries_->Increment();
@@ -337,7 +304,7 @@ Status FsdLog::AppendPrepared(std::span<const PageImage> pages,
   // Assemble the record: H, blank, H', D1..Dn, E, D1'..Dn', E'.
   const std::vector<std::uint8_t> header =
       BuildHeaderSector(pages, group_start, group_end);
-  const std::vector<std::uint8_t> end = BuildEndSector();
+  const std::vector<std::uint8_t> end = BuildStamp(kEndMagic);
   std::vector<std::uint8_t> buf;
   buf.reserve(static_cast<std::size_t>(len) * 512);
   auto put = [&buf](std::span<const std::uint8_t> sector) {
@@ -356,7 +323,7 @@ Status FsdLog::AppendPrepared(std::span<const PageImage> pages,
   put(end);
   CEDAR_RETURN_IF_ERROR(disk_->Write(AreaLba(pos_), buf));
 
-  live_.push_back(LiveRecord{next_lsn_, pos_, group_start});
+  live_.push_back(LiveRecord{next_lsn_, pos_, group_start, boot_count_});
   pos_ += len;
   if (pos_ >= record_area_sectors()) {
     pos_ = 0;
@@ -368,13 +335,10 @@ Status FsdLog::AppendPrepared(std::span<const PageImage> pages,
   return OkStatus();
 }
 
-std::uint32_t FsdLog::MaxGroupPages() const {
+std::uint32_t FsdLog::MaxGroupPagesIn(std::uint32_t third_sectors) {
   std::uint32_t best = 0;
-  for (std::uint32_t n = 1;; ++n) {
-    if (GroupSectors(n) >= third_sectors()) {
-      break;
-    }
-    best = n;
+  while (GroupSectors(best + 1) < third_sectors) {
+    ++best;
   }
   return best;
 }
@@ -452,7 +416,7 @@ Result<std::uint32_t> FsdLog::AdvanceCheckpoint(std::uint64_t target_lsn) {
   if (dropped == 0) {
     return dropped;
   }
-  oldest_pointer_ = live_.front().offset;
+  oldest_ = live_.front();
   CEDAR_RETURN_IF_ERROR(WritePointer());
   return dropped;
 }
@@ -462,14 +426,15 @@ Status FsdLog::Recover(
         visit,
     std::uint32_t boot_count) {
   live_.clear();
-  CEDAR_ASSIGN_OR_RETURN(std::uint32_t pos, ReadPointer());
-  oldest_pointer_ = pos;
-
-  bool have_lsn = false;
-  std::uint64_t expected_lsn = 0;
-  std::uint64_t last_lsn = 0;
+  CEDAR_ASSIGN_OR_RETURN(oldest_, ReadPointer());
+  std::uint32_t pos = oldest_.offset;
+  // The next chain element's lsn and the lowest boot it may carry.
+  std::uint64_t expected_lsn = oldest_.lsn;
+  std::uint32_t min_boot = oldest_.boot;
+  auto chained = [&](std::uint64_t lsn, std::uint32_t boot) {
+    return lsn == expected_lsn && boot >= min_boot;
+  };
   std::uint32_t last_start = pos;
-  bool any = false;
   // Commit-group buffering: records accumulate here and are delivered only
   // when the group's final record is seen.
   std::vector<std::pair<std::uint64_t, std::vector<PageImage>>> group;
@@ -522,13 +487,12 @@ Status FsdLog::Recover(
       std::uint32_t marker_boot = 0;
       if (read_sector(pos, &sector) &&
           ParseStamp(sector, kMarkerMagic, &marker_lsn, &marker_boot)) {
-        if (have_lsn && marker_lsn != expected_lsn) {
+        if (!chained(marker_lsn, marker_boot)) {
           break;
         }
         expected_lsn = marker_lsn + 1;
-        have_lsn = true;
-        last_lsn = marker_lsn;
-        live_.push_back(LiveRecord{marker_lsn, pos, true});
+        min_boot = marker_boot;
+        live_.push_back(LiveRecord{marker_lsn, pos, true, marker_boot});
         const int t = ThirdOf(pos);
         last_start = pos;
         pos = t < 2 ? ThirdStart(t + 1) : 0;
@@ -540,10 +504,7 @@ Status FsdLog::Recover(
         header_ok = true;
       }
     }
-    if (!header_ok) {
-      break;
-    }
-    if (have_lsn && header.lsn != expected_lsn) {
+    if (!header_ok || !chained(header.lsn, header.boot)) {
       break;
     }
     const std::uint32_t len = RecordSectors(header.npages);
@@ -575,13 +536,13 @@ Status FsdLog::Recover(
     if (data_ok) {
       std::uint64_t end_lsn = 0;
       std::uint32_t end_boot = 0;
+      auto end_at = [&](std::uint32_t offset) {
+        return read_sector(offset, &sector) &&
+               ParseStamp(sector, kEndMagic, &end_lsn, &end_boot) &&
+               end_lsn == header.lsn && end_boot == header.boot;
+      };
       const bool end_ok =
-          (read_sector(pos + 3 + header.npages, &sector) &&
-           ParseStamp(sector, kEndMagic, &end_lsn, &end_boot) &&
-           end_lsn == header.lsn) ||
-          (read_sector(pos + len - 1, &sector) &&
-           ParseStamp(sector, kEndMagic, &end_lsn, &end_boot) &&
-           end_lsn == header.lsn);
+          end_at(pos + 3 + header.npages) || end_at(pos + len - 1);
       data_ok = end_ok;
     }
     if (!data_ok) {
@@ -604,20 +565,20 @@ Status FsdLog::Recover(
     }
     // else: the tail of a group whose start fell off the log — skip it,
     // but keep the lsn chain so later groups still replay.
-    any = true;
-    live_.push_back(LiveRecord{header.lsn, pos, header.group_start});
+    live_.push_back(
+        LiveRecord{header.lsn, pos, header.group_start, header.boot});
     expected_lsn = header.lsn + 1;
-    have_lsn = true;
-    last_lsn = header.lsn;
+    min_boot = header.boot;
     last_start = pos;
     pos += len;
   }
 
   // Position the log to continue appending.
+  // With no record found, appends start at the pointer under the lsn it
+  // names, so the next recovery finds them.
   pos_ = pos >= record_area_sectors() ? 0 : pos;
-  current_third_ = any || have_lsn ? ThirdOf(last_start)
-                                   : ThirdOf(oldest_pointer_);
-  next_lsn_ = have_lsn ? last_lsn + 1 : 1;
+  current_third_ = ThirdOf(last_start);
+  next_lsn_ = expected_lsn;
   boot_count_ = boot_count;
   return OkStatus();
 }

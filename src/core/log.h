@@ -3,9 +3,9 @@
 // A circular region of the disk, placed near the central cylinder, holding
 // physical page images of file-name-table pages and leader pages. Layout:
 //
-//   base+0   pointer page: offset of the first valid record in the oldest
-//            third (replicated at base+2 with a blank page between — the
-//            same data is never written to adjacent sectors)
+//   base+0   pointer page: offset, lsn and boot of the first valid record
+//            in the oldest third (replicated at base+2 with a blank page
+//            between — the same data is never written to adjacent sectors)
 //   base+1   blank
 //   base+2   pointer copy
 //   base+3   blank
@@ -113,8 +113,11 @@ class FsdLog {
                                     const ThirdEntryFn& enter_third);
 
   // Largest page count AppendGroup accepts: the biggest group whose total
-  // sectors still fit strictly inside one third.
-  std::uint32_t MaxGroupPages() const;
+  // sectors still fit strictly inside one third (of `third_sectors`).
+  std::uint32_t MaxGroupPages() const {
+    return MaxGroupPagesIn(third_sectors());
+  }
+  static std::uint32_t MaxGroupPagesIn(std::uint32_t third_sectors);
 
   // Total sectors a group of n pages occupies once chunked into records.
   static std::uint32_t GroupSectors(std::uint32_t n) {
@@ -128,10 +131,15 @@ class FsdLog {
   Status ValidatePointer();
 
   // Replays the log after a crash: scans records from the oldest-third
-  // pointer, repairs single-sector damage from the duplicate copies, stops
-  // at the first invalid/torn record, and calls `visit(lsn, pages)` for
-  // each complete record in order. Afterwards the log is positioned to
-  // continue appending (with `boot_count` stamped on new records).
+  // pointer, repairs single-sector damage from the duplicate copies, and
+  // calls `visit(lsn, pages)` for each complete record in order. The chain
+  // starts at the record the pointer names — its lsn, stamped by the
+  // pointer's boot or a later one (a crash mount that found no record
+  // appends there under its own boot) — and continues through consecutive
+  // lsns whose boot never decreases; it stops at the first record that
+  // breaks either rule or is invalid/torn, so a record an earlier boot left
+  // behind is never replayed. Afterwards the log is positioned to continue
+  // appending (with `boot_count` stamped on new records).
   Status Recover(const std::function<Status(
                      std::uint64_t, const std::vector<PageImage>&)>& visit,
                  std::uint32_t boot_count);
@@ -179,6 +187,7 @@ class FsdLog {
     std::uint64_t lsn = 0;
     std::uint32_t offset = 0;      // within the record area
     bool group_boundary = true;    // group-start record or standalone marker
+    std::uint32_t boot = 0;        // the boot that wrote it
   };
 
   int ThirdOf(std::uint32_t offset) const {
@@ -190,8 +199,10 @@ class FsdLog {
   }
   sim::Lba AreaLba(std::uint32_t offset) const { return base_ + 4 + offset; }
 
+  // The pointer pair names oldest_; ReadPointer returns the record it names
+  // (group_boundary unset).
   Status WritePointer();
-  Result<std::uint32_t> ReadPointer();
+  Result<LiveRecord> ReadPointer();
   // Skip-marker + third-entry handling for an append of `len` sectors:
   // ensures [pos_, pos_+len) lies inside one third, invoking `enter_third`
   // and advancing the oldest pointer when a new third is entered.
@@ -203,8 +214,8 @@ class FsdLog {
   std::vector<std::uint8_t> BuildHeaderSector(std::span<const PageImage> pages,
                                               bool group_start,
                                               bool group_end) const;
-  std::vector<std::uint8_t> BuildEndSector() const;
-  std::vector<std::uint8_t> BuildMarkerSector() const;
+  // An end or skip-marker sector: {magic, next lsn, boot, crc}.
+  std::vector<std::uint8_t> BuildStamp(std::uint32_t magic) const;
 
   sim::BlockDevice* disk_;
   sim::Lba base_;
@@ -214,7 +225,7 @@ class FsdLog {
   std::uint32_t boot_count_ = 0;
   std::uint32_t pos_ = 0;  // next write offset within the record area
   int current_third_ = 0;
-  std::uint32_t oldest_pointer_ = 0;
+  LiveRecord oldest_;  // the record the on-disk pointer names
   std::deque<LiveRecord> live_;
 
   obs::Counter* pages_logged_;

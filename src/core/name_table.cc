@@ -87,13 +87,7 @@ std::vector<std::uint8_t> SerializeLeader(const LeaderPage& leader) {
     w.U32(run.start);
     w.U32(run.count);
   }
-  std::vector<std::uint8_t> buf = w.Take();
-  const std::uint32_t crc = Crc32(buf);
-  ByteWriter tail(&buf);
-  tail.U32(crc);
-  CEDAR_CHECK(buf.size() <= 512);
-  buf.resize(512, 0);
-  return buf;
+  return SealSector(std::move(w));
 }
 
 Status ParseLeader(std::span<const std::uint8_t> sector, LeaderPage* out) {
@@ -115,9 +109,7 @@ Status ParseLeader(std::span<const std::uint8_t> sector, LeaderPage* out) {
   if (!r.ok()) {
     return MakeError(ErrorCode::kCorruptMetadata, "truncated leader");
   }
-  const std::size_t body = r.position();
-  ByteReader cr(sector.subspan(body, 4));
-  if (cr.U32() != Crc32(sector.subspan(0, body))) {
+  if (!CheckSeal(sector, r.position())) {
     return MakeError(ErrorCode::kCorruptMetadata, "leader crc mismatch");
   }
   return OkStatus();

@@ -27,12 +27,7 @@ std::vector<std::vector<std::uint8_t>> SerializeDeltas(
       w.U32(delta.start);
       w.U32(delta.count);
     }
-    std::vector<std::uint8_t> page = w.Take();
-    const std::uint32_t crc = Crc32(page);
-    ByteWriter tail(&page);
-    tail.U32(crc);
-    page.resize(512, 0);
-    pages.push_back(std::move(page));
+    pages.push_back(SealSector(std::move(w)));
   }
   return pages;
 }
@@ -59,9 +54,7 @@ Status ParseDeltas(std::span<const std::uint8_t> page,
   if (!r.ok()) {
     return MakeError(ErrorCode::kCorruptMetadata, "truncated delta page");
   }
-  const std::size_t body = r.position();
-  ByteReader cr(page.subspan(body, 4));
-  if (cr.U32() != Crc32(page.subspan(0, body))) {
+  if (!CheckSeal(page, r.position())) {
     return MakeError(ErrorCode::kCorruptMetadata, "delta page crc");
   }
   out->insert(out->end(), deltas.begin(), deltas.end());

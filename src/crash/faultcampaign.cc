@@ -14,15 +14,6 @@
 namespace cedar::crash {
 namespace {
 
-constexpr std::size_t kBaselineBytes = 1500;
-constexpr std::uint8_t kBaselineSeed = 101;
-
-ContentVersion VersionOf(int step, std::span<const std::uint8_t> bytes) {
-  return ContentVersion{.step = step,
-                        .crc = Crc32(bytes),
-                        .size = bytes.size()};
-}
-
 // Error codes that carry attribution: they name the damaged resource (an
 // LBA span, a checksum site, an exhausted spare pool) in their message, so
 // a loss surfaced through them is "reported", not silent. Anything else —
@@ -144,7 +135,10 @@ CampaignCase FaultCampaign::RunCase(FaultClass fault_class,
     }
   };
 
+  // The image and its timeline: every case starts at the base's clock and
+  // head position, so a case's outcome does not depend on the cases before.
   disk_->Restore(base_);
+  disk_->RestoreTimeline(base_);
   Rng rng((seed + 1) * 0x9E3779B97F4A7C15ull ^
           (static_cast<std::uint64_t>(fault_class) << 56));
   const core::FsdLayout layout =
@@ -164,40 +158,56 @@ CampaignCase FaultCampaign::RunCase(FaultClass fault_class,
     result.injection_log.push_back(line);
   };
 
+  // A targeted metadata sector under that guard: the primary (where 0) or
+  // replica (1) home of one of the first `pids` name-table pages, or (2)
+  // one root copy; nullopt when the guard refuses it.
+  using Target = std::optional<std::pair<sim::Lba, const char*>>;
+  auto pick_metadata = [&](int where, std::uint64_t pids) -> Target {
+    if (where == 2) {
+      if (root_hit) {
+        return std::nullopt;
+      }
+      root_hit = true;
+      return std::pair{layout.root_lba + (rng.Below(2) != 0 ? 2 : 0), "root"};
+    }
+    const auto pid = static_cast<std::uint32_t>(rng.Below(pids));
+    if (!nt_pids_hit.insert(pid).second) {
+      return std::nullopt;
+    }
+    return where == 0 ? std::pair{layout.nta_base + pid, "nt-primary"}
+                      : std::pair{layout.ntb_base + pid, "nt-replica"};
+  };
+  // Two draws in five hit a primary home, two a replica, one a root copy.
+  auto where_of = [](std::uint64_t draw) {
+    return draw <= 1 ? 0 : draw <= 3 ? 1 : 2;
+  };
+
   auto inject_persistent = [&](int count) {
     for (int i = 0; i < count; ++i) {
       const std::uint64_t kind = rng.Below(6);
       sim::FaultMode mode =
           static_cast<sim::FaultMode>(1 + rng.Below(3));
-      sim::Lba lba = 0;
-      const char* what = "";
-      if (kind <= 1) {  // name-table primary home (live pages are low pids)
-        const auto pid = static_cast<std::uint32_t>(rng.Below(4));
-        if (!nt_pids_hit.insert(pid).second) continue;
-        lba = layout.nta_base + pid;
-        what = "nt-primary";
-      } else if (kind == 2) {  // name-table replica home
-        const auto pid = static_cast<std::uint32_t>(rng.Below(4));
-        if (!nt_pids_hit.insert(pid).second) continue;
-        lba = layout.ntb_base + pid;
-        what = "nt-replica";
+      Target target;
+      if (kind <= 2) {  // a name-table home (live pages are low pids)
+        target = pick_metadata(kind <= 1 ? 0 : 1, 4);
       } else if (kind == 3) {  // a file sector (data or leader)
-        lba = live_data_[rng.Below(live_data_.size())];
-        what = "data";
+        const sim::Lba lba = live_data_[rng.Below(live_data_.size())];
         data_lbas.push_back(lba);
+        target = std::pair{lba, "data"};
       } else if (kind == 4) {  // log record area (skip the pointer pair)
-        lba = layout.log_base + 4 + rng.Below(config_.log_sectors - 4);
-        what = "log";
+        target = std::pair{
+            layout.log_base + 4 + rng.Below(config_.log_sectors - 4), "log"};
       } else {  // one root copy; read-fail only (the next root write heals)
-        if (root_hit) continue;
-        root_hit = true;
-        lba = layout.root_lba + (rng.Below(2) != 0 ? 2 : 0);
+        target = pick_metadata(2, 0);
         mode = sim::FaultMode::kReadFail;
-        what = "root";
       }
-      disk_->InjectPersistentFault(lba, mode);
+      if (!target) {
+        continue;
+      }
+      disk_->InjectPersistentFault(target->first, mode);
       note_injection("persistent " + std::string(FaultModeName(mode)) +
-                     " on " + what + " lba " + std::to_string(lba));
+                     " on " + target->second + " lba " +
+                     std::to_string(target->first));
     }
   };
 
@@ -206,57 +216,28 @@ CampaignCase FaultCampaign::RunCase(FaultClass fault_class,
       const sim::WriteFaultKind kind = rng.Below(2) != 0
                                            ? sim::WriteFaultKind::kTorn
                                            : sim::WriteFaultKind::kDropped;
-      sim::Lba lba = 0;
-      const char* what = "";
-      const std::uint64_t target = rng.Below(5);
-      if (target <= 1) {
-        const auto pid = static_cast<std::uint32_t>(rng.Below(4));
-        if (!nt_pids_hit.insert(pid).second) continue;
-        lba = layout.nta_base + pid;
-        what = "nt-primary";
-      } else if (target <= 3) {
-        const auto pid = static_cast<std::uint32_t>(rng.Below(4));
-        if (!nt_pids_hit.insert(pid).second) continue;
-        lba = layout.ntb_base + pid;
-        what = "nt-replica";
-      } else {
-        if (root_hit) continue;
-        root_hit = true;
-        lba = layout.root_lba + (rng.Below(2) != 0 ? 2 : 0);
-        what = "root";
+      const Target target = pick_metadata(where_of(rng.Below(5)), 4);
+      if (!target) {
+        continue;
       }
-      disk_->InjectWriteFault(lba, kind);
+      disk_->InjectWriteFault(target->first, kind);
       note_injection(std::string("write-fault ") +
                      (kind == sim::WriteFaultKind::kTorn ? "torn"
                                                          : "dropped") +
-                     " on " + what + " lba " + std::to_string(lba));
+                     " on " + target->second + " lba " +
+                     std::to_string(target->first));
     }
   };
 
   auto inject_corruption = [&](int count) {
     for (int i = 0; i < count; ++i) {
-      sim::Lba lba = 0;
-      const char* what = "";
-      const std::uint64_t target = rng.Below(5);
-      if (target <= 1) {
-        const auto pid = static_cast<std::uint32_t>(rng.Below(3));
-        if (!nt_pids_hit.insert(pid).second) continue;
-        lba = layout.nta_base + pid;
-        what = "nt-primary";
-      } else if (target <= 3) {
-        const auto pid = static_cast<std::uint32_t>(rng.Below(3));
-        if (!nt_pids_hit.insert(pid).second) continue;
-        lba = layout.ntb_base + pid;
-        what = "nt-replica";
-      } else {
-        if (root_hit) continue;
-        root_hit = true;
-        lba = layout.root_lba + (rng.Below(2) != 0 ? 2 : 0);
-        what = "root";
+      const Target target = pick_metadata(where_of(rng.Below(5)), 3);
+      if (!target) {
+        continue;
       }
-      disk_->CorruptSector(lba, rng.Next());
-      note_injection("bit rot on " + std::string(what) + " lba " +
-                     std::to_string(lba));
+      disk_->CorruptSector(target->first, rng.Next());
+      note_injection("bit rot on " + std::string(target->second) + " lba " +
+                     std::to_string(target->first));
     }
   };
 
@@ -449,16 +430,6 @@ CampaignCase FaultCampaign::RunCase(FaultClass fault_class,
   // ---- The media contract, file by file. OK reads must match SOME
   // content the workload actually wrote; errors must be attributed; an
   // acked file may be lost only with attribution.
-  auto read_file = [&](const std::string& name)
-      -> Result<std::pair<std::uint32_t, std::uint64_t>> {
-    CEDAR_ASSIGN_OR_RETURN(fs::FileHandle handle, after->Open(name));
-    std::vector<std::uint8_t> buf(handle.byte_size);
-    if (!buf.empty()) {
-      CEDAR_RETURN_IF_ERROR(after->Read(handle, 0, buf));
-    }
-    CEDAR_RETURN_IF_ERROR(after->Close(handle));
-    return std::make_pair(Crc32(buf), handle.byte_size);
-  };
   auto acceptable = [&](const std::string& name, std::uint32_t crc,
                         std::uint64_t size) {
     auto it = history.find(name);
@@ -479,7 +450,7 @@ CampaignCase FaultCampaign::RunCase(FaultClass fault_class,
                        [&](int d) { return d > ack_step; });
   };
   for (const auto& [name, versions] : history) {
-    auto got = read_file(name);
+    auto got = ReadFileCrc(after.get(), name);
     if (!got.ok()) {
       const ErrorCode code = got.status().code();
       if (!AttributedCode(code)) {
@@ -518,7 +489,7 @@ CampaignCase FaultCampaign::RunCase(FaultClass fault_class,
       created = after->Force();
     }
     if (created.ok()) {
-      auto got = read_file("zz.probe");
+      auto got = ReadFileCrc(after.get(), "zz.probe");
       if (!got.ok()) {
         if (!AttributedCode(got.status().code())) {
           fail("probe readback failed unattributed: " +

@@ -13,15 +13,6 @@
 namespace cedar::crash {
 namespace {
 
-constexpr std::size_t kBaselineBytes = 1500;
-constexpr std::uint8_t kBaselineSeed = 101;
-
-ContentVersion VersionOf(int step, std::span<const std::uint8_t> bytes) {
-  return ContentVersion{.step = step,
-                        .crc = Crc32(bytes),
-                        .size = bytes.size()};
-}
-
 std::string PlanLabel(const sim::CrashPlan& plan) {
   std::string label = "w" + std::to_string(plan.at_write_index);
   if (plan.sectors_completed != 0 || plan.sectors_damaged != 0) {
@@ -39,6 +30,17 @@ std::string PlanLabel(const sim::CrashPlan& plan) {
 }
 
 }  // namespace
+
+Result<std::pair<std::uint32_t, std::uint64_t>> ReadFileCrc(
+    fs::FileSystem* file_system, const std::string& name) {
+  CEDAR_ASSIGN_OR_RETURN(fs::FileHandle handle, file_system->Open(name));
+  std::vector<std::uint8_t> buf(handle.byte_size);
+  if (!buf.empty()) {
+    CEDAR_RETURN_IF_ERROR(file_system->Read(handle, 0, buf));
+  }
+  CEDAR_RETURN_IF_ERROR(file_system->Close(handle));
+  return std::make_pair(Crc32(buf), handle.byte_size);
+}
 
 core::FsdConfig CrashHarness::FsdConfigFor(bool vam_logging) {
   core::FsdConfig config;
@@ -490,17 +492,6 @@ std::string CrashHarness::VerifyRecovered(core::Fsd& fsd,
     }
     return false;
   };
-  auto read_file =
-      [&](const std::string& name) -> Result<std::pair<std::uint32_t,
-                                                       std::uint64_t>> {
-    CEDAR_ASSIGN_OR_RETURN(fs::FileHandle handle, fsd.Open(name));
-    std::vector<std::uint8_t> buf(handle.byte_size);
-    if (!buf.empty()) {
-      CEDAR_RETURN_IF_ERROR(fsd.Read(handle, 0, buf));
-    }
-    CEDAR_RETURN_IF_ERROR(fsd.Close(handle));
-    return std::make_pair(Crc32(buf), handle.byte_size);
-  };
   auto deleted_after_force = [&](const std::string& name) {
     auto it = run.delete_steps.find(name);
     if (it == run.delete_steps.end()) {
@@ -518,7 +509,7 @@ std::string CrashHarness::VerifyRecovered(core::Fsd& fsd,
       if (name == casualty) {
         continue;  // the op in flight at the cut may have damaged its file
       }
-      auto got = read_file(name);
+      auto got = ReadFileCrc(&fsd, name);
       if (!got.ok()) {
         if (deleted_after_force(name)) {
           continue;  // a later (possibly committed) delete explains absence
@@ -549,7 +540,7 @@ std::string CrashHarness::VerifyRecovered(core::Fsd& fsd,
     for (const ContentVersion& v : versions) {
       created_by_now = created_by_now || v.step <= crash_step;
     }
-    auto got = read_file(name);
+    auto got = ReadFileCrc(&fsd, name);
     if (!got.ok()) {
       continue;
     }
@@ -572,7 +563,7 @@ std::string CrashHarness::VerifyRecovered(core::Fsd& fsd,
   if (Status status = fsd.Force(); !status.ok()) {
     return "probe force failed: " + std::string(status.message());
   }
-  auto got = read_file("zz.probe");
+  auto got = ReadFileCrc(&fsd, "zz.probe");
   if (!got.ok()) {
     return "probe readback failed: " + std::string(got.status().message());
   }

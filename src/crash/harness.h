@@ -48,6 +48,7 @@
 #include "src/sim/clock.h"
 #include "src/sim/device.h"
 #include "src/sim/disk.h"
+#include "src/util/crc32.h"
 #include "src/util/status.h"
 
 namespace cedar::crash {
@@ -115,6 +116,19 @@ struct ContentVersion {
   std::uint32_t crc = 0;
   std::uint64_t size = 0;
 };
+inline ContentVersion VersionOf(int step,
+                                std::span<const std::uint8_t> bytes) {
+  return ContentVersion{
+      .step = step, .crc = Crc32(bytes), .size = bytes.size()};
+}
+
+// A whole file read back: its CRC and size, what the oracles compare.
+Result<std::pair<std::uint32_t, std::uint64_t>> ReadFileCrc(
+    fs::FileSystem* file_system, const std::string& name);
+
+// The baseline file every base image holds before the recorded run.
+inline constexpr std::size_t kBaselineBytes = 1500;
+inline constexpr std::uint8_t kBaselineSeed = 101;
 
 // Durability snapshot at a completed Force(): everything here was acked as
 // durable and must survive any later crash.

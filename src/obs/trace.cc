@@ -250,12 +250,6 @@ DiskTracer::RootAggregates() const {
   return ByName(root_aggregates_);
 }
 
-OpClassAggregate DiskTracer::SpindleAggregateFor(std::uint32_t spindle) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = spindle_aggregates_.find(spindle);
-  return it == spindle_aggregates_.end() ? OpClassAggregate{} : it->second;
-}
-
 std::vector<std::pair<std::uint32_t, OpClassAggregate>>
 DiskTracer::SpindleAggregates() const {
   std::lock_guard<std::mutex> lock(mu_);

@@ -165,7 +165,6 @@ class DiskTracer {
   // Per-spindle totals (array member index -> aggregate, sorted by index).
   // This is the per-spindle disk-time attribution: busy time divided by the
   // rig's elapsed virtual time is that spindle's utilization.
-  OpClassAggregate SpindleAggregateFor(std::uint32_t spindle) const;
   std::vector<std::pair<std::uint32_t, OpClassAggregate>> SpindleAggregates()
       const;
 

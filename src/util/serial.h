@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "src/util/check.h"
+#include "src/util/crc32.h"
 
 namespace cedar {
 
@@ -170,6 +171,30 @@ class ByteReader {
   std::size_t pos_ = 0;
   bool ok_ = true;
 };
+
+// A self-checking block of `size` bytes (a sector by default): the
+// writer's bytes, a CRC over them, zero padding. CheckSeal validates one
+// given the body length its parser consumed (false when the CRC would not
+// fit the block).
+inline std::vector<std::uint8_t> SealSector(ByteWriter w,
+                                            std::size_t size = 512) {
+  std::vector<std::uint8_t> body = w.Take();
+  const std::uint32_t crc = Crc32(body);
+  ByteWriter(&body).U32(crc);
+  CEDAR_CHECK(body.size() <= size);
+  std::vector<std::uint8_t> buf(size, 0);
+  std::memcpy(buf.data(), body.data(), body.size());
+  return buf;
+}
+
+inline bool CheckSeal(std::span<const std::uint8_t> sector,
+                      std::size_t body_len) {
+  if (body_len + 4 > sector.size()) {
+    return false;
+  }
+  ByteReader r(sector.subspan(body_len, 4));
+  return r.U32() == Crc32(sector.subspan(0, body_len));
+}
 
 }  // namespace cedar
 

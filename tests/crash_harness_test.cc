@@ -287,14 +287,15 @@ TEST(TransientReadErrorTest, ExhaustedRetriesSurfaceTheError) {
     ASSERT_TRUE(fsd.Format().ok());
     ASSERT_TRUE(fsd.Shutdown().ok());
   }
-  // More failures than 1 + kReadRetryLimit attempts: the error surfaces.
+  // More failures than 1 + MediaHealth::kReadRetryLimit attempts: the error
+  // surfaces.
   disk.InjectTransientReadError(/*lba=*/0, /*failures=*/10);
   Fsd fsd(&disk, SmallConfig());
   Status mounted = fsd.Mount();
   ASSERT_FALSE(mounted.ok());
   EXPECT_EQ(mounted.code(), ErrorCode::kReadTransient);
   EXPECT_EQ(fsd.SnapshotMetrics().CounterValue("fsd.read_retries"),
-            Fsd::kReadRetryLimit);
+            core::MediaHealth::kReadRetryLimit);
 }
 
 // ---------------------------------------------------------------------------
@@ -682,6 +683,31 @@ TEST(FaultCampaignTest, DataFaultsLandOnAllocatedFileSectors) {
   }
   EXPECT_GT(data_faults, 10u);
   EXPECT_EQ(on_files, data_faults);
+}
+
+// A case replays from the base image and its timeline, so it comes out the
+// same alone as after other cases: mixed seed 33 once failed inside a sweep
+// and passed alone.
+TEST(FaultCampaignTest, CaseOutcomeDoesNotDependOnTheCasesBefore) {
+  auto run = [](std::uint64_t seed_base, std::uint64_t seeds) {
+    CampaignOptions options;
+    options.seeds = seeds;
+    options.seed_base = seed_base;
+    options.classes = {FaultClass::kMixed};
+    auto report = FaultCampaign(options).Run();
+    CEDAR_CHECK_OK(report.status());
+    return report->results.back();
+  };
+  const CampaignCase alone = run(33, 1);
+  const CampaignCase in_sweep = run(30, 4);
+  ASSERT_EQ(alone.seed, 33u);
+  ASSERT_EQ(in_sweep.seed, 33u);
+  EXPECT_EQ(alone.pass, in_sweep.pass);
+  EXPECT_EQ(alone.injected, in_sweep.injected);
+  EXPECT_EQ(alone.fault_events, in_sweep.fault_events);
+  EXPECT_EQ(alone.failure, in_sweep.failure);
+  EXPECT_EQ(alone.injection_log, in_sweep.injection_log);
+  EXPECT_EQ(alone.health.notes, in_sweep.health.notes);
 }
 
 }  // namespace

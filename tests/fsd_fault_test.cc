@@ -388,7 +388,7 @@ TEST(NtVoteTest, EveryInputCombination) {
       const auto a = NtSector(0x5A, seq_a, crc_a);
       const auto b = NtSector(same_payload ? 0x5A : 0xA5, seq_b, crc_b);
       obs::Counter corruption;
-      const core::Fsd::NtVote vote = core::Fsd::VoteNtCopies(
+      const core::NtStore::Vote vote = core::NtStore::VoteCopies(
           a, readable_a, b, readable_b, read_b, &corruption);
       ++rows;
 
@@ -425,7 +425,7 @@ TEST(NtVoteTest, EveryInputCombination) {
   const auto good = NtSector(1, 4, true);
   const auto bad = NtSector(1, 4, false);
   EXPECT_TRUE(
-      core::Fsd::VoteNtCopies(bad, true, good, true, true, nullptr).b_wins);
+      core::NtStore::VoteCopies(bad, true, good, true, true, nullptr).b_wins);
 }
 
 // ---------------------------------------------------------------------------

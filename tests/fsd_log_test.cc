@@ -225,11 +225,49 @@ TEST_F(FsdLogTest, PointerSurvivesDamageToCopy) {
 TEST_F(FsdLogTest, AppendsContinueAfterRecovery) {
   Append({Image(5000, kNoLba, 1)});
   Recover(2);
-  // New appends must extend the same sequence and replay together.
+  // New appends must extend the same sequence and replay together: the
+  // chain spans boot 1's record and boot 2's.
   Append({Image(5001, kNoLba, 2)});
   auto records = Recover(3);
   ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[0][0].primary, 5000u);
   EXPECT_EQ(records[1][0].primary, 5001u);
+}
+
+TEST_F(FsdLogTest, FormatLeavesNoPreviousBootRecordToReplay) {
+  // Format blanks only the first header; its copy two sectors later still
+  // holds boot 1's record, which the pointer's boot must refuse.
+  Append({Image(5000, kNoLba, 1)});
+  Append({Image(5001, kNoLba, 2)});
+  CEDAR_CHECK_OK(log_.Format(2));
+  EXPECT_TRUE(Recover(3).empty());
+}
+
+TEST_F(FsdLogTest, StaleSameSizeRecordAfterTheChainIsNotReplayed) {
+  Append({Image(5000, kNoLba, 1)});
+  Append({Image(5001, kNoLba, 2)});
+  Append({Image(5002, kNoLba, 3)});
+  // Boot 2 rewrites the first two slots with records of the same size, so
+  // the third slot still holds boot 1's lsn 3 — exactly the lsn the chain
+  // expects next, but from an older boot.
+  CEDAR_CHECK_OK(log_.Format(2));
+  Append({Image(6000, kNoLba, 4)});
+  Append({Image(6001, kNoLba, 5)});
+  auto records = Recover(3);
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[0][0].primary, 6000u);
+  EXPECT_EQ(records[1][0].primary, 6001u);
+}
+
+TEST_F(FsdLogTest, AppendsAfterAnEmptyRecoveryAreFound) {
+  // A crash mount that finds no record appends at the pointer under its own
+  // (newer) boot; the next recovery must still start its chain there.
+  CEDAR_CHECK_OK(log_.Format(4));
+  EXPECT_TRUE(Recover(5).empty());
+  Append({Image(5000, kNoLba, 1)});
+  auto records = Recover(6);
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0][0].primary, 5000u);
 }
 
 TEST_F(FsdLogTest, TombstoneFlagRoundTrips) {

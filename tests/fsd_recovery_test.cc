@@ -163,6 +163,44 @@ TEST_F(FsdRecoveryTest, RecoveryIsIdempotentAcrossRepeatedCrashes) {
   EXPECT_TRUE(after.CheckNameTableInvariants().ok());
 }
 
+TEST_F(FsdRecoveryTest, CrashAfterAnIdleCleanMountReplaysNothing) {
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(
+        fsd_->CreateFile("c/f" + std::to_string(i), Bytes(700, 3)).ok());
+  }
+  ASSERT_TRUE(fsd_->Force().ok());
+  ASSERT_TRUE(fsd_->Shutdown().ok());
+  // A clean mount formats the log and writes no record before the crash;
+  // the previous boot's records still sit in the log area.
+  fsd_ = std::make_unique<Fsd>(&disk_, SmallConfig());
+  ASSERT_TRUE(fsd_->Mount().ok());
+  Fsd& after = CrashAndRemount();
+  EXPECT_EQ(after.SnapshotMetrics().CounterValue("fsd.recovery_pages_replayed"),
+            0u);
+  auto list = after.List("c/");
+  ASSERT_TRUE(list.ok());
+  EXPECT_EQ(list->size(), 20u);
+}
+
+TEST_F(FsdRecoveryTest, ForcedUpdatesOfBothBootsSurviveAChainSpanningBoots) {
+  ASSERT_TRUE(fsd_->CreateFile("boot1", Bytes(600, 1)).ok());
+  ASSERT_TRUE(fsd_->Force().ok());
+  // The crash mount continues boot 1's chain; its records carry boot 2.
+  CrashAndRemount();
+  ASSERT_TRUE(fsd_->CreateFile("boot2", Bytes(600, 2)).ok());
+  ASSERT_TRUE(fsd_->Force().ok());
+  Fsd& after = CrashAndRemount();
+  EXPECT_GT(after.SnapshotMetrics().CounterValue("fsd.recovery_pages_replayed"),
+            0u);
+  for (const auto& [name, seed] : {std::pair{"boot1", 1}, {"boot2", 2}}) {
+    auto handle = after.Open(name);
+    ASSERT_TRUE(handle.ok()) << name;
+    std::vector<std::uint8_t> out(600);
+    ASSERT_TRUE(after.Read(*handle, 0, out).ok());
+    EXPECT_EQ(out, Bytes(600, static_cast<std::uint8_t>(seed)));
+  }
+}
+
 TEST_F(FsdRecoveryTest, DeletedLeaderTombstoneProtectsReallocatedSector) {
   // Create F, force (leader image enters the log via... the leader was
   // piggybacked, so use a zero-length create whose leader IS logged).
