@@ -107,6 +107,11 @@ Ffs::Ffs(sim::SimDisk* disk, FfsConfig config)
 Ffs::~Ffs() = default;
 
 void Ffs::ChargeOp() const { disk_->clock().AdvanceCpu(config_.cpu_per_op); }
+
+obs::TimedOp Ffs::Op(std::string_view name, obs::Histogram* latency) {
+  return obs::TimedOp(disk_->tracer(), name, latency, &disk_->clock(),
+                      config_.cpu_per_op);
+}
 void Ffs::ChargeBlocks(std::uint64_t n) const {
   disk_->clock().AdvanceCpu(config_.cpu_per_block_io * n);
 }
@@ -528,9 +533,7 @@ Status Ffs::Mount() {
 
 Result<fs::FileUid> Ffs::CreateFile(std::string_view name,
                                     std::span<const std::uint8_t> contents) {
-  obs::ScopedOp op_scope(disk_->tracer(), "bsd.create");
-  obs::ScopedLatency op_latency(h_.create, &disk_->clock());
-  ChargeOp();
+  const obs::TimedOp op = Op("bsd.create", h_.create);
   if (!mounted_) {
     return MakeError(ErrorCode::kFailedPrecondition, "not mounted");
   }
@@ -612,29 +615,45 @@ Status Ffs::WriteFileData(Inode* inode, std::uint64_t offset,
   return SyncIndirect(*inode);
 }
 
-Result<fs::FileHandle> Ffs::Open(std::string_view name) {
-  obs::ScopedOp op_scope(disk_->tracer(), "bsd.open");
-  obs::ScopedLatency op_latency(h_.open, &disk_->clock());
-  ChargeOp();
-  if (!mounted_) {
-    return MakeError(ErrorCode::kFailedPrecondition, "not mounted");
-  }
+Result<std::pair<InodeNum, Inode>> Ffs::FindInode(
+    std::string_view name) {
   CEDAR_ASSIGN_OR_RETURN(std::optional<InodeNum> inum,
                          DirLookup(kRootInode, name));
   if (!inum.has_value()) {
     return MakeError(ErrorCode::kNotFound, "no such file");
   }
-  Inode inode;
-  CEDAR_RETURN_IF_ERROR(ReadInode(*inum, &inode));
+  std::pair<InodeNum, Inode> found{*inum, Inode{}};
+  CEDAR_RETURN_IF_ERROR(ReadInode(*inum, &found.second));
+  return found;
+}
+
+Result<std::pair<InodeNum, Inode>> Ffs::OpenInode(
+    const fs::FileHandle& file) {
+  auto it = open_files_.find(file.uid);
+  if (it == open_files_.end()) {
+    return MakeError(ErrorCode::kFailedPrecondition, "file not open");
+  }
+  std::pair<InodeNum, Inode> found{it->second, Inode{}};
+  CEDAR_RETURN_IF_ERROR(ReadInode(it->second, &found.second));
+  return found;
+}
+
+Result<fs::FileHandle> Ffs::Open(std::string_view name) {
+  const obs::TimedOp op = Op("bsd.open", h_.open);
+  if (!mounted_) {
+    return MakeError(ErrorCode::kFailedPrecondition, "not mounted");
+  }
+  CEDAR_ASSIGN_OR_RETURN(auto found, FindInode(name));
+  auto& [inum, inode] = found;
   fs::FileUid uid;
-  auto it = inode_uid_.find(*inum);
+  auto it = inode_uid_.find(inum);
   if (it != inode_uid_.end()) {
     uid = it->second;
   } else {
     uid = next_uid_++;
-    inode_uid_[*inum] = uid;
+    inode_uid_[inum] = uid;
   }
-  open_files_[uid] = *inum;
+  open_files_[uid] = inum;
   return fs::FileHandle{.uid = uid, .version = 1, .byte_size = inode.size};
 }
 
@@ -650,15 +669,9 @@ Status Ffs::Close(const fs::FileHandle& file) {
 
 Status Ffs::Read(const fs::FileHandle& file, std::uint64_t offset,
                  std::span<std::uint8_t> out) {
-  obs::ScopedOp op_scope(disk_->tracer(), "bsd.read");
-  obs::ScopedLatency op_latency(h_.read, &disk_->clock());
-  ChargeOp();
-  auto it = open_files_.find(file.uid);
-  if (it == open_files_.end()) {
-    return MakeError(ErrorCode::kFailedPrecondition, "file not open");
-  }
-  Inode inode;
-  CEDAR_RETURN_IF_ERROR(ReadInode(it->second, &inode));
+  const obs::TimedOp op = Op("bsd.read", h_.read);
+  CEDAR_ASSIGN_OR_RETURN(auto found, OpenInode(file));
+  auto& [inum, inode] = found;
   if (out.empty()) {
     return OkStatus();
   }
@@ -687,34 +700,22 @@ Status Ffs::Read(const fs::FileHandle& file, std::uint64_t offset,
 
 Status Ffs::Write(const fs::FileHandle& file, std::uint64_t offset,
                   std::span<const std::uint8_t> data) {
-  obs::ScopedOp op_scope(disk_->tracer(), "bsd.write");
-  obs::ScopedLatency op_latency(h_.write, &disk_->clock());
-  ChargeOp();
-  auto it = open_files_.find(file.uid);
-  if (it == open_files_.end()) {
-    return MakeError(ErrorCode::kFailedPrecondition, "file not open");
-  }
-  Inode inode;
-  CEDAR_RETURN_IF_ERROR(ReadInode(it->second, &inode));
+  const obs::TimedOp op = Op("bsd.write", h_.write);
+  CEDAR_ASSIGN_OR_RETURN(auto found, OpenInode(file));
+  auto& [inum, inode] = found;
   if (offset + data.size() > inode.size) {
     return MakeError(ErrorCode::kOutOfRange, "write beyond end of file");
   }
   CEDAR_RETURN_IF_ERROR(
-      WriteFileData(&inode, offset, data, GroupOfInode(it->second)));
+      WriteFileData(&inode, offset, data, GroupOfInode(inum)));
   inode.mtime = disk_->clock().now();
-  return WriteInodeSync(it->second, inode);
+  return WriteInodeSync(inum, inode);
 }
 
 Status Ffs::Extend(const fs::FileHandle& file, std::uint64_t bytes) {
-  obs::ScopedOp op_scope(disk_->tracer(), "bsd.extend");
-  obs::ScopedLatency op_latency(h_.extend, &disk_->clock());
-  ChargeOp();
-  auto it = open_files_.find(file.uid);
-  if (it == open_files_.end()) {
-    return MakeError(ErrorCode::kFailedPrecondition, "file not open");
-  }
-  Inode inode;
-  CEDAR_RETURN_IF_ERROR(ReadInode(it->second, &inode));
+  const obs::TimedOp op = Op("bsd.extend", h_.extend);
+  CEDAR_ASSIGN_OR_RETURN(auto found, OpenInode(file));
+  auto& [inum, inode] = found;
   const std::uint64_t new_size = inode.size + bytes;
   const std::uint32_t bb = block_bytes();
   const auto cur_blocks = static_cast<std::uint32_t>((inode.size + bb - 1) / bb);
@@ -726,7 +727,7 @@ Status Ffs::Extend(const fs::FileHandle& file, std::uint64_t bytes) {
   }
   for (std::uint32_t i = cur_blocks; i < new_blocks; ++i) {
     CEDAR_ASSIGN_OR_RETURN(BlockNum block,
-                           AllocBlock(GroupOfInode(it->second), previous));
+                           AllocBlock(GroupOfInode(inum), previous));
     std::vector<std::uint8_t> zeros(bb, 0);
     CEDAR_RETURN_IF_ERROR(WriteBlockSync(block, zeros));
     CEDAR_RETURN_IF_ERROR(SetFileBlock(&inode, i, block));
@@ -735,23 +736,16 @@ Status Ffs::Extend(const fs::FileHandle& file, std::uint64_t bytes) {
   CEDAR_RETURN_IF_ERROR(SyncIndirect(inode));
   inode.size = new_size;
   inode.mtime = disk_->clock().now();
-  return WriteInodeSync(it->second, inode);
+  return WriteInodeSync(inum, inode);
 }
 
 Status Ffs::DeleteFile(std::string_view name) {
-  obs::ScopedOp op_scope(disk_->tracer(), "bsd.delete");
-  obs::ScopedLatency op_latency(h_.del, &disk_->clock());
-  ChargeOp();
+  const obs::TimedOp op = Op("bsd.delete", h_.del);
   if (!mounted_) {
     return MakeError(ErrorCode::kFailedPrecondition, "not mounted");
   }
-  CEDAR_ASSIGN_OR_RETURN(std::optional<InodeNum> inum,
-                         DirLookup(kRootInode, name));
-  if (!inum.has_value()) {
-    return MakeError(ErrorCode::kNotFound, "no such file");
-  }
-  Inode inode;
-  CEDAR_RETURN_IF_ERROR(ReadInode(*inum, &inode));
+  CEDAR_ASSIGN_OR_RETURN(auto found, FindInode(name));
+  auto& [inum, inode] = found;
   CEDAR_ASSIGN_OR_RETURN(std::vector<BlockNum> blocks, AllFileBlocks(inode));
   // Classic ordering: remove the name first, then release the resources.
   CEDAR_RETURN_IF_ERROR(DirRemove(kRootInode, name));
@@ -762,9 +756,9 @@ Status Ffs::DeleteFile(std::string_view name) {
     CEDAR_RETURN_IF_ERROR(FreeBlock(inode.indirect));
   }
   Inode cleared;
-  CEDAR_RETURN_IF_ERROR(WriteInodeSync(*inum, cleared));
-  CEDAR_RETURN_IF_ERROR(FreeInode(*inum));
-  auto uid_it = inode_uid_.find(*inum);
+  CEDAR_RETURN_IF_ERROR(WriteInodeSync(inum, cleared));
+  CEDAR_RETURN_IF_ERROR(FreeInode(inum));
+  auto uid_it = inode_uid_.find(inum);
   if (uid_it != inode_uid_.end()) {
     open_files_.erase(uid_it->second);
     inode_uid_.erase(uid_it);
@@ -773,9 +767,7 @@ Status Ffs::DeleteFile(std::string_view name) {
 }
 
 Result<std::vector<fs::FileInfo>> Ffs::List(std::string_view prefix) {
-  obs::ScopedOp op_scope(disk_->tracer(), "bsd.list");
-  obs::ScopedLatency op_latency(h_.list, &disk_->clock());
-  ChargeOp();
+  const obs::TimedOp op = Op("bsd.list", h_.list);
   CEDAR_ASSIGN_OR_RETURN(std::vector<DirEntry> entries, ReadDir(kRootInode));
   std::vector<fs::FileInfo> out;
   for (const DirEntry& entry : entries) {
@@ -801,19 +793,12 @@ Result<std::vector<fs::FileInfo>> Ffs::List(std::string_view prefix) {
 }
 
 Status Ffs::Touch(std::string_view name) {
-  obs::ScopedOp op_scope(disk_->tracer(), "bsd.touch");
-  obs::ScopedLatency op_latency(h_.touch, &disk_->clock());
-  ChargeOp();
-  CEDAR_ASSIGN_OR_RETURN(std::optional<InodeNum> inum,
-                         DirLookup(kRootInode, name));
-  if (!inum.has_value()) {
-    return MakeError(ErrorCode::kNotFound, "no such file");
-  }
-  Inode inode;
-  CEDAR_RETURN_IF_ERROR(ReadInode(*inum, &inode));
+  const obs::TimedOp op = Op("bsd.touch", h_.touch);
+  CEDAR_ASSIGN_OR_RETURN(auto found, FindInode(name));
+  auto& [inum, inode] = found;
   inode.mtime = disk_->clock().now();
   // Synchronous inode write: the hot-spot cost FSD absorbs with the log.
-  return WriteInodeSync(*inum, inode);
+  return WriteInodeSync(inum, inode);
 }
 
 Status Ffs::Force() { return OkStatus(); }

@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "src/fsapi/file_system.h"
+#include "src/obs/trace.h"
 #include "src/sim/disk.h"
 #include "src/util/bitmap.h"
 
@@ -137,6 +138,8 @@ class Ffs : public fs::FileSystem {
   }
 
   void ChargeOp() const;
+  // A public operation's op context and latency, its CPU charged.
+  obs::TimedOp Op(std::string_view name, obs::Histogram* latency);
   void ChargeBlocks(std::uint64_t n) const;
 
   // Block I/O through a small buffer cache; metadata writes are
@@ -168,6 +171,10 @@ class Ffs : public fs::FileSystem {
   Result<std::optional<InodeNum>> DirLookup(InodeNum dir,
                                             std::string_view name);
   Status DirAdd(InodeNum dir, std::string_view name, InodeNum inode);
+  // The inode `name` names in the root directory, or the one `file` has
+  // open, and its contents; kNotFound or kFailedPrecondition otherwise.
+  Result<std::pair<InodeNum, Inode>> FindInode(std::string_view name);
+  Result<std::pair<InodeNum, Inode>> OpenInode(const fs::FileHandle& file);
   Status DirRemove(InodeNum dir, std::string_view name);
 
   Status WriteSuperblock();

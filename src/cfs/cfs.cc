@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "src/fsapi/extent.h"
 #include "src/fsapi/name_key.h"
 #include "src/util/check.h"
 #include "src/util/crc32.h"
@@ -14,6 +15,17 @@ namespace cedar::cfs {
 namespace {
 
 constexpr std::uint32_t kRootMagic = 0x43465352;    // "CFSR"
+
+// The labels of `count` data pages of file `uid`, from page `first` on.
+std::vector<sim::Label> DataLabels(fs::FileUid uid, std::uint32_t first,
+                                   std::uint32_t count) {
+  std::vector<sim::Label> labels;
+  for (std::uint32_t i = 0; i < count; ++i) {
+    labels.push_back({.file_uid = uid, .page_number = first + i,
+                      .type = sim::PageType::kData});
+  }
+  return labels;
+}
 constexpr std::uint32_t kHeaderMagic = 0x43465348;  // "CFSH"
 constexpr std::uint32_t kVamMagic = 0x43465356;     // "CFSV"
 
@@ -139,6 +151,11 @@ std::uint32_t Cfs::VamSectors() const {
 }
 
 void Cfs::ChargeOp() const { disk_->clock().AdvanceCpu(config_.cpu_per_op); }
+
+obs::TimedOp Cfs::Op(std::string_view name, obs::Histogram* latency) {
+  return obs::TimedOp(disk_->tracer(), name, latency, &disk_->clock(),
+                      config_.cpu_per_op);
+}
 
 void Cfs::ChargeSectors(std::uint64_t n) const {
   disk_->clock().AdvanceCpu(config_.cpu_per_sector_io * n);
@@ -321,35 +338,12 @@ Status Cfs::Mount() {
 
 Result<std::pair<std::uint32_t, Cfs::NtEntry>> Cfs::HighestVersion(
     std::string_view name) {
-  std::optional<std::pair<std::uint32_t, NtEntry>> best;
-  Status scan = name_table_->Scan(
-      fs::NameKeyLow(name),
-      [&](std::span<const std::uint8_t> key,
-          std::span<const std::uint8_t> value) {
-        if (!fs::KeyIsName(key, name)) {
-          return false;
-        }
-        std::string decoded_name;
-        std::uint32_t version = 0;
-        if (!fs::DecodeNameKey(key, &decoded_name, &version)) {
-          return false;
-        }
-        ByteReader r(value);
-        NtEntry entry;
-        entry.uid = r.U64();
-        entry.header_lba = r.U32();
-        entry.keep = r.U16();
-        if (r.ok()) {
-          best = {version, entry};
-        }
-        return true;
-      });
-  CEDAR_RETURN_IF_ERROR(scan);
-  if (!best) {
+  CEDAR_ASSIGN_OR_RETURN(auto versions, ListVersions(name));
+  if (versions.empty()) {
     return MakeError(ErrorCode::kNotFound,
                      "no such file: " + std::string(name));
   }
-  return *best;
+  return versions.back();
 }
 
 Result<std::vector<Extent>> Cfs::AllocateVerified(std::uint32_t count) {
@@ -501,9 +495,7 @@ Status Cfs::WriteData(const FileHeader& header,
 
 Result<fs::FileUid> Cfs::CreateFile(std::string_view name,
                                     std::span<const std::uint8_t> contents) {
-  obs::ScopedOp op_scope(disk_->tracer(), "cfs.create");
-  obs::ScopedLatency op_latency(h_.create, &disk_->clock());
-  ChargeOp();
+  const obs::TimedOp op = Op("cfs.create", h_.create);
   if (!mounted_) {
     return MakeError(ErrorCode::kFailedPrecondition, "not mounted");
   }
@@ -588,9 +580,7 @@ Result<fs::FileUid> Cfs::CreateFile(std::string_view name,
 }
 
 Result<fs::FileHandle> Cfs::Open(std::string_view name) {
-  obs::ScopedOp op_scope(disk_->tracer(), "cfs.open");
-  obs::ScopedLatency op_latency(h_.open, &disk_->clock());
-  ChargeOp();
+  const obs::TimedOp op = Op("cfs.open", h_.open);
   if (!mounted_) {
     return MakeError(ErrorCode::kFailedPrecondition, "not mounted");
   }
@@ -618,38 +608,9 @@ Status Cfs::Close(const fs::FileHandle& file) {
   return OkStatus();
 }
 
-Result<std::vector<Extent>> Cfs::MapPages(const FileHeader& header,
-                                          std::uint32_t first_page,
-                                          std::uint32_t count) const {
-  std::vector<Extent> out;
-  std::uint32_t page = 0;
-  std::uint32_t need_start = first_page;
-  std::uint32_t remaining = count;
-  for (const Extent& run : header.runs) {
-    if (remaining == 0) {
-      break;
-    }
-    if (need_start < page + run.count) {
-      const std::uint32_t skip = need_start > page ? need_start - page : 0;
-      const std::uint32_t avail = run.count - skip;
-      const std::uint32_t take = std::min(avail, remaining);
-      out.push_back(Extent{.start = run.start + skip, .count = take});
-      remaining -= take;
-      need_start += take;
-    }
-    page += run.count;
-  }
-  if (remaining != 0) {
-    return MakeError(ErrorCode::kOutOfRange, "page range beyond file");
-  }
-  return out;
-}
-
 Status Cfs::Read(const fs::FileHandle& file, std::uint64_t offset,
                  std::span<std::uint8_t> out) {
-  obs::ScopedOp op_scope(disk_->tracer(), "cfs.read");
-  obs::ScopedLatency op_latency(h_.read, &disk_->clock());
-  ChargeOp();
+  const obs::TimedOp op = Op("cfs.read", h_.read);
   auto it = open_files_.find(file.uid);
   if (it == open_files_.end()) {
     return MakeError(ErrorCode::kFailedPrecondition, "file not open");
@@ -666,17 +627,14 @@ Status Cfs::Read(const fs::FileHandle& file, std::uint64_t offset,
       static_cast<std::uint32_t>((offset + out.size() - 1) / 512);
   const std::uint32_t count = last_page - first_page + 1;
   CEDAR_ASSIGN_OR_RETURN(std::vector<Extent> extents,
-                         MapPages(header, first_page, count));
+                         fs::MapPages(header.runs, first_page, count));
 
   std::vector<std::uint8_t> buf(static_cast<std::size_t>(count) * 512);
   std::size_t pos = 0;
   std::uint32_t page = first_page;
   for (const Extent& run : extents) {
-    std::vector<sim::Label> labels;
-    for (std::uint32_t i = 0; i < run.count; ++i) {
-      labels.push_back({.file_uid = file.uid, .page_number = page + i,
-                        .type = sim::PageType::kData});
-    }
+    const std::vector<sim::Label> labels =
+        DataLabels(file.uid, page, run.count);
     CEDAR_RETURN_IF_ERROR(disk_->ReadLabeled(
         run.start,
         std::span<std::uint8_t>(buf.data() + pos,
@@ -693,9 +651,7 @@ Status Cfs::Read(const fs::FileHandle& file, std::uint64_t offset,
 
 Status Cfs::Write(const fs::FileHandle& file, std::uint64_t offset,
                   std::span<const std::uint8_t> data) {
-  obs::ScopedOp op_scope(disk_->tracer(), "cfs.write");
-  obs::ScopedLatency op_latency(h_.write, &disk_->clock());
-  ChargeOp();
+  const obs::TimedOp op = Op("cfs.write", h_.write);
   auto it = open_files_.find(file.uid);
   if (it == open_files_.end()) {
     return MakeError(ErrorCode::kFailedPrecondition, "file not open");
@@ -712,7 +668,7 @@ Status Cfs::Write(const fs::FileHandle& file, std::uint64_t offset,
       static_cast<std::uint32_t>((offset + data.size() - 1) / 512);
   const std::uint32_t count = last_page - first_page + 1;
   CEDAR_ASSIGN_OR_RETURN(std::vector<Extent> extents,
-                         MapPages(header, first_page, count));
+                         fs::MapPages(header.runs, first_page, count));
 
   // Read-modify-write: fetch the affected pages, splice, write back.
   std::vector<std::uint8_t> buf(static_cast<std::size_t>(count) * 512);
@@ -721,11 +677,8 @@ Status Cfs::Write(const fs::FileHandle& file, std::uint64_t offset,
   std::uint32_t page = first_page;
   if (!aligned) {
     for (const Extent& run : extents) {
-      std::vector<sim::Label> labels;
-      for (std::uint32_t i = 0; i < run.count; ++i) {
-        labels.push_back({.file_uid = file.uid, .page_number = page + i,
-                          .type = sim::PageType::kData});
-      }
+      const std::vector<sim::Label> labels =
+          DataLabels(file.uid, page, run.count);
       CEDAR_RETURN_IF_ERROR(disk_->ReadLabeled(
           run.start,
           std::span<std::uint8_t>(buf.data() + pos,
@@ -740,11 +693,8 @@ Status Cfs::Write(const fs::FileHandle& file, std::uint64_t offset,
   pos = 0;
   page = first_page;
   for (const Extent& run : extents) {
-    std::vector<sim::Label> labels;
-    for (std::uint32_t i = 0; i < run.count; ++i) {
-      labels.push_back({.file_uid = file.uid, .page_number = page + i,
-                        .type = sim::PageType::kData});
-    }
+    const std::vector<sim::Label> labels =
+        DataLabels(file.uid, page, run.count);
     CEDAR_RETURN_IF_ERROR(disk_->WriteLabeled(
         run.start,
         std::span<const std::uint8_t>(
@@ -758,9 +708,7 @@ Status Cfs::Write(const fs::FileHandle& file, std::uint64_t offset,
 }
 
 Status Cfs::Extend(const fs::FileHandle& file, std::uint64_t bytes) {
-  obs::ScopedOp op_scope(disk_->tracer(), "cfs.extend");
-  obs::ScopedLatency op_latency(h_.extend, &disk_->clock());
-  ChargeOp();
+  const obs::TimedOp op = Op("cfs.extend", h_.extend);
   auto it = open_files_.find(file.uid);
   if (it == open_files_.end()) {
     return MakeError(ErrorCode::kFailedPrecondition, "file not open");
@@ -776,11 +724,8 @@ Status Cfs::Extend(const fs::FileHandle& file, std::uint64_t bytes) {
                            AllocateVerified(new_pages - cur_pages));
     std::uint32_t page = cur_pages;
     for (const Extent& run : extents) {
-      std::vector<sim::Label> labels;
-      for (std::uint32_t i = 0; i < run.count; ++i) {
-        labels.push_back({.file_uid = file.uid, .page_number = page + i,
-                          .type = sim::PageType::kData});
-      }
+      const std::vector<sim::Label> labels =
+          DataLabels(file.uid, page, run.count);
       const std::vector<sim::Label> expect_free(run.count, sim::Label{});
       CEDAR_RETURN_IF_ERROR(
           disk_->WriteLabels(run.start, labels, expect_free));
@@ -802,9 +747,7 @@ Status Cfs::EraseNameEntry(std::string_view name, std::uint32_t version) {
 }
 
 Status Cfs::DeleteFile(std::string_view name) {
-  obs::ScopedOp op_scope(disk_->tracer(), "cfs.delete");
-  obs::ScopedLatency op_latency(h_.del, &disk_->clock());
-  ChargeOp();
+  const obs::TimedOp op = Op("cfs.delete", h_.del);
   if (!mounted_) {
     return MakeError(ErrorCode::kFailedPrecondition, "not mounted");
   }
@@ -852,23 +795,11 @@ Status Cfs::PruneVersions(std::string_view name, std::uint16_t keep) {
 }
 
 Status Cfs::SetKeep(std::string_view name, std::uint16_t keep) {
-  obs::ScopedOp op_scope(disk_->tracer(), "cfs.setkeep");
-  obs::ScopedLatency op_latency(h_.setkeep, &disk_->clock());
-  ChargeOp();
+  const obs::TimedOp op = Op("cfs.setkeep", h_.setkeep);
   CEDAR_ASSIGN_OR_RETURN(auto found, HighestVersion(name));
   const NtEntry& entry = found.second;
-  FileHeader header;
-  auto open_it = open_files_.find(entry.uid);
-  if (open_it != open_files_.end()) {
-    header = open_it->second.header;
-  } else {
-    CEDAR_RETURN_IF_ERROR(ReadHeader(entry.header_lba, entry.uid, &header));
-  }
-  header.keep = keep;
-  if (open_it != open_files_.end()) {
-    open_it->second.header = header;
-  }
-  CEDAR_RETURN_IF_ERROR(WriteHeader(header, entry.header_lba, false));
+  CEDAR_RETURN_IF_ERROR(
+      UpdateHeader(entry, [&](FileHeader* header) { header->keep = keep; }));
   // The keep count is replicated in the name-table entry.
   CEDAR_RETURN_IF_ERROR(name_table_->Insert(
       fs::EncodeNameKey(name, found.first),
@@ -882,12 +813,7 @@ Status Cfs::SetKeep(std::string_view name, std::uint16_t keep) {
 Status Cfs::DeleteVersion(std::string_view name, std::uint32_t version,
                           const NtEntry& entry) {
   FileHeader header;
-  auto open_it = open_files_.find(entry.uid);
-  if (open_it != open_files_.end()) {
-    header = open_it->second.header;
-  } else {
-    CEDAR_RETURN_IF_ERROR(ReadHeader(entry.header_lba, entry.uid, &header));
-  }
+  CEDAR_RETURN_IF_ERROR(LoadHeader(entry, &header));
 
   // Free the labels: header pair first, then each data run (one label write
   // request per run — "deletion operations write the labels").
@@ -921,9 +847,7 @@ Status Cfs::DeleteVersion(std::string_view name, std::uint32_t version,
 }
 
 Result<std::vector<fs::FileInfo>> Cfs::List(std::string_view prefix) {
-  obs::ScopedOp op_scope(disk_->tracer(), "cfs.list");
-  obs::ScopedLatency op_latency(h_.list, &disk_->clock());
-  ChargeOp();
+  const obs::TimedOp op = Op("cfs.list", h_.list);
   // Collect matching entries from the name table, then read each header for
   // the properties — the cost FSD eliminates by keeping properties in the
   // name table (paper section 5.1).
@@ -979,39 +903,39 @@ Result<std::vector<fs::FileInfo>> Cfs::List(std::string_view prefix) {
 }
 
 Status Cfs::Touch(std::string_view name) {
-  obs::ScopedOp op_scope(disk_->tracer(), "cfs.touch");
-  obs::ScopedLatency op_latency(h_.touch, &disk_->clock());
-  ChargeOp();
+  const obs::TimedOp op = Op("cfs.touch", h_.touch);
   CEDAR_ASSIGN_OR_RETURN(auto found, HighestVersion(name));
-  const NtEntry& entry = found.second;
-  FileHeader header;
-  auto open_it = open_files_.find(entry.uid);
-  sim::Lba header_lba = entry.header_lba;
-  if (open_it != open_files_.end()) {
-    header = open_it->second.header;
-  } else {
-    CEDAR_RETURN_IF_ERROR(ReadHeader(header_lba, entry.uid, &header));
-  }
-  header.last_used = disk_->clock().now();
-  if (open_it != open_files_.end()) {
-    open_it->second.header = header;
-  }
   // Rewriting the sector just read costs a lost revolution — the hot-spot
   // cost group commit absorbs in FSD.
-  return WriteHeader(header, header_lba, false);
+  return UpdateHeader(found.second, [&](FileHeader* header) {
+    header->last_used = disk_->clock().now();
+  });
+}
+
+Status Cfs::LoadHeader(const NtEntry& entry, FileHeader* header) {
+  if (auto it = open_files_.find(entry.uid); it != open_files_.end()) {
+    *header = it->second.header;
+    return OkStatus();
+  }
+  return ReadHeader(entry.header_lba, entry.uid, header);
+}
+
+Status Cfs::UpdateHeader(const NtEntry& entry,
+                         const std::function<void(FileHeader*)>& change) {
+  FileHeader header;
+  CEDAR_RETURN_IF_ERROR(LoadHeader(entry, &header));
+  change(&header);
+  if (auto it = open_files_.find(entry.uid); it != open_files_.end()) {
+    it->second.header = header;
+  }
+  return WriteHeader(header, entry.header_lba, false);
 }
 
 Result<fs::FileInfo> Cfs::Stat(std::string_view name) {
   ChargeOp();
   CEDAR_ASSIGN_OR_RETURN(auto found, HighestVersion(name));
-  const NtEntry& entry = found.second;
   FileHeader header;
-  auto open_it = open_files_.find(entry.uid);
-  if (open_it != open_files_.end()) {
-    header = open_it->second.header;
-  } else {
-    CEDAR_RETURN_IF_ERROR(ReadHeader(entry.header_lba, entry.uid, &header));
-  }
+  CEDAR_RETURN_IF_ERROR(LoadHeader(found.second, &header));
   return fs::FileInfo{.name = header.name,
                       .version = header.version,
                       .uid = header.uid,

@@ -26,6 +26,7 @@
 #define CEDAR_CFS_CFS_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -36,6 +37,7 @@
 #include "src/btree/page_store.h"
 #include "src/cache/page_cache.h"
 #include "src/fsapi/file_system.h"
+#include "src/obs/trace.h"
 #include "src/sim/disk.h"
 #include "src/util/bitmap.h"
 
@@ -141,6 +143,8 @@ class Cfs : public fs::FileSystem {
   sim::Lba DataBase() const { return NtBase() + NtSectors(); }
 
   void ChargeOp() const;
+  // A public operation's op context and latency, its CPU charged.
+  obs::TimedOp Op(std::string_view name, obs::Histogram* latency);
   void ChargeSectors(std::uint64_t n) const;
   // File uids start at boot_count+1 in the high word so they never collide
   // with the small system-structure label uids.
@@ -170,6 +174,11 @@ class Cfs : public fs::FileSystem {
   Result<std::vector<Extent>> AllocateVerified(std::uint32_t count);
 
   Status ReadHeader(sim::Lba header_lba, fs::FileUid uid, FileHeader* out);
+  // A file's header: the open copy when the file is open, else read home.
+  Status LoadHeader(const NtEntry& entry, FileHeader* header);
+  // LoadHeader, `change`, then the open copy and the home sector updated.
+  Status UpdateHeader(const NtEntry& entry,
+                      const std::function<void(FileHeader*)>& change);
   Status WriteHeader(const FileHeader& header, sim::Lba header_lba,
                      bool claim_labels);
   Status WriteData(const FileHeader& header,
@@ -177,11 +186,6 @@ class Cfs : public fs::FileSystem {
 
   std::vector<std::uint8_t> SerializeHeader(const FileHeader& header) const;
   Status ParseHeader(std::span<const std::uint8_t> buf, FileHeader* out) const;
-
-  // Maps file page range [first_page, first_page+count) to disk extents.
-  Result<std::vector<Extent>> MapPages(const FileHeader& header,
-                                       std::uint32_t first_page,
-                                       std::uint32_t count) const;
 
   Status EraseNameEntry(std::string_view name, std::uint32_t version);
 

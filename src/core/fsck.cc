@@ -19,26 +19,11 @@
 
 #include <cstdio>
 #include <string>
-#include <unordered_set>
-#include <vector>
 
 #include "src/core/fsd.h"
-#include "src/fsapi/name_key.h"
-#include "src/util/bitmap.h"
-#include "src/util/check.h"
+#include "src/core/recovery.h"
 
 namespace cedar::core {
-namespace {
-
-std::string LbaRange(sim::Lba start, std::uint32_t count) {
-  std::string s = "lba " + std::to_string(start);
-  if (count > 1) {
-    s += ".." + std::to_string(start + count - 1);
-  }
-  return s;
-}
-
-}  // namespace
 
 std::string FsckReport::Summary() const {
   char buf[160];
@@ -76,7 +61,7 @@ Result<FsckReport> Fsd::Fsck() {
   };
 
   // ---- 1. Log well-formedness: both pointer copies readable and in range.
-  if (Status s = log_->ValidatePointer(); !s.ok()) {
+  if (Status s = log_.ValidatePointer(); !s.ok()) {
     violate("log-pointer-bad", s.message());
   }
 
@@ -88,139 +73,97 @@ Result<FsckReport> Fsd::Fsck() {
     return report;
   }
 
-  // ---- 3. A/B copies of every live tree page.
-  std::vector<btree::PageId> live_pages;
-  CEDAR_RETURN_IF_ERROR(tree_->CollectPages(&live_pages));
-  const std::unordered_set<btree::PageId> live_set(live_pages.begin(),
-                                                   live_pages.end());
-  for (btree::PageId pid : live_pages) {
-    ++report.nt_pages_checked;
-    // A dirty cached frame means the home copies are legitimately stale —
-    // possibly never written at all (the log holds the truth until a
-    // checkpoint or flush writes them home) — so no home-copy judgement is
-    // possible for this page.
-    if (const cache::Frame* frame = cache_.Find(pid);
-        frame != nullptr && frame->dirty) {
-      continue;
-    }
-    // Home reads go through the remap table; a CRC-invalid trailer on a
-    // readable sector is silent corruption and counts as unreadable (the
-    // content cannot be trusted any more than a failed read can).
-    // Read-only: the vote counts nothing here.
-    CEDAR_ASSIGN_OR_RETURN(const NtStore::Copies copies,
-                           nt_.ReadCopies(pid, /*corruption=*/nullptr));
-    const NtStore::Vote& vote = copies.vote;
-    if (!vote.any()) {
-      violate("nt-both-copies-bad",
-              "live name-table page " + std::to_string(pid) +
-                  ": both home copies unreadable or corrupt");
-      continue;
-    }
-    if (!vote.ok_a || !vote.ok_b) {
-      warn("nt-copy-unreadable",
-           "name-table page " + std::to_string(pid) + ": " +
-               (vote.ok_a ? "replica" : "primary") +
-               " copy unreadable or corrupt (repairable from the other)");
-      continue;
-    }
-    if (vote.diverged) {
-      warn("nt-copies-diverge",
-           "name-table page " + std::to_string(pid) +
-               ": primary and replica differ (newest valid copy wins; "
-               "repairable)");
-    }
-  }
-
-  // ---- 4. Entries: parse, leader cross-check, reachable-sector set.
-  Bitmap referenced(disk_->geometry().TotalSectors(), false);
-  auto reference = [&](sim::Lba start, std::uint32_t count,
-                       const std::string& what) {
-    if (start < layout_.data_low || start + count > layout_.data_high ||
-        layout_.InMetadataComplex(start, count)) {
-      violate("extent-out-of-bounds",
-              what + " " + LbaRange(start, count) +
-                  " lies outside the file data region");
-      return;
-    }
-    for (sim::Lba lba = start; lba < start + count; ++lba) {
-      if (referenced.Get(lba)) {
-        violate("extent-double-referenced",
-                what + ": sector " + std::to_string(lba) +
-                    " is claimed by more than one run");
+  // ---- 3. A/B copies of every live tree page: the walk's page pass.
+  auto check_copies = [&](std::span<const btree::PageId> live) -> Status {
+    for (btree::PageId pid : live) {
+      ++report.nt_pages_checked;
+      // A dirty cached frame means the home copies are legitimately stale —
+      // possibly never written at all (the log holds the truth until a
+      // checkpoint or flush writes them home) — so no home-copy judgement
+      // is possible for this page.
+      if (const cache::Frame* frame = cache_.Find(pid);
+          frame != nullptr && frame->dirty) {
+        continue;
       }
-      referenced.Set(lba, true);
+      // Home reads go through the remap table; a CRC-invalid trailer on a
+      // readable sector is silent corruption and counts as unreadable (the
+      // content cannot be trusted any more than a failed read can).
+      // Read-only: the vote counts nothing here.
+      CEDAR_ASSIGN_OR_RETURN(const NtStore::Copies copies,
+                             nt_.ReadCopies(pid, /*corruption=*/nullptr));
+      const NtStore::Vote& vote = copies.vote;
+      const std::string page = "name-table page " + std::to_string(pid);
+      if (!vote.any()) {
+        violate("nt-both-copies-bad",
+                "live " + page + ": both home copies unreadable or corrupt");
+      } else if (!vote.ok_a || !vote.ok_b) {
+        warn("nt-copy-unreadable",
+             page + ": " + (vote.ok_a ? "replica" : "primary") +
+                 " copy unreadable or corrupt (repairable from the other)");
+      } else if (vote.diverged) {
+        warn("nt-copies-diverge",
+             page + ": primary and replica differ (newest valid copy wins; "
+                    "repairable)");
+      }
     }
+    return OkStatus();
   };
-  Status scan = tree_->Scan({}, [&](std::span<const std::uint8_t> key,
-                                    std::span<const std::uint8_t> value) {
-    std::string name;
-    std::uint32_t version = 0;
-    FsdEntry entry;
-    if (!fs::DecodeNameKey(key, &name, &version)) {
-      violate("nt-key-unparsable", "undecodable name-table key");
-      return true;
-    }
-    const std::string ident = name + "!" + std::to_string(version);
-    if (!ParseEntry(value, &entry).ok()) {
-      violate("nt-entry-unparsable", ident + ": undecodable entry value");
-      return true;
-    }
-    ++report.files_checked;
-    reference(entry.leader_lba, 1, ident + " leader");
-    for (const fs::Extent& run : entry.runs) {
-      reference(run.start, run.count, ident + " run");
-    }
 
-    // Leader cross-check: prefer a buffered (pending) leader image, exactly
-    // like the scrub does. A stale or unreadable leader is a warning — the
-    // entry is authoritative and the leader is rebuilt from it.
-    ++report.leaders_checked;
-    if (!LeaderMatches(entry, version, /*charge=*/false)) {
-      warn("leader-stale",
-           ident + ": leader page disagrees with the entry (repairable)");
-    }
-    return true;
-  });
-  CEDAR_RETURN_IF_ERROR(scan);
-
-  // ---- 5. VAM vs. the reachable-sector set. Used-but-unreferenced is a
-  // leak (self-healing via Scrub; also the documented residue of a torn
-  // force under VAM logging). Referenced-but-free is the dangerous
-  // direction: the allocator could hand a live file's sector to a new one.
-  std::uint64_t leaked = 0;
-  for (sim::Lba lba = layout_.data_low; lba < layout_.data_high; ++lba) {
-    if (layout_.InMetadataComplex(lba)) {
-      continue;  // the central metadata complex is not file space
-    }
-    const bool used = !vam_.IsFree(lba);
-    if (used && !referenced.Get(lba)) {
-      ++leaked;
-    } else if (!used && referenced.Get(lba)) {
-      violate("vam-referenced-free",
-              "sector " + std::to_string(lba) +
-                  " is referenced by the name table but marked free");
-    }
+  // ---- 4. Entries: the walk parses each, checks its extents and collects
+  // the reachable-sector set. The leader cross-check prefers a buffered
+  // (pending) leader image, exactly like the scrub does; a stale or
+  // unreadable leader is a warning — the entry is authoritative and the
+  // leader is rebuilt from it.
+  NtWalk walk;
+  CEDAR_RETURN_IF_ERROR(WalkNameTable(
+      *tree_, layout_, check_copies,
+      [&](const std::string& name, std::uint32_t version,
+          const FsdEntry& entry) {
+        ++report.leaders_checked;
+        if (!LeaderMatches(entry, version, /*charge=*/false)) {
+          warn("leader-stale",
+               name + "!" + std::to_string(version) +
+                   ": leader page disagrees with the entry (repairable)");
+        }
+      },
+      &walk));
+  report.files_checked = walk.entries;
+  // Indexed by NtWalk::Problem.
+  static constexpr const char* kFindingCodes[] = {
+      "nt-key-unparsable", "nt-entry-unparsable", "extent-out-of-bounds",
+      "extent-double-referenced"};
+  for (const NtWalk::Finding& finding : walk.findings) {
+    violate(kFindingCodes[static_cast<int>(finding.problem)], finding.detail);
   }
+
+  // ---- 5-6. The allocation map vs. the walk. A used but unreferenced
+  // sector or page is a leak (self-healing via Scrub; also the documented
+  // residue of a torn force under VAM logging). The other direction is
+  // dangerous: the allocator could hand a live file's sector, or a live
+  // page, to something new.
+  std::uint64_t leaked = 0;
+  std::uint64_t nt_leaked = 0;
+  CompareAllocation(
+      vam_, layout_, walk.referenced, walk.live, [&](const VamDelta& fix) {
+        const std::string at = std::to_string(fix.start);
+        if (fix.op == VamDelta::Op::kFree) {
+          ++leaked;
+        } else if (fix.op == VamDelta::Op::kNtFree) {
+          ++nt_leaked;
+        } else if (fix.op == VamDelta::Op::kAlloc) {
+          violate("vam-referenced-free",
+                  "sector " + at +
+                      " is referenced by the name table but marked free");
+        } else {
+          violate("nt-live-page-free", "live name-table page " + at +
+                                           " is marked free in the "
+                                           "allocation map");
+        }
+      });
   if (leaked > 0) {
     warn("vam-leaked-sectors",
          std::to_string(leaked) +
              " sector(s) marked used but unreferenced (reclaimable)");
-  }
-
-  // ---- 6. Name-table page map vs. the live tree. A live page marked free
-  // could be reallocated and overwritten — a violation; a free page marked
-  // used is only a leak.
-  std::uint64_t nt_leaked = 0;
-  for (std::uint32_t pid = 0; pid < config_.nt_pages; ++pid) {
-    const bool used = !vam_.nt_free().Get(pid);
-    const bool live = live_set.contains(pid);
-    if (live && !used) {
-      violate("nt-live-page-free",
-              "live name-table page " + std::to_string(pid) +
-                  " is marked free in the allocation map");
-    } else if (!live && used) {
-      ++nt_leaked;
-    }
   }
   if (nt_leaked > 0) {
     warn("nt-pages-leaked",

@@ -2,22 +2,27 @@
 
 #include <algorithm>
 #include <array>
-#include <map>
 #include <optional>
 #include <utility>
 
 #include "src/fsapi/name_key.h"
 #include "src/obs/trace.h"
 #include "src/util/check.h"
-#include "src/util/serial.h"
 
 namespace cedar::core {
 namespace {
 
-// "FSDV": the name table holds varint-coded entries. A volume from before
-// that layout (magic "FSDR") fails Mount on the magic instead of having its
-// fixed-width entries misread.
-constexpr std::uint32_t kRootMagic = 0x46534456;
+// A version's properties, as its name-table entry holds them.
+fs::FileInfo InfoOf(std::string name, std::uint32_t version,
+                    const FsdEntry& entry) {
+  return fs::FileInfo{.name = std::move(name),
+                      .version = version,
+                      .uid = entry.uid,
+                      .byte_size = entry.byte_size,
+                      .create_time = entry.create_time,
+                      .last_used = entry.last_used,
+                      .keep = entry.keep};
+}
 
 // commit.daemon picks the executor of both round runners: background
 // threads, or rounds stepped on the calling thread (inline mode).
@@ -139,13 +144,12 @@ class Fsd::NtPages : public btree::PageStore {
   Fsd* fsd_;
 };
 
-bool Fsd::IsInteriorFrame(std::uint32_t key,
-                          std::span<const std::uint8_t> data) {
-  return !(key & kLeaderKeyBit) && btree::BTree::IsInteriorPage(data);
+bool IsInteriorFrame(std::uint32_t key, std::span<const std::uint8_t> data) {
+  return !(key & Fsd::kLeaderKeyBit) && btree::BTree::IsInteriorPage(data);
 }
 
 Fsd::Fsd(sim::BlockDevice* disk, FsdConfig config)
-    : Fsd(disk, config, &Fsd::IsInteriorFrame) {}
+    : Fsd(disk, config, &IsInteriorFrame) {}
 
 Fsd::Fsd(sim::BlockDevice* disk, FsdConfig config,
          cache::PageCache::Classifier interior)
@@ -160,8 +164,6 @@ Fsd::Fsd(sim::BlockDevice* disk, FsdConfig config,
   CEDAR_CHECK(disk != nullptr);
   nt_pages_ = std::make_unique<NtPages>(this);
   tree_ = std::make_unique<btree::BTree>(nt_pages_.get(), /*root=*/0);
-  log_ = std::make_unique<FsdLog>(disk_, layout_.log_base,
-                                  config_.log_sectors, &metrics_);
   allocator_ = std::make_unique<RunAllocator>(
       &vam_, layout_, config_.big_file_threshold_sectors);
 
@@ -256,118 +258,6 @@ void Fsd::RecordDelta(VamDelta::Op op, std::uint32_t start,
   }
 }
 
-void Fsd::MarkSystemRegionsUsed() {
-  vam_.free().SetRange(0, layout_.data_low, false);
-  vam_.free().SetRange(layout_.complex_begin(),
-                       layout_.nta_end - layout_.complex_begin(), false);
-}
-
-Status Fsd::WriteVolumeRoot(bool clean) {
-  ByteWriter w;
-  w.U32(kRootMagic);
-  w.U32(disk_->geometry().cylinders);
-  w.U32(disk_->geometry().heads);
-  w.U32(disk_->geometry().sectors_per_track);
-  w.U32(config_.log_sectors);
-  w.U32(config_.nt_pages);
-  w.U32(boot_count_);
-  // Name-table write-sequence high-water mark: a clean shutdown persists
-  // the exact clock, every other root write a floor, so the next mount can
-  // never stamp new home sectors below ones already on disk.
-  w.U32(nt_.seq_clock());
-  w.U8(clean ? 1 : 0);
-  const std::vector<std::uint8_t> root = SealSector(std::move(w));
-  // [root][blank][copy] in one write; the copies are never adjacent.
-  std::vector<std::uint8_t> buf(3 * 512, 0);
-  std::copy(root.begin(), root.end(), buf.begin());
-  std::copy(root.begin(), root.end(), buf.begin() + 2 * 512);
-  const Status wrote = disk_->Write(layout_.root_lba, buf);
-  if (!wrote.ok() && wrote.code() != ErrorCode::kDeviceCrashed) {
-    health_.NoteUnrepairable("volume root unwritable at lba " +
-                     std::to_string(layout_.root_lba) + ": " +
-                     wrote.message());
-  }
-  return wrote;
-}
-
-Status Fsd::ReadVolumeRoot(bool* clean) {
-  struct RootFields {
-    std::uint32_t log_sectors = 0;
-    std::uint32_t nt_pages = 0;
-    std::uint32_t boot_count = 0;
-    std::uint32_t nt_seq = 0;
-    bool clean = false;
-  };
-  auto parse = [&](std::span<const std::uint8_t> sector,
-                   RootFields* fields) -> Status {
-    ByteReader r(sector);
-    if (r.U32() != kRootMagic) {
-      return MakeError(ErrorCode::kCorruptMetadata, "bad root magic");
-    }
-    if (r.U32() != disk_->geometry().cylinders ||
-        r.U32() != disk_->geometry().heads ||
-        r.U32() != disk_->geometry().sectors_per_track) {
-      return MakeError(ErrorCode::kCorruptMetadata, "geometry mismatch");
-    }
-    fields->log_sectors = r.U32();
-    fields->nt_pages = r.U32();
-    fields->boot_count = r.U32();
-    fields->nt_seq = r.U32();
-    fields->clean = r.U8() != 0;
-    if (!r.ok()) {
-      return MakeError(ErrorCode::kCorruptMetadata, "truncated root");
-    }
-    if (!CheckSeal(sector, r.position())) {
-      return MakeError(ErrorCode::kCorruptMetadata, "root crc mismatch");
-    }
-    return OkStatus();
-  };
-
-  std::vector<std::uint8_t> buf(3 * 512);
-  std::vector<std::uint32_t> bad;
-  CEDAR_RETURN_IF_ERROR(health_.ReadWithRetry(layout_.root_lba, buf, &bad));
-  auto span = std::span<const std::uint8_t>(buf);
-  RootFields f0;
-  RootFields f2;
-  const bool ok0 = std::find(bad.begin(), bad.end(), 0u) == bad.end() &&
-                   parse(span.subspan(0, 512), &f0).ok();
-  const bool ok2 = std::find(bad.begin(), bad.end(), 2u) == bad.end() &&
-                   parse(span.subspan(2 * 512, 512), &f2).ok();
-  if (!ok0 && !ok2) {
-    return MakeError(ErrorCode::kCorruptMetadata, "volume root unreadable");
-  }
-  // Both copies ride in one 3-sector write, so they normally match; a torn
-  // root write leaves one copy a boot behind — the higher boot count is the
-  // one that finished.
-  const bool use2 = ok2 && (!ok0 || f2.boot_count > f0.boot_count);
-  const RootFields& f = use2 ? f2 : f0;
-  config_.log_sectors = f.log_sectors;
-  config_.nt_pages = f.nt_pages;
-  boot_count_ = f.boot_count;
-  nt_.MergeSeq(f.nt_seq);
-  *clean = f.clean;
-  // Heal the lost/stale copy from the survivor while we are here (never in
-  // degraded mode — nothing writes there).
-  const bool diverged =
-      ok0 != ok2 ||
-      !std::equal(span.begin(), span.begin() + 512, span.begin() + 2 * 512);
-  if (diverged && !health_.degraded()) {
-    auto good = span.subspan(use2 ? 2 * 512 : 0, 512);
-    const sim::Lba stale = layout_.root_lba + (use2 ? 0 : 2);
-    const Status repaired = disk_->Write(stale, good);
-    if (repaired.code() == ErrorCode::kDeviceCrashed) {
-      return repaired;
-    }
-    if (repaired.ok()) {
-      health_.c.repairs->Increment();
-    } else {
-      health_.NoteUnrepairable("volume root copy unwritable at lba " +
-                       std::to_string(stale) + ": " + repaired.message());
-    }
-  }
-  return OkStatus();
-}
-
 Status Fsd::Format() {
   CEDAR_RETURN_IF_ERROR(config_.Validate());
   StopRounds();
@@ -384,19 +274,13 @@ Status Fsd::Format() {
 
 Status Fsd::FormatLocked() {
   obs::ScopedOp op_scope(disk_->tracer(), "fsd.format");
-  boot_count_ = 0;
-  uid_counter_ = 0;
   metrics_.Reset();
-  cache_.Clear();
-  open_files_.clear();
   health_.Reset();
+  ResetVolatileState(0);
   // The log is formatted once, by the clean mount that ends Format.
   CEDAR_RETURN_IF_ERROR(nt_.Format());
 
-  vam_.Reset(disk_->geometry().TotalSectors(), config_.nt_pages);
-  vam_.free().SetRange(0, vam_.free().size(), true);
-  MarkSystemRegionsUsed();
-  vam_.nt_free().SetRange(0, config_.nt_pages, true);
+  MarkAllFree(layout_, &vam_);
   vam_.nt_free().Set(0, false);  // tree root
 
   CEDAR_RETURN_IF_ERROR(tree_->Create());
@@ -406,7 +290,7 @@ Status Fsd::FormatLocked() {
 
   CEDAR_RETURN_IF_ERROR(
       vam_.Save(disk_, layout_.vam_base, layout_.vam_sectors, 0));
-  CEDAR_RETURN_IF_ERROR(WriteVolumeRoot(/*clean=*/true));
+  CEDAR_RETURN_IF_ERROR(recovery_.WriteRoot(/*clean=*/true, boot_count_));
   return MountLocked();
 }
 
@@ -427,77 +311,18 @@ Status Fsd::Mount() {
 Status Fsd::MountLocked() {
   obs::ScopedOp op_scope(disk_->tracer(), "fsd.mount");
   health_.set_degraded(false);
-  bool clean = false;
-  CEDAR_RETURN_IF_ERROR(ReadVolumeRoot(&clean));
+  CEDAR_ASSIGN_OR_RETURN(const VolumeRoot root, recovery_.ReadRoot());
   // The remap table routes every name-table home access from here on, so
   // it loads before recovery replay or the preload sweep touch the region.
   CEDAR_RETURN_IF_ERROR(nt_.LoadRemapTable());
-  const std::uint32_t previous_boot = boot_count_;
-  ++boot_count_;
-  uid_counter_ = 0;
-  cache_.Clear();
-  open_files_.clear();
-  vam_.Reset(disk_->geometry().TotalSectors(), config_.nt_pages);
-
-  bool need_rebuild = false;
-  if (!clean) {
-    // Crash recovery: replay the log, VAM delta pages kept with their
-    // record LSNs for the fast path below.
-    std::map<sim::Lba, PageImage> replay;
-    std::vector<std::pair<std::uint64_t, VamDelta>> deltas;
-    CEDAR_RETURN_IF_ERROR(CollectReplay(&replay, &deltas));
-    // Write the surviving images home through the elevator scheduler
-    // (name-table pages cluster, so this turns hundreds of rotational
-    // misses into a few streaming writes). Primaries flush before replicas
-    // so the two copies of a page never share a transfer.
-    HomeBatch primaries(disk_, config_.durability.batched_writeback);
-    HomeBatch secondaries(disk_, config_.durability.batched_writeback);
-    for (const auto& [lba, page] : replay) {
-      primaries.QueueWrite(page.primary, page.data);
-      if (page.secondary != kNoLba) {
-        secondaries.QueueWrite(page.secondary, page.data);
-      }
-      c_.recovery_pages_replayed->Increment();
-    }
-    CEDAR_RETURN_IF_ERROR(nt_.Flush(primaries));
-    CEDAR_RETURN_IF_ERROR(nt_.Flush(secondaries));
-
-    // VAM: fast path = last base snapshot + the deltas logged since it
-    // (idempotent, applied in LSN order); otherwise scan the name table.
-    need_rebuild = true;
-    if (config_.durability.vam_logging) {
-      std::uint64_t base_lsn = 0;
-      Status base = vam_.Load(disk_, layout_.vam_base, layout_.vam_sectors,
-                              Vam::kAnyBoot, &base_lsn);
-      if (base.ok()) {
-        for (const auto& [lsn, delta] : deltas) {
-          if (lsn >= base_lsn) {
-            vam_.Apply(delta);
-          }
-        }
-        need_rebuild = false;
-        c_.fast_recoveries->Increment();
-      }
-    }
-  } else {
-    // Clean boot: the log contents are all applied; start it fresh. The log
-    // has no spare sectors, so a write fault here leaves the volume only
-    // the read-only degraded mount; attribute it for that mount's report.
-    if (Status formatted = log_->Format(boot_count_); !formatted.ok()) {
-      if (formatted.code() != ErrorCode::kDeviceCrashed) {
-        health_.NoteUnrepairable("log unwritable at mount: " +
-                                 formatted.message());
-      }
-      return formatted;
-    }
-    Status loaded = vam_.Load(disk_, layout_.vam_base, layout_.vam_sectors,
-                              previous_boot);
-    need_rebuild = !loaded.ok();
+  ResetVolatileState(root.boot_count + 1);
+  std::vector<std::pair<std::uint64_t, VamDelta>> deltas;
+  CEDAR_RETURN_IF_ERROR(recovery_.Redo(root.clean, boot_count_, &deltas));
+  if (!recovery_.LoadVam(root, deltas, &vam_)) {
+    NtImages images;
+    CEDAR_RETURN_IF_ERROR(PreloadNameTable(&images));
+    CEDAR_RETURN_IF_ERROR(recovery_.RebuildVam(images, tree_->root(), &vam_));
   }
-  if (need_rebuild) {
-    CEDAR_RETURN_IF_ERROR(RebuildVolatileState());
-  }
-
   if (config_.durability.vam_logging) {
     // Guarantee a base snapshot exists for the next crash. This must land
     // BEFORE the unclean root is written: a clean boot reformats the log
@@ -506,16 +331,26 @@ Status Fsd::MountLocked() {
     // VAM and double allocation. Saving first closes that crash window.
     CEDAR_RETURN_IF_ERROR(vam_.Save(disk_, layout_.vam_base,
                                     layout_.vam_sectors, boot_count_,
-                                    log_->next_lsn()));
+                                    log_.next_lsn()));
   }
-  CEDAR_RETURN_IF_ERROR(WriteVolumeRoot(/*clean=*/false));
+  CEDAR_RETURN_IF_ERROR(recovery_.WriteRoot(/*clean=*/false, boot_count_));
+  ArmMounted();
+  return OkStatus();
+}
+
+void Fsd::ResetVolatileState(std::uint32_t boot_count) {
+  boot_count_ = boot_count;
+  uid_counter_ = 0;
+  cache_.Clear();
+  open_files_.clear();
+  vam_.Reset(disk_->geometry().TotalSectors(), config_.nt_pages);
+}
+
+void Fsd::ArmMounted() {
   last_force_.store(disk_->clock().now(), std::memory_order_relaxed);
-  // Arm the admission gate for this volume's log geometry; the cache was
-  // cleared above, so no capture reservations carry over.
-  gate_.SetBudget(log_->MaxGroupPages());
+  gate_.SetBudget(log_.MaxGroupPages());
   gate_.ResetPendingCapture();
   mounted_ = true;
-  return OkStatus();
 }
 
 Status Fsd::MountDegraded() {
@@ -533,22 +368,18 @@ Status Fsd::MountDegradedLocked() {
   // saves) checks this flag and stands down — the medium is preserved
   // exactly as found for offline salvage.
   health_.set_degraded(true);
-  bool clean = false;
-  const Status root = ReadVolumeRoot(&clean);
-  if (root.code() == ErrorCode::kDeviceCrashed) {
-    return root;
+  const Result<VolumeRoot> root = recovery_.ReadRoot();
+  if (root.status().code() == ErrorCode::kDeviceCrashed) {
+    return root.status();
   }
   if (!root.ok()) {
     // Keep the constructed config and assume unclean so the log replay
     // below recovers whatever it can.
-    health_.NoteUnrepairable("volume root unreadable: " + root.message());
-    clean = false;
+    health_.NoteUnrepairable("volume root unreadable: " +
+                             root.status().message());
   }
-  ++boot_count_;  // in-memory only; nothing writes the root in this mode
-  uid_counter_ = 0;
-  cache_.Clear();
-  open_files_.clear();
-  vam_.Reset(disk_->geometry().TotalSectors(), config_.nt_pages);
+  // In-memory only; nothing writes the root in this mode.
+  ResetVolatileState((root.ok() ? root->boot_count : boot_count_) + 1);
   const Status remap = nt_.LoadRemapTable();
   if (remap.code() == ErrorCode::kDeviceCrashed) {
     return remap;
@@ -558,16 +389,17 @@ Status Fsd::MountDegradedLocked() {
   // reconstructed in this mode). FsdLog::Recover is read-only, so this is
   // safe on damaged media; if the log itself is unreadable the mount
   // continues with whatever the home copies hold.
-  std::map<sim::Lba, PageImage> replay;
-  if (!clean) {
-    const Status recovered = CollectReplay(&replay, /*deltas=*/nullptr);
+  Replay replay;
+  if (!root.ok() || !root->clean) {
+    const Status recovered =
+        recovery_.CollectReplay(boot_count_, /*keep_deltas=*/false, &replay);
     if (recovered.code() == ErrorCode::kDeviceCrashed) {
       return recovered;
     }
     if (!recovered.ok()) {
       health_.NoteUnrepairable("log unreadable, recovery skipped: " +
-                       recovered.message());
-      replay.clear();
+                               recovered.message());
+      replay.pages.clear();
     }
   }
 
@@ -584,7 +416,7 @@ Status Fsd::MountDegradedLocked() {
   if (!preload.ok()) {
     health_.NoteUnrepairable("name-table preload failed: " + preload.message());
   }
-  for (const auto& [lba, page] : replay) {
+  for (const auto& [lba, page] : replay.pages) {
     // A name-table copy (a home, or a spare standing in for one) or a
     // leader.
     const std::optional<NtStore::CopyRef> copy = nt_.CopyAt(lba);
@@ -603,56 +435,10 @@ Status Fsd::MountDegradedLocked() {
       frame.logged_lsn = 0;
       frame.is_leader = is_leader;
     });
-    c_.recovery_pages_replayed->Increment();
+    recovery_.c.pages_replayed->Increment();
   }
-
-  gate_.SetBudget(log_->MaxGroupPages());
-  gate_.ResetPendingCapture();
-  last_force_.store(disk_->clock().now(), std::memory_order_relaxed);
-  mounted_ = true;
+  ArmMounted();
   return OkStatus();
-}
-
-Status Fsd::CollectReplay(
-    std::map<sim::Lba, PageImage>* replay,
-    std::vector<std::pair<std::uint64_t, VamDelta>>* deltas) {
-  // Later images supersede earlier ones and tombstones cancel queued leader
-  // writes, so everything is collected before anything is written. Known
-  // edge: a record carrying a spare LBA whose mapping later moved to a
-  // different spare is not renormalized.
-  return log_->Recover(
-      [&](std::uint64_t lsn, const std::vector<PageImage>& pages) {
-        for (const PageImage& page : pages) {
-          switch (page.kind) {
-            case PageKind::kTombstone:
-              replay->erase(nt_.Map(page.primary));
-              break;
-            case PageKind::kVamDelta: {
-              if (deltas == nullptr) {
-                break;
-              }
-              std::vector<VamDelta> parsed;
-              CEDAR_RETURN_IF_ERROR(ParseDeltas(page.data, &parsed));
-              for (const VamDelta& delta : parsed) {
-                deltas->emplace_back(lsn, delta);
-              }
-              break;
-            }
-            case PageKind::kPage: {
-              PageImage mapped = page;
-              mapped.primary = nt_.Map(page.primary);
-              if (page.secondary != kNoLba) {
-                mapped.secondary = nt_.Map(page.secondary);
-                nt_.MergeTrailerSeq(mapped.data);
-              }
-              (*replay)[mapped.primary] = std::move(mapped);
-              break;
-            }
-          }
-        }
-        return OkStatus();
-      },
-      boot_count_);
 }
 
 Status Fsd::PreloadNameTable(NtImages* winners) {
@@ -666,48 +452,14 @@ Status Fsd::PreloadNameTable(NtImages* winners) {
   return OkStatus();
 }
 
-Status Fsd::RebuildVolatileState() {
-  // Reconstruct the VAM from the name table (paper section 5.5): the name
-  // table is compact and local, so this scan is fast; the cost is mostly
-  // per-entry CPU. Both regions are slurped in one sweep first, and the
-  // walk reads the images that sweep elected, never the bounded cache.
-  NtImages images;
-  CEDAR_RETURN_IF_ERROR(PreloadNameTable(&images));
-  NtImageStore store(&images, &health_);
-  btree::BTree tree(&store, tree_->root());
-  vam_.free().SetRange(0, vam_.free().size(), true);
-  MarkSystemRegionsUsed();
-  vam_.nt_free().SetRange(0, config_.nt_pages, true);
-
-  std::vector<btree::PageId> pages;
-  CEDAR_RETURN_IF_ERROR(tree.CollectPages(&pages));
-  for (btree::PageId pid : pages) {
-    vam_.nt_free().Set(pid, false);
-  }
-
-  Status scan = tree.Scan({}, [&](std::span<const std::uint8_t>,
-                                  std::span<const std::uint8_t> value) {
-    FsdEntry entry;
-    if (ParseEntry(value, &entry).ok()) {
-      vam_.MarkUsed(fs::Extent{.start = entry.leader_lba, .count = 1});
-      for (const fs::Extent& run : entry.runs) {
-        vam_.MarkUsed(run);
-      }
-      disk_->clock().AdvanceCpu(config_.cpu.per_rebuild_entry);
-    }
-    return true;
-  });
-  return scan;
-}
-
 Status Fsd::WriteDirtyHome() {
-  std::vector<HomeImage> dirty;
+  std::vector<NtStore::HomeWrite> dirty;
   cache_.ForEach([&](std::uint32_t key, cache::Frame& frame) {
     if (frame.dirty) {
-      dirty.push_back(HomeImage{.key = key, .image = frame.data});
+      dirty.push_back(HomeFor(key, frame.data));
     }
   });
-  CEDAR_RETURN_IF_ERROR(SweepHome(dirty));
+  CEDAR_RETURN_IF_ERROR(nt_.WriteHomes(dirty));
   cache_.ForEach([](std::uint32_t, cache::Frame& frame) {
     frame.dirty = false;
     frame.dirty_since_log = false;
@@ -717,22 +469,15 @@ Status Fsd::WriteDirtyHome() {
   return OkStatus();
 }
 
-Status Fsd::SweepHome(std::span<const HomeImage> pages) {
-  HomeBatch primary(disk_, config_.durability.batched_writeback);
-  HomeBatch replica(disk_, config_.durability.batched_writeback);
-  for (const HomeImage& page : pages) {
-    if (page.key & kLeaderKeyBit) {
-      primary.QueueWrite(page.key & ~kLeaderKeyBit, page.image);
-      continue;
-    }
-    const NtStore::Homes homes = nt_.HomesOf(page.key);
-    primary.QueueWrite(homes.primary, page.image);
-    replica.QueueWrite(homes.replica, page.image);
+NtStore::HomeWrite Fsd::HomeFor(std::uint32_t key,
+                                std::span<const std::uint8_t> image) const {
+  if (key & kLeaderKeyBit) {
+    return NtStore::HomeWrite{.primary = key & ~kLeaderKeyBit, .image = image};
   }
-  CEDAR_RETURN_IF_ERROR(nt_.Flush(primary));
-  return nt_.Flush(replica);
+  const NtStore::Homes homes = nt_.HomesOf(key);
+  return NtStore::HomeWrite{
+      .primary = homes.primary, .replica = homes.replica, .image = image};
 }
-
 
 Status Fsd::ForceLogImpl(GateMode mode, std::uint64_t* covered_seq) {
   obs::ScopedOp op_scope(disk_->tracer(), "fsd.log_force");
@@ -859,12 +604,12 @@ Status Fsd::ForceLogImpl(GateMode mode, std::uint64_t* covered_seq) {
       static_cast<std::size_t>(
           std::max<std::uint32_t>(1, config_.commit.group_records)) *
           FsdLog::kMaxPagesPerRecord,
-      log_->MaxGroupPages());
+      log_.MaxGroupPages());
   Status status = OkStatus();
   std::size_t logged_upto = 0;
   while (logged_upto < images.size()) {
     const std::size_t n = std::min(group_pages, images.size() - logged_upto);
-    Result<std::uint64_t> lsn = log_->AppendGroup(
+    Result<std::uint64_t> lsn = log_.AppendGroup(
         std::span<const PageImage>(images.data() + logged_upto, n),
         enter_third);
     status = lsn.status();
@@ -942,7 +687,7 @@ Status Fsd::ForceLogImpl(GateMode mode, std::uint64_t* covered_seq) {
   // the recovery window (force_mu_ is held; the runner's mutex is a leaf).
   // The round takes force_mu_ itself: on its thread, or stepped at the
   // caller's next lock-free point.
-  if (log_->LiveSectors() > CheckpointWindowSectors()) {
+  if (log_.LiveSectors() > CheckpointWindowSectors()) {
     ckpt_rounds_.Request();
   }
   return OkStatus();
@@ -1055,9 +800,9 @@ void Fsd::CommitRound() {
 std::uint32_t Fsd::CheckpointWindowSectors() const {
   const std::uint32_t window = config_.checkpoint.window_sectors;
   if (window == 0) {
-    return log_->third_sectors();  // what third entry alone would allow
+    return log_.third_sectors();  // what third entry alone would allow
   }
-  return std::min(window, log_->record_area_sectors());
+  return std::min(window, log_.record_area_sectors());
 }
 
 void Fsd::CkptRound() {
@@ -1069,15 +814,15 @@ void Fsd::CkptRound() {
   // Drain to half the window, not to the edge, so hot pages keep absorbing
   // re-dirties between rounds instead of going home after every force.
   for (;;) {
-    const std::uint32_t live = log_->LiveSectors();
+    const std::uint32_t live = log_.LiveSectors();
     if (live <= window) {
       break;
     }
-    const std::uint64_t target = log_->CheckpointTarget(window / 2);
+    const std::uint64_t target = log_.CheckpointTarget(window / 2);
     if (target == 0 || !CheckpointTo(target, Checkpointer::kCheckpoint).ok()) {
       break;
     }
-    if (log_->LiveSectors() >= live) {
+    if (log_.LiveSectors() >= live) {
       break;  // no progress (one giant straddling group); retry next request
     }
   }
@@ -1108,9 +853,9 @@ Status Fsd::CheckpointTo(std::uint64_t target, Checkpointer caller) {
     victims.push_back(
         Victim{.key = key, .lsn = frame.logged_lsn, .image = frame.logged_image});
   });
-  std::vector<HomeImage> homes;
+  std::vector<NtStore::HomeWrite> homes;
   for (const Victim& victim : victims) {
-    homes.push_back(HomeImage{.key = victim.key, .image = victim.image});
+    homes.push_back(HomeFor(victim.key, victim.image));
   }
 
   // Disk time lands in the tracer's "fsd.flush_third" or "fsd.ckpt" op
@@ -1130,8 +875,8 @@ Status Fsd::CheckpointTo(std::uint64_t target, Checkpointer caller) {
                   : std::max<std::uint32_t>(1, config_.checkpoint.batch_pages);
   for (std::size_t begin = 0; begin < victims.size(); begin += chunk) {
     const std::size_t n = std::min(chunk, victims.size() - begin);
-    CEDAR_RETURN_IF_ERROR(
-        SweepHome(std::span<const HomeImage>(homes).subspan(begin, n)));
+    CEDAR_RETURN_IF_ERROR(nt_.WriteHomes(
+        std::span<const NtStore::HomeWrite>(homes).subspan(begin, n)));
     for (std::size_t j = begin; j < begin + n; ++j) {
       const Victim& victim = victims[j];
       c_.ckpt_pages->Increment();
@@ -1156,7 +901,7 @@ Status Fsd::CheckpointTo(std::uint64_t target, Checkpointer caller) {
     util::RankedLockGuard lock(alloc_mu_, util::LockRank::kAlloc);
     CEDAR_RETURN_IF_ERROR(vam_.Save(disk_, layout_.vam_base,
                                     layout_.vam_sectors, boot_count_,
-                                    log_->next_lsn()));
+                                    log_.next_lsn()));
   }
   if (third_entry) {
     return OkStatus();  // the log writes the pointer past the third
@@ -1165,7 +910,7 @@ Status Fsd::CheckpointTo(std::uint64_t target, Checkpointer caller) {
   // pointer advance (a separate, later disk write) — a crash at any point
   // replays from a pointer that still covers whatever was not yet home.
   CEDAR_ASSIGN_OR_RETURN(const std::uint32_t dropped,
-                         log_->AdvanceCheckpoint(target));
+                         log_.AdvanceCheckpoint(target));
   c_.ckpt_batches->Increment();
   if (dropped > 0) {
     c_.ckpt_advances->Increment();
@@ -1178,7 +923,7 @@ Status Fsd::Checkpoint() {
   CEDAR_RETURN_IF_ERROR(CheckWritable());
   // Maximal advance: everything except the newest record (the on-disk
   // pointer must keep naming a current-boot record).
-  const std::uint64_t target = log_->CheckpointTarget(0);
+  const std::uint64_t target = log_.CheckpointTarget(0);
   if (target == 0) {
     return OkStatus();
   }
@@ -1190,19 +935,19 @@ Result<std::uint64_t> Fsd::RecoveryWindow() {
   if (!mounted_) {
     return MakeError(ErrorCode::kFailedPrecondition, "not mounted");
   }
-  return static_cast<std::uint64_t>(log_->LiveSectors()) * 512;
+  return static_cast<std::uint64_t>(log_.LiveSectors()) * 512;
 }
 
 fs::MaintenanceStats Fsd::Maintenance() {
   fs::MaintenanceStats m;
   {
     util::RankedLockGuard lock(force_mu_, util::LockRank::kForce);
-    m.log_live_bytes = static_cast<std::uint64_t>(log_->LiveSectors()) * 512;
+    m.log_live_bytes = static_cast<std::uint64_t>(log_.LiveSectors()) * 512;
     m.recovery_window_bytes =
         static_cast<std::uint64_t>(CheckpointWindowSectors()) * 512;
   }
   m.log_capacity_bytes =
-      static_cast<std::uint64_t>(log_->record_area_sectors()) * 512;
+      static_cast<std::uint64_t>(log_.record_area_sectors()) * 512;
   m.checkpoint_batches = c_.ckpt_batches->value();
   m.checkpoint_pages = c_.ckpt_pages->value();
   m.checkpoint_advances = c_.ckpt_advances->value();
@@ -1241,8 +986,8 @@ Status Fsd::ShutdownLocked() {
   CEDAR_RETURN_IF_ERROR(WriteDirtyHome());
   CEDAR_RETURN_IF_ERROR(vam_.Save(disk_, layout_.vam_base,
                                   layout_.vam_sectors, boot_count_,
-                                  log_->next_lsn()));
-  CEDAR_RETURN_IF_ERROR(WriteVolumeRoot(/*clean=*/true));
+                                  log_.next_lsn()));
+  CEDAR_RETURN_IF_ERROR(recovery_.WriteRoot(/*clean=*/true, boot_count_));
   open_files_.clear();
   mounted_ = false;
   return OkStatus();
@@ -1280,32 +1025,6 @@ Status Fsd::PutEntry(std::string_view name, std::uint32_t version,
                      const FsdEntry& entry) {
   return tree_->Insert(fs::EncodeNameKey(name, version),
                        SerializeEntry(entry));
-}
-
-Result<std::vector<fs::Extent>> Fsd::MapPages(const FsdEntry& entry,
-                                              std::uint32_t first_page,
-                                              std::uint32_t count) const {
-  std::vector<fs::Extent> out;
-  std::uint32_t page = 0;
-  std::uint32_t need = first_page;
-  std::uint32_t remaining = count;
-  for (const fs::Extent& run : entry.runs) {
-    if (remaining == 0) {
-      break;
-    }
-    if (need < page + run.count) {
-      const std::uint32_t skip = need > page ? need - page : 0;
-      const std::uint32_t take = std::min(run.count - skip, remaining);
-      out.push_back(fs::Extent{.start = run.start + skip, .count = take});
-      remaining -= take;
-      need += take;
-    }
-    page += run.count;
-  }
-  if (remaining != 0) {
-    return MakeError(ErrorCode::kOutOfRange, "page range beyond file");
-  }
-  return out;
 }
 
 namespace {
@@ -1532,7 +1251,7 @@ Status Fsd::ReadLocked(const fs::FileHandle& file, const OpenState& state,
       static_cast<std::uint32_t>((offset + out.size() - 1) / 512);
   const std::uint32_t count = last_page - first_page + 1;
   CEDAR_ASSIGN_OR_RETURN(std::vector<fs::Extent> extents,
-                         MapPages(entry, first_page, count));
+                         fs::MapPages(entry.runs, first_page, count));
 
   std::vector<std::uint8_t> buf(static_cast<std::size_t>(count) * 512);
   // File data has no redundancy by design (the paper logs only metadata),
@@ -1652,7 +1371,7 @@ Status Fsd::WriteLocked(const OpenState& state, std::uint64_t offset,
       static_cast<std::uint32_t>((offset + data.size() - 1) / 512);
   const std::uint32_t count = last_page - first_page + 1;
   CEDAR_ASSIGN_OR_RETURN(std::vector<fs::Extent> extents,
-                         MapPages(entry, first_page, count));
+                         fs::MapPages(entry.runs, first_page, count));
 
   // Read-modify-write for unaligned edges.
   std::vector<std::uint8_t> buf(static_cast<std::size_t>(count) * 512);
@@ -1926,13 +1645,7 @@ Result<std::vector<fs::FileInfo>> Fsd::ListLocked(std::string_view prefix) {
         if (fs::DecodeNameKey(key, &name, &version) &&
             ParseEntry(value, &entry).ok()) {
           disk_->clock().AdvanceCpu(config_.cpu.per_list_entry);
-          out.push_back(fs::FileInfo{.name = std::move(name),
-                                     .version = version,
-                                     .uid = entry.uid,
-                                     .byte_size = entry.byte_size,
-                                     .create_time = entry.create_time,
-                                     .last_used = entry.last_used,
-                                     .keep = entry.keep});
+          out.push_back(InfoOf(std::move(name), version, entry));
         }
         return true;
       });
@@ -1974,135 +1687,105 @@ Result<Fsd::ScrubReport> Fsd::ScrubLocked() {
   // Settle pending work first so the tree and VAM are a consistent pair.
   CEDAR_RETURN_IF_ERROR(ForceLogImpl(GateMode::kAlreadyClosed));
   ScrubReport report;
+  auto healed = [&] {
+    ++report.healed;
+    c_.scrub_healed->Increment();
+  };
+  auto unrepairable = [&] {
+    ++report.unrepairable;
+    c_.scrub_unrepairable->Increment();
+  };
 
   // Pass 0: name-table media patrol (section 4h). Every live tree page has
   // two home copies; read both (through the remap table), validate the CRC
   // trailers, and settle any disagreement from the newest valid copy — the
   // scrub is where latent faults are found BEFORE a second fault makes the
   // page unrecoverable.
-  std::vector<btree::PageId> live;
-  CEDAR_RETURN_IF_ERROR(tree_->CollectPages(&live));
-  for (btree::PageId pid : live) {
-    CEDAR_ASSIGN_OR_RETURN(
-        const NtStore::Copies copies,
-        nt_.ReadCopies(pid, health_.c.corruption_detected));
-    ChargeSectors(2);
-    if (!copies.vote.any()) {
-      health_.NoteLostNtPage(pid);
-      ++report.unrepairable;
-      c_.scrub_unrepairable->Increment();
-      continue;
+  auto patrol = [&](std::span<const btree::PageId> live) -> Status {
+    for (btree::PageId pid : live) {
+      CEDAR_ASSIGN_OR_RETURN(
+          const NtStore::Copies copies,
+          nt_.ReadCopies(pid, health_.c.corruption_detected));
+      ChargeSectors(2);
+      if (!copies.vote.any()) {
+        health_.NoteLostNtPage(pid);
+        unrepairable();
+        continue;
+      }
+      if (!copies.vote.diverged) {
+        continue;
+      }
+      const Result<NtStore::Repair> fixed =
+          nt_.RepairCopy(nt_.LoserOf(copies.vote, pid), copies.winner());
+      if (fixed.status().code() == ErrorCode::kDeviceCrashed) {
+        return fixed.status();
+      }
+      if (!fixed.ok()) {
+        // Spare pool exhausted: the page still has one good copy, but the
+        // redundancy cannot be restored.
+        unrepairable();
+      } else if (*fixed == NtStore::Repair::kRemapped) {
+        ++report.remapped;
+      } else {
+        healed();
+        health_.CountNtRepair();
+      }
     }
-    if (!copies.vote.diverged) {
-      continue;
-    }
-    const Result<NtStore::Repair> fixed =
-        nt_.RepairCopy(nt_.LoserOf(copies.vote, pid), copies.winner());
-    if (fixed.status().code() == ErrorCode::kDeviceCrashed) {
-      return fixed.status();
-    }
-    if (!fixed.ok()) {
-      // Spare pool exhausted: the page still has one good copy, but the
-      // redundancy cannot be restored.
-      ++report.unrepairable;
-      c_.scrub_unrepairable->Increment();
-    } else if (*fixed == NtStore::Repair::kRemapped) {
-      ++report.remapped;
-    } else {
-      ++report.healed;
-      c_.scrub_healed->Increment();
-      health_.CountNtRepair();
+    return OkStatus();
+  };
+  // Pass 1: the walk verifies every entry's leader and collects the sectors
+  // the name table references; an extent outside the data region cannot
+  // be repaired from anything.
+  std::vector<std::pair<std::uint32_t, FsdEntry>> stale_leaders;
+  NtWalk walk;
+  CEDAR_RETURN_IF_ERROR(WalkNameTable(
+      *tree_, layout_, patrol,
+      [&](const std::string&, std::uint32_t version, const FsdEntry& entry) {
+        if (!LeaderMatches(entry, version, /*charge=*/true)) {
+          stale_leaders.emplace_back(version, entry);
+        }
+      },
+      &walk));
+  report.files_checked = walk.entries;
+  for (const NtWalk::Finding& finding : walk.findings) {
+    if (finding.problem == NtWalk::Problem::kOutOfBounds) {
+      unrepairable();
     }
   }
-
-  // Pass 1: walk every entry, verify its leader, and accumulate the set of
-  // sectors the name table actually references.
-  Bitmap referenced(disk_->geometry().TotalSectors(), false);
-  struct Damaged {
-    std::string name;
-    std::uint32_t version;
-    FsdEntry entry;
-  };
-  std::vector<Damaged> stale_leaders;
-  Status scan = tree_->Scan({}, [&](std::span<const std::uint8_t> key,
-                                    std::span<const std::uint8_t> value) {
-    std::string name;
-    std::uint32_t version = 0;
-    FsdEntry entry;
-    if (!fs::DecodeNameKey(key, &name, &version) ||
-        !ParseEntry(value, &entry).ok()) {
-      return true;
-    }
-    ++report.files_checked;
-    referenced.Set(entry.leader_lba, true);
-    for (const fs::Extent& run : entry.runs) {
-      referenced.SetRange(run.start, run.count, true);
-    }
-    if (!LeaderMatches(entry, version, /*charge=*/true)) {
-      stale_leaders.push_back(Damaged{.name = std::move(name),
-                                      .version = version,
-                                      .entry = std::move(entry)});
-    }
-    return true;
-  });
-  CEDAR_RETURN_IF_ERROR(scan);
 
   // Repair stale leaders from the authoritative name-table entries, one
   // write each so a bad leader sector fails (and is attributed) alone
   // instead of sinking a whole elevator batch.
-  for (const Damaged& damaged : stale_leaders) {
-    const Status repaired = RepairLeader(damaged.entry, damaged.version);
+  for (const auto& [version, entry] : stale_leaders) {
+    const Status repaired = RepairLeader(entry, version);
     if (repaired.code() == ErrorCode::kDeviceCrashed) {
       return repaired;
     }
     if (repaired.ok()) {
       ++report.leaders_repaired;
-      ++report.healed;
-      c_.scrub_healed->Increment();
+      healed();
     } else {
-      ++report.unrepairable;
-      c_.scrub_unrepairable->Increment();
+      unrepairable();
     }
   }
 
-  // Pass 2: reconcile the VAM. A data sector is leaked if it is marked
-  // used but nothing references it; it is missing-used (a latent double
-  // allocation) if referenced but marked free.
-  // The layout bounds a volume to 2^31 sectors, so an LBA fits an Extent.
-  for (auto lba = static_cast<std::uint32_t>(layout_.data_low);
-       lba < layout_.data_high; ++lba) {
-    if (layout_.InMetadataComplex(lba)) {
-      continue;  // the central metadata complex is not file space
-    }
-    const bool used = !vam_.IsFree(lba);
-    if (used && !referenced.Get(lba)) {
-      vam_.MarkFree(fs::Extent{.start = lba, .count = 1});
-      RecordDelta(VamDelta::Op::kFree, lba, 1);
-      ++report.leaked_sectors_reclaimed;
-    } else if (!used && referenced.Get(lba)) {
-      vam_.MarkUsed(fs::Extent{.start = lba, .count = 1});
-      RecordDelta(VamDelta::Op::kAlloc, lba, 1);
-      ++report.missing_used_sectors_fixed;
-    }
-  }
-
-  // Pass 3: reconcile the name-table page map against the live tree.
+  // Pass 2: reconcile the VAM with the walk — reclaim leaked sectors, and
+  // re-mark any referenced one found free (a latent double allocation) —
+  // and the page map with the live tree. The pages are collected again
+  // after the repairs: with a cache smaller than the table that re-reads
+  // evicted pages, and Scrub's disk I/O order depends on when it does.
   std::vector<btree::PageId> pages;
   CEDAR_RETURN_IF_ERROR(tree_->CollectPages(&pages));
-  Bitmap nt_used(config_.nt_pages, false);
-  for (btree::PageId pid : pages) {
-    nt_used.Set(pid, true);
-  }
-  for (std::uint32_t pid = 0; pid < config_.nt_pages; ++pid) {
-    const bool used = !vam_.nt_free().Get(pid);
-    if (used != nt_used.Get(pid)) {
-      vam_.nt_free().Set(pid, !nt_used.Get(pid));
-      RecordDelta(nt_used.Get(pid) ? VamDelta::Op::kNtAlloc
-                                   : VamDelta::Op::kNtFree,
-                  pid, 1);
-      ++report.nt_pages_reconciled;
-    }
-  }
+  CompareAllocation(vam_, layout_, walk.referenced, pages,
+                    [&](const VamDelta& fix) {
+                      vam_.Apply(fix);
+                      RecordDelta(fix.op, fix.start, fix.count);
+                      ++(fix.op == VamDelta::Op::kFree
+                             ? report.leaked_sectors_reclaimed
+                         : fix.op == VamDelta::Op::kAlloc
+                             ? report.missing_used_sectors_fixed
+                             : report.nt_pages_reconciled);
+                    });
 
   // Make the reconciliation durable.
   CEDAR_RETURN_IF_ERROR(ForceLogImpl(GateMode::kAlreadyClosed));
@@ -2174,13 +1857,7 @@ void Fsd::UpsertLeader(std::uint32_t key,
 Result<fs::FileInfo> Fsd::StatLocked(std::string_view name) {
   CEDAR_ASSIGN_OR_RETURN(auto found, HighestVersion(name));
   auto [version, entry] = found;
-  return fs::FileInfo{.name = std::string(name),
-                      .version = version,
-                      .uid = entry.uid,
-                      .byte_size = entry.byte_size,
-                      .create_time = entry.create_time,
-                      .last_used = entry.last_used,
-                      .keep = entry.keep};
+  return InfoOf(std::string(name), version, entry);
 }
 
 }  // namespace cedar::core

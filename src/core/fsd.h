@@ -53,6 +53,7 @@
 #include "src/core/name_table.h"
 #include "src/core/nt_store.h"
 #include "src/core/opgate.h"
+#include "src/core/recovery.h"
 #include "src/core/rounds.h"
 #include "src/core/vam.h"
 #include "src/fsapi/file_system.h"
@@ -265,11 +266,6 @@ class Fsd : public fs::FileSystem {
   // LBA with the top bit set.
   static constexpr std::uint32_t kLeaderKeyBit = 0x80000000u;
 
-  // The page cache's classifier: a name-table frame holding a B-tree
-  // interior node. Leader frames are never interior, whatever their bytes.
-  static bool IsInteriorFrame(std::uint32_t key,
-                              std::span<const std::uint8_t> data);
-
  protected:
   // As the public constructor, with the page cache's interior classifier
   // given explicitly; nullptr classes every frame a leaf (plain LRU), which
@@ -452,18 +448,13 @@ class Fsd : public fs::FileSystem {
   // free-type deltas after, so a torn force can only leak sectors, never
   // double-allocate them.
   void RecordDelta(VamDelta::Op op, std::uint32_t start, std::uint32_t count);
-  // One page for SweepHome: a cache key and the image its home gets.
-  struct HomeImage {
-    std::uint32_t key = 0;
-    std::span<const std::uint8_t> image;
-  };
-  // Writes each image to its home sector(s) — the single home of a leader
-  // key, else the page's two homes as the name-table store maps them — as
-  // two elevator sweeps: every primary (and leader) first, then every
-  // replica, so coalescing can never merge a page's two copies.
-  Status SweepHome(std::span<const HomeImage> pages);
-  // Format and Shutdown: SweepHome of every dirty cached page, then every
-  // frame clean — nothing pending capture, no logged image left to retire.
+  // Where cache key `key`'s image goes home: a leader key's single home,
+  // else the page's two homes as the name-table store maps them.
+  NtStore::HomeWrite HomeFor(std::uint32_t key,
+                             std::span<const std::uint8_t> image) const;
+  // Format and Shutdown: every dirty cached page home in one sweep, then
+  // every frame clean — nothing pending capture, no logged image left to
+  // retire.
   Status WriteDirtyHome();
   // Whether `entry`'s leader page agrees with it — the buffered image when
   // one is pending, else the home sector, read (and, when `charge`, its
@@ -475,26 +466,18 @@ class Fsd : public fs::FileSystem {
   // unrepairable health note when the sector cannot be written).
   Status RepairLeader(const FsdEntry& entry, std::uint32_t version);
 
-  Status WriteVolumeRoot(bool clean);
-  Status ReadVolumeRoot(bool* clean);
-  // The one log-replay collector of both mounts: the committed images of an
-  // unclean volume, keyed on their remapped home so a record captured
-  // before a remap and one captured after collapse to one page (LSN order
-  // keeps the newest); a tombstone cancels its leader's image, and every
-  // name-table image's trailer sequence is merged into the clock. VAM delta
-  // pages are parsed into *deltas, with their record LSNs, only when
-  // `deltas` is non-null: the degraded mount passes null, so a damaged
-  // delta page cannot void its replay.
-  Status CollectReplay(
-      std::map<sim::Lba, PageImage>* replay,
-      std::vector<std::pair<std::uint64_t, VamDelta>>* deltas);
-  Status RebuildVolatileState();  // VAM + name-table page map from the tree
+  // Both mounts (and Format, at boot 0): the volatile state of a fresh
+  // boot — no open files, an empty cache, an all-used allocation map.
+  void ResetVolatileState(std::uint32_t boot_count);
+  // Both mounts' last step: restart the commit timer, arm the admission gate
+  // for this volume's log geometry (the cache was cleared, so no capture
+  // reservations carry over), and mark the volume mounted.
+  void ArmMounted();
   // The name-table store's mount sweep (elect, merge, repair), then every
   // elected page into the cache. The images stay in *winners, so the
   // rebuild walks them in memory instead of re-reading through a cache
   // smaller than the table.
   Status PreloadNameTable(NtImages* winners);
-  void MarkSystemRegionsUsed();
 
   // The newest version of `name`. HighestVersion fails with kNotFound
   // when there is none; FindHighestVersion returns nullopt instead, so the
@@ -530,11 +513,6 @@ class Fsd : public fs::FileSystem {
            (uid_counter_.fetch_add(1, std::memory_order_relaxed) + 1);
   }
 
-  // Maps file page range to disk extents using the entry's run table.
-  Result<std::vector<fs::Extent>> MapPages(const FsdEntry& entry,
-                                           std::uint32_t first_page,
-                                           std::uint32_t count) const;
-
   // Copy of the open-file entry for `uid` (wrappers resolve the name BEFORE
   // taking its shard lock); kFailedPrecondition when the handle is stale.
   Result<OpenState> LookupOpenState(fs::FileUid uid) const;
@@ -553,10 +531,12 @@ class Fsd : public fs::FileSystem {
   // 4h); both register into metrics_.
   MediaHealth health_{disk_, &metrics_};
   NtStore nt_{disk_, layout_, config_, &metrics_, &health_};
+  FsdLog log_{disk_, layout_.log_base, config_.log_sectors, &metrics_};
+  // The mount-time half (section 5.5): root, replay, VAM rebuild, the walk.
+  Recovery recovery_{disk_, layout_, config_, &log_, &nt_, &health_, &metrics_};
   // The tree's cache-facing page store over nt_.
   std::unique_ptr<NtPages> nt_pages_;
   std::unique_ptr<btree::BTree> tree_;
-  std::unique_ptr<FsdLog> log_;
   Vam vam_;
   std::unique_ptr<RunAllocator> allocator_;
   cache::PageCache cache_;
@@ -615,10 +595,10 @@ class Fsd : public fs::FileSystem {
   // FSD's counters and per-operation latency histograms, each registered
   // in metrics_ under the name on its line — the one place that name is
   // written. Members cache the registry pointers so hot paths skip the name
-  // lookup; Format resets the values, never the names. The media-fault and
-  // home-write counters are registered by health_ and nt_. Disk time per
-  // phase comes from the disk tracer's op classes ("fsd.log_force",
-  // "fsd.ckpt", "fsd.flush_third"), not from here.
+  // lookup; Format resets the values, never the names. The media-fault,
+  // home-write and recovery counters are registered by health_, nt_ and
+  // recovery_. Disk time per phase comes from the disk tracer's op classes
+  // ("fsd.log_force", "fsd.ckpt", "fsd.flush_third"), not from here.
   struct Counters {
     obs::MetricsRegistry& m;
     // Group commit (section 4b): forces that wrote the log, timer rounds
@@ -634,11 +614,6 @@ class Fsd : public fs::FileSystem {
         m.GetCounter("fsd.piggyback_leader_writes");
     obs::Counter* piggyback_leader_verifies =
         m.GetCounter("fsd.piggyback_leader_verifies");
-    // Recovery: pages replayed from the log, and mounts that took the
-    // VAM-logging fast path.
-    obs::Counter* recovery_pages_replayed =
-        m.GetCounter("fsd.recovery_pages_replayed");
-    obs::Counter* fast_recoveries = m.GetCounter("fsd.fast_recoveries");
     // Checkpointing (section 4g): one home-writeback path with two callers,
     // Checkpoint()/the checkpoint round and third entry. ckpt_pages counts
     // the home pages either caller wrote; ckpt_batches the Checkpoint()/
@@ -674,6 +649,11 @@ class Fsd : public fs::FileSystem {
 
   std::map<fs::FileUid, OpenState> open_files_;
 };
+
+// The page cache's classifier for Fsd's keys: a name-table frame holding a
+// B-tree interior node. Leader frames (Fsd::kLeaderKeyBit) are never
+// interior, whatever their bytes.
+bool IsInteriorFrame(std::uint32_t key, std::span<const std::uint8_t> data);
 
 }  // namespace cedar::core
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <unordered_set>
 
+#include "src/sim/scheduler.h"
 #include "src/util/check.h"
 #include "src/util/crc32.h"
 #include "src/util/serial.h"
@@ -28,6 +29,20 @@ std::optional<NtStore::CopyRef> HomeCopy(const FsdLayout& layout,
 }
 
 }  // namespace
+
+// The elevator scheduler plus a record of every queued (lba, image), so a
+// flush that hits a bad sector can replay the batch one write at a time
+// through NtStore::Flush's repair path. Queued spans are borrowed until the
+// flush.
+struct HomeBatch {
+  HomeBatch(sim::BlockDevice* disk, bool reorder) : sched(disk, reorder) {}
+  void QueueWrite(sim::Lba lba, std::span<const std::uint8_t> image) {
+    sched.QueueWrite(lba, image);
+    writes.emplace_back(lba, image);
+  }
+  sim::IoScheduler sched;
+  std::vector<std::pair<sim::Lba, std::span<const std::uint8_t>>> writes;
+};
 
 Status MediaHealth::ReadWithRetry(sim::Lba start, std::span<std::uint8_t> out,
                                   std::vector<std::uint32_t>* bad) {
@@ -436,6 +451,19 @@ Result<NtStore::Repair> NtStore::RepairCopy(
       "spare pool exhausted remapping name-table home lba " +
       std::to_string(home));
   return MakeError(ErrorCode::kNoFreeSpace, "name-table spare pool exhausted");
+}
+
+Status NtStore::WriteHomes(std::span<const HomeWrite> pages) {
+  HomeBatch primary(disk_, durability_.batched_writeback);
+  HomeBatch replica(disk_, durability_.batched_writeback);
+  for (const HomeWrite& page : pages) {
+    primary.QueueWrite(page.primary, page.image);
+    if (page.replica != kNoLba) {
+      replica.QueueWrite(page.replica, page.image);
+    }
+  }
+  CEDAR_RETURN_IF_ERROR(Flush(primary));
+  return Flush(replica);
 }
 
 Status NtStore::Flush(HomeBatch& batch) {

@@ -25,10 +25,10 @@
 
 #include "src/btree/page_store.h"
 #include "src/core/layout.h"
+#include "src/core/log.h"
 #include "src/fsapi/file_system.h"
 #include "src/obs/metrics.h"
 #include "src/sim/device.h"
-#include "src/sim/scheduler.h"
 #include "src/util/status.h"
 
 namespace cedar::core {
@@ -101,19 +101,8 @@ class MediaHealth {
   std::uint64_t unrepairable_ = 0;
 };
 
-// A batch of home-sector writes: the elevator scheduler plus a record of
-// every queued (lba, image), so a flush that hits a bad sector can replay
-// the batch one write at a time through NtStore::Flush's repair path.
-// Queued spans are borrowed until the flush.
-struct HomeBatch {
-  HomeBatch(sim::BlockDevice* disk, bool reorder) : sched(disk, reorder) {}
-  void QueueWrite(sim::Lba lba, std::span<const std::uint8_t> image) {
-    sched.QueueWrite(lba, image);
-    writes.emplace_back(lba, image);
-  }
-  sim::IoScheduler sched;
-  std::vector<std::pair<sim::Lba, std::span<const std::uint8_t>>> writes;
-};
+// A batch of home-sector writes (nt_store.cc).
+struct HomeBatch;
 
 // The elected winner of every name-table page, in page order: page p's
 // 512-byte sector sits at sectors[p * 512] when present[p]; present[p] is
@@ -264,11 +253,17 @@ class NtStore {
   // pool is exhausted (noted) or the directory cannot be persisted.
   enum class Repair { kWritten, kRemapped };
   Result<Repair> RepairCopy(sim::Lba lba, std::span<const std::uint8_t> image);
-  // Issues a batch and counts it (fsd.home_write_*). When the elevator
-  // flush hits a media error the batch is replayed one write at a time:
-  // name-table copies go through RepairCopy; any other sector (a leader,
-  // reconstructible from its entry) is noted unrepairable and dropped.
-  Status Flush(HomeBatch& batch);
+  // One page bound for its home: a name-table page's two sectors, or a
+  // leader's single home (replica kNoLba).
+  struct HomeWrite {
+    sim::Lba primary = 0;
+    sim::Lba replica = kNoLba;
+    std::span<const std::uint8_t> image;
+  };
+  // The one home sweep (checkpoints, shutdown, format, recovery replay):
+  // two elevator batches, every primary (and leader) first, then every
+  // replica, so coalescing can never merge a page's two copies.
+  Status WriteHomes(std::span<const HomeWrite> pages);
 
   // ---- The remap directory's wire format: magic, count, count (home,
   // spare) pairs, CRC. Decode fails kNotFound on a sector without the magic
@@ -281,6 +276,11 @@ class NtStore {
       std::span<const std::uint8_t> sector, const FsdLayout& layout);
 
  private:
+  // Issues a batch and counts it (fsd.home_write_*). When the elevator
+  // flush hits a media error the batch is replayed one write at a time:
+  // name-table copies go through RepairCopy; any other sector (a leader,
+  // reconstructible from its entry) is noted unrepairable and dropped.
+  Status Flush(HomeBatch& batch);
   // One region's slice of a cluster: a bulk read, its CPU charge, then the
   // remap patch.
   Status ReadRegion(sim::Lba base, std::uint32_t count,

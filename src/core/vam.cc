@@ -33,6 +33,7 @@ std::vector<std::vector<std::uint8_t>> SerializeDeltas(
 }
 
 Status ParseDeltas(std::span<const std::uint8_t> page,
+                   std::uint32_t total_sectors, std::uint32_t nt_pages,
                    std::vector<VamDelta>* out) {
   ByteReader r(page);
   const std::uint16_t n = r.U16();
@@ -56,6 +57,14 @@ Status ParseDeltas(std::span<const std::uint8_t> page,
   }
   if (!CheckSeal(page, r.position())) {
     return MakeError(ErrorCode::kCorruptMetadata, "delta page crc");
+  }
+  for (const VamDelta& delta : deltas) {
+    const bool nt = delta.op == VamDelta::Op::kNtAlloc ||
+                    delta.op == VamDelta::Op::kNtFree;
+    if (std::uint64_t{delta.start} + delta.count >
+        (nt ? nt_pages : total_sectors)) {
+      return MakeError(ErrorCode::kCorruptMetadata, "delta out of range");
+    }
   }
   out->insert(out->end(), deltas.begin(), deltas.end());
   return OkStatus();

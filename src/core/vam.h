@@ -49,11 +49,15 @@ struct VamDelta {
 
 // Packs deltas into 512-byte log pages (kVamDeltasPerPage per page) and
 // back. The constant is exported so FSD's log-space accounting can predict
-// how many pages a pending delta queue will occupy.
+// how many pages a pending delta queue will occupy. ParseDeltas fails
+// kCorruptMetadata on a page that is not exactly what SerializeDeltas
+// writes, or whose deltas reach past a volume of `total_sectors` sectors
+// and `nt_pages` name-table pages.
 inline constexpr std::size_t kVamDeltasPerPage = 56;
 std::vector<std::vector<std::uint8_t>> SerializeDeltas(
     std::span<const VamDelta> deltas);
 Status ParseDeltas(std::span<const std::uint8_t> page,
+                   std::uint32_t total_sectors, std::uint32_t nt_pages,
                    std::vector<VamDelta>* out);
 
 class Vam {

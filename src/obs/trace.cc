@@ -6,6 +6,7 @@
 #include <fstream>
 #include <utility>
 
+#include "src/util/file.h"
 #include "src/util/serial.h"
 
 namespace cedar::obs {
@@ -50,18 +51,7 @@ DiskTracer::DiskTracer(std::size_t capacity)
 }
 
 DiskTracer::DiskTracer(DiskTracer&& other) noexcept {
-  std::lock_guard<std::mutex> lock(other.mu_);
-  tls_key_.store(NextTracerKey(), std::memory_order_relaxed);
-  capacity_ = other.capacity_;
-  ring_ = std::move(other.ring_);
-  ring_head_ = other.ring_head_;
-  next_seq_ = other.next_seq_;
-  dropped_ = other.dropped_;
-  op_names_ = std::move(other.op_names_);
-  op_ids_ = std::move(other.op_ids_);
-  aggregates_ = std::move(other.aggregates_);
-  root_aggregates_ = std::move(other.root_aggregates_);
-  spindle_aggregates_ = std::move(other.spindle_aggregates_);
+  *this = std::move(other);
 }
 
 DiskTracer& DiskTracer::operator=(DiskTracer&& other) noexcept {
@@ -348,28 +338,12 @@ Result<DiskTracer> DiskTracer::ParseBinary(
 }
 
 Status DiskTracer::DumpBinary(const std::string& path) const {
-  const std::vector<std::uint8_t> bytes = SerializeBinary();
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    return MakeError(ErrorCode::kInvalidArgument,
-                     "cannot open trace file for writing: " + path);
-  }
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
-  out.flush();
-  if (!out) {
-    return MakeError(ErrorCode::kInternal, "short write to trace file");
-  }
-  return OkStatus();
+  return WriteFileBytes(path, SerializeBinary(), "trace file");
 }
 
 Result<DiskTracer> DiskTracer::LoadBinary(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return MakeError(ErrorCode::kNotFound, "cannot open trace file: " + path);
-  }
-  std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(in)),
-                                  std::istreambuf_iterator<char>());
+  CEDAR_ASSIGN_OR_RETURN(const std::vector<std::uint8_t> bytes,
+                         ReadFileBytes(path, "trace file"));
   return ParseBinary(bytes);
 }
 

@@ -42,6 +42,7 @@
 #include <string_view>
 #include <vector>
 
+#include "src/obs/metrics.h"
 #include "src/util/status.h"
 
 namespace cedar::obs {
@@ -231,6 +232,21 @@ class ScopedOp {
 
  private:
   DiskTracer* tracer_;
+};
+
+// A file system's public operation: its op context, its latency histogram
+// (null for none) measured from here, and `cpu_us` of CPU charged at once.
+class TimedOp {
+ public:
+  TimedOp(DiskTracer* tracer, std::string_view name, Histogram* latency,
+          sim::VirtualClock* clock, sim::Micros cpu_us)
+      : op_(tracer, name), latency_(latency, clock) {
+    clock->AdvanceCpu(cpu_us);
+  }
+
+ private:
+  ScopedOp op_;
+  ScopedLatency latency_;
 };
 
 }  // namespace cedar::obs

@@ -203,14 +203,8 @@ Status DiskArray::Read(Lba start, std::span<std::uint8_t> out,
   std::lock_guard<std::mutex> lock(mu_);
   CEDAR_CHECK(out.size() % kSectorSize == 0);
   const auto count = static_cast<std::uint32_t>(out.size() / kSectorSize);
-  if (crashed_) {
-    return MakeError(ErrorCode::kDeviceCrashed, "array is crashed");
-  }
-  if (count == 0 || start + count > logical_geometry_.TotalSectors()) {
-    return MakeError(ErrorCode::kOutOfRange,
-                     "lba " + std::to_string(start) + "+" +
-                         std::to_string(count) + " out of range");
-  }
+  CEDAR_RETURN_IF_ERROR(CheckRequest(crashed_, "array", start, count,
+                                     logical_geometry_.TotalSectors()));
   const Micros logical_start = clock_->now();
   Micros latest = logical_start;
   Status result = OkStatus();
@@ -338,14 +332,8 @@ Status DiskArray::Write(Lba start, std::span<const std::uint8_t> data) {
   std::lock_guard<std::mutex> lock(mu_);
   CEDAR_CHECK(!data.empty() && data.size() % kSectorSize == 0);
   const auto count = static_cast<std::uint32_t>(data.size() / kSectorSize);
-  if (crashed_) {
-    return MakeError(ErrorCode::kDeviceCrashed, "array is crashed");
-  }
-  if (start + count > logical_geometry_.TotalSectors()) {
-    return MakeError(ErrorCode::kOutOfRange,
-                     "lba " + std::to_string(start) + "+" +
-                         std::to_string(count) + " out of range");
-  }
+  CEDAR_RETURN_IF_ERROR(CheckRequest(crashed_, "array", start, count,
+                                     logical_geometry_.TotalSectors()));
   const Micros logical_start = clock_->now();
   Micros latest = logical_start;
 
@@ -540,17 +528,8 @@ bool DiskArray::DeviceStateEquals(const DeviceSnapshot& snapshot) const {
       return false;
     }
   }
-  auto plans_equal = [](const std::optional<CrashPlan>& a,
-                        const std::optional<CrashPlan>& b) {
-    if (a.has_value() != b.has_value()) return false;
-    if (!a.has_value()) return true;
-    return a->at_write_index == b->at_write_index &&
-           a->sectors_completed == b->sectors_completed &&
-           a->sectors_damaged == b->sectors_damaged &&
-           a->drop_writes == b->drop_writes;
-  };
   return crashed_ == snapshot.crashed &&
-         plans_equal(crash_plan_, snapshot.crash_plan) &&
+         crash_plan_ == snapshot.crash_plan &&
          crash_writes_seen_ == snapshot.crash_writes_seen &&
          read_rr_ == snapshot.read_rr;
 }

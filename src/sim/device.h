@@ -31,6 +31,23 @@ class MetricsRegistry;
 
 namespace cedar::sim {
 
+// The request checks every device makes first: kDeviceCrashed while
+// crashed, kOutOfRange unless [start, start + count) is a non-empty range
+// of its `total` sectors. `device` names it in the crash error.
+inline Status CheckRequest(bool crashed, const char* device, Lba start,
+                           std::size_t count, std::uint64_t total) {
+  if (crashed) {
+    return MakeError(ErrorCode::kDeviceCrashed,
+                     std::string(device) + " is crashed");
+  }
+  if (count == 0 || start + count > total) {
+    return MakeError(ErrorCode::kOutOfRange,
+                     "lba " + std::to_string(start) + "+" +
+                         std::to_string(count) + " out of range");
+  }
+  return OkStatus();
+}
+
 // Cumulative device statistics. "I/O count" counts *requests*, matching the
 // paper's Tables 3 and 4 ("Performance Measured in Disk I/O's"). For an
 // array these are per-spindle requests summed over the members: a striped
@@ -65,6 +82,8 @@ struct CrashPlan {
   // was scheduled after the cut, so the power failure discards it even
   // though the host saw it complete. Every index must be < at_write_index.
   std::vector<std::uint64_t> drop_writes;
+
+  friend bool operator==(const CrashPlan&, const CrashPlan&) = default;
 };
 
 // Persistent (grown) media defects — the sector stays broken across any

@@ -22,15 +22,8 @@ SimDisk::SimDisk(const DiskGeometry& geometry, const DiskTimingParams& timing,
 }
 
 Status SimDisk::CheckRange(Lba start, std::size_t count) const {
-  if (crashed_) {
-    return MakeError(ErrorCode::kDeviceCrashed, "disk is crashed");
-  }
-  if (count == 0 || start + count > geometry_.TotalSectors()) {
-    return MakeError(ErrorCode::kOutOfRange,
-                     "lba " + std::to_string(start) + "+" +
-                         std::to_string(count) + " out of range");
-  }
-  return OkStatus();
+  return CheckRequest(crashed_, "disk", start, count,
+                      geometry_.TotalSectors());
 }
 
 void SimDisk::AttachMetrics(obs::MetricsRegistry* registry) {
@@ -229,16 +222,7 @@ SimDisk::WriteOutcome SimDisk::MaybeCrashOnWrite(
   // damaged at the cut, and nothing after the cut is touched.
   const auto count = static_cast<std::uint32_t>(data.size() / kSectorSize);
   const std::uint32_t done = std::min(crash_plan_->sectors_completed, count);
-  for (std::uint32_t i = 0; i < done; ++i) {
-    const Lba lba = start + i;
-    std::copy(data.begin() + static_cast<std::size_t>(i) * kSectorSize,
-              data.begin() + static_cast<std::size_t>(i + 1) * kSectorSize,
-              data_.begin() + static_cast<std::size_t>(lba) * kSectorSize);
-    damaged_[lba] = false;
-    if (!new_labels.empty()) {
-      labels_[lba] = new_labels[i];
-    }
-  }
+  Land(start, data, new_labels, done, /*heal=*/false);
   const std::uint32_t ndamaged =
       std::min(crash_plan_->sectors_damaged, count - done);
   for (std::uint32_t i = 0; i < ndamaged; ++i) {
@@ -247,6 +231,24 @@ SimDisk::WriteOutcome SimDisk::MaybeCrashOnWrite(
   crashed_ = true;
   crash_plan_.reset();
   return WriteOutcome::kCrashed;
+}
+
+void SimDisk::Land(Lba start, std::span<const std::uint8_t> data,
+                   std::span<const Label> new_labels, std::uint32_t n,
+                   bool heal) {
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const Lba lba = start + i;
+    std::copy(data.begin() + static_cast<std::size_t>(i) * kSectorSize,
+              data.begin() + static_cast<std::size_t>(i + 1) * kSectorSize,
+              data_.begin() + static_cast<std::size_t>(lba) * kSectorSize);
+    damaged_[lba] = false;  // a rewritten sector reads again
+    if (heal) {
+      persistent_faults_.erase(lba);
+    }
+    if (!new_labels.empty()) {
+      labels_[lba] = new_labels[i];
+    }
+  }
 }
 
 Status SimDisk::WriteImpl(Lba start, std::span<const std::uint8_t> data,
@@ -298,31 +300,11 @@ Status SimDisk::WriteImpl(Lba start, std::span<const std::uint8_t> data,
     Rng rng(fault_schedule_.seed ^ seq ^ 0x7EA57ED5u);
     const std::uint32_t done =
         count == 1 ? 0 : static_cast<std::uint32_t>(rng.Below(count));
-    for (std::uint32_t i = 0; i < done; ++i) {
-      const Lba lba = start + i;
-      std::copy(data.begin() + static_cast<std::size_t>(i) * kSectorSize,
-                data.begin() + static_cast<std::size_t>(i + 1) * kSectorSize,
-                data_.begin() + static_cast<std::size_t>(lba) * kSectorSize);
-      damaged_[lba] = false;
-      persistent_faults_.erase(lba);
-      if (!new_labels.empty()) {
-        labels_[lba] = new_labels[i];
-      }
-    }
+    Land(start, data, new_labels, done, /*heal=*/true);
     CorruptLocked(start + done, rng.Next());
     return OkStatus();
   }
-  for (std::uint32_t i = 0; i < count; ++i) {
-    const Lba lba = start + i;
-    std::copy(data.begin() + static_cast<std::size_t>(i) * kSectorSize,
-              data.begin() + static_cast<std::size_t>(i + 1) * kSectorSize,
-              data_.begin() + static_cast<std::size_t>(lba) * kSectorSize);
-    damaged_[lba] = false;  // a successful rewrite revives the sector
-    persistent_faults_.erase(lba);  // ...and heals a grown read defect
-    if (!new_labels.empty()) {
-      labels_[lba] = new_labels[i];
-    }
-  }
+  Land(start, data, new_labels, count, /*heal=*/true);
   if (sched.grown.has_value() &&
       sched.grown->second == FaultMode::kReadFail) {
     // The write landed, then the sector rotted: the defect is discovered
@@ -770,26 +752,9 @@ void SimDisk::RestoreTimeline(const DiskSnapshot& snapshot) {
 
 bool SimDisk::StateEquals(const DiskSnapshot& snapshot) const {
   std::lock_guard<std::mutex> lock(mu_);
-  auto labels_equal = [](const std::vector<Label>& a,
-                         const std::vector<Label>& b) {
-    if (a.size() != b.size()) return false;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      if (!(a[i] == b[i])) return false;
-    }
-    return true;
-  };
-  auto plans_equal = [](const std::optional<CrashPlan>& a,
-                        const std::optional<CrashPlan>& b) {
-    if (a.has_value() != b.has_value()) return false;
-    if (!a.has_value()) return true;
-    return a->at_write_index == b->at_write_index &&
-           a->sectors_completed == b->sectors_completed &&
-           a->sectors_damaged == b->sectors_damaged &&
-           a->drop_writes == b->drop_writes;
-  };
-  return data_ == snapshot.data && labels_equal(labels_, snapshot.labels) &&
+  return data_ == snapshot.data && labels_ == snapshot.labels &&
          damaged_ == snapshot.damaged && crashed_ == snapshot.crashed &&
-         plans_equal(crash_plan_, snapshot.crash_plan) &&
+         crash_plan_ == snapshot.crash_plan &&
          crash_writes_seen_ == snapshot.crash_writes_seen &&
          transient_read_faults_ == snapshot.transient_read_faults &&
          persistent_faults_ == snapshot.persistent_faults &&

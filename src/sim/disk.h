@@ -282,6 +282,11 @@ class SimDisk : public BlockDevice {
 
   // All private helpers run with mu_ held by the public entry point.
   Status CheckRange(Lba start, std::size_t count) const;
+  // Lands the first `n` sectors of a write (data, and labels when given);
+  // each reads again, and with `heal` a grown read defect is cleared too,
+  // as a completed rewrite does.
+  void Land(Lba start, std::span<const std::uint8_t> data,
+            std::span<const Label> new_labels, std::uint32_t n, bool heal);
   Status CheckLabels(Lba start, std::span<const Label> expected);
   void AccountRequest(Lba start, std::uint32_t count, bool is_write,
                       bool label_only);

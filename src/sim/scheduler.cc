@@ -63,26 +63,33 @@ std::vector<std::size_t> IoScheduler::ServiceOrder() const {
   return order;
 }
 
+std::size_t IoScheduler::RunEnd(const std::vector<std::size_t>& order,
+                                std::size_t i, std::uint32_t* sectors) const {
+  const Request& first = requests_[order[i]];
+  std::uint32_t run = first.sectors;
+  std::size_t j = i + 1;
+  for (; reorder_ && j < order.size(); ++j) {
+    const Request& next = requests_[order[j]];
+    if (next.lba != first.lba + run || next.is_write != first.is_write ||
+        run + next.sectors > max_transfer_sectors_) {
+      break;
+    }
+    run += next.sectors;
+  }
+  if (sectors != nullptr) {
+    *sectors = run;
+  }
+  return j;
+}
+
 std::vector<std::pair<Lba, std::uint32_t>> IoScheduler::PlanSegments() const {
   const std::vector<std::size_t> order = ServiceOrder();
   std::vector<std::pair<Lba, std::uint32_t>> segments;
   std::size_t i = 0;
   while (i < order.size()) {
-    const Request& first = requests_[order[i]];
-    Lba end = first.lba + first.sectors;
-    std::uint32_t sectors = first.sectors;
-    std::size_t j = i + 1;
-    while (reorder_ && j < order.size()) {
-      const Request& next = requests_[order[j]];
-      if (next.lba != end || next.is_write != first.is_write ||
-          sectors + next.sectors > max_transfer_sectors_) {
-        break;
-      }
-      end += next.sectors;
-      sectors += next.sectors;
-      ++j;
-    }
-    segments.emplace_back(first.lba, sectors);
+    std::uint32_t sectors = 0;
+    const std::size_t j = RunEnd(order, i, &sectors);
+    segments.emplace_back(requests_[order[i]].lba, sectors);
     i = j;
   }
   return segments;
@@ -166,20 +173,7 @@ Status IoScheduler::Flush(BatchStats* stats) {
   Status status = OkStatus();
   std::size_t i = 0;
   while (i < order.size() && status.ok()) {
-    const Request& first = requests_[order[i]];
-    Lba end = first.lba + first.sectors;
-    std::uint32_t sectors = first.sectors;
-    std::size_t j = i + 1;
-    while (reorder_ && j < order.size()) {
-      const Request& next = requests_[order[j]];
-      if (next.lba != end || next.is_write != first.is_write ||
-          sectors + next.sectors > max_transfer_sectors_) {
-        break;
-      }
-      end += next.sectors;
-      sectors += next.sectors;
-      ++j;
-    }
+    const std::size_t j = RunEnd(order, i, nullptr);
     status = IssueRun(i, j - i, order, &batch);
     i = j;
   }

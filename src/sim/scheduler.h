@@ -101,6 +101,11 @@ class IoScheduler {
   // Indices into requests_ in C-SCAN service order (or submission order
   // when reorder is off).
   std::vector<std::size_t> ServiceOrder() const;
+  // One past the last request that merges with order[i] into one device
+  // transfer (contiguous, same direction, within the transfer cap); the
+  // transfer's sectors go to *sectors when non-null.
+  std::size_t RunEnd(const std::vector<std::size_t>& order, std::size_t i,
+                     std::uint32_t* sectors) const;
   Status IssueRun(std::size_t first, std::size_t count,
                   const std::vector<std::size_t>& order, BatchStats* stats);
 

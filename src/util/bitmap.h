@@ -68,6 +68,14 @@ class Bitmap {
     }
   }
 
+  // Clears every bit set in `other` (same size).
+  void AndNot(const Bitmap& other) {
+    CEDAR_CHECK(other.size_ == size_);
+    for (std::size_t w = 0; w < words_.size(); ++w) {
+      words_[w] &= ~other.words_[w];
+    }
+  }
+
   // Number of set bits.
   std::uint32_t Count() const {
     std::uint32_t n = 0;

@@ -3,8 +3,8 @@
 #include <cctype>
 #include <charconv>
 #include <cstdio>
-#include <fstream>
-#include <iterator>
+
+#include "src/util/file.h"
 
 namespace cedar::util {
 
@@ -438,13 +438,10 @@ Result<JsonValue> ParseJson(std::string_view text) {
 }
 
 Result<JsonValue> LoadJsonFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return MakeError(ErrorCode::kNotFound, "cannot open json file: " + path);
-  }
-  const std::string text((std::istreambuf_iterator<char>(in)),
-                         std::istreambuf_iterator<char>());
-  auto parsed = ParseJson(text);
+  CEDAR_ASSIGN_OR_RETURN(const std::vector<std::uint8_t> bytes,
+                         ReadFileBytes(path, "json file"));
+  auto parsed = ParseJson(std::string_view(
+      reinterpret_cast<const char*>(bytes.data()), bytes.size()));
   if (!parsed.ok()) {
     return MakeError(parsed.status().code(),
                      path + ": " + std::string(parsed.status().message()));

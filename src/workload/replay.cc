@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <condition_variable>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <thread>
@@ -129,6 +130,17 @@ Status DriveOp(fs::FileSystem* file_system, const TraceEntry& entry,
   return ApplyTraceOp(file_system, entry, stats, advance);
 }
 
+// Runs worker(0) .. worker(threads - 1), one thread each, and joins them.
+void RunOnThreads(int threads, const std::function<void(int)>& worker) {
+  std::vector<std::thread> pool;
+  for (int t = 0; t < threads; ++t) {
+    pool.emplace_back(worker, t);
+  }
+  for (std::thread& t : pool) {
+    t.join();
+  }
+}
+
 }  // namespace
 
 Result<MultiReplayStats> ReplayTraceMulti(
@@ -203,14 +215,7 @@ Result<MultiReplayStats> ReplayTraceMulti(
           cv.notify_all();
         }
       };
-      std::vector<std::thread> pool;
-      pool.reserve(threads);
-      for (int t = 0; t < threads; ++t) {
-        pool.emplace_back(worker, t);
-      }
-      for (std::thread& t : pool) {
-        t.join();
-      }
+      RunOnThreads(threads, worker);
     }
   } else {
     // Free-run: partition the plan across threads — by tenant when the
@@ -253,14 +258,7 @@ Result<MultiReplayStats> ReplayTraceMulti(
         shared.Fold(tenant, local);
       }
     };
-    std::vector<std::thread> pool;
-    pool.reserve(threads);
-    for (int t = 0; t < threads; ++t) {
-      pool.emplace_back(worker, t);
-    }
-    for (std::thread& t : pool) {
-      t.join();
-    }
+    RunOnThreads(threads, worker);
   }
 
   if (shared.failed) {

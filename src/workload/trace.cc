@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <charconv>
-#include <fstream>
-#include <iterator>
 #include <sstream>
 
+#include "src/util/file.h"
 #include "src/util/serial.h"
+#include "src/workload/workload.h"
 
 namespace cedar::workload {
 namespace {
@@ -35,15 +35,6 @@ enum FieldId : std::uint8_t {
 
 constexpr std::uint8_t Tag(FieldId id, WireType type) {
   return static_cast<std::uint8_t>((id << 3) | type);
-}
-
-std::vector<std::uint8_t> Payload(std::uint64_t size, std::uint64_t seed) {
-  std::vector<std::uint8_t> out(size);
-  Rng rng(seed);
-  for (auto& byte : out) {
-    byte = static_cast<std::uint8_t>(rng.Next());
-  }
-  return out;
 }
 
 const char* OpName(TraceOp op) {
@@ -327,28 +318,12 @@ Result<std::vector<TraceEntry>> ParseTraceBinary(
 
 Status SaveTraceBinary(const std::string& path,
                        std::span<const TraceEntry> entries) {
-  const std::vector<std::uint8_t> bytes = SerializeTraceBinary(entries);
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    return MakeError(ErrorCode::kInvalidArgument,
-                     "cannot open trace file for writing: " + path);
-  }
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
-  out.flush();
-  if (!out) {
-    return MakeError(ErrorCode::kInternal, "short write to trace file");
-  }
-  return OkStatus();
+  return WriteFileBytes(path, SerializeTraceBinary(entries), "trace file");
 }
 
 Result<std::vector<TraceEntry>> LoadTraceBinary(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return MakeError(ErrorCode::kNotFound, "cannot open trace file: " + path);
-  }
-  std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(in)),
-                                  std::istreambuf_iterator<char>());
+  CEDAR_ASSIGN_OR_RETURN(const std::vector<std::uint8_t> bytes,
+                         ReadFileBytes(path, "trace file"));
   return ParseTraceBinary(bytes);
 }
 

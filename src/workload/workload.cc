@@ -3,7 +3,6 @@
 #include <cmath>
 
 namespace cedar::workload {
-namespace {
 
 std::vector<std::uint8_t> Payload(std::uint64_t size, std::uint64_t seed) {
   std::vector<std::uint8_t> out(size);
@@ -13,8 +12,6 @@ std::vector<std::uint8_t> Payload(std::uint64_t size, std::uint64_t seed) {
   }
   return out;
 }
-
-}  // namespace
 
 std::uint64_t SizeDistribution::Sample(Rng& rng) const {
   if (rng.Chance(0.5)) {

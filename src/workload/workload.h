@@ -26,6 +26,10 @@
 
 namespace cedar::workload {
 
+// `size` bytes drawn from an Rng seeded with `seed`: a payload is named by
+// its seed, so a replay reproduces every file's contents exactly.
+std::vector<std::uint8_t> Payload(std::uint64_t size, std::uint64_t seed);
+
 class SizeDistribution {
  public:
   // Half the draws are "small" (uniform 128..4000 bytes), half follow an

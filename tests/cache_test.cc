@@ -228,11 +228,11 @@ TEST(PageCacheTest, LeaderKeyIsNeverInterior) {
   leader[0] = root[0];
 
   constexpr std::uint32_t kLeader = core::Fsd::kLeaderKeyBit | 7;
-  EXPECT_TRUE(core::Fsd::IsInteriorFrame(3, root));
-  EXPECT_FALSE(core::Fsd::IsInteriorFrame(kLeader, leader));
-  EXPECT_FALSE(core::Fsd::IsInteriorFrame(kLeader, root));
+  EXPECT_TRUE(core::IsInteriorFrame(3, root));
+  EXPECT_FALSE(core::IsInteriorFrame(kLeader, leader));
+  EXPECT_FALSE(core::IsInteriorFrame(kLeader, root));
 
-  PageCache cache(8, nullptr, &core::Fsd::IsInteriorFrame);
+  PageCache cache(8, nullptr, &core::IsInteriorFrame);
   cache.Insert(3, root);  // interior, and the oldest frame
   cache.Insert(kLeader, leader);
   for (std::uint32_t i = 10; i < 16; ++i) {

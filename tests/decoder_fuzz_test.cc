@@ -12,6 +12,11 @@
 
 #include "src/core/layout.h"
 #include "src/core/nt_store.h"
+#include "src/core/recovery.h"
+#include "src/core/vam.h"
+#include "src/obs/metrics.h"
+#include "src/sim/clock.h"
+#include "src/sim/disk.h"
 #include "src/sim/geometry.h"
 #include "src/util/crc32.h"
 #include "src/util/random.h"
@@ -155,6 +160,194 @@ TEST(RemapDirectoryFuzzTest, AcceptedDirectoriesMapHomesToDistinctSpares) {
   // Every class reaches a rejection, and enough mutations stay well-formed
   // (padding flips, shorter counts, in-range edges) that the accepting path
   // is checked too.
+  int accepted = 0;
+  for (int c = 0; c < kClasses; ++c) {
+    EXPECT_GT(outcomes[0][c], 0) << "class " << c << " never rejected";
+    accepted += outcomes[1][c];
+  }
+  EXPECT_GT(accepted, kMutations / 10);
+}
+
+// Rewrites the CRC after a body of `body` bytes, when it fits the sector.
+void ResealAt(std::vector<std::uint8_t>& sector, std::size_t body) {
+  if (body + 4 <= sector.size()) {
+    PutU32(sector, body,
+           Crc32(std::span<const std::uint8_t>(sector).subspan(0, body)));
+  }
+}
+
+// A root whose CRC checks out must still be exactly what Encode writes for
+// this disk, and Mount's election must accept only a root describing the
+// configured volume: any other log or name-table size would leave the
+// config and the layout describing different volumes.
+TEST(VolumeRootFuzzTest, AcceptedRootsDescribeTheConfiguredVolume) {
+  constexpr int kMutations = 100000;
+  constexpr std::size_t kBody = 33;  // eight u32 fields and the clean flag
+  FsdConfig config;
+  config.log_sectors = 400;
+  config.nt_pages = 64;
+  sim::VirtualClock clock;
+  sim::SimDisk disk(sim::TestGeometry(), sim::DiskTimingParams{}, &clock);
+  const FsdLayout layout = FsdLayout::Compute(disk.geometry(), config);
+  obs::MetricsRegistry metrics;
+  MediaHealth health(&disk, &metrics);
+  NtStore nt(&disk, layout, config, &metrics, &health);
+  FsdLog log(&disk, layout.log_base, config.log_sectors, &metrics);
+  Recovery recovery(&disk, layout, config, &log, &nt, &health, &metrics);
+  const std::vector<std::uint8_t> valid = VolumeRoot::Encode(
+      VolumeRoot{.log_sectors = config.log_sectors,
+                 .nt_pages = config.nt_pages,
+                 .boot_count = 9,
+                 .nt_seq = 500,
+                 .clean = true},
+      disk.geometry());
+  const std::vector<std::uint32_t> edges = {
+      0, 1, 63, 64, 65, 399, 400, 401, 0x7FFFFFFFu, 0xFFFFFFFFu};
+  enum Class { kBitFlips, kField, kEdge, kCleanByte, kBytes, kClasses };
+  Rng rng(0x5007u);
+  int outcomes[2][kClasses] = {};
+  std::vector<std::uint8_t> pair(3 * 512, 0);
+  for (int m = 0; m < kMutations; ++m) {
+    std::vector<std::uint8_t> root = valid;
+    const auto cls = static_cast<Class>(rng.Below(kClasses));
+    switch (cls) {
+      case kBitFlips:
+        for (std::uint64_t n = rng.Between(1, 4); n > 0; --n) {
+          root[rng.Below(kBody + 4)] ^=
+              static_cast<std::uint8_t>(1u << rng.Below(8));
+        }
+        break;
+      case kField:
+        PutU32(root, 4 * rng.Below(8), static_cast<std::uint32_t>(rng.Next()));
+        break;
+      case kEdge:  // the two sizes, and the geometry around them
+        PutU32(root, 4 * rng.Between(3, 5), edges[rng.Below(edges.size())]);
+        break;
+      case kCleanByte:
+        root[32] = static_cast<std::uint8_t>(rng.Below(4));
+        break;
+      case kBytes:
+        for (std::uint64_t n = rng.Between(1, 8); n > 0; --n) {
+          root[rng.Below(kBody)] = static_cast<std::uint8_t>(rng.Next());
+        }
+        break;
+      case kClasses:
+        break;
+    }
+    ResealAt(root, kBody);
+    auto decoded = VolumeRoot::Decode(root, disk.geometry());
+    if (decoded.ok()) {
+      const std::vector<std::uint8_t> again =
+          VolumeRoot::Encode(*decoded, disk.geometry());
+      ASSERT_TRUE(std::equal(again.begin(), again.begin() + kBody + 4,
+                             root.begin()))
+          << "mutation " << m << " decoded to a different root";
+    } else {
+      ASSERT_EQ(decoded.status().code(), ErrorCode::kCorruptMetadata)
+          << "mutation " << m;
+    }
+    std::copy(root.begin(), root.end(), pair.begin());
+    std::copy(root.begin(), root.end(), pair.begin() + 2 * 512);
+    ASSERT_TRUE(disk.Write(layout.root_lba, pair).ok());
+    auto elected = recovery.ReadRoot();
+    ++outcomes[elected.ok() ? 1 : 0][cls];
+    if (!elected.ok()) {
+      const ErrorCode code = elected.status().code();
+      ASSERT_TRUE(code == ErrorCode::kCorruptMetadata ||
+                  code == ErrorCode::kInvalidArgument)
+          << "mutation " << m;
+      continue;
+    }
+    ASSERT_EQ(elected->log_sectors, config.log_sectors) << "mutation " << m;
+    ASSERT_EQ(elected->nt_pages, config.nt_pages) << "mutation " << m;
+  }
+  int accepted = 0;
+  for (int c = 0; c < kClasses; ++c) {
+    EXPECT_GT(outcomes[0][c], 0) << "class " << c << " never rejected";
+    accepted += outcomes[1][c];
+  }
+  EXPECT_GT(accepted, kMutations / 10);
+}
+
+// A delta page whose CRC checks out must still name only sectors and
+// name-table pages the volume has: Vam::Apply on anything else would run
+// off the end of its bitmaps.
+TEST(VamDeltaFuzzTest, AcceptedDeltasFitTheVolume) {
+  constexpr int kMutations = 100000;
+  constexpr std::uint32_t kSectors = 5000;
+  constexpr std::uint32_t kNtPages = 64;
+  const std::vector<VamDelta> deltas = {
+      {.op = VamDelta::Op::kAlloc, .start = 100, .count = 8},
+      {.op = VamDelta::Op::kFree, .start = kSectors - 4, .count = 4},
+      {.op = VamDelta::Op::kNtAlloc, .start = kNtPages - 1, .count = 1},
+      {.op = VamDelta::Op::kNtFree, .start = 0, .count = 2},
+      {.op = VamDelta::Op::kAlloc, .start = 0, .count = 1}};
+  const std::vector<std::uint8_t> valid = SerializeDeltas(deltas)[0];
+  {
+    std::vector<VamDelta> parsed;
+    ASSERT_TRUE(ParseDeltas(valid, kSectors, kNtPages, &parsed).ok());
+    ASSERT_EQ(parsed.size(), deltas.size());
+  }
+  const std::vector<std::uint32_t> edges = {
+      0, 1, kNtPages - 1, kNtPages, kNtPages + 1, kSectors - 1, kSectors,
+      kSectors + 1, 0x7FFFFFFFu, 0xFFFFFFFFu};
+  enum Class { kBitFlips, kField, kEdge, kOp, kCount, kBytes, kClasses };
+  Rng rng(0xDE17Au);
+  int outcomes[2][kClasses] = {};
+  Vam vam(kSectors, kNtPages);
+  for (int m = 0; m < kMutations; ++m) {
+    std::vector<std::uint8_t> page = valid;
+    // Delta i's op sits at 2 + 9i, its start at 3 + 9i, its count at 7 + 9i.
+    auto field_at = [&] {
+      return 2 + 9 * rng.Below(deltas.size()) + 1 + 4 * rng.Below(2);
+    };
+    const auto cls = static_cast<Class>(rng.Below(kClasses));
+    switch (cls) {
+      case kBitFlips:
+        for (std::uint64_t n = rng.Between(1, 4); n > 0; --n) {
+          page[rng.Below(2 + 9 * deltas.size())] ^=
+              static_cast<std::uint8_t>(1u << rng.Below(8));
+        }
+        break;
+      case kField:
+        PutU32(page, field_at(), static_cast<std::uint32_t>(rng.Next()));
+        break;
+      case kEdge:
+        PutU32(page, field_at(), edges[rng.Below(edges.size())]);
+        break;
+      case kOp:
+        page[2 + 9 * rng.Below(deltas.size())] =
+            static_cast<std::uint8_t>(rng.Below(6));
+        break;
+      case kCount:
+        page[0] = static_cast<std::uint8_t>(rng.Below(60));
+        page[1] = 0;
+        break;
+      case kBytes:
+        for (std::uint64_t n = rng.Between(1, 16); n > 0; --n) {
+          page[rng.Below(64)] = static_cast<std::uint8_t>(rng.Next());
+        }
+        break;
+      case kClasses:
+        break;
+    }
+    ResealAt(page, 2 + 9 * std::size_t{ByteReader(page).U16()});
+    std::vector<VamDelta> parsed;
+    const Status status = ParseDeltas(page, kSectors, kNtPages, &parsed);
+    ++outcomes[status.ok() ? 1 : 0][cls];
+    if (!status.ok()) {
+      ASSERT_EQ(status.code(), ErrorCode::kCorruptMetadata) << "mutation " << m;
+      continue;
+    }
+    for (const VamDelta& delta : parsed) {
+      const bool nt = delta.op == VamDelta::Op::kNtAlloc ||
+                      delta.op == VamDelta::Op::kNtFree;
+      ASSERT_LE(std::uint64_t{delta.start} + delta.count,
+                nt ? kNtPages : kSectors)
+          << "mutation " << m;
+      vam.Apply(delta);
+    }
+  }
   int accepted = 0;
   for (int c = 0; c < kClasses; ++c) {
     EXPECT_GT(outcomes[0][c], 0) << "class " << c << " never rejected";

@@ -15,7 +15,9 @@
 #include <string>
 #include <vector>
 
+#include "src/btree/btree.h"
 #include "src/core/fsd.h"
+#include "src/fsapi/name_key.h"
 #include "src/sim/clock.h"
 #include "src/sim/disk.h"
 #include "src/util/random.h"
@@ -373,6 +375,122 @@ TEST_F(FsdRecoveryTest, DamagedNtSectorDuringRecoveryMount) {
   auto list = fsd_->List("d/");
   ASSERT_TRUE(list.ok());
   EXPECT_EQ(list->size(), 50u);
+}
+
+// A page store over the name table's home copies, straight on the disk:
+// lets a test put a CRC-valid entry into the table that no FSD operation
+// would write.
+class HomeCopyPages : public btree::PageStore {
+ public:
+  explicit HomeCopyPages(NtStore* nt, sim::BlockDevice* disk)
+      : nt_(nt), disk_(disk) {}
+  std::uint32_t page_size() const override { return NtStore::kPayload; }
+  Status ReadPage(btree::PageId id, std::span<std::uint8_t> out) override {
+    CEDAR_ASSIGN_OR_RETURN(const NtStore::Copies copies,
+                           nt_->ReadCopies(id, nullptr));
+    std::copy_n(copies.winner().begin(), NtStore::kPayload, out.begin());
+    return OkStatus();
+  }
+  Status WritePage(btree::PageId id,
+                   std::span<const std::uint8_t> data) override {
+    const std::vector<std::uint8_t> sector = nt_->Compose(data);
+    CEDAR_RETURN_IF_ERROR(disk_->Write(nt_->HomesOf(id).primary, sector));
+    return disk_->Write(nt_->HomesOf(id).replica, sector);
+  }
+  Result<btree::PageId> AllocatePage() override {
+    return MakeError(ErrorCode::kNoFreeSpace, "planting never splits");
+  }
+  Status FreePage(btree::PageId) override { return OkStatus(); }
+  bool CanAllocate(std::uint32_t) override { return true; }
+
+ private:
+  NtStore* nt_;
+  sim::BlockDevice* disk_;
+};
+
+// An entry whose leader and run lie past the end of the volume: the crash
+// mount's rebuild notes it instead of aborting, Fsck reports both extents,
+// and Scrub counts them unrepairable.
+TEST_F(FsdRecoveryTest, AnEntryPastTheVolumeIsNotedNotFatal) {
+  ASSERT_TRUE(fsd_->CreateFile("kept", Bytes(900, 4)).ok());
+  ASSERT_TRUE(fsd_->Shutdown().ok());
+  {
+    const FsdLayout layout = FsdLayout::Compute(disk_.geometry(), SmallConfig());
+    obs::MetricsRegistry metrics;
+    MediaHealth health(&disk_, &metrics);
+    NtStore nt(&disk_, layout, SmallConfig(), &metrics, &health);
+    HomeCopyPages pages(&nt, &disk_);
+    btree::BTree tree(&pages, /*root=*/0);
+    const auto total = static_cast<std::uint32_t>(layout.data_high);
+    const FsdEntry bad{.uid = 77,
+                       .leader_lba = total + 3,
+                       .runs = {{.start = total - 2, .count = 5}}};
+    const Status planted =
+        tree.Insert(fs::EncodeNameKey("bad", 1), SerializeEntry(bad));
+    ASSERT_TRUE(planted.ok()) << planted.message();
+  }
+  fsd_ = std::make_unique<Fsd>(&disk_, SmallConfig());
+  ASSERT_TRUE(fsd_->Mount().ok());  // clean: the saved VAM, no walk
+
+  Fsd& after = CrashAndRemount();  // unclean: the rebuild walks the table
+  const fs::HealthStats health = after.Health();
+  std::size_t noted = 0;
+  for (const std::string& note : health.notes) {
+    noted += note.find("lies outside the file data region") !=
+             std::string::npos;
+  }
+  EXPECT_EQ(noted, 2u);
+  auto handle = after.Open("kept");
+  ASSERT_TRUE(handle.ok());
+  std::vector<std::uint8_t> out(900);
+  ASSERT_TRUE(after.Read(*handle, 0, out).ok());
+  EXPECT_EQ(out, Bytes(900, 4));
+
+  auto fsck = after.Fsck();
+  ASSERT_TRUE(fsck.ok());
+  std::size_t out_of_bounds = 0;
+  for (const FsckIssue& issue : fsck->issues) {
+    out_of_bounds += issue.code == "extent-out-of-bounds";
+  }
+  EXPECT_EQ(out_of_bounds, 2u) << fsck->Summary();
+
+  auto scrub = after.Scrub();
+  ASSERT_TRUE(scrub.ok());
+  EXPECT_EQ(scrub->unrepairable, 2u);
+  EXPECT_EQ(scrub->files_checked, 2u);
+}
+
+// The root names the volume's geometry; a config that disagrees describes
+// another volume. Mount refuses it without writing, naming both sizes;
+// the degraded mount treats it as an unreadable root.
+TEST_F(FsdRecoveryTest, MountWithAnotherNameTableSizeFailsAndWritesNothing) {
+  ASSERT_TRUE(fsd_->CreateFile("kept", Bytes(700, 9)).ok());
+  ASSERT_TRUE(fsd_->Shutdown().ok());
+  FsdConfig other = SmallConfig();
+  other.nt_pages = 128;
+  const sim::DiskSnapshot before = disk_.Snapshot();
+  {
+    Fsd wrong(&disk_, other);
+    const Status mounted = wrong.Mount();
+    EXPECT_EQ(mounted.code(), ErrorCode::kInvalidArgument);
+    EXPECT_NE(mounted.message().find("nt_pages 256"), std::string::npos)
+        << mounted.message();
+    EXPECT_NE(mounted.message().find("nt_pages 128"), std::string::npos);
+    EXPECT_TRUE(disk_.StateEquals(before));
+
+    EXPECT_TRUE(wrong.MountDegraded().ok());
+    ASSERT_FALSE(wrong.Health().notes.empty());
+    EXPECT_NE(wrong.Health().notes[0].find("volume root unreadable"),
+              std::string::npos);
+    EXPECT_TRUE(disk_.StateEquals(before));
+  }
+  fsd_ = std::make_unique<Fsd>(&disk_, SmallConfig());
+  ASSERT_TRUE(fsd_->Mount().ok());
+  auto handle = fsd_->Open("kept");
+  ASSERT_TRUE(handle.ok());
+  std::vector<std::uint8_t> out(700);
+  ASSERT_TRUE(fsd_->Read(*handle, 0, out).ok());
+  EXPECT_EQ(out, Bytes(700, 9));
 }
 
 // The crash matrix: run a scripted workload, crash after every k-th disk

@@ -47,7 +47,9 @@ TEST(VamDeltaTest, SerializeParseRoundTrip) {
   std::vector<VamDelta> parsed;
   for (const auto& page : pages) {
     ASSERT_EQ(page.size(), 512u);
-    ASSERT_TRUE(ParseDeltas(page, &parsed).ok());
+    ASSERT_TRUE(ParseDeltas(page, /*total_sectors=*/4096, /*nt_pages=*/4096,
+                            &parsed)
+                    .ok());
   }
   ASSERT_EQ(parsed.size(), deltas.size());
   for (std::size_t i = 0; i < deltas.size(); ++i) {
@@ -61,7 +63,7 @@ TEST(VamDeltaTest, CorruptPageRejected) {
   auto pages = SerializeDeltas({{VamDelta{}}});
   pages[0][3] ^= 0x10;
   std::vector<VamDelta> parsed;
-  EXPECT_FALSE(ParseDeltas(pages[0], &parsed).ok());
+  EXPECT_FALSE(ParseDeltas(pages[0], 4096, 4096, &parsed).ok());
 }
 
 class VamLoggingTest : public ::testing::Test {
