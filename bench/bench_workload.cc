@@ -1,6 +1,6 @@
 // Trace-driven production workload bench: record a multi-tenant Zipf
 // workload from a live FSD through RecordingFs, round-trip it through the
-// CEDWRK01 binary format, and replay it turnstile at 1/4/8 threads.
+// CEDWRK02 binary format, and replay it turnstile at 1/4/8 threads.
 //
 // Turnstile replay drives an identical disk request stream at every thread
 // count, so the per-thread-count numbers are exact constants of the code —
@@ -143,7 +143,7 @@ std::vector<cedar::workload::TraceEntry> RecordWorkload(
   std::vector<cedar::workload::TraceEntry> trace = rec.Trace();
   CEDAR_CHECK_OK(fsd.Shutdown());
 
-  // Round-trip through the CEDWRK01 binary format: what the bench replays
+  // Round-trip through the CEDWRK02 binary format: what the bench replays
   // is what a trace file on disk would deliver.
   const std::vector<std::uint8_t> bytes =
       cedar::workload::SerializeTraceBinary(trace);

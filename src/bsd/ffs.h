@@ -94,15 +94,9 @@ class Ffs : public fs::FileSystem {
   Status Close(const fs::FileHandle& file) override;
   Status Force() override;     // no-op: metadata writes are synchronous
   Status Shutdown() override;  // writes back cached bitmaps
-  // Maintenance surface: FFS-style metadata writes are synchronous and
-  // there is no log — nothing to checkpoint, nothing a crash-now mount
-  // replays (fsck is a scan, not a replay). Explicit trivial overrides so
-  // the contract is stated here rather than inherited silently.
-  Status Checkpoint() override { return OkStatus(); }
-  Result<std::uint64_t> RecoveryWindow() override { return std::uint64_t{0}; }
-  fs::MaintenanceStats Maintenance() override {
-    return fs::MaintenanceStats{};
-  }
+  // Maintenance surface: the fs::FileSystem defaults. Metadata writes are
+  // synchronous and there is no log, so a crash-now mount replays nothing
+  // (fsck is a scan, not a replay).
   const obs::MetricsRegistry& Metrics() const override { return metrics_; }
 
   // Full consistency check and bitmap rebuild — the recovery path after an

@@ -101,16 +101,9 @@ class Cfs : public fs::FileSystem {
   Status Close(const fs::FileHandle& file) override;
   Status Force() override;     // no-op: CFS is synchronous
   Status Shutdown() override;  // writes the VAM hint and volume root
-  // Maintenance surface: CFS writes everything through synchronously, so
-  // there is no deferred state to checkpoint and a crash-now mount replays
-  // nothing (the full label scavenge is a repair, not a replay). Explicit
-  // trivial overrides, so the contract is stated here rather than inherited
-  // silently.
-  Status Checkpoint() override { return OkStatus(); }
-  Result<std::uint64_t> RecoveryWindow() override { return std::uint64_t{0}; }
-  fs::MaintenanceStats Maintenance() override {
-    return fs::MaintenanceStats{};
-  }
+  // Maintenance surface: the fs::FileSystem defaults. CFS writes
+  // everything through synchronously, so there is nothing to checkpoint and
+  // a crash-now mount replays nothing (the label scavenge is a repair).
   const obs::MetricsRegistry& Metrics() const override { return metrics_; }
 
   // Full recovery: scans every label on the volume, rebuilds the name table

@@ -597,9 +597,9 @@ Status Fsd::ForceLogImpl(GateMode mode, std::uint64_t* covered_seq) {
   // The whole force goes out as commit groups: recovery replays a group
   // only if its final record survived, so a crash mid-force can never
   // replay a prefix of a multi-page tree update. Forces larger than one
-  // group (rare — the default group holds log_group_records records) split
-  // into maximal groups; the delta ordering above bounds the damage of a
-  // between-groups crash to leaked sectors.
+  // group (rare — the default group holds commit.group_records records)
+  // split into maximal groups; the delta ordering above bounds the damage
+  // of a between-groups crash to leaked sectors.
   const std::size_t group_pages = std::min<std::size_t>(
       static_cast<std::size_t>(
           std::max<std::uint32_t>(1, config_.commit.group_records)) *

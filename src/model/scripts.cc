@@ -54,16 +54,6 @@ OpScript CfsReadPage(const CpuParams& cpu) {
   return s;
 }
 
-OpScript CfsOpenRead(const CpuParams& cpu) {
-  OpScript s;
-  s.name = "cfs-open-read";
-  s.Controller().SeekTo(20).Latency().Transfer(2);  // header
-  // Data page is adjacent to the header; it just passed the head.
-  s.Controller().RevMinus(3).Transfer(1);
-  s.Cpu(2 * cpu.cfs_per_op + cpu.cfs_per_sector * 3);
-  return s;
-}
-
 OpScript CfsDelete(std::uint32_t data_pages, const CpuParams& cpu) {
   const std::uint32_t n = data_pages;
   OpScript s;
@@ -97,31 +87,11 @@ OpScript FsdOpenHit(const CpuParams& cpu) {
   return s;
 }
 
-OpScript FsdOpenMiss(const CpuParams& cpu) {
-  OpScript s;
-  s.name = "fsd-open-miss";
-  // Both copies on the central cylinders, a short seek apart.
-  s.Controller().SeekTo(500).Latency().Transfer(1);
-  s.Controller().ShortSeek().Latency().Transfer(1);
-  s.Cpu(cpu.fsd_per_op + cpu.fsd_per_sector * 2);
-  return s;
-}
-
 OpScript FsdReadPage(std::uint32_t data_permille, const CpuParams& cpu) {
   OpScript s;
   s.name = "fsd-read-page";
   s.Controller().SeekTo(data_permille).Latency().Transfer(1);
   s.Cpu(cpu.fsd_per_op + cpu.fsd_per_sector);
-  return s;
-}
-
-OpScript FsdOpenRead(std::uint32_t data_permille, const CpuParams& cpu) {
-  OpScript s;
-  s.name = "fsd-open-read";
-  // Open is free (cached); first read piggybacks the leader: one request,
-  // one extra sector of transfer.
-  s.Controller().SeekTo(data_permille).Latency().Transfer(2);
-  s.Cpu(2 * cpu.fsd_per_op + cpu.fsd_per_sector * 2);
   return s;
 }
 

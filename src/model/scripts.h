@@ -34,9 +34,6 @@ OpScript CfsOpen(const CpuParams& cpu);
 // Read one page of an open file.
 OpScript CfsReadPage(const CpuParams& cpu);
 
-// Open + read the first page.
-OpScript CfsOpenRead(const CpuParams& cpu);
-
 // Delete a closed small file (header read + label frees + name table).
 OpScript CfsDelete(std::uint32_t data_pages, const CpuParams& cpu);
 
@@ -58,14 +55,8 @@ OpScript FsdCreate(std::uint32_t data_pages, std::uint32_t data_permille,
 // Open with the name table warm: pure CPU.
 OpScript FsdOpenHit(const CpuParams& cpu);
 
-// Open with a cold leaf: read both name-table copies (double-read check).
-OpScript FsdOpenMiss(const CpuParams& cpu);
-
 // Read one page of an open, already-verified file.
 OpScript FsdReadPage(std::uint32_t data_permille, const CpuParams& cpu);
-
-// Open + first read (piggybacked leader verify: one extra transfer).
-OpScript FsdOpenRead(std::uint32_t data_permille, const CpuParams& cpu);
 
 // Delete: shadow free + cached tree update; no synchronous I/O.
 OpScript FsdDelete(const CpuParams& cpu);

@@ -12,7 +12,7 @@
 namespace cedar::obs {
 namespace {
 
-constexpr char kMagic[8] = {'C', 'E', 'D', 'T', 'R', 'C', '0', '4'};
+constexpr std::string_view kMagic = "CEDTRC04";
 constexpr std::string_view kNoContext = "(none)";
 
 std::uint64_t NextTracerKey() {
@@ -254,8 +254,7 @@ DiskTracer::SpindleAggregates() const {
 std::vector<std::uint8_t> DiskTracer::SerializeBinary() const {
   std::lock_guard<std::mutex> lock(mu_);
   ByteWriter w;
-  w.Bytes(std::span<const std::uint8_t>(
-      reinterpret_cast<const std::uint8_t*>(kMagic), sizeof(kMagic)));
+  w.Magic(kMagic);
   w.U32(static_cast<std::uint32_t>(op_names_.size()));
   for (const auto& name : op_names_) w.Str(name);
 
@@ -284,31 +283,32 @@ std::vector<std::uint8_t> DiskTracer::SerializeBinary() const {
 Result<DiskTracer> DiskTracer::ParseBinary(
     std::span<const std::uint8_t> bytes) {
   ByteReader r(bytes);
-  const std::vector<std::uint8_t> magic = r.Bytes(sizeof(kMagic));
-  if (!r.ok() ||
-      !std::equal(magic.begin(), magic.end(),
-                  reinterpret_cast<const std::uint8_t*>(kMagic))) {
+  if (!r.Magic(kMagic)) {
     return MakeError(ErrorCode::kCorruptMetadata, "bad trace magic");
   }
-
-  const std::uint32_t num_names = r.U32();
-  std::vector<std::string> names;
-  names.reserve(num_names);
-  for (std::uint32_t i = 0; i < num_names && r.ok(); ++i) {
-    names.push_back(r.Str());
+  const auto corrupt = [](const char* what) {
+    return MakeError(ErrorCode::kCorruptMetadata,
+                     std::string("corrupt trace: ") + what);
+  };
+  // The tracer under construction is thread-confined; no locking needed.
+  // Name 0 is the "(none)" context every tracer starts with; the rest were
+  // interned once each.
+  DiskTracer tracer;
+  const std::uint32_t num_names = r.Count(2);
+  if (num_names == 0 || r.Str() != kNoContext) {
+    return corrupt("missing the (none) context");
+  }
+  for (std::uint32_t i = 1; i < num_names; ++i) {
+    if (tracer.InternOp(r.Str()) != i) {
+      return corrupt("repeated op name");
+    }
   }
   const std::uint64_t total = r.U64();
   const std::uint64_t dropped = r.U64();
-  const std::uint32_t num_events = r.U32();
-  if (!r.ok() || names.empty()) {
-    return MakeError(ErrorCode::kCorruptMetadata, "truncated trace header");
-  }
-
-  // The tracer under construction is thread-confined; no locking needed.
-  DiskTracer tracer(num_events == 0 ? kDefaultCapacity : num_events);
-  for (std::uint32_t i = 1; i < names.size(); ++i) {
-    tracer.InternOp(names[i]);  // id 0 ("(none)") already present
-  }
+  // seq, start, lba, u32 sectors and spindle, u8 kind, four u64 times,
+  // u32 op, root and batch.
+  const std::uint32_t num_events = r.Count(3 * 8 + 2 * 4 + 1 + 4 * 8 + 3 * 4);
+  tracer.capacity_ = num_events == 0 ? kDefaultCapacity : num_events;
   for (std::uint32_t i = 0; i < num_events; ++i) {
     TraceEvent ev;
     ev.seq = r.U64();
@@ -316,7 +316,8 @@ Result<DiskTracer> DiskTracer::ParseBinary(
     ev.lba = r.U64();
     ev.sectors = r.U32();
     ev.spindle = r.U32();
-    ev.kind = static_cast<DiskOpKind>(r.U8());
+    const std::uint8_t kind = r.U8();
+    ev.kind = static_cast<DiskOpKind>(kind);
     ev.seek_us = r.U64();
     ev.rotational_us = r.U64();
     ev.transfer_us = r.U64();
@@ -324,13 +325,15 @@ Result<DiskTracer> DiskTracer::ParseBinary(
     ev.op_id = r.U32();
     ev.root_id = r.U32();
     ev.batch = r.U32();
-    if (!r.ok()) {
-      return MakeError(ErrorCode::kCorruptMetadata, "truncated trace event");
+    if (kind > static_cast<std::uint8_t>(DiskOpKind::kLabelWrite) ||
+        ev.op_id >= num_names || ev.root_id >= num_names) {
+      return corrupt("event names an unknown kind or op");
     }
-    if (ev.op_id >= tracer.op_names_.size()) ev.op_id = 0;
-    if (ev.root_id >= tracer.op_names_.size()) ev.root_id = 0;
     tracer.ring_.push_back(ev);
     tracer.AddLocked(ev);
+  }
+  if (!r.done()) {
+    return corrupt("truncated or followed by extra bytes");
   }
   tracer.next_seq_ = total;
   tracer.dropped_ = dropped;

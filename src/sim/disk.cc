@@ -1,12 +1,12 @@
 #include "src/sim/disk.h"
 
 #include <algorithm>
-#include <cstring>
-#include <fstream>
 #include <string>
 
 #include "src/util/check.h"
+#include "src/util/file.h"
 #include "src/util/random.h"
+#include "src/util/serial.h"
 
 namespace cedar::sim {
 
@@ -503,195 +503,186 @@ void SimDisk::SetFaultSchedule(const FaultSchedule& schedule) {
 }
 
 namespace {
+
 // v02 appends crash/fault-injection state after the damage map so that a
 // crashed disk dumped by the harness replays bit-identically when reloaded.
 // v03 appends the media-fault state (persistent defects, armed lying
 // writes, the seeded fault schedule and its counters) after the v02 tail.
-constexpr char kImageMagic[8] = {'C', 'E', 'D', 'I', 'M', 'G', '0', '3'};
+constexpr std::string_view kImageMagic = "CEDIMG03";
 
-void PutU8(std::ofstream& out, std::uint8_t v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-std::uint8_t GetU8(std::ifstream& in) {
-  std::uint8_t v = 0;
-  in.read(reinterpret_cast<char*>(&v), sizeof(v));
-  return v;
-}
-void PutU32(std::ofstream& out, std::uint32_t v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-void PutU64(std::ofstream& out, std::uint64_t v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-std::uint32_t GetU32(std::ifstream& in) {
-  std::uint32_t v = 0;
-  in.read(reinterpret_cast<char*>(&v), sizeof(v));
-  return v;
-}
-std::uint64_t GetU64(std::ifstream& in) {
-  std::uint64_t v = 0;
-  in.read(reinterpret_cast<char*>(&v), sizeof(v));
-  return v;
-}
-}  // namespace
-
-Status SimDisk::SaveImage(const std::string& path) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    return MakeError(ErrorCode::kInternal, "cannot open " + path);
-  }
-  out.write(kImageMagic, sizeof(kImageMagic));
-  const std::uint32_t header[3] = {geometry_.cylinders, geometry_.heads,
-                                   geometry_.sectors_per_track};
-  out.write(reinterpret_cast<const char*>(header), sizeof(header));
-  out.write(reinterpret_cast<const char*>(data_.data()),
-            static_cast<std::streamsize>(data_.size()));
-  for (const Label& label : labels_) {
-    out.write(reinterpret_cast<const char*>(&label.file_uid), 8);
-    out.write(reinterpret_cast<const char*>(&label.page_number), 4);
-    const auto type = static_cast<std::uint8_t>(label.type);
-    out.write(reinterpret_cast<const char*>(&type), 1);
-  }
-  for (Lba lba = 0; lba < geometry_.TotalSectors(); ++lba) {
-    const std::uint8_t bad = damaged_[lba] ? 1 : 0;
-    out.write(reinterpret_cast<const char*>(&bad), 1);
-  }
-  const std::uint8_t crashed = crashed_ ? 1 : 0;
-  out.write(reinterpret_cast<const char*>(&crashed), 1);
-  const std::uint8_t has_plan = crash_plan_.has_value() ? 1 : 0;
-  out.write(reinterpret_cast<const char*>(&has_plan), 1);
-  if (crash_plan_.has_value()) {
-    PutU64(out, crash_plan_->at_write_index);
-    PutU32(out, crash_plan_->sectors_completed);
-    PutU32(out, crash_plan_->sectors_damaged);
-    PutU32(out, static_cast<std::uint32_t>(crash_plan_->drop_writes.size()));
-    for (const std::uint64_t drop : crash_plan_->drop_writes) {
-      PutU64(out, drop);
+// Fault maps are written as a u32 count, then per fault a u32 LBA and the
+// value (a u32 count or a u8 enum), in ascending LBA order.
+template <typename T>
+void PutFaultMap(ByteWriter& w, const std::map<Lba, T>& faults) {
+  w.U32(static_cast<std::uint32_t>(faults.size()));
+  for (const auto& [lba, value] : faults) {
+    w.U32(static_cast<std::uint32_t>(lba));
+    if constexpr (sizeof(T) == 4) {
+      w.U32(value);
+    } else {
+      w.U8(static_cast<std::uint8_t>(value));
     }
   }
-  PutU64(out, crash_writes_seen_);
-  PutU32(out, static_cast<std::uint32_t>(transient_read_faults_.size()));
-  for (const auto& [lba, failures] : transient_read_faults_) {
-    PutU32(out, static_cast<std::uint32_t>(lba));
-    PutU32(out, failures);
+}
+
+// Reads a fault map, accepting only what PutFaultMap writes for a valid
+// map: LBAs on the disk in strictly ascending order, values in
+// [low, high].
+template <typename T>
+bool GetFaultMap(ByteReader& r, Lba total, T low, T high,
+                 std::map<Lba, T>* faults) {
+  const std::uint32_t n = r.Count(4 + sizeof(T));
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const Lba lba = r.U32();
+    const std::uint32_t v = sizeof(T) == 4 ? r.U32() : r.U8();
+    if (v < static_cast<std::uint32_t>(low) ||
+        v > static_cast<std::uint32_t>(high) || lba >= total ||
+        (!faults->empty() && lba <= faults->rbegin()->first)) {
+      return false;
+    }
+    faults->emplace_hint(faults->end(), lba, static_cast<T>(v));
   }
-  PutU32(out, static_cast<std::uint32_t>(persistent_faults_.size()));
-  for (const auto& [lba, mode] : persistent_faults_) {
-    PutU32(out, static_cast<std::uint32_t>(lba));
-    PutU8(out, static_cast<std::uint8_t>(mode));
+  return r.ok();
+}
+
+}  // namespace
+
+std::vector<std::uint8_t> SimDisk::EncodeImage(const DiskGeometry& geometry,
+                                               const DiskSnapshot& snapshot) {
+  std::vector<std::uint8_t> image;
+  // The sector data, labels and damage flags, plus a small tail.
+  image.reserve(snapshot.data.size() + 14 * snapshot.labels.size() + 256);
+  ByteWriter w(&image);
+  w.Magic(kImageMagic);
+  w.U32(geometry.cylinders);
+  w.U32(geometry.heads);
+  w.U32(geometry.sectors_per_track);
+  w.Bytes(snapshot.data);
+  for (const Label& label : snapshot.labels) {
+    w.U64(label.file_uid);
+    w.U32(label.page_number);
+    w.U8(static_cast<std::uint8_t>(label.type));
   }
-  PutU32(out, static_cast<std::uint32_t>(pending_write_faults_.size()));
-  for (const auto& [lba, kind] : pending_write_faults_) {
-    PutU32(out, static_cast<std::uint32_t>(lba));
-    PutU8(out, static_cast<std::uint8_t>(kind));
+  for (const bool bad : snapshot.damaged) {
+    w.U8(bad ? 1 : 0);
   }
-  PutU64(out, fault_schedule_.seed);
-  PutU32(out, fault_schedule_.persistent_ppm);
-  PutU32(out, fault_schedule_.write_fault_ppm);
-  PutU32(out, fault_schedule_.corrupt_ppm);
-  PutU32(out, fault_schedule_.max_events);
-  PutU64(out, fault_events_);
-  PutU64(out, write_seq_);
-  out.flush();
-  if (!out) {
-    return MakeError(ErrorCode::kInternal, "write failed: " + path);
+  w.U8(snapshot.crashed ? 1 : 0);
+  w.U8(snapshot.crash_plan.has_value() ? 1 : 0);
+  if (const auto& plan = snapshot.crash_plan) {
+    w.U64(plan->at_write_index);
+    w.U32(plan->sectors_completed);
+    w.U32(plan->sectors_damaged);
+    w.U32(static_cast<std::uint32_t>(plan->drop_writes.size()));
+    for (const std::uint64_t drop : plan->drop_writes) {
+      w.U64(drop);
+    }
   }
-  return OkStatus();
+  w.U64(snapshot.crash_writes_seen);
+  PutFaultMap(w, snapshot.transient_read_faults);
+  PutFaultMap(w, snapshot.persistent_faults);
+  PutFaultMap(w, snapshot.pending_write_faults);
+  const FaultSchedule& schedule = snapshot.fault_schedule;
+  w.U64(schedule.seed);
+  w.U32(schedule.persistent_ppm);
+  w.U32(schedule.write_fault_ppm);
+  w.U32(schedule.corrupt_ppm);
+  w.U32(schedule.max_events);
+  w.U64(snapshot.fault_events);
+  w.U64(snapshot.write_seq);
+  return image;
+}
+
+Result<DiskSnapshot> SimDisk::DecodeImage(std::span<const std::uint8_t> bytes,
+                                          const DiskGeometry& geometry) {
+  ByteReader r(bytes);
+  if (!r.Magic(kImageMagic)) {
+    return MakeError(ErrorCode::kCorruptMetadata, "not a cedar disk image");
+  }
+  if (r.U32() != geometry.cylinders || r.U32() != geometry.heads ||
+      r.U32() != geometry.sectors_per_track) {
+    return MakeError(ErrorCode::kInvalidArgument, "image geometry mismatch");
+  }
+  const auto corrupt = [] {
+    return MakeError(ErrorCode::kCorruptMetadata, "corrupt disk image");
+  };
+  const Lba total = geometry.TotalSectors();
+  DiskSnapshot snap;
+  snap.data = r.Bytes(static_cast<std::size_t>(total) * kSectorSize);
+  // The geometry, not the file, sizes the per-sector arrays; a short file
+  // reads zeros from here on and fails the final check.
+  snap.labels.resize(static_cast<std::size_t>(total));
+  for (Label& label : snap.labels) {
+    label.file_uid = r.U64();
+    label.page_number = r.U32();
+    const std::uint8_t type = r.U8();
+    if (type > static_cast<std::uint8_t>(PageType::kLeader)) {
+      return corrupt();
+    }
+    label.type = static_cast<PageType>(type);
+  }
+  snap.damaged.resize(static_cast<std::size_t>(total));
+  for (std::size_t lba = 0; lba < snap.damaged.size(); ++lba) {
+    const std::uint8_t bad = r.U8();
+    if (bad > 1) {
+      return corrupt();
+    }
+    snap.damaged[lba] = bad == 1;
+  }
+  const std::uint8_t crashed = r.U8();
+  const std::uint8_t has_plan = r.U8();
+  if (crashed > 1 || has_plan > 1) {
+    return corrupt();
+  }
+  snap.crashed = crashed == 1;
+  if (has_plan == 1) {
+    CrashPlan& plan = snap.crash_plan.emplace();
+    plan.at_write_index = r.U64();
+    plan.sectors_completed = r.U32();
+    plan.sectors_damaged = r.U32();
+    plan.drop_writes.resize(r.Count(8));
+    for (std::uint64_t& drop : plan.drop_writes) {
+      drop = r.U64();
+      if (drop >= plan.at_write_index) {
+        return corrupt();  // ArmCrash's rule
+      }
+    }
+    if (plan.sectors_damaged > 2) {
+      return corrupt();
+    }
+  }
+  snap.crash_writes_seen = r.U64();
+  if (!GetFaultMap(r, total, 0u, ~0u, &snap.transient_read_faults) ||
+      !GetFaultMap(r, total, FaultMode::kReadFail, FaultMode::kDead,
+                   &snap.persistent_faults) ||
+      !GetFaultMap(r, total, WriteFaultKind::kDropped, WriteFaultKind::kTorn,
+                   &snap.pending_write_faults)) {
+    return corrupt();
+  }
+  FaultSchedule& schedule = snap.fault_schedule;
+  schedule.seed = r.U64();
+  schedule.persistent_ppm = r.U32();
+  schedule.write_fault_ppm = r.U32();
+  schedule.corrupt_ppm = r.U32();
+  schedule.max_events = r.U32();
+  snap.fault_events = r.U64();
+  snap.write_seq = r.U64();
+  if (!r.done()) {
+    return corrupt();
+  }
+  return snap;
+}
+
+Status SimDisk::SaveImage(const std::string& path) const {
+  return WriteFileBytes(path, EncodeImage(geometry_, Snapshot()),
+                        "disk image");
 }
 
 Status SimDisk::LoadImage(const std::string& path) {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return MakeError(ErrorCode::kNotFound, "cannot open " + path);
-  }
-  char magic[8];
-  in.read(magic, sizeof(magic));
-  if (!in || std::memcmp(magic, kImageMagic, sizeof(magic)) != 0) {
-    return MakeError(ErrorCode::kCorruptMetadata, "not a cedar disk image");
-  }
-  std::uint32_t header[3];
-  in.read(reinterpret_cast<char*>(header), sizeof(header));
-  if (!in || header[0] != geometry_.cylinders || header[1] != geometry_.heads ||
-      header[2] != geometry_.sectors_per_track) {
-    return MakeError(ErrorCode::kInvalidArgument, "image geometry mismatch");
-  }
-  in.read(reinterpret_cast<char*>(data_.data()),
-          static_cast<std::streamsize>(data_.size()));
-  for (Label& label : labels_) {
-    in.read(reinterpret_cast<char*>(&label.file_uid), 8);
-    in.read(reinterpret_cast<char*>(&label.page_number), 4);
-    std::uint8_t type = 0;
-    in.read(reinterpret_cast<char*>(&type), 1);
-    label.type = static_cast<PageType>(type);
-  }
-  for (Lba lba = 0; lba < geometry_.TotalSectors(); ++lba) {
-    std::uint8_t bad = 0;
-    in.read(reinterpret_cast<char*>(&bad), 1);
-    damaged_[lba] = bad != 0;
-  }
-  crash_plan_.reset();
-  transient_read_faults_.clear();
-  persistent_faults_.clear();
-  pending_write_faults_.clear();
-  fault_schedule_ = FaultSchedule{};
-  std::uint8_t crashed = 0;
-  in.read(reinterpret_cast<char*>(&crashed), 1);
-  crashed_ = crashed != 0;
-  std::uint8_t has_plan = 0;
-  in.read(reinterpret_cast<char*>(&has_plan), 1);
-  if (has_plan != 0) {
-    CrashPlan plan;
-    plan.at_write_index = GetU64(in);
-    plan.sectors_completed = GetU32(in);
-    plan.sectors_damaged = GetU32(in);
-    const std::uint32_t ndrops = GetU32(in);
-    if (!in || ndrops > (1u << 20)) {
-      return MakeError(ErrorCode::kCorruptMetadata, "truncated disk image");
-    }
-    plan.drop_writes.reserve(ndrops);
-    for (std::uint32_t i = 0; i < ndrops; ++i) {
-      plan.drop_writes.push_back(GetU64(in));
-    }
-    crash_plan_ = plan;
-  }
-  crash_writes_seen_ = GetU64(in);
-  const std::uint32_t nfaults = GetU32(in);
-  if (!in || nfaults > geometry_.TotalSectors()) {
-    return MakeError(ErrorCode::kCorruptMetadata, "truncated disk image");
-  }
-  for (std::uint32_t i = 0; i < nfaults; ++i) {
-    const Lba lba = GetU32(in);
-    const std::uint32_t failures = GetU32(in);
-    transient_read_faults_[lba] = failures;
-  }
-  const std::uint32_t npersistent = GetU32(in);
-  if (!in || npersistent > geometry_.TotalSectors()) {
-    return MakeError(ErrorCode::kCorruptMetadata, "truncated disk image");
-  }
-  for (std::uint32_t i = 0; i < npersistent; ++i) {
-    const Lba lba = GetU32(in);
-    persistent_faults_[lba] = static_cast<FaultMode>(GetU8(in));
-  }
-  const std::uint32_t npending = GetU32(in);
-  if (!in || npending > geometry_.TotalSectors()) {
-    return MakeError(ErrorCode::kCorruptMetadata, "truncated disk image");
-  }
-  for (std::uint32_t i = 0; i < npending; ++i) {
-    const Lba lba = GetU32(in);
-    pending_write_faults_[lba] = static_cast<WriteFaultKind>(GetU8(in));
-  }
-  fault_schedule_.seed = GetU64(in);
-  fault_schedule_.persistent_ppm = GetU32(in);
-  fault_schedule_.write_fault_ppm = GetU32(in);
-  fault_schedule_.corrupt_ppm = GetU32(in);
-  fault_schedule_.max_events = GetU32(in);
-  fault_events_ = GetU64(in);
-  write_seq_ = GetU64(in);
-  if (!in) {
-    return MakeError(ErrorCode::kCorruptMetadata, "truncated disk image");
-  }
+  CEDAR_ASSIGN_OR_RETURN(const std::vector<std::uint8_t> bytes,
+                         ReadFileBytes(path, "disk image"));
+  CEDAR_ASSIGN_OR_RETURN(const DiskSnapshot snapshot,
+                         DecodeImage(bytes, geometry_));
+  Restore(snapshot);
   return OkStatus();
 }
 

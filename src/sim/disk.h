@@ -263,13 +263,27 @@ class SimDisk : public BlockDevice {
     return snapshot.disks.size() == 1 && StateEquals(snapshot.disks[0]);
   }
 
-  // ---- Image persistence: the full device state (data, labels, damage
-  // map, and crash/fault-injection state) as a host file, so volumes —
-  // including crashed ones dumped by the harness — survive across tool
-  // invocations. Format "CEDIMG03"; any other magic is rejected with
-  // kCorruptMetadata.
+  // ---- Image persistence: the medium state of a snapshot (data, labels,
+  // damage map, and crash/fault-injection state) as a host file, so
+  // volumes — including crashed ones dumped by the harness — survive
+  // across tool invocations. Format "CEDIMG03" (little-endian): magic, u32
+  // cylinders/heads/sectors per track, the sector data, per sector a label
+  // (u64 uid, u32 page, u8 type), per sector a u8 damage flag, u8 crashed,
+  // u8 has-plan [u64 at_write_index, u32 sectors completed, u32 damaged,
+  // u32 count + u64 drop indices], u64 crash writes seen, the transient,
+  // persistent and pending-write fault maps (u32 count, then u32 lba + u32
+  // failures / u8 mode / u8 kind in ascending LBA order), the fault
+  // schedule (u64 seed, four u32), u64 fault events, u64 write sequence.
+  // DecodeImage accepts exactly what EncodeImage writes for a valid disk:
+  // another magic or anything malformed is kCorruptMetadata, another
+  // geometry kInvalidArgument.
+  static std::vector<std::uint8_t> EncodeImage(const DiskGeometry& geometry,
+                                               const DiskSnapshot& snapshot);
+  static Result<DiskSnapshot> DecodeImage(std::span<const std::uint8_t> bytes,
+                                          const DiskGeometry& geometry);
   Status SaveImage(const std::string& path) const override;
-  // Loads an image saved with SaveImage; the geometry must match.
+  // Loads an image saved with SaveImage; the geometry must match. The disk
+  // changes only once the whole file has decoded.
   Status LoadImage(const std::string& path);
 
  private:

@@ -6,7 +6,6 @@
 
 #include <cstdint>
 #include <fstream>
-#include <iterator>
 #include <span>
 #include <string>
 #include <vector>
@@ -33,12 +32,18 @@ inline Status WriteFileBytes(const std::string& path,
 
 inline Result<std::vector<std::uint8_t>> ReadFileBytes(
     const std::string& path, const std::string& what) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  const std::streamoff size = in ? std::streamoff(in.tellg()) : -1;
+  if (size < 0) {
     return MakeError(ErrorCode::kNotFound, "cannot open " + what + ": " + path);
   }
-  return std::vector<std::uint8_t>((std::istreambuf_iterator<char>(in)),
-                                   std::istreambuf_iterator<char>());
+  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
+  in.seekg(0);
+  in.read(reinterpret_cast<char*>(bytes.data()), size);
+  if (!in) {
+    return MakeError(ErrorCode::kInternal, "short read from " + what);
+  }
+  return bytes;
 }
 
 }  // namespace cedar

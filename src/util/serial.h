@@ -52,6 +52,9 @@ class ByteWriter {
     Push(data.data(), data.size());
   }
 
+  // A file format's magic, written as its bare characters.
+  void Magic(std::string_view magic) { Push(magic.data(), magic.size()); }
+
   const std::vector<std::uint8_t>& buffer() const { return Buf(); }
   std::vector<std::uint8_t> Take() { return std::move(Buf()); }
   std::size_t size() const { return Buf().size(); }
@@ -135,13 +138,33 @@ class ByteReader {
     return out;
   }
 
-  void Skip(std::size_t n) {
-    if (Need(n)) {
-      pos_ += n;
+  // Consumes `magic` (ByteWriter::Magic); false, and the reader failed,
+  // when the next bytes differ.
+  bool Magic(std::string_view magic) {
+    if (Need(magic.size()) &&
+        std::memcmp(data_.data() + pos_, magic.data(), magic.size()) == 0) {
+      pos_ += magic.size();
+      return true;
     }
+    ok_ = false;
+    return false;
+  }
+
+  // Reads a u32 count of records that take at least `min_record` bytes
+  // each. A count the remaining bytes cannot hold fails, so no decoder
+  // sizes a container from a garbage count.
+  std::uint32_t Count(std::size_t min_record) {
+    const std::uint32_t n = U32();
+    if (n > remaining() / min_record) {
+      ok_ = false;
+      return 0;
+    }
+    return n;
   }
 
   bool ok() const { return ok_; }
+  // Every byte read and nothing failed: a whole-file decoder's last check.
+  bool done() const { return ok_ && pos_ == data_.size(); }
   std::size_t remaining() const { return data_.size() - pos_; }
   std::size_t position() const { return pos_; }
 

@@ -3,7 +3,7 @@
 //
 // Wrap any live file system (FSD under a bench, a test rig, the cedarfs
 // CLI) and run the real workload through the wrapper; afterwards Trace()
-// holds a replayable CEDWRK01 trace. Each entry is stamped with:
+// holds a replayable CEDWRK02 trace. Each entry is stamped with:
 //   - the virtual timestamp at issue (open-loop replay paces on the deltas),
 //   - the calling thread's current tenant (set with ScopedTenant).
 //

@@ -131,7 +131,12 @@ Status DriveOp(fs::FileSystem* file_system, const TraceEntry& entry,
 }
 
 // Runs worker(0) .. worker(threads - 1), one thread each, and joins them.
+// A single worker runs on the calling thread.
 void RunOnThreads(int threads, const std::function<void(int)>& worker) {
+  if (threads == 1) {
+    worker(0);
+    return;
+  }
   std::vector<std::thread> pool;
   for (int t = 0; t < threads; ++t) {
     pool.emplace_back(worker, t);
@@ -167,56 +172,40 @@ Result<MultiReplayStats> ReplayTraceMulti(
   };
 
   if (config.mode == ReplayMode::kTurnstile) {
-    if (threads <= 1) {
-      ReplayStats local;
-      std::uint64_t prev_vtime = plan.empty() ? 0 : plan.front().vtime_us;
-      for (const TraceEntry& entry : plan) {
+    // Turnstile: op i runs on lane i % threads, strictly in i order — the
+    // disk sees the single-lane request stream exactly.
+    std::mutex mu;
+    std::condition_variable cv;
+    std::size_t next = 0;
+    std::uint64_t prev_vtime = plan.empty() ? 0 : plan.front().vtime_us;
+    auto lane = [&](int tid) {
+      for (std::size_t i = tid; i < plan.size();
+           i += static_cast<std::size_t>(threads)) {
+        std::unique_lock<std::mutex> lock(mu);
+        cv.wait(lock, [&] { return next == i || shared.failed; });
+        if (shared.failed) {
+          // Release every later turn so all lanes drain.
+          next = plan.size();
+          cv.notify_all();
+          return;
+        }
+        const TraceEntry& entry = plan[i];
+        ReplayStats local;
         const Status status =
-            DriveOp(file_system, entry, pace_delta(prev_vtime, entry), tracer,
-                    &local, advance);
+            DriveOp(file_system, entry, pace_delta(prev_vtime, entry),
+                    tracer, &local, advance);
         prev_vtime = std::max(prev_vtime, entry.vtime_us);
         shared.Fold(entry.tenant, local);
-        local = ReplayStats{};
         if (!status.ok()) {
-          return status;
+          shared.Fail(status);
+          next = plan.size();
+        } else {
+          ++next;
         }
+        cv.notify_all();
       }
-    } else {
-      // Turnstile: op i runs on thread i % threads, strictly in i order —
-      // the disk sees the single-threaded request stream exactly.
-      std::mutex mu;
-      std::condition_variable cv;
-      std::size_t next = 0;
-      std::uint64_t prev_vtime = plan.empty() ? 0 : plan.front().vtime_us;
-      auto worker = [&](int tid) {
-        for (std::size_t i = tid; i < plan.size();
-             i += static_cast<std::size_t>(threads)) {
-          std::unique_lock<std::mutex> lock(mu);
-          cv.wait(lock, [&] { return next == i || shared.failed; });
-          if (shared.failed) {
-            // Release every later turn so all workers drain.
-            next = plan.size();
-            cv.notify_all();
-            return;
-          }
-          const TraceEntry& entry = plan[i];
-          ReplayStats local;
-          const Status status =
-              DriveOp(file_system, entry, pace_delta(prev_vtime, entry),
-                      tracer, &local, advance);
-          prev_vtime = std::max(prev_vtime, entry.vtime_us);
-          shared.Fold(entry.tenant, local);
-          if (!status.ok()) {
-            shared.Fail(status);
-            next = plan.size();
-          } else {
-            ++next;
-          }
-          cv.notify_all();
-        }
-      };
-      RunOnThreads(threads, worker);
-    }
+    };
+    RunOnThreads(threads, lane);
   } else {
     // Free-run: partition the plan across threads — by tenant when the
     // plan is multi-tenant (each tenant's ops keep their order, and
@@ -271,6 +260,15 @@ Result<MultiReplayStats> ReplayTraceMulti(
     stats.totals.Merge(tenant_stats);
   }
   return stats;
+}
+
+Result<ReplayStats> ReplayTrace(
+    fs::FileSystem* file_system, std::span<const TraceEntry> entries,
+    const std::function<Status(sim::Micros)>& advance) {
+  CEDAR_ASSIGN_OR_RETURN(
+      const MultiReplayStats stats,
+      ReplayTraceMulti(file_system, entries, ReplayConfig{}, advance));
+  return stats.totals;
 }
 
 }  // namespace cedar::workload

@@ -56,7 +56,7 @@ struct ReplayConfig {
   double scale = 1.0;
   // Tenant multiplexing: ops are dealt round-robin across this many
   // tenants and namespaced "t<k>/...". 0 keeps the tenants recorded in the
-  // trace (all 0 for a text trace).
+  // trace.
   std::uint32_t tenants = 0;
   // Zipf popularity remap: when s > 0, every op's file identity is redrawn
   // from a Zipf(s) distribution over the trace's distinct names (rank 0 =
@@ -86,15 +86,22 @@ struct MultiReplayStats {
 };
 
 // Expands `entries` per `config` and replays the plan with
-// `config.threads` workers. `advance` receives think time (wire it to the
-// rig clock + Tick, as with ReplayTrace). `tracer` is optional; when set,
-// every op runs under a root "wl.t<k>" scope for per-tenant disk-time
+// `config.threads` workers (a single worker runs on the calling thread).
+// `advance` receives think time: wire it to the rig clock plus the
+// system's Tick, which drives group commit. `tracer` is optional; when
+// set, every op runs under a root "wl.t<k>" scope for per-tenant disk-time
 // attribution. The first op failure aborts the replay and is returned.
 Result<MultiReplayStats> ReplayTraceMulti(
     fs::FileSystem* file_system, std::span<const TraceEntry> entries,
     const ReplayConfig& config,
     const std::function<Status(sim::Micros)>& advance,
     obs::DiskTracer* tracer = nullptr);
+
+// Replays `entries` as recorded, in order, on the calling thread: the
+// default ReplayConfig's plan.
+Result<ReplayStats> ReplayTrace(
+    fs::FileSystem* file_system, std::span<const TraceEntry> entries,
+    const std::function<Status(sim::Micros)>& advance);
 
 // The tenant namespace prefix used by ExpandTrace ("t3/" for tenant 3).
 std::string TenantPrefix(std::uint16_t tenant);

@@ -1,8 +1,6 @@
 #include "src/workload/trace.h"
 
 #include <algorithm>
-#include <charconv>
-#include <sstream>
 
 #include "src/util/file.h"
 #include "src/util/serial.h"
@@ -11,220 +9,24 @@
 namespace cedar::workload {
 namespace {
 
-constexpr char kBinaryMagic[8] = {'C', 'E', 'D', 'W', 'R', 'K', '0', '1'};
-
-// CEDWRK01 wire types (low 3 bits of a tag byte).
-enum WireType : std::uint8_t {
-  kWireU8 = 0,
-  kWireU16 = 1,
-  kWireU32 = 2,
-  kWireU64 = 3,
-  kWireStr = 4,
-};
-
-// CEDWRK01 field ids (tag >> 3).
-enum FieldId : std::uint8_t {
-  kFieldOp = 1,      // u8
-  kFieldName = 2,    // str
-  kFieldArg0 = 3,    // u64
-  kFieldArg1 = 4,    // u64
-  kFieldArg2 = 5,    // u64
-  kFieldTenant = 6,  // u16
-  kFieldVtime = 7,   // u64
-};
-
-constexpr std::uint8_t Tag(FieldId id, WireType type) {
-  return static_cast<std::uint8_t>((id << 3) | type);
-}
-
-const char* OpName(TraceOp op) {
-  switch (op) {
-    case TraceOp::kCreate:
-      return "create";
-    case TraceOp::kOpen:
-      return "open";
-    case TraceOp::kClose:
-      return "close";
-    case TraceOp::kRead:
-      return "read";
-    case TraceOp::kWrite:
-      return "write";
-    case TraceOp::kExtend:
-      return "extend";
-    case TraceOp::kDelete:
-      return "delete";
-    case TraceOp::kList:
-      return "list";
-    case TraceOp::kTouch:
-      return "touch";
-    case TraceOp::kSetKeep:
-      return "setkeep";
-    case TraceOp::kForce:
-      return "force";
-    case TraceOp::kAdvance:
-      return "advance";
-  }
-  return "?";
-}
-
-// How many of (name, arg0, arg1, arg2) each op uses.
-struct Arity {
-  bool name = false;
-  int args = 0;
-};
-
-Arity OpArity(TraceOp op) {
-  switch (op) {
-    case TraceOp::kCreate:
-      return {true, 2};
-    case TraceOp::kOpen:
-    case TraceOp::kClose:
-    case TraceOp::kDelete:
-    case TraceOp::kTouch:
-      return {true, 0};
-    case TraceOp::kRead:
-      return {true, 2};
-    case TraceOp::kWrite:
-      return {true, 3};
-    case TraceOp::kExtend:
-    case TraceOp::kSetKeep:
-      return {true, 1};
-    case TraceOp::kList:
-      return {true, 0};
-    case TraceOp::kForce:
-      return {false, 0};
-    case TraceOp::kAdvance:
-      return {false, 1};
-  }
-  return {false, 0};
-}
+constexpr std::string_view kMagic = "CEDWRK02";
+// u8 op, u16 name length, three u64 args, u16 tenant, u64 vtime.
+constexpr std::size_t kMinEntryBytes = 1 + 2 + 3 * 8 + 2 + 8;
 
 }  // namespace
-
-std::string FormatTrace(std::span<const TraceEntry> entries) {
-  std::ostringstream out;
-  for (const TraceEntry& entry : entries) {
-    const Arity arity = OpArity(entry.op);
-    out << OpName(entry.op);
-    if (arity.name) {
-      out << ' ' << entry.name;
-    }
-    if (arity.args >= 1) {
-      out << ' ' << entry.arg0;
-    }
-    if (arity.args >= 2) {
-      out << ' ' << entry.arg1;
-    }
-    if (arity.args >= 3) {
-      out << ' ' << entry.arg2;
-    }
-    out << '\n';
-  }
-  return out.str();
-}
-
-Result<std::vector<TraceEntry>> ParseTrace(std::string_view text) {
-  std::vector<TraceEntry> entries;
-  std::size_t line_number = 0;
-  std::size_t pos = 0;
-  while (pos <= text.size()) {
-    ++line_number;
-    const std::size_t eol = text.find('\n', pos);
-    std::string_view line = text.substr(
-        pos, eol == std::string_view::npos ? text.size() - pos : eol - pos);
-    pos = eol == std::string_view::npos ? text.size() + 1 : eol + 1;
-
-    // Tokenize.
-    std::vector<std::string_view> tokens;
-    std::size_t i = 0;
-    while (i < line.size()) {
-      while (i < line.size() && line[i] == ' ') {
-        ++i;
-      }
-      const std::size_t start = i;
-      while (i < line.size() && line[i] != ' ') {
-        ++i;
-      }
-      if (i > start) {
-        tokens.push_back(line.substr(start, i - start));
-      }
-    }
-    if (tokens.empty() || tokens[0].front() == '#') {
-      continue;
-    }
-
-    auto fail = [&](const char* what) {
-      return MakeError(ErrorCode::kInvalidArgument,
-                       "trace line " + std::to_string(line_number) + ": " +
-                           what);
-    };
-
-    TraceEntry entry;
-    bool known = false;
-    for (TraceOp op :
-         {TraceOp::kCreate, TraceOp::kOpen, TraceOp::kClose, TraceOp::kRead,
-          TraceOp::kWrite, TraceOp::kExtend, TraceOp::kDelete, TraceOp::kList,
-          TraceOp::kTouch, TraceOp::kSetKeep, TraceOp::kForce,
-          TraceOp::kAdvance}) {
-      if (tokens[0] == OpName(op)) {
-        entry.op = op;
-        known = true;
-        break;
-      }
-    }
-    if (!known) {
-      return fail("unknown operation");
-    }
-    const Arity arity = OpArity(entry.op);
-    std::size_t next = 1;
-    if (arity.name) {
-      if (next >= tokens.size()) {
-        return fail("missing name");
-      }
-      entry.name = std::string(tokens[next++]);
-    }
-    std::uint64_t* slots[3] = {&entry.arg0, &entry.arg1, &entry.arg2};
-    for (int a = 0; a < arity.args; ++a) {
-      if (next >= tokens.size()) {
-        return fail("missing argument");
-      }
-      const std::string_view token = tokens[next++];
-      auto [ptr, ec] = std::from_chars(token.data(),
-                                       token.data() + token.size(), *slots[a]);
-      if (ec != std::errc() || ptr != token.data() + token.size()) {
-        return fail("malformed number");
-      }
-    }
-    if (next != tokens.size()) {
-      return fail("trailing tokens");
-    }
-    entries.push_back(std::move(entry));
-  }
-  return entries;
-}
 
 std::vector<std::uint8_t> SerializeTraceBinary(
     std::span<const TraceEntry> entries) {
   ByteWriter w;
-  w.Bytes(std::span<const std::uint8_t>(
-      reinterpret_cast<const std::uint8_t*>(kBinaryMagic),
-      sizeof(kBinaryMagic)));
+  w.Magic(kMagic);
   w.U32(static_cast<std::uint32_t>(entries.size()));
   for (const TraceEntry& entry : entries) {
-    w.U8(7);  // field count
-    w.U8(Tag(kFieldOp, kWireU8));
     w.U8(static_cast<std::uint8_t>(entry.op));
-    w.U8(Tag(kFieldName, kWireStr));
     w.Str(entry.name);
-    w.U8(Tag(kFieldArg0, kWireU64));
     w.U64(entry.arg0);
-    w.U8(Tag(kFieldArg1, kWireU64));
     w.U64(entry.arg1);
-    w.U8(Tag(kFieldArg2, kWireU64));
     w.U64(entry.arg2);
-    w.U8(Tag(kFieldTenant, kWireU16));
     w.U16(entry.tenant);
-    w.U8(Tag(kFieldVtime, kWireU64));
     w.U64(entry.vtime_us);
   }
   return w.Take();
@@ -233,85 +35,29 @@ std::vector<std::uint8_t> SerializeTraceBinary(
 Result<std::vector<TraceEntry>> ParseTraceBinary(
     std::span<const std::uint8_t> bytes) {
   ByteReader r(bytes);
-  const std::vector<std::uint8_t> magic = r.Bytes(sizeof(kBinaryMagic));
-  if (!r.ok() ||
-      !std::equal(magic.begin(), magic.end(),
-                  reinterpret_cast<const std::uint8_t*>(kBinaryMagic))) {
+  if (!r.Magic(kMagic)) {
     return MakeError(ErrorCode::kCorruptMetadata, "bad workload trace magic");
   }
-  const std::uint32_t count = r.U32();
-  std::vector<TraceEntry> entries;
-  entries.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    TraceEntry entry;
-    const std::uint8_t nfields = r.U8();
-    for (std::uint8_t f = 0; f < nfields && r.ok(); ++f) {
-      const std::uint8_t tag = r.U8();
-      const auto wire = static_cast<WireType>(tag & 0x7);
-      const std::uint8_t field = tag >> 3;
-      // Read the value by wire type first, so unknown fields are skipped
-      // correctly regardless of what they mean.
-      std::uint64_t scalar = 0;
-      std::string str;
-      switch (wire) {
-        case kWireU8:
-          scalar = r.U8();
-          break;
-        case kWireU16:
-          scalar = r.U16();
-          break;
-        case kWireU32:
-          scalar = r.U32();
-          break;
-        case kWireU64:
-          scalar = r.U64();
-          break;
-        case kWireStr:
-          str = r.Str();
-          break;
-        default:
-          return MakeError(ErrorCode::kCorruptMetadata,
-                           "workload trace entry " + std::to_string(i) +
-                               ": unknown wire type " +
-                               std::to_string(tag & 0x7));
-      }
-      switch (field) {
-        case kFieldOp:
-          if (scalar > static_cast<std::uint64_t>(TraceOp::kAdvance)) {
-            return MakeError(ErrorCode::kCorruptMetadata,
-                             "workload trace entry " + std::to_string(i) +
-                                 ": bad op code");
-          }
-          entry.op = static_cast<TraceOp>(scalar);
-          break;
-        case kFieldName:
-          entry.name = std::move(str);
-          break;
-        case kFieldArg0:
-          entry.arg0 = scalar;
-          break;
-        case kFieldArg1:
-          entry.arg1 = scalar;
-          break;
-        case kFieldArg2:
-          entry.arg2 = scalar;
-          break;
-        case kFieldTenant:
-          entry.tenant = static_cast<std::uint16_t>(scalar);
-          break;
-        case kFieldVtime:
-          entry.vtime_us = scalar;
-          break;
-        default:
-          break;  // unknown field from a newer writer: already skipped
-      }
-    }
-    if (!r.ok()) {
+  std::vector<TraceEntry> entries(r.Count(kMinEntryBytes));
+  for (TraceEntry& entry : entries) {
+    const std::uint8_t op = r.U8();
+    if (op > static_cast<std::uint8_t>(TraceOp::kAdvance)) {
       return MakeError(ErrorCode::kCorruptMetadata,
-                       "truncated workload trace at entry " +
-                           std::to_string(i));
+                       "workload trace entry " +
+                           std::to_string(&entry - entries.data()) +
+                           ": bad op code");
     }
-    entries.push_back(std::move(entry));
+    entry.op = static_cast<TraceOp>(op);
+    entry.name = r.Str();
+    entry.arg0 = r.U64();
+    entry.arg1 = r.U64();
+    entry.arg2 = r.U64();
+    entry.tenant = r.U16();
+    entry.vtime_us = r.U64();
+  }
+  if (!r.done()) {
+    return MakeError(ErrorCode::kCorruptMetadata,
+                     "workload trace truncated or followed by extra bytes");
   }
   return entries;
 }
@@ -411,16 +157,6 @@ Status ApplyTraceOp(fs::FileSystem* file_system, const TraceEntry& entry,
       break;
   }
   return OkStatus();
-}
-
-Result<ReplayStats> ReplayTrace(
-    fs::FileSystem* file_system, std::span<const TraceEntry> entries,
-    const std::function<Status(sim::Micros)>& advance) {
-  ReplayStats stats;
-  for (const TraceEntry& entry : entries) {
-    CEDAR_RETURN_IF_ERROR(ApplyTraceOp(file_system, entry, &stats, advance));
-  }
-  return stats;
 }
 
 std::vector<TraceEntry> GenerateTrace(const TraceGenConfig& config, Rng& rng) {

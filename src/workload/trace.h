@@ -1,7 +1,7 @@
-// Operation traces: a small text format for recording file-system
-// workloads and replaying them against any fs::FileSystem implementation.
+// Operation traces: recorded or synthesized file-system workloads, replayed
+// against any fs::FileSystem implementation.
 //
-// Format, one operation per line ('#' starts a comment):
+// An entry is one operation with up to three numeric arguments:
 //
 //   create <name> <bytes> <seed>
 //   open <name>
@@ -16,16 +16,13 @@
 //   force
 //   advance <milliseconds>        # virtual think time (drives group commit)
 //
+// plus the issuing tenant and the virtual time it was recorded at.
 // Payloads are derived deterministically from <seed>, so replaying the same
 // trace on two systems must produce byte-identical file contents — the
 // property the cross-system tests and benchmark comparisons rely on.
 //
-// Besides the text format there is a versioned binary format, "CEDWRK01",
-// which additionally carries a tenant id and a virtual timestamp per entry
-// (the text format ignores both). Every field in a binary entry is
-// tag-prefixed and self-sizing, so readers skip fields they do not know —
-// a CEDWRK01 reader stays compatible with traces recorded by future
-// writers that append new fields. See SerializeTraceBinary for the layout.
+// Traces live in host files in one binary format, "CEDWRK02"; see
+// SerializeTraceBinary for the layout.
 
 #ifndef CEDAR_WORKLOAD_TRACE_H_
 #define CEDAR_WORKLOAD_TRACE_H_
@@ -63,28 +60,20 @@ struct TraceEntry {
   std::uint64_t arg0 = 0;  // bytes / offset / count / milliseconds
   std::uint64_t arg1 = 0;  // length / seed
   std::uint64_t arg2 = 0;  // seed (kWrite)
-  // Binary-format-only metadata (the text format carries neither):
-  std::uint16_t tenant = 0;     // issuing tenant (replay maps to a prefix)
-  std::uint64_t vtime_us = 0;   // virtual time the op was recorded at;
-                                // open-loop replay paces on the deltas
+  std::uint16_t tenant = 0;    // issuing tenant (replay maps to a prefix)
+  std::uint64_t vtime_us = 0;  // virtual time the op was recorded at;
+                               // open-loop replay paces on the deltas
 
   friend bool operator==(const TraceEntry&, const TraceEntry&) = default;
 };
 
-// Serializes a trace to the text format above.
-std::string FormatTrace(std::span<const TraceEntry> entries);
-
-// Parses the text format; fails on the first malformed line (the message
-// names the line number).
-Result<std::vector<TraceEntry>> ParseTrace(std::string_view text);
-
-// ---- CEDWRK01 binary trace format. ----
+// ---- CEDWRK02 binary trace format. ----
 //
-// Layout: 8-byte magic "CEDWRK01", u32 entry count, then per entry a u8
-// field count followed by that many tagged fields. A tag byte is
-// (field_id << 3) | wire_type with wire types 0=u8, 1=u16, 2=u32, 3=u64,
-// 4=string (u16 length + bytes). Readers skip unknown field ids by wire
-// type, which is the forward-compatibility contract pinned in tests.
+// Layout (little-endian): 8-byte magic "CEDWRK02", u32 entry count, then
+// per entry u8 op, name (u16 length + bytes), u64 arg0, u64 arg1, u64 arg2,
+// u16 tenant, u64 vtime_us. The parser rejects, with kCorruptMetadata, an
+// unknown op code, a count the bytes cannot hold, a truncated entry and
+// bytes after the last entry.
 std::vector<std::uint8_t> SerializeTraceBinary(
     std::span<const TraceEntry> entries);
 Result<std::vector<TraceEntry>> ParseTraceBinary(
@@ -104,20 +93,13 @@ struct ReplayStats {
 };
 
 // Applies one trace entry to `file_system` (kAdvance goes through
-// `advance`). Exactly the per-entry semantics of ReplayTrace — kNotFound
-// from open-like ops is tolerated and counted, read/write ranges clamp to
-// the file's current size. The multi-threaded replayer drives this per op.
+// `advance`). kNotFound from open-like ops and deletes is tolerated and
+// counted, so traces replay against partially recovered volumes;
+// read/write ranges clamp to the file's current size. The replayer
+// (src/workload/replay.h) drives this per op.
 Status ApplyTraceOp(fs::FileSystem* file_system, const TraceEntry& entry,
                     ReplayStats* stats,
                     const std::function<Status(sim::Micros)>& advance);
-
-// Replays a trace. `advance` receives kAdvance think time (wire it to the
-// virtual clock plus the system's Tick). Fails on any unexpected error;
-// kNotFound from open/delete/touch is counted, not fatal, so traces can be
-// replayed against partially recovered volumes.
-Result<ReplayStats> ReplayTrace(
-    fs::FileSystem* file_system, std::span<const TraceEntry> entries,
-    const std::function<Status(sim::Micros)>& advance);
 
 // Generates a random but deterministic trace with the given shape.
 struct TraceGenConfig {

@@ -1,6 +1,7 @@
-// Seeded mutation fuzzing of on-disk decoders, on the in-repo Rng (no
-// external fuzzer). Each mutation keeps the bytes' checksum valid, so it
-// reaches the parser's semantic checks instead of bouncing off the CRC.
+// Seeded mutation fuzzing of on-disk and file decoders, on the in-repo Rng
+// (no external fuzzer). Each on-disk mutation keeps the bytes' checksum
+// valid, so it reaches the parser's semantic checks instead of bouncing off
+// the CRC; the file formats carry no checksum.
 // Runs under the "fuzz" ctest label (included by the asan preset) and in
 // plain tier-1 ctest.
 
@@ -15,12 +16,14 @@
 #include "src/core/recovery.h"
 #include "src/core/vam.h"
 #include "src/obs/metrics.h"
+#include "src/obs/trace.h"
 #include "src/sim/clock.h"
 #include "src/sim/disk.h"
 #include "src/sim/geometry.h"
 #include "src/util/crc32.h"
 #include "src/util/random.h"
 #include "src/util/serial.h"
+#include "src/workload/trace.h"
 
 namespace cedar::core {
 namespace {
@@ -358,3 +361,190 @@ TEST(VamDeltaFuzzTest, AcceptedDeltasFitTheVolume) {
 
 }  // namespace
 }  // namespace cedar::core
+
+namespace cedar {
+namespace {
+
+// Mutation classes for whole-file formats: their framing is counts and
+// lengths, not checksums.
+enum FileClass {
+  kFileBitFlips,
+  kFileBytes,
+  kFileCount,     // a u32 count set to an edge value
+  kFileTruncate,  // a tail cut off
+  kFileExtend,    // bytes appended
+  kFileSplice,    // one stretch copied over another
+  kFileClasses
+};
+
+// Applies `mutations` seeded mutations to `valid` and decodes each. An
+// accepted input must re-encode to exactly its own bytes; a rejected one
+// must fail with kCorruptMetadata (or `also_rejects`, when the format
+// refuses some inputs with another code). `counts` holds the offsets of the
+// format's u32 counts. Every class must be rejected at least once and
+// accepted inputs must be common enough that the accepting path is
+// checked too.
+template <typename Decode, typename Encode>
+void FuzzFileFormat(const std::vector<std::uint8_t>& valid,
+                    const std::vector<std::size_t>& counts,
+                    std::uint64_t seed, Decode decode, Encode encode,
+                    ErrorCode also_rejects = ErrorCode::kCorruptMetadata) {
+  constexpr int kMutations = 100000;
+  {
+    auto decoded = decode(valid);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().message();
+    ASSERT_EQ(encode(*decoded), valid);
+  }
+  Rng rng(seed);
+  int outcomes[2][kFileClasses] = {};
+  for (int m = 0; m < kMutations; ++m) {
+    std::vector<std::uint8_t> bytes = valid;
+    const auto cls = static_cast<FileClass>(rng.Below(kFileClasses));
+    switch (cls) {
+      case kFileBitFlips:
+        for (std::uint64_t n = rng.Between(1, 4); n > 0; --n) {
+          bytes[rng.Below(bytes.size())] ^=
+              static_cast<std::uint8_t>(1u << rng.Below(8));
+        }
+        break;
+      case kFileBytes:
+        for (std::uint64_t n = rng.Between(1, 8); n > 0; --n) {
+          bytes[rng.Below(bytes.size())] =
+              static_cast<std::uint8_t>(rng.Next());
+        }
+        break;
+      case kFileCount: {
+        const std::size_t at = counts[rng.Below(counts.size())];
+        const std::uint32_t now = ByteReader(
+            std::span<const std::uint8_t>(bytes).subspan(at, 4)).U32();
+        const std::uint32_t edges[] = {0,          now - 1,     now + 1,
+                                       now + 2,    0x7FFFFFFFu, 0xFFFFFFFFu,
+                                       static_cast<std::uint32_t>(rng.Next())};
+        core::PutU32(bytes, at, edges[rng.Below(std::size(edges))]);
+        break;
+      }
+      case kFileTruncate:
+        bytes.resize(rng.Below(bytes.size()));
+        break;
+      case kFileExtend:
+        for (std::uint64_t n = rng.Between(1, 16); n > 0; --n) {
+          bytes.push_back(static_cast<std::uint8_t>(rng.Next()));
+        }
+        break;
+      case kFileSplice: {
+        const std::size_t len = rng.Between(1, 64);
+        const std::size_t from = rng.Below(bytes.size() - len);
+        const std::size_t to = rng.Below(bytes.size() - len);
+        std::copy_n(valid.begin() + from, len, bytes.begin() + to);
+        break;
+      }
+      case kFileClasses:
+        break;
+    }
+    auto decoded = decode(bytes);
+    ++outcomes[decoded.ok() ? 1 : 0][cls];
+    if (!decoded.ok()) {
+      const ErrorCode code = decoded.status().code();
+      ASSERT_TRUE(code == ErrorCode::kCorruptMetadata || code == also_rejects)
+          << "mutation " << m << ": " << decoded.status().message();
+      continue;
+    }
+    ASSERT_TRUE(encode(*decoded) == bytes)
+        << "mutation " << m << " decoded to different bytes";
+  }
+  int accepted = 0;
+  for (int c = 0; c < kFileClasses; ++c) {
+    EXPECT_GT(outcomes[0][c], 0) << "class " << c << " never rejected";
+    accepted += outcomes[1][c];
+  }
+  EXPECT_GT(accepted, kMutations / 10);
+}
+
+TEST(WorkloadTraceFuzzTest, AcceptedTracesReencodeToTheSameBytes) {
+  Rng gen(5);
+  std::vector<workload::TraceEntry> entries = workload::GenerateTrace(
+      workload::TraceGenConfig{.operations = 24, .name_space = 6}, gen);
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    entries[i].tenant = static_cast<std::uint16_t>(i % 3);
+    entries[i].vtime_us = 1000 * i;
+  }
+  FuzzFileFormat(
+      workload::SerializeTraceBinary(entries), {8}, 0xC3D02u,
+      [](std::span<const std::uint8_t> bytes) {
+        return workload::ParseTraceBinary(bytes);
+      },
+      [](const std::vector<workload::TraceEntry>& decoded) {
+        return workload::SerializeTraceBinary(decoded);
+      });
+}
+
+TEST(DiskTraceFuzzTest, AcceptedTracesReencodeToTheSameBytes) {
+  obs::DiskTracer tracer;
+  for (std::uint32_t i = 0; i < 12; ++i) {
+    obs::ScopedOp root(&tracer, i % 2 == 0 ? "fsd.create" : "fsd.ckpt");
+    obs::ScopedOp inner(&tracer, i % 3 == 0 ? "nt.read" : "log.force");
+    tracer.Record(100 + i, 1 + i % 4, static_cast<obs::DiskOpKind>(i % 4),
+                  1000 * i, i, 2 * i, 3 * i, 4, i % 5, i % 2);
+  }
+  const std::vector<std::uint8_t> valid = tracer.SerializeBinary();
+  // Name count at 8; event count after the names, total and dropped.
+  std::size_t events_at = 12;
+  for (std::uint32_t id = 0; id < 5; ++id) {
+    events_at += 2 + tracer.OpName(id).size();
+  }
+  events_at += 16;
+  FuzzFileFormat(
+      valid, {8, events_at}, 0x7C04u,
+      [](std::span<const std::uint8_t> bytes) {
+        return obs::DiskTracer::ParseBinary(bytes);
+      },
+      [](const obs::DiskTracer& decoded) { return decoded.SerializeBinary(); });
+}
+
+// A tiny custom geometry (8 sectors) keeps the sector data from drowning
+// the state after it.
+TEST(DiskImageFuzzTest, AcceptedImagesReencodeToTheSameBytes) {
+  const sim::DiskGeometry geometry{
+      .cylinders = 2, .heads = 1, .sectors_per_track = 4};
+  sim::VirtualClock clock;
+  sim::SimDisk disk(geometry, sim::DiskTimingParams{}, &clock);
+  std::vector<std::uint8_t> sector(sim::kSectorSize, 0x5A);
+  ASSERT_TRUE(disk.Write(1, sector).ok());
+  const sim::Label label{.file_uid = 7, .page_number = 3,
+                         .type = sim::PageType::kData};
+  ASSERT_TRUE(disk.WriteLabels(2, {&label, 1}).ok());
+  disk.DamageSectors(5, 2);
+  disk.InjectTransientReadError(3, 2);
+  disk.InjectTransientReadError(6, 1);
+  disk.InjectPersistentFault(4, sim::FaultMode::kReadFail);
+  disk.InjectPersistentFault(7, sim::FaultMode::kDead);
+  disk.InjectWriteFault(0, sim::WriteFaultKind::kTorn);
+  disk.SetFaultSchedule(sim::FaultSchedule{.seed = 9, .persistent_ppm = 10});
+  disk.ArmCrash(sim::CrashPlan{.at_write_index = 5,
+                               .sectors_completed = 1,
+                               .sectors_damaged = 1,
+                               .drop_writes = {1, 3}});
+  const std::vector<std::uint8_t> valid =
+      sim::SimDisk::EncodeImage(geometry, disk.Snapshot());
+  // Header, data, labels, damage flags, crashed, has-plan, plan fields.
+  const std::size_t drops_at = 20 + 8 * (sim::kSectorSize + 13 + 1) + 2 + 16;
+  const std::size_t transient_at = drops_at + 4 + 2 * 8 + 8;
+  const std::size_t persistent_at = transient_at + 4 + 2 * 8;
+  const std::size_t pending_at = persistent_at + 4 + 2 * 5;
+  sim::VirtualClock restore_clock;
+  sim::SimDisk target(geometry, sim::DiskTimingParams{}, &restore_clock);
+  FuzzFileFormat(
+      valid, {drops_at, transient_at, persistent_at, pending_at}, 0x1A6E03u,
+      [&](std::span<const std::uint8_t> bytes) {
+        return sim::SimDisk::DecodeImage(bytes, geometry);
+      },
+      [&](const sim::DiskSnapshot& decoded) {
+        // What a disk restored from the image would save again.
+        target.Restore(decoded);
+        return sim::SimDisk::EncodeImage(geometry, target.Snapshot());
+      },
+      ErrorCode::kInvalidArgument);  // a header naming another geometry
+}
+
+}  // namespace
+}  // namespace cedar

@@ -254,6 +254,59 @@ TEST(DiskTracerTest, BinaryRoundtripPreservesEventsAndNames) {
             ErrorCode::kCorruptMetadata);
 }
 
+// A count no file of that size can hold is refused before anything is
+// sized from it (it once asked for 4G names and threw std::bad_alloc).
+TEST(DiskTracerTest, CountBeyondTheBytesIsCorrupt) {
+  const std::vector<std::uint8_t> bytes = {'C', 'E', 'D', 'T', 'R', 'C',
+                                           '0', '4', 0xFF, 0xFF, 0xFF, 0xFF};
+  EXPECT_EQ(DiskTracer::ParseBinary(bytes).status().code(),
+            ErrorCode::kCorruptMetadata);
+
+  // The same for the event count after a valid name table.
+  DiskTracer tracer;
+  std::vector<std::uint8_t> events = tracer.SerializeBinary();
+  ASSERT_EQ(events.size(), 12u + 2 + 6 + 16 + 4);  // "(none)", no events
+  std::fill(events.end() - 4, events.end(), 0xFF);
+  EXPECT_EQ(DiskTracer::ParseBinary(events).status().code(),
+            ErrorCode::kCorruptMetadata);
+}
+
+// One event under two interned names, then every way a CEDTRC04 file can
+// be wrong.
+TEST(DiskTracerTest, RejectsWhatNoWriterProduces) {
+  DiskTracer tracer;
+  {
+    obs::ScopedOp outer(&tracer, "op.a");
+    obs::ScopedOp inner(&tracer, "op.b");
+    tracer.Record(7, 1, DiskOpKind::kWrite, 10, 1, 2, 3, 4);
+  }
+  const std::vector<std::uint8_t> valid = tracer.SerializeBinary();
+  ASSERT_TRUE(DiskTracer::ParseBinary(valid).ok());
+  // Names start at 12: "(none)" (2 + 6 bytes), "op.a", "op.b" (2 + 4 each).
+  const std::size_t name_b = 12 + 8 + 6 + 2;
+  const std::size_t event = 12 + 8 + 6 + 6 + 16 + 4;
+  ASSERT_EQ(valid.size(), event + 77);
+  auto expect_corrupt = [](const std::vector<std::uint8_t>& bytes) {
+    EXPECT_EQ(DiskTracer::ParseBinary(bytes).status().code(),
+              ErrorCode::kCorruptMetadata);
+  };
+  std::vector<std::uint8_t> bytes = valid;
+  bytes[name_b + 3] = 'a';  // "op.b" becomes a second "op.a"
+  expect_corrupt(bytes);
+  bytes = valid;
+  bytes[15] = 'N';  // "(None)" is not the context every tracer starts with
+  expect_corrupt(bytes);
+  bytes = valid;
+  bytes[event + 32] = 4;  // an unknown DiskOpKind
+  expect_corrupt(bytes);
+  bytes = valid;
+  bytes[event + 65] = 3;  // op id 3 of three names
+  expect_corrupt(bytes);
+  bytes = valid;
+  bytes.push_back(0);
+  expect_corrupt(bytes);
+}
+
 TEST(DiskTracerTest, JsonlDumpWritesOneLinePerEvent) {
   DiskTracer tracer;
   {

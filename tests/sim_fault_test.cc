@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <vector>
 
@@ -219,6 +220,81 @@ TEST_F(SimFaultTest, ImageWithOldOrUnknownMagicIsRejected) {
     EXPECT_EQ(loaded.LoadImage(path).code(), ErrorCode::kCorruptMetadata);
   }
   std::remove(path.c_str());
+}
+
+// An image cut anywhere in its tail (after the sector data) fails to load
+// and leaves the target disk exactly as it was: the file is decoded in
+// full before anything is restored.
+TEST_F(SimFaultTest, TruncatedImageLeavesTheDiskUnchanged) {
+  ASSERT_TRUE(disk_.Write(40, Pattern(2, 11)).ok());
+  disk_.InjectPersistentFault(41, FaultMode::kWriteFail);
+  const std::string path = ::testing::TempDir() + "/fault_truncated.img";
+  ASSERT_TRUE(disk_.SaveImage(path).ok());
+  std::filesystem::resize_file(path,
+                               std::filesystem::file_size(path) - 1);
+
+  VirtualClock clock2;
+  SimDisk target(TestGeometry(), DiskTimingParams{}, &clock2);
+  ASSERT_TRUE(target.Write(40, Pattern(1, 99)).ok());
+  const DiskSnapshot before = target.Snapshot();
+  EXPECT_EQ(target.LoadImage(path).code(), ErrorCode::kCorruptMetadata);
+  EXPECT_TRUE(target.StateEquals(before));
+  std::remove(path.c_str());
+}
+
+// The image decoder accepts only what EncodeImage writes for a valid disk.
+TEST(DiskImageCodecTest, RejectsWhatNoWriterProduces) {
+  const DiskGeometry geometry{.cylinders = 2, .heads = 1,
+                              .sectors_per_track = 4};  // 8 sectors
+  VirtualClock clock;
+  SimDisk disk(geometry, DiskTimingParams{}, &clock);
+  disk.InjectTransientReadError(3, 2);
+  disk.InjectTransientReadError(6, 1);
+  disk.InjectPersistentFault(4, FaultMode::kReadFail);
+  disk.ArmCrash(CrashPlan{.at_write_index = 5,
+                          .sectors_completed = 1,
+                          .sectors_damaged = 1,
+                          .drop_writes = {1, 3}});
+  const std::vector<std::uint8_t> valid =
+      SimDisk::EncodeImage(geometry, disk.Snapshot());
+  auto decoded = SimDisk::DecodeImage(valid, geometry);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().message();
+  EXPECT_TRUE(disk.StateEquals(*decoded));
+
+  const std::size_t labels = 20 + 8 * kSectorSize;  // magic, geometry, data
+  const std::size_t damaged = labels + 8 * 13;
+  const std::size_t crashed = damaged + 8;
+  const std::size_t plan = crashed + 2;
+  const std::size_t transient = plan + 20 + 2 * 8 + 8;  // its count
+  const std::size_t persistent = transient + 4 + 2 * 8;
+  // The bytes overwritten below hold the fields their comments name.
+  ASSERT_EQ(valid[plan + 12], 1);        // sectors damaged at the cut
+  ASSERT_EQ(valid[plan + 28], 3);        // the second dropped write
+  ASSERT_EQ(valid[transient], 2);        // two transient faults ...
+  ASSERT_EQ(valid[transient + 12], 6);   // ... the second on LBA 6
+  ASSERT_EQ(valid[persistent + 8], 1);   // kReadFail
+  const std::vector<std::pair<std::size_t, std::uint8_t>> bad_bytes = {
+      {labels + 12, 5},            // a label type past kLeader
+      {damaged, 2},                // a damage flag other than 0 or 1
+      {crashed, 2},                // so for crashed
+      {crashed + 1, 2},            // and for has-plan
+      {plan + 12, 3},              // three damaged sectors at the cut
+      {plan + 28, 5},              // a dropped write at the crash index
+      {transient + 12, 3},         // a second fault on LBA 3
+      {transient + 12, 8},         // a fault past the disk
+      {persistent + 8, 0},         // no such FaultMode
+  };
+  for (const auto& [at, value] : bad_bytes) {
+    SCOPED_TRACE(at);
+    std::vector<std::uint8_t> bytes = valid;
+    bytes[at] = value;
+    EXPECT_EQ(SimDisk::DecodeImage(bytes, geometry).status().code(),
+              ErrorCode::kCorruptMetadata);
+  }
+  std::vector<std::uint8_t> longer = valid;
+  longer.push_back(0);
+  EXPECT_EQ(SimDisk::DecodeImage(longer, geometry).status().code(),
+            ErrorCode::kCorruptMetadata);
 }
 
 }  // namespace

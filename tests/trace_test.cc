@@ -8,6 +8,7 @@
 #include "src/core/fsd.h"
 #include "src/sim/clock.h"
 #include "src/sim/disk.h"
+#include "src/workload/replay.h"
 #include "src/workload/trace.h"
 
 namespace cedar::workload {
@@ -17,6 +18,7 @@ TEST(TraceFormatTest, RoundTrip) {
   std::vector<TraceEntry> entries = {
       {TraceOp::kCreate, "a/b.mesa", 1234, 77, 0},
       {TraceOp::kOpen, "a/b.mesa", 0, 0, 0},
+      {TraceOp::kClose, "a/b.mesa", 0, 0, 0},
       {TraceOp::kRead, "a/b.mesa", 100, 200, 0},
       {TraceOp::kWrite, "a/b.mesa", 50, 60, 9},
       {TraceOp::kExtend, "a/b.mesa", 4096, 0, 0},
@@ -24,43 +26,56 @@ TEST(TraceFormatTest, RoundTrip) {
       {TraceOp::kList, "a/", 0, 0, 0},
       {TraceOp::kTouch, "a/b.mesa", 0, 0, 0},
       {TraceOp::kForce, "", 0, 0, 0},
-      {TraceOp::kAdvance, "", 500, 0, 0},
-      {TraceOp::kDelete, "a/b.mesa", 0, 0, 0},
+      {TraceOp::kAdvance, "", 500, 0, 0, 3, 1u << 20},
+      {TraceOp::kDelete, "a/b.mesa", ~0ull, ~0ull, ~0ull, 0xFFFF, ~0ull},
   };
-  const std::string text = FormatTrace(entries);
-  auto parsed = ParseTrace(text);
-  ASSERT_TRUE(parsed.ok());
-  ASSERT_EQ(parsed->size(), entries.size());
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    EXPECT_EQ((*parsed)[i].op, entries[i].op) << i;
-    EXPECT_EQ((*parsed)[i].name, entries[i].name) << i;
-    EXPECT_EQ((*parsed)[i].arg0, entries[i].arg0) << i;
-    EXPECT_EQ((*parsed)[i].arg1, entries[i].arg1) << i;
-    EXPECT_EQ((*parsed)[i].arg2, entries[i].arg2) << i;
+  const std::vector<std::uint8_t> bytes = SerializeTraceBinary(entries);
+  // Magic, count, then per entry 37 bytes plus the name.
+  std::size_t names = 0;
+  for (const TraceEntry& entry : entries) {
+    names += entry.name.size();
   }
+  EXPECT_EQ(bytes.size(), 12 + 37 * entries.size() + names);
+  auto parsed = ParseTraceBinary(bytes);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().message();
+  EXPECT_EQ(*parsed, entries);
 }
 
-TEST(TraceFormatTest, CommentsAndBlanksSkipped) {
-  auto parsed =
-      ParseTrace("# a comment\n\nforce\n  # indented comment too\n");
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(parsed->size(), 1u);
-  EXPECT_EQ((*parsed)[0].op, TraceOp::kForce);
+// One entry, then every way a CEDWRK02 file can be wrong.
+TEST(TraceFormatTest, RejectsWhatNoWriterProduces) {
+  const TraceEntry entry{TraceOp::kTouch, "x", 1, 2, 3, 4, 5};
+  const std::vector<std::uint8_t> valid = SerializeTraceBinary({&entry, 1});
+  ASSERT_TRUE(ParseTraceBinary(valid).ok());
+  auto expect_corrupt = [](std::vector<std::uint8_t> bytes) {
+    auto parsed = ParseTraceBinary(bytes);
+    ASSERT_FALSE(parsed.ok());
+    EXPECT_EQ(parsed.status().code(), ErrorCode::kCorruptMetadata);
+  };
+  std::vector<std::uint8_t> bytes = valid;
+  bytes[7] = '1';  // CEDWRK01 is not read
+  expect_corrupt(bytes);
+  bytes = valid;
+  bytes[12] = static_cast<std::uint8_t>(TraceOp::kAdvance) + 1;
+  expect_corrupt(bytes);
+  bytes = valid;
+  bytes.push_back(0);
+  expect_corrupt(bytes);
+  bytes = valid;
+  bytes.pop_back();
+  expect_corrupt(bytes);
+  bytes = valid;
+  bytes[8] = 2;  // a second entry the bytes do not hold
+  expect_corrupt(bytes);
 }
 
-TEST(TraceFormatTest, ErrorsNameTheLine) {
-  auto parsed = ParseTrace("force\nfrobnicate x\n");
+// A count no file of that size can hold is refused before anything is
+// sized from it (it once asked for 4G entries and threw std::bad_alloc).
+TEST(TraceFormatTest, CountBeyondTheBytesIsCorrupt) {
+  const std::vector<std::uint8_t> bytes = {'C', 'E', 'D', 'W', 'R', 'K',
+                                           '0', '2', 0xFF, 0xFF, 0xFF, 0xFF};
+  auto parsed = ParseTraceBinary(bytes);
   ASSERT_FALSE(parsed.ok());
-  EXPECT_NE(parsed.status().message().find("line 2"), std::string::npos);
-
-  parsed = ParseTrace("create name notanumber 0\n");
-  ASSERT_FALSE(parsed.ok());
-
-  parsed = ParseTrace("open\n");
-  ASSERT_FALSE(parsed.ok());
-
-  parsed = ParseTrace("force extra\n");
-  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), ErrorCode::kCorruptMetadata);
 }
 
 core::FsdConfig SmallFsd() {
@@ -92,8 +107,8 @@ TEST(TraceReplayTest, ReplayAgainstFsd) {
 TEST(TraceReplayTest, SameTraceSameContentsAcrossSystems) {
   Rng rng(31337);
   auto entries = GenerateTrace(TraceGenConfig{.operations = 250}, rng);
-  // Serialize + reparse to also exercise the text path end to end.
-  auto parsed = ParseTrace(FormatTrace(entries));
+  // Serialize + reparse to also exercise the trace format end to end.
+  auto parsed = ParseTraceBinary(SerializeTraceBinary(entries));
   ASSERT_TRUE(parsed.ok());
 
   auto run = [&](fs::FileSystem& file_system, sim::VirtualClock& clock,
@@ -140,10 +155,11 @@ TEST(TraceReplayTest, NotFoundToleratedAndCounted) {
   sim::SimDisk disk(sim::TestGeometry(), sim::DiskTimingParams{}, &clock);
   core::Fsd fsd(&disk, SmallFsd());
   ASSERT_TRUE(fsd.Format().ok());
-  auto parsed = ParseTrace("open ghost\ndelete ghost\ntouch ghost\n");
-  ASSERT_TRUE(parsed.ok());
-  auto stats = ReplayTrace(&fsd, *parsed,
-                           [](sim::Micros) { return OkStatus(); });
+  const std::vector<TraceEntry> ghosts = {{TraceOp::kOpen, "ghost"},
+                                          {TraceOp::kDelete, "ghost"},
+                                          {TraceOp::kTouch, "ghost"}};
+  auto stats =
+      ReplayTrace(&fsd, ghosts, [](sim::Micros) { return OkStatus(); });
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->not_found, 3u);
 }

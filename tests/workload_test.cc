@@ -375,41 +375,5 @@ TEST(ReplayTenantTest, NamespacesStayIsolatedUnderConcurrentReplay) {
   CEDAR_CHECK_OK(fsd.Shutdown());
 }
 
-TEST(TraceBinaryTest, UnknownFieldsAreSkippedForwardCompat) {
-  // Future writers may append fields; today's reader must skip them by
-  // wire type. Hand-extend the single entry with an unknown u32 field
-  // (id 9) and an unknown string field (id 10).
-  TraceEntry entry;
-  entry.op = TraceOp::kTouch;
-  entry.name = "compat";
-  entry.tenant = 2;
-  entry.vtime_us = 77;
-  std::vector<std::uint8_t> bytes = SerializeTraceBinary({&entry, 1});
-  const std::size_t nfields_at = 8 + 4;  // magic + count
-  ASSERT_EQ(bytes[nfields_at], 7u);
-  bytes[nfields_at] = 9;
-  bytes.push_back((9 << 3) | 2);  // field 9, wire u32
-  for (int i = 0; i < 4; ++i) {
-    bytes.push_back(0xAB);
-  }
-  bytes.push_back((10 << 3) | 4);  // field 10, wire string
-  bytes.push_back(3);              // u16 length, little-endian
-  bytes.push_back(0);
-  bytes.push_back('f');
-  bytes.push_back('u');
-  bytes.push_back('t');
-
-  auto parsed = ParseTraceBinary(bytes);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().message();
-  ASSERT_EQ(parsed.value().size(), 1u);
-  EXPECT_EQ(parsed.value()[0], entry);
-
-  // An unknown *wire type* cannot be skipped — that is a corrupt trace.
-  std::vector<std::uint8_t> bad = SerializeTraceBinary({&entry, 1});
-  bad[nfields_at] = 8;
-  bad.push_back((11 << 3) | 7);
-  EXPECT_FALSE(ParseTraceBinary(bad).ok());
-}
-
 }  // namespace
 }  // namespace cedar::workload

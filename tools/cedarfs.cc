@@ -12,7 +12,8 @@
 //   cedarfs <image> stat <name>
 //   cedarfs <image> scrub
 //   cedarfs <image> damage <lba> <count>
-//   cedarfs <image> replay <tracefile> [--crash]
+//   cedarfs <image> replay <tracefile> [--crash]   (a CEDWRK02 trace, e.g.
+//                                                  from workloadgen)
 //   cedarfs <image> info
 //
 // The image embeds its geometry; mkfs --big makes a full 300 MB Trident,
@@ -20,15 +21,14 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "src/core/fsd.h"
 #include "src/sim/clock.h"
 #include "src/sim/disk.h"
+#include "src/util/file.h"
+#include "src/workload/replay.h"
 #include "src/workload/trace.h"
 
 namespace {
@@ -68,53 +68,37 @@ core::FsdConfig ConfigFor(bool big, bool vamlog) {
   return config;
 }
 
-Result<std::vector<std::uint8_t>> ReadHostFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return MakeError(ErrorCode::kNotFound, "cannot open " + path);
+// Reads and decodes the image at `path`. Its header names the geometry
+// it was made with, the small test one or (`*big`) the full Trident.
+Result<sim::DiskSnapshot> ReadImage(const std::string& path, bool* big) {
+  CEDAR_ASSIGN_OR_RETURN(const std::vector<std::uint8_t> bytes,
+                         ReadFileBytes(path, "disk image"));
+  Result<sim::DiskSnapshot> small =
+      sim::SimDisk::DecodeImage(bytes, GeometryFor(false));
+  *big = small.status().code() == ErrorCode::kInvalidArgument;
+  if (*big) {
+    return sim::SimDisk::DecodeImage(bytes, GeometryFor(true));
   }
-  std::vector<std::uint8_t> data((std::istreambuf_iterator<char>(in)),
-                                 std::istreambuf_iterator<char>());
-  return data;
-}
-
-Status WriteHostFile(const std::string& path,
-                     std::span<const std::uint8_t> data) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    return MakeError(ErrorCode::kInternal, "cannot open " + path);
-  }
-  out.write(reinterpret_cast<const char*>(data.data()),
-            static_cast<std::streamsize>(data.size()));
-  out.flush();
-  return out ? OkStatus() : MakeError(ErrorCode::kInternal, "write failed");
+  return small;
 }
 
 int Run(const Options& options) {
   sim::VirtualClock clock;
 
-  // mkfs creates a fresh image; everything else loads an existing one,
-  // probing which geometry it was created with.
+  // mkfs creates a fresh image; everything else loads an existing one.
   const bool fresh = options.command == "mkfs";
   bool big = options.big;
   bool vamlog = options.vamlog;
-  if (!fresh) {
-    // Probe: try the small geometry first, then the big one.
-    sim::SimDisk probe(GeometryFor(false), sim::DiskTimingParams{}, &clock);
-    if (probe.LoadImage(options.image).ok()) {
-      big = false;
-    } else {
-      big = true;
-    }
+  Result<sim::DiskSnapshot> image =
+      fresh ? sim::DiskSnapshot{} : ReadImage(options.image, &big);
+  if (!image.ok()) {
+    std::fprintf(stderr, "cedarfs: %s\n", image.status().ToString().c_str());
+    return 1;
   }
-
   sim::SimDisk disk(GeometryFor(big), sim::DiskTimingParams{}, &clock);
   if (!fresh) {
-    Status loaded = disk.LoadImage(options.image);
-    if (!loaded.ok()) {
-      std::fprintf(stderr, "cedarfs: %s\n", loaded.ToString().c_str());
-      return 1;
-    }
+    disk.Restore(*image);
+    image = sim::DiskSnapshot{};  // the disk holds the medium from here on
   }
 
   // `damage` operates below the file system.
@@ -145,7 +129,7 @@ int Run(const Options& options) {
                 big ? "300 MB" : "5.5 MB",
                 disk.geometry().TotalSectors(), vamlog ? "on" : "off");
   } else if (options.command == "put" && options.args.size() == 2) {
-    auto contents = ReadHostFile(options.args[1]);
+    auto contents = ReadFileBytes(options.args[1], "host file");
     result = contents.status();
     if (result.ok()) {
       result = fsd.CreateFile(options.args[0], *contents).status();
@@ -162,7 +146,7 @@ int Run(const Options& options) {
       std::vector<std::uint8_t> out(handle->byte_size);
       result = fsd.Read(*handle, 0, out);
       if (result.ok()) {
-        result = WriteHostFile(options.args[1], out);
+        result = WriteFileBytes(options.args[1], out, "host file");
         std::printf("got %s!%u (%zu bytes)\n", options.args[0].c_str(),
                     handle->version, out.size());
       }
@@ -203,25 +187,20 @@ int Run(const Options& options) {
                   (unsigned long long)report->nt_pages_reconciled);
     }
   } else if (options.command == "replay" && options.args.size() == 1) {
-    auto text = ReadHostFile(options.args[0]);
-    result = text.status();
+    auto entries = workload::LoadTraceBinary(options.args[0]);
+    result = entries.status();
     if (result.ok()) {
-      auto entries = workload::ParseTrace(
-          std::string(text->begin(), text->end()));
-      result = entries.status();
+      auto stats =
+          workload::ReplayTrace(&fsd, *entries, [&](sim::Micros think) {
+            clock.Advance(think);
+            return fsd.Tick();
+          });
+      result = stats.status();
+      mutated = true;
       if (result.ok()) {
-        auto stats = workload::ReplayTrace(
-            &fsd, *entries, [&](sim::Micros think) {
-              clock.Advance(think);
-              return fsd.Tick();
-            });
-        result = stats.status();
-        mutated = true;
-        if (result.ok()) {
-          std::printf("replayed %llu ops (%llu not-found tolerated)\n",
-                      (unsigned long long)stats->ops,
-                      (unsigned long long)stats->not_found);
-        }
+        std::printf("replayed %llu ops (%llu not-found tolerated)\n",
+                    (unsigned long long)stats->ops,
+                    (unsigned long long)stats->not_found);
       }
     }
   } else if (options.command == "info") {

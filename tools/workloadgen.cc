@@ -1,4 +1,4 @@
-// workloadgen: record, synthesize, and replay CEDWRK01 workload traces.
+// workloadgen: record, synthesize, and replay CEDWRK02 workload traces.
 //
 //   workloadgen synthesize <out.trace> [--ops N] [--files N] [--zipf S]
 //                                      [--tenants K] [--seed S]
@@ -18,11 +18,18 @@
 //   workloadgen --selftest <dir>
 //       synthesize -> save -> load -> replay at 1 and 4 threads (footprints
 //       must match), then record -> replay. The ctest smoke test.
+//
+// Every flag is checked: an unknown flag, a missing value, a value that
+// does not parse whole or lies out of range (--threads at most 64) exits 2
+// before anything runs.
 
+#include <algorithm>
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/core/fsd.h"
@@ -50,32 +57,60 @@ struct Rig {
                &clock) {}
 };
 
-std::uint64_t U64Flag(int argc, char** argv, const char* name,
-                      std::uint64_t fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) {
-      return std::strtoull(argv[i + 1], nullptr, 10);
-    }
-  }
-  return fallback;
-}
+// The most replay threads a run may ask for.
+constexpr double kMaxThreads = 64;
 
-double DoubleFlag(int argc, char** argv, const char* name, double fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) {
-      return std::atof(argv[i + 1]);
-    }
-  }
-  return fallback;
-}
+// A flag a command takes. A switch sets `*on`; any other parses its value
+// whole into `*whole` or `*real`, which must lie in [min, max].
+struct Flag {
+  const char* name;
+  std::uint64_t* whole = nullptr;
+  double* real = nullptr;
+  bool* on = nullptr;
+  double min = 0;
+  double max = 4294967295.0;
+};
 
-bool HasFlag(int argc, char** argv, const char* name) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) {
-      return true;
+// Parses argv[3..] into the targets of `flags`. An unknown flag, a missing
+// value, or a value that does not parse whole or lies out of range is
+// refused: false, after saying why on stderr.
+bool ParseFlags(int argc, char** argv, std::initializer_list<Flag> flags) {
+  for (int i = 3; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    const auto flag =
+        std::find_if(flags.begin(), flags.end(),
+                     [&](const Flag& f) { return f.name == arg; });
+    if (flag == flags.end()) {
+      std::fprintf(stderr, "workloadgen: unknown flag %s\n", argv[i]);
+      return false;
+    }
+    if (flag->on != nullptr) {
+      *flag->on = true;
+      continue;
+    }
+    const std::string_view text = i + 1 < argc ? argv[++i] : "";
+    const char* end = text.data() + text.size();
+    std::uint64_t whole = 0;
+    double value = 0;
+    const std::from_chars_result parsed =
+        flag->whole != nullptr ? std::from_chars(text.data(), end, whole)
+                               : std::from_chars(text.data(), end, value);
+    if (flag->whole != nullptr) {
+      value = static_cast<double>(whole);
+    }
+    if (text.empty() || parsed.ec != std::errc() || parsed.ptr != end ||
+        !(value >= flag->min && value <= flag->max)) {
+      std::fprintf(stderr, "workloadgen: bad value for %s: '%.*s'\n",
+                   flag->name, static_cast<int>(text.size()), text.data());
+      return false;
+    }
+    if (flag->whole != nullptr) {
+      *flag->whole = whole;
+    } else {
+      *flag->real = value;
     }
   }
-  return false;
+  return true;
 }
 
 std::vector<TraceEntry> Synthesize(std::uint32_t ops, std::uint32_t files,
@@ -243,7 +278,7 @@ int Usage() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc >= 3 && std::strcmp(argv[1], "--selftest") == 0) {
+  if (argc == 3 && std::strcmp(argv[1], "--selftest") == 0) {
     return Selftest(argv[2]);
   }
   if (argc < 3) {
@@ -251,27 +286,54 @@ int main(int argc, char** argv) {
   }
   const std::string command = argv[1];
   const std::string path = argv[2];
+  std::uint64_t ops = command == "record" ? 400 : 500;
+  std::uint64_t files = 40;
+  std::uint64_t tenants = 0;
+  std::uint64_t seed = 1;
+  std::uint64_t threads = 1;
+  double zipf = 0.0;
+  double scale = 1.0;
+  bool freerun = false;
+  bool paced = false;
+  const Flag ops_flag{"--ops", &ops};
+  const Flag seed_flag{.name = "--seed", .whole = &seed, .max = 2e19};
+  const Flag tenants_flag{.name = "--tenants", .whole = &tenants, .max = 65536};
+  const Flag zipf_flag{.name = "--zipf", .real = &zipf, .max = 1000};
 
   if (command == "synthesize") {
+    if (!ParseFlags(argc, argv,
+                    {ops_flag, {.name = "--files", .whole = &files, .min = 1},
+                     zipf_flag, tenants_flag, seed_flag})) {
+      return Usage();
+    }
     const std::vector<TraceEntry> trace = Synthesize(
-        static_cast<std::uint32_t>(U64Flag(argc, argv, "--ops", 500)),
-        static_cast<std::uint32_t>(U64Flag(argc, argv, "--files", 40)),
-        DoubleFlag(argc, argv, "--zipf", 0.0),
-        static_cast<std::uint32_t>(U64Flag(argc, argv, "--tenants", 0)),
-        U64Flag(argc, argv, "--seed", 1));
+        static_cast<std::uint32_t>(ops), static_cast<std::uint32_t>(files),
+        zipf, static_cast<std::uint32_t>(tenants), seed);
     CEDAR_CHECK_OK(cedar::workload::SaveTraceBinary(path, trace));
     std::printf("wrote %zu entries to %s\n", trace.size(), path.c_str());
     return 0;
   }
   if (command == "record") {
+    if (!ParseFlags(argc, argv, {ops_flag, seed_flag})) {
+      return Usage();
+    }
     const std::vector<TraceEntry> trace =
-        Record(static_cast<std::uint32_t>(U64Flag(argc, argv, "--ops", 400)),
-               U64Flag(argc, argv, "--seed", 1));
+        Record(static_cast<std::uint32_t>(ops), seed);
     CEDAR_CHECK_OK(cedar::workload::SaveTraceBinary(path, trace));
     std::printf("recorded %zu entries to %s\n", trace.size(), path.c_str());
     return 0;
   }
   if (command == "replay") {
+    if (!ParseFlags(
+            argc, argv,
+            {{.name = "--threads", .whole = &threads, .min = 1,
+              .max = kMaxThreads},
+             {.name = "--freerun", .on = &freerun},
+             {.name = "--scale", .real = &scale, .max = 1000},
+             tenants_flag, zipf_flag,
+             {.name = "--paced", .on = &paced}})) {
+      return Usage();
+    }
     auto trace = cedar::workload::LoadTraceBinary(path);
     if (!trace.ok()) {
       std::fprintf(stderr, "workloadgen: %s\n",
@@ -279,15 +341,12 @@ int main(int argc, char** argv) {
       return 1;
     }
     ReplayConfig config;
-    config.threads =
-        static_cast<int>(U64Flag(argc, argv, "--threads", 1));
-    config.mode = HasFlag(argc, argv, "--freerun") ? ReplayMode::kFreeRun
-                                                   : ReplayMode::kTurnstile;
-    config.scale = DoubleFlag(argc, argv, "--scale", 1.0);
-    config.tenants =
-        static_cast<std::uint32_t>(U64Flag(argc, argv, "--tenants", 0));
-    config.zipf_s = DoubleFlag(argc, argv, "--zipf", 0.0);
-    config.paced = HasFlag(argc, argv, "--paced");
+    config.threads = static_cast<int>(threads);
+    config.mode = freerun ? ReplayMode::kFreeRun : ReplayMode::kTurnstile;
+    config.scale = scale;
+    config.tenants = static_cast<std::uint32_t>(tenants);
+    config.zipf_s = zipf;
+    config.paced = paced;
     std::printf("%8s %8s %8s %8s %8s %10s %6s %6s\n", "threads", "ops",
                 "misses", "reads", "writes", "busy ms", "viol", "warn");
     const ReplayOutcome outcome = Replay(trace.value(), config);
