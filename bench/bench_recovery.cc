@@ -25,14 +25,27 @@
 #include "src/cfs/cfs.h"
 #include "src/core/fsd.h"
 #include "src/fsapi/file_system.h"
+#include "src/obs/metrics.h"
 #include "src/util/random.h"
 #include "src/workload/workload.h"
 
 namespace cedar::bench {
 namespace {
 
-double FsdRecoverySeconds(std::uint32_t files, double* replay_s,
-                          double* rebuild_s, bool vam_logging = false) {
+// One crash mount's virtual time, split by the mount-phase counters
+// (fsd.mount_*_us; the five phases add up to the whole mount).
+struct MountPhases {
+  double root_s = 0;
+  double replay_s = 0;  // collecting the log's images and writing them home
+  double sweep_s = 0;   // reading the live name table, both copies
+  double rebuild_s = 0;  // the VAM, rebuilt from the swept images
+  double total_s = 0;
+  std::uint64_t sweep_sectors = 0;
+};
+
+// Populates a fresh default-geometry volume with `files`, leaves
+// uncommitted work in flight, crashes, and times the recovering Mount.
+MountPhases FsdRecovery(std::uint32_t files, bool vam_logging = false) {
   Rig rig;
   cedar::core::FsdConfig config;
   config.durability.vam_logging = vam_logging;
@@ -43,24 +56,28 @@ double FsdRecoverySeconds(std::uint32_t files, double* replay_s,
   CEDAR_CHECK_OK(
       cedar::workload::PopulateVolume(&fsd, "v/", files, sizes, rng)
           .status());
-  // Leave uncommitted work in flight, then crash.
   for (int i = 0; i < 20; ++i) {
     CEDAR_CHECK_OK(fsd.Touch("v/f" + std::to_string(i) + ".db"));
   }
   rig.disk.CrashNow();
   rig.disk.Reopen();
 
-  // Measure the two recovery phases separately by timing a Mount and
-  // attributing the log-replay share via the I/O stats.
   cedar::core::Fsd recovered(&rig.disk, config);
-  const double total =
+  MountPhases phases;
+  phases.total_s =
       TimedMs(rig.clock, [&] { CEDAR_CHECK_OK(recovered.Mount()); }) / 1000.0;
-  // Replay share estimate: pages replayed x (write + short seek).
-  *replay_s = static_cast<double>(recovered.SnapshotMetrics().CounterValue(
-                  "fsd.recovery_pages_replayed")) *
-              15.0 / 1000.0;
-  *rebuild_s = total - *replay_s;
-  return total;
+  // The recovered instance's registry counted only this mount.
+  const cedar::obs::MetricsSnapshot m = recovered.SnapshotMetrics();
+  auto seconds = [&](const char* name) {
+    return static_cast<double>(m.CounterValue(name)) / 1e6;
+  };
+  phases.root_s = seconds("fsd.mount_root_us");
+  phases.replay_s = seconds("fsd.mount_replay_read_us") +
+                    seconds("fsd.mount_replay_write_us");
+  phases.sweep_s = seconds("fsd.mount_sweep_us");
+  phases.rebuild_s = seconds("fsd.mount_rebuild_us");
+  phases.sweep_sectors = m.CounterValue("fsd.mount_sweep_sectors");
+  return phases;
 }
 
 // ---- --ckpt mode: recovery window vs log fill, thirds vs continuous. ----
@@ -84,6 +101,9 @@ double FsdRecoverySeconds(std::uint32_t files, double* replay_s,
 
 constexpr std::uint32_t kCkptWindowSectors = 200;
 constexpr std::uint32_t kCkptFiles = 120;
+// The crash mount with a VAM rebuild that rides along in the --ckpt report,
+// so the sweep's cost is gated too: FsdRecovery at this population.
+constexpr std::uint32_t kRebuildFiles = 1000;
 
 struct CkptPoint {
   int touches = 0;
@@ -193,7 +213,8 @@ CkptPoint RunCkptFill(int touches, bool daemon) {
 // Mount time and replay volume gate; the pre-crash window is the round's
 // contract and is already hard-gated below, so it rides along as info.
 void WriteCkptJson(const char* path, bool smoke,
-                   const std::vector<CkptPoint>& points) {
+                   const std::vector<CkptPoint>& points,
+                   const MountPhases& rebuild) {
   BenchReport report("recovery");
   report.SetConfig("mode", "ckpt");
   report.SetConfig("smoke", smoke ? 1.0 : 0.0);
@@ -204,6 +225,7 @@ void WriteCkptJson(const char* path, bool smoke,
     fills += std::to_string(p.touches) + (p.daemon ? "d," : "t,");
   }
   report.SetConfig("fills", fills);
+  report.SetConfig("rebuild_files", kRebuildFiles);
   char key[64];
   for (const CkptPoint& p : points) {
     // A daemon row is the worst over its crash points: "_max_" says so.
@@ -223,6 +245,14 @@ void WriteCkptJson(const char* path, bool smoke,
       report.AddInfo(key, p.crash_points);
     }
   }
+  // The rebuild mount: its virtual time and the home sectors its sweep
+  // read (both copies of the live name table, not the whole regions).
+  std::snprintf(key, sizeof(key), "mount_ms_rebuild_%u", kRebuildFiles);
+  report.AddMetric(key, rebuild.total_s * 1000.0, Direction::kLowerIsBetter,
+                   "vms");
+  std::snprintf(key, sizeof(key), "sweep_sectors_rebuild_%u", kRebuildFiles);
+  report.AddMetric(key, static_cast<double>(rebuild.sweep_sectors),
+                   Direction::kLowerIsBetter, "sectors");
   CEDAR_CHECK_OK(report.WriteFile(path));
 }
 
@@ -249,7 +279,12 @@ int CkptMain(int argc, char** argv) {
                   (unsigned long long)p.replay_pages, p.mount_ms);
     }
   }
-  WriteCkptJson(json_path, smoke, points);
+  const MountPhases rebuild = FsdRecovery(kRebuildFiles);
+  std::printf("\nCrash mount with VAM rebuild, %u files: %.1f ms "
+              "(sweep %.1f ms, %llu sectors)\n",
+              kRebuildFiles, rebuild.total_s * 1000.0, rebuild.sweep_s * 1000.0,
+              (unsigned long long)rebuild.sweep_sectors);
+  WriteCkptJson(json_path, smoke, points, rebuild);
 
   // Gates (CI runs this mode and fails on nonzero exit), each over every
   // crash point of a daemon row's cycle:
@@ -311,14 +346,14 @@ int main(int argc, char** argv) {
 
   std::printf("Recovery benchmarks (300 MB simulated volume)\n\n");
 
-  std::printf("FSD crash recovery vs population:\n");
-  std::printf("%8s %10s %10s %10s\n", "files", "replay s", "rebuild s",
-              "total s");
+  std::printf("FSD crash recovery vs population (the mount-phase counters):\n");
+  std::printf("%8s %8s %10s %8s %10s %8s %14s\n", "files", "root s",
+              "replay s", "sweep s", "rebuild s", "total s", "sweep sectors");
   for (std::uint32_t files : sweep) {
-    double replay = 0;
-    double rebuild = 0;
-    const double total = FsdRecoverySeconds(files, &replay, &rebuild);
-    std::printf("%8u %10.1f %10.1f %10.1f\n", files, replay, rebuild, total);
+    const MountPhases p = FsdRecovery(files);
+    std::printf("%8u %8.2f %10.2f %8.2f %10.2f %8.2f %14llu\n", files,
+                p.root_s, p.replay_s, p.sweep_s, p.rebuild_s, p.total_s,
+                (unsigned long long)p.sweep_sectors);
   }
   std::printf("(paper: replay <= 2 s, VAM rebuild ~20 s, worst ~25 s)\n\n");
 
@@ -328,11 +363,8 @@ int main(int argc, char** argv) {
               "seconds\"):\n");
   std::printf("%8s %10s %10s\n", "files", "rebuild s", "vamlog s");
   for (std::uint32_t files : ablation) {
-    double replay = 0;
-    double rebuild = 0;
-    const double slow = FsdRecoverySeconds(files, &replay, &rebuild, false);
-    const double fast = FsdRecoverySeconds(files, &replay, &rebuild, true);
-    std::printf("%8u %10.1f %10.1f\n", files, slow, fast);
+    std::printf("%8u %10.1f %10.1f\n", files, FsdRecovery(files).total_s,
+                FsdRecovery(files, /*vam_logging=*/true).total_s);
   }
   std::printf("\n");
 

@@ -64,6 +64,32 @@ bool BTree::IsInteriorPage(std::span<const std::uint8_t> page) {
   return !page.empty() && page[0] == kInternal;
 }
 
+std::vector<PageId> BTree::ChildrenOf(std::span<const std::uint8_t> page,
+                                      PageId limit) {
+  if (page.size() < kHeaderSize || page[0] != kInternal) {
+    return {};
+  }
+  const std::uint32_t count = GetU16(page, 2);
+  const std::uint32_t cell_start = GetU16(page, 4);
+  if (kHeaderSize + count * kSlotSize > cell_start ||
+      cell_start > page.size()) {
+    return {};
+  }
+  std::vector<PageId> all = {GetU32(page, 6)};
+  for (std::uint32_t i = 0; i < count; ++i) {
+    // A cell is u16 key_len, the key, then the u32 child; all of it must
+    // lie between cell_start and the page's end.
+    const std::uint32_t off = GetU16(page, kHeaderSize + i * kSlotSize);
+    if (off < cell_start || off + 2 > page.size() ||
+        off + 2 + GetU16(page, off) + 4 > page.size()) {
+      return {};
+    }
+    all.push_back(GetU32(page, off + 2 + GetU16(page, off)));
+  }
+  std::erase_if(all, [limit](PageId id) { return id >= limit; });
+  return all;
+}
+
 // In-memory view over one page buffer.
 class BTree::Node {
  public:

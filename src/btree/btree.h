@@ -96,6 +96,12 @@ class BTree {
   // node, so a page cache can keep the tree's upper levels without knowing
   // the page layout.
   static bool IsInteriorPage(std::span<const std::uint8_t> page);
+  // The child pointers of `page`, an interior node image, in key order —
+  // those below `limit` only — so a mount-time walk can follow the tree
+  // without knowing the page layout. Empty for a leaf and for a page that
+  // does not parse (a bad header, or a slot or cell past the page's end).
+  static std::vector<PageId> ChildrenOf(std::span<const std::uint8_t> page,
+                                        PageId limit);
 
  private:
   struct SplitResult {

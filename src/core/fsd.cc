@@ -311,29 +311,44 @@ Status Fsd::Mount() {
 Status Fsd::MountLocked() {
   obs::ScopedOp op_scope(disk_->tracer(), "fsd.mount");
   health_.set_degraded(false);
-  CEDAR_ASSIGN_OR_RETURN(const VolumeRoot root, recovery_.ReadRoot());
-  // The remap table routes every name-table home access from here on, so
-  // it loads before recovery replay or the preload sweep touch the region.
-  CEDAR_RETURN_IF_ERROR(nt_.LoadRemapTable());
+  Recovery::Counters& phase = recovery_.c;
+  VolumeRoot root;
+  CEDAR_RETURN_IF_ERROR(recovery_.Timed(phase.root_us, [&]() -> Status {
+    CEDAR_ASSIGN_OR_RETURN(root, recovery_.ReadRoot());
+    // The remap table routes every name-table home access from here on, so
+    // it loads before recovery replay or the preload sweep touch the
+    // region.
+    return nt_.LoadRemapTable();
+  }));
   ResetVolatileState(root.boot_count + 1);
   std::vector<std::pair<std::uint64_t, VamDelta>> deltas;
   CEDAR_RETURN_IF_ERROR(recovery_.Redo(root.clean, boot_count_, &deltas));
-  if (!recovery_.LoadVam(root, deltas, &vam_)) {
+  bool loaded = false;
+  CEDAR_RETURN_IF_ERROR(recovery_.Timed(phase.rebuild_us, [&] {
+    loaded = recovery_.LoadVam(root, deltas, &vam_);
+    return OkStatus();
+  }));
+  if (!loaded) {
     NtImages images;
     CEDAR_RETURN_IF_ERROR(PreloadNameTable(&images));
-    CEDAR_RETURN_IF_ERROR(recovery_.RebuildVam(images, tree_->root(), &vam_));
+    CEDAR_RETURN_IF_ERROR(recovery_.Timed(phase.rebuild_us, [&] {
+      return recovery_.RebuildVam(images, tree_->root(), &vam_);
+    }));
   }
-  if (config_.durability.vam_logging) {
-    // Guarantee a base snapshot exists for the next crash. This must land
-    // BEFORE the unclean root is written: a clean boot reformats the log
-    // (LSNs restart at 1), so once the root says "unclean" any stale base
-    // with a large LSN would make recovery skip every new delta — a stale
-    // VAM and double allocation. Saving first closes that crash window.
-    CEDAR_RETURN_IF_ERROR(vam_.Save(disk_, layout_.vam_base,
-                                    layout_.vam_sectors, boot_count_,
-                                    log_.next_lsn()));
-  }
-  CEDAR_RETURN_IF_ERROR(recovery_.WriteRoot(/*clean=*/false, boot_count_));
+  CEDAR_RETURN_IF_ERROR(recovery_.Timed(phase.root_us, [&]() -> Status {
+    if (config_.durability.vam_logging) {
+      // Guarantee a base snapshot exists for the next crash. This must
+      // land BEFORE the unclean root is written: a clean boot reformats
+      // the log (LSNs restart at 1), so once the root says "unclean" any
+      // stale base with a large LSN would make recovery skip every new
+      // delta — a stale VAM and double allocation. Saving first closes
+      // that crash window.
+      CEDAR_RETURN_IF_ERROR(vam_.Save(disk_, layout_.vam_base,
+                                      layout_.vam_sectors, boot_count_,
+                                      log_.next_lsn()));
+    }
+    return recovery_.WriteRoot(/*clean=*/false, boot_count_);
+  }));
   ArmMounted();
   return OkStatus();
 }
@@ -442,7 +457,10 @@ Status Fsd::MountDegradedLocked() {
 }
 
 Status Fsd::PreloadNameTable(NtImages* winners) {
-  CEDAR_RETURN_IF_ERROR(nt_.Sweep(winners));
+  CEDAR_RETURN_IF_ERROR(recovery_.Timed(recovery_.c.sweep_us, [&] {
+    return nt_.Sweep(tree_->root(), winners);
+  }));
+  recovery_.c.sweep_sectors->Add(winners->sectors_read);
   for (std::uint32_t pid = 0; pid < winners->present.size(); ++pid) {
     if (winners->present[pid]) {
       const auto at = winners->sectors.begin() + std::size_t{pid} * 512;

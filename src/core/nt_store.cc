@@ -1,8 +1,8 @@
 #include "src/core/nt_store.h"
 
 #include <algorithm>
-#include <unordered_set>
 
+#include "src/btree/btree.h"
 #include "src/sim/scheduler.h"
 #include "src/util/check.h"
 #include "src/util/crc32.h"
@@ -296,54 +296,53 @@ Status NtStore::ReadCluster(
   return OkStatus();
 }
 
-Status NtStore::Sweep(NtImages* images) {
+Status NtStore::Sweep(btree::PageId root, NtImages* images) {
   const std::uint32_t n = pages_;
   std::vector<std::uint8_t> region_a(static_cast<std::size_t>(n) * 512);
   std::vector<std::uint8_t> region_b(static_cast<std::size_t>(n) * 512);
-  constexpr std::uint32_t kChunk = 1024;
-  // Replica B sits below the log and primary A above it, so the elevator
-  // reads B then A with a single crossing instead of ping-ponging per chunk.
-  // Chunk c reads region A's chunk c (B's chunk c - chunks past A's).
-  const std::uint32_t chunks = (n + kChunk - 1) / kChunk;
-  std::vector<std::vector<std::uint32_t>> chunk_bad(2 * chunks);
-  sim::IoScheduler sched(disk_, durability_.batched_writeback, kChunk);
-  for (std::uint32_t c = 0; c < 2 * chunks; ++c) {
-    const std::uint32_t off = (c % chunks) * kChunk;
-    sched.QueueRead((c < chunks ? layout_.nta_base : layout_.ntb_base) + off,
-                    std::span<std::uint8_t>(c < chunks ? region_a : region_b)
-                        .subspan(std::size_t{off} * 512,
-                                 std::size_t{std::min(kChunk, n - off)} * 512),
-                    &chunk_bad[c]);
-  }
-  CEDAR_RETURN_IF_ERROR(sched.Flush());
-  std::vector<std::uint32_t> bad_a;
-  std::vector<std::uint32_t> bad_b;
-  for (std::uint32_t c = 0; c < 2 * chunks; ++c) {
-    for (std::uint32_t b : chunk_bad[c]) {
-      (c < chunks ? bad_a : bad_b).push_back((c % chunks) * kChunk + b);
+  // Per page: both copies sit in the buffers; the walk reached it; the
+  // device flagged a copy bad.
+  std::vector<bool> in_buffer(n, false);
+  std::vector<bool> reached(n, false);
+  std::vector<bool> bad_a(n, false);
+  std::vector<bool> bad_b(n, false);
+  // Reached pages whose copies are buffered (voted next) or still on disk
+  // (read by the next round).
+  std::vector<std::uint32_t> ready;
+  std::vector<std::uint32_t> unread;
+  auto reach = [&](std::uint32_t pid) {
+    if (!reached[pid]) {
+      reached[pid] = true;
+      (in_buffer[pid] ? ready : unread).push_back(pid);
     }
+  };
+  if (root < n) {
+    reach(root);
   }
-  CEDAR_RETURN_IF_ERROR(PatchRemapped(layout_.nta_base, n, region_a, &bad_a));
-  CEDAR_RETURN_IF_ERROR(PatchRemapped(layout_.ntb_base, n, region_b, &bad_b));
-  const std::unordered_set<std::uint32_t> bad_a_set(bad_a.begin(),
-                                                    bad_a.end());
-  const std::unordered_set<std::uint32_t> bad_b_set(bad_b.begin(),
-                                                    bad_b.end());
   HomeBatch repairs(disk_, durability_.batched_writeback);
   const bool degraded = health_->degraded();
   // Region A's buffer doubles as the winners: a winning B copy is copied
   // into A's slot once the election is made.
   std::vector<bool> present(n, false);
-  for (std::uint32_t pid = 0; pid < n; ++pid) {
+  images->sectors_read = 0;
+  while (!ready.empty() || !unread.empty()) {
+    if (ready.empty()) {
+      std::sort(unread.begin(), unread.end());
+      CEDAR_RETURN_IF_ERROR(ReadRound(unread, region_a, region_b, &in_buffer,
+                                      &bad_a, &bad_b, &images->sectors_read));
+      ready.swap(unread);
+    }
+    const std::uint32_t pid = ready.back();
+    ready.pop_back();
     auto a = std::span<std::uint8_t>(region_a).subspan(
         static_cast<std::size_t>(pid) * 512, 512);
     auto b = std::span<const std::uint8_t>(region_b)
                  .subspan(static_cast<std::size_t>(pid) * 512, 512);
-    const Vote vote =
-        VoteCopies(a, !bad_a_set.contains(pid), b, !bad_b_set.contains(pid),
-                   /*read_b=*/true, health_->c.corruption_detected);
+    const Vote vote = VoteCopies(a, !bad_a[pid], b, !bad_b[pid],
+                                 /*read_b=*/true,
+                                 health_->c.corruption_detected);
     if (!vote.any()) {
-      continue;  // free page, or a loss the per-page read path will report
+      continue;  // a lost page: the rebuild's walk reports it
     }
     MergeSeq(vote.seq);
     if (vote.b_wins) {
@@ -354,10 +353,78 @@ Status NtStore::Sweep(NtImages* images) {
       repairs.QueueWrite(LoserOf(vote, pid), a);
       health_->CountNtRepair();
     }
+    for (const btree::PageId child :
+         btree::BTree::ChildrenOf(a.first(kPayload), n)) {
+      reach(child);
+    }
   }
   CEDAR_RETURN_IF_ERROR(Flush(repairs));
   images->sectors = std::move(region_a);
   images->present = std::move(present);
+  return OkStatus();
+}
+
+Status NtStore::ReadRound(std::span<const std::uint32_t> pids,
+                          std::span<std::uint8_t> region_a,
+                          std::span<std::uint8_t> region_b,
+                          std::vector<bool>* in_buffer,
+                          std::vector<bool>* bad_a, std::vector<bool>* bad_b,
+                          std::uint64_t* sectors_read) {
+  // Pages less than a track apart share one run: reading through the gap
+  // costs less than the revolution a separate request would lose. A run
+  // stops short of a buffered page (its slot may already hold an elected
+  // B copy) and at the scheduler's transfer cap.
+  constexpr std::uint32_t kMaxRun = 1024;
+  const std::uint32_t track = disk_->geometry().sectors_per_track;
+  struct Run {
+    std::uint32_t first = 0;
+    std::uint32_t count = 0;
+    std::array<std::vector<std::uint32_t>, 2> bad;
+  };
+  std::vector<Run> runs;
+  for (const std::uint32_t pid : pids) {
+    if (!runs.empty()) {
+      Run& run = runs.back();
+      const std::uint32_t end = run.first + run.count;
+      if (pid - (end - 1) < track && pid + 1 - run.first <= kMaxRun &&
+          std::none_of(in_buffer->begin() + end, in_buffer->begin() + pid,
+                       [](bool buffered) { return buffered; })) {
+        run.count = pid + 1 - run.first;
+        continue;
+      }
+    }
+    runs.push_back(Run{.first = pid, .count = 1, .bad = {}});
+  }
+  auto slice = [](std::span<std::uint8_t> region, const Run& run) {
+    return region.subspan(static_cast<std::size_t>(run.first) * 512,
+                          static_cast<std::size_t>(run.count) * 512);
+  };
+  sim::IoScheduler sched(disk_, durability_.batched_writeback, kMaxRun);
+  for (Run& run : runs) {
+    sched.QueueRead(layout_.nta_base + run.first, slice(region_a, run),
+                    &run.bad[0]);
+    sched.QueueRead(layout_.ntb_base + run.first, slice(region_b, run),
+                    &run.bad[1]);
+  }
+  CEDAR_RETURN_IF_ERROR(sched.Flush());
+  for (Run& run : runs) {
+    CEDAR_RETURN_IF_ERROR(PatchRemapped(layout_.nta_base + run.first,
+                                        run.count, slice(region_a, run),
+                                        &run.bad[0]));
+    CEDAR_RETURN_IF_ERROR(PatchRemapped(layout_.ntb_base + run.first,
+                                        run.count, slice(region_b, run),
+                                        &run.bad[1]));
+    for (std::uint32_t i = 0; i < run.count; ++i) {
+      (*in_buffer)[run.first + i] = true;
+    }
+    for (const std::uint32_t i : run.bad[0]) {
+      (*bad_a)[run.first + i] = true;
+    }
+    for (const std::uint32_t i : run.bad[1]) {
+      (*bad_b)[run.first + i] = true;
+    }
+    *sectors_read += 2 * std::uint64_t{run.count};
+  }
   return OkStatus();
 }
 

@@ -4,9 +4,10 @@
 // this module owns every decision about those copies: the sector format
 // (payload + sequence/CRC trailer), the vote between the copies, the
 // bad-sector remap table that moves a dead home to a spare, the miss path's
-// cluster read, the mount sweep, the per-page reader of scrub and fsck, and
-// the one repair routine. It needs no Fsd: Fsd keeps only the cache-facing
-// B-tree page store and calls in here, and tests build it on a bare disk.
+// cluster read, the mount sweep of the live tree, the per-page reader of
+// scrub and fsck, and the one repair routine. It needs no Fsd: Fsd keeps
+// only the cache-facing B-tree page store and calls in here, and tests
+// build it on a bare disk.
 
 #ifndef CEDAR_CORE_NT_STORE_H_
 #define CEDAR_CORE_NT_STORE_H_
@@ -104,12 +105,15 @@ class MediaHealth {
 // A batch of home-sector writes (nt_store.cc).
 struct HomeBatch;
 
-// The elected winner of every name-table page, in page order: page p's
-// 512-byte sector sits at sectors[p * 512] when present[p]; present[p] is
-// false when neither copy validated (a free page, or a lost one).
+// The elected winner of every page the mount sweep reached, in page order:
+// page p's 512-byte sector sits at sectors[p * 512] when present[p];
+// present[p] is false for a page the walk never reached (a free page) and
+// for one whose copies both failed (a lost page). sectors_read counts the
+// home sectors the sweep read, both regions.
 struct NtImages {
   std::vector<std::uint8_t> sectors;
   std::vector<bool> present;
+  std::uint64_t sectors_read = 0;
 };
 
 class NtStore {
@@ -141,8 +145,9 @@ class NtStore {
   std::vector<std::uint8_t> Compose(std::span<const std::uint8_t> payload);
   // The clock must dominate every stamp on disk or the vote could prefer a
   // stale copy. Mount max-merges it from the volume root (a floor persisted
-  // at every root write), every trailer the sweep sees and every replayed
-  // log image; Format resets it.
+  // at every root write), every page the sweep votes on and every replayed
+  // log image; Format resets it. The sweep skips free pages, whose stamps
+  // a newer parent image dominates (DESIGN.md section 4h).
   void MergeSeq(std::uint32_t seq);
   // MergeSeq of `sector`'s sequence when its trailer validates.
   void MergeTrailerSeq(std::span<const std::uint8_t> sector) {
@@ -229,10 +234,14 @@ class NtStore {
       std::uint32_t id,
       const std::function<bool(std::uint32_t, std::span<const std::uint8_t>)>&
           accept);
-  // The mount sweep: both regions in one elevator pass (B then A — one
-  // crossing), a vote per page, the clock merged, every diverged loser
-  // rewritten in one batch (not when degraded), the winners handed back.
-  Status Sweep(NtImages* images);
+  // The mount sweep: a walk of the tree from `root` that reads only the
+  // pages it reaches (DESIGN.md section 4h). Each round reads every reached
+  // page not yet buffered, both copies, in one elevator batch; a vote per
+  // page, the clock merged, the winner's children reached. Every diverged
+  // loser is rewritten in one batch (not when degraded), and the winners
+  // are handed back. Free pages are never read: their stale stamps stay
+  // below the clock because freeing a page rewrites its parent.
+  Status Sweep(btree::PageId root, NtImages* images);
   // Both copies of page `pid`, read one at a time through the remap table
   // (no CPU charge), and their vote. Fails only when the device crashed.
   struct Copies {
@@ -281,6 +290,15 @@ class NtStore {
   // name-table copies go through RepairCopy; any other sector (a leader,
   // reconstructible from its entry) is noted unrepairable and dropped.
   Status Flush(HomeBatch& batch);
+  // One round of the sweep: reads `pids` (ascending) from both regions as
+  // runs of pages less than a track apart, into their slots of the region
+  // buffers, patches remapped homes within each run, and marks every page
+  // a run covered as buffered and each bad copy in bad_*.
+  Status ReadRound(std::span<const std::uint32_t> pids,
+                   std::span<std::uint8_t> region_a,
+                   std::span<std::uint8_t> region_b,
+                   std::vector<bool>* in_buffer, std::vector<bool>* bad_a,
+                   std::vector<bool>* bad_b, std::uint64_t* sectors_read);
   // One region's slice of a cluster: a bulk read, its CPU charge, then the
   // remap patch.
   Status ReadRegion(sim::Lba base, std::uint32_t count,

@@ -279,22 +279,33 @@ Status Recovery::CollectReplay(std::uint32_t boot_count, bool keep_deltas,
   return log_->Recover(visit, boot_count);
 }
 
+Status Recovery::Timed(obs::Counter* us,
+                       const std::function<Status()>& phase) {
+  const sim::Micros start = disk_->clock().now();
+  const Status status = phase();
+  us->Add(disk_->clock().now() - start);
+  return status;
+}
+
 Status Recovery::Redo(bool clean, std::uint32_t boot_count,
                       std::vector<std::pair<std::uint64_t, VamDelta>>* deltas) {
   if (clean) {
-    // The log contents are all applied; start it fresh. The log has no
-    // spare sectors, so a write fault here leaves the volume only the
-    // read-only degraded mount; attribute it for that mount's report.
-    const Status formatted = log_->Format(boot_count);
-    if (!formatted.ok() && formatted.code() != ErrorCode::kDeviceCrashed) {
-      health_->NoteUnrepairable("log unwritable at mount: " +
-                                formatted.message());
-    }
-    return formatted;
+    return Timed(c.replay_write_us, [&] {
+      // The log contents are all applied; start it fresh. The log has no
+      // spare sectors, so a write fault here leaves the volume only the
+      // read-only degraded mount; attribute it for that mount's report.
+      const Status formatted = log_->Format(boot_count);
+      if (!formatted.ok() && formatted.code() != ErrorCode::kDeviceCrashed) {
+        health_->NoteUnrepairable("log unwritable at mount: " +
+                                  formatted.message());
+      }
+      return formatted;
+    });
   }
   Replay replay;
-  CEDAR_RETURN_IF_ERROR(CollectReplay(boot_count, /*keep_deltas=*/true,
-                                      &replay));
+  CEDAR_RETURN_IF_ERROR(Timed(c.replay_read_us, [&] {
+    return CollectReplay(boot_count, /*keep_deltas=*/true, &replay);
+  }));
   *deltas = std::move(replay.deltas);
   // Write the surviving images home through the elevator scheduler
   // (name-table pages cluster, so this turns hundreds of rotational misses
@@ -305,7 +316,7 @@ Status Recovery::Redo(bool clean, std::uint32_t boot_count,
                       .image = page.data});
     c.pages_replayed->Increment();
   }
-  return nt_->WriteHomes(writes);
+  return Timed(c.replay_write_us, [&] { return nt_->WriteHomes(writes); });
 }
 
 bool Recovery::LoadVam(

@@ -151,12 +151,30 @@ class Recovery {
   // left unmarked and noted unrepairable.
   Status RebuildVam(const NtImages& images, btree::PageId root, Vam* vam);
 
+  // Runs `phase` and adds the virtual time it took to `us`.
+  Status Timed(obs::Counter* us, const std::function<Status()>& phase);
+
   // Pages replayed from the log (the degraded mount counts the images it
   // overlays), and mounts that took the VAM-logging fast path.
+  //
+  // The virtual time of each mount phase, summed over mounts, in us; a
+  // Mount's five phases add up to its whole time. root: the volume root
+  // and remap directory reads, and the closing VAM save and root write;
+  // replay read: collecting the log's images; replay write: writing them
+  // home (on a clean volume, starting a fresh log); sweep: the name-table
+  // sweep (Fsd::PreloadNameTable, either mount); rebuild: the allocation
+  // map, loaded or rebuilt by the walk. sweep_sectors counts the home
+  // sectors the sweeps read.
   struct Counters {
     obs::MetricsRegistry& m;
     obs::Counter* pages_replayed = m.GetCounter("fsd.recovery_pages_replayed");
     obs::Counter* fast_recoveries = m.GetCounter("fsd.fast_recoveries");
+    obs::Counter* root_us = m.GetCounter("fsd.mount_root_us");
+    obs::Counter* replay_read_us = m.GetCounter("fsd.mount_replay_read_us");
+    obs::Counter* replay_write_us = m.GetCounter("fsd.mount_replay_write_us");
+    obs::Counter* sweep_us = m.GetCounter("fsd.mount_sweep_us");
+    obs::Counter* rebuild_us = m.GetCounter("fsd.mount_rebuild_us");
+    obs::Counter* sweep_sectors = m.GetCounter("fsd.mount_sweep_sectors");
   } c;
 
  private:

@@ -545,19 +545,32 @@ bool GetFaultMap(ByteReader& r, Lba total, T low, T high,
   return r.ok();
 }
 
-}  // namespace
+// The image is a header (magic, geometry), the sector data, and a tail
+// holding the rest of the medium state. EncodeImage and DecodeImage put the
+// three together; SaveImage and LoadImage move the sector data straight
+// between the file and the medium and code only the header and the tail.
+constexpr std::size_t kImageHeaderBytes = 8 + 3 * 4;
 
-std::vector<std::uint8_t> SimDisk::EncodeImage(const DiskGeometry& geometry,
-                                               const DiskSnapshot& snapshot) {
-  std::vector<std::uint8_t> image;
-  // The sector data, labels and damage flags, plus a small tail.
-  image.reserve(snapshot.data.size() + 14 * snapshot.labels.size() + 256);
-  ByteWriter w(&image);
+void EncodeImageHeader(ByteWriter& w, const DiskGeometry& geometry) {
   w.Magic(kImageMagic);
   w.U32(geometry.cylinders);
   w.U32(geometry.heads);
   w.U32(geometry.sectors_per_track);
-  w.Bytes(snapshot.data);
+}
+
+Status DecodeImageHeader(ByteReader& r, const DiskGeometry& geometry) {
+  if (!r.Magic(kImageMagic)) {
+    return MakeError(ErrorCode::kCorruptMetadata, "not a cedar disk image");
+  }
+  if (r.U32() != geometry.cylinders || r.U32() != geometry.heads ||
+      r.U32() != geometry.sectors_per_track) {
+    return MakeError(ErrorCode::kInvalidArgument, "image geometry mismatch");
+  }
+  return OkStatus();
+}
+
+// Everything after the sector data; `snapshot.data` is not read.
+void EncodeImageTail(ByteWriter& w, const DiskSnapshot& snapshot) {
   for (const Label& label : snapshot.labels) {
     w.U64(label.file_uid);
     w.U32(label.page_number);
@@ -589,29 +602,20 @@ std::vector<std::uint8_t> SimDisk::EncodeImage(const DiskGeometry& geometry,
   w.U32(schedule.max_events);
   w.U64(snapshot.fault_events);
   w.U64(snapshot.write_seq);
-  return image;
 }
 
-Result<DiskSnapshot> SimDisk::DecodeImage(std::span<const std::uint8_t> bytes,
-                                          const DiskGeometry& geometry) {
-  ByteReader r(bytes);
-  if (!r.Magic(kImageMagic)) {
-    return MakeError(ErrorCode::kCorruptMetadata, "not a cedar disk image");
-  }
-  if (r.U32() != geometry.cylinders || r.U32() != geometry.heads ||
-      r.U32() != geometry.sectors_per_track) {
-    return MakeError(ErrorCode::kInvalidArgument, "image geometry mismatch");
-  }
+// The tail into every field of `snap` but the sector data; `r` must end
+// exactly where the tail does.
+Status DecodeImageTail(ByteReader& r, const DiskGeometry& geometry,
+                       DiskSnapshot* snap) {
   const auto corrupt = [] {
     return MakeError(ErrorCode::kCorruptMetadata, "corrupt disk image");
   };
   const Lba total = geometry.TotalSectors();
-  DiskSnapshot snap;
-  snap.data = r.Bytes(static_cast<std::size_t>(total) * kSectorSize);
   // The geometry, not the file, sizes the per-sector arrays; a short file
   // reads zeros from here on and fails the final check.
-  snap.labels.resize(static_cast<std::size_t>(total));
-  for (Label& label : snap.labels) {
+  snap->labels.resize(static_cast<std::size_t>(total));
+  for (Label& label : snap->labels) {
     label.file_uid = r.U64();
     label.page_number = r.U32();
     const std::uint8_t type = r.U8();
@@ -620,22 +624,22 @@ Result<DiskSnapshot> SimDisk::DecodeImage(std::span<const std::uint8_t> bytes,
     }
     label.type = static_cast<PageType>(type);
   }
-  snap.damaged.resize(static_cast<std::size_t>(total));
-  for (std::size_t lba = 0; lba < snap.damaged.size(); ++lba) {
+  snap->damaged.resize(static_cast<std::size_t>(total));
+  for (std::size_t lba = 0; lba < snap->damaged.size(); ++lba) {
     const std::uint8_t bad = r.U8();
     if (bad > 1) {
       return corrupt();
     }
-    snap.damaged[lba] = bad == 1;
+    snap->damaged[lba] = bad == 1;
   }
   const std::uint8_t crashed = r.U8();
   const std::uint8_t has_plan = r.U8();
   if (crashed > 1 || has_plan > 1) {
     return corrupt();
   }
-  snap.crashed = crashed == 1;
+  snap->crashed = crashed == 1;
   if (has_plan == 1) {
-    CrashPlan& plan = snap.crash_plan.emplace();
+    CrashPlan& plan = snap->crash_plan.emplace();
     plan.at_write_index = r.U64();
     plan.sectors_completed = r.U32();
     plan.sectors_damaged = r.U32();
@@ -650,39 +654,87 @@ Result<DiskSnapshot> SimDisk::DecodeImage(std::span<const std::uint8_t> bytes,
       return corrupt();
     }
   }
-  snap.crash_writes_seen = r.U64();
-  if (!GetFaultMap(r, total, 0u, ~0u, &snap.transient_read_faults) ||
+  snap->crash_writes_seen = r.U64();
+  if (!GetFaultMap(r, total, 0u, ~0u, &snap->transient_read_faults) ||
       !GetFaultMap(r, total, FaultMode::kReadFail, FaultMode::kDead,
-                   &snap.persistent_faults) ||
+                   &snap->persistent_faults) ||
       !GetFaultMap(r, total, WriteFaultKind::kDropped, WriteFaultKind::kTorn,
-                   &snap.pending_write_faults)) {
+                   &snap->pending_write_faults)) {
     return corrupt();
   }
-  FaultSchedule& schedule = snap.fault_schedule;
+  FaultSchedule& schedule = snap->fault_schedule;
   schedule.seed = r.U64();
   schedule.persistent_ppm = r.U32();
   schedule.write_fault_ppm = r.U32();
   schedule.corrupt_ppm = r.U32();
   schedule.max_events = r.U32();
-  snap.fault_events = r.U64();
-  snap.write_seq = r.U64();
-  if (!r.done()) {
-    return corrupt();
-  }
+  snap->fault_events = r.U64();
+  snap->write_seq = r.U64();
+  return r.done() ? OkStatus() : corrupt();
+}
+
+}  // namespace
+
+std::vector<std::uint8_t> SimDisk::EncodeImage(const DiskGeometry& geometry,
+                                               const DiskSnapshot& snapshot) {
+  std::vector<std::uint8_t> image;
+  // The sector data, labels and damage flags, plus a small tail.
+  image.reserve(snapshot.data.size() + 14 * snapshot.labels.size() + 256);
+  ByteWriter w(&image);
+  EncodeImageHeader(w, geometry);
+  w.Bytes(snapshot.data);
+  EncodeImageTail(w, snapshot);
+  return image;
+}
+
+Result<DiskSnapshot> SimDisk::DecodeImage(std::span<const std::uint8_t> bytes,
+                                          const DiskGeometry& geometry) {
+  ByteReader r(bytes);
+  CEDAR_RETURN_IF_ERROR(DecodeImageHeader(r, geometry));
+  DiskSnapshot snap;
+  snap.data = r.Bytes(static_cast<std::size_t>(geometry.TotalSectors()) *
+                      kSectorSize);
+  CEDAR_RETURN_IF_ERROR(DecodeImageTail(r, geometry, &snap));
   return snap;
 }
 
 Status SimDisk::SaveImage(const std::string& path) const {
-  return WriteFileBytes(path, EncodeImage(geometry_, Snapshot()),
+  std::lock_guard<std::mutex> lock(mu_);
+  ByteWriter header;
+  EncodeImageHeader(header, geometry_);
+  ByteWriter tail;
+  EncodeImageTail(tail, StateLocked());
+  return WriteFileBytes(path, {header.buffer(), data_, tail.buffer()},
                         "disk image");
 }
 
 Status SimDisk::LoadImage(const std::string& path) {
-  CEDAR_ASSIGN_OR_RETURN(const std::vector<std::uint8_t> bytes,
-                         ReadFileBytes(path, "disk image"));
-  CEDAR_ASSIGN_OR_RETURN(const DiskSnapshot snapshot,
-                         DecodeImage(bytes, geometry_));
-  Restore(snapshot);
+  // The header and the tail decode before the disk changes; the sector
+  // data, which has nothing to check, is then read straight into the
+  // medium (a read that fails part-way leaves the data half loaded).
+  CEDAR_ASSIGN_OR_RETURN(const std::uint64_t size,
+                         FileSize(path, "disk image"));
+  CEDAR_ASSIGN_OR_RETURN(
+      const std::vector<std::uint8_t> header,
+      ReadFileBytes(path, 0, std::min<std::uint64_t>(size, kImageHeaderBytes),
+                    "disk image"));
+  ByteReader header_reader(header);
+  CEDAR_RETURN_IF_ERROR(DecodeImageHeader(header_reader, geometry_));
+  const std::uint64_t tail_at =
+      kImageHeaderBytes + geometry_.TotalSectors() * kSectorSize;
+  if (size < tail_at) {
+    return MakeError(ErrorCode::kCorruptMetadata, "corrupt disk image");
+  }
+  CEDAR_ASSIGN_OR_RETURN(
+      const std::vector<std::uint8_t> tail,
+      ReadFileBytes(path, tail_at, size - tail_at, "disk image"));
+  ByteReader tail_reader(tail);
+  DiskSnapshot state;
+  CEDAR_RETURN_IF_ERROR(DecodeImageTail(tail_reader, geometry_, &state));
+  std::lock_guard<std::mutex> lock(mu_);
+  CEDAR_RETURN_IF_ERROR(
+      ReadFileInto(path, kImageHeaderBytes, data_, "disk image"));
+  AdoptStateLocked(std::move(state));
   return OkStatus();
 }
 
@@ -698,8 +750,13 @@ void SimDisk::ArmCrash(const CrashPlan& plan) {
 
 DiskSnapshot SimDisk::Snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
-  DiskSnapshot snap;
+  DiskSnapshot snap = StateLocked();
   snap.data = data_;
+  return snap;
+}
+
+DiskSnapshot SimDisk::StateLocked() const {
+  DiskSnapshot snap;
   snap.labels = labels_;
   snap.damaged = damaged_;
   snap.crashed = crashed_;
@@ -719,20 +776,26 @@ DiskSnapshot SimDisk::Snapshot() const {
 void SimDisk::Restore(const DiskSnapshot& snapshot) {
   std::lock_guard<std::mutex> lock(mu_);
   CEDAR_CHECK(snapshot.data.size() == data_.size());
-  CEDAR_CHECK(snapshot.labels.size() == labels_.size());
-  CEDAR_CHECK(snapshot.damaged.size() == damaged_.size());
-  data_ = snapshot.data;
-  labels_ = snapshot.labels;
-  damaged_ = snapshot.damaged;
-  crashed_ = snapshot.crashed;
-  crash_plan_ = snapshot.crash_plan;
-  crash_writes_seen_ = snapshot.crash_writes_seen;
-  transient_read_faults_ = snapshot.transient_read_faults;
-  persistent_faults_ = snapshot.persistent_faults;
-  pending_write_faults_ = snapshot.pending_write_faults;
-  fault_schedule_ = snapshot.fault_schedule;
-  fault_events_ = snapshot.fault_events;
-  write_seq_ = snapshot.write_seq;
+  data_ = snapshot.data;  // into the buffer the disk holds: no third image
+  AdoptStateLocked(snapshot);
+}
+
+template <typename State>
+void SimDisk::AdoptStateLocked(State&& state) {
+  CEDAR_CHECK(state.labels.size() == labels_.size());
+  CEDAR_CHECK(state.damaged.size() == damaged_.size());
+  // Each member is moved from an rvalue `state` and copied from an lvalue.
+  labels_ = std::forward<State>(state).labels;
+  damaged_ = std::forward<State>(state).damaged;
+  crashed_ = state.crashed;
+  crash_plan_ = std::forward<State>(state).crash_plan;
+  crash_writes_seen_ = state.crash_writes_seen;
+  transient_read_faults_ = std::forward<State>(state).transient_read_faults;
+  persistent_faults_ = std::forward<State>(state).persistent_faults;
+  pending_write_faults_ = std::forward<State>(state).pending_write_faults;
+  fault_schedule_ = state.fault_schedule;
+  fault_events_ = state.fault_events;
+  write_seq_ = state.write_seq;
 }
 
 void SimDisk::RestoreTimeline(const DiskSnapshot& snapshot) {

@@ -283,7 +283,9 @@ class SimDisk : public BlockDevice {
                                           const DiskGeometry& geometry);
   Status SaveImage(const std::string& path) const override;
   // Loads an image saved with SaveImage; the geometry must match. The disk
-  // changes only once the whole file has decoded.
+  // changes only once the header and tail have decoded. SaveImage and
+  // LoadImage move the sector data between the file and the medium with no
+  // copy in between.
   Status LoadImage(const std::string& path);
 
  private:
@@ -331,6 +333,12 @@ class SimDisk : public BlockDevice {
   Status WriteImpl(Lba start, std::span<const std::uint8_t> data,
                    std::span<const Label> new_labels);
   void CorruptLocked(Lba lba, std::uint64_t seed);
+  // Every field of a snapshot but the sector data, and the way back:
+  // every field but data_ taken from `state` (a DiskSnapshot, copied from
+  // when an lvalue, moved from when an rvalue).
+  DiskSnapshot StateLocked() const;
+  template <typename State>
+  void AdoptStateLocked(State&& state);
 
   // Serializes every request and all fault-injection/snapshot entry points.
   mutable std::mutex mu_;

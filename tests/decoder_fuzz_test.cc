@@ -7,10 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
+#include <string>
 #include <vector>
 
+#include "src/btree/btree.h"
+#include "src/btree/mem_page_store.h"
 #include "src/core/layout.h"
 #include "src/core/nt_store.h"
 #include "src/core/recovery.h"
@@ -357,6 +361,209 @@ TEST(VamDeltaFuzzTest, AcceptedDeltasFitTheVolume) {
     accepted += outcomes[1][c];
   }
   EXPECT_GT(accepted, kMutations / 10);
+}
+
+// ---- Interior pages: BTree::ChildrenOf and the mount sweep's walk.
+
+// A three-level tree of `kTablePages` or fewer pages, built through the
+// B-tree itself: long keys keep the fan-out small, so there are interior
+// pages besides the root.
+constexpr std::uint32_t kTablePages = 64;
+
+std::map<btree::PageId, std::vector<std::uint8_t>> BuildTree() {
+  btree::MemPageStore store(NtStore::kPayload);
+  btree::BTree tree(&store, 0);
+  CEDAR_CHECK_OK(tree.Create());
+  for (int i = 0; i < 100; ++i) {
+    const std::string key =
+        "fuzz/" + std::string(50, 'k') + std::to_string(1000 + i);
+    const std::vector<std::uint8_t> value(10, static_cast<std::uint8_t>(i));
+    CEDAR_CHECK_OK(tree.Insert(
+        std::span<const std::uint8_t>(
+            reinterpret_cast<const std::uint8_t*>(key.data()), key.size()),
+        value));
+  }
+  std::vector<btree::PageId> live;
+  CEDAR_CHECK_OK(tree.CollectPages(&live));
+  std::map<btree::PageId, std::vector<std::uint8_t>> pages;
+  for (const btree::PageId id : live) {
+    CEDAR_CHECK(id < kTablePages);
+    pages[id].resize(NtStore::kPayload);
+    CEDAR_CHECK_OK(store.ReadPage(id, pages[id]));
+  }
+  return pages;
+}
+
+// Seeded mutations of interior pages (the layout btree.cc writes: u8 type,
+// u8 pad, u16 count, u16 cell_start, u32 leftmost child, u16 slots; a cell
+// is u16 key_len, the key, u32 child): out-of-range, self and cross
+// references, slots and key lengths past the page, truncation. ChildrenOf
+// must never yield a page at or past the limit, nor read past the page (a
+// truncated page is an exactly-sized buffer, so asan sees an overread);
+// every 10th mutated page is also written home and swept, and the sweep
+// must read nothing outside the two name-table regions.
+TEST(InteriorPageFuzzTest, ChildrenStayInRangeAndTheSweepInTheRegions) {
+  constexpr int kMutations = 100000;
+  constexpr int kSweepEvery = 10;
+  const std::map<btree::PageId, std::vector<std::uint8_t>> tree = BuildTree();
+  std::vector<btree::PageId> interior;
+  for (const auto& [id, page] : tree) {
+    if (btree::BTree::IsInteriorPage(page)) {
+      interior.push_back(id);
+    }
+  }
+  ASSERT_GE(interior.size(), 3u) << "the root and at least two below it";
+  // An untouched interior page yields exactly its children, all in range.
+  std::uint32_t reachable = 1;
+  for (const btree::PageId id : interior) {
+    const auto children = btree::BTree::ChildrenOf(tree.at(id), kTablePages);
+    ASSERT_FALSE(children.empty());
+    reachable += static_cast<std::uint32_t>(children.size());
+    for (const btree::PageId child : children) {
+      ASSERT_TRUE(tree.contains(child)) << "page " << id;
+    }
+  }
+  ASSERT_EQ(reachable, tree.size());
+
+  FsdConfig config;
+  config.log_sectors = 400;
+  config.nt_pages = kTablePages;
+  sim::VirtualClock clock;
+  sim::SimDisk disk(sim::TestGeometry(), sim::DiskTimingParams{}, &clock);
+  obs::DiskTracer tracer(1024);
+  disk.set_tracer(&tracer);
+  const FsdLayout layout = FsdLayout::Compute(disk.geometry(), config);
+  obs::MetricsRegistry metrics;
+  MediaHealth health(&disk, &metrics);
+  NtStore nt(&disk, layout, config, &metrics, &health);
+  ASSERT_TRUE(nt.Format().ok());
+  auto write_home = [&](btree::PageId id,
+                        std::span<const std::uint8_t> payload) {
+    const std::vector<std::uint8_t> image = nt.Compose(payload);
+    const NtStore::Homes homes = nt.HomesOf(id);
+    const NtStore::HomeWrite page{
+        .primary = homes.primary, .replica = homes.replica, .image = image};
+    CEDAR_CHECK_OK(nt.WriteHomes({&page, 1}));
+  };
+  for (const auto& [id, page] : tree) {
+    write_home(id, page);
+  }
+  auto in_regions = [&](const obs::TraceEvent& ev) {
+    auto within = [&](sim::Lba base) {
+      return ev.lba >= base && ev.lba + ev.sectors <= base + kTablePages;
+    };
+    return within(layout.nta_base) || within(layout.ntb_base);
+  };
+
+  enum Class {
+    kChildRandom,   // a child pointer set to any u32
+    kChildEdge,     // ... to the limit's edges, itself, or another page
+    kSlotOffset,    // a slot pointing anywhere, past the page included
+    kKeyLength,     // a cell's key running past the page
+    kCount,         // more (or fewer) slots than the page holds
+    kCellStart,     // the cell area's start anywhere
+    kTruncate,      // the page cut short
+    kBytes,         // random bytes in the header and slots
+    kClasses
+  };
+  Rng rng(0xC41D5u);
+  int nonempty[kClasses] = {};
+  int sweeps = 0;
+  for (int m = 0; m < kMutations; ++m) {
+    const btree::PageId id = interior[rng.Below(interior.size())];
+    std::vector<std::uint8_t> page = tree.at(id);
+    const std::uint32_t count = page[2] | (page[3] << 8);
+    // The offset of child field i (0 = leftmost, i > 0 = cell i - 1's).
+    auto child_at = [&](std::uint32_t i) -> std::size_t {
+      if (i == 0) {
+        return 6;
+      }
+      const std::size_t off = page[10 + 2 * (i - 1)] |
+                              (page[11 + 2 * (i - 1)] << 8);
+      return off + 2 + (page[off] | (page[off + 1] << 8));
+    };
+    auto put16 = [&](std::size_t at, std::uint32_t v) {
+      page[at] = static_cast<std::uint8_t>(v);
+      page[at + 1] = static_cast<std::uint8_t>(v >> 8);
+    };
+    auto put32 = [&](std::size_t at, std::uint32_t v) {
+      put16(at, v & 0xFFFF);
+      put16(at + 2, v >> 16);
+    };
+    const auto cls = static_cast<Class>(rng.Below(kClasses));
+    switch (cls) {
+      case kChildRandom:
+        put32(child_at(rng.Below(count + 1)),
+              static_cast<std::uint32_t>(rng.Next()));
+        break;
+      case kChildEdge: {
+        const std::uint32_t edges[] = {
+            kTablePages - 1, kTablePages, kTablePages + 1, btree::kInvalidPage,
+            0, id, interior[rng.Below(interior.size())]};
+        put32(child_at(rng.Below(count + 1)), edges[rng.Below(7)]);
+        break;
+      }
+      case kSlotOffset:
+        put16(10 + 2 * rng.Below(count), rng.Below(0x10000));
+        break;
+      case kKeyLength: {
+        const std::size_t slot = 10 + 2 * rng.Below(count);
+        put16(page[slot] | (page[slot + 1] << 8), rng.Below(0x10000));
+        break;
+      }
+      case kCount:
+        put16(2, rng.Below(300));
+        break;
+      case kCellStart:
+        put16(4, rng.Below(0x10000));
+        break;
+      case kTruncate:
+        page.resize(rng.Below(page.size()));
+        page.shrink_to_fit();
+        break;
+      case kBytes:
+        for (std::uint64_t n = rng.Between(1, 8); n > 0; --n) {
+          page[rng.Below(10 + 2 * count)] =
+              static_cast<std::uint8_t>(rng.Next());
+        }
+        break;
+      case kClasses:
+        break;
+    }
+    const std::vector<btree::PageId> children =
+        btree::BTree::ChildrenOf(page, kTablePages);
+    for (const btree::PageId child : children) {
+      ASSERT_LT(child, kTablePages) << "mutation " << m;
+    }
+    nonempty[cls] += children.empty() ? 0 : 1;
+    if (m % kSweepEvery != 0) {
+      continue;
+    }
+    page.resize(NtStore::kPayload, 0);
+    write_home(id, page);
+    tracer.Reset();
+    NtImages images;
+    ASSERT_TRUE(nt.Sweep(0, &images).ok()) << "mutation " << m;
+    ASSERT_LE(images.sectors_read, 2u * kTablePages) << "mutation " << m;
+    for (const obs::TraceEvent& ev : tracer.Events()) {
+      ASSERT_TRUE(in_regions(ev))
+          << "mutation " << m << " read lba " << ev.lba << "+" << ev.sectors;
+    }
+    ++sweeps;
+    write_home(id, tree.at(id));
+  }
+  EXPECT_EQ(sweeps, kMutations / kSweepEvery);
+  // Pointer mutations still parse; every class that can break the layout
+  // keeps some pages parsing too (a slot or length that stays in bounds),
+  // except truncation: cells fill from the page's end, so a cut page
+  // always loses one.
+  for (int c = 0; c < kClasses; ++c) {
+    if (c == kTruncate) {
+      EXPECT_EQ(nonempty[c], 0);
+    } else {
+      EXPECT_GT(nonempty[c], 0) << "class " << c << " never parsed";
+    }
+  }
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -142,6 +143,79 @@ TEST_F(FsdFaultTest, DroppedHomeWriteHealedBySequenceArbitration) {
   // it is a divergence, repaired toward the newer sequence on first access.
   EXPECT_GE(fsd->Health().repairs, 1u);
   ExpectReadable(fsd, "post/q7");
+  ASSERT_TRUE(fsd->Shutdown().ok());
+}
+
+// The crash mount's sweep reads only the live tree, so it never sees a
+// freed page's stale copies; the clock must still dominate their stamps
+// (DESIGN.md section 4h). The leaf carrying the table's highest stamp is
+// freed, the volume crashes and mounts, the leaf is reused, and the reused
+// page's primary write is dropped: the new replica must outvote the stale
+// primary.
+TEST_F(FsdFaultTest, ReusedFreedLeafOutvotesItsStaleCopyAfterCrashMount) {
+  const core::FsdLayout layout = fsd_->layout();
+  const std::uint32_t pages = FaultCfg().nt_pages;
+  // Every page's replica stamp (0 where the trailer does not validate).
+  auto replica_stamps = [&] {
+    std::vector<std::uint32_t> seq(pages, 0);
+    std::vector<std::uint8_t> sector(512);
+    for (std::uint32_t pid = 0; pid < pages; ++pid) {
+      CEDAR_CHECK_OK(disk_.Read(layout.ntb_base + pid, sector));
+      core::NtStore::ParseTrailer(sector, &seq[pid]);
+    }
+    return seq;
+  };
+  auto name = [](int i) { return "n/f" + std::to_string(100 + i); };
+  constexpr int kDoomed = 80;
+  for (int i = 0; i < kDoomed; ++i) {
+    ASSERT_TRUE(fsd_->CreateFile(name(i), Bytes(1200, 7)).ok());
+  }
+  ASSERT_TRUE(fsd_->Force().ok());
+  // Delete in key order, forcing each delete: a leaf's last image is the
+  // newest stamp in the table until the delete that empties it frees it
+  // (a freed page is not rewritten) and rewrites the root above it. The
+  // last leaf freed keeps the highest stamp of any page but the root, whose
+  // newer image is still in the log.
+  for (int i = 0; i < kDoomed; ++i) {
+    ASSERT_TRUE(fsd_->DeleteFile(name(i)).ok());
+    ASSERT_TRUE(fsd_->Force().ok());
+  }
+  ASSERT_TRUE(fsd_->Checkpoint().ok());
+  const std::vector<std::uint32_t> before = replica_stamps();
+  const auto leaf = static_cast<std::uint32_t>(
+      std::max_element(before.begin() + 1, before.end()) - before.begin());
+  disk_.CrashNow();
+  disk_.Reopen();
+
+  core::Fsd* fsd = Remake();
+  ASSERT_TRUE(fsd->Mount().ok());
+  // Enough new names to reuse every freed leaf (the allocator takes the
+  // lowest free page), then every primary home write is dropped.
+  constexpr int kReuse = 160;
+  for (int i = 0; i < kReuse; ++i) {
+    ASSERT_TRUE(
+        fsd->CreateFile("b/g" + std::to_string(100 + i), Bytes(1200, 7))
+            .ok());
+  }
+  for (std::uint32_t pid = 0; pid < pages; ++pid) {
+    disk_.InjectWriteFault(layout.nta_base + pid,
+                           sim::WriteFaultKind::kDropped);
+  }
+  ASSERT_TRUE(fsd->Shutdown().ok());
+  const std::vector<std::uint32_t> after = replica_stamps();
+  ASSERT_NE(after[leaf], before[leaf]) << "the freed leaf was reused";
+
+  fsd = Remake();
+  ASSERT_TRUE(fsd->Mount().ok());
+  auto list = fsd->List("b/");
+  ASSERT_TRUE(list.ok()) << list.status().message();
+  EXPECT_EQ(list->size(), static_cast<std::size_t>(kReuse));
+  for (int i = 0; i < kReuse; ++i) {
+    ExpectReadable(fsd, "b/g" + std::to_string(100 + i));
+  }
+  auto report = fsd->Fsck();
+  ASSERT_TRUE(report.ok()) << report.status().message();
+  EXPECT_TRUE(report->Clean()) << report->Summary();
   ASSERT_TRUE(fsd->Shutdown().ok());
 }
 

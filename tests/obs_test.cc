@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -431,6 +432,12 @@ TEST(FsObservabilityTest, FsdRegistersExactlyThePinnedNames) {
       "fsd.home_write_batches",
       "fsd.home_write_requests",
       "fsd.home_writes_coalesced",
+      "fsd.mount_rebuild_us",
+      "fsd.mount_replay_read_us",
+      "fsd.mount_replay_write_us",
+      "fsd.mount_root_us",
+      "fsd.mount_sweep_sectors",
+      "fsd.mount_sweep_us",
       "fsd.nt_repairs",
       "fsd.pages_captured",
       "fsd.piggyback_leader_verifies",
@@ -454,6 +461,70 @@ TEST(FsObservabilityTest, FsdRegistersExactlyThePinnedNames) {
   };
   EXPECT_EQ(names, pinned);
   EXPECT_NE(snap.FindHistogram("log.record_sectors"), nullptr);
+}
+
+// Each mount phase counts its virtual time, and the five phases add up to
+// the whole Mount. A crash mount without VAM logging reads the volume root,
+// replays the log, sweeps the live name table and rebuilds the VAM; the
+// sweep reads both copies of each live page and no free one (a population
+// of creates only leaves the live pages contiguous, so no gap is read
+// through). A clean mount sweeps nothing and loads the saved VAM.
+TEST(FsObservabilityTest, MountPhasesAddUpToTheMountTime) {
+  sim::VirtualClock clock;
+  sim::SimDisk disk(sim::TestGeometry(), sim::DiskTimingParams{}, &clock);
+  const core::FsdConfig config = SmallFsdConfig();
+  {
+    core::Fsd fsd(&disk, config);
+    CEDAR_CHECK_OK(fsd.Format());
+    for (int i = 0; i < 300; ++i) {
+      CEDAR_CHECK_OK(fsd.CreateFile("p/f" + std::to_string(i),
+                                    std::vector<std::uint8_t>(100, 4))
+                         .status());
+    }
+    CEDAR_CHECK_OK(fsd.Force());
+    disk.CrashNow();
+  }
+  disk.Reopen();
+  const char* const kPhases[] = {
+      "fsd.mount_root_us", "fsd.mount_replay_read_us",
+      "fsd.mount_replay_write_us", "fsd.mount_sweep_us",
+      "fsd.mount_rebuild_us"};
+  core::Fsd fsd(&disk, config);
+  auto mount = [&](const char* what) {
+    const MetricsSnapshot before = fsd.SnapshotMetrics();
+    const sim::Micros start = clock.now();
+    CEDAR_CHECK_OK(fsd.Mount());
+    const sim::Micros took = clock.now() - start;
+    const MetricsSnapshot after = fsd.SnapshotMetrics();
+    std::map<std::string, std::uint64_t> delta;
+    std::uint64_t sum = 0;
+    for (const char* name : kPhases) {
+      delta[name] = after.CounterValue(name) - before.CounterValue(name);
+      sum += delta[name];
+    }
+    delta["fsd.mount_sweep_sectors"] =
+        after.CounterValue("fsd.mount_sweep_sectors") -
+        before.CounterValue("fsd.mount_sweep_sectors");
+    EXPECT_EQ(sum, took) << what;
+    return delta;
+  };
+  const auto crash = mount("crash mount");
+  for (const char* name : kPhases) {
+    EXPECT_GT(crash.at(name), 0u) << name;
+  }
+  auto report = fsd.Fsck();
+  CEDAR_CHECK_OK(report.status());
+  ASSERT_GT(report->nt_pages_checked, 2u);
+  EXPECT_EQ(crash.at("fsd.mount_sweep_sectors"),
+            2u * report->nt_pages_checked);
+
+  CEDAR_CHECK_OK(fsd.Shutdown());
+  const auto clean = mount("clean mount");
+  EXPECT_EQ(clean.at("fsd.mount_replay_read_us"), 0u);
+  EXPECT_EQ(clean.at("fsd.mount_sweep_us"), 0u);
+  EXPECT_EQ(clean.at("fsd.mount_sweep_sectors"), 0u);
+  EXPECT_GT(clean.at("fsd.mount_rebuild_us"), 0u);  // the VAM load
+  CEDAR_CHECK_OK(fsd.Shutdown());
 }
 
 // The commit queue counts into FSD's registry: commit.rounds is the number

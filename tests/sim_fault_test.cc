@@ -16,6 +16,7 @@
 #include "src/sim/clock.h"
 #include "src/sim/disk.h"
 #include "src/sim/geometry.h"
+#include "src/util/file.h"
 
 namespace cedar::sim {
 namespace {
@@ -192,6 +193,11 @@ TEST_F(SimFaultTest, ImageV3RoundTripsFaultState) {
   disk_.SetFaultSchedule(schedule);
   const std::string path = ::testing::TempDir() + "/fault_v3.img";
   ASSERT_TRUE(disk_.SaveImage(path).ok());
+  // SaveImage streams the sector data from the disk, but the file is
+  // exactly what the in-memory codec writes.
+  auto saved = ReadFileBytes(path, "disk image");
+  ASSERT_TRUE(saved.ok());
+  EXPECT_EQ(*saved, SimDisk::EncodeImage(TestGeometry(), disk_.Snapshot()));
 
   VirtualClock clock2;
   SimDisk loaded(TestGeometry(), DiskTimingParams{}, &clock2);

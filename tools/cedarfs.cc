@@ -21,6 +21,7 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -68,18 +69,25 @@ core::FsdConfig ConfigFor(bool big, bool vamlog) {
   return config;
 }
 
-// Reads and decodes the image at `path`. Its header names the geometry
-// it was made with, the small test one or (`*big`) the full Trident.
-Result<sim::DiskSnapshot> ReadImage(const std::string& path, bool* big) {
-  CEDAR_ASSIGN_OR_RETURN(const std::vector<std::uint8_t> bytes,
-                         ReadFileBytes(path, "disk image"));
-  Result<sim::DiskSnapshot> small =
-      sim::SimDisk::DecodeImage(bytes, GeometryFor(false));
-  *big = small.status().code() == ErrorCode::kInvalidArgument;
-  if (*big) {
-    return sim::SimDisk::DecodeImage(bytes, GeometryFor(true));
+// Loads the image at `path` onto a disk of the geometry its header names,
+// the small test one or (`*big`) the full Trident.
+Result<std::unique_ptr<sim::SimDisk>> LoadDisk(const std::string& path,
+                                               sim::VirtualClock* clock,
+                                               bool* big) {
+  Status loaded;
+  for (const bool try_big : {false, true}) {
+    auto disk = std::make_unique<sim::SimDisk>(GeometryFor(try_big),
+                                               sim::DiskTimingParams{}, clock);
+    loaded = disk->LoadImage(path);
+    if (loaded.ok()) {
+      *big = try_big;
+      return disk;
+    }
+    if (loaded.code() != ErrorCode::kInvalidArgument) {
+      break;  // not a geometry mismatch: the other geometry fails too
+    }
   }
-  return small;
+  return loaded;
 }
 
 int Run(const Options& options) {
@@ -89,17 +97,15 @@ int Run(const Options& options) {
   const bool fresh = options.command == "mkfs";
   bool big = options.big;
   bool vamlog = options.vamlog;
-  Result<sim::DiskSnapshot> image =
-      fresh ? sim::DiskSnapshot{} : ReadImage(options.image, &big);
-  if (!image.ok()) {
-    std::fprintf(stderr, "cedarfs: %s\n", image.status().ToString().c_str());
+  Result<std::unique_ptr<sim::SimDisk>> loaded =
+      fresh ? std::make_unique<sim::SimDisk>(GeometryFor(big),
+                                             sim::DiskTimingParams{}, &clock)
+            : LoadDisk(options.image, &clock, &big);
+  if (!loaded.ok()) {
+    std::fprintf(stderr, "cedarfs: %s\n", loaded.status().ToString().c_str());
     return 1;
   }
-  sim::SimDisk disk(GeometryFor(big), sim::DiskTimingParams{}, &clock);
-  if (!fresh) {
-    disk.Restore(*image);
-    image = sim::DiskSnapshot{};  // the disk holds the medium from here on
-  }
+  sim::SimDisk& disk = **loaded;
 
   // `damage` operates below the file system.
   if (options.command == "damage") {
