@@ -100,23 +100,30 @@ class Fsd::NtPages : public btree::PageStore {
 
   Result<btree::PageId> AllocatePage() override {
     std::optional<std::uint32_t> pid;
+    std::size_t delta_pages = 0;
     {
       util::RankedLockGuard lock(fsd_->alloc_mu_, util::LockRank::kAlloc);
       pid = fsd_->vam_.nt_free().FindRunForward(0, 1);
       if (pid) {
         fsd_->vam_.nt_free().Set(*pid, false);
+        delta_pages = fsd_->QueueDelta(VamDelta::Op::kNtAlloc, *pid, 1);
       }
     }
     if (!pid) {
       return MakeError(ErrorCode::kNoFreeSpace, "name table region full");
     }
-    fsd_->RecordDelta(VamDelta::Op::kNtAlloc, *pid, 1);
+    fsd_->gate_.NotePendingCapture(delta_pages);
     return *pid;
   }
 
   Status FreePage(btree::PageId id) override {
     // Free for reuse only once the force logging the free is durable.
-    fsd_->vam_.MarkNtFreeShadow(id);
+    std::size_t delta_pages = 0;
+    {
+      util::RankedLockGuard lock(fsd_->alloc_mu_, util::LockRank::kAlloc);
+      fsd_->vam_.MarkNtFreeShadow(id);
+      delta_pages = fsd_->QueueDelta(VamDelta::Op::kNtFree, id, 1);
+    }
     // A free page's content never needs logging again, but a logged parent
     // image may still point here, so its newest logged image must reach
     // home before the record holding it is dropped: a frame with a logged
@@ -131,7 +138,7 @@ class Fsd::NtPages : public btree::PageStore {
     if (was_pending) {
       fsd_->gate_.ReleasePendingCapture(1);
     }
-    fsd_->RecordDelta(VamDelta::Op::kNtFree, id, 1);
+    fsd_->gate_.NotePendingCapture(delta_pages);
     return OkStatus();
   }
 
@@ -218,7 +225,10 @@ bool Fsd::SectorInUse(sim::Lba lba) const {
   return !vam_.IsFree(static_cast<std::uint32_t>(lba));
 }
 
-std::uint32_t Fsd::ShadowSectors() const { return vam_.ShadowCount(); }
+std::uint32_t Fsd::ShadowSectors() const {
+  util::RankedLockGuard lock(alloc_mu_, util::LockRank::kAlloc);
+  return vam_.ShadowCount();
+}
 
 bool Fsd::HasPendingUpdates() const {
   // Snapshot of the pending-work state; exact only between settled phases
@@ -228,34 +238,24 @@ bool Fsd::HasPendingUpdates() const {
       [&](std::uint32_t, cache::Frame& frame) {
         pending = pending || frame.dirty_since_log;
       });
-  {
-    util::RankedLockGuard lock(pending_mu_, util::LockRank::kPending);
-    pending = pending || !pending_tombstones_.empty() ||
-              !pending_alloc_deltas_.empty() || !pending_free_deltas_.empty();
-  }
-  return pending || vam_.ShadowCount() > 0;
+  util::RankedLockGuard lock(alloc_mu_, util::LockRank::kAlloc);
+  return pending || !pending_tombstones_.empty() ||
+         !pending_alloc_deltas_.empty() || !pending_free_deltas_.empty() ||
+         vam_.ShadowCount() > 0;
 }
 
-void Fsd::RecordDelta(VamDelta::Op op, std::uint32_t start,
-                      std::uint32_t count) {
+std::size_t Fsd::QueueDelta(VamDelta::Op op, std::uint32_t start,
+                            std::uint32_t count) {
   if (!config_.durability.vam_logging) {
-    return;
+    return 0;
   }
-  const VamDelta delta{.op = op, .start = start, .count = count};
-  bool new_page = false;
-  {
-    util::RankedLockGuard lock(pending_mu_, util::LockRank::kPending);
-    auto& deltas = (op == VamDelta::Op::kAlloc || op == VamDelta::Op::kNtAlloc)
-                       ? pending_alloc_deltas_
-                       : pending_free_deltas_;
-    deltas.push_back(delta);
-    // Each serialized delta page holds kDeltasPerPage entries; count a new
-    // pending-capture page when this push starts one.
-    new_page = deltas.size() % kVamDeltasPerPage == 1;
-  }
-  if (new_page) {
-    gate_.NotePendingCapture(1);
-  }
+  auto& deltas = (op == VamDelta::Op::kAlloc || op == VamDelta::Op::kNtAlloc)
+                     ? pending_alloc_deltas_
+                     : pending_free_deltas_;
+  deltas.push_back(VamDelta{.op = op, .start = start, .count = count});
+  // Each serialized delta page holds kVamDeltasPerPage entries; this push
+  // starts a new pending-capture page when it is the first on one.
+  return deltas.size() % kVamDeltasPerPage == 1 ? 1 : 0;
 }
 
 Status Fsd::Format() {
@@ -358,7 +358,7 @@ void Fsd::ResetVolatileState(std::uint32_t boot_count) {
   uid_counter_ = 0;
   cache_.Clear();
   open_files_.clear();
-  vam_.Reset(disk_->geometry().TotalSectors(), config_.nt_pages);
+  vam_ = Vam(disk_->geometry().TotalSectors(), config_.nt_pages);
 }
 
 void Fsd::ArmMounted() {
@@ -525,15 +525,12 @@ Status Fsd::ForceLogImpl(GateMode mode, std::uint64_t* covered_seq) {
   std::vector<std::uint32_t> tombstones;
   std::vector<VamDelta> alloc_deltas;
   std::vector<VamDelta> free_deltas;
-  {
-    util::RankedLockGuard lock(pending_mu_, util::LockRank::kPending);
-    tombstones.swap(pending_tombstones_);
-    alloc_deltas.swap(pending_alloc_deltas_);
-    free_deltas.swap(pending_free_deltas_);
-  }
   Vam::Shadow shadow;
   {
     util::RankedLockGuard lock(alloc_mu_, util::LockRank::kAlloc);
+    tombstones.swap(pending_tombstones_);
+    alloc_deltas.swap(pending_alloc_deltas_);
+    free_deltas.swap(pending_free_deltas_);
     shadow = vam_.TakeShadow();
   }
   gate_.ResetPendingCapture();
@@ -678,22 +675,19 @@ Status Fsd::ForceLogImpl(GateMode mode, std::uint64_t* covered_seq) {
       }
     }
     {
-      util::RankedLockGuard lock(pending_mu_, util::LockRank::kPending);
+      util::RankedLockGuard lock(alloc_mu_, util::LockRank::kAlloc);
       pending_tombstones_.insert(pending_tombstones_.begin(),
                                  tombstones.begin(), tombstones.end());
       pending_alloc_deltas_.insert(pending_alloc_deltas_.begin(),
                                    alloc_deltas.begin(), alloc_deltas.end());
       pending_free_deltas_.insert(pending_free_deltas_.begin(),
                                   free_deltas.begin(), free_deltas.end());
+      vam_.MergeShadow(shadow);
     }
     gate_.NotePendingCapture(
         tombstones.size() +
         (alloc_deltas.size() + kVamDeltasPerPage - 1) / kVamDeltasPerPage +
         (free_deltas.size() + kVamDeltasPerPage - 1) / kVamDeltasPerPage);
-    {
-      util::RankedLockGuard lock(alloc_mu_, util::LockRank::kAlloc);
-      vam_.MergeShadow(shadow);
-    }
     return status;
   }
   {
@@ -888,9 +882,9 @@ Status Fsd::CheckpointTo(std::uint64_t target, Checkpointer caller) {
   // Third entry writes everything in one sweep per copy; Checkpoint() and
   // the checkpoint round go out in small chunks so they never monopolize
   // the disk.
-  const std::size_t chunk =
-      third_entry ? std::max<std::size_t>(1, victims.size())
-                  : std::max<std::uint32_t>(1, config_.checkpoint.batch_pages);
+  const std::size_t chunk = third_entry
+                                ? std::max<std::size_t>(1, victims.size())
+                                : std::size_t{kCheckpointBatchPages};
   for (std::size_t begin = 0; begin < victims.size(); begin += chunk) {
     const std::size_t n = std::min(chunk, victims.size() - begin);
     CEDAR_RETURN_IF_ERROR(nt_.WriteHomes(
@@ -973,11 +967,6 @@ fs::MaintenanceStats Fsd::Maintenance() {
   return m;
 }
 
-Status Fsd::RunQuiesced(const std::function<Status()>& fn) {
-  ScopedQuiesce quiesce(this);
-  return fn();
-}
-
 Status Fsd::Shutdown() {
   StopRounds();
   ScopedQuiesce quiesce(this);
@@ -1058,7 +1047,7 @@ struct GateRelease {
 
 template <typename Fn>
 auto Fsd::RunOp(const char* trace_name, obs::Histogram* latency,
-                std::initializer_list<std::string_view> names, bool credit,
+                std::initializer_list<std::string_view> names,
                 Fn&& body) -> decltype(body()) {
   obs::ScopedOp op_scope(disk_->tracer(), trace_name);
   obs::ScopedLatency op_latency(latency, &disk_->clock());
@@ -1085,13 +1074,7 @@ auto Fsd::RunOp(const char* trace_name, obs::Histogram* latency,
     }
     CEDAR_RETURN_IF_ERROR(BeginOp(&ticket));
     GateRelease gate{&gate_};
-    auto r = body();
-    if (credit && r.ok()) {
-      for (std::size_t i = 0; i < nshards; ++i) {
-        shard_ops_[shards[i]].fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-    return r;
+    return body();
   }();
   const Status durable = queue_.Await(ticket);
   ckpt_rounds_.Step();
@@ -1103,7 +1086,7 @@ auto Fsd::RunOp(const char* trace_name, obs::Histogram* latency,
 
 Result<fs::FileUid> Fsd::CreateFile(std::string_view name,
                                     std::span<const std::uint8_t> contents) {
-  return RunOp("fsd.create", h_.create, {name}, /*credit=*/true,
+  return RunOp("fsd.create", h_.create, {name},
                [&] { return CreateFileLocked(name, contents); });
 }
 
@@ -1123,15 +1106,20 @@ Result<fs::FileUid> Fsd::CreateFileLocked(
   const auto npages =
       static_cast<std::uint32_t>((contents.size() + 511) / 512);
 
+  std::size_t delta_pages = 0;
   Result<std::vector<fs::Extent>> allocated = [&] {
     util::RankedLockGuard lock(alloc_mu_, util::LockRank::kAlloc);
-    return allocator_->Allocate(1 + npages);
+    Result<std::vector<fs::Extent>> runs = allocator_->Allocate(1 + npages);
+    if (runs.ok()) {
+      for (const fs::Extent& run : *runs) {
+        delta_pages += QueueDelta(VamDelta::Op::kAlloc, run.start, run.count);
+      }
+    }
+    return runs;
   }();
   CEDAR_ASSIGN_OR_RETURN(std::vector<fs::Extent> extents,
                          std::move(allocated));
-  for (const fs::Extent& run : extents) {
-    RecordDelta(VamDelta::Op::kAlloc, run.start, run.count);
-  }
+  gate_.NotePendingCapture(delta_pages);
   FsdEntry entry;
   entry.uid = NextUid();
   entry.keep = keep;
@@ -1190,8 +1178,7 @@ Result<fs::FileUid> Fsd::CreateFileLocked(
 }
 
 Result<fs::FileHandle> Fsd::Open(std::string_view name) {
-  return RunOp("fsd.open", h_.open, {name}, /*credit=*/false,
-               [&] { return OpenLocked(name); });
+  return RunOp("fsd.open", h_.open, {name}, [&] { return OpenLocked(name); });
 }
 
 Result<fs::FileHandle> Fsd::OpenLocked(std::string_view name) {
@@ -1249,7 +1236,7 @@ Status Fsd::Read(const fs::FileHandle& file, std::uint64_t offset,
   // name it resolves to, so the copy must precede the lock. A concurrent
   // delete/close just makes the entry lookup miss.
   CEDAR_ASSIGN_OR_RETURN(const OpenState state, LookupOpenState(file.uid));
-  return RunOp("fsd.read", h_.read, {state.name}, /*credit=*/false,
+  return RunOp("fsd.read", h_.read, {state.name},
                [&] { return ReadLocked(file, state, offset, out); });
 }
 
@@ -1368,7 +1355,7 @@ Status Fsd::ReadLocked(const fs::FileHandle& file, const OpenState& state,
 Status Fsd::Write(const fs::FileHandle& file, std::uint64_t offset,
                   std::span<const std::uint8_t> data) {
   CEDAR_ASSIGN_OR_RETURN(const OpenState state, LookupOpenState(file.uid));
-  return RunOp("fsd.write", h_.write, {state.name}, /*credit=*/false,
+  return RunOp("fsd.write", h_.write, {state.name},
                [&] { return WriteLocked(state, offset, data); });
 }
 
@@ -1453,7 +1440,7 @@ Status Fsd::WriteLocked(const OpenState& state, std::uint64_t offset,
 
 Status Fsd::Extend(const fs::FileHandle& file, std::uint64_t bytes) {
   CEDAR_ASSIGN_OR_RETURN(const OpenState state, LookupOpenState(file.uid));
-  return RunOp("fsd.extend", h_.extend, {state.name}, /*credit=*/true,
+  return RunOp("fsd.extend", h_.extend, {state.name},
                [&] { return ExtendLocked(state, bytes); });
 }
 
@@ -1505,18 +1492,24 @@ Status Fsd::ExtendLocked(const OpenState& state, std::uint64_t bytes) {
         entry.runs.push_back(run);
       }
     }
-    if (entry.runs.size() > RunAllocator::kMaxRuns) {
+    std::size_t delta_pages = 0;
+    {
       util::RankedLockGuard lock(alloc_mu_, util::LockRank::kAlloc);
-      allocator_->Release(extents);
-      return MakeError(ErrorCode::kNoFreeSpace,
-                       "file too fragmented to extend");
+      if (entry.runs.size() > RunAllocator::kMaxRuns) {
+        allocator_->Release(extents);
+        return MakeError(ErrorCode::kNoFreeSpace,
+                         "file too fragmented to extend");
+      }
+      for (const fs::Extent& run : extents) {
+        delta_pages += QueueDelta(VamDelta::Op::kAlloc, run.start, run.count);
+      }
+      if (move_leader) {  // free the old leader as a delete would
+        vam_.MarkFreeShadow(fs::Extent{.start = old_leader, .count = 1});
+        delta_pages += QueueDelta(VamDelta::Op::kFree, old_leader, 1);
+      }
     }
-    for (const fs::Extent& run : extents) {
-      RecordDelta(VamDelta::Op::kAlloc, run.start, run.count);
-    }
-    if (move_leader) {  // free the old leader as a delete would
-      vam_.MarkFreeShadow(fs::Extent{.start = old_leader, .count = 1});
-      RecordDelta(VamDelta::Op::kFree, old_leader, 1);
+    gate_.NotePendingCapture(delta_pages);
+    if (move_leader) {
       DropLeaderImage(old_leader);
     }
     // The run table changed: refresh the leader through the buffer pool so
@@ -1538,7 +1531,7 @@ void Fsd::DropLeaderImage(std::uint32_t lba) {
   }
   // Cancel any still-in-log leader image for this sector.
   {
-    util::RankedLockGuard lock(pending_mu_, util::LockRank::kPending);
+    util::RankedLockGuard lock(alloc_mu_, util::LockRank::kAlloc);
     pending_tombstones_.push_back(kLeaderKeyBit | lba);
   }
   gate_.NotePendingCapture(1);
@@ -1547,16 +1540,21 @@ void Fsd::DropLeaderImage(std::uint32_t lba) {
 Status Fsd::DeleteVersion(std::string_view name, std::uint32_t version,
                           const FsdEntry& entry) {
   // Pages are not really free until the delete commits (section 5.5): park
-  // them in the shadow map. The bookkeeping is pure CPU, proportional to
-  // the file size.
+  // them in the shadow map, and queue their deltas in the same critical
+  // section. The bookkeeping is pure CPU, proportional to the file size.
   std::uint64_t freed = 1;
-  vam_.MarkFreeShadow(fs::Extent{.start = entry.leader_lba, .count = 1});
-  RecordDelta(VamDelta::Op::kFree, entry.leader_lba, 1);
-  for (const fs::Extent& run : entry.runs) {
-    vam_.MarkFreeShadow(run);
-    RecordDelta(VamDelta::Op::kFree, run.start, run.count);
-    freed += run.count;
+  std::size_t delta_pages = 0;
+  {
+    util::RankedLockGuard lock(alloc_mu_, util::LockRank::kAlloc);
+    vam_.MarkFreeShadow(fs::Extent{.start = entry.leader_lba, .count = 1});
+    delta_pages += QueueDelta(VamDelta::Op::kFree, entry.leader_lba, 1);
+    for (const fs::Extent& run : entry.runs) {
+      vam_.MarkFreeShadow(run);
+      delta_pages += QueueDelta(VamDelta::Op::kFree, run.start, run.count);
+      freed += run.count;
+    }
   }
+  gate_.NotePendingCapture(delta_pages);
   ChargeSectors(freed);
   CEDAR_RETURN_IF_ERROR(tree_->Erase(fs::EncodeNameKey(name, version)));
   DropLeaderImage(entry.leader_lba);
@@ -1568,7 +1566,7 @@ Status Fsd::DeleteVersion(std::string_view name, std::uint32_t version,
 }
 
 Status Fsd::DeleteFile(std::string_view name) {
-  return RunOp("fsd.delete", h_.del, {name}, /*credit=*/true,
+  return RunOp("fsd.delete", h_.del, {name},
                [&] { return DeleteFileLocked(name); });
 }
 
@@ -1617,7 +1615,7 @@ Status Fsd::PruneVersions(std::string_view name, std::uint16_t keep) {
 }
 
 Status Fsd::SetKeep(std::string_view name, std::uint16_t keep) {
-  return RunOp("fsd.setkeep", h_.setkeep, {name}, /*credit=*/true,
+  return RunOp("fsd.setkeep", h_.setkeep, {name},
                [&] { return SetKeepLocked(name, keep); });
 }
 
@@ -1642,8 +1640,7 @@ Result<std::vector<fs::FileInfo>> Fsd::List(std::string_view prefix) {
   // List touches every shard's namespace, but the tree scan runs under the
   // tree's own shared lock, so no shard lock is needed — only gate
   // admission (for a consistent deadline/space protocol).
-  return RunOp("fsd.list", h_.list, {}, /*credit=*/false,
-               [&] { return ListLocked(prefix); });
+  return RunOp("fsd.list", h_.list, {}, [&] { return ListLocked(prefix); });
 }
 
 Result<std::vector<fs::FileInfo>> Fsd::ListLocked(std::string_view prefix) {
@@ -1672,7 +1669,7 @@ Result<std::vector<fs::FileInfo>> Fsd::ListLocked(std::string_view prefix) {
 }
 
 Status Fsd::Touch(std::string_view name) {
-  return RunOp("fsd.touch", h_.touch, {name}, /*credit=*/true,
+  return RunOp("fsd.touch", h_.touch, {name},
                [&] { return TouchLocked(name); });
 }
 
@@ -1794,16 +1791,21 @@ Result<Fsd::ScrubReport> Fsd::ScrubLocked() {
   // evicted pages, and Scrub's disk I/O order depends on when it does.
   std::vector<btree::PageId> pages;
   CEDAR_RETURN_IF_ERROR(tree_->CollectPages(&pages));
-  CompareAllocation(vam_, layout_, walk.referenced, pages,
-                    [&](const VamDelta& fix) {
-                      vam_.Apply(fix);
-                      RecordDelta(fix.op, fix.start, fix.count);
-                      ++(fix.op == VamDelta::Op::kFree
-                             ? report.leaked_sectors_reclaimed
-                         : fix.op == VamDelta::Op::kAlloc
-                             ? report.missing_used_sectors_fixed
-                             : report.nt_pages_reconciled);
-                    });
+  std::size_t delta_pages = 0;
+  {
+    util::RankedLockGuard lock(alloc_mu_, util::LockRank::kAlloc);
+    CompareAllocation(vam_, layout_, walk.referenced, pages,
+                      [&](const VamDelta& fix) {
+                        vam_.Apply(fix);
+                        delta_pages += QueueDelta(fix.op, fix.start, fix.count);
+                        ++(fix.op == VamDelta::Op::kFree
+                               ? report.leaked_sectors_reclaimed
+                           : fix.op == VamDelta::Op::kAlloc
+                               ? report.missing_used_sectors_fixed
+                               : report.nt_pages_reconciled);
+                      });
+  }
+  gate_.NotePendingCapture(delta_pages);
 
   // Make the reconciliation durable.
   CEDAR_RETURN_IF_ERROR(ForceLogImpl(GateMode::kAlreadyClosed));
@@ -1820,7 +1822,7 @@ Result<fs::FileInfo> Fsd::Stat(std::string_view name) {
 }
 
 Status Fsd::Rename(std::string_view from, std::string_view to) {
-  return RunOp("fsd.rename", /*latency=*/nullptr, {from, to}, /*credit=*/true,
+  return RunOp("fsd.rename", /*latency=*/nullptr, {from, to},
                [&] { return RenameLocked(from, to); });
 }
 

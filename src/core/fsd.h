@@ -40,7 +40,6 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <unordered_set>
 #include <vector>
 
@@ -115,8 +114,8 @@ struct FsckReport {
 //   3. Inside the gate, shared structures use their own fine-grained locks:
 //      the B-tree's reader/writer lock + leaf latches, the cache's internal
 //      mutex (closure-based access only on concurrent paths), alloc_mu_ for
-//      the VAM bitmaps + allocator, pending_mu_ for the tombstone/delta
-//      queues, open_mu_ for the open-file table.
+//      the VAM maps, the allocator and the tombstone/delta queues, open_mu_
+//      for the open-file table.
 //
 // A log force (a commit round, or a quiesced lifecycle force) runs
 // under force_mu_ and splits into two phases: a short CAPTURE with the gate
@@ -231,26 +230,17 @@ class Fsd : public fs::FileSystem {
   // take — it drains the op gate like a capture does).
   Result<FsckReport> Fsck();
 
-  // Runs `fn` with the file system quiesced: force_mu_ held and the op gate
-  // closed for the whole call — the same exclusive view Format/Mount/
-  // Shutdown/Fsck/Scrub get. Re-entrant per the ScopedQuiesce contract:
-  // calling RunQuiesced from inside a quiesced section on the same thread
-  // nests (the inner call runs under the existing quiesce; the gate reopens
-  // only when the outermost scope exits). Commit and checkpoint rounds are
-  // blocked, not stopped, for the duration.
-  Status RunQuiesced(const std::function<Status()>& fn);
-
   // Name-shard geometry, exposed so benches and tests can construct
   // shard-disjoint (or deliberately colliding) name sets.
   static constexpr std::size_t kNameShardCount = 16;
   static std::size_t ShardOf(std::string_view name) {
     return std::hash<std::string_view>{}(name) % kNameShardCount;
   }
-  // Completed name-keyed operations per shard (monotonic, relaxed reads;
-  // tests use this to prove shard-parallel ops all ran).
-  std::uint64_t ShardOpCount(std::size_t shard) const {
-    return shard_ops_[shard].load(std::memory_order_relaxed);
-  }
+
+  // Home pages per write batch of a checkpoint round or Checkpoint(): small
+  // batches keep a round's disk occupancy polite, so mutators only ever
+  // wait behind one batch, not a whole third drain.
+  static constexpr std::uint32_t kCheckpointBatchPages = 32;
 
   const FsdLayout& layout() const { return layout_; }
   const FsdConfig& config() const { return config_; }
@@ -286,50 +276,21 @@ class Fsd : public fs::FileSystem {
   // the same exclusive view a capture has — no op in flight, cache flags
   // and pending queues frozen — for its whole scope. Used by Fsck, Scrub,
   // and the lifecycle paths (Format/Mount/Shutdown); forces issued inside
-  // use GateMode::kAlreadyClosed.
-  //
-  // Re-entrancy contract (tested in ckpt_test.cc): the outermost scope on a
-  // thread records itself as the quiesce owner; nested constructions by the
-  // SAME thread are counted, not re-locked — they observe the already
-  // quiesced state and release nothing on destruction. The gate reopens and
-  // force_mu_ unlocks only when the outermost scope exits. Distinct threads
-  // still exclude each other on force_mu_ as before. This is what lets a
-  // quiesced lifecycle path call a helper that itself quiesces (e.g.
-  // RunQuiesced from inside Shutdown) without self-deadlock.
+  // use GateMode::kAlreadyClosed. Not re-entrant: a nested scope on the
+  // same thread is a rank inversion (the checker aborts on it).
   class ScopedQuiesce {
    public:
-    explicit ScopedQuiesce(Fsd* fsd) : fsd_(fsd) {
-      if (fsd_->quiesce_owner_.load(std::memory_order_acquire) ==
-          std::this_thread::get_id()) {
-        nested_ = true;
-        ++fsd_->quiesce_depth_;
-        return;
-      }
-      rank_.emplace(util::LockRank::kForce);
-      fsd_->force_mu_.lock();
+    explicit ScopedQuiesce(Fsd* fsd)
+        : fsd_(fsd), lock_(fsd->force_mu_, util::LockRank::kForce) {
       fsd_->gate_.CloseForCommit();
-      fsd_->quiesce_owner_.store(std::this_thread::get_id(),
-                                 std::memory_order_release);
-      fsd_->quiesce_depth_ = 1;
     }
-    ~ScopedQuiesce() {
-      if (nested_) {
-        --fsd_->quiesce_depth_;
-        return;
-      }
-      fsd_->quiesce_depth_ = 0;
-      fsd_->quiesce_owner_.store(std::thread::id{},
-                                 std::memory_order_release);
-      fsd_->gate_.Reopen();
-      fsd_->force_mu_.unlock();
-    }
+    ~ScopedQuiesce() { fsd_->gate_.Reopen(); }
     ScopedQuiesce(const ScopedQuiesce&) = delete;
     ScopedQuiesce& operator=(const ScopedQuiesce&) = delete;
 
    private:
     Fsd* fsd_;
-    bool nested_ = false;
-    std::optional<util::LockRankFrame> rank_;
+    util::RankedLockGuard<std::mutex> lock_;
   };
 
   void ChargeOp() const { disk_->clock().AdvanceCpu(config_.cpu.per_op); }
@@ -400,10 +361,10 @@ class Fsd : public fs::FileSystem {
   // cached page whose latest logged image is in a record with lsn <
   // `target`, retires those frames, and saves the VAM base under VAM
   // logging, so no record below `target` is needed any more. kCheckpoint
-  // (Checkpoint(), the checkpoint round) writes in batch_pages chunks,
-  // then advances the log's pointer to `target`; kThirdEntry (the log's
-  // callback, inside a force's append) writes one sweep and the log moves
-  // the pointer.
+  // (Checkpoint(), the checkpoint round) writes in kCheckpointBatchPages
+  // chunks, then advances the log's pointer to `target`; kThirdEntry (the
+  // log's callback, inside a force's append) writes one sweep and the log
+  // moves the pointer.
   // Caller holds force_mu_ with the gate OPEN. A frame the in-flight force
   // captured (capture_keys_) stays dirty: its new image is en route.
   enum class Checkpointer { kCheckpoint, kThirdEntry };
@@ -411,15 +372,14 @@ class Fsd : public fs::FileSystem {
   // The shell shared by the ten public file operations: tracer op scope
   // and latency histogram (`latency` may be null), the shard mutexes of
   // `names` in index order (none for List), gate admission, `body()` with
-  // the gate held, a shard_ops_ credit per locked shard when `credit` is
-  // set and the body succeeded, and — after every lock is dropped — the
-  // wait for a deadline round run by a thread, then a due stepped
-  // checkpoint round. The gate is released before the shard locks drop,
-  // so a drained gate really means no mutator is touching anything.
+  // the gate held, and — after every lock is dropped — the wait for a
+  // deadline round run by a thread, then a due stepped checkpoint round.
+  // The gate is released before the shard locks drop, so a drained gate
+  // really means no mutator is touching anything.
   template <typename Fn>
   auto RunOp(const char* trace_name, obs::Histogram* latency,
-             std::initializer_list<std::string_view> names, bool credit,
-             Fn&& body) -> decltype(body());
+             std::initializer_list<std::string_view> names, Fn&& body)
+      -> decltype(body());
   // Marks one durable-metadata mutation for the group-commit rendezvous.
   void BumpUpdateSeq() { queue_.RecordUpdate(); }
 
@@ -443,11 +403,15 @@ class Fsd : public fs::FileSystem {
   // stays closed throughout.
   enum class GateMode { kCloseAndReopen, kAlreadyClosed };
   Status ForceLogImpl(GateMode mode, std::uint64_t* covered_seq = nullptr);
-  // Queues an allocation-map delta for the next log record (VAM logging).
-  // Alloc-type deltas are logged before the tree pages they correspond to,
-  // free-type deltas after, so a torn force can only leak sectors, never
-  // double-allocate them.
-  void RecordDelta(VamDelta::Op op, std::uint32_t start, std::uint32_t count);
+  // Queues an allocation-map delta for the next log record (VAM logging; a
+  // no-op otherwise). Alloc-type deltas are logged before the tree pages
+  // they correspond to, free-type deltas after, so a torn force can only
+  // leak sectors, never double-allocate them. Caller holds alloc_mu_, in
+  // the same critical section as the map change the delta records. Returns
+  // the pending-capture pages the push started (0 or 1); the caller notes
+  // them in the op gate after dropping alloc_mu_.
+  std::size_t QueueDelta(VamDelta::Op op, std::uint32_t start,
+                         std::uint32_t count);
   // Where cache key `key`'s image goes home: a leader key's single home,
   // else the page's two homes as the name-table store maps them.
   NtStore::HomeWrite HomeFor(std::uint32_t key,
@@ -544,7 +508,7 @@ class Fsd : public fs::FileSystem {
   std::uint32_t boot_count_ = 0;
   std::atomic<std::uint32_t> uid_counter_{0};
   // Leader keys of deleted files whose tombstone awaits the next force.
-  // Guarded by pending_mu_, swapped out whole by the capture phase.
+  // Guarded by alloc_mu_, swapped out whole by the capture phase.
   std::vector<std::uint32_t> pending_tombstones_;
   // VAM deltas awaiting the next force (VAM logging only). Same guard.
   std::vector<VamDelta> pending_alloc_deltas_;
@@ -559,7 +523,7 @@ class Fsd : public fs::FileSystem {
 
   // Locking hierarchy (DESIGN.md section 4f, ranks in util/lockrank.h):
   //   name shard (10) -> force_mu_ (20) -> op gate (30) -> tree (40/45) ->
-  //   alloc_mu_ (50) -> pending_mu_ (55) -> open_mu_ (58) -> cache (60) ->
+  //   alloc_mu_ (50) -> open_mu_ (58), then the unranked leaves: cache ->
   //   disk -> clock/tracer/metrics. The commit queue's mutex (90) is
   //   waited on with at most a name shard held; the round runners' (95)
   //   is a leaf.
@@ -570,11 +534,9 @@ class Fsd : public fs::FileSystem {
   // Admission gate: bounds in-flight ops by log capture budget and drains
   // them for the capture phase of a force.
   OpGate gate_;
-  // VAM free/nt-free bitmaps (raw accessors + allocator scans) and vam
-  // Save/Load/Reset. The shadow map has its own internal lock.
+  // vam_ (all four maps), the allocator scans, pending_tombstones_ and
+  // pending_*_deltas_. Measured, it is barely contended (EXPERIMENTS.md).
   mutable std::mutex alloc_mu_;
-  // pending_tombstones_ / pending_*_deltas_.
-  mutable std::mutex pending_mu_;
   // open_files_.
   mutable std::mutex open_mu_;
   // The two round runners (one executor, chosen by commit.daemon) and the
@@ -582,15 +544,6 @@ class Fsd : public fs::FileSystem {
   RoundRunner commit_rounds_;
   RoundRunner ckpt_rounds_;
   CommitQueue queue_;
-
-  // ScopedQuiesce re-entrancy bookkeeping: the owning thread's id (set by
-  // the outermost scope while force_mu_ is held, cleared on exit) and the
-  // nesting depth (touched only by the owner).
-  std::atomic<std::thread::id> quiesce_owner_{};
-  int quiesce_depth_ = 0;
-
-  // Completed name-keyed ops per shard (relaxed; test/bench telemetry).
-  std::array<std::atomic<std::uint64_t>, kNameShardCount> shard_ops_{};
 
   // FSD's counters and per-operation latency histograms, each registered
   // in metrics_ under the name on its line — the one place that name is

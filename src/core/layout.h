@@ -83,10 +83,6 @@ struct FsdConfig {
     // when the live log exceeds this and drains it back to about half. 0
     // means "one log third" — what the third-entry checkpoint alone bounds.
     std::uint32_t window_sectors = 0;
-    // Home pages written per IoScheduler batch inside a checkpoint round.
-    // Small batches keep a round's disk occupancy polite: mutators only
-    // ever wait behind one batch, not a whole third drain.
-    std::uint32_t batch_pages = 32;
   };
   Checkpoint checkpoint;
 

@@ -111,10 +111,6 @@ Status FsdConfig::Validate() const {
     return MakeError(ErrorCode::kInvalidArgument,
                      "commit.group_records must be >= 1");
   }
-  if (checkpoint.batch_pages == 0) {
-    return MakeError(ErrorCode::kInvalidArgument,
-                     "checkpoint.batch_pages must be >= 1");
-  }
   // A requested group larger than one third is clamped to MaxGroupPages at
   // force time (a policy choice, not an error), so group_records needs no
   // upper bound here — but the checkpoint window below is validated against

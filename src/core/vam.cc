@@ -71,7 +71,6 @@ Status ParseDeltas(std::span<const std::uint8_t> page,
 }
 
 void Vam::Apply(const VamDelta& delta) {
-  std::lock_guard<std::mutex> lock(mu_);
   switch (delta.op) {
     case VamDelta::Op::kAlloc:
       free_.SetRange(delta.start, delta.count, false);
@@ -90,7 +89,6 @@ void Vam::Apply(const VamDelta& delta) {
 
 Status Vam::Save(sim::BlockDevice* disk, sim::Lba base, std::uint32_t sectors,
                  std::uint32_t boot_count, std::uint64_t lsn) const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::uint8_t> payload;
   ByteWriter pw(&payload);
   for (std::uint64_t word : free_.words()) {
@@ -118,7 +116,6 @@ Status Vam::Save(sim::BlockDevice* disk, sim::Lba base, std::uint32_t sectors,
 
 Status Vam::Load(sim::BlockDevice* disk, sim::Lba base, std::uint32_t sectors,
                  std::uint32_t expected_boot, std::uint64_t* lsn) {
-  std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::uint8_t> buf(static_cast<std::size_t>(sectors) * 512);
   CEDAR_RETURN_IF_ERROR(disk->Read(base, buf));
   ByteReader r(buf);

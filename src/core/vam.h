@@ -11,17 +11,15 @@
 // the boot count; at mount a stamp mismatch means the save is stale and the
 // map must be reconstructed from the name table (the caller does the scan).
 //
-// Thread safety: the bitmap mutators and point queries take a short internal
-// mutex so allocation state stays coherent under concurrent FSD clients. The
-// raw `free()` / `nt_free()` bitmap accessors bypass the lock and are only
-// safe under the owning file system's allocator lock (alloc_mu_ in FSD —
-// allocator scans, VAM reconstruction, Save/Load, Fsck all hold it).
+// Thread safety: none of its own. FSD guards all four maps with its
+// allocation lock (alloc_mu_), the same lock that covers the allocator scans
+// and the queues a log capture swaps; mount recovery, Scrub and Fsck use the
+// map quiesced.
 
 #ifndef CEDAR_CORE_VAM_H_
 #define CEDAR_CORE_VAM_H_
 
 #include <cstdint>
-#include <mutex>
 
 #include "src/fsapi/extent.h"
 #include "src/sim/device.h"
@@ -62,58 +60,32 @@ Status ParseDeltas(std::span<const std::uint8_t> page,
 
 class Vam {
  public:
+  // A volume of these dimensions with every sector and page in use.
   Vam(std::uint32_t total_sectors, std::uint32_t nt_pages)
       : free_(total_sectors, false),
         shadow_(total_sectors, false),
         nt_free_(nt_pages, false),
         nt_shadow_(nt_pages, false) {}
 
-  // Reinitializes all four maps to the all-used state for a volume with
-  // these dimensions (what the constructor builds). Mount/Format use this
-  // instead of replacing the Vam object, so the mutex stays put.
-  void Reset(std::uint32_t total_sectors, std::uint32_t nt_pages) {
-    std::lock_guard<std::mutex> lock(mu_);
-    free_ = Bitmap(total_sectors, false);
-    shadow_ = Bitmap(total_sectors, false);
-    nt_free_ = Bitmap(nt_pages, false);
-    nt_shadow_ = Bitmap(nt_pages, false);
-  }
-
-  // ---- Free map. The raw bitmap accessors bypass the internal lock: core
-  // lock only (see header comment).
+  // ---- Free map.
   Bitmap& free() { return free_; }
   const Bitmap& free() const { return free_; }
-  bool IsFree(std::uint32_t lba) const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return free_.Get(lba);
-  }
+  bool IsFree(std::uint32_t lba) const { return free_.Get(lba); }
   void MarkUsed(const fs::Extent& run) {
-    std::lock_guard<std::mutex> lock(mu_);
     free_.SetRange(run.start, run.count, false);
   }
   void MarkFree(const fs::Extent& run) {
-    std::lock_guard<std::mutex> lock(mu_);
     free_.SetRange(run.start, run.count, true);
   }
-  std::uint32_t FreeCount() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return free_.Count();
-  }
+  std::uint32_t FreeCount() const { return free_.Count(); }
 
   // ---- Shadow map for uncommitted deletes.
   void MarkFreeShadow(const fs::Extent& run) {
-    std::lock_guard<std::mutex> lock(mu_);
     shadow_.SetRange(run.start, run.count, true);
   }
-  void MarkNtFreeShadow(std::uint32_t pid) {
-    std::lock_guard<std::mutex> lock(mu_);
-    nt_shadow_.Set(pid, true);
-  }
+  void MarkNtFreeShadow(std::uint32_t pid) { nt_shadow_.Set(pid, true); }
   void CommitShadow() { FoldShadow(TakeShadow()); }
-  std::uint32_t ShadowCount() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return shadow_.Count();
-  }
+  std::uint32_t ShadowCount() const { return shadow_.Count(); }
 
   // ---- Shadow handoff for the parallel commit path. The log capture phase
   // *takes* the accumulated shadow (new deletes keep shadowing into a fresh
@@ -124,25 +96,21 @@ class Vam {
     Bitmap nt_pages;
   };
   Shadow TakeShadow() {
-    std::lock_guard<std::mutex> lock(mu_);
     Shadow taken{std::move(shadow_), std::move(nt_shadow_)};
     shadow_ = Bitmap(taken.sectors.size(), false);
     nt_shadow_ = Bitmap(taken.nt_pages.size(), false);
     return taken;
   }
   void FoldShadow(const Shadow& taken) {
-    std::lock_guard<std::mutex> lock(mu_);
     free_.OrWith(taken.sectors);
     nt_free_.OrWith(taken.nt_pages);
   }
   void MergeShadow(const Shadow& taken) {
-    std::lock_guard<std::mutex> lock(mu_);
     shadow_.OrWith(taken.sectors);
     nt_shadow_.OrWith(taken.nt_pages);
   }
 
   // ---- Name-table page allocation map (piggybacks on the VAM save).
-  // Raw accessors: core lock only.
   Bitmap& nt_free() { return nt_free_; }
   const Bitmap& nt_free() const { return nt_free_; }
 
@@ -166,7 +134,6 @@ class Vam {
   void Apply(const VamDelta& delta);
 
  private:
-  mutable std::mutex mu_;
   Bitmap free_;
   Bitmap shadow_;
   Bitmap nt_free_;

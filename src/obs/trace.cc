@@ -67,7 +67,6 @@ DiskTracer& DiskTracer::operator=(DiskTracer&& other) noexcept {
   op_ids_ = std::move(other.op_ids_);
   aggregates_ = std::move(other.aggregates_);
   root_aggregates_ = std::move(other.root_aggregates_);
-  spindle_aggregates_ = std::move(other.spindle_aggregates_);
   return *this;
 }
 
@@ -83,9 +82,8 @@ std::uint32_t DiskTracer::InternOp(std::string_view name) {
 }
 
 void DiskTracer::AddLocked(const TraceEvent& ev) {
-  for (OpClassAggregate* agg : {&aggregates_[ev.op_id],
-                                &root_aggregates_[ev.root_id],
-                                &spindle_aggregates_[ev.spindle]}) {
+  for (OpClassAggregate* agg :
+       {&aggregates_[ev.op_id], &root_aggregates_[ev.root_id]}) {
     ++agg->requests;
     agg->sectors += ev.sectors;
     agg->seek_us += ev.seek_us;
@@ -240,17 +238,6 @@ DiskTracer::RootAggregates() const {
   return ByName(root_aggregates_);
 }
 
-std::vector<std::pair<std::uint32_t, OpClassAggregate>>
-DiskTracer::SpindleAggregates() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::pair<std::uint32_t, OpClassAggregate>> out;
-  out.reserve(spindle_aggregates_.size());
-  for (const auto& [spindle, agg] : spindle_aggregates_) {
-    out.emplace_back(spindle, agg);
-  }
-  return out;
-}
-
 std::vector<std::uint8_t> DiskTracer::SerializeBinary() const {
   std::lock_guard<std::mutex> lock(mu_);
   ByteWriter w;
@@ -399,7 +386,6 @@ void DiskTracer::Reset() {
   tls_key_.store(NextTracerKey(), std::memory_order_relaxed);
   aggregates_.assign(op_names_.size(), OpClassAggregate{});
   root_aggregates_.assign(op_names_.size(), OpClassAggregate{});
-  spindle_aggregates_.clear();
 }
 
 }  // namespace cedar::obs

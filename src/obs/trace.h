@@ -63,8 +63,9 @@ struct TraceEvent {
   std::uint32_t sectors = 0;
   // Which spindle serviced the request: member index within a DiskArray,
   // 0 for a plain single-spindle SimDisk. Multi-spindle rigs share one
-  // tracer across members, and per-spindle disk-time attribution (the
-  // utilization split bench_scaleout reports) is keyed by this column.
+  // tracer across members, so this column attributes each event in a dump
+  // to its spindle (per-spindle busy time comes from
+  // BlockDevice::SpindleStats).
   std::uint32_t spindle = 0;
   DiskOpKind kind = DiskOpKind::kRead;
   // Service-time breakdown from the disk timing model.
@@ -163,11 +164,6 @@ class DiskTracer {
   // threads (group commit, checkpoint) have their own roots.
   OpClassAggregate RootAggregateFor(std::string_view op_class) const;
   std::vector<std::pair<std::string, OpClassAggregate>> RootAggregates() const;
-  // Per-spindle totals (array member index -> aggregate, sorted by index).
-  // This is the per-spindle disk-time attribution: busy time divided by the
-  // rig's elapsed virtual time is that spindle's utilization.
-  std::vector<std::pair<std::uint32_t, OpClassAggregate>> SpindleAggregates()
-      const;
 
   // Serialization. The binary format is versioned ("CEDTRC04": 64-bit LBA +
   // spindle column; any other magic is rejected with kCorruptMetadata) and
@@ -214,7 +210,6 @@ class DiskTracer {
   // without a name lookup; the readers build the name-sorted views.
   std::vector<OpClassAggregate> aggregates_;
   std::vector<OpClassAggregate> root_aggregates_;
-  std::map<std::uint32_t, OpClassAggregate> spindle_aggregates_;
 };
 
 // RAII op context. A null tracer makes it a no-op, so instrumented code

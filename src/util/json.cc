@@ -79,8 +79,9 @@ void DumpTo(const JsonValue& v, std::string& out, int depth) {
       char buf[64];
       // Whole numbers within integer range print exactly; everything else
       // keeps enough digits to round-trip typical metric values.
-      if (d == static_cast<double>(static_cast<long long>(d)) &&
-          d >= -9.0e15 && d <= 9.0e15) {
+      // (Range first: casting a double past long long's range is UB.)
+      if (d >= -9.0e15 && d <= 9.0e15 &&
+          d == static_cast<double>(static_cast<long long>(d))) {
         std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(d));
       } else {
         std::snprintf(buf, sizeof(buf), "%.10g", d);
@@ -231,11 +232,15 @@ class Parser {
       return Fail("unexpected end of input");
     }
     const char c = text_[pos_];
-    if (c == '{') {
-      return ObjectValue();
-    }
-    if (c == '[') {
-      return ArrayValue();
+    if (c == '{' || c == '[') {
+      // One frame of recursion per level: bound it before the stack is.
+      if (depth_ == kMaxJsonDepth) {
+        return Fail("nesting deeper than " + std::to_string(kMaxJsonDepth));
+      }
+      ++depth_;
+      Result<JsonValue> nested = c == '{' ? ObjectValue() : ArrayValue();
+      --depth_;
+      return nested;
     }
     if (c == '"') {
       CEDAR_ASSIGN_OR_RETURN(std::string s, StringLiteral());
@@ -422,6 +427,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  // arrays and objects open around pos_
 };
 
 }  // namespace

@@ -90,8 +90,13 @@ class JsonValue {
   std::vector<std::pair<std::string, JsonValue>> members_;
 };
 
+// Deepest nesting of arrays and objects ParseJson accepts. The parser
+// recurses once per level; BENCH files nest three deep.
+inline constexpr std::size_t kMaxJsonDepth = 64;
+
 // Parses one JSON document (trailing whitespace allowed, nothing else).
-// Errors name the byte offset: "json error at offset 17: ...".
+// Errors name the byte offset: "json error at offset 17: ...", also for a
+// document nested deeper than kMaxJsonDepth.
 Result<JsonValue> ParseJson(std::string_view text);
 
 // Reads and parses a JSON file.

@@ -26,6 +26,11 @@
 namespace cedar::util {
 
 // The FSD lock hierarchy, in acquisition order. Gaps leave room for growth.
+// Every other mutex FSD reaches is an unranked leaf below it, held for a
+// short critical section: the page cache's, the MediaHealth sink's and the
+// name-table remap table's, and the disk's, which may take the tracer's and
+// the metrics registry's. DESIGN.md section 4f gives the measured
+// contention behind each rank that stays.
 enum class LockRank : std::uint8_t {
   kNameShard = 10,    // per-shard name mutex (equal-rank nesting allowed,
                       // ordered by shard index)
@@ -33,10 +38,9 @@ enum class LockRank : std::uint8_t {
   kOpGate = 30,       // op gate internal mutex (begin/end/drain)
   kTree = 40,         // B-tree structure lock (tree_mu_)
   kTreeLeaf = 45,     // B-tree leaf latch (under shared tree_mu_)
-  kAlloc = 50,        // allocator + VAM bitmaps (alloc_mu_)
-  kPending = 55,      // pending tombstone/delta queues (pending_mu_)
+  kAlloc = 50,        // alloc_mu_: VAM maps, allocator, tombstone and
+                      // delta queues
   kOpenFiles = 58,    // open-file table (open_mu_)
-  kCache = 60,        // page-cache internal mutex (leaf for cache closures)
   kCommitQueue = 90,  // commit-queue mutex (waited on with at most shards)
   kRounds = 95,       // round-runner request state: a leaf, taken under the
                       // commit queue or force_mu_; never held by a round

@@ -13,9 +13,6 @@
 //     the window holds after every Force() and the schedule is
 //     deterministic.
 //   - The daemon stops and restarts across Shutdown/Mount cycles.
-//   - ScopedQuiesce is re-entrant on one thread (RunQuiesced can nest, and
-//     quiesced entry points like Scrub/Fsck work inside it), and the gate
-//     reopens exactly once.
 //   - The maintenance surface is driven through fs::FileSystem, not a
 //     downcast, and reports kFailedPrecondition when unmounted.
 
@@ -56,7 +53,6 @@ FsdConfig CkptConfig() {
   config.commit.daemon = true;
   config.checkpoint.daemon = true;
   config.checkpoint.window_sectors = kWindowSectors;
-  config.checkpoint.batch_pages = 8;
   return config;
 }
 
@@ -87,10 +83,6 @@ TEST(CkptConfigTest, ValidateRejectsUnsatisfiableWindows) {
 
 TEST(CkptConfigTest, ValidateRejectsDegenerateSizes) {
   FsdConfig config;
-  config.checkpoint.batch_pages = 0;
-  EXPECT_EQ(config.Validate().code(), ErrorCode::kInvalidArgument);
-
-  config = FsdConfig{};
   config.commit.group_records = 0;
   EXPECT_EQ(config.Validate().code(), ErrorCode::kInvalidArgument);
 
@@ -107,7 +99,7 @@ TEST(CkptConfigTest, FormatAndMountFailFastOnInvalidConfig) {
   sim::VirtualClock clock;
   sim::SimDisk disk(sim::TestGeometry(), sim::DiskTimingParams{}, &clock);
   FsdConfig config = CkptConfig();
-  config.checkpoint.batch_pages = 0;  // a round could never write a page
+  config.commit.group_records = 0;  // a force could never log a record
   Fsd fsd(&disk, config);
   EXPECT_EQ(fsd.Format().code(), ErrorCode::kInvalidArgument);
   EXPECT_EQ(fsd.Mount().code(), ErrorCode::kInvalidArgument);
@@ -216,23 +208,6 @@ TEST_F(CkptTest, DaemonStopsAndRestartsAcrossShutdownMount) {
     EXPECT_EQ(fsd_.Checkpoint().code(), ErrorCode::kFailedPrecondition);
     ASSERT_TRUE(fsd_.Mount().ok());
   }
-  auto report = fsd_.Fsck();
-  ASSERT_TRUE(report.ok()) << report.status();
-  EXPECT_EQ(report->violations(), 0u) << report->Summary();
-}
-
-TEST_F(CkptTest, ScopedQuiesceIsReentrantOnOneThread) {
-  ASSERT_TRUE(fsd_.CreateFile("q/file", Bytes(800, 5)).ok());
-  // RunQuiesced nests: the inner scope must not re-close the gate or
-  // re-lock force_mu_, and quiesced entry points (Scrub, Fsck take their
-  // own ScopedQuiesce) must work inside an outer quiesced scope.
-  Status nested = fsd_.RunQuiesced([&] {
-    return fsd_.RunQuiesced([&] { return fsd_.Scrub().status(); });
-  });
-  EXPECT_TRUE(nested.ok()) << nested;
-  // The gate reopened exactly once: ordinary mutators proceed.
-  EXPECT_TRUE(fsd_.CreateFile("q/after", Bytes(300, 7)).ok());
-  EXPECT_TRUE(fsd_.Force().ok());
   auto report = fsd_.Fsck();
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_EQ(report->violations(), 0u) << report->Summary();

@@ -351,19 +351,14 @@ std::string NameInShard(std::size_t shard, std::string_view stem) {
 
 TEST_F(ConcurrencyTest, DisjointNamesSaturation) {
   // One thread per shard, each hammering a name that hashes to its own
-  // shard: with no shard collisions every op runs in parallel, and the
-  // per-shard op counters must account for every single operation — a
-  // lost update (two ops merged, one dropped) would show up both here and
-  // in the version chain.
+  // shard: with no shard collisions every op runs in parallel, and each
+  // name's version chain must account for every single operation — a lost
+  // update (two ops merged, one dropped) leaves it short.
   constexpr int kRounds = 25;
   std::vector<std::string> names;
   names.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     names.push_back(NameInShard(static_cast<std::size_t>(t), "sat"));
-  }
-  std::vector<std::uint64_t> before(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    before[t] = fsd_.ShardOpCount(static_cast<std::size_t>(t));
   }
   std::atomic<int> failures{0};
   auto worker = [&](int tid) {
@@ -385,11 +380,8 @@ TEST_F(ConcurrencyTest, DisjointNamesSaturation) {
   }
   EXPECT_EQ(failures.load(), 0);
   for (int t = 0; t < kThreads; ++t) {
-    // Exactly kRounds successful ops landed in shard t (strictly more than
-    // before; nothing lost, nothing double-counted).
-    EXPECT_EQ(fsd_.ShardOpCount(static_cast<std::size_t>(t)) - before[t],
-              static_cast<std::uint64_t>(kRounds))
-        << "shard " << t;
+    // Exactly kRounds creates landed on names[t]: nothing lost, nothing
+    // double-counted.
     auto info = fsd_.Stat(names[t]);
     ASSERT_TRUE(info.ok());
     EXPECT_EQ(info->version, static_cast<std::uint32_t>(kRounds));

@@ -1,7 +1,8 @@
 // Seeded mutation fuzzing of on-disk and file decoders, on the in-repo Rng
 // (no external fuzzer). Each on-disk mutation keeps the bytes' checksum
 // valid, so it reaches the parser's semantic checks instead of bouncing off
-// the CRC; the file formats carry no checksum.
+// the CRC; the file formats carry no checksum. The JSON reader behind the
+// perf gate's BENCH files is fuzzed the same way.
 // Runs under the "fuzz" ctest label (included by the asan preset) and in
 // plain tier-1 ctest.
 
@@ -11,6 +12,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/btree/btree.h"
@@ -25,6 +27,7 @@
 #include "src/sim/disk.h"
 #include "src/sim/geometry.h"
 #include "src/util/crc32.h"
+#include "src/util/json.h"
 #include "src/util/random.h"
 #include "src/util/serial.h"
 #include "src/workload/trace.h"
@@ -751,6 +754,86 @@ TEST(DiskImageFuzzTest, AcceptedImagesReencodeToTheSameBytes) {
         return sim::SimDisk::EncodeImage(geometry, target.Snapshot());
       },
       ErrorCode::kInvalidArgument);  // a header naming another geometry
+}
+
+// Every mutation of a BENCH-shaped document either parses to a value whose
+// dump parses back to the same dump, or fails kInvalidArgument naming the
+// offset. Wrapping the document in brackets drives it past the nesting
+// bound, which must fail the same way instead of exhausting the stack.
+TEST(BenchJsonFuzzTest, AcceptedDocumentsDumpStably) {
+  constexpr int kMutations = 100000;
+  const std::string valid = R"({
+  "schema_version": 2,
+  "bench": "group_commit",
+  "config_digest": "c176fa64",
+  "config": {"mode": "scaling", "rounds": 200, "sat_threads": "1,4,8,"},
+  "metrics": {
+    "sat_1t_updates_per_vsec": {
+      "value": 47.04471012, "direction": "higher", "unit": "updates/vsec"},
+    "sat_1t_forces_per_update": {"value": 1, "direction": "lower"},
+    "freerun_note": {"value": -1.5e-3, "direction": "info",
+                     "tags": [null, true, false, "a\"bé\n"]}
+  }
+})";
+  ASSERT_TRUE(util::ParseJson(valid).ok());
+  constexpr std::string_view kTokens = "[]{},:\"\\0-.eE tfn";
+  enum JsonClass { kJsonBytes, kJsonTokens, kJsonTruncate, kJsonSplice,
+                   kJsonNest, kJsonClasses };
+  Rng rng(0xB3A5Cu);
+  int outcomes[2][kJsonClasses] = {};
+  for (int m = 0; m < kMutations; ++m) {
+    std::string text = valid;
+    const auto cls = static_cast<JsonClass>(rng.Below(kJsonClasses));
+    switch (cls) {
+      case kJsonBytes:
+        for (std::uint64_t n = rng.Between(1, 4); n > 0; --n) {
+          text[rng.Below(text.size())] = static_cast<char>(rng.Next());
+        }
+        break;
+      case kJsonTokens:
+        for (std::uint64_t n = rng.Between(1, 4); n > 0; --n) {
+          text[rng.Below(text.size())] = kTokens[rng.Below(kTokens.size())];
+        }
+        break;
+      case kJsonTruncate:
+        text.resize(rng.Below(text.size()));
+        break;
+      case kJsonSplice: {
+        const std::size_t len = rng.Between(1, 32);
+        const std::size_t from = rng.Below(valid.size() - len);
+        text.insert(rng.Below(text.size()), valid.substr(from, len));
+        break;
+      }
+      case kJsonNest: {
+        const std::size_t depth = rng.Between(1, 2 * util::kMaxJsonDepth);
+        text = std::string(depth, '[') + text + std::string(depth, ']');
+        break;
+      }
+      case kJsonClasses:
+        break;
+    }
+    auto parsed = util::ParseJson(text);
+    ++outcomes[parsed.ok() ? 1 : 0][cls];
+    if (!parsed.ok()) {
+      ASSERT_EQ(parsed.status().code(), ErrorCode::kInvalidArgument)
+          << "mutation " << m << ": " << parsed.status().message();
+      ASSERT_NE(parsed.status().message().find("offset"), std::string::npos)
+          << "mutation " << m << ": " << parsed.status().message();
+      continue;
+    }
+    const std::string dumped = parsed->Dump();
+    auto again = util::ParseJson(dumped);
+    ASSERT_TRUE(again.ok()) << "mutation " << m << ": "
+                            << again.status().message();
+    ASSERT_EQ(again->Dump(), dumped) << "mutation " << m;
+  }
+  int accepted = 0;
+  for (int c = 0; c < kJsonClasses; ++c) {
+    EXPECT_GT(outcomes[0][c], 0) << "class " << c << " never rejected";
+    accepted += outcomes[1][c];
+  }
+  EXPECT_GT(outcomes[1][kJsonNest], 0) << "no nesting within the bound";
+  EXPECT_GT(accepted, kMutations / 20);
 }
 
 }  // namespace

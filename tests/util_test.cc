@@ -2,6 +2,9 @@
 
 #include <cstdint>
 #include <set>
+#include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/util/crc32.h"
@@ -358,6 +361,66 @@ TEST(JsonTest, DumpParseRoundTrips) {
   EXPECT_EQ(reparsed.value().NumberOr("count", 0), 42);
   EXPECT_EQ(reparsed.value().NumberOr("ratio", 0), 0.125);
   EXPECT_EQ(reparsed.value().Find("tail")->items().size(), 2u);
+}
+
+TEST(JsonTest, BoundsNestingDepth) {
+  auto nested = [](std::size_t depth, std::string_view open,
+                   std::string_view close) {
+    std::string text;
+    for (std::size_t i = 0; i < depth; ++i) {
+      text += open;
+    }
+    text += "1";
+    for (std::size_t i = 0; i < depth; ++i) {
+      text += close;
+    }
+    return text;
+  };
+  EXPECT_TRUE(util::ParseJson(nested(util::kMaxJsonDepth, "[", "]")).ok());
+  EXPECT_TRUE(
+      util::ParseJson(nested(util::kMaxJsonDepth, "{\"k\":", "}")).ok());
+  // One level past the bound fails at the offset of the bracket that opens
+  // it; objects count toward the same bound.
+  for (const auto& [open, close] :
+       {std::pair<std::string_view, std::string_view>{"[", "]"},
+        {"{\"k\":", "}"}}) {
+    auto deep = util::ParseJson(nested(util::kMaxJsonDepth + 1, open, close));
+    ASSERT_FALSE(deep.ok()) << open;
+    EXPECT_EQ(deep.status().code(), ErrorCode::kInvalidArgument);
+    const std::string offset =
+        "offset " + std::to_string(util::kMaxJsonDepth * open.size());
+    EXPECT_NE(deep.status().message().find(offset), std::string::npos)
+        << deep.status().message();
+  }
+  // Far past the bound — input that once overflowed the stack — fails the
+  // same way.
+  auto huge = util::ParseJson(std::string(200000, '[') +
+                              std::string(200000, ']'));
+  ASSERT_FALSE(huge.ok());
+  EXPECT_EQ(huge.status().code(), ErrorCode::kInvalidArgument);
+}
+
+TEST(JsonTest, LoadJsonFileNamesAMissingFile) {
+  const std::string path = "/nonexistent-dir/missing.json";
+  auto loaded = util::LoadJsonFile(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), ErrorCode::kNotFound);
+  EXPECT_NE(loaded.status().message().find(path), std::string::npos)
+      << loaded.status().message();
+}
+
+TEST(JsonTest, LoadJsonFileRoundTripsACheckedInBaseline) {
+  // The perf gate reads every checked-in baseline through LoadJsonFile.
+  const std::string path =
+      std::string(CEDAR_SOURCE_DIR) + "/BENCH_group_commit.json";
+  auto loaded = util::LoadJsonFile(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().message();
+  ASSERT_TRUE(loaded->is_object());
+  EXPECT_NE(loaded->Find("metrics"), nullptr);
+  const std::string dumped = loaded->Dump();
+  auto reparsed = util::ParseJson(dumped);
+  ASSERT_TRUE(reparsed.ok()) << reparsed.status().message();
+  EXPECT_EQ(reparsed->Dump(), dumped);
 }
 
 TEST(JsonTest, SetReplacesExistingKeys) {

@@ -1,8 +1,7 @@
 // cedarfs — a command-line front end for FSD volumes stored in host-file
 // disk images. Each invocation loads the image, mounts, performs one
-// command, and (for mutating commands) cleanly shuts down and saves the
-// image — unless --crash is given, which skips the shutdown so the next
-// mount exercises log recovery.
+// command, cleanly shuts down and saves the image — unless --crash is
+// given, which skips the shutdown so the next mount exercises log recovery.
 //
 //   cedarfs <image> mkfs [--big] [--vamlog]
 //   cedarfs <image> put <name> <hostfile> [--crash]
@@ -129,7 +128,6 @@ int Run(const Options& options) {
   }
 
   Status result = OkStatus();
-  bool mutated = fresh;
   if (options.command == "mkfs") {
     std::printf("formatted %s volume (%" PRIu64 " sectors, vam_logging=%s)\n",
                 big ? "300 MB" : "5.5 MB",
@@ -139,7 +137,6 @@ int Run(const Options& options) {
     result = contents.status();
     if (result.ok()) {
       result = fsd.CreateFile(options.args[0], *contents).status();
-      mutated = true;
       if (result.ok()) {
         std::printf("put %s (%zu bytes)\n", options.args[0].c_str(),
                     contents->size());
@@ -170,7 +167,6 @@ int Run(const Options& options) {
     }
   } else if (options.command == "rm" && options.args.size() == 1) {
     result = fsd.DeleteFile(options.args[0]);
-    mutated = true;
   } else if (options.command == "stat" && options.args.size() == 1) {
     auto info = fsd.Stat(options.args[0]);
     result = info.status();
@@ -183,7 +179,6 @@ int Run(const Options& options) {
   } else if (options.command == "scrub") {
     auto report = fsd.Scrub();
     result = report.status();
-    mutated = true;
     if (result.ok()) {
       std::printf("scrub: %llu files, %llu leaders repaired, %llu leaked "
                   "sectors reclaimed, %llu nt pages reconciled\n",
@@ -202,7 +197,6 @@ int Run(const Options& options) {
             return fsd.Tick();
           });
       result = stats.status();
-      mutated = true;
       if (result.ok()) {
         std::printf("replayed %llu ops (%llu not-found tolerated)\n",
                     (unsigned long long)stats->ops,
@@ -210,6 +204,17 @@ int Run(const Options& options) {
       }
     }
   } else if (options.command == "info") {
+    // Only an unclean root makes Mount read the log for replay; a clean
+    // one starts a fresh log instead. The registry is this process's, so
+    // the counters cover this one mount.
+    const obs::MetricsSnapshot mount = fsd.SnapshotMetrics();
+    if (mount.CounterValue("fsd.mount_replay_read_us") == 0) {
+      std::printf("mount: clean\n");
+    } else {
+      std::printf("mount: recovered (%llu pages replayed from the log)\n",
+                  (unsigned long long)mount.CounterValue(
+                      "fsd.recovery_pages_replayed"));
+    }
     std::printf("geometry: %u cyl x %u heads x %u sectors (%0.1f MB)\n",
                 disk.geometry().cylinders, disk.geometry().heads,
                 disk.geometry().sectors_per_track,
@@ -230,7 +235,7 @@ int Run(const Options& options) {
 
   if (options.crash) {
     std::printf("(crashing without shutdown: next mount will recover)\n");
-  } else if (mutated || fresh) {
+  } else {
     Status shutdown = fsd.Shutdown();
     if (!shutdown.ok()) {
       std::fprintf(stderr, "cedarfs: shutdown: %s\n",
