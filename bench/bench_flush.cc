@@ -6,9 +6,9 @@
 // burst is the third-entry home flush: every page whose logged image is
 // about to be overwritten must go to its primary AND replica home sectors.
 // Unbatched (the historical behavior) that is one write per page copy, in
-// hash-map order — alternating across the log region between the two
-// name-table regions, a worst-case seek pattern. The IoScheduler turns it
-// into two elevator sweeps with adjacent pages coalesced.
+// hash-map order — hopping between band cylinders and losing a revolution
+// per write. The IoScheduler turns it into two elevator sweeps with
+// adjacent pages coalesced.
 //
 // Emits a machine-readable summary line prefixed BENCH_flush.json.
 

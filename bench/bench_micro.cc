@@ -1,7 +1,7 @@
 // Wall-clock microbenchmarks (google-benchmark) for the library's hot
 // paths: CRC, VAM run search, page-cache eviction, serialization, B-tree
-// operations, the simulated disk, the redo log, and FSD operation
-// throughput. These measure this codebase, not the paper's hardware.
+// operations, the simulated disk, the redo log, the tracer's op scopes, and
+// FSD operation throughput. These measure this codebase, not the paper's hardware.
 
 #include <benchmark/benchmark.h>
 
@@ -17,6 +17,7 @@
 #include "src/core/fsd.h"
 #include "src/core/log.h"
 #include "src/obs/metrics.h"
+#include "src/obs/trace.h"
 #include "src/sim/disk.h"
 #include "src/util/bitmap.h"
 #include "src/util/crc32.h"
@@ -196,6 +197,20 @@ void BM_FsdOpenWarm(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FsdOpenWarm);
+
+// One FS op's attribution as a traced run pays it: an outermost scope and a
+// nested one (a public op and its log force), then one disk request
+// recorded under them. The scopes are entered from an empty stack each
+// time, like every FS op. Threads(2) runs two clients on one tracer.
+void BM_TracerScope(benchmark::State& state) {
+  static obs::DiskTracer tracer;
+  for (auto _ : state) {
+    obs::ScopedOp op(&tracer, "fsd.create");
+    obs::ScopedOp inner(&tracer, "fsd.log_force");
+    tracer.Record(1000, 8, obs::DiskOpKind::kWrite, 0, 10, 20, 30, 40);
+  }
+}
+BENCHMARK(BM_TracerScope)->Threads(1)->Threads(2);
 
 }  // namespace
 }  // namespace cedar

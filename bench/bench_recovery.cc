@@ -246,7 +246,7 @@ void WriteCkptJson(const char* path, bool smoke,
     }
   }
   // The rebuild mount: its virtual time and the home sectors its sweep
-  // read (both copies of the live name table, not the whole regions).
+  // read (both copies of the live name table, not every preallocated page).
   std::snprintf(key, sizeof(key), "mount_ms_rebuild_%u", kRebuildFiles);
   report.AddMetric(key, rebuild.total_s * 1000.0, Direction::kLowerIsBetter,
                    "vms");

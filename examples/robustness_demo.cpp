@@ -40,7 +40,7 @@ int main() {
   CEDAR_CHECK_OK(fsd->Mount());
 
   Headline(1, "medium error on a primary name-table sector");
-  disk.DamageSectors(fsd->layout().nta_base + 2, 2);
+  disk.DamageSectors(fsd->layout().NtHome(core::FsdLayout::kPrimary, 2), 2);
   auto list = fsd->List("lib/");
   CEDAR_CHECK_OK(list.status());
   std::printf("    list still sees %zu files; %llu replica repairs issued\n",
@@ -70,7 +70,7 @@ int main() {
   // hardware only the leader/name-table cross-check stands in the way.
   for (sim::Lba lba =
            core::RunAllocator::FirstSmallFileStart(fsd->layout(), 512);
-       lba < fsd->layout().ntb_base; ++lba) {
+       lba < fsd->layout().complex_begin(); ++lba) {
     disk.WildWrite(lba, lba * 17);
   }
   const std::uint64_t detected = fsd->Health().corruption_detected;

@@ -6,18 +6,19 @@
 // large free runs. The split is a *hint*, not an invariant.
 //
 // Here the split also follows the paper's locality principle (section 5):
-// the log and both name-table copies sit on the central cylinders, so the
-// metadata complex [ntb_base, nta_end) cuts the data area into a lower and
-// an upper half. Small files — whose every create, open and read also
-// touches the name table — hug the complex: the highest free run below
-// replica B first, then the lowest free run above copy A. Big files — long
-// transfers where a seek is cheap by comparison — hug the volume's edges:
-// the highest free run below data_high first, then the lowest free run
-// above data_low. Each half is thus its own heap/stack pair, and
-// FsdConfig::big_file_threshold_sectors stays the split's only knob.
+// the log and the name-table bands sit on the central cylinders, so the
+// metadata complex [complex_begin(), complex_end()) cuts the data area into
+// a lower and an upper half. Small files — whose every create, open and
+// read also touches the name table — hug the complex: the highest free run
+// below the log first, then the lowest free run above the last band. Big
+// files — long transfers where a seek is cheap by comparison — hug the
+// volume's edges: the highest free run below data_high first, then the
+// lowest free run above data_low. Each half is thus its own heap/stack
+// pair, and FsdConfig::big_file_threshold_sectors stays the split's only
+// knob.
 // Small files start in the lower half and big files in the upper one, so
 // neither fills the other's holes until its own half is full; packing
-// small files upward from copy A first would put both in the upper half
+// small files upward from the bands first would put both in the upper half
 // and keep only about a third of the largest free run (EXPERIMENTS.md,
 // section 5.6).
 //
@@ -62,14 +63,14 @@ class RunAllocator {
                std::uint32_t big_threshold_sectors)
       : vam_(vam),
         data_low_(static_cast<std::uint32_t>(layout.data_low)),
-        meta_low_(static_cast<std::uint32_t>(layout.ntb_base)),
-        meta_high_(static_cast<std::uint32_t>(layout.nta_end)),
+        meta_low_(static_cast<std::uint32_t>(layout.complex_begin())),
+        meta_high_(static_cast<std::uint32_t>(layout.complex_end())),
         data_high_(static_cast<std::uint32_t>(layout.data_high)),
         big_threshold_(big_threshold_sectors) {
     CEDAR_CHECK(layout.data_high <= (std::uint64_t{1} << 31) &&
-                layout.data_low < layout.ntb_base &&
-                layout.ntb_base <= layout.nta_end &&
-                layout.nta_end < layout.data_high);
+                layout.data_low < layout.complex_begin() &&
+                layout.complex_begin() <= layout.complex_end() &&
+                layout.complex_end() < layout.data_high);
   }
 
   // Allocates `sectors` sectors (leader included) and marks them used.
@@ -87,12 +88,12 @@ class RunAllocator {
   std::uint32_t big_threshold() const { return big_threshold_; }
 
   // The lowest LBA of the `sectors` sectors that a fresh volume's first
-  // small files fill: small files pack downward from replica B, so they
-  // sit in [FirstSmallFileStart(layout, sectors), ntb_base). Tests, the
+  // small files fill: small files pack downward from the log, so they sit
+  // in [FirstSmallFileStart(layout, sectors), complex_begin()). Tests, the
   // demos, tracedump and the section-6 model aim here.
   static sim::Lba FirstSmallFileStart(const FsdLayout& layout,
                                       std::uint32_t sectors) {
-    return layout.ntb_base - sectors;
+    return layout.complex_begin() - sectors;
   }
 
  private:
@@ -104,8 +105,8 @@ class RunAllocator {
 
   Vam* vam_;
   std::uint32_t data_low_;
-  std::uint32_t meta_low_;   // ntb_base: the metadata complex starts here
-  std::uint32_t meta_high_;  // nta_end: one past the complex
+  std::uint32_t meta_low_;   // complex_begin(): the log starts here
+  std::uint32_t meta_high_;  // complex_end(): one past the last replica
   std::uint32_t data_high_;
   std::uint32_t big_threshold_;
 };

@@ -112,6 +112,13 @@ Status ParseLeader(std::span<const std::uint8_t> sector, LeaderPage* out) {
   if (!CheckSeal(sector, r.position())) {
     return MakeError(ErrorCode::kCorruptMetadata, "leader crc mismatch");
   }
+  // SerializeLeader zero-pads the sector after the CRC; anything else there
+  // is not a leader it wrote.
+  const auto padding = sector.subspan(r.position() + 4);
+  if (std::any_of(padding.begin(), padding.end(),
+                  [](std::uint8_t b) { return b != 0; })) {
+    return MakeError(ErrorCode::kCorruptMetadata, "leader padding not zero");
+  }
   return OkStatus();
 }
 

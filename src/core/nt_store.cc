@@ -15,19 +15,6 @@ constexpr std::uint32_t kRemapMagic = 0x4E54524D;  // "NTRM"
 constexpr std::size_t kSeqOffset = 504;
 constexpr std::size_t kCrcOffset = 508;
 
-// The copy whose original home is `lba`, or nullopt outside both regions.
-std::optional<NtStore::CopyRef> HomeCopy(const FsdLayout& layout,
-                                         sim::Lba lba) {
-  for (const bool replica : {false, true}) {
-    const sim::Lba base = replica ? layout.ntb_base : layout.nta_base;
-    if (lba >= base && lba < base + (layout.nta_end - layout.nta_base)) {
-      return NtStore::CopyRef{.pid = static_cast<std::uint32_t>(lba - base),
-                              .replica = replica};
-    }
-  }
-  return std::nullopt;
-}
-
 }  // namespace
 
 // The elevator scheduler plus a record of every queued (lba, image), so a
@@ -110,7 +97,7 @@ NtStore::NtStore(sim::BlockDevice* disk, const FsdLayout& layout,
                  MediaHealth* health)
     : disk_(disk),
       layout_(layout),
-      pages_(static_cast<std::uint32_t>(layout.nta_end - layout.nta_base)),
+      pages_(layout.nt_pages),
       durability_(config.durability),
       per_sector_io_(config.cpu.per_sector_io),
       health_(health),
@@ -177,8 +164,8 @@ NtStore::Vote NtStore::VoteCopies(std::span<const std::uint8_t> a,
 }
 
 NtStore::Homes NtStore::HomesOf(std::uint32_t pid) const {
-  return Homes{.primary = Map(layout_.nta_base + pid),
-               .replica = Map(layout_.ntb_base + pid)};
+  return Homes{.primary = Map(layout_.NtHome(FsdLayout::kPrimary, pid)),
+               .replica = Map(layout_.NtHome(FsdLayout::kReplica, pid))};
 }
 
 sim::Lba NtStore::Map(sim::Lba lba) const {
@@ -188,13 +175,13 @@ sim::Lba NtStore::Map(sim::Lba lba) const {
 }
 
 std::optional<NtStore::CopyRef> NtStore::CopyAt(sim::Lba lba) const {
-  if (std::optional<CopyRef> home = HomeCopy(layout_, lba)) {
+  if (std::optional<CopyRef> home = layout_.NtCopyAt(lba)) {
     return home;
   }
   std::lock_guard<std::mutex> lock(remap_mu_);
   for (const auto& [home, spare] : remap_) {
     if (spare == lba) {
-      return HomeCopy(layout_, home);
+      return layout_.NtCopyAt(home);
     }
   }
   return std::nullopt;
@@ -206,18 +193,21 @@ Status NtStore::Format() {
     std::lock_guard<std::mutex> lock(remap_mu_);
     remap_.clear();
   }
+  // Both copies of every band, and the spare tail of each band cylinder
+  // with them: the bands are one span of the complex.
   constexpr std::uint32_t kZeroChunk = 1024;
+  const auto span =
+      static_cast<std::uint32_t>(layout_.nt_end - layout_.nt_base);
   std::vector<std::uint8_t> zeros(
-      static_cast<std::size_t>(std::min(kZeroChunk, pages_)) * 512);
-  for (const sim::Lba base : {layout_.nta_base, layout_.ntb_base}) {
-    for (std::uint32_t off = 0; off < pages_; off += kZeroChunk) {
-      const std::uint32_t take = std::min(kZeroChunk, pages_ - off);
-      const Status wiped = disk_->Write(
-          base + off, std::span<const std::uint8_t>(
-                          zeros.data(), static_cast<std::size_t>(take) * 512));
-      if (wiped.code() == ErrorCode::kDeviceCrashed) {
-        return wiped;
-      }
+      static_cast<std::size_t>(std::min(kZeroChunk, span)) * 512);
+  for (std::uint32_t off = 0; off < span; off += kZeroChunk) {
+    const std::uint32_t take = std::min(kZeroChunk, span - off);
+    const Status wiped = disk_->Write(
+        layout_.nt_base + off,
+        std::span<const std::uint8_t>(zeros.data(),
+                                      static_cast<std::size_t>(take) * 512));
+    if (wiped.code() == ErrorCode::kDeviceCrashed) {
+      return wiped;
     }
   }
   return SaveRemapTable();
@@ -225,10 +215,14 @@ Status NtStore::Format() {
 
 Status NtStore::ReadRegion(sim::Lba base, std::uint32_t count,
                            std::span<std::uint8_t> buf,
-                           std::vector<std::uint32_t>* bad) {
+                           std::vector<std::uint32_t>* bad,
+                           obs::Counter* read_us) {
+  const sim::Micros start = disk_->clock().now();
   CEDAR_RETURN_IF_ERROR(health_->ReadWithRetry(base, buf, bad));
+  CEDAR_RETURN_IF_ERROR(PatchRemapped(base, count, buf, bad));
+  read_us->Add(disk_->clock().now() - start);
   disk_->clock().AdvanceCpu(per_sector_io_ * count);
-  return PatchRemapped(base, count, buf, bad);
+  return OkStatus();
 }
 
 Status NtStore::ReadCluster(
@@ -244,7 +238,9 @@ Status NtStore::ReadCluster(
   std::vector<std::uint8_t> b(a.size());
   std::vector<std::uint32_t> bad_a;
   std::vector<std::uint32_t> bad_b;
-  CEDAR_RETURN_IF_ERROR(ReadRegion(layout_.nta_base + first, count, a, &bad_a));
+  CEDAR_RETURN_IF_ERROR(ReadRegion(
+      layout_.NtHome(FsdLayout::kPrimary, first), count, a, &bad_a,
+      c_.miss_primary_us));
   auto is_bad = [](const std::vector<std::uint32_t>& bad, std::uint32_t i) {
     return std::find(bad.begin(), bad.end(), i) != bad.end();
   };
@@ -255,8 +251,9 @@ Status NtStore::ReadCluster(
   const bool read_b = durability_.double_read_check || !bad_a.empty() ||
                       !ParseTrailer(sector_of(a, id - first), nullptr);
   if (read_b) {
-    CEDAR_RETURN_IF_ERROR(
-        ReadRegion(layout_.ntb_base + first, count, b, &bad_b));
+    CEDAR_RETURN_IF_ERROR(ReadRegion(
+        layout_.NtHome(FsdLayout::kReplica, first), count, b, &bad_b,
+        c_.miss_replica_us));
   }
   for (std::uint32_t i = 0; i < count; ++i) {
     const std::uint32_t pid = first + i;
@@ -321,8 +318,8 @@ Status NtStore::Sweep(btree::PageId root, NtImages* images) {
   }
   HomeBatch repairs(disk_, durability_.batched_writeback);
   const bool degraded = health_->degraded();
-  // Region A's buffer doubles as the winners: a winning B copy is copied
-  // into A's slot once the election is made.
+  // The primaries' buffer doubles as the winners: a winning replica is
+  // copied into its primary's slot once the election is made.
   std::vector<bool> present(n, false);
   images->sectors_read = 0;
   while (!ready.empty() || !unread.empty()) {
@@ -373,7 +370,8 @@ Status NtStore::ReadRound(std::span<const std::uint32_t> pids,
   // Pages less than a track apart share one run: reading through the gap
   // costs less than the revolution a separate request would lose. A run
   // stops short of a buffered page (its slot may already hold an elected
-  // B copy) and at the scheduler's transfer cap.
+  // replica), at the scheduler's transfer cap and at a band's end, where
+  // the next page's copies sit on the next cylinder.
   constexpr std::uint32_t kMaxRun = 1024;
   const std::uint32_t track = disk_->geometry().sectors_per_track;
   struct Run {
@@ -387,6 +385,7 @@ Status NtStore::ReadRound(std::span<const std::uint32_t> pids,
       Run& run = runs.back();
       const std::uint32_t end = run.first + run.count;
       if (pid - (end - 1) < track && pid + 1 - run.first <= kMaxRun &&
+          layout_.SameNtBand(run.first, pid) &&
           std::none_of(in_buffer->begin() + end, in_buffer->begin() + pid,
                        [](bool buffered) { return buffered; })) {
         run.count = pid + 1 - run.first;
@@ -400,18 +399,21 @@ Status NtStore::ReadRound(std::span<const std::uint32_t> pids,
                           static_cast<std::size_t>(run.count) * 512);
   };
   sim::IoScheduler sched(disk_, durability_.batched_writeback, kMaxRun);
+  auto home = [&](int copy, const Run& run) {
+    return layout_.NtHome(copy, run.first);
+  };
   for (Run& run : runs) {
-    sched.QueueRead(layout_.nta_base + run.first, slice(region_a, run),
+    sched.QueueRead(home(FsdLayout::kPrimary, run), slice(region_a, run),
                     &run.bad[0]);
-    sched.QueueRead(layout_.ntb_base + run.first, slice(region_b, run),
+    sched.QueueRead(home(FsdLayout::kReplica, run), slice(region_b, run),
                     &run.bad[1]);
   }
   CEDAR_RETURN_IF_ERROR(sched.Flush());
   for (Run& run : runs) {
-    CEDAR_RETURN_IF_ERROR(PatchRemapped(layout_.nta_base + run.first,
+    CEDAR_RETURN_IF_ERROR(PatchRemapped(home(FsdLayout::kPrimary, run),
                                         run.count, slice(region_a, run),
                                         &run.bad[0]));
-    CEDAR_RETURN_IF_ERROR(PatchRemapped(layout_.ntb_base + run.first,
+    CEDAR_RETURN_IF_ERROR(PatchRemapped(home(FsdLayout::kReplica, run),
                                         run.count, slice(region_b, run),
                                         &run.bad[1]));
     for (std::uint32_t i = 0; i < run.count; ++i) {
@@ -488,8 +490,8 @@ Result<NtStore::Repair> NtStore::RepairCopy(
   if (!copy) {
     return wrote;  // not (or no longer) a name-table copy: nothing to remap
   }
-  const sim::Lba home =
-      (copy->replica ? layout_.ntb_base : layout_.nta_base) + copy->pid;
+  const sim::Lba home = layout_.NtHome(
+      copy->replica ? FsdLayout::kReplica : FsdLayout::kPrimary, copy->pid);
   const sim::Lba spare_low = layout_.remap_base + FsdLayout::kRemapDirCopies;
   const sim::Lba spare_high = layout_.remap_base + layout_.remap_sectors;
   for (sim::Lba spare = spare_low; spare < spare_high; ++spare) {
@@ -608,7 +610,7 @@ Result<std::map<sim::Lba, sim::Lba>> NtStore::DecodeRemapDirectory(
   std::vector<bool> spare_taken(layout.remap_sectors, false);
   std::map<sim::Lba, sim::Lba> table;
   for (const auto& [from, to] : entries) {
-    if (!HomeCopy(layout, from).has_value() || to < spare_low ||
+    if (!layout.NtCopyAt(from).has_value() || to < spare_low ||
         to >= layout.remap_base + layout.remap_sectors ||
         spare_taken[to - layout.remap_base] ||
         !table.emplace(from, to).second) {

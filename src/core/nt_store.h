@@ -1,11 +1,12 @@
 // The name table's two home copies (paper sections 5.1 and 5.8; DESIGN.md
-// section 4h). Every name-table page is written twice — a primary in region
-// A, right after the log, and a replica in region B, right before it — and
-// this module owns every decision about those copies: the sector format
-// (payload + sequence/CRC trailer), the vote between the copies, the
-// bad-sector remap table that moves a dead home to a spare, the miss path's
-// cluster read, the mount sweep of the live tree, the per-page reader of
-// scrub and fsck, and the one repair routine. It needs no Fsd: Fsd keeps
+// section 4h). Every name-table page is written twice — a primary on the
+// lower tracks of a band cylinder next to the log and a replica on the same
+// cylinder's upper tracks (FsdLayout::NtHome) — and this module owns every
+// decision about those copies: the sector format (payload + sequence/CRC
+// trailer), the vote between the copies, the bad-sector remap table that
+// moves a dead home to a spare, the miss path's cluster read, the mount
+// sweep of the live tree, the per-page reader of scrub and fsck, and the
+// one repair routine. It needs no Fsd: Fsd keeps
 // only the cache-facing B-tree page store and calls in here, and tests
 // build it on a bare disk.
 
@@ -109,7 +110,7 @@ struct HomeBatch;
 // page p's 512-byte sector sits at sectors[p * 512] when present[p];
 // present[p] is false for a page the walk never reached (a free page) and
 // for one whose copies both failed (a lost page). sectors_read counts the
-// home sectors the sweep read, both regions.
+// home sectors the sweep read, both copies.
 struct NtImages {
   std::vector<std::uint8_t> sectors;
   std::vector<bool> present;
@@ -196,10 +197,7 @@ class NtStore {
   sim::Lba Map(sim::Lba lba) const;
   // The copy `lba` holds — a home, or the spare standing in for one — or
   // nullopt for a sector outside the name table.
-  struct CopyRef {
-    std::uint32_t pid = 0;
-    bool replica = false;
-  };
+  using CopyRef = FsdLayout::NtCopyRef;
   std::optional<CopyRef> CopyAt(sim::Lba lba) const;
   // The sector serving the copy `vote` lost, for page `pid`.
   sim::Lba LoserOf(const Vote& vote, std::uint32_t pid) const {
@@ -209,7 +207,7 @@ class NtStore {
 
   // ---- Lifecycle.
 
-  // A fresh volume: clock at zero, both home regions zeroed (a reused disk
+  // A fresh volume: clock at zero, both copies' bands zeroed (a reused disk
   // could hold trailers that still validate, and the vote must never
   // resurrect them; a pre-damaged sector is tolerated), and an empty remap
   // directory in both copies.
@@ -223,9 +221,10 @@ class NtStore {
   // ---- Reads.
 
   // The miss path: reads the aligned cluster of durability.
-  // nt_read_ahead_pages around page `id` from region A in one request, and
-  // from region B only under double_read_check or when A's copy of `id` is
-  // bad (each region charged per sector), then votes page by page. Each
+  // nt_read_ahead_pages around page `id` from the primaries in one request,
+  // and from the replicas (same cylinder, one band later) only under
+  // double_read_check or when the primary of `id` is bad (each copy
+  // charged per sector), then votes page by page. Each
   // winner is offered to `accept(pid, sector)`, which returns whether it
   // cached the page; only then is the clock merged and a diverged loser
   // repaired. Fails kSectorDamaged (and notes the loss) when page `id` has
@@ -290,20 +289,21 @@ class NtStore {
   // name-table copies go through RepairCopy; any other sector (a leader,
   // reconstructible from its entry) is noted unrepairable and dropped.
   Status Flush(HomeBatch& batch);
-  // One round of the sweep: reads `pids` (ascending) from both regions as
-  // runs of pages less than a track apart, into their slots of the region
-  // buffers, patches remapped homes within each run, and marks every page
-  // a run covered as buffered and each bad copy in bad_*.
+  // One round of the sweep: reads `pids` (ascending) from both copies as
+  // runs of pages less than a track apart within one band, into their
+  // slots of the region buffers, patches remapped homes within each run,
+  // and marks every page a run covered as buffered and each bad copy in
+  // bad_*.
   Status ReadRound(std::span<const std::uint32_t> pids,
                    std::span<std::uint8_t> region_a,
                    std::span<std::uint8_t> region_b,
                    std::vector<bool>* in_buffer, std::vector<bool>* bad_a,
                    std::vector<bool>* bad_b, std::uint64_t* sectors_read);
-  // One region's slice of a cluster: a bulk read, its CPU charge, then the
-  // remap patch.
+  // One copy's slice of a cluster: a bulk read and the remap patch, whose
+  // virtual time is added to `read_us`, then its CPU charge.
   Status ReadRegion(sim::Lba base, std::uint32_t count,
                     std::span<std::uint8_t> buf,
-                    std::vector<std::uint32_t>* bad);
+                    std::vector<std::uint32_t>* bad, obs::Counter* read_us);
   // A bulk read of homes [base, base + count) saw the dead originals of
   // remapped sectors: each is re-read from its spare into its slot of `buf`
   // and `bad` (slot indexes) updated to what the spare read returned.
@@ -326,6 +326,10 @@ class NtStore {
     obs::Counter* batches = m.GetCounter("fsd.home_write_batches");
     obs::Counter* requests = m.GetCounter("fsd.home_write_requests");
     obs::Counter* coalesced = m.GetCounter("fsd.home_writes_coalesced");
+    // Virtual microseconds the miss path spent reading each copy's cluster
+    // (device time, remap patch included, CPU charge excluded).
+    obs::Counter* miss_primary_us = m.GetCounter("fsd.nt_miss_primary_us");
+    obs::Counter* miss_replica_us = m.GetCounter("fsd.nt_miss_replica_us");
   } c_;
   std::atomic<std::uint32_t> seq_clock_{0};
   // Original home -> the spare serving it. remap_mu_ is a leaf mutex

@@ -99,8 +99,7 @@ Result<CampaignReport> FaultCampaign::Run() {
     const core::FsdLayout& layout = fsd.layout();
     live_data_.clear();
     for (sim::Lba lba = layout.data_low; lba < layout.data_high; ++lba) {
-      if ((lba < layout.ntb_base || lba >= layout.nta_end) &&
-          fsd.SectorInUse(lba)) {
+      if (!layout.InMetadataComplex(lba) && fsd.SectorInUse(lba)) {
         live_data_.push_back(lba);
       }
     }
@@ -174,8 +173,11 @@ CampaignCase FaultCampaign::RunCase(FaultClass fault_class,
     if (!nt_pids_hit.insert(pid).second) {
       return std::nullopt;
     }
-    return where == 0 ? std::pair{layout.nta_base + pid, "nt-primary"}
-                      : std::pair{layout.ntb_base + pid, "nt-replica"};
+    return where == 0
+               ? std::pair{layout.NtHome(core::FsdLayout::kPrimary, pid),
+                           "nt-primary"}
+               : std::pair{layout.NtHome(core::FsdLayout::kReplica, pid),
+                           "nt-replica"};
   };
   // Two draws in five hit a primary home, two a replica, one a root copy.
   auto where_of = [](std::uint64_t draw) {

@@ -20,12 +20,51 @@ std::uint64_t NextTracerKey() {
   return next.fetch_add(1, std::memory_order_relaxed);
 }
 
-// Per-thread op-context stacks, keyed by tracer incarnation. The map is tiny
-// (one live tracer per rig; stale incarnations' entries are empty vectors
-// abandoned at move/Reset), and only the owning thread ever touches it.
-std::map<std::uint64_t, std::vector<std::uint32_t>>& TlsStacks() {
-  thread_local std::map<std::uint64_t, std::vector<std::uint32_t>> stacks;
+// Per-thread op-context stacks, one per tracer incarnation the thread is
+// inside a scope of, and only the owning thread ever touches them. A stack
+// that empties keeps its entry and its capacity, so the next outermost
+// scope allocates nothing; an empty entry is also what a push for another
+// tracer claims first, so a dead tracer's entry is reused, not leaked. (A
+// stack left non-empty by Reset or a move inside an open scope stays until
+// its thread exits.)
+struct ThreadStack {
+  std::uint64_t key = 0;
+  std::vector<std::uint32_t> ops;
+};
+
+std::vector<ThreadStack>& TlsStacks() {
+  thread_local std::vector<ThreadStack> stacks;
   return stacks;
+}
+
+// The calling thread's stack for tracer incarnation `key`, or null.
+std::vector<std::uint32_t>* FindStack(std::uint64_t key) {
+  for (ThreadStack& stack : TlsStacks()) {
+    if (stack.key == key) {
+      return &stack.ops;
+    }
+  }
+  return nullptr;
+}
+
+// The calling thread's stack for `key`, claiming an empty entry (or adding
+// one) when it has none.
+std::vector<std::uint32_t>& StackFor(std::uint64_t key) {
+  std::vector<ThreadStack>& stacks = TlsStacks();
+  ThreadStack* idle = nullptr;
+  for (ThreadStack& stack : stacks) {
+    if (stack.key == key) {
+      return stack.ops;
+    }
+    if (idle == nullptr && stack.ops.empty()) {
+      idle = &stack;
+    }
+  }
+  if (idle == nullptr) {
+    idle = &stacks.emplace_back();
+  }
+  idle->key = key;
+  return idle->ops;
 }
 
 }  // namespace
@@ -63,8 +102,19 @@ DiskTracer& DiskTracer::operator=(DiskTracer&& other) noexcept {
   ring_head_ = other.ring_head_;
   next_seq_ = other.next_seq_;
   dropped_ = other.dropped_;
+  // A deque's move hands over its blocks, so the index's name pointers stay
+  // valid; the source's index is cleared with its names.
   op_names_ = std::move(other.op_names_);
   op_ids_ = std::move(other.op_ids_);
+  for (std::size_t i = 0; i < kInternSlots; ++i) {
+    InternSlot& to = intern_[i];
+    InternSlot& from = other.intern_[i];
+    to.id.store(from.id.load(std::memory_order_relaxed),
+                std::memory_order_relaxed);
+    to.name.store(from.name.load(std::memory_order_relaxed),
+                  std::memory_order_release);
+    from.name.store(nullptr, std::memory_order_relaxed);
+  }
   aggregates_ = std::move(other.aggregates_);
   root_aggregates_ = std::move(other.root_aggregates_);
   return *this;
@@ -78,7 +128,36 @@ std::uint32_t DiskTracer::InternOp(std::string_view name) {
   op_ids_.emplace(std::string(name), id);
   aggregates_.emplace_back();
   root_aggregates_.emplace_back();
+  // Publish into the lock-free index: the id first, then the name with
+  // release, so a reader that sees the name sees its id. A name whose
+  // probe window is full stays reachable through the locked map only.
+  const std::size_t home = std::hash<std::string_view>{}(name);
+  for (std::size_t probe = 0; probe < kInternProbes; ++probe) {
+    InternSlot& slot = intern_[(home + probe) % kInternSlots];
+    if (slot.name.load(std::memory_order_relaxed) == nullptr) {
+      slot.id.store(id, std::memory_order_relaxed);
+      slot.name.store(&op_names_.back(), std::memory_order_release);
+      break;
+    }
+  }
   return id;
+}
+
+bool DiskTracer::FindInterned(std::string_view name,
+                              std::uint32_t* id) const {
+  const std::size_t home = std::hash<std::string_view>{}(name);
+  for (std::size_t probe = 0; probe < kInternProbes; ++probe) {
+    const InternSlot& slot = intern_[(home + probe) % kInternSlots];
+    const std::string* interned = slot.name.load(std::memory_order_acquire);
+    if (interned == nullptr) {
+      return false;
+    }
+    if (*interned == name) {
+      *id = slot.id.load(std::memory_order_relaxed);
+      return true;
+    }
+  }
+  return false;
 }
 
 void DiskTracer::AddLocked(const TraceEvent& ev) {
@@ -110,27 +189,27 @@ std::vector<std::pair<std::string, OpClassAggregate>> DiskTracer::ByName(
 }
 
 void DiskTracer::PushOp(std::string_view name) {
-  std::uint32_t id;
-  {
+  // A name seen before is found without the mutex; only a new one (or one
+  // the index has no room for) takes it.
+  std::uint32_t id = 0;
+  if (!FindInterned(name, &id)) {
     std::lock_guard<std::mutex> lock(mu_);
     id = InternOp(name);
   }
-  TlsStacks()[tls_key_.load(std::memory_order_relaxed)].push_back(id);
+  StackFor(tls_key_.load(std::memory_order_relaxed)).push_back(id);
 }
 
 void DiskTracer::PopOp() {
-  auto& stacks = TlsStacks();
-  auto it = stacks.find(tls_key_.load(std::memory_order_relaxed));
-  if (it == stacks.end()) return;
-  if (!it->second.empty()) it->second.pop_back();
-  if (it->second.empty()) stacks.erase(it);
+  std::vector<std::uint32_t>* stack =
+      FindStack(tls_key_.load(std::memory_order_relaxed));
+  if (stack != nullptr && !stack->empty()) stack->pop_back();
 }
 
 std::string_view DiskTracer::CurrentOp() const {
-  auto& stacks = TlsStacks();
-  auto it = stacks.find(tls_key_.load(std::memory_order_relaxed));
-  if (it == stacks.end() || it->second.empty()) return kNoContext;
-  const std::uint32_t id = it->second.back();
+  const std::vector<std::uint32_t>* stack =
+      FindStack(tls_key_.load(std::memory_order_relaxed));
+  if (stack == nullptr || stack->empty()) return kNoContext;
+  const std::uint32_t id = stack->back();
   // The name lookup takes the mutex: op_names_ is a deque, so the string
   // itself is address-stable, but concurrent interning mutates the deque's
   // own bookkeeping. The returned view stays valid for the tracer's
@@ -147,13 +226,11 @@ void DiskTracer::Record(std::uint64_t lba, std::uint32_t sectors,
   // Read the caller's context from TLS before taking the tracer mutex.
   std::uint32_t op_id = 0;
   std::uint32_t root_id = 0;
-  {
-    auto& stacks = TlsStacks();
-    auto it = stacks.find(tls_key_.load(std::memory_order_relaxed));
-    if (it != stacks.end() && !it->second.empty()) {
-      op_id = it->second.back();
-      root_id = it->second.front();
-    }
+  if (const std::vector<std::uint32_t>* stack =
+          FindStack(tls_key_.load(std::memory_order_relaxed));
+      stack != nullptr && !stack->empty()) {
+    op_id = stack->back();
+    root_id = stack->front();
   }
 
   std::lock_guard<std::mutex> lock(mu_);

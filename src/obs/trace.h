@@ -22,8 +22,10 @@
 // (keyed by a per-tracer-incarnation id), so concurrent client threads each
 // carry their own attribution context — a request issued by the group-commit
 // daemon is tagged "fsd.log_force" even while client threads are inside
-// "fsd.create" — and pushing/popping context never takes a lock. The ring,
-// the name table, and the aggregates are guarded by one internal mutex;
+// "fsd.create" — and pushing/popping context takes no lock once a name has
+// been seen (a lock-free index finds it; only a new name is interned under
+// the mutex). The ring, the name table, and the aggregates are guarded by
+// one internal mutex;
 // Record() is called with the disk's lock held, making the tracer a leaf in
 // the locking hierarchy (see DESIGN.md section 4e/4f). Moves and Reset()
 // issue a fresh incarnation id, which abandons every thread's old stack
@@ -32,6 +34,7 @@
 #ifndef CEDAR_OBS_TRACE_H_
 #define CEDAR_OBS_TRACE_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <deque>
@@ -182,6 +185,8 @@ class DiskTracer {
 
  private:
   std::uint32_t InternOp(std::string_view name);           // caller holds mu_
+  // The id of an interned `name` from the lock-free index, when it is there.
+  bool FindInterned(std::string_view name, std::uint32_t* id) const;
   std::vector<TraceEvent> EventsLocked() const;            // caller holds mu_
   void AddLocked(const TraceEvent& ev);                    // caller holds mu_
   // The slot of `aggs` for `op_class`, or zeros; caller holds mu_.
@@ -206,6 +211,17 @@ class DiskTracer {
   // stable addresses while new ops are interned concurrently.
   std::deque<std::string> op_names_;
   std::map<std::string, std::uint32_t, std::less<>> op_ids_;
+  // A lock-free index over op_ids_ for PushOp's hot path: open addressing
+  // by the name's hash over a short probe window, filled under mu_ (names
+  // are never removed) and read without it. A slot's name points into
+  // op_names_, whose strings never move.
+  struct InternSlot {
+    std::atomic<const std::string*> name{nullptr};
+    std::atomic<std::uint32_t> id{0};
+  };
+  static constexpr std::size_t kInternSlots = 256;
+  static constexpr std::size_t kInternProbes = 8;
+  std::array<InternSlot, kInternSlots> intern_;
   // Indexed by op id, one slot per interned name, so Record adds to a slot
   // without a name lookup; the readers build the name-sorted views.
   std::vector<OpClassAggregate> aggregates_;

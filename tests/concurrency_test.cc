@@ -21,6 +21,7 @@
 
 #include "src/core/fsd.h"
 #include "src/obs/metrics.h"
+#include "src/obs/trace.h"
 #include "src/sim/clock.h"
 #include "src/sim/disk.h"
 
@@ -656,6 +657,59 @@ TEST(ConcurrencyDeterminismTest, PinnedWorkloadFootprintIsThreadInvariant) {
   const WorkloadFootprint eight = RunPinnedWorkload(kThreads, kOps);
   EXPECT_EQ(one, four);
   EXPECT_EQ(one, eight);
+}
+
+// The tracer's scope path without its mutex: threads intern new op names
+// (each name's first push takes the mutex and publishes it to the
+// lock-free index) while others find them there, nest scopes, and record
+// under them. Every request must land in its innermost scope's class and
+// its thread's root class, and each thread's stack entry must survive a
+// second tracer used in between.
+TEST(TracerConcurrencyTest, ScopesInternAndAttributeAcrossThreads) {
+  constexpr int kTracerThreads = 4;
+  constexpr int kRounds = 2000;
+  constexpr int kNames = 40;
+  obs::DiskTracer tracer;
+  std::vector<std::thread> threads;
+  threads.reserve(kTracerThreads);
+  for (int t = 0; t < kTracerThreads; ++t) {
+    threads.emplace_back([&tracer, t] {
+      const std::string root = "root." + std::to_string(t);
+      obs::DiskTracer other;
+      for (int r = 0; r < kRounds; ++r) {
+        obs::ScopedOp outer(&tracer, root);
+        const std::string inner = "op." + std::to_string((r + t) % kNames);
+        {
+          obs::ScopedOp op(&tracer, inner);
+          EXPECT_EQ(tracer.CurrentOp(), inner);
+          tracer.Record(static_cast<std::uint64_t>(r), 1,
+                        obs::DiskOpKind::kRead, 0, 1, 2, 3, 4);
+        }
+        if (r % 100 == 0) {
+          // Another tracer's scope in between: it claims or adds an entry
+          // of its own and leaves this tracer's stack alone.
+          obs::ScopedOp elsewhere(&other, "other");
+          EXPECT_EQ(other.CurrentOp(), "other");
+        }
+        EXPECT_EQ(tracer.CurrentOp(), root);
+      }
+      EXPECT_EQ(tracer.CurrentOp(), "(none)");
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  EXPECT_EQ(tracer.total_events(),
+            static_cast<std::uint64_t>(kTracerThreads) * kRounds);
+  std::uint64_t inner_total = 0;
+  for (int n = 0; n < kNames; ++n) {
+    inner_total += tracer.AggregateFor("op." + std::to_string(n)).requests;
+  }
+  EXPECT_EQ(inner_total, static_cast<std::uint64_t>(kTracerThreads) * kRounds);
+  for (int t = 0; t < kTracerThreads; ++t) {
+    EXPECT_EQ(tracer.RootAggregateFor("root." + std::to_string(t)).requests,
+              static_cast<std::uint64_t>(kRounds));
+  }
 }
 
 }  // namespace

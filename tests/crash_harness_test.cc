@@ -414,10 +414,11 @@ TEST(ScrubAfterDamageTest, ScrubHealsTrackLossEndToEnd) {
     ASSERT_TRUE(setup.Shutdown().ok());
   }
 
-  // Lose the whole first track of the PRIMARY name table: Mount's preload
-  // repairs it from the replica region.
+  // Lose the track that holds the first PRIMARY name-table pages: Mount's
+  // preload repairs them from their replicas.
   Fsd fsd(&disk, SmallConfig());
-  const auto nt_chs = disk.geometry().ToChs(fsd.layout().nta_base);
+  const auto nt_chs = disk.geometry().ToChs(
+      fsd.layout().NtHome(core::FsdLayout::kPrimary, 0));
   disk.DamageTrack(nt_chs.cylinder, nt_chs.head);
   ASSERT_TRUE(fsd.Mount().ok());
 
@@ -538,17 +539,17 @@ TEST(ForceGroupAtomicityTest, IntactGroupReplaysEveryPage) {
 // Media fault AND crash cut in the same run: the primary name-table homes
 // die under the running volume, then the disk crashes mid-commit. Recovery
 // must replay the log with the defects still armed, serve every surviving
-// page from the replica region, and remap or repair around the dead
+// page from its replica, and remap or repair around the dead
 // sectors — every acknowledged file intact afterwards.
 
 TEST(FaultPlusCrashTest, RecoveryHealsFromReplicaAcrossACrashCut) {
   sim::VirtualClock clock;
   sim::SimDisk disk(sim::TestGeometry(), sim::DiskTimingParams{}, &clock);
   std::vector<std::string> acknowledged;
-  sim::Lba nta_base = 0;
+  core::FsdLayout layout;
   {
     Fsd fsd(&disk, SmallConfig());
-    nta_base = fsd.layout().nta_base;
+    layout = fsd.layout();
     ASSERT_TRUE(fsd.Format().ok());
     for (int i = 0; i < 20; ++i) {
       const std::string name = "mix/a" + std::to_string(i);
@@ -559,7 +560,9 @@ TEST(FaultPlusCrashTest, RecoveryHealsFromReplicaAcrossACrashCut) {
 
     // The primary name-table homes grow dead sectors under load...
     for (std::uint32_t pid = 0; pid < 4; ++pid) {
-      disk.InjectPersistentFault(nta_base + pid, sim::FaultMode::kDead);
+      disk.InjectPersistentFault(
+          layout.NtHome(core::FsdLayout::kPrimary, pid),
+          sim::FaultMode::kDead);
     }
     // ...and a few writes later the whole disk crashes mid-commit.
     disk.ArmCrash(CleanCut(6));
@@ -579,7 +582,9 @@ TEST(FaultPlusCrashTest, RecoveryHealsFromReplicaAcrossACrashCut) {
   // The defects survive the crash: replay runs with the dead primaries
   // still armed and must leave a clean volume anyway.
   disk.Reopen();
-  ASSERT_TRUE(disk.PersistentFault(nta_base).has_value());
+  ASSERT_TRUE(
+      disk.PersistentFault(layout.NtHome(core::FsdLayout::kPrimary, 0))
+          .has_value());
   {
     Fsd fsd(&disk, SmallConfig());
     ASSERT_TRUE(fsd.Mount().ok());

@@ -24,6 +24,9 @@
 namespace cedar {
 namespace {
 
+constexpr int kPrimary = core::FsdLayout::kPrimary;
+constexpr int kReplica = core::FsdLayout::kReplica;
+
 std::vector<std::uint8_t> Bytes(std::size_t n, std::uint8_t seed) {
   return std::vector<std::uint8_t>(n, seed);
 }
@@ -77,7 +80,7 @@ TEST_F(FsdFaultTest, NtPrimaryCorruptionDetectedAndRepairedOnAccess) {
   ASSERT_TRUE(fsd_->Shutdown().ok());
   const core::FsdLayout layout = fsd_->layout();
   for (std::uint32_t pid = 0; pid < 8; ++pid) {
-    disk_.CorruptSector(layout.nta_base + pid, 1000 + pid);
+    disk_.CorruptSector(layout.NtHome(kPrimary, pid), 1000 + pid);
   }
   core::Fsd* fsd = Remake();
   ASSERT_TRUE(fsd->Mount().ok());
@@ -101,7 +104,8 @@ TEST_F(FsdFaultTest, NtPrimaryCorruptionDetectedAndRepairedOnAccess) {
 TEST_F(FsdFaultTest, DeadNtPrimaryRemapsToSpareDurably) {
   const core::FsdLayout layout = fsd_->layout();
   for (std::uint32_t pid = 0; pid < 8; ++pid) {
-    disk_.InjectPersistentFault(layout.nta_base + pid, sim::FaultMode::kDead);
+    disk_.InjectPersistentFault(layout.NtHome(kPrimary, pid),
+                                sim::FaultMode::kDead);
   }
   for (int i = 0; i < 40; ++i) {
     ASSERT_TRUE(
@@ -114,7 +118,8 @@ TEST_F(FsdFaultTest, DeadNtPrimaryRemapsToSpareDurably) {
   // every access to the dead sectors goes through the spares.
   core::Fsd* fsd = Remake();
   ASSERT_TRUE(fsd->Mount().ok());
-  EXPECT_TRUE(disk_.PersistentFault(layout.nta_base).has_value());
+  EXPECT_TRUE(
+      disk_.PersistentFault(layout.NtHome(kPrimary, 0)).has_value());
   ExpectReadable(fsd, "lib/m3");
   ExpectReadable(fsd, "post/p3");
   ASSERT_TRUE(fsd->Shutdown().ok());
@@ -125,7 +130,7 @@ TEST_F(FsdFaultTest, DeadNtPrimaryRemapsToSpareDurably) {
 TEST_F(FsdFaultTest, DroppedHomeWriteHealedBySequenceArbitration) {
   const core::FsdLayout layout = fsd_->layout();
   for (std::uint32_t pid = 0; pid < 16; ++pid) {
-    disk_.InjectWriteFault(layout.nta_base + pid,
+    disk_.InjectWriteFault(layout.NtHome(kPrimary, pid),
                            sim::WriteFaultKind::kDropped);
   }
   for (int i = 0; i < 40; ++i) {
@@ -160,7 +165,8 @@ TEST_F(FsdFaultTest, ReusedFreedLeafOutvotesItsStaleCopyAfterCrashMount) {
     std::vector<std::uint32_t> seq(pages, 0);
     std::vector<std::uint8_t> sector(512);
     for (std::uint32_t pid = 0; pid < pages; ++pid) {
-      CEDAR_CHECK_OK(disk_.Read(layout.ntb_base + pid, sector));
+      CEDAR_CHECK_OK(
+          disk_.Read(layout.NtHome(kReplica, pid), sector));
       core::NtStore::ParseTrailer(sector, &seq[pid]);
     }
     return seq;
@@ -198,7 +204,7 @@ TEST_F(FsdFaultTest, ReusedFreedLeafOutvotesItsStaleCopyAfterCrashMount) {
             .ok());
   }
   for (std::uint32_t pid = 0; pid < pages; ++pid) {
-    disk_.InjectWriteFault(layout.nta_base + pid,
+    disk_.InjectWriteFault(layout.NtHome(kPrimary, pid),
                            sim::WriteFaultKind::kDropped);
   }
   ASSERT_TRUE(fsd->Shutdown().ok());
@@ -240,8 +246,10 @@ TEST_F(FsdFaultTest, DegradedMountIsReadOnlyAndAttributed) {
   ASSERT_TRUE(fsd_->Shutdown().ok());
   const core::FsdLayout layout = fsd_->layout();
   for (std::uint32_t pid = 2; pid < 6; ++pid) {
-    disk_.InjectPersistentFault(layout.nta_base + pid, sim::FaultMode::kDead);
-    disk_.InjectPersistentFault(layout.ntb_base + pid, sim::FaultMode::kDead);
+    disk_.InjectPersistentFault(layout.NtHome(kPrimary, pid),
+                                sim::FaultMode::kDead);
+    disk_.InjectPersistentFault(layout.NtHome(kReplica, pid),
+                                sim::FaultMode::kDead);
   }
   // Damage the saved VAM too, so the mount must rebuild from a full
   // name-table scan — which walks straight into the lost pages. (With the
@@ -282,7 +290,7 @@ TEST_F(FsdFaultTest, ScrubCountsHealedAndUnrepairable) {
   ASSERT_TRUE(fsd->List("lib/").ok());
   const core::FsdLayout layout = fsd->layout();
   for (std::uint32_t pid = 0; pid < 8; ++pid) {
-    disk_.CorruptSector(layout.ntb_base + pid, 2000 + pid);
+    disk_.CorruptSector(layout.NtHome(kReplica, pid), 2000 + pid);
   }
   auto report = fsd->Scrub();
   ASSERT_TRUE(report.ok());
@@ -292,8 +300,10 @@ TEST_F(FsdFaultTest, ScrubCountsHealedAndUnrepairable) {
 
   // Now kill both copies of a live page: the next patrol can only report.
   for (std::uint32_t pid = 2; pid < 6; ++pid) {
-    disk_.InjectPersistentFault(layout.nta_base + pid, sim::FaultMode::kDead);
-    disk_.InjectPersistentFault(layout.ntb_base + pid, sim::FaultMode::kDead);
+    disk_.InjectPersistentFault(layout.NtHome(kPrimary, pid),
+                                sim::FaultMode::kDead);
+    disk_.InjectPersistentFault(layout.NtHome(kReplica, pid),
+                                sim::FaultMode::kDead);
   }
   report = fsd->Scrub();
   ASSERT_TRUE(report.ok());
@@ -311,7 +321,8 @@ TEST_F(FsdFaultTest, CreateAndRenameOntoLostLeafFail) {
   ASSERT_TRUE(fsd_->Shutdown().ok());
   const core::FsdLayout layout = fsd_->layout();
   auto damage = [&](std::uint32_t pid, bool on) {
-    for (const sim::Lba lba : {layout.nta_base + pid, layout.ntb_base + pid}) {
+    for (const sim::Lba lba :
+         {layout.NtHome(kPrimary, pid), layout.NtHome(kReplica, pid)}) {
       if (on) {
         disk_.InjectPersistentFault(lba, sim::FaultMode::kReadFail);
       } else {
@@ -550,7 +561,7 @@ RebuildOutcome MountAfterFault(PreloadFault fault, std::size_t cache_frames,
       // Dead before the first checkpoint: the home writes remap it durably,
       // and the recovery mount's sweep reads the page from its spare.
       for (std::uint32_t pid = 0; pid < kFaultPages; ++pid) {
-        disk.InjectPersistentFault(layout.nta_base + pid,
+        disk.InjectPersistentFault(layout.NtHome(kPrimary, pid),
                                    sim::FaultMode::kDead);
       }
     }
@@ -568,9 +579,9 @@ RebuildOutcome MountAfterFault(PreloadFault fault, std::size_t cache_frames,
   disk.Reopen();
   for (std::uint32_t pid = 0; pid < kFaultPages; ++pid) {
     if (fault == PreloadFault::kReplicaCorrupt) {
-      disk.CorruptSector(layout.ntb_base + pid, 3000 + pid);
+      disk.CorruptSector(layout.NtHome(kReplica, pid), 3000 + pid);
     } else if (fault == PreloadFault::kPrimaryUnreadable) {
-      disk.InjectPersistentFault(layout.nta_base + pid,
+      disk.InjectPersistentFault(layout.NtHome(kPrimary, pid),
                                  sim::FaultMode::kReadFail);
     }
   }

@@ -369,7 +369,7 @@ TEST_F(FsdRecoveryTest, DamagedNtSectorDuringRecoveryMount) {
   disk_.CrashNow();
   disk_.Reopen();
   // A medium error on a primary name-table sector on top of the crash.
-  disk_.DamageSectors(fsd_->layout().nta_base + 1, 1);
+  disk_.DamageSectors(fsd_->layout().NtHome(FsdLayout::kPrimary, 1), 1);
   fsd_ = std::make_unique<Fsd>(&disk_, SmallConfig());
   ASSERT_TRUE(fsd_->Mount().ok());
   auto list = fsd_->List("d/");

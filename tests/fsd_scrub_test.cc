@@ -59,7 +59,7 @@ TEST_F(FsdScrubTest, RepairsSmashedLeader) {
   ASSERT_TRUE(fsd_->Force().ok());
   // Smash the small-file area's leaders.
   for (sim::Lba lba = RunAllocator::FirstSmallFileStart(fsd_->layout(), 16);
-       lba < fsd_->layout().ntb_base; ++lba) {
+       lba < fsd_->layout().complex_begin(); ++lba) {
     disk_.WildWrite(lba, lba * 3);
   }
   auto report = fsd_->Scrub();

@@ -64,9 +64,10 @@ class NtStoreTest : public ::testing::Test {
 
 TEST_F(NtStoreTest, ReaderElectsTheSurvivorAndTheRepairHealsTheLoser) {
   const std::vector<std::uint8_t> sector = WriteBoth(5, 0x3C);
-  EXPECT_EQ(nt_.HomesOf(5).primary, layout_.nta_base + 5);
-  EXPECT_EQ(nt_.HomesOf(5).replica, layout_.ntb_base + 5);
-  disk_.CorruptSector(layout_.nta_base + 5, 77);  // bit rot in the primary
+  EXPECT_EQ(nt_.HomesOf(5).primary, layout_.NtHome(FsdLayout::kPrimary, 5));
+  EXPECT_EQ(nt_.HomesOf(5).replica, layout_.NtHome(FsdLayout::kReplica, 5));
+  // Bit rot in the primary.
+  disk_.CorruptSector(layout_.NtHome(FsdLayout::kPrimary, 5), 77);
 
   auto copies = nt_.ReadCopies(5, health_.c.corruption_detected);
   ASSERT_TRUE(copies.ok());
@@ -90,8 +91,9 @@ TEST_F(NtStoreTest, ReaderElectsTheSurvivorAndTheRepairHealsTheLoser) {
 TEST_F(NtStoreTest, ClusterReadOffersWinnersAndRepairsAcceptedLosers) {
   const std::vector<std::uint8_t> five = WriteBoth(5, 0x11);
   const std::vector<std::uint8_t> six = WriteBoth(6, 0x22);
-  disk_.CorruptSector(layout_.ntb_base + 5, 78);  // bit rot in a replica
-  disk_.CorruptSector(layout_.ntb_base + 6, 79);
+  // Bit rot in a replica.
+  disk_.CorruptSector(layout_.NtHome(FsdLayout::kReplica, 5), 78);
+  disk_.CorruptSector(layout_.NtHome(FsdLayout::kReplica, 6), 79);
   std::vector<std::uint32_t> offered;
   // Page 6 is "already cached": offered, declined, so never repaired.
   ASSERT_TRUE(nt_.ReadCluster(5, [&](std::uint32_t pid,
@@ -103,16 +105,18 @@ TEST_F(NtStoreTest, ClusterReadOffersWinnersAndRepairsAcceptedLosers) {
   EXPECT_EQ(offered, (std::vector<std::uint32_t>{5, 6}));
   EXPECT_EQ(Count("fsd.nt_repairs"), 1u);
   std::vector<std::uint8_t> replica(512);
-  ASSERT_TRUE(disk_.Read(layout_.ntb_base + 5, replica).ok());
+  ASSERT_TRUE(
+      disk_.Read(layout_.NtHome(FsdLayout::kReplica, 5), replica).ok());
   EXPECT_EQ(replica, five);
-  ASSERT_TRUE(disk_.Read(layout_.ntb_base + 6, replica).ok());
+  ASSERT_TRUE(
+      disk_.Read(layout_.NtHome(FsdLayout::kReplica, 6), replica).ok());
   EXPECT_NE(replica, six);
 }
 
 TEST_F(NtStoreTest, ClusterReadFailsAttributedWhenNeitherCopyHoldsThePage) {
   WriteBoth(5, 0x11);
-  disk_.CorruptSector(layout_.nta_base + 5, 80);
-  disk_.CorruptSector(layout_.ntb_base + 5, 81);
+  disk_.CorruptSector(layout_.NtHome(FsdLayout::kPrimary, 5), 80);
+  disk_.CorruptSector(layout_.NtHome(FsdLayout::kReplica, 5), 81);
   const Status read = nt_.ReadCluster(
       5, [](std::uint32_t, std::span<const std::uint8_t>) { return true; });
   EXPECT_EQ(read.code(), ErrorCode::kSectorDamaged);
@@ -121,7 +125,8 @@ TEST_F(NtStoreTest, ClusterReadFailsAttributedWhenNeitherCopyHoldsThePage) {
 
 TEST_F(NtStoreTest, DeadHomeMovesToASpareThatAFreshInstanceReloads) {
   const std::vector<std::uint8_t> sector = WriteBoth(9, 0x5A);
-  disk_.InjectPersistentFault(layout_.nta_base + 9, sim::FaultMode::kDead);
+  disk_.InjectPersistentFault(layout_.NtHome(FsdLayout::kPrimary, 9),
+                              sim::FaultMode::kDead);
   auto fixed = nt_.RepairCopy(nt_.HomesOf(9).primary, sector);
   ASSERT_TRUE(fixed.ok());
   EXPECT_EQ(*fixed, NtStore::Repair::kRemapped);
@@ -135,10 +140,10 @@ TEST_F(NtStoreTest, DeadHomeMovesToASpareThatAFreshInstanceReloads) {
   // A fresh instance knows nothing until it loads the directory.
   MediaHealth health(&disk_, &metrics_);
   NtStore fresh(&disk_, layout_, Config(), &metrics_, &health);
-  EXPECT_EQ(fresh.HomesOf(9).primary, layout_.nta_base + 9);
+  EXPECT_EQ(fresh.HomesOf(9).primary, layout_.NtHome(FsdLayout::kPrimary, 9));
   ASSERT_TRUE(fresh.LoadRemapTable().ok());
   EXPECT_EQ(fresh.HomesOf(9).primary, spare);
-  EXPECT_EQ(fresh.HomesOf(9).replica, layout_.ntb_base + 9);
+  EXPECT_EQ(fresh.HomesOf(9).replica, layout_.NtHome(FsdLayout::kReplica, 9));
   auto copies = fresh.ReadCopies(9, nullptr);
   ASSERT_TRUE(copies.ok());
   EXPECT_TRUE(copies->vote.ok_a && copies->vote.ok_b);
@@ -148,12 +153,13 @@ TEST_F(NtStoreTest, DeadHomeMovesToASpareThatAFreshInstanceReloads) {
 
 TEST_F(NtStoreTest, CorruptDirectoryCopyFallsBackToTheOther) {
   const std::vector<std::uint8_t> sector = WriteBoth(9, 0x5A);
-  disk_.InjectPersistentFault(layout_.ntb_base + 9, sim::FaultMode::kDead);
+  disk_.InjectPersistentFault(layout_.NtHome(FsdLayout::kReplica, 9),
+                              sim::FaultMode::kDead);
   ASSERT_TRUE(nt_.RepairCopy(nt_.HomesOf(9).replica, sector).ok());
   // Copy 0 decodes with a valid CRC but maps a home to a sector outside the
   // spare pool: the loader must refuse it and take copy 1.
   const std::vector<std::uint8_t> bad = NtStore::EncodeRemapDirectory(
-      {{layout_.ntb_base + 9, layout_.data_low + 100}});
+      {{layout_.NtHome(FsdLayout::kReplica, 9), layout_.data_low + 100}});
   ASSERT_TRUE(disk_.Write(layout_.remap_base, bad).ok());
   MediaHealth health(&disk_, &metrics_);
   NtStore fresh(&disk_, layout_, Config(), &metrics_, &health);
@@ -164,6 +170,51 @@ TEST_F(NtStoreTest, CorruptDirectoryCopyFallsBackToTheOther) {
   std::vector<std::uint8_t> dir(512);
   ASSERT_TRUE(disk_.Read(layout_.remap_base, dir).ok());
   EXPECT_TRUE(NtStore::DecodeRemapDirectory(dir, layout_).ok());
+}
+
+// A miss reads the primary cluster and then the replica cluster one band
+// later on the same cylinder: the replica pays no seek, only a rotational
+// wait of a few sectors, and each copy's time lands in its own counter.
+TEST(NtStoreMissTest, ReplicaClusterIsReachedWithoutASeek) {
+  const sim::DiskGeometry geometry{
+      .cylinders = 48, .heads = 19, .sectors_per_track = 28};
+  const sim::DiskTimingParams timing;
+  sim::VirtualClock clock;
+  sim::SimDisk disk(geometry, timing, &clock);
+  FsdConfig config = Config();
+  config.log_sectors = 800;
+  config.nt_pages = 512;
+  const FsdLayout layout = FsdLayout::Compute(geometry, config);
+  obs::MetricsRegistry metrics;
+  MediaHealth health(&disk, &metrics);
+  NtStore nt(&disk, layout, config, &metrics, &health);
+  ASSERT_TRUE(nt.Format().ok());
+  const std::vector<std::uint8_t> sector =
+      nt.Compose(std::vector<std::uint8_t>(NtStore::kPayload, 0x6B));
+  constexpr std::uint32_t kPid = 300;  // in the second band
+  for (const sim::Lba home :
+       {nt.HomesOf(kPid).primary, nt.HomesOf(kPid).replica}) {
+    ASSERT_TRUE(disk.Write(home, sector).ok());
+  }
+  std::vector<std::uint8_t> far(512);
+  ASSERT_TRUE(disk.Read(0, far).ok());  // park the head at cylinder 0
+  ASSERT_TRUE(nt.ReadCluster(kPid, [](std::uint32_t,
+                                      std::span<const std::uint8_t>) {
+                  return true;
+                }).ok());
+  const obs::MetricsSnapshot snap = metrics.Snapshot();
+  const std::uint64_t primary_us = snap.CounterValue("fsd.nt_miss_primary_us");
+  const std::uint64_t replica_us = snap.CounterValue("fsd.nt_miss_replica_us");
+  const std::uint64_t cluster = config.durability.nt_read_ahead_pages;
+  const std::uint64_t sector_us =
+      timing.rotation_us / geometry.sectors_per_track;
+  // The replica starts nt_band sectors after the primary, so after the
+  // primary's cluster its first sector is (band - cluster) % track sectors
+  // away: a wait of less than a revolution, with no seek in front.
+  EXPECT_GT(replica_us, cluster * sector_us);
+  EXPECT_LT(replica_us,
+            timing.controller_us + timing.rotation_us + cluster * sector_us);
+  EXPECT_LT(replica_us, primary_us);
 }
 
 }  // namespace

@@ -438,6 +438,8 @@ TEST(FsObservabilityTest, FsdRegistersExactlyThePinnedNames) {
       "fsd.mount_root_us",
       "fsd.mount_sweep_sectors",
       "fsd.mount_sweep_us",
+      "fsd.nt_miss_primary_us",
+      "fsd.nt_miss_replica_us",
       "fsd.nt_repairs",
       "fsd.pages_captured",
       "fsd.piggyback_leader_verifies",

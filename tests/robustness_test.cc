@@ -93,13 +93,14 @@ TEST_F(RobustnessTest, TornNameTableWriteIsInvisible) {
 TEST_F(RobustnessTest, AnySingleNameTablePageDamageIsTransparent) {
   ASSERT_TRUE(fsd_->Shutdown().ok());
   const auto& layout = fsd_->layout();
-  for (sim::Lba base : {layout.nta_base, layout.ntb_base}) {
+  for (const int copy :
+       {core::FsdLayout::kPrimary, core::FsdLayout::kReplica}) {
     for (std::uint32_t offset : {0u, 1u, 7u, 40u}) {
-      disk_.DamageSectors(base + offset, 2);
+      disk_.DamageSectors(layout.NtHome(copy, offset), 2);
       core::Fsd reader(&disk_, FsdCfg());
       ASSERT_TRUE(reader.Mount().ok());
       auto list = reader.List("lib/");
-      ASSERT_TRUE(list.ok()) << "base " << base << " offset " << offset;
+      ASSERT_TRUE(list.ok()) << "copy " << copy << " offset " << offset;
       EXPECT_EQ(list->size(), 60u);
       ASSERT_TRUE(reader.Shutdown().ok());
     }
@@ -150,7 +151,7 @@ TEST_F(RobustnessTest, WildWriteOverLeaderDetectedOnFirstAccess) {
   // Smash the whole small-file area (data + leaders).
   for (sim::Lba lba =
            core::RunAllocator::FirstSmallFileStart(reader.layout(), 200);
-       lba < reader.layout().ntb_base; ++lba) {
+       lba < reader.layout().complex_begin(); ++lba) {
     disk_.WildWrite(lba, lba);
   }
   auto handle = reader.Open("lib/m0");
@@ -188,15 +189,17 @@ TEST_F(RobustnessTest, SectorDamageAffectsOnlyOneFile) {
   EXPECT_GE(static_cast<int>(list->size()) - failures, 58);
 }
 
-// Beyond the failure model: losing an entire track of the primary name
-// table region still cannot hurt, because the replica sits on cylinders
-// separated by the whole log region (the paper's "more stringent
-// requirements (e.g., loss of a whole track) can be met within the
-// framework of the design").
+// Beyond the failure model: losing the entire track that holds the first
+// primaries still cannot hurt, because their replicas sit a band (at least
+// one track) later on the same cylinder, on tracks of their own (the
+// paper's "more stringent requirements (e.g., loss of a whole track) can be
+// met within the framework of the design"). The sweep over every track of
+// the first band cylinders is WholeTrackSweepOfTheBandsIsTransparent.
 TEST_F(RobustnessTest, WholeTrackLossInNameTableRegionSurvives) {
   ASSERT_TRUE(fsd_->Shutdown().ok());
   const auto& geometry = disk_.geometry();
-  const auto chs = geometry.ToChs(fsd_->layout().nta_base);
+  const auto chs =
+      geometry.ToChs(fsd_->layout().NtHome(core::FsdLayout::kPrimary, 0));
   disk_.DamageTrack(chs.cylinder, chs.head);
   core::Fsd after(&disk_, FsdCfg());
   ASSERT_TRUE(after.Mount().ok());
@@ -210,6 +213,69 @@ TEST_F(RobustnessTest, WholeTrackLossInNameTableRegionSurvives) {
     std::vector<std::uint8_t> out(info.byte_size);
     ASSERT_TRUE(after.Read(*handle, 0, out).ok()) << info.name;
   }
+}
+
+// The whole-track claim, track by track: on every track of the band
+// cylinders, the loss of that one track leaves mount, listing, every read
+// and fsck working (each track on a fresh copy of the same volume). Long
+// names spread the table over the whole first band cylinder, so every one
+// of its tracks holds live pages.
+TEST_F(RobustnessTest, WholeTrackSweepOfTheBandsIsTransparent) {
+  constexpr int kBandFiles = 400;
+  auto band_name = [](int i) {
+    return "band/" + std::string(72, 'n') + std::to_string(i);
+  };
+  auto band_bytes = [](int i) {
+    return Bytes(100, static_cast<std::uint8_t>(i));
+  };
+  for (int i = 0; i < kBandFiles; ++i) {
+    ASSERT_TRUE(fsd_->CreateFile(band_name(i), band_bytes(i)).ok());
+  }
+  ASSERT_TRUE(fsd_->Shutdown().ok());
+  const sim::DiskSnapshot intact = disk_.Snapshot();
+  const core::FsdLayout& layout = fsd_->layout();
+  const auto& geometry = disk_.geometry();
+  const std::uint32_t first = geometry.ToChs(layout.nt_base).cylinder;
+  const std::uint32_t last = geometry.ToChs(layout.nt_end - 1).cylinder;
+  ASSERT_GT(last, first);  // the table spans several band cylinders
+  std::uint32_t repaired_tracks = 0;
+  for (std::uint32_t cylinder = first; cylinder <= last; ++cylinder) {
+    for (std::uint32_t head = 0; head < geometry.heads; ++head) {
+      SCOPED_TRACE("cylinder " + std::to_string(cylinder) + " head " +
+                   std::to_string(head));
+      disk_.Restore(intact);
+      disk_.DamageTrack(cylinder, head);
+      core::Fsd after(&disk_, FsdCfg());
+      ASSERT_TRUE(after.Mount().ok());
+      auto list = after.List("lib/");
+      ASSERT_TRUE(list.ok());
+      ASSERT_EQ(list->size(), 60u);
+      for (const auto& info : *list) {
+        auto handle = after.Open(info.name);
+        ASSERT_TRUE(handle.ok()) << info.name;
+        std::vector<std::uint8_t> out(info.byte_size);
+        ASSERT_TRUE(after.Read(*handle, 0, out).ok()) << info.name;
+        EXPECT_EQ(out, Bytes(1200, 7)) << info.name;
+      }
+      auto band = after.List("band/");
+      ASSERT_TRUE(band.ok());
+      ASSERT_EQ(band->size(), static_cast<std::size_t>(kBandFiles));
+      for (int i = 0; i < kBandFiles; ++i) {
+        auto handle = after.Open(band_name(i));
+        ASSERT_TRUE(handle.ok()) << i;
+        std::vector<std::uint8_t> out(handle->byte_size);
+        ASSERT_TRUE(after.Read(*handle, 0, out).ok()) << i;
+        EXPECT_EQ(out, band_bytes(i)) << i;
+      }
+      auto report = after.Fsck();
+      ASSERT_TRUE(report.ok());
+      EXPECT_TRUE(report->Clean()) << report->Summary();
+      repaired_tracks += after.Health().repairs > 0 ? 1 : 0;
+    }
+  }
+  // The damage was real: at least every track of the first band cylinder
+  // lost live copies, which were rewritten from their siblings.
+  EXPECT_GE(repaired_tracks, geometry.heads);
 }
 
 // CFS contrast: the torn name-table write that FSD shrugs off forces CFS

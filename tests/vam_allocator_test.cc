@@ -75,8 +75,8 @@ TEST_F(VamTest, StaleStampRejected) {
 FsdLayout ToyLayout() {
   FsdLayout layout;
   layout.data_low = 1000;
-  layout.ntb_base = 4000;
-  layout.nta_end = 5000;
+  layout.log_base = 4000;
+  layout.nt_end = 5000;
   layout.data_high = 9000;
   return layout;
 }
@@ -94,8 +94,8 @@ class AllocatorTest : public ::testing::Test {
 };
 
 // The four search directions: small files hug the complex (down from
-// ntb_base, then up from nta_end), big files hug the edges (down from
-// data_high, then up from data_low).
+// complex_begin(), then up from complex_end()), big files hug the edges
+// (down from data_high, then up from data_low).
 TEST_F(AllocatorTest, SmallAllocatesJustBelowComplex) {
   auto runs = allocator_.Allocate(10);
   ASSERT_TRUE(runs.ok());
