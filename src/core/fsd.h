@@ -485,6 +485,10 @@ class Fsd : public fs::FileSystem {
 
   sim::BlockDevice* disk_;
   FsdConfig config_;
+  // config_.Validate(geometry), kept from construction: Format and the
+  // mounts return it. layout_ is the planned layout when it is ok and an
+  // empty one otherwise, which nothing reads.
+  Status config_status_;
   FsdLayout layout_;
   // Every counter lives here (exposed via fs::FileSystem::Metrics()),
   // including the page cache's "cache.*" counters; declared before cache_,

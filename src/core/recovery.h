@@ -40,6 +40,10 @@ namespace cedar::core {
 struct VolumeRoot {
   std::uint32_t log_sectors = 0;
   std::uint32_t nt_pages = 0;
+  // FsdLayout::nt_band at format: it follows the read-ahead cluster, so a
+  // mount whose config plans another band would look for every page's
+  // copies in the wrong sectors.
+  std::uint32_t nt_band = 0;
   std::uint32_t boot_count = 0;
   // Name-table write-sequence high-water mark: a clean shutdown persists
   // the exact clock, every other root write a floor, so the next mount can

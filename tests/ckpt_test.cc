@@ -60,39 +60,39 @@ FsdConfig CkptConfig() {
 // Config validation: inconsistent combinations fail fast at Format/Mount.
 
 TEST(CkptConfigTest, ValidateAcceptsTheDefaultsAndTheCkptConfig) {
-  EXPECT_TRUE(FsdConfig{}.Validate().ok());
-  EXPECT_TRUE(CkptConfig().Validate().ok());
+  EXPECT_TRUE(FsdConfig{}.Validate(sim::TestGeometry()).ok());
+  EXPECT_TRUE(CkptConfig().Validate(sim::TestGeometry()).ok());
 }
 
 TEST(CkptConfigTest, ValidateAcceptsCheckpointDaemonWithoutCommitDaemon) {
   // Inline commit steps the checkpoint round on the forcing thread.
   FsdConfig config = CkptConfig();
   config.commit.daemon = false;
-  EXPECT_TRUE(config.Validate().ok());
+  EXPECT_TRUE(config.Validate(sim::TestGeometry()).ok());
 }
 
 TEST(CkptConfigTest, ValidateRejectsUnsatisfiableWindows) {
   // Below one clamped commit group: the live log can never drain that far.
   FsdConfig config = CkptConfig();
   config.checkpoint.window_sectors = 16;
-  EXPECT_EQ(config.Validate().code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(config.Validate(sim::TestGeometry()).code(), ErrorCode::kInvalidArgument);
   // Beyond the record area: the window could never trigger.
   config.checkpoint.window_sectors = config.log_sectors;
-  EXPECT_EQ(config.Validate().code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(config.Validate(sim::TestGeometry()).code(), ErrorCode::kInvalidArgument);
 }
 
 TEST(CkptConfigTest, ValidateRejectsDegenerateSizes) {
   FsdConfig config;
   config.commit.group_records = 0;
-  EXPECT_EQ(config.Validate().code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(config.Validate(sim::TestGeometry()).code(), ErrorCode::kInvalidArgument);
 
   config = FsdConfig{};
   config.log_sectors = 100;  // below the one-maximal-record-per-third floor
-  EXPECT_EQ(config.Validate().code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(config.Validate(sim::TestGeometry()).code(), ErrorCode::kInvalidArgument);
 
   config = FsdConfig{};
   config.cache_frames = 4;
-  EXPECT_EQ(config.Validate().code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(config.Validate(sim::TestGeometry()).code(), ErrorCode::kInvalidArgument);
 }
 
 TEST(CkptConfigTest, FormatAndMountFailFastOnInvalidConfig) {
@@ -103,6 +103,27 @@ TEST(CkptConfigTest, FormatAndMountFailFastOnInvalidConfig) {
   Fsd fsd(&disk, config);
   EXPECT_EQ(fsd.Format().code(), ErrorCode::kInvalidArgument);
   EXPECT_EQ(fsd.Mount().code(), ErrorCode::kInvalidArgument);
+}
+
+// A config whose name-table layout cannot be planned on the disk is
+// refused the same way, not aborted at construction.
+TEST(CkptConfigTest, FormatAndMountFailFastOnALayoutThatDoesNotFit) {
+  sim::VirtualClock clock;
+  auto expect_refused = [](sim::SimDisk* disk, const FsdConfig& config) {
+    Fsd fsd(disk, config);
+    EXPECT_EQ(fsd.Format().code(), ErrorCode::kInvalidArgument);
+    EXPECT_EQ(fsd.Mount().code(), ErrorCode::kInvalidArgument);
+    EXPECT_EQ(fsd.MountDegraded().code(), ErrorCode::kInvalidArgument);
+  };
+  sim::SimDisk disk(sim::TestGeometry(), sim::DiskTimingParams{}, &clock);
+  FsdConfig no_cluster = CkptConfig();
+  no_cluster.durability.nt_read_ahead_pages = 0;
+  expect_refused(&disk, no_cluster);
+  // One track per cylinder: a page's two copies would share the track.
+  sim::SimDisk one_track(
+      sim::DiskGeometry{.cylinders = 400, .heads = 1, .sectors_per_track = 28},
+      sim::DiskTimingParams{}, &clock);
+  expect_refused(&one_track, CkptConfig());
 }
 
 // ---------------------------------------------------------------------------
