@@ -1,9 +1,6 @@
-// Shared helpers for the table-reproduction benchmarks.
-//
-// These binaries regenerate the paper's tables on the simulated Dorado
-// disk: each prints the measured rows next to the paper's numbers. Absolute
-// values depend on the calibration constants (see EXPERIMENTS.md); the
-// claim under test is the *shape* — who wins and by roughly what factor.
+// Shared helpers for the bench programs: strict flag parsing, the smoke
+// switch, the simulated disk rig, virtual-time and I/O counters, and the
+// paper-comparison row layout.
 
 #ifndef CEDAR_BENCH_BENCH_COMMON_H_
 #define CEDAR_BENCH_BENCH_COMMON_H_
@@ -14,7 +11,6 @@
 #include <cstring>
 #include <functional>
 #include <initializer_list>
-#include <string>
 
 #include "src/sim/clock.h"
 #include "src/sim/disk.h"
@@ -137,12 +133,14 @@ inline bool SmokeMode(int argc, char** argv) {
   return smoke;
 }
 
-// The simulated "Dorado with a Trident-class 300 MB drive".
+// The simulated "Dorado with a Trident-class 300 MB drive" (or a smaller
+// drive of the same kind).
 struct Rig {
   sim::VirtualClock clock;
   sim::SimDisk disk;
 
-  Rig() : disk(sim::DiskGeometry{}, sim::DiskTimingParams{}, &clock) {}
+  explicit Rig(const sim::DiskGeometry& geometry = {})
+      : disk(geometry, sim::DiskTimingParams{}, &clock) {}
 };
 
 // Measures the virtual time consumed by `body` in milliseconds.
@@ -159,10 +157,6 @@ inline std::uint64_t CountedIos(sim::SimDisk& disk,
   const std::uint64_t before = disk.stats().TotalIos();
   body();
   return disk.stats().TotalIos() - before;
-}
-
-inline void PrintHeader(const std::string& title) {
-  std::printf("\n==== %s ====\n", title.c_str());
 }
 
 // One table row: measured A vs B with the paper's numbers alongside.

@@ -109,8 +109,8 @@ struct FsdConfig {
     // Elevator-order and coalesce home writebacks (checkpoints, third
     // flush, shutdown, recovery replay, repairs) through the
     // sim::IoScheduler. Off reproduces the historical one-write-per-page
-    // behavior in hash-map order — the unbatched baseline bench_flush
-    // measures against.
+    // behavior in hash-map order — the unbatched baseline bench_paper's
+    // writeback section measures against.
     bool batched_writeback = true;
   };
   Durability durability;

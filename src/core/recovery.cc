@@ -266,8 +266,34 @@ Status Recovery::CollectReplay(std::uint32_t boot_count, bool keep_deltas,
   // writes, so everything is collected before anything is written. Known
   // edge: a record carrying a spare LBA whose mapping later moved to a
   // different spare is not renormalized.
+  //
+  // A record's CRCs prove it is intact, not that its homes are ones the
+  // force path logs: a name-table page's two copies (a spare standing in
+  // for either), or one file-data sector for a leader and its tombstone.
+  // Redo would write anything else, the root or the log pointer say, over
+  // what it names.
+  auto loggable = [&](const PageImage& page) {
+    if (page.secondary == kNoLba) {
+      return page.primary >= layout_.data_low &&
+             page.primary < layout_.data_high &&
+             !layout_.InMetadataComplex(page.primary);
+    }
+    const std::optional<NtStore::CopyRef> primary = nt_->CopyAt(page.primary);
+    const std::optional<NtStore::CopyRef> replica =
+        nt_->CopyAt(page.secondary);
+    return primary && replica && !primary->replica && replica->replica &&
+           primary->pid == replica->pid;
+  };
   auto visit = [&](std::uint64_t lsn, const std::vector<PageImage>& pages) {
     for (const PageImage& page : pages) {
+      if (page.kind != PageKind::kVamDelta && !loggable(page)) {
+        return MakeError(ErrorCode::kCorruptMetadata,
+                         "log record " + std::to_string(lsn) +
+                             " names home lba " +
+                             std::to_string(page.primary) + "/" +
+                             std::to_string(page.secondary) +
+                             ", not a name-table page or a file-data sector");
+      }
       if (page.kind == PageKind::kTombstone) {
         replay->pages.erase(nt_->Map(page.primary));
       } else if (page.kind == PageKind::kPage) {

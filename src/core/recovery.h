@@ -136,7 +136,9 @@ class Recovery {
   // a tombstone cancels its leader's image, and every name-table image's
   // trailer sequence is merged into the clock. VAM delta pages are parsed
   // only when `keep_deltas`: the degraded mount passes false, so a damaged
-  // delta page cannot void its replay.
+  // delta page cannot void its replay. A page or tombstone whose homes are
+  // neither a name-table page's two copies nor one file-data sector fails
+  // the collection kCorruptMetadata.
   Status CollectReplay(std::uint32_t boot_count, bool keep_deltas,
                        Replay* replay);
   // A clean volume starts a fresh log; an unclean one collects the replay,

@@ -88,11 +88,9 @@ Result<BenchComparison> CompareBenchReports(const JsonValue& baseline,
     delta.base = base_metric->NumberOr("value", 0);
     if (delta.base != 0) {
       delta.pct = (delta.cand - delta.base) / delta.base * 100.0;
-    } else if (delta.cand != 0) {
-      cmp.notes.push_back("metric '" + name +
-                          "' baseline is 0; delta not gated");
-      delta.gated = false;
     }
+    // A baseline of 0 is gated like any other: a "lower" count that was 0
+    // (failed allocations, say) regresses on its first rise.
     if (delta.gated) {
       if (delta.direction == "higher") {
         delta.regressed = delta.cand < delta.base * (1.0 - tolerance);

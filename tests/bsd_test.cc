@@ -114,7 +114,7 @@ TEST_F(FfsTest, RotationalInterleaveLeavesGaps) {
   ASSERT_TRUE(ffs_.CreateFile("gapped", Bytes(6 * 4096, 2)).ok());
   // Sequential blocks should not be physically adjacent (rotdelay = 1).
   // Verify by reading sequentially and confirming it still works; the
-  // timing effect is measured in bench_table5.
+  // timing effect is measured in bench_paper's Table 5.
   auto handle = ffs_.Open("gapped");
   std::vector<std::uint8_t> out(6 * 4096);
   ASSERT_TRUE(ffs_.Read(*handle, 0, out).ok());

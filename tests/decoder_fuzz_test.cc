@@ -801,6 +801,290 @@ TEST(InteriorPageFuzzTest, ChildrenStayInRangeAndTheSweepInTheRegions) {
   }
 }
 
+// A log region FsdLog wrote, mutated: the pointer copies, header and end
+// pairs, the skip marker and the data, each header, end, marker and pointer
+// resealed after its mutation. Recovery::CollectReplay runs FsdLog::Recover
+// over every mutation; it must not crash, may refuse only with
+// kCorruptMetadata, and a replay it accepts may hold only what the force
+// path logs: a name-table page at its own two copies, or one file-data
+// sector with no replica.
+TEST(LogRecordFuzzTest, AcceptedReplaysNameOnlyLoggableHomes) {
+  constexpr int kMutations = 100000;
+  constexpr std::uint32_t kPointerBody = 20;  // magic, offset, lsn, boot
+  constexpr std::uint32_t kStampBody = 16;    // magic, lsn, boot
+  constexpr std::uint32_t kHeaderMagic = 0x4C4F4748;
+  constexpr std::uint32_t kEndMagic = 0x4C4F4745;
+  constexpr std::uint32_t kMarkerMagic = 0x4C4F474D;
+  FsdConfig config;
+  config.log_sectors = 400;
+  config.nt_pages = 64;
+  sim::VirtualClock clock;
+  sim::SimDisk disk(sim::TestGeometry(), sim::DiskTimingParams{}, &clock);
+  const FsdLayout layout = FsdLayout::Compute(disk.geometry(), config);
+  obs::MetricsRegistry metrics;
+  MediaHealth health(&disk, &metrics);
+  NtStore nt(&disk, layout, config, &metrics, &health);
+  ASSERT_TRUE(nt.Format().ok());
+  FsdLog log(&disk, layout.log_base, config.log_sectors, &metrics);
+  Recovery recovery(&disk, layout, config, &log, &nt, &health, &metrics);
+
+  // Twelve groups of 1-6 pages of every kind; the twelfth does not fit in
+  // the first third, so a skip marker precedes it.
+  ASSERT_TRUE(log.Format(1).ok());
+  const sim::Lba leader = layout.data_low + 10;
+  for (std::uint32_t g = 0; g < 12; ++g) {
+    std::vector<PageImage> pages;
+    for (std::uint32_t i = 0; i <= g % 6; ++i) {
+      PageImage page;
+      page.data.assign(512, static_cast<std::uint8_t>(g * 7 + i));
+      switch ((g + i) % 4) {
+        case 0:
+        case 1: {
+          const std::uint32_t pid = (g * 5 + i) % config.nt_pages;
+          page.primary = layout.NtHome(FsdLayout::kPrimary, pid);
+          page.secondary = layout.NtHome(FsdLayout::kReplica, pid);
+          break;
+        }
+        case 2:
+          page.primary = leader + i;
+          page.kind = g % 2 == 0 ? PageKind::kPage : PageKind::kTombstone;
+          break;
+        default: {
+          const VamDelta delta{.start = static_cast<std::uint32_t>(leader),
+                               .count = 1 + g};
+          page.kind = PageKind::kVamDelta;
+          page.data = SerializeDeltas({&delta, 1})[0];
+          break;
+        }
+      }
+      pages.push_back(std::move(page));
+    }
+    ASSERT_TRUE(
+        log.AppendGroup(pages, [](std::uint64_t) { return OkStatus(); }).ok());
+  }
+  std::vector<std::uint8_t> valid(std::size_t{config.log_sectors} * 512);
+  ASSERT_TRUE(disk.Read(layout.log_base, valid).ok());
+  // Every sector by role, found by magic (area sector i is log sector 4+i).
+  auto magic_at = [&](std::uint32_t s) {
+    ByteReader r(std::span<const std::uint8_t>(valid).subspan(s * 512, 4));
+    return r.U32();
+  };
+  std::vector<std::uint32_t> headers, ends, markers, data;
+  for (std::uint32_t s = 4; s < config.log_sectors; ++s) {
+    const std::uint32_t magic = magic_at(s);
+    if (magic == kHeaderMagic && magic_at(s - 2) != kHeaderMagic) {
+      headers.push_back(s);
+      const std::uint32_t n = valid[s * 512 + 16];
+      for (std::uint32_t i = 0; i < 2 * n + 1; ++i) {
+        if (i != n) {
+          data.push_back(s + 3 + i);
+        }
+      }
+    } else if (magic == kEndMagic) {
+      ends.push_back(s);
+    } else if (magic == kMarkerMagic) {
+      markers.push_back(s);
+    }
+  }
+  ASSERT_EQ(headers.size(), 12u);
+  ASSERT_EQ(ends.size(), 24u);
+  ASSERT_EQ(markers.size(), 1u);
+
+  const sim::Lba spare = layout.remap_base + FsdLayout::kRemapDirCopies;
+  const std::vector<sim::Lba> homes = {
+      layout.root_lba,
+      layout.root_lba + 2,
+      layout.vam_base,
+      layout.remap_base,
+      spare,
+      layout.log_base,
+      layout.log_base + 2,
+      layout.log_base + 200,
+      layout.NtHome(FsdLayout::kPrimary, 0),
+      layout.NtHome(FsdLayout::kReplica, 0),
+      layout.NtHome(FsdLayout::kPrimary, 5),
+      layout.NtHome(FsdLayout::kReplica, 63),
+      layout.NtHome(FsdLayout::kPrimary, 63) + 1,
+      layout.nt_end - 1,
+      layout.nt_end,
+      layout.data_low - 1,
+      layout.data_low,
+      layout.data_high - 1,
+      layout.data_high,
+      kNoLba};
+  const std::vector<std::uint32_t> edges = {
+      0, 1, 2, 11, 12, 13, 127, 131, 132, 395, 396, 0xFFFFFFFFu};
+
+  enum Class {
+    kPointer,     // a pointer copy's offset, lsn or boot
+    kHeader,      // a header copy's lsn, boot, count, data CRC or flags
+    kHome,        // a page's primary, secondary or kind in both copies
+    kStamp,       // an end or the marker's lsn or boot
+    kToMarker,    // a header turned into a marker of the same lsn
+    kData,        // a page's bytes, the header's data CRC following
+    kBitFlips,    // anywhere in the region, nothing resealed
+    kClasses
+  };
+  Rng rng(0x106u);
+  std::map<std::uint32_t, std::vector<std::uint8_t>> touched;
+  auto sector = [&](std::uint32_t s) -> std::vector<std::uint8_t>& {
+    auto [it, fresh] = touched.try_emplace(s);
+    if (fresh) {
+      it->second.assign(valid.begin() + s * 512,
+                        valid.begin() + (s + 1) * 512);
+    }
+    return it->second;
+  };
+  auto pick = [&](const std::vector<std::uint32_t>& from) {
+    return from[rng.Below(from.size())];
+  };
+  auto value = [&] {
+    return rng.Chance(0.5) ? edges[rng.Below(edges.size())]
+                           : static_cast<std::uint32_t>(rng.Next());
+  };
+  auto header_body = [](const std::vector<std::uint8_t>& h) {
+    return std::min<std::size_t>(23 + 9 * (h[16] | h[17] << 8), 508);
+  };
+  int outcomes[2][kClasses] = {};
+  int home_refusals = 0;
+  for (int m = 0; m < kMutations; ++m) {
+    touched.clear();
+    const auto cls = static_cast<Class>(rng.Below(kClasses));
+    switch (cls) {
+      case kPointer: {  // copy 0, copy 2 or both
+        const std::uint64_t copies = rng.Between(1, 3);
+        const std::size_t field = 4 + 4 * rng.Below(4);
+        const std::uint32_t to = value();
+        for (const std::uint32_t copy : {0u, 2u}) {
+          if ((copies >> (copy / 2) & 1) != 0) {
+            PutU32(sector(copy), field, to);
+            ResealAt(sector(copy), kPointerBody);
+          }
+        }
+        break;
+      }
+      case kHeader: {
+        auto& h = sector(pick(headers) + (rng.Chance(0.25) ? 2 : 0));
+        switch (rng.Below(5)) {
+          case 0:  // the lsn's low word
+          case 1:  // the boot
+            PutU32(h, 4 + 4 * rng.Below(3), value());
+            break;
+          case 2:
+            h[16] = static_cast<std::uint8_t>(rng.Below(60));
+            h[17] = static_cast<std::uint8_t>(rng.Chance(0.9) ? 0 : 1);
+            break;
+          case 3:
+            PutU32(h, 18, value());
+            break;
+          default:
+            h[22] = static_cast<std::uint8_t>(rng.Below(4));
+            break;
+        }
+        ResealAt(h, header_body(h));
+        break;
+      }
+      case kHome: {
+        const std::uint32_t at = pick(headers);
+        const std::uint32_t n = valid[at * 512 + 16];
+        const std::size_t field = 23 + 9 * rng.Below(n) + 4 * rng.Below(3);
+        for (const std::uint32_t copy : {at, at + 2}) {
+          auto& h = sector(copy);
+          if ((field - 23) % 9 == 8) {
+            h[field] = static_cast<std::uint8_t>(rng.Below(4));
+          } else {
+            PutU32(h, field,
+                   static_cast<std::uint32_t>(homes[rng.Below(homes.size())]));
+          }
+          ResealAt(h, header_body(h));
+        }
+        break;
+      }
+      case kStamp: {
+        const bool marker = rng.Chance(0.3);
+        auto& e = sector(marker ? markers[0] : pick(ends));
+        PutU32(e, 4 + 4 * rng.Below(3), value());
+        ResealAt(e, kStampBody);
+        break;
+      }
+      case kToMarker: {
+        auto& h = sector(pick(headers));
+        PutU32(h, 0, kMarkerMagic);
+        ResealAt(h, kStampBody);
+        break;
+      }
+      case kData: {
+        const std::uint32_t at = pick(headers);
+        const std::uint32_t n = valid[at * 512 + 16];
+        auto& d = sector(at + 3 + static_cast<std::uint32_t>(rng.Below(n)));
+        for (std::uint64_t k = rng.Between(1, 8); k > 0; --k) {
+          d[rng.Below(512)] = static_cast<std::uint8_t>(rng.Next());
+        }
+        if (rng.Chance(0.5)) {
+          std::uint32_t crc = 0;
+          for (std::uint32_t i = 0; i < n; ++i) {
+            crc = Crc32(sector(at + 3 + i), crc);
+          }
+          for (const std::uint32_t copy : {at, at + 2}) {
+            PutU32(sector(copy), 18, crc);
+            ResealAt(sector(copy), header_body(sector(copy)));
+          }
+        }
+        break;
+      }
+      case kBitFlips:
+        for (std::uint64_t k = rng.Between(1, 4); k > 0; --k) {
+          sector(pick(rng.Chance(0.5) ? headers : data))[rng.Below(512)] ^=
+              static_cast<std::uint8_t>(1u << rng.Below(8));
+        }
+        break;
+      case kClasses:
+        break;
+    }
+    for (const auto& [s, bytes] : touched) {
+      ASSERT_TRUE(disk.Write(layout.log_base + s, bytes).ok());
+    }
+
+    Replay replay;
+    const Status collected = recovery.CollectReplay(2, true, &replay);
+    ++outcomes[collected.ok() ? 1 : 0][cls];
+    if (!collected.ok()) {
+      ASSERT_EQ(collected.code(), ErrorCode::kCorruptMetadata)
+          << "mutation " << m << ": " << collected.message();
+      home_refusals +=
+          collected.message().find("names home") != std::string::npos;
+    }
+    for (const auto& [lba, page] : replay.pages) {
+      if (page.secondary == kNoLba) {
+        ASSERT_TRUE(lba >= layout.data_low && lba < layout.data_high &&
+                    !layout.InMetadataComplex(lba))
+            << "mutation " << m << " replays to lba " << lba;
+        continue;
+      }
+      const auto primary = layout.NtCopyAt(lba);
+      const auto replica = layout.NtCopyAt(page.secondary);
+      ASSERT_TRUE(primary && replica && !primary->replica &&
+                  replica->replica && primary->pid == replica->pid)
+          << "mutation " << m << " replays to lba " << lba << "/"
+          << page.secondary;
+    }
+    for (const auto& [s, bytes] : touched) {
+      const auto original = std::span<const std::uint8_t>(valid).subspan(
+          static_cast<std::size_t>(s) * 512, 512);
+      ASSERT_TRUE(disk.Write(layout.log_base + s, original).ok());
+    }
+  }
+  // Most mutations only end the chain early, which is no refusal; an
+  // unreadable pointer pair, a forged home and a resealed delta page are.
+  for (int c = 0; c < kClasses; ++c) {
+    EXPECT_GT(outcomes[1][c], 0) << "class " << c << " never accepted";
+  }
+  for (const Class c : {kPointer, kHome, kData}) {
+    EXPECT_GT(outcomes[0][c], 0) << "class " << c << " never refused";
+  }
+  EXPECT_GT(home_refusals, kMutations / 100);
+}
+
 }  // namespace
 }  // namespace cedar::core
 

@@ -493,6 +493,53 @@ TEST_F(FsdRecoveryTest, MountWithAnotherNameTableSizeFailsAndWritesNothing) {
   EXPECT_EQ(out, Bytes(700, 9));
 }
 
+// A sealed record is replayed only to the homes the force path logs. One
+// that names the volume root passes every CRC, so it is the home check that
+// refuses it: the mount fails before Redo writes anything, and the degraded
+// mount notes the log as unreadable and skips the replay.
+TEST_F(FsdRecoveryTest, RecordNamingTheRootIsRefusedAndTheRootKept) {
+  ASSERT_TRUE(fsd_->CreateFile("kept", Bytes(700, 9)).ok());
+  ASSERT_TRUE(fsd_->Force().ok());
+  disk_.CrashNow();
+  disk_.Reopen();
+  const FsdLayout layout = fsd_->layout();
+  {
+    obs::MetricsRegistry metrics;
+    FsdLog log(&disk_, layout.log_base, SmallConfig().log_sectors, &metrics);
+    ASSERT_TRUE(
+        log.Recover([](std::uint64_t, auto&) { return OkStatus(); }, 1000)
+            .ok());
+    const PageImage forged{.primary = layout.root_lba,
+                           .data = std::vector<std::uint8_t>(512, 0xEE)};
+    ASSERT_TRUE(log.AppendGroup({&forged, 1}, [](std::uint64_t) {
+                     return OkStatus();
+                   }).ok());
+  }
+  std::vector<std::uint8_t> root(3 * 512);
+  ASSERT_TRUE(disk_.Read(layout.root_lba, root).ok());
+  const sim::DiskSnapshot before = disk_.Snapshot();
+
+  fsd_ = std::make_unique<Fsd>(&disk_, SmallConfig());
+  const Status mounted = fsd_->Mount();
+  EXPECT_EQ(mounted.code(), ErrorCode::kCorruptMetadata) << mounted.message();
+  EXPECT_NE(mounted.message().find("home lba " +
+                                   std::to_string(layout.root_lba)),
+            std::string::npos)
+      << mounted.message();
+  EXPECT_TRUE(disk_.StateEquals(before));
+  std::vector<std::uint8_t> after(3 * 512);
+  ASSERT_TRUE(disk_.Read(layout.root_lba, after).ok());
+  EXPECT_EQ(after, root);
+
+  ASSERT_TRUE(fsd_->MountDegraded().ok());
+  bool noted = false;
+  for (const std::string& note : fsd_->Health().notes) {
+    noted = noted || note.find("log unreadable") != std::string::npos;
+  }
+  EXPECT_TRUE(noted) << "no note names the refused log";
+  EXPECT_TRUE(disk_.StateEquals(before));
+}
+
 // The crash matrix: run a scripted workload, crash after every k-th disk
 // write, remount, and check the durability contract. This sweeps the crash
 // point across log writes, pointer writes, home writes, and data writes.

@@ -819,6 +819,23 @@ TEST(BenchCmpTest, GatesBothDirectionsAtTolerance) {
   EXPECT_FALSE(better.value().regression);
 }
 
+// Deterministic reports (BENCH_paper.json's I/O counts) are gated at
+// tolerance 0: one step the wrong way fails, from a zero baseline too.
+TEST(BenchCmpTest, ToleranceZeroFailsOnAnyStepTheWrongWay) {
+  auto regressed = [](double base_ops, double base_ios, double ops,
+                      double ios) {
+    auto cmp = obs::CompareBenchReports(benchcmp::Report(base_ops, base_ios),
+                                        benchcmp::Report(ops, ios), 0.0);
+    EXPECT_TRUE(cmp.ok());
+    return cmp.ok() && cmp.value().regression;
+  };
+  EXPECT_FALSE(regressed(100, 108, 100, 108));  // equal values pass
+  EXPECT_TRUE(regressed(100, 108, 100, 109));   // "lower" rises by 1
+  EXPECT_TRUE(regressed(100, 108, 99, 108));    // "higher" drops by 1
+  EXPECT_TRUE(regressed(100, 0, 100, 1));       // a baseline of 0 rises
+  EXPECT_FALSE(regressed(100, 108, 101, 107));  // improvements pass
+}
+
 TEST(BenchCmpTest, RefusesIncomparableReports) {
   const util::JsonValue base = benchcmp::Report(100, 50);
   util::JsonValue other_schema = benchcmp::Report(100, 50);
