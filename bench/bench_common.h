@@ -90,21 +90,6 @@ inline bool HasFlag(int argc, char** argv, const char* flag) {
   return false;
 }
 
-// Parses `--name N` or `--name=N`; returns `fallback` when absent.
-inline int IntFlag(int argc, char** argv, const char* flag, int fallback) {
-  const std::size_t flag_len = std::strlen(flag);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0 && i + 1 < argc) {
-      return std::atoi(argv[i + 1]);
-    }
-    if (std::strncmp(argv[i], flag, flag_len) == 0 &&
-        argv[i][flag_len] == '=') {
-      return std::atoi(argv[i] + flag_len + 1);
-    }
-  }
-  return fallback;
-}
-
 // Parses `--name VALUE` (or `--name=VALUE`); nullptr when absent.
 inline const char* StringFlag(int argc, char** argv, const char* flag,
                               const char* fallback = nullptr) {

@@ -1,7 +1,8 @@
 // Wall-clock microbenchmarks (google-benchmark) for the library's hot
 // paths: CRC, VAM run search, page-cache eviction, serialization, B-tree
 // operations, the simulated disk, the redo log, the tracer's op scopes, and
-// FSD operation throughput. These measure this codebase, not the paper's hardware.
+// FSD operation throughput. These measure this codebase, not the paper's
+// hardware.
 
 #include <benchmark/benchmark.h>
 
@@ -148,7 +149,8 @@ void BM_LogAppend(benchmark::State& state) {
   }
   for (auto _ : state) {
     CEDAR_CHECK_OK(
-        log.AppendGroup(pages, [](std::uint64_t) { return OkStatus(); }).status());
+        log.AppendGroup(pages, [](std::uint64_t) { return OkStatus(); })
+            .status());
   }
 }
 BENCHMARK(BM_LogAppend)->Arg(1)->Arg(14)->Arg(52);

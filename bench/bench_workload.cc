@@ -231,7 +231,7 @@ void AddLatencyInfo(BenchReport& report, const ReplayPoint& point,
 }
 
 BenchReport RunWorkloadBench(const WorkloadShape& shape, double cpu_scale,
-                             bool smoke, const char* trace_out) {
+                             bool smoke) {
   std::printf("Recording %u ops, %u tenants, Zipf(s=%.2f) over %u files "
               "per tenant...\n",
               shape.ops, shape.tenants, shape.zipf_s,
@@ -239,10 +239,6 @@ BenchReport RunWorkloadBench(const WorkloadShape& shape, double cpu_scale,
   const std::vector<cedar::workload::TraceEntry> trace =
       RecordWorkload(shape, cpu_scale);
   std::printf("recorded %zu trace entries\n", trace.size());
-  if (trace_out != nullptr) {
-    CEDAR_CHECK_OK(cedar::workload::SaveTraceBinary(trace_out, trace));
-    std::printf("wrote trace %s\n", trace_out);
-  }
 
   BenchReport report("workload");
   report.SetConfig("ops", shape.ops);
@@ -337,12 +333,9 @@ int GateSelftest() {
     failures += cond ? 0 : 1;
   };
 
-  util::JsonValue base =
-      RunWorkloadBench(shape, 1.0, true, nullptr).Build();
-  util::JsonValue same =
-      RunWorkloadBench(shape, 1.0, true, nullptr).Build();
-  util::JsonValue slow =
-      RunWorkloadBench(shape, 4.0, true, nullptr).Build();
+  util::JsonValue base = RunWorkloadBench(shape, 1.0, true).Build();
+  util::JsonValue same = RunWorkloadBench(shape, 1.0, true).Build();
+  util::JsonValue slow = RunWorkloadBench(shape, 4.0, true).Build();
   std::printf("\n");
 
   auto cmp_same = cedar::obs::CompareBenchReports(base, same);
@@ -388,8 +381,7 @@ int main(int argc, char** argv) {
              {{"--smoke"},
               {"--gate-selftest"},
               {"--json", /*takes_value=*/true},
-              {"--cpu-scale", /*takes_value=*/true},
-              {"--trace-out", /*takes_value=*/true}});
+              {"--cpu-scale", /*takes_value=*/true}});
   if (HasFlag(argc, argv, "--gate-selftest")) {
     return GateSelftest();
   }
@@ -398,11 +390,10 @@ int main(int argc, char** argv) {
       std::atof(StringFlag(argc, argv, "--cpu-scale", "1.0"));
   const char* json_path =
       StringFlag(argc, argv, "--json", "BENCH_workload.json");
-  const char* trace_out = StringFlag(argc, argv, "--trace-out");
 
   std::printf("Trace-driven workload replay (3 tenants, Zipf)\n\n");
   const WorkloadShape shape = smoke ? SmokeShape() : WorkloadShape{};
-  BenchReport report = RunWorkloadBench(shape, cpu_scale, smoke, trace_out);
+  BenchReport report = RunWorkloadBench(shape, cpu_scale, smoke);
   CEDAR_CHECK_OK(report.WriteFile(json_path));
   return 0;
 }

@@ -718,7 +718,8 @@ Status Ffs::Extend(const fs::FileHandle& file, std::uint64_t bytes) {
   auto& [inum, inode] = found;
   const std::uint64_t new_size = inode.size + bytes;
   const std::uint32_t bb = block_bytes();
-  const auto cur_blocks = static_cast<std::uint32_t>((inode.size + bb - 1) / bb);
+  const auto cur_blocks =
+      static_cast<std::uint32_t>((inode.size + bb - 1) / bb);
   const auto new_blocks = static_cast<std::uint32_t>((new_size + bb - 1) / bb);
   std::optional<BlockNum> previous;
   if (cur_blocks > 0) {

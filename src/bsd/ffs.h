@@ -77,8 +77,8 @@ class Ffs : public fs::FileSystem {
   Status Mount();
 
   // fs::FileSystem:
-  Result<fs::FileUid> CreateFile(std::string_view name,
-                                 std::span<const std::uint8_t> contents) override;
+  Result<fs::FileUid> CreateFile(
+      std::string_view name, std::span<const std::uint8_t> contents) override;
   Result<fs::FileHandle> Open(std::string_view name) override;
   Status Read(const fs::FileHandle& file, std::uint64_t offset,
               std::span<std::uint8_t> out) override;

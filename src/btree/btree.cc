@@ -606,7 +606,8 @@ Status BTree::EraseRec(PageId page, std::span<const std::uint8_t> key,
 
   const std::uint32_t ub = node.UpperBound(key);
   const bool via_leftmost = (ub == 0);
-  const PageId child = via_leftmost ? node.LeftmostChild() : node.ChildAt(ub - 1);
+  const PageId child =
+      via_leftmost ? node.LeftmostChild() : node.ChildAt(ub - 1);
 
   EraseResult child_result;
   CEDAR_RETURN_IF_ERROR(

@@ -867,8 +867,8 @@ Status Fsd::CheckpointTo(std::uint64_t target, Checkpointer caller) {
       frame.logged_lsn = 0;
       return;
     }
-    victims.push_back(
-        Victim{.key = key, .lsn = frame.logged_lsn, .image = frame.logged_image});
+    victims.push_back(Victim{
+        .key = key, .lsn = frame.logged_lsn, .image = frame.logged_image});
   });
   std::vector<NtStore::HomeWrite> homes;
   for (const Victim& victim : victims) {

@@ -306,9 +306,9 @@ Status Recovery::CollectReplay(std::uint32_t boot_count, bool keep_deltas,
         replay->pages[mapped.primary] = std::move(mapped);
       } else if (keep_deltas) {
         std::vector<VamDelta> parsed;
-        CEDAR_RETURN_IF_ERROR(
-            ParseDeltas(page.data, static_cast<std::uint32_t>(layout_.data_high),
-                        config_.nt_pages, &parsed));
+        CEDAR_RETURN_IF_ERROR(ParseDeltas(
+            page.data, static_cast<std::uint32_t>(layout_.data_high),
+            config_.nt_pages, &parsed));
         for (const VamDelta& delta : parsed) {
           replay->deltas.emplace_back(lsn, delta);
         }

@@ -8,7 +8,8 @@ namespace cedar::core {
 namespace {
 
 constexpr std::uint32_t kVamMagic = 0x46534456;  // "FSDV"
-constexpr std::size_t kDeltaBytes = 9;           // op u8 + start u32 + count u32
+// A delta is op u8 + start u32 + count u32.
+constexpr std::size_t kDeltaBytes = 9;
 constexpr std::size_t kDeltasPerPage = (512 - 2 - 4) / kDeltaBytes;
 static_assert(kDeltasPerPage == kVamDeltasPerPage);
 

@@ -8,7 +8,7 @@
 //
 //   1. RECORD — run a scripted create/write/rename/delete workload once
 //      against the device (a SimDisk, or a striped/mirrored DiskArray per
-//      HarnessOptions::topology) with the PR-2 DiskTracer attached, capturing the
+//      HarnessOptions::topology) with the DiskTracer attached, capturing the
 //      complete write schedule: every write request's LBA, length, issuing
 //      FS op, and IoScheduler batch, plus per-step write-count boundaries
 //      and a durability oracle snapshot at every completed Force().

@@ -86,8 +86,8 @@ class FileSystem {
   virtual ~FileSystem() = default;
 
   // Creates version highest+1 of `name` holding `contents` (may be empty).
-  virtual Result<FileUid> CreateFile(std::string_view name,
-                                     std::span<const std::uint8_t> contents) = 0;
+  virtual Result<FileUid> CreateFile(
+      std::string_view name, std::span<const std::uint8_t> contents) = 0;
 
   // Opens the highest version. Does not read data.
   virtual Result<FileHandle> Open(std::string_view name) = 0;

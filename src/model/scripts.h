@@ -9,17 +9,20 @@
 
 #include <cstdint>
 
+#include "src/cfs/cfs.h"
 #include "src/core/layout.h"
 #include "src/model/disk_model.h"
 #include "src/sim/geometry.h"
 
 namespace cedar::model {
 
+// CPU microseconds per operation and per sector of I/O: the calibration
+// the simulated implementations charge, read from their default configs.
 struct CpuParams {
-  std::uint32_t cfs_per_op = 1500;
-  std::uint32_t cfs_per_sector = 100;
-  std::uint32_t fsd_per_op = 1200;
-  std::uint32_t fsd_per_sector = 80;
+  std::uint64_t cfs_per_op = cfs::CfsConfig{}.cpu_per_op;
+  std::uint64_t cfs_per_sector = cfs::CfsConfig{}.cpu_per_sector_io;
+  std::uint64_t fsd_per_op = core::FsdConfig::CpuModel{}.per_op;
+  std::uint64_t fsd_per_sector = core::FsdConfig::CpuModel{}.per_sector_io;
 };
 
 // ---- CFS scripts (labels + headers + write-through name table).

@@ -171,7 +171,7 @@ ValidationRow MakeRow(const DiskModel& model, std::string op_class,
 ValidationReport RunPaperValidation(const ValidationConfig& config) {
   const DiskModel model(sim::DiskGeometry{}, sim::DiskTimingParams{});
   const AllSamples m = MeasureAll(config);
-  const CpuParams& cpu = config.cpu;
+  const CpuParams cpu;
   const std::uint32_t pages = config.small_pages;
   // MeasureAll's FSD runs on the default geometry and layout.
   const std::uint32_t fsd_data =
@@ -185,8 +185,8 @@ ValidationReport RunPaperValidation(const ValidationConfig& config) {
       MakeRow(model, "cfs.read", CfsReadPage(cpu), m.cfs_read));
   report.rows.push_back(
       MakeRow(model, "cfs.delete", CfsDelete(pages, cpu), m.cfs_delete));
-  report.rows.push_back(
-      MakeRow(model, "fsd.create", FsdCreate(pages, fsd_data, cpu), m.fsd_create));
+  report.rows.push_back(MakeRow(model, "fsd.create",
+                                FsdCreate(pages, fsd_data, cpu), m.fsd_create));
   report.rows.push_back(
       MakeRow(model, "fsd.open", FsdOpenHit(cpu), m.fsd_open));
   report.rows.push_back(

@@ -29,7 +29,6 @@ struct ValidationConfig {
   int ops_per_class = 100;
   std::uint32_t small_pages = 2;  // 1000-byte files
   double bound = 0.10;            // max relative error on disk time
-  CpuParams cpu;
 };
 
 // One operation class: a trace op-context name ("cfs.create", "fsd.read",

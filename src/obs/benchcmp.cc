@@ -1,5 +1,6 @@
 #include "src/obs/benchcmp.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 
@@ -10,6 +11,15 @@ using util::JsonValue;
 
 Status Refuse(const std::string& what) {
   return MakeError(ErrorCode::kFailedPrecondition, "benchcmp: " + what);
+}
+
+// Two decimals from 1 up; below that four significant digits, so a ratio
+// such as a 0.2% model error does not print as 0.00.
+std::string FormatValue(double value) {
+  char out[32];
+  std::snprintf(out, sizeof(out),
+                std::fabs(value) >= 1 || value == 0 ? "%.2f" : "%.4g", value);
+  return out;
 }
 
 }  // namespace
@@ -129,26 +139,33 @@ std::string FormatDeltaTable(const BenchComparison& comparison,
                              bool markdown) {
   std::string out;
   char line[256];
+  // The name column is as wide as the longest name.
+  int width = 6;  // "metric"
+  for (const MetricDelta& d : comparison.deltas) {
+    width = std::max(width, static_cast<int>(d.name.size()));
+  }
   if (markdown) {
     out += "| metric | baseline | candidate | delta | gate |\n";
     out += "|---|---:|---:|---:|---|\n";
   } else {
-    std::snprintf(line, sizeof(line), "%-40s %14s %14s %9s  %s\n", "metric",
-                  "baseline", "candidate", "delta", "gate");
+    std::snprintf(line, sizeof(line), "%-*s %14s %14s %9s  %s\n", width,
+                  "metric", "baseline", "candidate", "delta", "gate");
     out += line;
   }
   for (const MetricDelta& d : comparison.deltas) {
     const char* gate = !d.gated ? (d.direction == "info" ? "info" : "-")
                        : d.regressed ? "REGRESSED"
                                      : "ok";
+    const std::string base = FormatValue(d.base);
+    const std::string cand = FormatValue(d.cand);
     if (markdown) {
-      std::snprintf(line, sizeof(line),
-                    "| %s | %.2f | %.2f | %+.1f%% | %s%s%s |\n",
-                    d.name.c_str(), d.base, d.cand, d.pct,
+      std::snprintf(line, sizeof(line), "| %s | %s | %s | %+.1f%% | %s%s%s |\n",
+                    d.name.c_str(), base.c_str(), cand.c_str(), d.pct,
                     d.regressed ? "**" : "", gate, d.regressed ? "**" : "");
     } else {
-      std::snprintf(line, sizeof(line), "%-40s %14.2f %14.2f %+8.1f%%  %s\n",
-                    d.name.c_str(), d.base, d.cand, d.pct, gate);
+      std::snprintf(line, sizeof(line), "%-*s %14s %14s %+8.1f%%  %s\n",
+                    width, d.name.c_str(), base.c_str(), cand.c_str(), d.pct,
+                    gate);
     }
     out += line;
   }

@@ -38,7 +38,8 @@ std::uint64_t MetricsSnapshot::HistogramData::Percentile(double q) const {
     const double frac =
         static_cast<double>(rank - seen) / static_cast<double>(n);
     const std::uint64_t value =
-        low + static_cast<std::uint64_t>(frac * static_cast<double>(high - low));
+        low +
+        static_cast<std::uint64_t>(frac * static_cast<double>(high - low));
     return std::clamp(value, min, max);
   }
   return max;

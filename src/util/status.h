@@ -82,7 +82,8 @@ inline Status MakeError(ErrorCode code, std::string message = {}) {
 template <typename T>
 class [[nodiscard]] Result {
  public:
-  Result(T value) : data_(std::move(value)) {}  // NOLINT(google-explicit-constructor)
+  // NOLINTNEXTLINE(google-explicit-constructor)
+  Result(T value) : data_(std::move(value)) {}
   Result(Status status) : data_(std::move(status)) {}  // NOLINT
 
   bool ok() const { return std::holds_alternative<T>(data_); }

@@ -72,7 +72,8 @@ TEST_F(FfsTest, CreateDoesSynchronousMetadataWrites) {
 
 TEST_F(FfsTest, InodesOfOneDirectoryCluster) {
   for (int i = 0; i < 64; ++i) {
-    ASSERT_TRUE(ffs_.CreateFile("proj/f" + std::to_string(i), Bytes(10, 1)).ok());
+    ASSERT_TRUE(
+        ffs_.CreateFile("proj/f" + std::to_string(i), Bytes(10, 1)).ok());
   }
   // Re-mount to chill the cache, then list: inode reads should batch ~32
   // inodes per block read.

@@ -120,7 +120,8 @@ TEST_F(CfsTest, ListReturnsPropertiesWithPrefixFilter) {
 
 TEST_F(CfsTest, ListReadsHeadersFromDisk) {
   for (int i = 0; i < 20; ++i) {
-    ASSERT_TRUE(cfs_.CreateFile("dir/f" + std::to_string(i), Bytes(64, 0)).ok());
+    ASSERT_TRUE(
+        cfs_.CreateFile("dir/f" + std::to_string(i), Bytes(64, 0)).ok());
   }
   disk_.ResetStats();
   auto list = cfs_.List("dir/");

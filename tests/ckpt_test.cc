@@ -75,24 +75,29 @@ TEST(CkptConfigTest, ValidateRejectsUnsatisfiableWindows) {
   // Below one clamped commit group: the live log can never drain that far.
   FsdConfig config = CkptConfig();
   config.checkpoint.window_sectors = 16;
-  EXPECT_EQ(config.Validate(sim::TestGeometry()).code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(config.Validate(sim::TestGeometry()).code(),
+            ErrorCode::kInvalidArgument);
   // Beyond the record area: the window could never trigger.
   config.checkpoint.window_sectors = config.log_sectors;
-  EXPECT_EQ(config.Validate(sim::TestGeometry()).code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(config.Validate(sim::TestGeometry()).code(),
+            ErrorCode::kInvalidArgument);
 }
 
 TEST(CkptConfigTest, ValidateRejectsDegenerateSizes) {
   FsdConfig config;
   config.commit.group_records = 0;
-  EXPECT_EQ(config.Validate(sim::TestGeometry()).code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(config.Validate(sim::TestGeometry()).code(),
+            ErrorCode::kInvalidArgument);
 
   config = FsdConfig{};
   config.log_sectors = 100;  // below the one-maximal-record-per-third floor
-  EXPECT_EQ(config.Validate(sim::TestGeometry()).code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(config.Validate(sim::TestGeometry()).code(),
+            ErrorCode::kInvalidArgument);
 
   config = FsdConfig{};
   config.cache_frames = 4;
-  EXPECT_EQ(config.Validate(sim::TestGeometry()).code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(config.Validate(sim::TestGeometry()).code(),
+            ErrorCode::kInvalidArgument);
 }
 
 TEST(CkptConfigTest, FormatAndMountFailFastOnInvalidConfig) {

@@ -164,6 +164,20 @@ TEST_F(ConcurrencyTest, GroupCommitPiggybacksConcurrentForces) {
   // it arrives before or after the group's (virtually instant) log write
   // publishes, so rounds run until at least one rendezvous is observed;
   // the sharing invariants below hold for every schedule.
+  //
+  // All of a round's names hash to one name shard, so the clients also
+  // queue on that shard's lock on their way to the shared force.
+  auto shared_shard_name = [](int tid, int round) {
+    const std::size_t shard = round % Fsd::kNameShardCount;
+    for (int k = 0;; ++k) {
+      std::string name = std::string("t").append(std::to_string(tid)) +
+                         ".r" + std::to_string(round) + "." +
+                         std::to_string(k);
+      if (Fsd::ShardOf(name) == shard) {
+        return name;
+      }
+    }
+  };
   constexpr int kMaxRounds = 200;
   int rounds = 0;
   Barrier barrier(kThreads);
@@ -171,9 +185,7 @@ TEST_F(ConcurrencyTest, GroupCommitPiggybacksConcurrentForces) {
   std::atomic<bool> done{false};
   auto worker = [&](int tid) {
     for (int r = 0; r < kMaxRounds; ++r) {
-      const std::string name = std::string("t").append(std::to_string(tid)) +
-                               ".r" + std::to_string(r);
-      if (!fsd_.CreateFile(name, Bytes(256, 1)).ok()) {
+      if (!fsd_.CreateFile(shared_shard_name(tid, r), Bytes(256, 1)).ok()) {
         ++failures;
       }
       barrier.Arrive();

@@ -515,7 +515,8 @@ TEST(ForceGroupAtomicityTest, IntactGroupReplaysEveryPage) {
   for (std::uint32_t p = 0; p < 60; ++p) {
     group.push_back(GroupPage(1000 + 2 * p, static_cast<std::uint8_t>(p)));
   }
-  ASSERT_TRUE(log.AppendGroup(group, [](std::uint64_t) { return OkStatus(); }).ok());
+  ASSERT_TRUE(
+      log.AppendGroup(group, [](std::uint64_t) { return OkStatus(); }).ok());
 
   core::FsdLog recovered(&disk, /*base=*/100, /*size_sectors=*/400,
                          &metrics);

@@ -41,7 +41,8 @@ core::FsdConfig FaultCfg() {
 
 class FsdFaultTest : public ::testing::Test {
  protected:
-  FsdFaultTest() : disk_(sim::TestGeometry(), sim::DiskTimingParams{}, &clock_) {
+  FsdFaultTest()
+      : disk_(sim::TestGeometry(), sim::DiskTimingParams{}, &clock_) {
     fsd_ = std::make_unique<core::Fsd>(&disk_, FaultCfg());
     CEDAR_CHECK_OK(fsd_->Format());
     for (int i = 0; i < 40; ++i) {

@@ -153,7 +153,9 @@ TEST_F(FsdLogTest, TornRecordIsDroppedAtRecovery) {
                                 .sectors_damaged = 1,
                                 .drop_writes = {}});
   std::vector<PageImage> two = {Image(5001, kNoLba, 2)};
-  EXPECT_EQ(log_.AppendGroup(two, [](std::uint64_t) { return OkStatus(); }).status().code(),
+  EXPECT_EQ(log_.AppendGroup(two, [](std::uint64_t) { return OkStatus(); })
+                .status()
+                .code(),
             ErrorCode::kDeviceCrashed);
   disk_.Reopen();
   auto records = Recover(2);
@@ -194,7 +196,8 @@ TEST_F(FsdLogTest, TwoAdjacentDamagedSectorsNeverLoseARecord) {
     ASSERT_TRUE(log.Format(1).ok());
     std::vector<PageImage> pages = {Image(5000, kNoLba, 7),
                                     Image(5001, kNoLba, 9)};
-    ASSERT_TRUE(log.AppendGroup(pages, [](std::uint64_t) { return OkStatus(); }).ok());
+    ASSERT_TRUE(
+        log.AppendGroup(pages, [](std::uint64_t) { return OkStatus(); }).ok());
     disk.DamageSectors(kLogBase + 4 + off, 2);
     std::vector<std::vector<PageImage>> records;
     ASSERT_TRUE(log.Recover(
@@ -385,7 +388,8 @@ TEST_P(FsdLogDamageFuzzTest, DamageNeverYieldsCorruptRecords) {
       pages.push_back(
           Image(static_cast<sim::Lba>(100000 + rec), kNoLba, fill));
     }
-    ASSERT_TRUE(log.AppendGroup(pages, [](std::uint64_t) { return OkStatus(); }).ok());
+    ASSERT_TRUE(
+        log.AppendGroup(pages, [](std::uint64_t) { return OkStatus(); }).ok());
   }
   for (int hit = 0; hit < 8; ++hit) {
     disk.DamageSectors(
@@ -414,7 +418,8 @@ TEST_P(FsdLogDamageFuzzTest, DamageNeverYieldsCorruptRecords) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FsdLogDamageFuzzTest,
-                         ::testing::Range(std::uint64_t{100}, std::uint64_t{120}));
+                         ::testing::Range(std::uint64_t{100},
+                                          std::uint64_t{120}));
 
 // Property sweep: random record sizes, wrap the log several times, then
 // recover and check that everything since the last pointer advance replays
@@ -438,7 +443,8 @@ TEST_P(FsdLogChurnTest, ChurnAndRecover) {
                             kNoLba, static_cast<std::uint8_t>(rec)));
     }
     const std::uint64_t lsn = log.next_lsn();
-    ASSERT_TRUE(log.AppendGroup(pages, [](std::uint64_t) { return OkStatus(); }).ok());
+    ASSERT_TRUE(
+        log.AppendGroup(pages, [](std::uint64_t) { return OkStatus(); }).ok());
     appended.emplace_back(lsn, n);
   }
 

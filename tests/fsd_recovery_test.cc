@@ -153,7 +153,8 @@ TEST_F(FsdRecoveryTest, MultiPageTreeUpdateIsAtomicAcrossCrash) {
 
 TEST_F(FsdRecoveryTest, RecoveryIsIdempotentAcrossRepeatedCrashes) {
   for (int i = 0; i < 30; ++i) {
-    ASSERT_TRUE(fsd_->CreateFile("i/f" + std::to_string(i), Bytes(100, 1)).ok());
+    ASSERT_TRUE(
+        fsd_->CreateFile("i/f" + std::to_string(i), Bytes(100, 1)).ok());
   }
   ASSERT_TRUE(fsd_->Force().ok());
   // Crash, recover, crash again immediately, recover again.
@@ -415,7 +416,8 @@ TEST_F(FsdRecoveryTest, AnEntryPastTheVolumeIsNotedNotFatal) {
   ASSERT_TRUE(fsd_->CreateFile("kept", Bytes(900, 4)).ok());
   ASSERT_TRUE(fsd_->Shutdown().ok());
   {
-    const FsdLayout layout = FsdLayout::Compute(disk_.geometry(), SmallConfig());
+    const FsdLayout layout =
+        FsdLayout::Compute(disk_.geometry(), SmallConfig());
     obs::MetricsRegistry metrics;
     MediaHealth health(&disk_, &metrics);
     NtStore nt(&disk_, layout, SmallConfig(), &metrics, &health);

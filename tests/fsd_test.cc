@@ -154,7 +154,8 @@ TEST_F(FsdTest, CreateIsOneSynchronousIo) {
 
 TEST_F(FsdTest, OpenAndListAndDeleteDoNoIoWhenWarm) {
   for (int i = 0; i < 20; ++i) {
-    ASSERT_TRUE(fsd_.CreateFile("dir/f" + std::to_string(i), Bytes(64, 1)).ok());
+    ASSERT_TRUE(
+        fsd_.CreateFile("dir/f" + std::to_string(i), Bytes(64, 1)).ok());
   }
   disk_.ResetStats();
   ASSERT_TRUE(fsd_.Open("dir/f7").ok());
@@ -192,7 +193,8 @@ TEST_F(FsdTest, UpdatesWithinWindowShareOneLogWrite) {
   // Many updates inside one commit window produce one force with one set of
   // page images — the group-commit batching of section 5.4.
   for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(fsd_.CreateFile("batch/f" + std::to_string(i), Bytes(32, 1)).ok());
+    ASSERT_TRUE(
+        fsd_.CreateFile("batch/f" + std::to_string(i), Bytes(32, 1)).ok());
   }
   auto records = [&] {
     return fsd_.SnapshotMetrics().FindHistogram("log.record_sectors")->count;
@@ -340,7 +342,8 @@ TEST_F(FsdTest, ExtendUpdatesEntryAndLeader) {
   auto handle2 = fsd_.Open("grow");
   std::vector<std::uint8_t> out(2560);
   EXPECT_TRUE(fsd_.Read(*handle2, 0, out).ok());
-  EXPECT_TRUE(std::equal(out.begin(), out.begin() + 512, Bytes(512, 1).begin()));
+  EXPECT_TRUE(
+      std::equal(out.begin(), out.begin() + 512, Bytes(512, 1).begin()));
 }
 
 TEST_F(FsdTest, CleanShutdownAndRemountLoadsSavedVam) {

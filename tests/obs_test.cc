@@ -909,5 +909,35 @@ TEST(BenchCmpTest, DeltaTableNamesRegressedMetrics) {
   EXPECT_NE(md.find("**REGRESSED**"), std::string::npos);
 }
 
+TEST(BenchCmpTest, DeltaTableKeepsSmallValuesAndAlignsLongNames) {
+  // BENCH_paper's longest name (52 characters) holding a ratio of 0.002.
+  const std::string name =
+      "allocator.appends.virtual_ms_per_append_extend_write";
+  ASSERT_EQ(name.size(), 52u);
+  util::JsonValue base = benchcmp::Report(100, 50);
+  auto ratio = util::JsonValue::Object();
+  ratio.Set("value", util::JsonValue::Number(0.002));
+  ratio.Set("direction", util::JsonValue::String("lower"));
+  const_cast<util::JsonValue*>(base.Find("metrics"))
+      ->Set(name, std::move(ratio));
+  auto cmp = obs::CompareBenchReports(base, base);
+  ASSERT_TRUE(cmp.ok());
+  const std::string text = obs::FormatDeltaTable(cmp.value(), false);
+  // Every row's baseline value ends in the header's "baseline" column.
+  const std::string header = "baseline";
+  const std::size_t end = text.find(header) + header.size();
+  auto baseline_cell = [&](const std::string& metric) {
+    const std::size_t row = text.find(metric + " ");
+    EXPECT_NE(row, std::string::npos) << metric;
+    const std::size_t cell = text.rfind(' ', row + end - 1);
+    return text.substr(cell + 1, row + end - cell - 1);
+  };
+  EXPECT_EQ(baseline_cell(name), "0.002");
+  EXPECT_EQ(baseline_cell("ops_per_vsec"), "100.00");
+  EXPECT_EQ(baseline_cell("seek_ms"), "50.00");
+  EXPECT_NE(obs::FormatDeltaTable(cmp.value(), true).find("| 0.002 |"),
+            std::string::npos);
+}
+
 }  // namespace
 }  // namespace cedar

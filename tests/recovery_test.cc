@@ -143,7 +143,8 @@ TEST_F(RecoveryTest, ReplayKeepsTheNewestImageAndTombstonesCancelLeaders) {
     return PageImage{
         .primary = layout_.NtHome(FsdLayout::kPrimary, pid),
         .secondary = layout_.NtHome(FsdLayout::kReplica, pid),
-        .data = nt_.Compose(std::vector<std::uint8_t>(NtStore::kPayload, fill))};
+        .data = nt_.Compose(
+            std::vector<std::uint8_t>(NtStore::kPayload, fill))};
   };
   auto delta_page = [](std::uint32_t start) {
     return PageImage{
@@ -230,9 +231,10 @@ TEST_F(RecoveryTest, WalkReportsBadEntriesAndMarksOnlyInBoundsExtents) {
   ASSERT_TRUE(tree.Insert(fs::EncodeNameKey("junk", 1),
                           std::vector<std::uint8_t>{0xFF, 0xFF, 0xFF})
                   .ok());
-  ASSERT_TRUE(tree.Insert(std::vector<std::uint8_t>{'k', 1, 2},
-                          SerializeEntry(FsdEntry{.leader_lba = low, .runs = {}}))
-                  .ok());
+  ASSERT_TRUE(
+      tree.Insert(std::vector<std::uint8_t>{'k', 1, 2},
+                  SerializeEntry(FsdEntry{.leader_lba = low, .runs = {}}))
+          .ok());
 
   std::vector<std::string> visited;
   std::size_t pages_seen = 0;

@@ -286,7 +286,8 @@ TEST(CfsContrastTest, TornNameTableWriteBreaksCfsUntilScavenge) {
   cfs::Cfs cfs(&disk, CfsCfg());
   ASSERT_TRUE(cfs.Format().ok());
   for (int i = 0; i < 40; ++i) {
-    ASSERT_TRUE(cfs.CreateFile("lib/m" + std::to_string(i), Bytes(500, 1)).ok());
+    ASSERT_TRUE(
+        cfs.CreateFile("lib/m" + std::to_string(i), Bytes(500, 1)).ok());
   }
   // Tear the next 4-sector name-table write in the middle.
   disk.ArmCrash(sim::CrashPlan{.at_write_index = 4,

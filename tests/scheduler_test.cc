@@ -24,7 +24,8 @@ std::vector<std::uint8_t> Sector(std::uint8_t fill) {
 
 class SchedulerTest : public ::testing::Test {
  protected:
-  SchedulerTest() : disk_(sim::TestGeometry(), sim::DiskTimingParams{}, &clock_) {}
+  SchedulerTest()
+      : disk_(sim::TestGeometry(), sim::DiskTimingParams{}, &clock_) {}
 
   sim::VirtualClock clock_;
   sim::SimDisk disk_;
