@@ -152,7 +152,6 @@ CkptPoint RunCkptFill(int touches, bool daemon) {
 void WriteCkptJson(const char* path, bool smoke,
                    const std::vector<CkptPoint>& points) {
   BenchReport report("recovery");
-  report.SetConfig("mode", "ckpt");
   report.SetConfig("smoke", smoke ? 1.0 : 0.0);
   report.SetConfig("window_sectors", kCkptWindowSectors);
   report.SetConfig("daemon_crash_points", "one checkpoint cycle, worst");

@@ -1,14 +1,12 @@
 #include "src/crash/faultcampaign.h"
 
-#include <algorithm>
 #include <fstream>
-#include <map>
+#include <optional>
 #include <set>
 #include <utility>
 
 #include "src/crash/harness.h"
 #include "src/util/check.h"
-#include "src/util/crc32.h"
 #include "src/util/random.h"
 
 namespace cedar::crash {
@@ -76,14 +74,7 @@ Result<CampaignReport> FaultCampaign::Run() {
   // A pristine, cleanly-shut-down volume with one baseline file; every
   // case replays from this exact image (the snapshot carries the — empty —
   // fault state too, so cases cannot leak faults into each other).
-  {
-    core::Fsd fsd(disk_.get(), config_);
-    CEDAR_RETURN_IF_ERROR(fsd.Format());
-    CEDAR_RETURN_IF_ERROR(
-        fsd.CreateFile("base", Pattern(kBaselineBytes, kBaselineSeed))
-            .status());
-    CEDAR_RETURN_IF_ERROR(fsd.Shutdown());
-  }
+  CEDAR_RETURN_IF_ERROR(FormatBaseVolume(disk_.get(), config_));
   base_ = disk_->Snapshot();
   {
     // On a private clock and disk, so the cases run exactly as they would
@@ -278,14 +269,7 @@ CampaignCase FaultCampaign::RunCase(FaultClass fault_class,
   // marks its file "suspect": its on-disk bytes are whatever the partial
   // op left, so content checks don't apply until a later op succeeds.
   const std::vector<Step> steps = StandardWorkload();
-  FileModel model;
-  model.files["base"] = Pattern(kBaselineBytes, kBaselineSeed);
-  std::map<std::string, std::vector<ContentVersion>> history;
-  history["base"].push_back(VersionOf(-1, model.files["base"]));
-  std::map<std::string, ContentVersion> acked = {
-      {"base", history["base"].back()}};
-  int ack_step = -1;
-  std::map<std::string, std::vector<int>> delete_steps;
+  History history;
   std::set<std::string> suspects;
 
   for (std::size_t s = 0; s < steps.size(); ++s) {
@@ -294,20 +278,15 @@ CampaignCase FaultCampaign::RunCase(FaultClass fault_class,
     if (!st.ok()) {
       // The workload script is written for the fault-free trajectory;
       // once an attributed failure dropped a version, later steps can fail
-      // in ways the MODEL itself predicts (an overwrite running off the
+      // in ways the History itself predicts (an overwrite running off the
       // end of the surviving older version, an op on a never-created
       // name). Such failures are consistent behavior, not damage. The
       // same goes for any failure on an already-suspect file — that
       // cascade was attributed when the first step failed. Anything else
       // must carry attribution.
-      bool expected = !step.name.empty() && suspects.contains(step.name);
-      if (!expected && step.kind == Step::Kind::kOverwrite) {
-        auto it = model.files.find(step.name);
-        expected = it == model.files.end() ||
-                   step.offset + step.data.size() > it->second.size();
-      }
-      if (expected) {
-        continue;  // model state unchanged; the file stays as known
+      if (suspects.contains(step.name) ||
+          (step.kind == Step::Kind::kOverwrite && !history.Fits(step))) {
+        continue;  // the History is unchanged; the file stays as known
       }
       if (!AttributedCode(st.code())) {
         fail("step " + std::to_string(s) + " failed unattributed (" +
@@ -319,28 +298,8 @@ CampaignCase FaultCampaign::RunCase(FaultClass fault_class,
       }
       continue;
     }
-    model.Apply(step);
-    switch (step.kind) {
-      case Step::Kind::kCreate:
-      case Step::Kind::kOverwrite:
-        history[step.name].push_back(
-            VersionOf(static_cast<int>(s), model.files.at(step.name)));
-        suspects.erase(step.name);
-        break;
-      case Step::Kind::kDelete:
-        delete_steps[step.name].push_back(static_cast<int>(s));
-        suspects.erase(step.name);
-        break;
-      case Step::Kind::kForce:
-      case Step::Kind::kShutdown:
-        ack_step = static_cast<int>(s);
-        acked.clear();
-        for (const auto& [name, bytes] : model.files) {
-          acked[name] = history.at(name).back();
-        }
-        break;
-      default:
-        break;
+    if (history.Apply(static_cast<int>(s), step)) {
+      suspects.erase(step.name);
     }
   }
   result.data_faults = data_lbas.size();
@@ -432,26 +391,14 @@ CampaignCase FaultCampaign::RunCase(FaultClass fault_class,
   // ---- The media contract, file by file. OK reads must match SOME
   // content the workload actually wrote; errors must be attributed; an
   // acked file may be lost only with attribution.
-  auto acceptable = [&](const std::string& name, std::uint32_t crc,
-                        std::uint64_t size) {
-    auto it = history.find(name);
-    if (it == history.end()) {
-      return false;
-    }
-    return std::any_of(it->second.begin(), it->second.end(),
-                       [&](const ContentVersion& v) {
-                         return v.crc == crc && v.size == size;
-                       });
-  };
-  auto deleted_after_ack = [&](const std::string& name) {
-    auto it = delete_steps.find(name);
-    if (it == delete_steps.end()) {
-      return false;
-    }
-    return std::any_of(it->second.begin(), it->second.end(),
-                       [&](int d) { return d > ack_step; });
-  };
-  for (const auto& [name, versions] : history) {
+  const int end = static_cast<int>(steps.size());
+  const ForcePoint acked = history.ForcedBefore(end);
+  for (const auto& [name, versions] : history.contents()) {
+    // A file the last force acked and no later step touched must hold
+    // that content or a later one; a rollback is as silent as a bad byte.
+    const bool acked_live = acked.files.contains(name) &&
+                            !history.DeletedIn(name, acked.step, end) &&
+                            !suspects.contains(name);
     auto got = ReadFileCrc(after.get(), name);
     if (!got.ok()) {
       const ErrorCode code = got.status().code();
@@ -460,8 +407,7 @@ CampaignCase FaultCampaign::RunCase(FaultClass fault_class,
              std::string(got.status().message()));
         continue;
       }
-      if (acked.contains(name) && !deleted_after_ack(name) &&
-          !suspects.contains(name)) {
+      if (acked_live) {
         if (code == ErrorCode::kNotFound &&
             result.health.unrepairable == 0) {
           fail("acked file '" + name + "' vanished without attribution");
@@ -471,12 +417,12 @@ CampaignCase FaultCampaign::RunCase(FaultClass fault_class,
       }
       continue;
     }
-    if (!acceptable(name, got->first, got->second) &&
-        !suspects.contains(name)) {
+    const int from = acked_live ? acked.files.at(name).step : -1;
+    if (!history.Wrote(name, *got, from, end) && !suspects.contains(name)) {
       ++result.escapes;
       fail("SILENT CORRUPTION: '" + name +
-           "' reads OK with content the workload never wrote (crc " +
-           std::to_string(got->first) + ", size " +
+           "' reads OK with content never written or older than its ack "
+           "(crc " + std::to_string(got->first) + ", size " +
            std::to_string(got->second) + ")");
     }
   }
@@ -485,26 +431,12 @@ CampaignCase FaultCampaign::RunCase(FaultClass fault_class,
   // a probe. Attributed write failures are tolerated (a dead log or spare
   // exhaustion is reported damage, not silence); a lying readback is not.
   if (!result.degraded) {
-    const std::vector<std::uint8_t> probe = Pattern(1400, 77);
-    Status created = after->CreateFile("zz.probe", probe).status();
-    if (created.ok()) {
-      created = after->Force();
-    }
-    if (created.ok()) {
-      auto got = ReadFileCrc(after.get(), "zz.probe");
-      if (!got.ok()) {
-        if (!AttributedCode(got.status().code())) {
-          fail("probe readback failed unattributed: " +
-               std::string(got.status().message()));
-        }
-      } else if (got->first != Crc32(probe) ||
-                 got->second != probe.size()) {
-        ++result.escapes;
-        fail("probe readback corrupt");
-      }
-    } else if (!AttributedCode(created.code())) {
-      fail("probe create/force failed unattributed: " +
-           std::string(created.message()));
+    Result<bool> probe = ProbeVolume(after.get());
+    if (!probe.ok() && !AttributedCode(probe.status().code())) {
+      fail(std::string(probe.status().message()) + " (unattributed)");
+    } else if (probe.ok() && !*probe) {
+      ++result.escapes;
+      fail("probe readback corrupt");
     }
   }
 

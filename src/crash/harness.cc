@@ -7,7 +7,6 @@
 
 #include "src/obs/trace.h"
 #include "src/util/check.h"
-#include "src/util/crc32.h"
 #include "src/util/random.h"
 
 namespace cedar::crash {
@@ -22,7 +21,8 @@ std::string PlanLabel(const sim::CrashPlan& plan) {
   if (!plan.drop_writes.empty()) {
     label += " drop{";
     for (std::size_t i = 0; i < plan.drop_writes.size(); ++i) {
-      label += (i != 0 ? "," : "") + std::to_string(plan.drop_writes[i]);
+      label += i != 0 ? "," : "";
+      label += std::to_string(plan.drop_writes[i]);
     }
     label += "}";
   }
@@ -30,17 +30,6 @@ std::string PlanLabel(const sim::CrashPlan& plan) {
 }
 
 }  // namespace
-
-Result<std::pair<std::uint32_t, std::uint64_t>> ReadFileCrc(
-    fs::FileSystem* file_system, const std::string& name) {
-  CEDAR_ASSIGN_OR_RETURN(fs::FileHandle handle, file_system->Open(name));
-  std::vector<std::uint8_t> buf(handle.byte_size);
-  if (!buf.empty()) {
-    CEDAR_RETURN_IF_ERROR(file_system->Read(handle, 0, buf));
-  }
-  CEDAR_RETURN_IF_ERROR(file_system->Close(handle));
-  return std::make_pair(Crc32(buf), handle.byte_size);
-}
 
 core::FsdConfig CrashHarness::FsdConfigFor(bool vam_logging) {
   core::FsdConfig config;
@@ -94,16 +83,8 @@ Result<HarnessReport> CrashHarness::Run() {
     disk_ = std::move(disks);
   }
 
-  // Phase A: a pristine, cleanly-shut-down volume with one baseline file.
-  // Every case replays from this exact image.
-  {
-    core::Fsd fsd(disk_.get(), config_);
-    CEDAR_RETURN_IF_ERROR(fsd.Format());
-    CEDAR_RETURN_IF_ERROR(
-        fsd.CreateFile("base", Pattern(kBaselineBytes, kBaselineSeed))
-            .status());
-    CEDAR_RETURN_IF_ERROR(fsd.Shutdown());
-  }
+  // Phase A: every case replays from this exact image.
+  CEDAR_RETURN_IF_ERROR(FormatBaseVolume(disk_.get(), config_));
   base_ = disk_->SnapshotDevice();
   if (!disk_->DeviceStateEquals(base_)) {
     return MakeError(ErrorCode::kInternal,
@@ -158,53 +139,17 @@ Result<RecordedRun> CrashHarness::Record() {
   disk_->set_tracer(&tracer);
   const std::uint64_t writes0 = disk_->stats().writes;
 
-  FileModel model;
-  model.files["base"] = Pattern(kBaselineBytes, kBaselineSeed);
-  ForcePoint baseline;
-  for (const auto& [name, bytes] : model.files) {
-    const ContentVersion version = VersionOf(-1, bytes);
-    baseline.files[name] = version;
-    run.history[name].push_back(version);
-  }
-  run.forces.push_back(std::move(baseline));
-
   for (std::size_t s = 0; s < run.steps.size(); ++s) {
     const Step& step = run.steps[s];
-    StepBound bound;
-    bound.writes_before = disk_->stats().writes - writes0;
+    const std::uint64_t before = disk_->stats().writes - writes0;
     if (Status status = ExecuteStep(fsd.get(), step); !status.ok()) {
       disk_->set_tracer(nullptr);
       return MakeError(ErrorCode::kInternal,
                        "recording run failed at step " + std::to_string(s) +
                            ": " + std::string(status.message()));
     }
-    bound.writes_after = disk_->stats().writes - writes0;
-    run.bounds.push_back(bound);
-    model.Apply(step);
-    switch (step.kind) {
-      case Step::Kind::kCreate:
-      case Step::Kind::kOverwrite:
-        run.history[step.name].push_back(
-            VersionOf(static_cast<int>(s), model.files.at(step.name)));
-        break;
-      case Step::Kind::kDelete:
-        run.delete_steps[step.name].push_back(static_cast<int>(s));
-        break;
-      case Step::Kind::kForce:
-      case Step::Kind::kShutdown: {
-        ForcePoint fp;
-        fp.step = static_cast<int>(s);
-        fp.writes = bound.writes_after;
-        for (const auto& [name, bytes] : model.files) {
-          // history.back() is the version that produced the current bytes.
-          fp.files[name] = run.history.at(name).back();
-        }
-        run.forces.push_back(std::move(fp));
-        break;
-      }
-      default:
-        break;
-    }
+    run.bounds.push_back({before, disk_->stats().writes - writes0});
+    run.history.Apply(static_cast<int>(s), step);
   }
   disk_->set_tracer(nullptr);
   run.metrics = fsd->SnapshotMetrics();
@@ -460,64 +405,36 @@ std::string CrashHarness::VerifyRecovered(core::Fsd& fsd,
     return why;
   }
 
-  // 2. The durability oracle.
+  // 2. The durability oracle, asked about the step in flight at the cut
+  // and the file that step was working on.
   int crash_step = static_cast<int>(run.steps.size());
+  std::string casualty;
   for (std::size_t s = 0; s < run.bounds.size(); ++s) {
     if (run.bounds[s].writes_after > w) {
       crash_step = static_cast<int>(s);
+      casualty = run.steps[s].name;
       break;
     }
   }
-  const ForcePoint* fp = &run.forces.front();
-  for (const ForcePoint& f : run.forces) {
-    if (f.writes <= w) {
-      fp = &f;
-    }
-  }
-  const std::string casualty =
-      crash_step < static_cast<int>(run.steps.size())
-          ? run.steps[static_cast<std::size_t>(crash_step)].name
-          : "";
+  const ForcePoint fp = run.history.ForcedBefore(crash_step);
 
-  auto acceptable = [&](const std::string& name, std::uint32_t crc,
-                        std::uint64_t size) {
-    auto it = run.history.find(name);
-    if (it == run.history.end()) {
-      return false;
-    }
-    for (const ContentVersion& v : it->second) {
-      if (v.step <= crash_step && v.crc == crc && v.size == size) {
-        return true;
-      }
-    }
-    return false;
-  };
-  auto deleted_after_force = [&](const std::string& name) {
-    auto it = run.delete_steps.find(name);
-    if (it == run.delete_steps.end()) {
-      return false;
-    }
-    for (int d : it->second) {
-      if (d > fp->step && d <= crash_step) {
-        return true;
-      }
-    }
-    return false;
-  };
   auto check_required = [&](const char* phase) -> std::string {
-    for (const auto& [name, version] : fp->files) {
+    for (const auto& [name, version] : fp.files) {
       if (name == casualty) {
         continue;  // the op in flight at the cut may have damaged its file
       }
+      // A delete since the force may have committed: it explains an
+      // absence, and deleting the newest version brings the one before
+      // back. Otherwise the file holds what the force covered or later.
+      const bool deleted = run.history.DeletedIn(name, fp.step, crash_step);
       auto got = ReadFileCrc(&fsd, name);
-      if (!got.ok()) {
-        if (deleted_after_force(name)) {
-          continue;  // a later (possibly committed) delete explains absence
-        }
+      if (!got.ok() && !deleted) {
         return std::string(phase) + ": forced file '" + name +
                "' unreadable: " + std::string(got.status().message());
       }
-      if (!acceptable(name, got->first, got->second)) {
+      if (got.ok() && !run.history.Wrote(name, *got,
+                                         deleted ? -1 : version.step,
+                                         crash_step)) {
         return std::string(phase) + ": forced file '" + name +
                "' has unacceptable content (crc " +
                std::to_string(got->first) + ", size " +
@@ -532,22 +449,18 @@ std::string CrashHarness::VerifyRecovered(core::Fsd& fsd,
   }
   // Files not covered by the force point: allowed to be absent, but when
   // present they must hold one of the contents the workload actually wrote.
-  for (const auto& [name, versions] : run.history) {
-    if (fp->files.contains(name) || name == casualty) {
+  for (const auto& [name, versions] : run.history.contents()) {
+    if (fp.files.contains(name) || name == casualty) {
       continue;
-    }
-    bool created_by_now = false;
-    for (const ContentVersion& v : versions) {
-      created_by_now = created_by_now || v.step <= crash_step;
     }
     auto got = ReadFileCrc(&fsd, name);
     if (!got.ok()) {
       continue;
     }
-    if (!created_by_now) {
+    if (!run.history.CreatedBy(name, crash_step)) {
       return "ghost file '" + name + "' exists before its create ran";
     }
-    if (!acceptable(name, got->first, got->second)) {
+    if (!run.history.Wrote(name, *got, -1, crash_step)) {
       return "uncommitted file '" + name + "' has unacceptable content";
     }
   }
@@ -555,19 +468,11 @@ std::string CrashHarness::VerifyRecovered(core::Fsd& fsd,
   // 3. The volume still works: create-force-read a probe, then re-verify
   // the forced files — if recovery left the VAM claiming a live sector
   // free, the probe's allocation overwrites it and this catches it.
-  const std::vector<std::uint8_t> probe = Pattern(1400, 77);
-  if (Status status = fsd.CreateFile("zz.probe", probe).status();
-      !status.ok()) {
-    return "probe create failed: " + std::string(status.message());
+  Result<bool> probe = ProbeVolume(&fsd);
+  if (!probe.ok()) {
+    return std::string(probe.status().message());
   }
-  if (Status status = fsd.Force(); !status.ok()) {
-    return "probe force failed: " + std::string(status.message());
-  }
-  auto got = ReadFileCrc(&fsd, "zz.probe");
-  if (!got.ok()) {
-    return "probe readback failed: " + std::string(got.status().message());
-  }
-  if (got->first != Crc32(probe) || got->second != probe.size()) {
+  if (!*probe) {
     return "probe readback corrupt";
   }
   return check_required("post-probe");

@@ -11,7 +11,7 @@
 //      HarnessOptions::topology) with the DiskTracer attached, capturing the
 //      complete write schedule: every write request's LBA, length, issuing
 //      FS op, and IoScheduler batch, plus per-step write-count boundaries
-//      and a durability oracle snapshot at every completed Force().
+//      and the History of every content, delete and completed Force().
 //   2. ENUMERATE — for every write index W in the schedule, build crash
 //      variants: a clean cut (write W vanishes entirely), torn prefixes
 //      (1..n-1 sectors of W transferred, 0-2 damaged at the cut), and —
@@ -37,7 +37,6 @@
 #define CEDAR_CRASH_HARNESS_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -48,7 +47,6 @@
 #include "src/sim/clock.h"
 #include "src/sim/device.h"
 #include "src/sim/disk.h"
-#include "src/util/crc32.h"
 #include "src/util/status.h"
 
 namespace cedar::crash {
@@ -107,44 +105,11 @@ struct StepBound {
   std::uint64_t writes_after = 0;
 };
 
-// One content a file legitimately held, tagged with the step that produced
-// it. After a crash at step S, a file's recovered bytes must match SOME
-// version with step <= S (data writes are synchronous, metadata commits at
-// forces — so any prefix of the step sequence is an acceptable world).
-struct ContentVersion {
-  int step = -1;  // -1 = baseline (created before the recorded run)
-  std::uint32_t crc = 0;
-  std::uint64_t size = 0;
-};
-inline ContentVersion VersionOf(int step,
-                                std::span<const std::uint8_t> bytes) {
-  return ContentVersion{
-      .step = step, .crc = Crc32(bytes), .size = bytes.size()};
-}
-
-// A whole file read back: its CRC and size, what the oracles compare.
-Result<std::pair<std::uint32_t, std::uint64_t>> ReadFileCrc(
-    fs::FileSystem* file_system, const std::string& name);
-
-// The baseline file every base image holds before the recorded run.
-inline constexpr std::size_t kBaselineBytes = 1500;
-inline constexpr std::uint8_t kBaselineSeed = 101;
-
-// Durability snapshot at a completed Force(): everything here was acked as
-// durable and must survive any later crash.
-struct ForcePoint {
-  int step = -1;
-  std::uint64_t writes = 0;  // schedule position when the force returned
-  std::map<std::string, ContentVersion> files;
-};
-
 struct RecordedRun {
   std::vector<Step> steps;
   std::vector<ScheduleEntry> writes;
-  std::vector<StepBound> bounds;              // parallel to steps
-  std::vector<ForcePoint> forces;             // [0] = pre-workload baseline
-  std::map<std::string, std::vector<ContentVersion>> history;
-  std::map<std::string, std::vector<int>> delete_steps;
+  std::vector<StepBound> bounds;  // parallel to steps
+  History history;                // what the steps did: the oracle
   // FSD's metrics registry at the end of the recording (e.g. how many
   // checkpoint batches the schedule holds).
   obs::MetricsSnapshot metrics;

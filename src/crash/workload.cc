@@ -2,9 +2,21 @@
 
 #include <algorithm>
 
+#include "src/core/fsd.h"
 #include "src/util/check.h"
+#include "src/util/crc32.h"
 
 namespace cedar::crash {
+namespace {
+
+// Creates the baseline file every base image holds before the workload.
+Step BaselineFile() {
+  return Step{.kind = Step::Kind::kCreate,
+              .name = "base",
+              .data = Pattern(1500, 101)};
+}
+
+}  // namespace
 
 std::vector<std::uint8_t> Pattern(std::size_t n, std::uint8_t seed) {
   std::vector<std::uint8_t> out(n);
@@ -214,25 +226,124 @@ Status ExecuteStep(fs::FileSystem* fs, const Step& step) {
   return MakeError(ErrorCode::kInvalidArgument, "unknown step kind");
 }
 
-void FileModel::Apply(const Step& step) {
+Status FormatBaseVolume(sim::BlockDevice* device,
+                        const core::FsdConfig& config) {
+  core::Fsd fsd(device, config);
+  CEDAR_RETURN_IF_ERROR(fsd.Format());
+  CEDAR_RETURN_IF_ERROR(ExecuteStep(&fsd, BaselineFile()));
+  return fsd.Shutdown();
+}
+
+Result<FileCrc> ReadFileCrc(fs::FileSystem* file_system,
+                            const std::string& name) {
+  CEDAR_ASSIGN_OR_RETURN(fs::FileHandle handle, file_system->Open(name));
+  std::vector<std::uint8_t> buf(handle.byte_size);
+  if (!buf.empty()) {
+    CEDAR_RETURN_IF_ERROR(file_system->Read(handle, 0, buf));
+  }
+  CEDAR_RETURN_IF_ERROR(file_system->Close(handle));
+  return FileCrc{Crc32(buf), handle.byte_size};
+}
+
+Result<bool> ProbeVolume(fs::FileSystem* file_system) {
+  auto failed = [](const char* call, const Status& status) {
+    return MakeError(status.code(), "probe " + std::string(call) +
+                                        " failed: " + status.message());
+  };
+  const std::vector<std::uint8_t> probe = Pattern(1400, 77);
+  if (Status status = file_system->CreateFile("zz.probe", probe).status();
+      !status.ok()) {
+    return failed("create", status);
+  }
+  if (Status status = file_system->Force(); !status.ok()) {
+    return failed("force", status);
+  }
+  Result<FileCrc> got = ReadFileCrc(file_system, "zz.probe");
+  if (!got.ok()) {
+    return failed("readback", got.status());
+  }
+  return *got == FileCrc{Crc32(probe), probe.size()};
+}
+
+History::History() {
+  Apply(-1, BaselineFile());
+  forces_.push_back(-1);
+}
+
+bool History::Apply(int s, const Step& step) {
   switch (step.kind) {
     case Step::Kind::kCreate:
-      files[step.name] = step.data;
+      files_[step.name] = step.data;
       break;
-    case Step::Kind::kOverwrite: {
-      auto it = files.find(step.name);
-      CEDAR_CHECK(it != files.end());
-      CEDAR_CHECK(step.offset + step.data.size() <= it->second.size());
+    case Step::Kind::kOverwrite:
+      CEDAR_CHECK(Fits(step));
       std::copy(step.data.begin(), step.data.end(),
-                it->second.begin() + static_cast<std::ptrdiff_t>(step.offset));
+                files_.at(step.name).begin() +
+                    static_cast<std::ptrdiff_t>(step.offset));
       break;
-    }
     case Step::Kind::kDelete:
-      files.erase(step.name);
-      break;
+      files_.erase(step.name);
+      deletes_[step.name].push_back(s);
+      return true;
+    case Step::Kind::kForce:
+    case Step::Kind::kShutdown:
+      forces_.push_back(s);
+      return false;
     default:
-      break;  // keep/touch/force/shutdown do not change contents
+      return false;  // keep/touch/checkpoint do not change contents
   }
+  const std::vector<std::uint8_t>& bytes = files_.at(step.name);
+  contents_[step.name].push_back(ContentVersion{
+      .step = s, .crc = Crc32(bytes), .size = bytes.size()});
+  return true;
+}
+
+bool History::Fits(const Step& step) const {
+  auto it = files_.find(step.name);
+  return it != files_.end() &&
+         step.offset + step.data.size() <= it->second.size();
+}
+
+bool History::Wrote(const std::string& name, const FileCrc& content,
+                    int from, int upto) const {
+  auto it = contents_.find(name);
+  return it != contents_.end() &&
+         std::any_of(it->second.begin(), it->second.end(),
+                     [&](const ContentVersion& v) {
+                       return v.step >= from && v.step <= upto &&
+                              FileCrc{v.crc, v.size} == content;
+                     });
+}
+
+bool History::DeletedIn(const std::string& name, int after,
+                        int upto) const {
+  auto it = deletes_.find(name);
+  return it != deletes_.end() &&
+         std::any_of(it->second.begin(), it->second.end(),
+                     [&](int d) { return d > after && d <= upto; });
+}
+
+bool History::CreatedBy(const std::string& name, int upto) const {
+  auto it = contents_.find(name);
+  return it != contents_.end() && it->second.front().step <= upto;
+}
+
+ForcePoint History::ForcedBefore(int s) const {
+  auto it = std::find_if(forces_.rbegin(), forces_.rend(),
+                         [&](int f) { return f < s; });
+  CEDAR_CHECK(it != forces_.rend());
+  ForcePoint fp{.step = *it, .files = {}};
+  for (const auto& [name, versions] : contents_) {
+    // What the file held when the force ran, unless a delete since that
+    // write had removed it.
+    auto v = std::find_if(
+        versions.rbegin(), versions.rend(),
+        [&](const ContentVersion& c) { return c.step <= fp.step; });
+    if (v != versions.rend() && !DeletedIn(name, v->step, fp.step)) {
+      fp.files[name] = *v;
+    }
+  }
+  return fp;
 }
 
 }  // namespace cedar::crash

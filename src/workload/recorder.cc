@@ -25,11 +25,6 @@ std::vector<TraceEntry> RecordingFs::Trace() const {
   return trace_;
 }
 
-std::uint64_t RecordingFs::recorded_ops() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return trace_.size();
-}
-
 void RecordingFs::Record(TraceOp op, std::string name, std::uint64_t arg0,
                          std::uint64_t arg1, std::uint64_t arg2) {
   // Handle-based ops on a handle we never saw open resolve to an empty

@@ -42,7 +42,6 @@ class RecordingFs : public fs::FileSystem {
 
   // The captured trace so far (copy; safe while recording continues).
   std::vector<TraceEntry> Trace() const;
-  std::uint64_t recorded_ops() const;
 
   // Tenant context for the calling thread; used by ScopedTenant.
   static void SetThreadTenant(std::uint16_t tenant);

@@ -5,6 +5,8 @@
 // enumerates every clean cut of the standard workload and a sampled set of
 // torn/reorder variants, recovers at each, and requires Fsd::Fsck() plus
 // the durability oracle to pass everywhere (double-crash included). The
+// History tests run each of the oracle's rules on both sides, since a
+// passing sweep never takes a reject path. The
 // remaining tests pin the satellite behaviours individually: transient
 // read errors retried then surfaced, crashed-disk snapshot/image fidelity,
 // double crash during replay, Scrub() after track loss, and regression
@@ -26,6 +28,7 @@
 #include "src/crash/workload.h"
 #include "src/sim/clock.h"
 #include "src/sim/disk.h"
+#include "src/util/crc32.h"
 
 namespace cedar::crash {
 namespace {
@@ -37,6 +40,184 @@ sim::CrashPlan CleanCut(std::uint64_t at_write_index) {
   sim::CrashPlan plan;
   plan.at_write_index = at_write_index;
   return plan;
+}
+
+// ---------------------------------------------------------------------------
+// The durability oracle.
+
+FileCrc CrcOf(const std::vector<std::uint8_t>& bytes) {
+  return FileCrc{Crc32(bytes), bytes.size()};
+}
+
+// A seven-step script with the content `a` holds after each of its steps:
+// 0 creates a, 1 forces, 2 overwrites a, 3 creates b, 4 deletes a, 5 forces,
+// 6 creates a again.
+class HistoryTest : public ::testing::Test {
+ protected:
+  HistoryTest() {
+    Step create_a{.kind = Step::Kind::kCreate,
+                  .name = "a",
+                  .data = Pattern(1000, 1)};
+    Step overwrite_a{.kind = Step::Kind::kOverwrite,
+                     .name = "a",
+                     .offset = 100,
+                     .data = Pattern(200, 2)};
+    Step create_b{.kind = Step::Kind::kCreate,
+                  .name = "b",
+                  .data = Pattern(300, 3)};
+    Step delete_a{.kind = Step::Kind::kDelete, .name = "a", .data = {}};
+    const Step force{};  // a Step is a Force() unless told otherwise
+    a0_ = create_a.data;
+    a2_ = a0_;
+    std::copy(overwrite_a.data.begin(), overwrite_a.data.end(),
+              a2_.begin() + 100);
+    a6_ = Pattern(900, 6);
+    const Step recreate_a{.kind = Step::Kind::kCreate,
+                          .name = "a",
+                          .data = a6_};
+    steps_ = {create_a, force,    overwrite_a, create_b,
+              delete_a, force,    recreate_a};
+    for (std::size_t s = 0; s < steps_.size(); ++s) {
+      changed_.push_back(history_.Apply(static_cast<int>(s), steps_[s]));
+    }
+  }
+
+  std::vector<Step> steps_;
+  History history_;
+  std::vector<bool> changed_;
+  std::vector<std::uint8_t> a0_, a2_, a6_;
+};
+
+TEST_F(HistoryTest, ApplyReportsWhichStepsChangedAFile) {
+  EXPECT_EQ(changed_, (std::vector<bool>{true, false, true, true, true,
+                                         false, true}));
+  ASSERT_EQ(history_.contents().at("a").size(), 3u);
+  EXPECT_EQ(history_.contents().at("a")[1].step, 2);
+  EXPECT_EQ(history_.contents().at("b").front().step, 3);
+}
+
+TEST_F(HistoryTest, ForcedFileMustHoldAForceTimeContent) {
+  // A crash inside step 2: the force at step 1 covers a as created.
+  const ForcePoint fp = history_.ForcedBefore(2);
+  EXPECT_EQ(fp.step, 1);
+  ASSERT_TRUE(fp.files.contains("a"));
+  EXPECT_EQ(fp.files.at("a").step, 0);
+  EXPECT_EQ(fp.files.at("a").crc, Crc32(a0_));
+  EXPECT_TRUE(history_.Wrote("a", CrcOf(a0_), 0, 2));
+  EXPECT_TRUE(history_.Wrote("a", CrcOf(a2_), 0, 2));
+  // Bytes the workload never wrote are refused however late the crash.
+  std::vector<std::uint8_t> torn = a2_;
+  torn[150] ^= 0x40;
+  EXPECT_FALSE(history_.Wrote("a", CrcOf(torn), -1, 6));
+  // So is the right CRC at the wrong size, and any content of a name the
+  // workload never wrote.
+  EXPECT_FALSE(history_.Wrote("a", FileCrc{Crc32(a0_), 999}, -1, 6));
+  EXPECT_FALSE(history_.Wrote("zz", CrcOf(a0_), -1, 6));
+
+  // Force the overwrite instead of creating b: a crash inside step 4 must
+  // find a2, and a0 is now a rollback of a forced update.
+  History forced;
+  for (int s = 0; s < 3; ++s) {
+    forced.Apply(s, steps_[static_cast<std::size_t>(s)]);
+  }
+  forced.Apply(3, Step{});
+  const ForcePoint later = forced.ForcedBefore(4);
+  EXPECT_EQ(later.step, 3);
+  ASSERT_TRUE(later.files.contains("a"));
+  EXPECT_EQ(later.files.at("a").step, 2);
+  EXPECT_TRUE(forced.Wrote("a", CrcOf(a2_), later.files.at("a").step, 4));
+  EXPECT_FALSE(forced.Wrote("a", CrcOf(a0_), later.files.at("a").step, 4));
+  // When a delete since the force may have run, the judges ask from -1
+  // (deleting the newest version brings the one before back): a0 passes.
+  EXPECT_TRUE(forced.Wrote("a", CrcOf(a0_), -1, 4));
+}
+
+TEST_F(HistoryTest, ContentFirstWrittenAfterTheCrashStepIsRefused) {
+  EXPECT_FALSE(history_.Wrote("a", CrcOf(a2_), -1, 1));
+  EXPECT_TRUE(history_.Wrote("a", CrcOf(a2_), -1, 2));
+  EXPECT_FALSE(history_.Wrote("a", CrcOf(a6_), -1, 5));
+  EXPECT_TRUE(history_.Wrote("a", CrcOf(a6_), -1, 6));
+  // A force covers the content the file held when it ran.
+  EXPECT_EQ(history_.ForcedBefore(7).step, 5);
+  EXPECT_FALSE(history_.ForcedBefore(7).files.contains("a"));
+  EXPECT_EQ(history_.ForcedBefore(7).files.at("b").step, 3);
+}
+
+TEST_F(HistoryTest, OnlyADeleteBetweenTheForceAndTheCrashExplainsAbsence) {
+  // Crash inside step 4 (the delete itself) or 5: a was forced at step 1
+  // and the delete at step 4 may have committed.
+  EXPECT_TRUE(history_.DeletedIn("a", 1, 4));
+  EXPECT_TRUE(history_.DeletedIn("a", 1, 5));
+  // Crash inside step 3: the delete had not run yet.
+  EXPECT_FALSE(history_.DeletedIn("a", 1, 3));
+  // The force at step 5 ran after the delete; it explains nothing later.
+  EXPECT_FALSE(history_.DeletedIn("a", 5, 6));
+  // b was never deleted.
+  EXPECT_FALSE(history_.DeletedIn("b", -1, 6));
+}
+
+TEST_F(HistoryTest, NameCreatedAfterTheCrashStepIsAGhost) {
+  EXPECT_FALSE(history_.CreatedBy("b", 2));
+  EXPECT_TRUE(history_.CreatedBy("b", 3));
+  EXPECT_TRUE(history_.CreatedBy("a", 0));
+  EXPECT_FALSE(history_.CreatedBy("never", 6));
+}
+
+TEST_F(HistoryTest, OverwriteFitsOnlyInsideTheCurrentContent) {
+  Step step{.kind = Step::Kind::kOverwrite,
+            .name = "a",
+            .offset = 800,
+            .data = Pattern(100, 9)};
+  EXPECT_TRUE(history_.Fits(step));  // a holds 900 bytes
+  step.offset = 801;
+  EXPECT_FALSE(history_.Fits(step));
+  step.name = "gone";
+  EXPECT_FALSE(history_.Fits(step));
+}
+
+// The base image's file is in every History, durable before step 0.
+TEST(HistoryBaselineTest, BaselineCountsAsDurable) {
+  sim::VirtualClock clock;
+  sim::SimDisk disk(sim::TestGeometry(), sim::DiskTimingParams{}, &clock);
+  const FsdConfig config = CrashHarness::FsdConfigFor(false);
+  ASSERT_TRUE(FormatBaseVolume(&disk, config).ok());
+  Fsd fsd(&disk, config);
+  ASSERT_TRUE(fsd.Mount().ok());
+  Result<FileCrc> base = ReadFileCrc(&fsd, "base");
+  ASSERT_TRUE(base.ok()) << base.status().message();
+
+  const History history;
+  const ForcePoint fp = history.ForcedBefore(0);
+  EXPECT_EQ(fp.step, -1);
+  ASSERT_TRUE(fp.files.contains("base"));
+  EXPECT_EQ(fp.files.at("base").crc, base->first);
+  EXPECT_TRUE(history.Wrote("base", *base, -1, -1));
+  EXPECT_TRUE(history.CreatedBy("base", -1));
+  EXPECT_EQ(history.contents().size(), 1u);
+}
+
+// The probe reads back what it wrote on a writable volume; on a read-only
+// one the failing call's code and name come back.
+TEST(HistoryBaselineTest, ProbeNamesTheCallThatFailed) {
+  sim::VirtualClock clock;
+  sim::SimDisk disk(sim::TestGeometry(), sim::DiskTimingParams{}, &clock);
+  const FsdConfig config = CrashHarness::FsdConfigFor(false);
+  ASSERT_TRUE(FormatBaseVolume(&disk, config).ok());
+  {
+    Fsd fsd(&disk, config);
+    ASSERT_TRUE(fsd.MountDegraded().ok());
+    Result<bool> probe = ProbeVolume(&fsd);
+    ASSERT_FALSE(probe.ok());
+    EXPECT_EQ(probe.status().code(), ErrorCode::kFailedPrecondition);
+    EXPECT_EQ(probe.status().message().rfind("probe create failed: ", 0),
+              0u)
+        << probe.status().message();
+  }
+  Fsd fsd(&disk, config);
+  ASSERT_TRUE(fsd.Mount().ok());
+  Result<bool> probe = ProbeVolume(&fsd);
+  ASSERT_TRUE(probe.ok()) << probe.status().message();
+  EXPECT_TRUE(*probe);
 }
 
 // ---------------------------------------------------------------------------

@@ -15,6 +15,9 @@
 //   crashtest --dump-dir=DIR        dump failing disk images + schedules
 //   crashtest --quiet               summary + failures only, no table
 //
+// Each N is a whole unsigned decimal; any other value exits 2 with the
+// usage line.
+//
 // For each crash point of the standard create/write/rename/delete workload
 // the harness clones the volume, arms the crash, recovers with Mount(),
 // and judges the result with Fsd::Fsck() plus a durability oracle (every
@@ -23,7 +26,6 @@
 // every enumerated case passes in every requested mode.
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <inttypes.h>
 #include <map>
@@ -31,6 +33,7 @@
 #include <vector>
 
 #include "src/crash/harness.h"
+#include "tools/parse_whole.h"
 
 namespace {
 
@@ -39,6 +42,7 @@ using cedar::crash::CrashHarness;
 using cedar::crash::HarnessOptions;
 using cedar::crash::HarnessReport;
 using cedar::crash::ScheduleEntry;
+using cedar::tools::ParseWhole;
 
 struct PointRow {
   std::uint64_t cases = 0;
@@ -112,6 +116,7 @@ int main(int argc, char** argv) {
     auto value = [&](const char* prefix) -> const char* {
       return arg.c_str() + std::strlen(prefix);
     };
+    bool ok = true;
     if (arg == "--exhaustive") {
       exhaustive = true;
     } else if (arg == "--quiet") {
@@ -119,19 +124,21 @@ int main(int argc, char** argv) {
     } else if (arg == "--ckpt-daemon") {
       checkpoint_daemon = true;
     } else if (arg.rfind("--max-cases=", 0) == 0) {
-      max_cases = std::strtoull(value("--max-cases="), nullptr, 10);
+      ok = ParseWhole(value("--max-cases="), &max_cases);
     } else if (arg.rfind("--double-crash=", 0) == 0) {
-      double_crash = static_cast<std::uint32_t>(
-          std::strtoul(value("--double-crash="), nullptr, 10));
+      ok = ParseWhole(value("--double-crash="), &double_crash);
     } else if (arg.rfind("--seed=", 0) == 0) {
-      seed = std::strtoull(value("--seed="), nullptr, 10);
+      ok = ParseWhole(value("--seed="), &seed);
     } else if (arg.rfind("--cache-frames=", 0) == 0) {
-      cache_frames = std::strtoull(value("--cache-frames="), nullptr, 10);
+      ok = ParseWhole(value("--cache-frames="), &cache_frames);
     } else if (arg.rfind("--dump-dir=", 0) == 0) {
       dump_dir = value("--dump-dir=");
     } else if (arg.rfind("--mode=", 0) == 0) {
       mode = value("--mode=");
     } else {
+      ok = false;
+    }
+    if (!ok) {
       std::fprintf(stderr,
                    "usage: crashtest [--exhaustive] [--quiet] "
                    "[--mode=plain|vamlog|both] [--max-cases=N] "

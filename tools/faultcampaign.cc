@@ -9,6 +9,9 @@
 //   faultcampaign --dump-dir=DIR      dump failing disk images + notes
 //   faultcampaign --quiet             summary + failures only, no table
 //
+// Each N is a whole unsigned decimal; any other value exits 2 with the
+// usage line.
+//
 // Each case restores a pristine volume, injects one fault class under the
 // seed's RNG, runs the standard crash-harness workload, remounts, scrubs,
 // runs Fsck, and verifies the media contract: every acked byte survives
@@ -17,7 +20,6 @@
 // is 0 only when every case passes.
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <inttypes.h>
 #include <map>
@@ -25,6 +27,7 @@
 #include <vector>
 
 #include "src/crash/faultcampaign.h"
+#include "tools/parse_whole.h"
 
 namespace {
 
@@ -34,6 +37,7 @@ using cedar::crash::CampaignReport;
 using cedar::crash::FaultCampaign;
 using cedar::crash::FaultClass;
 using cedar::crash::FaultClassName;
+using cedar::tools::ParseWhole;
 
 struct ClassRow {
   std::uint64_t cases = 0;
@@ -129,14 +133,15 @@ int main(int argc, char** argv) {
     auto value = [&](const char* prefix) -> const char* {
       return arg.c_str() + std::strlen(prefix);
     };
+    bool ok = true;
     if (arg == "--smoke") {
       options.seeds = 4;
     } else if (arg == "--quiet") {
       quiet = true;
     } else if (arg.rfind("--seeds=", 0) == 0) {
-      options.seeds = std::strtoull(value("--seeds="), nullptr, 10);
+      ok = ParseWhole(value("--seeds="), &options.seeds);
     } else if (arg.rfind("--seed-base=", 0) == 0) {
-      options.seed_base = std::strtoull(value("--seed-base="), nullptr, 10);
+      ok = ParseWhole(value("--seed-base="), &options.seed_base);
     } else if (arg.rfind("--classes=", 0) == 0) {
       if (!ParseClasses(value("--classes="), &options.classes)) {
         std::fprintf(stderr, "faultcampaign: bad --classes '%s'\n",
@@ -146,6 +151,9 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--dump-dir=", 0) == 0) {
       options.dump_dir = value("--dump-dir=");
     } else {
+      ok = false;
+    }
+    if (!ok) {
       std::fprintf(stderr,
                    "usage: faultcampaign [--smoke] [--seeds=N] "
                    "[--seed-base=N] [--classes=a,b] [--dump-dir=DIR] "
