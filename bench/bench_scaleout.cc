@@ -31,18 +31,18 @@
 #include "src/util/random.h"
 #include "src/volume/rig.h"
 #include "src/volume/router.h"
-#include "src/workload/replay.h"
-#include "src/workload/zipf.h"
+#include "src/workload/workload.h"
 
 namespace cedar::bench {
 namespace {
 
 struct ScaleoutShape {
-  std::uint32_t ops = 4000;
-  std::uint32_t files_per_tenant = 64;
-  std::uint32_t tenants = 8;
-  double zipf_s = 1.0;
-  std::uint64_t seed = 1987;
+  // Volume sweep: the tenant mix with a rename round trip in op slot 6.
+  workload::TenantMix mix{.ops = 4000,
+                          .files_per_tenant = 64,
+                          .tenants = 8,
+                          .seed = 1987,
+                          .rename_slot = true};
   // Spindle sweep: bulk sequential transfers (big files hit the big-file
   // area and stream whole chunks, the striping sweet spot).
   std::uint32_t bulk_files = 12;
@@ -51,8 +51,8 @@ struct ScaleoutShape {
 
 ScaleoutShape SmokeShape() {
   ScaleoutShape shape;
-  shape.ops = 640;
-  shape.files_per_tenant = 24;
+  shape.mix.ops = 640;
+  shape.mix.files_per_tenant = 24;
   shape.bulk_files = 6;
   shape.bulk_kb = 48;
   return shape;
@@ -109,93 +109,28 @@ VolumePoint RunVolumeSweep(const ScaleoutShape& shape,
       MakeRigConfig(volumes, /*spindles=*/1, sim::ArrayMode::kStriped));
   vol::VolumeRouter& router = rig.router();
 
-  Rng rng(shape.seed);
-  workload::ZipfSampler zipf(shape.files_per_tenant, shape.zipf_s);
-  std::vector<std::uint8_t> payload;
   std::vector<std::uint64_t> per_volume_ops(volumes, 0);
   VolumePoint point;
   point.volumes = volumes;
+  // Think time on the OWNING volume only: each shard is an independent
+  // machine, its group-commit deadline runs on its own clock.
+  auto updates = workload::RunTenantMix(
+      &router, shape.mix, [&](const std::string& name, sim::Micros think) {
+        const std::uint32_t v = vol::VolumeRouter::VolumeOf(name, volumes);
+        ++per_volume_ops[v];
+        rig.clock(v).Advance(think);
+        return rig.fsd(v).Tick();
+      });
+  CEDAR_CHECK_OK(updates.status());
+  point.updates = *updates;
 
-  for (std::uint32_t i = 0; i < shape.ops; ++i) {
-    const auto tenant = static_cast<std::uint16_t>(i % shape.tenants);
-    const std::uint32_t rank = zipf.Sample(rng);
-    const std::string name = workload::TenantPrefix(tenant) + "f" +
-                             std::to_string(rank) + ".db";
-    const std::uint32_t v =
-        vol::VolumeRouter::VolumeOf(name, volumes);
-    ++per_volume_ops[v];
-    switch (rng.Below(8)) {
-      case 0:
-      case 1: {  // (re)create with fresh contents
-        payload.resize(rng.Between(256, 4096));
-        for (auto& b : payload) {
-          b = static_cast<std::uint8_t>(rng.Next());
-        }
-        CEDAR_CHECK_OK(router.CreateFile(name, payload).status());
-        ++point.updates;
-        break;
-      }
-      case 2:
-      case 3:
-      case 4: {  // read the hot head of the file
-        auto handle = router.Open(name);
-        if (handle.ok() && handle.value().byte_size > 0) {
-          payload.resize(
-              std::min<std::uint64_t>(handle.value().byte_size, 4096));
-          CEDAR_CHECK_OK(router.Read(handle.value(), 0, payload));
-          CEDAR_CHECK_OK(router.Close(handle.value()));
-        }
-        break;
-      }
-      case 5: {  // overwrite in place
-        auto handle = router.Open(name);
-        if (handle.ok() && handle.value().byte_size > 0) {
-          payload.resize(
-              std::min<std::uint64_t>(handle.value().byte_size, 512));
-          for (auto& b : payload) {
-            b = static_cast<std::uint8_t>(rng.Next());
-          }
-          CEDAR_CHECK_OK(router.Write(handle.value(), 0, payload));
-          CEDAR_CHECK_OK(router.Close(handle.value()));
-          ++point.updates;
-        }
-        break;
-      }
-      case 6: {  // shuffle a file to a rotated name: exercises the router's
-                 // rename path, cross-volume two-step included
-        const std::string to = workload::TenantPrefix(tenant) + "mv" +
-                               std::to_string(rank) + ".db";
-        if (router.Rename(name, to).ok()) {
-          ++point.updates;
-          (void)router.Rename(to, name);  // put it back for later rounds
-          ++point.updates;
-        }
-        break;
-      }
-      default:
-        if (rng.Chance(0.25)) {
-          if (router.DeleteFile(name).ok()) {
-            ++point.updates;
-          }
-        } else {
-          (void)router.Touch(name);
-        }
-        break;
-    }
-    // Think time on the OWNING volume only: each shard is an independent
-    // machine, its group-commit deadline runs on its own clock.
-    rig.clock(v).Advance(rng.Between(1, 15) * sim::kMillisecond);
-    CEDAR_CHECK_OK(rig.fsd(v).Tick());
-  }
-  CEDAR_CHECK_OK(router.Force());
-
-  point.ops = shape.ops;
+  point.ops = shape.mix.ops;
   point.elapsed = rig.MaxElapsed();
   for (std::uint32_t v = 0; v < volumes; ++v) {
     point.forces += rig.fsd(v).SnapshotMetrics().CounterValue("fsd.forces");
     point.busiest_share =
         std::max(point.busiest_share, static_cast<double>(per_volume_ops[v]) /
-                                          static_cast<double>(shape.ops));
+                                          static_cast<double>(shape.mix.ops));
   }
   point.cross_renames =
       router.Metrics().Snapshot().CounterValue("router.cross_renames");
@@ -232,7 +167,7 @@ SpindlePoint RunSpindleSweep(const ScaleoutShape& shape,
   if (std::getenv("SCALEOUT_TRACE") != nullptr) {
     rig.device(0).set_tracer(&tracer);
   }
-  Rng rng(shape.seed ^ 0xBDBD);
+  Rng rng(shape.mix.seed ^ 0xBDBD);
 
   std::vector<std::uint8_t> payload(shape.bulk_kb * 1024u);
   const sim::Micros before = rig.clock(0).now();
@@ -282,11 +217,11 @@ SpindlePoint RunSpindleSweep(const ScaleoutShape& shape,
 
 BenchReport RunScaleoutBench(const ScaleoutShape& shape, bool smoke) {
   BenchReport report("scaleout");
-  report.SetConfig("ops", shape.ops);
-  report.SetConfig("files_per_tenant", shape.files_per_tenant);
-  report.SetConfig("tenants", shape.tenants);
-  report.SetConfig("zipf_s", shape.zipf_s);
-  report.SetConfig("seed", static_cast<double>(shape.seed));
+  report.SetConfig("ops", shape.mix.ops);
+  report.SetConfig("files_per_tenant", shape.mix.files_per_tenant);
+  report.SetConfig("tenants", shape.mix.tenants);
+  report.SetConfig("zipf_s", shape.mix.zipf_s);
+  report.SetConfig("seed", static_cast<double>(shape.mix.seed));
   report.SetConfig("smoke", smoke ? 1.0 : 0.0);
   report.SetConfig("volumes", "1,2,4,8");
   report.SetConfig("spindles", "1,2,4 striped + 2 mirrored");
@@ -295,7 +230,7 @@ BenchReport RunScaleoutBench(const ScaleoutShape& shape, bool smoke) {
   report.SetConfig("bulk_kb", shape.bulk_kb);
 
   std::printf("Volume sweep: %u ops, %u tenants, Zipf(s=%.2f)\n\n",
-              shape.ops, shape.tenants, shape.zipf_s);
+              shape.mix.ops, shape.mix.tenants, shape.mix.zipf_s);
   std::printf("%8s %10s %12s %14s %10s %8s\n", "volumes", "updates",
               "ops/vsec", "forces/update", "xrenames", "hot%");
   char key[64];

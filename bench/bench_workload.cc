@@ -24,29 +24,17 @@
 #include "src/core/fsd.h"
 #include "src/obs/benchcmp.h"
 #include "src/obs/trace.h"
-#include "src/util/random.h"
 #include "src/workload/recorder.h"
 #include "src/workload/replay.h"
 #include "src/workload/trace.h"
-#include "src/workload/zipf.h"
+#include "src/workload/workload.h"
 
 namespace cedar::bench {
 namespace {
 
-struct WorkloadShape {
-  std::uint32_t ops = 6000;
-  std::uint32_t files_per_tenant = 200;
-  std::uint32_t tenants = 3;
-  double zipf_s = 1.0;
-  std::uint64_t seed = 42;
-};
+using cedar::workload::TenantMix;
 
-WorkloadShape SmokeShape() {
-  WorkloadShape shape;
-  shape.ops = 360;
-  shape.files_per_tenant = 40;
-  return shape;
-}
+TenantMix SmokeShape() { return {.ops = 360, .files_per_tenant = 40}; }
 
 // The CPU-scale knob exists for the gate selftest: it models running the
 // same workload on a slower machine (or a CPU regression) without changing
@@ -66,80 +54,25 @@ cedar::core::FsdConfig BenchConfig(double cpu_scale, bool commit_daemon) {
   return config;
 }
 
-// Records the 3-tenant Zipf workload against a live FSD wrapped in
-// RecordingFs. The op stream is pure Rng — independent of timing — so two
-// recordings with the same shape capture the same trace no matter how fast
-// the machine underneath runs.
+// Records the 3-tenant Zipf mix against a live FSD wrapped in RecordingFs.
+// The op stream is pure Rng — independent of timing — so two recordings
+// with the same shape capture the same trace no matter how fast the
+// machine underneath runs.
 std::vector<cedar::workload::TraceEntry> RecordWorkload(
-    const WorkloadShape& shape, double cpu_scale) {
-  using cedar::workload::RecordingFs;
-  using cedar::workload::ScopedTenant;
+    const TenantMix& shape, double cpu_scale) {
   Rig rig;
   cedar::core::Fsd fsd(&rig.disk, BenchConfig(cpu_scale, false));
   CEDAR_CHECK_OK(fsd.Format());
-  RecordingFs rec(&fsd, &rig.clock);
-
-  Rng rng(shape.seed);
-  cedar::workload::ZipfSampler zipf(shape.files_per_tenant, shape.zipf_s);
-  std::vector<std::uint8_t> payload;
-  for (std::uint32_t i = 0; i < shape.ops; ++i) {
-    const auto tenant = static_cast<std::uint16_t>(i % shape.tenants);
-    ScopedTenant scope(tenant);
-    const std::uint32_t rank = zipf.Sample(rng);
-    const std::string name = cedar::workload::TenantPrefix(tenant) + "f" +
-                             std::to_string(rank) + ".db";
-    switch (rng.Below(8)) {
-      case 0:
-      case 1: {  // (re)create: a fresh version with fresh contents
-        payload.resize(rng.Between(256, 4096));
-        for (auto& b : payload) {
-          b = static_cast<std::uint8_t>(rng.Next());
-        }
-        CEDAR_CHECK_OK(rec.CreateFile(name, payload).status());
-        break;
-      }
-      case 2:
-      case 3:
-      case 4: {  // read the hot range of the file
-        auto handle = rec.Open(name);
-        if (handle.ok() && handle.value().byte_size > 0) {
-          payload.resize(std::min<std::uint64_t>(
-              handle.value().byte_size, 4096));
-          CEDAR_CHECK_OK(rec.Read(handle.value(), 0, payload));
-          CEDAR_CHECK_OK(rec.Close(handle.value()));
-        }
-        break;
-      }
-      case 5: {  // overwrite the file's head in place
-        auto handle = rec.Open(name);
-        if (handle.ok() && handle.value().byte_size > 0) {
-          payload.resize(std::min<std::uint64_t>(
-              handle.value().byte_size, 512));
-          for (auto& b : payload) {
-            b = static_cast<std::uint8_t>(rng.Next());
-          }
-          CEDAR_CHECK_OK(rec.Write(handle.value(), 0, payload));
-          CEDAR_CHECK_OK(rec.Close(handle.value()));
-        }
-        break;
-      }
-      case 6:
-        (void)rec.Touch(name);  // kNotFound before first create: recorded
-        break;
-      default:
-        if (rng.Chance(0.25)) {
-          (void)rec.DeleteFile(name);
-        } else {
-          (void)rec.Touch(name);
-        }
-        break;
-    }
-    // Think time: lets the group-commit deadline fire as it would under a
-    // live load; the recorder stamps each op's virtual timestamp.
-    rig.clock.Advance(rng.Between(1, 15) * cedar::sim::kMillisecond);
-    CEDAR_CHECK_OK(fsd.Tick());
-  }
-  CEDAR_CHECK_OK(rec.Force());
+  cedar::workload::RecordingFs rec(&fsd, &rig.clock);
+  // Think time lets the group-commit deadline fire as it would under a
+  // live load; the recorder stamps each op's virtual timestamp.
+  CEDAR_CHECK_OK(cedar::workload::RunTenantMix(
+                     &rec, shape,
+                     [&](const std::string&, cedar::sim::Micros think) {
+                       rig.clock.Advance(think);
+                       return fsd.Tick();
+                     })
+                     .status());
   std::vector<cedar::workload::TraceEntry> trace = rec.Trace();
   CEDAR_CHECK_OK(fsd.Shutdown());
 
@@ -230,7 +163,7 @@ void AddLatencyInfo(BenchReport& report, const ReplayPoint& point,
                  static_cast<double>(hist->Percentile(0.99)));
 }
 
-BenchReport RunWorkloadBench(const WorkloadShape& shape, double cpu_scale,
+BenchReport RunWorkloadBench(const TenantMix& shape, double cpu_scale,
                              bool smoke) {
   std::printf("Recording %u ops, %u tenants, Zipf(s=%.2f) over %u files "
               "per tenant...\n",
@@ -326,7 +259,7 @@ BenchReport RunWorkloadBench(const WorkloadShape& shape, double cpu_scale,
 // Proves the gate fires: identical runs PASS, a CPU-slowed run REGRESSES,
 // and tampered reports are refused. Returns the process exit code.
 int GateSelftest() {
-  const WorkloadShape shape = SmokeShape();
+  const TenantMix shape = SmokeShape();
   int failures = 0;
   auto expect = [&](bool cond, const char* what) {
     std::printf("gate-selftest: %-40s %s\n", what, cond ? "ok" : "FAIL");
@@ -392,7 +325,7 @@ int main(int argc, char** argv) {
       StringFlag(argc, argv, "--json", "BENCH_workload.json");
 
   std::printf("Trace-driven workload replay (3 tenants, Zipf)\n\n");
-  const WorkloadShape shape = smoke ? SmokeShape() : WorkloadShape{};
+  const TenantMix shape = smoke ? SmokeShape() : TenantMix{};
   BenchReport report = RunWorkloadBench(shape, cpu_scale, smoke);
   CEDAR_CHECK_OK(report.WriteFile(json_path));
   return 0;

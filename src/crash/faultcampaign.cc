@@ -84,8 +84,8 @@ Result<CampaignReport> FaultCampaign::Run() {
     disk.Restore(base_);
     core::Fsd fsd(&disk, config_);
     CEDAR_RETURN_IF_ERROR(fsd.Mount());
-    for (const Step& step : StandardWorkload()) {
-      CEDAR_RETURN_IF_ERROR(ExecuteStep(&fsd, step));
+    for (const workload::TraceEntry& step : StandardWorkload()) {
+      CEDAR_RETURN_IF_ERROR(ApplyStep(&fsd, step));
     }
     const core::FsdLayout& layout = fsd.layout();
     live_data_.clear();
@@ -268,25 +268,21 @@ CampaignCase FaultCampaign::RunCase(FaultClass fault_class,
   // was told) — but only with an attributed error code, and a failed step
   // marks its file "suspect": its on-disk bytes are whatever the partial
   // op left, so content checks don't apply until a later op succeeds.
-  const std::vector<Step> steps = StandardWorkload();
+  const std::vector<workload::TraceEntry> steps = StandardWorkload();
   History history;
   std::set<std::string> suspects;
 
   for (std::size_t s = 0; s < steps.size(); ++s) {
-    const Step& step = steps[s];
-    Status st = ExecuteStep(fsd.get(), step);
+    const workload::TraceEntry& step = steps[s];
+    Status st = ApplyStep(fsd.get(), step);
     if (!st.ok()) {
-      // The workload script is written for the fault-free trajectory;
-      // once an attributed failure dropped a version, later steps can fail
-      // in ways the History itself predicts (an overwrite running off the
-      // end of the surviving older version, an op on a never-created
-      // name). Such failures are consistent behavior, not damage. The
-      // same goes for any failure on an already-suspect file — that
-      // cascade was attributed when the first step failed. Anything else
-      // must carry attribution.
-      if (suspects.contains(step.name) ||
-          (step.kind == Step::Kind::kOverwrite && !history.Fits(step))) {
-        continue;  // the History is unchanged; the file stays as known
+      // A failure on an already-suspect file is the cascade of an
+      // attributed one: the History is unchanged and the file stays as
+      // known. Anything else must carry attribution. (A write clamps to
+      // the file's current size, so one on a surviving older version
+      // lands, and the History records what it wrote.)
+      if (suspects.contains(step.name)) {
+        continue;
       }
       if (!AttributedCode(st.code())) {
         fail("step " + std::to_string(s) + " failed unattributed (" +
@@ -388,44 +384,9 @@ CampaignCase FaultCampaign::RunCase(FaultClass fault_class,
     }
   }
 
-  // ---- The media contract, file by file. OK reads must match SOME
-  // content the workload actually wrote; errors must be attributed; an
-  // acked file may be lost only with attribution.
-  const int end = static_cast<int>(steps.size());
-  const ForcePoint acked = history.ForcedBefore(end);
-  for (const auto& [name, versions] : history.contents()) {
-    // A file the last force acked and no later step touched must hold
-    // that content or a later one; a rollback is as silent as a bad byte.
-    const bool acked_live = acked.files.contains(name) &&
-                            !history.DeletedIn(name, acked.step, end) &&
-                            !suspects.contains(name);
-    auto got = ReadFileCrc(after.get(), name);
-    if (!got.ok()) {
-      const ErrorCode code = got.status().code();
-      if (!AttributedCode(code)) {
-        fail("file '" + name + "' unreadable with unattributed error: " +
-             std::string(got.status().message()));
-        continue;
-      }
-      if (acked_live) {
-        if (code == ErrorCode::kNotFound &&
-            result.health.unrepairable == 0) {
-          fail("acked file '" + name + "' vanished without attribution");
-          continue;
-        }
-        ++result.attributed_losses;
-      }
-      continue;
-    }
-    const int from = acked_live ? acked.files.at(name).step : -1;
-    if (!history.Wrote(name, *got, from, end) && !suspects.contains(name)) {
-      ++result.escapes;
-      fail("SILENT CORRUPTION: '" + name +
-           "' reads OK with content never written or older than its ack "
-           "(crc " + std::to_string(got->first) + ", size " +
-           std::to_string(got->second) + ")");
-    }
-  }
+  // ---- The media contract, file by file.
+  JudgeFiles(after.get(), history, static_cast<int>(steps.size()), suspects,
+             &result);
 
   // ---- The volume still works (writable mounts only): create-force-read
   // a probe. Attributed write failures are tolerated (a dead log or spare
@@ -442,6 +403,53 @@ CampaignCase FaultCampaign::RunCase(FaultClass fault_class,
 
   result.pass = result.failure.empty();
   return result;
+}
+
+void FaultCampaign::JudgeFiles(fs::FileSystem* file_system,
+                               const History& history, int end,
+                               const std::set<std::string>& suspects,
+                               CampaignCase* result) {
+  auto fail = [&](std::string why) {
+    if (result->failure.empty()) {
+      result->failure = std::move(why);
+    }
+  };
+  // OK reads must match SOME content the workload actually wrote; errors
+  // must be attributed; an acked file may be lost only with attribution.
+  const ForcePoint acked = history.ForcedBefore(end);
+  for (const auto& [name, versions] : history.contents()) {
+    // A file the last force acked and no later step touched must hold
+    // that content or a later one; a rollback is as silent as a bad byte.
+    const bool acked_live = acked.files.contains(name) &&
+                            !history.DeletedIn(name, acked.step, end) &&
+                            !suspects.contains(name);
+    auto got = ReadFileCrc(file_system, name);
+    if (!got.ok()) {
+      const ErrorCode code = got.status().code();
+      if (!AttributedCode(code)) {
+        fail("file '" + name + "' unreadable with unattributed error: " +
+             std::string(got.status().message()));
+        continue;
+      }
+      if (acked_live) {
+        if (code == ErrorCode::kNotFound &&
+            result->health.unrepairable == 0) {
+          fail("acked file '" + name + "' vanished without attribution");
+          continue;
+        }
+        ++result->attributed_losses;
+      }
+      continue;
+    }
+    const int from = acked_live ? acked.files.at(name).step : -1;
+    if (!history.Wrote(name, *got, from, end) && !suspects.contains(name)) {
+      ++result->escapes;
+      fail("SILENT CORRUPTION: '" + name +
+           "' reads OK with content never written or older than its ack "
+           "(crc " + std::to_string(got->first) + ", size " +
+           std::to_string(got->second) + ")");
+    }
+  }
 }
 
 void FaultCampaign::DumpFailure(const CampaignCase& result) {

@@ -43,6 +43,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -116,6 +117,17 @@ class FaultCampaign {
   // Runs every (class, seed) case and returns the full report.
   // Deterministic for fixed options.
   Result<CampaignReport> Run();
+
+  // The media contract, file by file, on the remounted volume of a case
+  // whose workload ran `end` steps: a file the last force acked must hold
+  // that content or a later one, or be lost with attribution; any other
+  // file that reads must hold content the workload wrote; a file in
+  // `suspects` (its last step failed attributed) may hold anything. Counts
+  // attributed losses and escapes into `result` and keeps its first
+  // failure.
+  static void JudgeFiles(fs::FileSystem* file_system, const History& history,
+                         int end, const std::set<std::string>& suspects,
+                         CampaignCase* result);
 
  private:
   CampaignCase RunCase(FaultClass fault_class, std::uint64_t seed);

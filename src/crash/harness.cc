@@ -140,9 +140,9 @@ Result<RecordedRun> CrashHarness::Record() {
   const std::uint64_t writes0 = disk_->stats().writes;
 
   for (std::size_t s = 0; s < run.steps.size(); ++s) {
-    const Step& step = run.steps[s];
+    const workload::TraceEntry& step = run.steps[s];
     const std::uint64_t before = disk_->stats().writes - writes0;
-    if (Status status = ExecuteStep(fsd.get(), step); !status.ok()) {
+    if (Status status = ApplyStep(fsd.get(), step); !status.ok()) {
       disk_->set_tracer(nullptr);
       return MakeError(ErrorCode::kInternal,
                        "recording run failed at step " + std::to_string(s) +
@@ -286,8 +286,8 @@ void CrashHarness::RunCase(const RecordedRun& run, const CrashCase& c,
     return;
   }
   disk_->ArmCrash(c.plan);
-  for (const Step& step : run.steps) {
-    if (!ExecuteStep(fsd.get(), step).ok()) {
+  for (const workload::TraceEntry& step : run.steps) {
+    if (!ApplyStep(fsd.get(), step).ok()) {
       break;
     }
   }
@@ -416,8 +416,13 @@ std::string CrashHarness::VerifyRecovered(core::Fsd& fsd,
       break;
     }
   }
-  const ForcePoint fp = run.history.ForcedBefore(crash_step);
+  return JudgeFiles(&fsd, run.history, crash_step, casualty);
+}
 
+std::string CrashHarness::JudgeFiles(fs::FileSystem* file_system,
+                                     const History& history, int crash_step,
+                                     const std::string& casualty) {
+  const ForcePoint fp = history.ForcedBefore(crash_step);
   auto check_required = [&](const char* phase) -> std::string {
     for (const auto& [name, version] : fp.files) {
       if (name == casualty) {
@@ -426,15 +431,15 @@ std::string CrashHarness::VerifyRecovered(core::Fsd& fsd,
       // A delete since the force may have committed: it explains an
       // absence, and deleting the newest version brings the one before
       // back. Otherwise the file holds what the force covered or later.
-      const bool deleted = run.history.DeletedIn(name, fp.step, crash_step);
-      auto got = ReadFileCrc(&fsd, name);
+      const bool deleted = history.DeletedIn(name, fp.step, crash_step);
+      auto got = ReadFileCrc(file_system, name);
       if (!got.ok() && !deleted) {
         return std::string(phase) + ": forced file '" + name +
                "' unreadable: " + std::string(got.status().message());
       }
-      if (got.ok() && !run.history.Wrote(name, *got,
-                                         deleted ? -1 : version.step,
-                                         crash_step)) {
+      if (got.ok() &&
+          !history.Wrote(name, *got, deleted ? -1 : version.step,
+                         crash_step)) {
         return std::string(phase) + ": forced file '" + name +
                "' has unacceptable content (crc " +
                std::to_string(got->first) + ", size " +
@@ -449,18 +454,18 @@ std::string CrashHarness::VerifyRecovered(core::Fsd& fsd,
   }
   // Files not covered by the force point: allowed to be absent, but when
   // present they must hold one of the contents the workload actually wrote.
-  for (const auto& [name, versions] : run.history.contents()) {
+  for (const auto& [name, versions] : history.contents()) {
     if (fp.files.contains(name) || name == casualty) {
       continue;
     }
-    auto got = ReadFileCrc(&fsd, name);
+    auto got = ReadFileCrc(file_system, name);
     if (!got.ok()) {
       continue;
     }
-    if (!run.history.CreatedBy(name, crash_step)) {
+    if (!history.CreatedBy(name, crash_step)) {
       return "ghost file '" + name + "' exists before its create ran";
     }
-    if (!run.history.Wrote(name, *got, -1, crash_step)) {
+    if (!history.Wrote(name, *got, -1, crash_step)) {
       return "uncommitted file '" + name + "' has unacceptable content";
     }
   }
@@ -468,7 +473,7 @@ std::string CrashHarness::VerifyRecovered(core::Fsd& fsd,
   // 3. The volume still works: create-force-read a probe, then re-verify
   // the forced files — if recovery left the VAM claiming a live sector
   // free, the probe's allocation overwrites it and this catches it.
-  Result<bool> probe = ProbeVolume(&fsd);
+  Result<bool> probe = ProbeVolume(file_system);
   if (!probe.ok()) {
     return std::string(probe.status().message());
   }

@@ -6,7 +6,7 @@
 // sectors). This harness checks that claim mechanically instead of
 // anecdotally:
 //
-//   1. RECORD — run a scripted create/write/rename/delete workload once
+//   1. RECORD — run a scripted create/write/rename/delete trace once
 //      against the device (a SimDisk, or a striped/mirrored DiskArray per
 //      HarnessOptions::topology) with the DiskTracer attached, capturing the
 //      complete write schedule: every write request's LBA, length, issuing
@@ -106,7 +106,7 @@ struct StepBound {
 };
 
 struct RecordedRun {
-  std::vector<Step> steps;
+  std::vector<workload::TraceEntry> steps;
   std::vector<ScheduleEntry> writes;
   std::vector<StepBound> bounds;  // parallel to steps
   History history;                // what the steps did: the oracle
@@ -162,6 +162,16 @@ class CrashHarness {
   // The FSD configuration the harness uses (small log so the schedule
   // crosses log thirds; exposed for tests that pin schedules).
   static core::FsdConfig FsdConfigFor(bool vam_logging);
+
+  // The oracle's verdict on the files of a volume recovered from a crash
+  // inside step `crash_step`, whose step worked on `casualty`: "" when
+  // every file the last force covered holds that content or a later one
+  // (or a later delete explains its absence), every other file is absent
+  // or holds content written by then, and a probe file reads back; else
+  // the first failed check.
+  static std::string JudgeFiles(fs::FileSystem* file_system,
+                                const History& history, int crash_step,
+                                const std::string& casualty);
 
  private:
   // Restores the base image together with its clocks and head positions,

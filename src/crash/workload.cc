@@ -5,108 +5,95 @@
 #include "src/core/fsd.h"
 #include "src/util/check.h"
 #include "src/util/crc32.h"
+#include "src/workload/workload.h"
 
 namespace cedar::crash {
 namespace {
 
+using workload::TraceEntry;
+using workload::TraceOp;
+
 // Creates the baseline file every base image holds before the workload.
-Step BaselineFile() {
-  return Step{.kind = Step::Kind::kCreate,
-              .name = "base",
-              .data = Pattern(1500, 101)};
-}
+TraceEntry BaselineFile() { return {TraceOp::kCreate, "base", 1500, 101}; }
 
 }  // namespace
 
-std::vector<std::uint8_t> Pattern(std::size_t n, std::uint8_t seed) {
-  std::vector<std::uint8_t> out(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = static_cast<std::uint8_t>(seed + i * 131 + (i >> 8));
-  }
-  return out;
-}
-
-std::vector<Step> StandardWorkload() {
-  using K = Step::Kind;
-  std::vector<Step> steps;
-  auto add = [&](K kind, std::string name) -> Step& {
-    Step step;
-    step.kind = kind;
-    step.name = std::move(name);
-    steps.push_back(std::move(step));
-    return steps.back();
+std::vector<TraceEntry> StandardWorkload() {
+  std::vector<TraceEntry> steps;
+  auto add = [&](TraceOp op, std::string name = "", std::uint64_t arg0 = 0) {
+    steps.push_back(TraceEntry{op, std::move(name), arg0});
   };
-  auto create = [&](std::string name, std::size_t bytes, std::uint8_t seed) {
-    add(K::kCreate, std::move(name)).data = Pattern(bytes, seed);
+  auto create = [&](std::string name, std::uint64_t bytes,
+                    std::uint64_t seed) {
+    steps.push_back(
+        TraceEntry{TraceOp::kCreate, std::move(name), bytes, seed});
   };
-  auto overwrite = [&](std::string name, std::uint64_t offset,
-                       std::size_t bytes, std::uint8_t seed) {
-    Step& step = add(K::kOverwrite, std::move(name));
-    step.offset = offset;
-    step.data = Pattern(bytes, seed);
+  auto overwrite = [&](const std::string& name, std::uint64_t offset,
+                       std::uint64_t bytes, std::uint64_t seed) {
+    steps.push_back(TraceEntry{TraceOp::kWrite, name, offset, bytes, seed});
+    add(TraceOp::kClose, name);
   };
 
   create("alpha", 1800, 3);
   create("beta", 700, 7);
-  add(K::kForce, "");
+  add(TraceOp::kForce);
   overwrite("alpha", 600, 900, 11);  // straddles sector boundaries -> RMW
   create("gamma", 300, 13);
-  add(K::kForce, "");
+  add(TraceOp::kForce);
   // Cedar "rename"/replace: version v+1 of beta with keep=1 prunes v1.
-  add(K::kSetKeep, "beta").keep = 1;
+  add(TraceOp::kSetKeep, "beta", 1);
   create("beta", 1200, 17);
-  add(K::kForce, "");
-  add(K::kDelete, "gamma");
+  add(TraceOp::kForce);
+  add(TraceOp::kDelete, "gamma");
   create("delta", 3000, 19);
-  add(K::kForce, "");
+  add(TraceOp::kForce);
   overwrite("beta", 0, 512, 23);
-  add(K::kTouch, "delta");
-  add(K::kForce, "");
-  add(K::kDelete, "alpha");
+  add(TraceOp::kTouch, "delta");
+  add(TraceOp::kForce);
+  add(TraceOp::kDelete, "alpha");
   create("epsilon", 2200, 29);
-  add(K::kForce, "");
+  add(TraceOp::kForce);
   // Widen the name table to several B-tree pages and keep forcing so the
   // log crosses a third mid-workload: third entry then issues a real
   // IoScheduler home-flush batch, whose scattered dirty pages give the
   // reorder enumerator multi-write batches to cut (an orderly Shutdown
   // alone tends to produce one coalesced write per copy).
   for (int i = 0; i < 20; ++i) {
-    create("mid/f" + std::to_string(i), 400 + 130 * static_cast<std::size_t>(i),
-           static_cast<std::uint8_t>(31 + 2 * i));
+    create("mid/f" + std::to_string(i), 400 + 130 * i, 31 + 2 * i);
     if (i % 3 == 2) {
-      add(K::kForce, "");
+      add(TraceOp::kForce);
     }
   }
-  add(K::kDelete, "mid/f4");
-  add(K::kDelete, "mid/f9");
+  add(TraceOp::kDelete, "mid/f4");
+  add(TraceOp::kDelete, "mid/f9");
   overwrite("mid/f1", 0, 300, 57);
-  add(K::kForce, "");
+  add(TraceOp::kForce);
   // Touch files far apart in the name order so non-adjacent tree pages go
   // dirty between consecutive flushes.
   overwrite("beta", 550, 400, 59);
   overwrite("mid/f11", 100, 800, 61);
-  add(K::kDelete, "mid/f0");
-  add(K::kForce, "");
+  add(TraceOp::kDelete, "mid/f0");
+  add(TraceOp::kForce);
   create("omega", 1700, 63);
-  add(K::kForce, "");
+  add(TraceOp::kForce);
   // A mid-workload synchronous checkpoint: its home-write batches and the
   // later pointer-advance write are crash points the enumerator must cut
   // inside (the pointer must never surface without the home writes).
-  add(K::kCheckpoint, "");
+  add(TraceOp::kCheckpoint);
   // Push the log past its first third: the third entry fired here issues the
   // mid-workload IoScheduler batch the reorder enumerator needs.
   overwrite("mid/f7", 200, 600, 65);
   create("aa/head", 900, 67);
-  add(K::kForce, "");
+  add(TraceOp::kForce);
   overwrite("omega", 0, 450, 69);
-  add(K::kDelete, "mid/f2");
-  add(K::kForce, "");
+  add(TraceOp::kDelete, "mid/f2");
+  add(TraceOp::kForce);
   // Dirty name-distant files after that flush so the dirty page set at
   // Shutdown has gaps -> multiple non-adjacent writes per home-flush batch.
   overwrite("aa/head", 128, 256, 71);
   overwrite("mid/f11", 0, 128, 73);
   create("zz/tail", 640, 75);
-  add(K::kForce, "");
+  add(TraceOp::kForce);
   // Churn name-table metadata until the log wraps back into its first
   // third: third entry only has victim pages once the third being entered
   // holds logged images, so the wrap is what produces the mid-workload
@@ -122,19 +109,19 @@ std::vector<Step> StandardWorkload() {
     static const char* kChurnNames[] = {"ba/c0", "na/c1", "ra/c2",
                                         "da/c3", "ta/c4", "ha/c5"};
     const std::string name = kChurnNames[i % 6];
-    create(name, 420 + 60 * static_cast<std::size_t>(i % 4),
-           static_cast<std::uint8_t>(80 + i));
-    add(K::kForce, "");
+    create(name, 420 + 60 * (i % 4), 80 + i);
+    add(TraceOp::kForce);
     if (i % 4 == 3) {
-      add(K::kTouch, "mid/f" + std::to_string(kTouchTargets[(i / 4) % 8]));
+      add(TraceOp::kTouch,
+          "mid/f" + std::to_string(kTouchTargets[(i / 4) % 8]));
     }
-    add(K::kDelete, name);
-    add(K::kForce, "");
+    add(TraceOp::kDelete, name);
+    add(TraceOp::kForce);
     if (i == 5 || i == 11) {
       // Checkpoints early in the churn only: the pointer advances while
       // later forces keep appending, so cuts land between a checkpoint's
       // home writes, its pointer write, and the next append.
-      add(K::kCheckpoint, "");
+      add(TraceOp::kCheckpoint);
     }
     if (i == 12) {
       // Cold pages logged right AFTER the last checkpoint, in name regions
@@ -145,7 +132,7 @@ std::vector<Step> StandardWorkload() {
       // covered alongside Checkpoint().
       create("qa/cold0", 520, 121);
       create("ya/cold1", 480, 123);
-      add(K::kForce, "");
+      add(TraceOp::kForce);
     }
   }
 
@@ -156,16 +143,15 @@ std::vector<Step> StandardWorkload() {
   // the deleted names back or breaks the tree. Cut inside both droppers:
   // a Checkpoint() and a third entry.
   constexpr int kLeafNames = 16;  // enough to fill whole leaves
-  auto fill_leaf = [&](const std::string& prefix, std::uint8_t seed) {
+  auto fill_leaf = [&](const std::string& prefix, int seed) {
     for (int i = 0; i < kLeafNames; ++i) {
-      create(prefix + std::to_string(10 + i), 200,
-             static_cast<std::uint8_t>(seed + i));
+      create(prefix + std::to_string(10 + i), 200, seed + i);
     }
-    add(K::kForce, "");
+    add(TraceOp::kForce);
   };
   auto empty_leaf = [&](const std::string& prefix) {
     for (int i = 0; i < kLeafNames; ++i) {
-      add(K::kDelete, prefix + std::to_string(10 + i));
+      add(TraceOp::kDelete, prefix + std::to_string(10 + i));
     }
   };
   // Four touches first line the two recovery modes' logs up: with them,
@@ -174,16 +160,16 @@ std::vector<Step> StandardWorkload() {
   // sits near the same offset of its third in both modes (63 and 45
   // sectors) and one touch count below serves both.
   for (int i = 0; i < 4; ++i) {
-    add(K::kTouch, "mid/f" + std::to_string(kTouchTargets[i]));
-    add(K::kForce, "");
+    add(TraceOp::kTouch, "mid/f" + std::to_string(kTouchTargets[i]));
+    add(TraceOp::kForce);
   }
   fill_leaf("fp/", 141);
   // A later record, so the checkpoint may drop the one holding the leaf.
-  add(K::kTouch, "omega");
-  add(K::kForce, "");
+  add(TraceOp::kTouch, "omega");
+  add(TraceOp::kForce);
   empty_leaf("fp/");
-  add(K::kCheckpoint, "");
-  add(K::kForce, "");
+  add(TraceOp::kCheckpoint);
+  add(TraceOp::kForce);
   // Log the leaf again, run the log on without touching it or its parent
   // until it is one force short of re-entering the third holding that
   // record, then empty the leaf: the next force enters that third. The
@@ -192,45 +178,30 @@ std::vector<Step> StandardWorkload() {
   constexpr int kThirdEntryTouches = 42;
   fill_leaf("fq/", 161);
   for (int i = 0; i < kThirdEntryTouches; ++i) {
-    add(K::kTouch, "mid/f" + std::to_string(kTouchTargets[i % 8]));
-    add(K::kForce, "");
+    add(TraceOp::kTouch, "mid/f" + std::to_string(kTouchTargets[i % 8]));
+    add(TraceOp::kForce);
   }
   empty_leaf("fq/");
-  add(K::kForce, "");
-  add(K::kShutdown, "");
+  add(TraceOp::kForce);
+  add(TraceOp::kShutdown);
   return steps;
 }
 
-Status ExecuteStep(fs::FileSystem* fs, const Step& step) {
-  switch (step.kind) {
-    case Step::Kind::kCreate:
-      return fs->CreateFile(step.name, step.data).status();
-    case Step::Kind::kSetKeep:
-      return fs->SetKeep(step.name, step.keep);
-    case Step::Kind::kOverwrite: {
-      CEDAR_ASSIGN_OR_RETURN(fs::FileHandle handle, fs->Open(step.name));
-      CEDAR_RETURN_IF_ERROR(fs->Write(handle, step.offset, step.data));
-      return fs->Close(handle);
-    }
-    case Step::Kind::kDelete:
-      return fs->DeleteFile(step.name);
-    case Step::Kind::kTouch:
-      return fs->Touch(step.name);
-    case Step::Kind::kForce:
-      return fs->Force();
-    case Step::Kind::kCheckpoint:
-      return fs->Checkpoint();
-    case Step::Kind::kShutdown:
-      return fs->Shutdown();
+Status ApplyStep(fs::FileSystem* file_system, const TraceEntry& step) {
+  workload::ReplayStats stats;
+  CEDAR_RETURN_IF_ERROR(workload::ApplyTraceOp(
+      file_system, step, &stats, [](sim::Micros) { return OkStatus(); }));
+  if (stats.not_found != 0) {
+    return MakeError(ErrorCode::kNotFound, "'" + step.name + "' not found");
   }
-  return MakeError(ErrorCode::kInvalidArgument, "unknown step kind");
+  return OkStatus();
 }
 
 Status FormatBaseVolume(sim::BlockDevice* device,
                         const core::FsdConfig& config) {
   core::Fsd fsd(device, config);
   CEDAR_RETURN_IF_ERROR(fsd.Format());
-  CEDAR_RETURN_IF_ERROR(ExecuteStep(&fsd, BaselineFile()));
+  CEDAR_RETURN_IF_ERROR(ApplyStep(&fsd, BaselineFile()));
   return fsd.Shutdown();
 }
 
@@ -250,19 +221,19 @@ Result<bool> ProbeVolume(fs::FileSystem* file_system) {
     return MakeError(status.code(), "probe " + std::string(call) +
                                         " failed: " + status.message());
   };
-  const std::vector<std::uint8_t> probe = Pattern(1400, 77);
-  if (Status status = file_system->CreateFile("zz.probe", probe).status();
-      !status.ok()) {
+  const TraceEntry probe{TraceOp::kCreate, "zz.probe", 1400, 77};
+  if (Status status = ApplyStep(file_system, probe); !status.ok()) {
     return failed("create", status);
   }
   if (Status status = file_system->Force(); !status.ok()) {
     return failed("force", status);
   }
-  Result<FileCrc> got = ReadFileCrc(file_system, "zz.probe");
+  Result<FileCrc> got = ReadFileCrc(file_system, probe.name);
   if (!got.ok()) {
     return failed("readback", got.status());
   }
-  return *got == FileCrc{Crc32(probe), probe.size()};
+  return *got == FileCrc{Crc32(workload::Payload(probe.arg0, probe.arg1)),
+                         probe.arg0};
 }
 
 History::History() {
@@ -270,38 +241,40 @@ History::History() {
   forces_.push_back(-1);
 }
 
-bool History::Apply(int s, const Step& step) {
-  switch (step.kind) {
-    case Step::Kind::kCreate:
-      files_[step.name] = step.data;
+bool History::Apply(int s, const TraceEntry& step) {
+  switch (step.op) {
+    case TraceOp::kCreate:
+      files_[step.name] = workload::Payload(step.arg0, step.arg1);
       break;
-    case Step::Kind::kOverwrite:
-      CEDAR_CHECK(Fits(step));
-      std::copy(step.data.begin(), step.data.end(),
-                files_.at(step.name).begin() +
-                    static_cast<std::ptrdiff_t>(step.offset));
+    case TraceOp::kWrite: {
+      // Clamped to the file's size exactly as ApplyTraceOp clamps it.
+      auto it = files_.find(step.name);
+      const std::uint64_t size = it == files_.end() ? 0 : it->second.size();
+      const std::uint64_t end = std::min(size, step.arg0 + step.arg1);
+      if (end <= step.arg0) {
+        return false;
+      }
+      const std::vector<std::uint8_t> data =
+          workload::Payload(end - step.arg0, step.arg2);
+      std::copy(data.begin(), data.end(),
+                it->second.begin() + static_cast<std::ptrdiff_t>(step.arg0));
       break;
-    case Step::Kind::kDelete:
+    }
+    case TraceOp::kDelete:
       files_.erase(step.name);
       deletes_[step.name].push_back(s);
       return true;
-    case Step::Kind::kForce:
-    case Step::Kind::kShutdown:
+    case TraceOp::kForce:
+    case TraceOp::kShutdown:
       forces_.push_back(s);
       return false;
     default:
-      return false;  // keep/touch/checkpoint do not change contents
+      return false;  // keep/touch/close/checkpoint change no contents
   }
   const std::vector<std::uint8_t>& bytes = files_.at(step.name);
   contents_[step.name].push_back(ContentVersion{
       .step = s, .crc = Crc32(bytes), .size = bytes.size()});
   return true;
-}
-
-bool History::Fits(const Step& step) const {
-  auto it = files_.find(step.name);
-  return it != files_.end() &&
-         step.offset + step.data.size() <= it->second.size();
 }
 
 bool History::Wrote(const std::string& name, const FileCrc& content,

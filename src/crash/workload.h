@@ -3,7 +3,9 @@
 //
 // The harness needs a DETERMINISTIC op sequence: the recording run and
 // every crash replay must issue bit-identical disk schedules, so the
-// workload is a fixed list of steps rather than a random generator. The
+// workload is a fixed trace rather than a random generator. Each entry is
+// one step, written in the workload engine's vocabulary
+// (workload::TraceEntry) and run through workload::ApplyTraceOp. The
 // standard script exercises the paper's operation mix — create, in-place
 // write, version replacement (Cedar's "rename": create version v+1 with
 // keep=1 so the old version is pruned), delete, touch — with explicit
@@ -24,37 +26,22 @@
 #include "src/fsapi/file_system.h"
 #include "src/sim/device.h"
 #include "src/util/status.h"
+#include "src/workload/trace.h"
 
 namespace cedar::crash {
 
-struct Step {
-  enum class Kind : std::uint8_t {
-    kCreate,     // CreateFile(name, data) — a new highest version
-    kSetKeep,    // SetKeep(name, keep)
-    kOverwrite,  // Open + Write(offset, data) + Close
-    kDelete,     // DeleteFile(name)
-    kTouch,      // Touch(name)
-    kForce,       // Force() — a durability boundary for the oracle
-    kCheckpoint,  // Checkpoint() — writes logged pages home and advances
-                  // the recovery pointer; changes no file contents, so the
-                  // oracle treats it like kForce minus the durability edge
-    kShutdown,    // orderly Shutdown (final step only)
-  };
-  Kind kind = Kind::kForce;
-  std::string name;
-  std::uint16_t keep = 0;
-  std::uint64_t offset = 0;
-  std::vector<std::uint8_t> data;
-};
+// The standard create/write/rename/delete script described above. An
+// in-place overwrite is a kWrite followed by a kClose of the same name:
+// Fsd::Close drops the file's leader-verified bit, and without it the
+// file's later leader writes would not be those of an open-write-close.
+std::vector<workload::TraceEntry> StandardWorkload();
 
-// Deterministic content bytes (same pattern everywhere in the harness).
-std::vector<std::uint8_t> Pattern(std::size_t n, std::uint8_t seed);
-
-// The standard create/write/rename/delete script described above.
-std::vector<Step> StandardWorkload();
-
-// Executes one step against a file system, returning the first error.
-Status ExecuteStep(fs::FileSystem* fs, const Step& step);
+// Runs one step through workload::ApplyTraceOp. A kNotFound the replayer
+// would tolerate (an open, write, delete or touch of an absent name) fails
+// the step here with kNotFound: the oracle must see every miss. The
+// scripts hold no think time, so kAdvance does nothing.
+Status ApplyStep(fs::FileSystem* file_system,
+                 const workload::TraceEntry& step);
 
 // A pristine, cleanly shut down volume holding only the baseline file
 // (1500 bytes named "base"): the image every crash case and every fault
@@ -99,13 +86,10 @@ class History {
   // Starts with the baseline file, durable at step -1.
   History();
 
-  // Records step `s`, which succeeded: mirrors what ExecuteStep did.
-  // Returns whether the step changed a file (a create, overwrite or
-  // delete).
-  bool Apply(int s, const Step& step);
-
-  // Whether an overwrite step lands inside its file's current content.
-  bool Fits(const Step& step) const;
+  // Records step `s`, which succeeded: mirrors what ApplyStep did, a write
+  // clamped to the file's current size included. Returns whether the step
+  // changed a file (a create, a write that landed, or a delete).
+  bool Apply(int s, const workload::TraceEntry& step);
 
   // Was `content` a content of `name` written at a step in [from, upto]?
   bool Wrote(const std::string& name, const FileCrc& content, int from,

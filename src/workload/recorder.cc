@@ -30,7 +30,10 @@ void RecordingFs::Record(TraceOp op, std::string name, std::uint64_t arg0,
   // Handle-based ops on a handle we never saw open resolve to an empty
   // name; dropping them keeps the trace replayable (an empty name is not a
   // kNotFound miss at replay time, it is an invalid argument).
-  if (name.empty() && op != TraceOp::kForce && op != TraceOp::kList) {
+  const bool volume_wide = op == TraceOp::kForce || op == TraceOp::kList ||
+                           op == TraceOp::kCheckpoint ||
+                           op == TraceOp::kShutdown;
+  if (name.empty() && !volume_wide) {
     return;
   }
   TraceEntry entry;
@@ -142,17 +145,23 @@ Status RecordingFs::Close(const fs::FileHandle& file) {
   return status;
 }
 
-Status RecordingFs::Force() {
-  const Status status = inner_->Force();
+Status RecordingFs::RecordVolumeOp(TraceOp op, const Status& status) {
   if (status.ok()) {
-    Record(TraceOp::kForce, std::string());
+    Record(op, std::string());
   }
   return status;
 }
 
+Status RecordingFs::Force() {
+  return RecordVolumeOp(TraceOp::kForce, inner_->Force());
+}
+
+Status RecordingFs::Checkpoint() {
+  return RecordVolumeOp(TraceOp::kCheckpoint, inner_->Checkpoint());
+}
+
 Status RecordingFs::Shutdown() {
-  // Shutdown is rig lifecycle, not workload; it is forwarded, not recorded.
-  return inner_->Shutdown();
+  return RecordVolumeOp(TraceOp::kShutdown, inner_->Shutdown());
 }
 
 }  // namespace cedar::workload

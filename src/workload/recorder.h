@@ -63,7 +63,7 @@ class RecordingFs : public fs::FileSystem {
   Status Close(const fs::FileHandle& file) override;
   Status Force() override;
   Status Shutdown() override;
-  Status Checkpoint() override { return inner_->Checkpoint(); }
+  Status Checkpoint() override;
   Result<std::uint64_t> RecoveryWindow() override {
     return inner_->RecoveryWindow();
   }
@@ -76,6 +76,8 @@ class RecordingFs : public fs::FileSystem {
  private:
   void Record(TraceOp op, std::string name, std::uint64_t arg0 = 0,
               std::uint64_t arg1 = 0, std::uint64_t arg2 = 0);
+  // Records a volume-wide op (no name) that succeeded; returns `status`.
+  Status RecordVolumeOp(TraceOp op, const Status& status);
   // Name behind a uid, or empty when the handle never passed through us.
   std::string NameOf(fs::FileUid uid) const;
 

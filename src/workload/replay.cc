@@ -3,95 +3,11 @@
 #include <algorithm>
 #include <condition_variable>
 #include <functional>
-#include <map>
 #include <mutex>
 #include <thread>
 #include <utility>
 
-#include "src/util/random.h"
-#include "src/workload/zipf.h"
-
 namespace cedar::workload {
-namespace {
-
-bool HasFileName(TraceOp op) {
-  switch (op) {
-    case TraceOp::kForce:
-    case TraceOp::kAdvance:
-    case TraceOp::kList:  // carries a prefix, not a file identity
-      return false;
-    default:
-      return true;
-  }
-}
-
-}  // namespace
-
-std::string TenantPrefix(std::uint16_t tenant) {
-  return std::string("t").append(std::to_string(tenant)) + "/";
-}
-
-std::vector<TraceEntry> ExpandTrace(std::span<const TraceEntry> entries,
-                                    const ReplayConfig& config) {
-  // 1. Zipf popularity remap over the trace's distinct file names, in
-  // first-appearance order (rank 0 = first-seen). The redraw sequence is a
-  // function of (seed, op position) only, so the plan is deterministic.
-  std::vector<TraceEntry> base(entries.begin(), entries.end());
-  if (config.zipf_s > 0.0) {
-    std::vector<std::string> distinct;
-    std::map<std::string, std::uint32_t, std::less<>> seen;
-    for (const TraceEntry& entry : base) {
-      if (HasFileName(entry.op) && !seen.contains(entry.name)) {
-        seen.emplace(entry.name, static_cast<std::uint32_t>(distinct.size()));
-        distinct.push_back(entry.name);
-      }
-    }
-    if (!distinct.empty()) {
-      const ZipfSampler zipf(static_cast<std::uint32_t>(distinct.size()),
-                             config.zipf_s);
-      Rng rng(config.seed);
-      for (TraceEntry& entry : base) {
-        if (HasFileName(entry.op)) {
-          entry.name = distinct[zipf.Sample(rng)];
-        }
-      }
-    }
-  }
-
-  // 2. Scale: repeat (or truncate) the op stream. Repeats create new
-  // versions of the same files — the Cedar version semantics make that the
-  // natural "more of the same workload".
-  const std::size_t total = base.empty()
-                                ? 0
-                                : static_cast<std::size_t>(
-                                      config.scale *
-                                          static_cast<double>(base.size()) +
-                                      0.5);
-  std::vector<TraceEntry> plan;
-  plan.reserve(total);
-  for (std::size_t k = 0; k < total; ++k) {
-    plan.push_back(base[k % base.size()]);
-  }
-
-  // 3. Tenant multiplexing: deal ops round-robin across config.tenants and
-  // namespace every name "t<k>/...". tenants == 0 keeps the tenants (and
-  // names) recorded in the trace.
-  if (config.tenants > 0) {
-    std::uint32_t k = 0;
-    for (TraceEntry& entry : plan) {
-      if (entry.op == TraceOp::kAdvance) {
-        continue;  // think time belongs to the whole rig, not a tenant
-      }
-      entry.tenant = static_cast<std::uint16_t>(k % config.tenants);
-      if (entry.op != TraceOp::kForce) {
-        entry.name = TenantPrefix(entry.tenant) + entry.name;
-      }
-      ++k;
-    }
-  }
-  return plan;
-}
-
 namespace {
 
 // Shared replay state: per-tenant stats under one mutex, first-error
@@ -117,7 +33,7 @@ struct ReplayShared {
   }
 };
 
-// Runs one plan op: optional pacing advance, tenant root scope, apply.
+// Runs one op: optional pacing advance, tenant root scope, apply.
 Status DriveOp(fs::FileSystem* file_system, const TraceEntry& entry,
                std::uint64_t pace_delta_us, obs::DiskTracer* tracer,
                ReplayStats* stats,
@@ -153,9 +69,8 @@ Result<MultiReplayStats> ReplayTraceMulti(
     const ReplayConfig& config,
     const std::function<Status(sim::Micros)>& advance,
     obs::DiskTracer* tracer) {
-  const std::vector<TraceEntry> plan = ExpandTrace(entries, config);
   std::uint16_t max_tenant = 0;
-  for (const TraceEntry& entry : plan) {
+  for (const TraceEntry& entry : entries) {
     max_tenant = std::max(max_tenant, entry.tenant);
   }
   ReplayShared shared(static_cast<std::size_t>(max_tenant) + 1);
@@ -177,19 +92,19 @@ Result<MultiReplayStats> ReplayTraceMulti(
     std::mutex mu;
     std::condition_variable cv;
     std::size_t next = 0;
-    std::uint64_t prev_vtime = plan.empty() ? 0 : plan.front().vtime_us;
+    std::uint64_t prev_vtime = entries.empty() ? 0 : entries.front().vtime_us;
     auto lane = [&](int tid) {
-      for (std::size_t i = tid; i < plan.size();
+      for (std::size_t i = tid; i < entries.size();
            i += static_cast<std::size_t>(threads)) {
         std::unique_lock<std::mutex> lock(mu);
         cv.wait(lock, [&] { return next == i || shared.failed; });
         if (shared.failed) {
           // Release every later turn so all lanes drain.
-          next = plan.size();
+          next = entries.size();
           cv.notify_all();
           return;
         }
-        const TraceEntry& entry = plan[i];
+        const TraceEntry& entry = entries[i];
         ReplayStats local;
         const Status status =
             DriveOp(file_system, entry, pace_delta(prev_vtime, entry),
@@ -198,7 +113,7 @@ Result<MultiReplayStats> ReplayTraceMulti(
         shared.Fold(entry.tenant, local);
         if (!status.ok()) {
           shared.Fail(status);
-          next = plan.size();
+          next = entries.size();
         } else {
           ++next;
         }
@@ -207,18 +122,18 @@ Result<MultiReplayStats> ReplayTraceMulti(
     };
     RunOnThreads(threads, lane);
   } else {
-    // Free-run: partition the plan across threads — by tenant when the
-    // plan is multi-tenant (each tenant's ops keep their order, and
+    // Free-run: partition the trace across threads — by tenant when the
+    // trace is multi-tenant (each tenant's ops keep their order, and
     // tenant namespaces make the lanes name-disjoint), by contiguous
     // blocks otherwise.
     std::vector<std::vector<const TraceEntry*>> lanes(threads);
     const bool by_tenant = max_tenant > 0;
-    for (std::size_t i = 0; i < plan.size(); ++i) {
+    for (std::size_t i = 0; i < entries.size(); ++i) {
       const std::size_t lane =
-          by_tenant ? plan[i].tenant % static_cast<std::size_t>(threads)
-                    : i * static_cast<std::size_t>(threads) / plan.size();
+          by_tenant ? entries[i].tenant % static_cast<std::size_t>(threads)
+                    : i * static_cast<std::size_t>(threads) / entries.size();
       lanes[std::min(lane, static_cast<std::size_t>(threads) - 1)].push_back(
-          &plan[i]);
+          &entries[i]);
     }
     auto worker = [&](int tid) {
       ReplayStats local;

@@ -41,7 +41,7 @@ Result<std::vector<TraceEntry>> ParseTraceBinary(
   std::vector<TraceEntry> entries(r.Count(kMinEntryBytes));
   for (TraceEntry& entry : entries) {
     const std::uint8_t op = r.U8();
-    if (op > static_cast<std::uint8_t>(TraceOp::kAdvance)) {
+    if (op > static_cast<std::uint8_t>(TraceOp::kShutdown)) {
       return MakeError(ErrorCode::kCorruptMetadata,
                        "workload trace entry " +
                            std::to_string(&entry - entries.data()) +
@@ -155,47 +155,14 @@ Status ApplyTraceOp(fs::FileSystem* file_system, const TraceEntry& entry,
     case TraceOp::kAdvance:
       CEDAR_RETURN_IF_ERROR(advance(entry.arg0 * sim::kMillisecond));
       break;
+    case TraceOp::kCheckpoint:
+      CEDAR_RETURN_IF_ERROR(file_system->Checkpoint());
+      break;
+    case TraceOp::kShutdown:
+      CEDAR_RETURN_IF_ERROR(file_system->Shutdown());
+      break;
   }
   return OkStatus();
-}
-
-std::vector<TraceEntry> GenerateTrace(const TraceGenConfig& config, Rng& rng) {
-  std::vector<TraceEntry> entries;
-  for (std::uint32_t i = 0; i < config.operations; ++i) {
-    const std::string name =
-        "t/f" + std::to_string(rng.Below(config.name_space));
-    TraceEntry entry;
-    switch (rng.Below(10)) {
-      case 0:
-      case 1:
-      case 2:
-      case 3:
-        entry = {TraceOp::kCreate, name, rng.Between(1, config.max_bytes),
-                 rng.Next(), 0};
-        break;
-      case 4:
-      case 5:
-        entry = {TraceOp::kRead, name, rng.Below(config.max_bytes / 2),
-                 rng.Between(1, 2048), 0};
-        break;
-      case 6:
-        entry = {TraceOp::kDelete, name, 0, 0, 0};
-        break;
-      case 7:
-        entry = {TraceOp::kTouch, name, 0, 0, 0};
-        break;
-      case 8:
-        entry = {TraceOp::kList, "t/", 0, 0, 0};
-        break;
-      case 9:
-        entry = {TraceOp::kAdvance, "",
-                 config.think_time / sim::kMillisecond, 0, 0};
-        break;
-    }
-    entries.push_back(std::move(entry));
-  }
-  entries.push_back(TraceEntry{TraceOp::kForce, "", 0, 0, 0});
-  return entries;
 }
 
 }  // namespace cedar::workload

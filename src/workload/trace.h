@@ -1,5 +1,7 @@
-// Operation traces: recorded or synthesized file-system workloads, replayed
-// against any fs::FileSystem implementation.
+// Operation traces: recorded or scripted file-system workloads, replayed
+// against any fs::FileSystem implementation. TraceEntry is the one op
+// vocabulary: benches record and replay it, and the crash harness and the
+// fault campaign run their scripted workload in it.
 //
 // An entry is one operation with up to three numeric arguments:
 //
@@ -15,6 +17,8 @@
 //   setkeep <name> <count>
 //   force
 //   advance <milliseconds>        # virtual think time (drives group commit)
+//   checkpoint
+//   shutdown
 //
 // plus the issuing tenant and the virtual time it was recorded at.
 // Payloads are derived deterministically from <seed>, so replaying the same
@@ -34,7 +38,6 @@
 
 #include "src/fsapi/file_system.h"
 #include "src/sim/clock.h"
-#include "src/util/random.h"
 #include "src/util/status.h"
 
 namespace cedar::workload {
@@ -52,11 +55,14 @@ enum class TraceOp : std::uint8_t {
   kSetKeep,
   kForce,
   kAdvance,
+  // Appended after kAdvance so every CEDWRK02 file stays readable.
+  kCheckpoint,
+  kShutdown,
 };
 
 struct TraceEntry {
   TraceOp op = TraceOp::kForce;
-  std::string name;        // or prefix for kList; empty for kForce/kAdvance
+  std::string name;  // or prefix for kList; empty for the volume-wide ops
   std::uint64_t arg0 = 0;  // bytes / offset / count / milliseconds
   std::uint64_t arg1 = 0;  // length / seed
   std::uint64_t arg2 = 0;  // seed (kWrite)
@@ -96,19 +102,11 @@ struct ReplayStats {
 // `advance`). kNotFound from open-like ops and deletes is tolerated and
 // counted, so traces replay against partially recovered volumes;
 // read/write ranges clamp to the file's current size. The replayer
-// (src/workload/replay.h) drives this per op.
+// (src/workload/replay.h) drives this per op; the crash harness and the
+// fault campaign run their script through it too.
 Status ApplyTraceOp(fs::FileSystem* file_system, const TraceEntry& entry,
                     ReplayStats* stats,
                     const std::function<Status(sim::Micros)>& advance);
-
-// Generates a random but deterministic trace with the given shape.
-struct TraceGenConfig {
-  std::uint32_t operations = 500;
-  std::uint32_t name_space = 40;  // distinct file names
-  std::uint64_t max_bytes = 8000;
-  sim::Micros think_time = 40 * sim::kMillisecond;
-};
-std::vector<TraceEntry> GenerateTrace(const TraceGenConfig& config, Rng& rng);
 
 }  // namespace cedar::workload
 

@@ -1,6 +1,10 @@
 #include "src/workload/workload.h"
 
+#include <algorithm>
 #include <cmath>
+
+#include "src/workload/recorder.h"
+#include "src/workload/zipf.h"
 
 namespace cedar::workload {
 
@@ -150,6 +154,85 @@ Status BulkUpdate(fs::FileSystem* file_system, std::string_view prefix,
     }
   }
   return OkStatus();
+}
+
+std::string TenantPrefix(std::uint16_t tenant) {
+  return std::string("t").append(std::to_string(tenant)) + "/";
+}
+
+Result<std::uint64_t> RunTenantMix(
+    fs::FileSystem* file_system, const TenantMix& mix,
+    const std::function<Status(const std::string& name, sim::Micros think)>&
+        think) {
+  Rng rng(mix.seed);
+  const ZipfSampler zipf(mix.files_per_tenant, mix.zipf_s);
+  std::vector<std::uint8_t> payload;
+  auto fresh = [&](std::uint64_t bytes) {
+    payload.resize(bytes);
+    for (auto& b : payload) {
+      b = static_cast<std::uint8_t>(rng.Next());
+    }
+  };
+  std::uint64_t updates = 0;
+  for (std::uint32_t i = 0; i < mix.ops; ++i) {
+    const auto tenant = static_cast<std::uint16_t>(i % mix.tenants);
+    ScopedTenant scope(tenant);
+    const std::uint32_t rank = zipf.Sample(rng);
+    const std::string name =
+        TenantPrefix(tenant) + "f" + std::to_string(rank) + ".db";
+    switch (rng.Below(8)) {
+      case 0:
+      case 1:
+        fresh(rng.Between(256, 4096));
+        CEDAR_RETURN_IF_ERROR(
+            file_system->CreateFile(name, payload).status());
+        ++updates;
+        break;
+      case 2:
+      case 3:
+      case 4: {
+        auto handle = file_system->Open(name);
+        if (handle.ok() && handle->byte_size > 0) {
+          payload.resize(std::min<std::uint64_t>(handle->byte_size, 4096));
+          CEDAR_RETURN_IF_ERROR(file_system->Read(*handle, 0, payload));
+          CEDAR_RETURN_IF_ERROR(file_system->Close(*handle));
+        }
+        break;
+      }
+      case 5: {
+        auto handle = file_system->Open(name);
+        if (handle.ok() && handle->byte_size > 0) {
+          fresh(std::min<std::uint64_t>(handle->byte_size, 512));
+          CEDAR_RETURN_IF_ERROR(file_system->Write(*handle, 0, payload));
+          CEDAR_RETURN_IF_ERROR(file_system->Close(*handle));
+          ++updates;
+        }
+        break;
+      }
+      case 6:
+        if (mix.rename_slot) {
+          const std::string to =
+              TenantPrefix(tenant) + "mv" + std::to_string(rank) + ".db";
+          if (file_system->Rename(name, to).ok()) {
+            (void)file_system->Rename(to, name);  // back for later rounds
+            updates += 2;
+          }
+        } else {
+          (void)file_system->Touch(name);
+        }
+        break;
+      default:
+        if (!rng.Chance(0.25)) {
+          (void)file_system->Touch(name);
+        } else if (file_system->DeleteFile(name).ok()) {
+          ++updates;
+        }
+        break;
+    }
+    CEDAR_RETURN_IF_ERROR(think(name, rng.Between(1, 15) * sim::kMillisecond));
+  }
+  CEDAR_RETURN_IF_ERROR(file_system->Force());
+  return updates;
 }
 
 }  // namespace cedar::workload

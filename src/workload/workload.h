@@ -10,6 +10,8 @@
 //  - BulkUpdate models the section 5.4 workload: bursts of property updates
 //    and version replacements localized to one subdirectory, the hot-spot
 //    pattern group commit absorbs.
+//  - RunTenantMix is the multi-tenant Zipf client the workload and
+//    scale-out benches drive and `workloadgen record` captures.
 
 #ifndef CEDAR_WORKLOAD_WORKLOAD_H_
 #define CEDAR_WORKLOAD_WORKLOAD_H_
@@ -86,6 +88,39 @@ struct BulkUpdateConfig {
 Status BulkUpdate(fs::FileSystem* file_system, std::string_view prefix,
                   const BulkUpdateConfig& config, Rng& rng,
                   const std::function<Status(sim::Micros)>& advance);
+
+// The tenant namespace prefix ("t3/" for tenant 3).
+std::string TenantPrefix(std::uint16_t tenant);
+
+// The tenant mix. Op i runs as tenant i % tenants, under a ScopedTenant, on
+// file t<k>/f<rank>.db, its rank drawn Zipf(zipf_s) over files_per_tenant
+// names. Then one draw out of eight picks the op:
+//   0-1  create a new version of 256..4096 fresh bytes;
+//   2-4  open, read the head (at most 4 KB), close;
+//   5    open, overwrite the head (at most 512 bytes), close;
+//   6    touch, or with rename_slot a rename to t<k>/mv<rank>.db and back;
+//   7    delete one time in four, else touch.
+// Reads and overwrites skip absent and empty files, and a touch, delete or
+// rename that misses is part of the mix. After each op a think time of
+// 1..15 ms goes to `think` with the op's file name; one Force ends the mix.
+// Every draw comes from one Rng seeded with `seed`, so the op stream does
+// not depend on how fast the file system underneath runs.
+struct TenantMix {
+  std::uint32_t ops = 6000;
+  std::uint32_t files_per_tenant = 200;
+  std::uint32_t tenants = 3;
+  double zipf_s = 1.0;
+  std::uint64_t seed = 42;
+  bool rename_slot = false;
+};
+
+// Runs `mix` against `file_system` and returns how many updates (creates,
+// overwrites, renames and deletes) succeeded, or the first failure of a
+// create, read, overwrite, close, think or the final force.
+Result<std::uint64_t> RunTenantMix(
+    fs::FileSystem* file_system, const TenantMix& mix,
+    const std::function<Status(const std::string& name, sim::Micros think)>&
+        think);
 
 }  // namespace cedar::workload
 

@@ -1,15 +1,16 @@
 // Zipf(s) sampling over file-popularity ranks.
 //
-// The replayer skews file popularity with a Zipf distribution: rank r
-// (0-based) is drawn with probability proportional to 1/(r+1)^s. s = 0 is
-// uniform; s = 1.0 is the classic web/file-server skew where a handful of
-// files absorb most of the traffic — the hot-spot shape the paper's
-// group-commit argument (section 5.4 bulk updates to one subdirectory)
-// assumes, generalized to a whole namespace.
+// The tenant mix (RunTenantMix in workload.h) skews file popularity with
+// a Zipf distribution: rank r (0-based) is drawn with probability
+// proportional to 1/(r+1)^s. s = 0 is uniform; s = 1.0 is the classic
+// web/file-server skew where a handful of files absorb most of the
+// traffic — the hot-spot shape the paper's group-commit argument (section
+// 5.4 bulk updates to one subdirectory) assumes, generalized to a whole
+// namespace.
 //
 // The CDF is precomputed at construction, so Sample() is one uniform draw
-// plus a binary search — cheap enough to call per replayed operation, and
-// fully deterministic given the Rng.
+// plus a binary search — cheap enough to call per operation, and fully
+// deterministic given the Rng.
 
 #ifndef CEDAR_WORKLOAD_ZIPF_H_
 #define CEDAR_WORKLOAD_ZIPF_H_

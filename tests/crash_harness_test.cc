@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -29,12 +30,15 @@
 #include "src/sim/clock.h"
 #include "src/sim/disk.h"
 #include "src/util/crc32.h"
+#include "src/workload/workload.h"
 
 namespace cedar::crash {
 namespace {
 
 using core::Fsd;
 using core::FsdConfig;
+using workload::TraceEntry;
+using workload::TraceOp;
 
 sim::CrashPlan CleanCut(std::uint64_t at_write_index) {
   sim::CrashPlan plan;
@@ -50,39 +54,30 @@ FileCrc CrcOf(const std::vector<std::uint8_t>& bytes) {
 }
 
 // A seven-step script with the content `a` holds after each of its steps:
-// 0 creates a, 1 forces, 2 overwrites a, 3 creates b, 4 deletes a, 5 forces,
-// 6 creates a again.
+// 0 creates a, 1 forces, 2 overwrites part of a, 3 creates b, 4 deletes a,
+// 5 forces, 6 creates a again.
 class HistoryTest : public ::testing::Test {
  protected:
   HistoryTest() {
-    Step create_a{.kind = Step::Kind::kCreate,
-                  .name = "a",
-                  .data = Pattern(1000, 1)};
-    Step overwrite_a{.kind = Step::Kind::kOverwrite,
-                     .name = "a",
-                     .offset = 100,
-                     .data = Pattern(200, 2)};
-    Step create_b{.kind = Step::Kind::kCreate,
-                  .name = "b",
-                  .data = Pattern(300, 3)};
-    Step delete_a{.kind = Step::Kind::kDelete, .name = "a", .data = {}};
-    const Step force{};  // a Step is a Force() unless told otherwise
-    a0_ = create_a.data;
+    const TraceEntry create_a{TraceOp::kCreate, "a", 1000, 1};
+    const TraceEntry write_a{TraceOp::kWrite, "a", 100, 200, 2};
+    const TraceEntry create_b{TraceOp::kCreate, "b", 300, 3};
+    const TraceEntry delete_a{TraceOp::kDelete, "a"};
+    const TraceEntry force{};  // an entry is a Force() unless told otherwise
+    const TraceEntry recreate_a{TraceOp::kCreate, "a", 900, 6};
+    a0_ = workload::Payload(1000, 1);
     a2_ = a0_;
-    std::copy(overwrite_a.data.begin(), overwrite_a.data.end(),
-              a2_.begin() + 100);
-    a6_ = Pattern(900, 6);
-    const Step recreate_a{.kind = Step::Kind::kCreate,
-                          .name = "a",
-                          .data = a6_};
-    steps_ = {create_a, force,    overwrite_a, create_b,
-              delete_a, force,    recreate_a};
+    const std::vector<std::uint8_t> written = workload::Payload(200, 2);
+    std::copy(written.begin(), written.end(), a2_.begin() + 100);
+    a6_ = workload::Payload(900, 6);
+    steps_ = {create_a, force, write_a, create_b, delete_a, force,
+              recreate_a};
     for (std::size_t s = 0; s < steps_.size(); ++s) {
       changed_.push_back(history_.Apply(static_cast<int>(s), steps_[s]));
     }
   }
 
-  std::vector<Step> steps_;
+  std::vector<TraceEntry> steps_;
   History history_;
   std::vector<bool> changed_;
   std::vector<std::uint8_t> a0_, a2_, a6_;
@@ -120,7 +115,7 @@ TEST_F(HistoryTest, ForcedFileMustHoldAForceTimeContent) {
   for (int s = 0; s < 3; ++s) {
     forced.Apply(s, steps_[static_cast<std::size_t>(s)]);
   }
-  forced.Apply(3, Step{});
+  forced.Apply(3, TraceEntry{});
   const ForcePoint later = forced.ForcedBefore(4);
   EXPECT_EQ(later.step, 3);
   ASSERT_TRUE(later.files.contains("a"));
@@ -163,16 +158,106 @@ TEST_F(HistoryTest, NameCreatedAfterTheCrashStepIsAGhost) {
   EXPECT_FALSE(history_.CreatedBy("never", 6));
 }
 
-TEST_F(HistoryTest, OverwriteFitsOnlyInsideTheCurrentContent) {
-  Step step{.kind = Step::Kind::kOverwrite,
-            .name = "a",
-            .offset = 800,
-            .data = Pattern(100, 9)};
-  EXPECT_TRUE(history_.Fits(step));  // a holds 900 bytes
-  step.offset = 801;
-  EXPECT_FALSE(history_.Fits(step));
-  step.name = "gone";
-  EXPECT_FALSE(history_.Fits(step));
+// A write is clamped to the file's current size exactly as ApplyTraceOp
+// clamps it on a volume: a write running off the end keeps its in-bounds
+// bytes, and one wholly past the end or on an absent name changes nothing.
+TEST_F(HistoryTest, WriteClampsToTheCurrentContent) {
+  const TraceEntry off_the_end{TraceOp::kWrite, "a", 800, 300, 9};
+  EXPECT_TRUE(history_.Apply(7, off_the_end));  // a holds 900 bytes
+  EXPECT_FALSE(history_.Apply(8, TraceEntry{TraceOp::kWrite, "a", 900, 10}));
+  EXPECT_FALSE(
+      history_.Apply(9, TraceEntry{TraceOp::kWrite, "gone", 0, 10}));
+  ASSERT_EQ(history_.contents().at("a").size(), 4u);
+  EXPECT_EQ(history_.contents().at("a").back().step, 7);
+
+  sim::VirtualClock clock;
+  sim::SimDisk disk(sim::TestGeometry(), sim::DiskTimingParams{}, &clock);
+  Fsd fsd(&disk, CrashHarness::FsdConfigFor(false));
+  ASSERT_TRUE(fsd.Format().ok());
+  ASSERT_TRUE(ApplyStep(&fsd, steps_[6]).ok());
+  ASSERT_TRUE(ApplyStep(&fsd, off_the_end).ok());
+  Result<FileCrc> got = ReadFileCrc(&fsd, "a");
+  ASSERT_TRUE(got.ok()) << got.status().message();
+  EXPECT_EQ(got->second, 900u);
+  EXPECT_TRUE(history_.Wrote("a", *got, 7, 7));
+}
+
+// A miss ApplyTraceOp would tolerate fails the step with kNotFound, so
+// neither judge mistakes it for a step that ran. Think time is a no-op.
+TEST(ApplyStepTest, ToleratedMissFailsTheStep) {
+  sim::VirtualClock clock;
+  sim::SimDisk disk(sim::TestGeometry(), sim::DiskTimingParams{}, &clock);
+  Fsd fsd(&disk, CrashHarness::FsdConfigFor(false));
+  ASSERT_TRUE(fsd.Format().ok());
+  for (const TraceOp op : {TraceOp::kWrite, TraceOp::kClose,
+                           TraceOp::kDelete, TraceOp::kTouch}) {
+    const Status status = ApplyStep(&fsd, TraceEntry{op, "ghost", 0, 10});
+    EXPECT_EQ(status.code(), ErrorCode::kNotFound)
+        << static_cast<int>(op) << ": " << status.message();
+  }
+  EXPECT_TRUE(ApplyStep(&fsd, TraceEntry{TraceOp::kAdvance, "", 5}).ok());
+}
+
+// A volume whose forced file holds the content it had before the write the
+// force covered. FSD never rolls a forced file back, so no sweep reaches
+// this reject path; here both judges are handed it.
+class RolledBackFileTest : public ::testing::Test {
+ protected:
+  // 0 creates a, 1 and 2 overwrite and close it, 3 forces: the force
+  // covers a as step 1 left it.
+  RolledBackFileTest()
+      : steps_{{TraceOp::kCreate, "a", 1000, 1},
+               {TraceOp::kWrite, "a", 100, 200, 2},
+               {TraceOp::kClose, "a"},
+               {TraceOp::kForce, ""}} {
+    for (std::size_t s = 0; s < steps_.size(); ++s) {
+      history_.Apply(static_cast<int>(s), steps_[s]);
+    }
+  }
+
+  // A base volume that ran the first `steps` steps and then a force.
+  std::unique_ptr<Fsd> Volume(std::size_t steps) {
+    CEDAR_CHECK_OK(FormatBaseVolume(&disk_, config_));
+    auto fsd = std::make_unique<Fsd>(&disk_, config_);
+    CEDAR_CHECK_OK(fsd->Mount());
+    for (std::size_t s = 0; s < steps; ++s) {
+      CEDAR_CHECK_OK(ApplyStep(fsd.get(), steps_[s]));
+    }
+    CEDAR_CHECK_OK(fsd->Force());
+    return fsd;
+  }
+
+  const FsdConfig config_ = CrashHarness::FsdConfigFor(false);
+  sim::VirtualClock clock_;
+  sim::SimDisk disk_{sim::TestGeometry(), sim::DiskTimingParams{}, &clock_};
+  std::vector<TraceEntry> steps_;
+  History history_;
+};
+
+TEST_F(RolledBackFileTest, HarnessJudgeRefusesIt) {
+  const int after = static_cast<int>(steps_.size());
+  EXPECT_EQ(CrashHarness::JudgeFiles(Volume(steps_.size()).get(), history_,
+                                     after, ""),
+            "");
+  const std::string why =
+      CrashHarness::JudgeFiles(Volume(1).get(), history_, after, "");
+  EXPECT_EQ(why.rfind("durability: forced file 'a' has unacceptable", 0),
+            0u)
+      << why;
+}
+
+TEST_F(RolledBackFileTest, CampaignJudgeRefusesIt) {
+  const int end = static_cast<int>(steps_.size());
+  CampaignCase intact;
+  FaultCampaign::JudgeFiles(Volume(steps_.size()).get(), history_, end, {},
+                            &intact);
+  EXPECT_EQ(intact.failure, "");
+  CampaignCase rolled_back;
+  FaultCampaign::JudgeFiles(Volume(1).get(), history_, end, {},
+                            &rolled_back);
+  EXPECT_EQ(rolled_back.escapes, 1u);
+  EXPECT_EQ(rolled_back.failure.rfind("SILENT CORRUPTION: 'a'", 0), 0u)
+      << rolled_back.failure;
 }
 
 // The base image's file is in every History, durable before step 0.
@@ -292,8 +377,8 @@ TEST(CrashHarnessTest, BoundedSweepPassesWithSteppedCheckpointRounds) {
     ASSERT_TRUE(report.ok()) << report.status().message();
     const RecordedRun& run = report->run;
     std::uint64_t checkpoint_steps = 0;
-    for (const Step& step : run.steps) {
-      checkpoint_steps += step.kind == Step::Kind::kCheckpoint ? 1 : 0;
+    for (const TraceEntry& step : run.steps) {
+      checkpoint_steps += step.op == TraceOp::kCheckpoint ? 1 : 0;
     }
     EXPECT_GT(run.metrics.CounterValue("fsd.ckpt_batches"), checkpoint_steps)
         << "no checkpoint round ran while recording";
@@ -409,15 +494,15 @@ TEST(CrashHarnessTest, FreePagePhaseCutsCheckpointAndThirdEntry) {
     };
     std::size_t last_checkpoint = 0;
     for (std::size_t s = 0; s < run.steps.size(); ++s) {
-      if (run.steps[s].kind == Step::Kind::kCheckpoint) {
+      if (run.steps[s].op == TraceOp::kCheckpoint) {
         last_checkpoint = s;
       }
     }
-    ASSERT_EQ(run.steps[last_checkpoint - 1].kind, Step::Kind::kDelete);
+    ASSERT_EQ(run.steps[last_checkpoint - 1].op, TraceOp::kDelete);
     EXPECT_GT(home_writes(last_checkpoint, "fsd.ckpt"), 0);
     const std::size_t last_force = run.steps.size() - 2;
-    ASSERT_EQ(run.steps[last_force].kind, Step::Kind::kForce);
-    ASSERT_EQ(run.steps[last_force - 1].kind, Step::Kind::kDelete);
+    ASSERT_EQ(run.steps[last_force].op, TraceOp::kForce);
+    ASSERT_EQ(run.steps[last_force - 1].op, TraceOp::kDelete);
     // Primary and replica sweeps of the third-entry checkpoint.
     EXPECT_GE(home_writes(last_force, "fsd.flush_third"), 2);
   }
@@ -427,7 +512,7 @@ TEST(CrashHarnessTest, FreePagePhaseCutsCheckpointAndThirdEntry) {
 // Transient (soft) read errors: bounded retry, then surfaced.
 
 std::vector<std::uint8_t> Bytes(std::size_t n, std::uint8_t seed) {
-  return Pattern(n, seed);
+  return workload::Payload(n, seed);
 }
 
 FsdConfig SmallConfig() {

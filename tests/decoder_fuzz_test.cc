@@ -22,6 +22,7 @@
 #include "src/core/nt_store.h"
 #include "src/core/recovery.h"
 #include "src/core/vam.h"
+#include "src/crash/workload.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/sim/clock.h"
@@ -1187,9 +1188,8 @@ void FuzzFileFormat(const std::vector<std::uint8_t>& valid,
 }
 
 TEST(WorkloadTraceFuzzTest, AcceptedTracesReencodeToTheSameBytes) {
-  Rng gen(5);
-  std::vector<workload::TraceEntry> entries = workload::GenerateTrace(
-      workload::TraceGenConfig{.operations = 24, .name_space = 6}, gen);
+  std::vector<workload::TraceEntry> entries = crash::StandardWorkload();
+  entries.resize(24);
   for (std::size_t i = 0; i < entries.size(); ++i) {
     entries[i].tenant = static_cast<std::uint16_t>(i % 3);
     entries[i].vtime_us = 1000 * i;

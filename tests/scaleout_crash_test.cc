@@ -20,11 +20,13 @@
 #include "src/sim/disk.h"
 #include "src/util/check.h"
 #include "src/volume/router.h"
+#include "src/workload/workload.h"
 
 namespace cedar::crash {
 namespace {
 
 using core::Fsd;
+using workload::Payload;
 
 TEST(ScaleoutCrashTest, BoundedSweepPassesOnStripedArray) {
   HarnessOptions options;
@@ -74,7 +76,7 @@ TEST(ScaleoutCrashTest, MirroredVolumeSurvivesOneReplicaDead) {
     ASSERT_TRUE(fsd.Format().ok());
     for (int i = 0; i < 20; ++i) {
       ASSERT_TRUE(
-          fsd.CreateFile("dead/f" + std::to_string(i), Pattern(900, 61)).ok());
+          fsd.CreateFile("dead/f" + std::to_string(i), Payload(900, 61)).ok());
     }
     ASSERT_TRUE(fsd.Shutdown().ok());
   }
@@ -92,10 +94,10 @@ TEST(ScaleoutCrashTest, MirroredVolumeSurvivesOneReplicaDead) {
     ASSERT_TRUE(handle.ok()) << i;
     std::vector<std::uint8_t> out(handle->byte_size);
     ASSERT_TRUE(fsd.Read(*handle, 0, out).ok()) << i;
-    EXPECT_EQ(out, Pattern(900, 61)) << i;
+    EXPECT_EQ(out, Payload(900, 61)) << i;
   }
   // Mutations keep working on the surviving replica.
-  ASSERT_TRUE(fsd.CreateFile("dead/new", Pattern(700, 63)).ok());
+  ASSERT_TRUE(fsd.CreateFile("dead/new", Payload(700, 63)).ok());
   ASSERT_TRUE(fsd.Force().ok());
   auto fsck = fsd.Fsck();
   ASSERT_TRUE(fsck.ok());
@@ -167,7 +169,7 @@ class CrossVolumeCutTest : public ::testing::Test {
 };
 
 TEST_F(CrossVolumeCutTest, CrashAfterDestinationForceDuplicatesNeverLoses) {
-  const std::vector<std::uint8_t> contents = Pattern(1700, 71);
+  const std::vector<std::uint8_t> contents = Payload(1700, 71);
   {
     vol::VolumeRouter router({fsds_[0].get(), fsds_[1].get()});
     ASSERT_TRUE(router.CreateFile(from_, contents).ok());
@@ -197,7 +199,7 @@ TEST_F(CrossVolumeCutTest, CrashAfterDestinationForceDuplicatesNeverLoses) {
 }
 
 TEST_F(CrossVolumeCutTest, CrashDuringDestinationCopyLeavesSourceIntact) {
-  const std::vector<std::uint8_t> contents = Pattern(1700, 73);
+  const std::vector<std::uint8_t> contents = Payload(1700, 73);
   {
     vol::VolumeRouter router({fsds_[0].get(), fsds_[1].get()});
     ASSERT_TRUE(router.CreateFile(from_, contents).ok());

@@ -8,8 +8,10 @@
 #include "src/core/fsd.h"
 #include "src/sim/clock.h"
 #include "src/sim/disk.h"
+#include "src/workload/recorder.h"
 #include "src/workload/replay.h"
 #include "src/workload/trace.h"
+#include "src/workload/workload.h"
 
 namespace cedar::workload {
 namespace {
@@ -27,6 +29,8 @@ TEST(TraceFormatTest, RoundTrip) {
       {TraceOp::kTouch, "a/b.mesa", 0, 0, 0},
       {TraceOp::kForce, "", 0, 0, 0},
       {TraceOp::kAdvance, "", 500, 0, 0, 3, 1u << 20},
+      {TraceOp::kCheckpoint, "", 0, 0, 0},
+      {TraceOp::kShutdown, "", 0, 0, 0},
       {TraceOp::kDelete, "a/b.mesa", ~0ull, ~0ull, ~0ull, 0xFFFF, ~0ull},
   };
   const std::vector<std::uint8_t> bytes = SerializeTraceBinary(entries);
@@ -55,7 +59,7 @@ TEST(TraceFormatTest, RejectsWhatNoWriterProduces) {
   bytes[7] = '1';  // CEDWRK01 is not read
   expect_corrupt(bytes);
   bytes = valid;
-  bytes[12] = static_cast<std::uint8_t>(TraceOp::kAdvance) + 1;
+  bytes[12] = static_cast<std::uint8_t>(TraceOp::kShutdown) + 1;
   expect_corrupt(bytes);
   bytes = valid;
   bytes.push_back(0);
@@ -85,14 +89,29 @@ core::FsdConfig SmallFsd() {
   return config;
 }
 
+// The tenant mix with `ops` ops from `seed`, recorded on a fresh FSD.
+std::vector<TraceEntry> RecordMix(std::uint32_t ops, std::uint64_t seed) {
+  sim::VirtualClock clock;
+  sim::SimDisk disk(sim::TestGeometry(), sim::DiskTimingParams{}, &clock);
+  core::Fsd fsd(&disk, SmallFsd());
+  CEDAR_CHECK_OK(fsd.Format());
+  RecordingFs rec(&fsd, &clock);
+  const TenantMix mix{.ops = ops, .files_per_tenant = 20, .seed = seed};
+  CEDAR_CHECK_OK(RunTenantMix(&rec, mix,
+                              [&](const std::string&, sim::Micros think) {
+                                clock.Advance(think);
+                                return fsd.Tick();
+                              })
+                     .status());
+  return rec.Trace();
+}
+
 TEST(TraceReplayTest, ReplayAgainstFsd) {
+  const std::vector<TraceEntry> entries = RecordMix(300, 2024);
   sim::VirtualClock clock;
   sim::SimDisk disk(sim::TestGeometry(), sim::DiskTimingParams{}, &clock);
   core::Fsd fsd(&disk, SmallFsd());
   ASSERT_TRUE(fsd.Format().ok());
-
-  Rng rng(2024);
-  auto entries = GenerateTrace(TraceGenConfig{.operations = 300}, rng);
   auto stats = ReplayTrace(&fsd, entries, [&](sim::Micros think) {
     clock.Advance(think);
     return fsd.Tick();
@@ -105,8 +124,7 @@ TEST(TraceReplayTest, ReplayAgainstFsd) {
 // The determinism property that makes traces useful for cross-system
 // comparison: the same trace leaves identical contents on CFS and FSD.
 TEST(TraceReplayTest, SameTraceSameContentsAcrossSystems) {
-  Rng rng(31337);
-  auto entries = GenerateTrace(TraceGenConfig{.operations = 250}, rng);
+  const std::vector<TraceEntry> entries = RecordMix(250, 31337);
   // Serialize + reparse to also exercise the trace format end to end.
   auto parsed = ParseTraceBinary(SerializeTraceBinary(entries));
   ASSERT_TRUE(parsed.ok());
@@ -119,7 +137,7 @@ TEST(TraceReplayTest, SameTraceSameContentsAcrossSystems) {
     });
     CEDAR_CHECK_OK(stats.status());
     std::map<std::string, std::vector<std::uint8_t>> state;
-    auto list = file_system.List("t/");
+    auto list = file_system.List("t");
     CEDAR_CHECK_OK(list.status());
     for (const auto& info : *list) {
       auto handle = file_system.Open(info.name);
@@ -147,6 +165,7 @@ TEST(TraceReplayTest, SameTraceSameContentsAcrossSystems) {
   ASSERT_TRUE(cfs.Format().ok());
   auto cfs_state = run(cfs, clock_b, [] { return OkStatus(); });
 
+  EXPECT_FALSE(fsd_state.empty());
   EXPECT_EQ(fsd_state, cfs_state);
 }
 

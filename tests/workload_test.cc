@@ -7,6 +7,7 @@
 #include "src/core/fsd.h"
 #include "src/sim/clock.h"
 #include "src/sim/disk.h"
+#include "src/util/crc32.h"
 #include "src/util/random.h"
 #include "src/workload/recorder.h"
 #include "src/workload/replay.h"
@@ -162,52 +163,22 @@ core::FsdConfig SmallConfig(bool commit_daemon) {
   return config;
 }
 
-// Records a small three-tenant workload against a live FSD through the
-// RecordingFs decorator. Pure Rng drives the op mix, so the captured trace
-// is a deterministic function of the seed.
-std::vector<TraceEntry> RecordSmallWorkload(std::uint64_t seed) {
+// Records a small tenant mix against a live FSD through the RecordingFs
+// decorator. Pure Rng drives the op mix, so the captured trace is a
+// deterministic function of the shape.
+std::vector<TraceEntry> RecordSmallWorkload(
+    const TenantMix& mix = {.ops = 90, .files_per_tenant = 9, .seed = 5}) {
   sim::VirtualClock clock;
   sim::SimDisk disk(sim::TestGeometry(), sim::DiskTimingParams{}, &clock);
   core::Fsd fsd(&disk, SmallConfig(false));
   CEDAR_CHECK_OK(fsd.Format());
   RecordingFs rec(&fsd, &clock);
-  Rng rng(seed);
-  std::vector<std::uint8_t> payload;
-  for (int i = 0; i < 90; ++i) {
-    ScopedTenant scope(static_cast<std::uint16_t>(i % 3));
-    const std::string name =
-        TenantPrefix(static_cast<std::uint16_t>(i % 3)) + "f" +
-        std::to_string(rng.Below(9));
-    switch (rng.Below(4)) {
-      case 0:
-        payload.assign(rng.Between(100, 900),
-                       static_cast<std::uint8_t>(rng.Next()));
-        CEDAR_CHECK_OK(rec.CreateFile(name, payload).status());
-        break;
-      case 1: {
-        auto handle = rec.Open(name);
-        if (handle.ok() && handle.value().byte_size > 0) {
-          payload.resize(handle.value().byte_size);
-          CEDAR_CHECK_OK(rec.Read(handle.value(), 0, payload));
-          CEDAR_CHECK_OK(rec.Close(handle.value()));
-        }
-        break;
-      }
-      case 2:
-        (void)rec.Touch(name);
-        break;
-      default:
-        if (rng.Chance(0.2)) {
-          (void)rec.DeleteFile(name);
-        } else {
-          (void)rec.Touch(name);
-        }
-        break;
-    }
-    clock.Advance(rng.Between(1, 12) * sim::kMillisecond);
-    CEDAR_CHECK_OK(fsd.Tick());
-  }
-  CEDAR_CHECK_OK(rec.Force());
+  CEDAR_CHECK_OK(RunTenantMix(&rec, mix,
+                              [&](const std::string&, sim::Micros think) {
+                                clock.Advance(think);
+                                return fsd.Tick();
+                              })
+                     .status());
   std::vector<TraceEntry> trace = rec.Trace();
   CEDAR_CHECK_OK(fsd.Shutdown());
   return trace;
@@ -257,14 +228,14 @@ Footprint ReplayFootprint(const std::vector<TraceEntry>& trace,
 }  // namespace engine
 
 TEST(RecordReplayTest, RecordingIsDeterministic) {
-  const std::vector<TraceEntry> once = engine::RecordSmallWorkload(5);
-  const std::vector<TraceEntry> twice = engine::RecordSmallWorkload(5);
+  const std::vector<TraceEntry> once = engine::RecordSmallWorkload();
+  const std::vector<TraceEntry> twice = engine::RecordSmallWorkload();
   ASSERT_FALSE(once.empty());
   EXPECT_EQ(once, twice);  // includes tenants and vtime stamps
 }
 
 TEST(RecordReplayTest, BinaryRoundTripPreservesTheTrace) {
-  const std::vector<TraceEntry> trace = engine::RecordSmallWorkload(5);
+  const std::vector<TraceEntry> trace = engine::RecordSmallWorkload();
   const std::vector<std::uint8_t> bytes = SerializeTraceBinary(trace);
   auto parsed = ParseTraceBinary(bytes);
   ASSERT_TRUE(parsed.ok()) << parsed.status().message();
@@ -272,7 +243,7 @@ TEST(RecordReplayTest, BinaryRoundTripPreservesTheTrace) {
 }
 
 TEST(RecordReplayTest, TurnstileFootprintIdenticalAt148Threads) {
-  const std::vector<TraceEntry> trace = engine::RecordSmallWorkload(5);
+  const std::vector<TraceEntry> trace = engine::RecordSmallWorkload();
   ReplayConfig config;
   config.threads = 1;
   const engine::Footprint one = engine::ReplayFootprint(trace, config);
@@ -287,7 +258,7 @@ TEST(RecordReplayTest, TurnstileFootprintIdenticalAt148Threads) {
 }
 
 TEST(RecordReplayTest, OpenLoopPacingAdvancesTheClock) {
-  const std::vector<TraceEntry> trace = engine::RecordSmallWorkload(5);
+  const std::vector<TraceEntry> trace = engine::RecordSmallWorkload();
   ASSERT_GT(trace.back().vtime_us, trace.front().vtime_us);
   sim::VirtualClock clock;
   sim::SimDisk disk(sim::TestGeometry(), sim::DiskTimingParams{}, &clock);
@@ -306,33 +277,90 @@ TEST(RecordReplayTest, OpenLoopPacingAdvancesTheClock) {
   CEDAR_CHECK_OK(fsd.Shutdown());
 }
 
-TEST(ExpandTraceTest, ScaleAndZipfAreDeterministic) {
-  TraceGenConfig gen;
-  gen.operations = 60;
-  gen.name_space = 12;
-  Rng rng(21);
-  const std::vector<TraceEntry> base = GenerateTrace(gen, rng);
-  ReplayConfig config;
-  config.scale = 2.0;
-  config.zipf_s = 1.2;
-  config.seed = 9;
-  const std::vector<TraceEntry> plan_a = ExpandTrace(base, config);
-  const std::vector<TraceEntry> plan_b = ExpandTrace(base, config);
-  EXPECT_EQ(plan_a, plan_b);
-  EXPECT_NEAR(static_cast<double>(plan_a.size()),
-              2.0 * static_cast<double>(base.size()), 1.0);
-  // Zipf remap only renames; the op kinds line up with the repeated base.
-  for (std::size_t i = 0; i < plan_a.size(); ++i) {
-    EXPECT_EQ(plan_a[i].op, base[i % base.size()].op);
+// Every op RecordingFs records, once: each becomes one entry that names
+// what it did, and the trace (with a think-time entry added) replays on a
+// fresh volume.
+TEST(RecordReplayTest, RecorderSpeaksTheWholeVocabulary) {
+  sim::VirtualClock clock;
+  sim::SimDisk disk(sim::TestGeometry(), sim::DiskTimingParams{}, &clock);
+  core::Fsd fsd(&disk, engine::SmallConfig(false));
+  ASSERT_TRUE(fsd.Format().ok());
+  RecordingFs rec(&fsd, &clock);
+  const std::vector<std::uint8_t> body = Payload(1000, 7);
+  const std::vector<std::uint8_t> patch = Payload(50, 8);
+  std::vector<std::uint8_t> head(100);
+  ASSERT_TRUE(rec.CreateFile("v/a", body).ok());
+  auto handle = rec.Open("v/a");
+  ASSERT_TRUE(handle.ok());
+  ASSERT_TRUE(rec.Read(*handle, 0, head).ok());
+  ASSERT_TRUE(rec.Write(*handle, 200, patch).ok());
+  ASSERT_TRUE(rec.Extend(*handle, 500).ok());
+  ASSERT_TRUE(rec.Close(*handle).ok());
+  ASSERT_TRUE(rec.List("v/").ok());
+  ASSERT_TRUE(rec.Touch("v/a").ok());
+  ASSERT_TRUE(rec.SetKeep("v/a", 2).ok());
+  ASSERT_TRUE(rec.CreateFile("v/b", patch).ok());
+  ASSERT_TRUE(rec.DeleteFile("v/b").ok());
+  ASSERT_TRUE(rec.Force().ok());
+  ASSERT_TRUE(rec.Checkpoint().ok());
+  ASSERT_TRUE(rec.Shutdown().ok());
+
+  const std::vector<TraceEntry> expected = {
+      {TraceOp::kCreate, "v/a", 1000, Crc32(body)},
+      {TraceOp::kOpen, "v/a"},
+      {TraceOp::kRead, "v/a", 0, 100},
+      {TraceOp::kWrite, "v/a", 200, 50, Crc32(patch)},
+      {TraceOp::kExtend, "v/a", 500},
+      {TraceOp::kClose, "v/a"},
+      {TraceOp::kList, "v/"},
+      {TraceOp::kTouch, "v/a"},
+      {TraceOp::kSetKeep, "v/a", 2},
+      {TraceOp::kCreate, "v/b", 50, Crc32(patch)},
+      {TraceOp::kDelete, "v/b"},
+      {TraceOp::kForce, ""},
+      {TraceOp::kCheckpoint, ""},
+      {TraceOp::kShutdown, ""},
+  };
+  std::vector<TraceEntry> trace = rec.Trace();
+  ASSERT_EQ(trace.size(), expected.size());
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    SCOPED_TRACE("entry " + std::to_string(i));
+    EXPECT_GE(trace[i].vtime_us, i == 0 ? 0 : trace[i - 1].vtime_us);
+    EXPECT_EQ(trace[i].op, expected[i].op);
+    EXPECT_EQ(trace[i].name, expected[i].name);
+    EXPECT_EQ(trace[i].arg0, expected[i].arg0);
+    EXPECT_EQ(trace[i].arg1, expected[i].arg1);
+    EXPECT_EQ(trace[i].arg2, expected[i].arg2);
+    EXPECT_EQ(trace[i].tenant, 0u);
   }
+
+  trace.insert(trace.begin() + 7, TraceEntry{TraceOp::kAdvance, "", 25});
+  sim::VirtualClock replay_clock;
+  sim::SimDisk replay_disk(sim::TestGeometry(), sim::DiskTimingParams{},
+                           &replay_clock);
+  core::Fsd replayed(&replay_disk, engine::SmallConfig(false));
+  ASSERT_TRUE(replayed.Format().ok());
+  sim::Micros thought = 0;
+  auto stats = ReplayTrace(&replayed, trace, [&](sim::Micros think) {
+    thought += think;
+    return OkStatus();
+  });
+  ASSERT_TRUE(stats.ok()) << stats.status().message();
+  EXPECT_EQ(stats->ops, trace.size());
+  EXPECT_EQ(stats->not_found, 0u);
+  EXPECT_EQ(thought, 25 * sim::kMillisecond);
+  ASSERT_TRUE(replayed.Mount().ok());  // the trace shut the volume down
+  auto a = replayed.Open("v/a");
+  ASSERT_TRUE(a.ok());
+  EXPECT_EQ(a->byte_size, 1500u);
+  EXPECT_EQ(replayed.Open("v/b").status().code(), ErrorCode::kNotFound);
 }
 
+// Four tenants' recorded mix, replayed free-running on eight threads:
+// every op keeps its tenant and every file its tenant's namespace.
 TEST(ReplayTenantTest, NamespacesStayIsolatedUnderConcurrentReplay) {
-  TraceGenConfig gen;
-  gen.operations = 150;
-  gen.name_space = 18;
-  Rng rng(7);
-  const std::vector<TraceEntry> base = GenerateTrace(gen, rng);
+  const std::vector<TraceEntry> trace = engine::RecordSmallWorkload(
+      TenantMix{.ops = 150, .files_per_tenant = 6, .tenants = 4, .seed = 7});
 
   sim::VirtualClock clock;
   sim::SimDisk disk(sim::TestGeometry(), sim::DiskTimingParams{}, &clock);
@@ -341,8 +369,7 @@ TEST(ReplayTenantTest, NamespacesStayIsolatedUnderConcurrentReplay) {
   ReplayConfig config;
   config.threads = 8;
   config.mode = ReplayMode::kFreeRun;
-  config.tenants = 4;
-  auto result = ReplayTraceMulti(&fsd, base, config,
+  auto result = ReplayTraceMulti(&fsd, trace, config,
                                  [&](sim::Micros think) {
                                    clock.Advance(think);
                                    return fsd.Tick();
@@ -364,6 +391,7 @@ TEST(ReplayTenantTest, NamespacesStayIsolatedUnderConcurrentReplay) {
     prefixed += owners;
   }
   EXPECT_EQ(prefixed, all->size());
+  EXPECT_GT(all->size(), 0u);
   for (std::uint16_t tenant = 0; tenant < 4; ++tenant) {
     EXPECT_GT(result.value().per_tenant[tenant].ops, 0u) << tenant;
     auto mine = fsd.List(TenantPrefix(tenant));

@@ -1,23 +1,19 @@
-// workloadgen: record, synthesize, and replay CEDWRK02 workload traces.
-//
-//   workloadgen synthesize <out.trace> [--ops N] [--files N] [--zipf S]
-//                                      [--tenants K] [--seed S]
-//       Generate a deterministic trace (optionally Zipf-skewed and
-//       multiplexed across K tenant namespaces) and save it.
+// workloadgen: record and replay CEDWRK02 workload traces.
 //
 //   workloadgen record <out.trace> [--ops N] [--seed S]
-//       Drive the built-in synthetic client against a live FSD wrapped in
-//       workload::RecordingFs and save what the recorder captured — the
-//       same capture path a bench or test rig uses.
+//       Drive the tenant mix (src/workload/workload.h; bench_workload's
+//       shape: three tenants, Zipf over 200 files each) against a live FSD
+//       wrapped in workload::RecordingFs and save what the recorder
+//       captured — the same capture path the bench uses. Files are named
+//       t<k>/f<rank>.db.
 //
-//   workloadgen replay <in.trace> [--threads N] [--freerun] [--scale X]
-//                                 [--tenants K] [--zipf S] [--paced]
+//   workloadgen replay <in.trace> [--threads N] [--freerun] [--paced]
 //       Replay the trace against a fresh FSD volume and print replay
 //       stats, the disk-time split, and the post-replay fsck verdict.
 //
 //   workloadgen --selftest <dir>
-//       synthesize -> save -> load -> replay at 1 and 4 threads (footprints
-//       must match), then record -> replay. The ctest smoke test.
+//       record -> save -> load -> replay at 1 and 4 threads (footprints
+//       must match). The ctest smoke test.
 //
 // Every flag is checked: an unknown flag, a missing value, a value that
 // does not parse whole or lies out of range (--threads at most 64) exits 2
@@ -36,14 +32,13 @@
 #include "src/sim/clock.h"
 #include "src/sim/disk.h"
 #include "src/util/check.h"
-#include "src/util/random.h"
 #include "src/workload/recorder.h"
 #include "src/workload/replay.h"
 #include "src/workload/trace.h"
+#include "src/workload/workload.h"
 
 namespace {
 
-using cedar::Rng;
 using cedar::core::Fsd;
 using cedar::core::FsdConfig;
 using cedar::workload::ReplayConfig;
@@ -58,17 +53,16 @@ struct Rig {
 };
 
 // The most replay threads a run may ask for.
-constexpr double kMaxThreads = 64;
+constexpr std::uint64_t kMaxThreads = 64;
 
 // A flag a command takes. A switch sets `*on`; any other parses its value
-// whole into `*whole` or `*real`, which must lie in [min, max].
+// whole into `*value`, which must lie in [min, max].
 struct Flag {
   const char* name;
-  std::uint64_t* whole = nullptr;
-  double* real = nullptr;
+  std::uint64_t* value = nullptr;
   bool* on = nullptr;
-  double min = 0;
-  double max = 4294967295.0;
+  std::uint64_t min = 0;
+  std::uint64_t max = 4294967295;
 };
 
 // Parses argv[3..] into the targets of `flags`. An unknown flag, a missing
@@ -90,90 +84,33 @@ bool ParseFlags(int argc, char** argv, std::initializer_list<Flag> flags) {
     }
     const std::string_view text = i + 1 < argc ? argv[++i] : "";
     const char* end = text.data() + text.size();
-    std::uint64_t whole = 0;
-    double value = 0;
+    std::uint64_t value = 0;
     const std::from_chars_result parsed =
-        flag->whole != nullptr ? std::from_chars(text.data(), end, whole)
-                               : std::from_chars(text.data(), end, value);
-    if (flag->whole != nullptr) {
-      value = static_cast<double>(whole);
-    }
+        std::from_chars(text.data(), end, value);
     if (text.empty() || parsed.ec != std::errc() || parsed.ptr != end ||
-        !(value >= flag->min && value <= flag->max)) {
+        value < flag->min || value > flag->max) {
       std::fprintf(stderr, "workloadgen: bad value for %s: '%.*s'\n",
                    flag->name, static_cast<int>(text.size()), text.data());
       return false;
     }
-    if (flag->whole != nullptr) {
-      *flag->whole = whole;
-    } else {
-      *flag->real = value;
-    }
+    *flag->value = value;
   }
   return true;
 }
 
-std::vector<TraceEntry> Synthesize(std::uint32_t ops, std::uint32_t files,
-                                   double zipf_s, std::uint32_t tenants,
-                                   std::uint64_t seed) {
-  cedar::workload::TraceGenConfig gen;
-  gen.operations = ops;
-  gen.name_space = files;
-  Rng rng(seed);
-  std::vector<TraceEntry> base = cedar::workload::GenerateTrace(gen, rng);
-  ReplayConfig expand;
-  expand.zipf_s = zipf_s;
-  expand.tenants = tenants;
-  expand.seed = seed;
-  return cedar::workload::ExpandTrace(base, expand);
-}
-
+// Records the tenant mix with `ops` ops drawn from `seed`.
 std::vector<TraceEntry> Record(std::uint32_t ops, std::uint64_t seed) {
   Rig rig;
   Fsd fsd(&rig.disk, FsdConfig{});
   CEDAR_CHECK_OK(fsd.Format());
   cedar::workload::RecordingFs rec(&fsd, &rig.clock);
-  Rng rng(seed);
-  std::vector<std::uint8_t> payload;
-  for (std::uint32_t i = 0; i < ops; ++i) {
-    cedar::workload::ScopedTenant scope(
-        static_cast<std::uint16_t>(i % 3));
-    const std::string name =
-        cedar::workload::TenantPrefix(static_cast<std::uint16_t>(i % 3)) +
-        "g" + std::to_string(rng.Below(24)) + ".dat";
-    switch (rng.Below(4)) {
-      case 0:
-        payload.resize(rng.Between(128, 2048));
-        for (auto& b : payload) {
-          b = static_cast<std::uint8_t>(rng.Next());
-        }
-        CEDAR_CHECK_OK(rec.CreateFile(name, payload).status());
-        break;
-      case 1: {
-        auto handle = rec.Open(name);
-        if (handle.ok() && handle.value().byte_size > 0) {
-          payload.resize(handle.value().byte_size);
-          CEDAR_CHECK_OK(rec.Read(handle.value(), 0, payload));
-          CEDAR_CHECK_OK(rec.Close(handle.value()));
-        }
-        break;
-      }
-      case 2:
-        (void)rec.Touch(name);
-        break;
-      default:
-        if (rng.Chance(0.2)) {
-          (void)rec.DeleteFile(name);
-        } else {
-          (void)rec.SetKeep(name, static_cast<std::uint16_t>(
-                                      rng.Between(1, 3)));
-        }
-        break;
-    }
-    rig.clock.Advance(rng.Between(1, 20) * cedar::sim::kMillisecond);
-    CEDAR_CHECK_OK(fsd.Tick());
-  }
-  CEDAR_CHECK_OK(rec.Force());
+  CEDAR_CHECK_OK(cedar::workload::RunTenantMix(
+                     &rec, {.ops = ops, .seed = seed},
+                     [&](const std::string&, cedar::sim::Micros think) {
+                       rig.clock.Advance(think);
+                       return fsd.Tick();
+                     })
+                     .status());
   std::vector<TraceEntry> trace = rec.Trace();
   CEDAR_CHECK_OK(fsd.Shutdown());
   return trace;
@@ -232,12 +169,12 @@ void PrintOutcome(const ReplayOutcome& outcome, int threads) {
 
 int Selftest(const std::string& dir) {
   const std::string path = dir + "/workloadgen_selftest.trace";
-  const std::vector<TraceEntry> synth = Synthesize(160, 24, 1.0, 3, 11);
-  CEDAR_CHECK_OK(cedar::workload::SaveTraceBinary(path, synth));
+  const std::vector<TraceEntry> recorded = Record(160, 11);
+  CEDAR_CHECK_OK(cedar::workload::SaveTraceBinary(path, recorded));
   auto loaded = cedar::workload::LoadTraceBinary(path);
   CEDAR_CHECK_OK(loaded.status());
-  CEDAR_CHECK(loaded.value() == synth);
-  std::printf("synthesized %zu entries -> %s (round-trips)\n", synth.size(),
+  CEDAR_CHECK(loaded.value() == recorded);
+  std::printf("recorded %zu entries -> %s (round-trips)\n", recorded.size(),
               path.c_str());
 
   std::printf("%8s %8s %8s %8s %8s %10s %6s %6s\n", "threads", "ops",
@@ -253,24 +190,15 @@ int Selftest(const std::string& dir) {
               one.disk.writes == four.disk.writes &&
               one.disk.busy_us == four.disk.busy_us);
   CEDAR_CHECK(one.violations == 0 && four.violations == 0);
-
-  const std::vector<TraceEntry> recorded = Record(120, 5);
-  CEDAR_CHECK(!recorded.empty());
-  config.threads = 2;
-  const ReplayOutcome replayed = Replay(recorded, config);
-  PrintOutcome(replayed, 2);
-  CEDAR_CHECK(replayed.violations == 0);
   std::printf("workloadgen selftest: PASS\n");
   return 0;
 }
 
 int Usage() {
   std::fprintf(stderr,
-               "usage: workloadgen synthesize <out.trace> [--ops N] "
-               "[--files N] [--zipf S] [--tenants K] [--seed S]\n"
-               "       workloadgen record <out.trace> [--ops N] [--seed S]\n"
+               "usage: workloadgen record <out.trace> [--ops N] [--seed S]\n"
                "       workloadgen replay <in.trace> [--threads N] "
-               "[--freerun] [--scale X] [--tenants K] [--zipf S] [--paced]\n"
+               "[--freerun] [--paced]\n"
                "       workloadgen --selftest <dir>\n");
   return 2;
 }
@@ -286,35 +214,15 @@ int main(int argc, char** argv) {
   }
   const std::string command = argv[1];
   const std::string path = argv[2];
-  std::uint64_t ops = command == "record" ? 400 : 500;
-  std::uint64_t files = 40;
-  std::uint64_t tenants = 0;
+  std::uint64_t ops = 400;
   std::uint64_t seed = 1;
   std::uint64_t threads = 1;
-  double zipf = 0.0;
-  double scale = 1.0;
   bool freerun = false;
   bool paced = false;
-  const Flag ops_flag{"--ops", &ops};
-  const Flag seed_flag{.name = "--seed", .whole = &seed, .max = 2e19};
-  const Flag tenants_flag{.name = "--tenants", .whole = &tenants, .max = 65536};
-  const Flag zipf_flag{.name = "--zipf", .real = &zipf, .max = 1000};
-
-  if (command == "synthesize") {
-    if (!ParseFlags(argc, argv,
-                    {ops_flag, {.name = "--files", .whole = &files, .min = 1},
-                     zipf_flag, tenants_flag, seed_flag})) {
-      return Usage();
-    }
-    const std::vector<TraceEntry> trace = Synthesize(
-        static_cast<std::uint32_t>(ops), static_cast<std::uint32_t>(files),
-        zipf, static_cast<std::uint32_t>(tenants), seed);
-    CEDAR_CHECK_OK(cedar::workload::SaveTraceBinary(path, trace));
-    std::printf("wrote %zu entries to %s\n", trace.size(), path.c_str());
-    return 0;
-  }
   if (command == "record") {
-    if (!ParseFlags(argc, argv, {ops_flag, seed_flag})) {
+    if (!ParseFlags(argc, argv,
+                    {{.name = "--ops", .value = &ops},
+                     {.name = "--seed", .value = &seed, .max = ~0ull}})) {
       return Usage();
     }
     const std::vector<TraceEntry> trace =
@@ -326,11 +234,9 @@ int main(int argc, char** argv) {
   if (command == "replay") {
     if (!ParseFlags(
             argc, argv,
-            {{.name = "--threads", .whole = &threads, .min = 1,
+            {{.name = "--threads", .value = &threads, .min = 1,
               .max = kMaxThreads},
              {.name = "--freerun", .on = &freerun},
-             {.name = "--scale", .real = &scale, .max = 1000},
-             tenants_flag, zipf_flag,
              {.name = "--paced", .on = &paced}})) {
       return Usage();
     }
@@ -343,9 +249,6 @@ int main(int argc, char** argv) {
     ReplayConfig config;
     config.threads = static_cast<int>(threads);
     config.mode = freerun ? ReplayMode::kFreeRun : ReplayMode::kTurnstile;
-    config.scale = scale;
-    config.tenants = static_cast<std::uint32_t>(tenants);
-    config.zipf_s = zipf;
     config.paced = paced;
     std::printf("%8s %8s %8s %8s %8s %10s %6s %6s\n", "threads", "ops",
                 "misses", "reads", "writes", "busy ms", "viol", "warn");
