@@ -1,5 +1,5 @@
-// Trace-driven production workload bench: record a multi-tenant Zipf
-// workload from a live FSD through RecordingFs, round-trip it through the
+// Trace-driven production workload bench: run the multi-tenant Zipf mix on
+// a live FSD, which records its own trace, round-trip the trace through the
 // CEDWRK02 binary format, and replay it turnstile at 1/4/8 threads.
 //
 // Turnstile replay drives an identical disk request stream at every thread
@@ -24,7 +24,6 @@
 #include "src/core/fsd.h"
 #include "src/obs/benchcmp.h"
 #include "src/obs/trace.h"
-#include "src/workload/recorder.h"
 #include "src/workload/replay.h"
 #include "src/workload/trace.h"
 #include "src/workload/workload.h"
@@ -54,7 +53,7 @@ cedar::core::FsdConfig BenchConfig(double cpu_scale, bool commit_daemon) {
   return config;
 }
 
-// Records the 3-tenant Zipf mix against a live FSD wrapped in RecordingFs.
+// Records the 3-tenant Zipf mix as it runs against a live FSD.
 // The op stream is pure Rng — independent of timing — so two recordings
 // with the same shape capture the same trace no matter how fast the
 // machine underneath runs.
@@ -63,17 +62,17 @@ std::vector<cedar::workload::TraceEntry> RecordWorkload(
   Rig rig;
   cedar::core::Fsd fsd(&rig.disk, BenchConfig(cpu_scale, false));
   CEDAR_CHECK_OK(fsd.Format());
-  cedar::workload::RecordingFs rec(&fsd, &rig.clock);
   // Think time lets the group-commit deadline fire as it would under a
-  // live load; the recorder stamps each op's virtual timestamp.
+  // live load; the mix stamps each op with its virtual timestamp.
+  std::vector<cedar::workload::TraceEntry> trace;
   CEDAR_CHECK_OK(cedar::workload::RunTenantMix(
-                     &rec, shape,
+                     &fsd, shape,
                      [&](const std::string&, cedar::sim::Micros think) {
                        rig.clock.Advance(think);
                        return fsd.Tick();
-                     })
+                     },
+                     &trace, &rig.clock)
                      .status());
-  std::vector<cedar::workload::TraceEntry> trace = rec.Trace();
   CEDAR_CHECK_OK(fsd.Shutdown());
 
   // Round-trip through the CEDWRK02 binary format: what the bench replays

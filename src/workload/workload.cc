@@ -3,7 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
-#include "src/workload/recorder.h"
+#include "src/util/check.h"
+#include "src/util/crc32.h"
 #include "src/workload/zipf.h"
 
 namespace cedar::workload {
@@ -163,7 +164,22 @@ std::string TenantPrefix(std::uint16_t tenant) {
 Result<std::uint64_t> RunTenantMix(
     fs::FileSystem* file_system, const TenantMix& mix,
     const std::function<Status(const std::string& name, sim::Micros think)>&
-        think) {
+        think,
+    std::vector<TraceEntry>* trace, const sim::VirtualClock* clock) {
+  CEDAR_CHECK(trace == nullptr || clock != nullptr);
+  if (trace != nullptr && mix.rename_slot) {
+    return MakeError(ErrorCode::kInvalidArgument,
+                     "a trace has no rename: record the mix without "
+                     "rename_slot");
+  }
+  // Appends one entry, stamped after the op it describes returned.
+  auto record = [&](TraceOp op, std::uint16_t tenant, const std::string& name,
+                    std::uint64_t arg0 = 0, std::uint64_t arg1 = 0,
+                    std::uint64_t arg2 = 0) {
+    if (trace != nullptr) {
+      trace->push_back({op, name, arg0, arg1, arg2, tenant, clock->now()});
+    }
+  };
   Rng rng(mix.seed);
   const ZipfSampler zipf(mix.files_per_tenant, mix.zipf_s);
   std::vector<std::uint8_t> payload;
@@ -176,35 +192,50 @@ Result<std::uint64_t> RunTenantMix(
   std::uint64_t updates = 0;
   for (std::uint32_t i = 0; i < mix.ops; ++i) {
     const auto tenant = static_cast<std::uint16_t>(i % mix.tenants);
-    ScopedTenant scope(tenant);
     const std::uint32_t rank = zipf.Sample(rng);
     const std::string name =
         TenantPrefix(tenant) + "f" + std::to_string(rank) + ".db";
+    // A touch or delete that misses is part of the mix, and of its trace.
+    auto touch = [&] {
+      const Status touched = file_system->Touch(name);
+      if (touched.ok() || touched.code() == ErrorCode::kNotFound) {
+        record(TraceOp::kTouch, tenant, name);
+      }
+    };
     switch (rng.Below(8)) {
       case 0:
       case 1:
         fresh(rng.Between(256, 4096));
         CEDAR_RETURN_IF_ERROR(
             file_system->CreateFile(name, payload).status());
+        record(TraceOp::kCreate, tenant, name, payload.size(),
+               Crc32(payload));
         ++updates;
         break;
       case 2:
       case 3:
       case 4: {
         auto handle = file_system->Open(name);
+        record(TraceOp::kOpen, tenant, name);
         if (handle.ok() && handle->byte_size > 0) {
           payload.resize(std::min<std::uint64_t>(handle->byte_size, 4096));
           CEDAR_RETURN_IF_ERROR(file_system->Read(*handle, 0, payload));
+          record(TraceOp::kRead, tenant, name, 0, payload.size());
           CEDAR_RETURN_IF_ERROR(file_system->Close(*handle));
+          record(TraceOp::kClose, tenant, name);
         }
         break;
       }
       case 5: {
         auto handle = file_system->Open(name);
+        record(TraceOp::kOpen, tenant, name);
         if (handle.ok() && handle->byte_size > 0) {
           fresh(std::min<std::uint64_t>(handle->byte_size, 512));
           CEDAR_RETURN_IF_ERROR(file_system->Write(*handle, 0, payload));
+          record(TraceOp::kWrite, tenant, name, 0, payload.size(),
+                 Crc32(payload));
           CEDAR_RETURN_IF_ERROR(file_system->Close(*handle));
+          record(TraceOp::kClose, tenant, name);
           ++updates;
         }
         break;
@@ -218,20 +249,25 @@ Result<std::uint64_t> RunTenantMix(
             updates += 2;
           }
         } else {
-          (void)file_system->Touch(name);
+          touch();
         }
         break;
       default:
         if (!rng.Chance(0.25)) {
-          (void)file_system->Touch(name);
-        } else if (file_system->DeleteFile(name).ok()) {
-          ++updates;
+          touch();
+        } else {
+          const Status deleted = file_system->DeleteFile(name);
+          if (deleted.ok() || deleted.code() == ErrorCode::kNotFound) {
+            record(TraceOp::kDelete, tenant, name);
+          }
+          updates += deleted.ok() ? 1 : 0;
         }
         break;
     }
     CEDAR_RETURN_IF_ERROR(think(name, rng.Between(1, 15) * sim::kMillisecond));
   }
   CEDAR_RETURN_IF_ERROR(file_system->Force());
+  record(TraceOp::kForce, 0, "");
   return updates;
 }
 

@@ -11,7 +11,8 @@
 //    and version replacements localized to one subdirectory, the hot-spot
 //    pattern group commit absorbs.
 //  - RunTenantMix is the multi-tenant Zipf client the workload and
-//    scale-out benches drive and `workloadgen record` captures.
+//    scale-out benches drive; it writes its own trace when asked, which
+//    bench_workload replays and `workloadgen record` saves.
 
 #ifndef CEDAR_WORKLOAD_WORKLOAD_H_
 #define CEDAR_WORKLOAD_WORKLOAD_H_
@@ -25,6 +26,7 @@
 #include "src/sim/clock.h"
 #include "src/util/random.h"
 #include "src/util/status.h"
+#include "src/workload/trace.h"
 
 namespace cedar::workload {
 
@@ -92,9 +94,9 @@ Status BulkUpdate(fs::FileSystem* file_system, std::string_view prefix,
 // The tenant namespace prefix ("t3/" for tenant 3).
 std::string TenantPrefix(std::uint16_t tenant);
 
-// The tenant mix. Op i runs as tenant i % tenants, under a ScopedTenant, on
-// file t<k>/f<rank>.db, its rank drawn Zipf(zipf_s) over files_per_tenant
-// names. Then one draw out of eight picks the op:
+// The tenant mix. Op i runs as tenant i % tenants on file t<k>/f<rank>.db,
+// its rank drawn Zipf(zipf_s) over files_per_tenant names. Then one draw
+// out of eight picks the op:
 //   0-1  create a new version of 256..4096 fresh bytes;
 //   2-4  open, read the head (at most 4 KB), close;
 //   5    open, overwrite the head (at most 512 bytes), close;
@@ -117,10 +119,20 @@ struct TenantMix {
 // Runs `mix` against `file_system` and returns how many updates (creates,
 // overwrites, renames and deletes) succeeded, or the first failure of a
 // create, read, overwrite, close, think or the final force.
+//
+// With `trace` set (and `clock` with it), the mix also appends each op it
+// issued, stamped with its tenant and with `clock`'s time after the op
+// returned: every open, hit or miss; a read, write or close that
+// succeeded; a touch or delete that succeeded or missed; and the final
+// force (tenant 0). A payload is stored as its CRC32, the seed a replay
+// writes it from. A trace has no rename, so a rename_slot mix is refused
+// with kInvalidArgument before any op runs.
 Result<std::uint64_t> RunTenantMix(
     fs::FileSystem* file_system, const TenantMix& mix,
     const std::function<Status(const std::string& name, sim::Micros think)>&
-        think);
+        think,
+    std::vector<TraceEntry>* trace = nullptr,
+    const sim::VirtualClock* clock = nullptr);
 
 }  // namespace cedar::workload
 

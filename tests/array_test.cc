@@ -6,11 +6,14 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <filesystem>
+#include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "src/obs/trace.h"
 #include "src/sim/clock.h"
+#include "src/sim/disk.h"
 #include "src/sim/geometry.h"
 #include "src/sim/timing.h"
 
@@ -276,6 +279,116 @@ TEST(DiskArrayTest, SingleSpindleStripedMatchesPlainDisk) {
   ASSERT_TRUE(disk.Write(5, data).ok());
   EXPECT_EQ(array.stats().writes, disk.stats().writes);
   EXPECT_EQ(array_clock.now(), disk_clock.now());
+}
+
+// Logical damage on a striped array lands on the one member that backs
+// each sector (a two-sector run may straddle a chunk boundary), and a
+// rewrite of the logical range heals it.
+TEST(DiskArrayTest, StripedDamageHitsTheBackingMemberAndHealsOnRewrite) {
+  VirtualClock clock;
+  DiskArray array(SmallArray(ArrayMode::kStriped, 2), &clock);
+  ASSERT_TRUE(array.Write(0, Pattern(8, 41)).ok());
+  array.DamageSectors(3, 2);  // logical 3 on spindle 0, logical 4 on 1
+  EXPECT_TRUE(array.IsDamaged(3));
+  EXPECT_TRUE(array.IsDamaged(4));
+  EXPECT_FALSE(array.IsDamaged(2));
+  EXPECT_FALSE(array.IsDamaged(5));
+  EXPECT_TRUE(array.member(0).IsDamaged(3));
+  EXPECT_TRUE(array.member(1).IsDamaged(0));
+  EXPECT_FALSE(array.member(1).IsDamaged(3));
+  std::vector<std::uint8_t> back(8 * kSectorSize);
+  EXPECT_EQ(array.Read(0, back).code(), ErrorCode::kSectorDamaged);
+
+  ASSERT_TRUE(array.Write(0, Pattern(8, 42)).ok());
+  EXPECT_FALSE(array.IsDamaged(3));
+  EXPECT_FALSE(array.IsDamaged(4));
+  ASSERT_TRUE(array.Read(0, back).ok());
+  EXPECT_EQ(back, Pattern(8, 42));
+}
+
+// On a mirrored array logical damage hits every replica, and a sector
+// counts as damaged only while no replica holds a healthy copy.
+TEST(DiskArrayTest, MirroredSectorIsDamagedOnlyWhenEveryReplicaIs) {
+  VirtualClock clock;
+  DiskArray array(SmallArray(ArrayMode::kMirrored, 2), &clock);
+  ASSERT_TRUE(array.Write(10, Pattern(4, 43)).ok());
+  array.DamageSectors(10, 2);
+  EXPECT_TRUE(array.IsDamaged(10));
+  EXPECT_TRUE(array.IsDamaged(11));
+  EXPECT_TRUE(array.member(0).IsDamaged(11));
+  EXPECT_TRUE(array.member(1).IsDamaged(11));
+  EXPECT_FALSE(array.IsDamaged(12));
+
+  array.member(0).DamageSectors(12, 1);
+  EXPECT_FALSE(array.IsDamaged(12));
+  array.member(1).DamageSectors(12, 1);
+  EXPECT_TRUE(array.IsDamaged(12));
+
+  ASSERT_TRUE(array.Write(10, Pattern(2, 44)).ok());
+  EXPECT_FALSE(array.IsDamaged(10));
+  EXPECT_FALSE(array.IsDamaged(11));
+  EXPECT_TRUE(array.IsDamaged(12));
+}
+
+// CrashNow takes the array and every member down between requests: each
+// request fails with kDeviceCrashed until Reopen, and the medium survives.
+TEST(DiskArrayTest, CrashNowFailsRequestsUntilReopen) {
+  VirtualClock clock;
+  DiskArray array(SmallArray(ArrayMode::kStriped, 2), &clock);
+  ASSERT_TRUE(array.Write(0, Pattern(8, 45)).ok());
+  array.CrashNow();
+  EXPECT_TRUE(array.crashed());
+  EXPECT_TRUE(array.member(0).crashed());
+  EXPECT_TRUE(array.member(1).crashed());
+  std::vector<std::uint8_t> back(8 * kSectorSize);
+  EXPECT_EQ(array.Read(0, back).code(), ErrorCode::kDeviceCrashed);
+  EXPECT_EQ(array.Write(0, Pattern(8, 46)).code(),
+            ErrorCode::kDeviceCrashed);
+
+  array.Reopen();
+  EXPECT_FALSE(array.crashed());
+  EXPECT_FALSE(array.member(1).crashed());
+  ASSERT_TRUE(array.Read(0, back).ok());
+  EXPECT_EQ(back, Pattern(8, 45));
+}
+
+// SaveImage writes one image per member: member 0 at the path, member i
+// from 1 on at path.s<i>. Each loads back into a SimDisk of the member
+// geometry that equals that member, damage map included.
+TEST(DiskArrayTest, SaveImageWritesOneLoadableImagePerMember) {
+  VirtualClock clock;
+  DiskArray array(SmallArray(ArrayMode::kStriped, 3), &clock);
+  ASSERT_TRUE(array.Write(0, Pattern(24, 47)).ok());
+  array.member(2).DamageSectors(1, 1);
+  const std::string path = ::testing::TempDir() + "/array_test.img";
+  ASSERT_TRUE(array.SaveImage(path).ok());
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    SCOPED_TRACE("member " + std::to_string(i));
+    const std::string member_path =
+        i == 0 ? path : path + ".s" + std::to_string(i);
+    VirtualClock member_clock;
+    SimDisk loaded(TestGeometry(), DiskTimingParams{}, &member_clock);
+    ASSERT_TRUE(loaded.LoadImage(member_path).ok());
+    EXPECT_TRUE(loaded.StateEquals(array.member(i).Snapshot()));
+    std::filesystem::remove(member_path);
+  }
+  EXPECT_FALSE(std::filesystem::exists(path + ".s0"));
+  EXPECT_FALSE(std::filesystem::exists(path + ".s3"));
+}
+
+TEST(DiskArrayTest, ResetStatsZeroesEveryMember) {
+  VirtualClock clock;
+  DiskArray array(SmallArray(ArrayMode::kStriped, 2), &clock);
+  ASSERT_TRUE(array.Write(0, Pattern(8, 48)).ok());
+  std::vector<std::uint8_t> back(8 * kSectorSize);
+  ASSERT_TRUE(array.Read(0, back).ok());
+  ASSERT_GT(array.stats().busy_us, 0u);
+  array.ResetStats();
+  EXPECT_EQ(array.stats().reads, 0u);
+  EXPECT_EQ(array.stats().writes, 0u);
+  EXPECT_EQ(array.stats().busy_us, 0u);
+  EXPECT_EQ(array.SpindleStats(0).writes, 0u);
+  EXPECT_EQ(array.SpindleStats(1).reads, 0u);
 }
 
 }  // namespace

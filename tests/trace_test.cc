@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/bsd/ffs.h"
@@ -8,7 +10,7 @@
 #include "src/core/fsd.h"
 #include "src/sim/clock.h"
 #include "src/sim/disk.h"
-#include "src/workload/recorder.h"
+#include "src/util/crc32.h"
 #include "src/workload/replay.h"
 #include "src/workload/trace.h"
 #include "src/workload/workload.h"
@@ -89,25 +91,54 @@ core::FsdConfig SmallFsd() {
   return config;
 }
 
-// The tenant mix with `ops` ops from `seed`, recorded on a fresh FSD.
-std::vector<TraceEntry> RecordMix(std::uint32_t ops, std::uint64_t seed) {
+// What a volume holds under `prefix`: each file's (name, version, bytes).
+using Listing = std::set<std::tuple<std::string, std::uint32_t, std::uint64_t>>;
+
+Listing ListUnder(fs::FileSystem& file_system, std::string_view prefix) {
+  auto infos = file_system.List(prefix);
+  CEDAR_CHECK_OK(infos.status());
+  Listing listing;
+  for (const fs::FileInfo& info : *infos) {
+    listing.emplace(info.name, info.version, info.byte_size);
+  }
+  return listing;
+}
+
+// The tenant mix with `ops` ops from `seed`, recorded on a fresh FSD;
+// `listing`, if set, receives what the recorded run left under "t".
+std::vector<TraceEntry> RecordMix(std::uint32_t ops, std::uint64_t seed,
+                                  Listing* listing = nullptr) {
   sim::VirtualClock clock;
   sim::SimDisk disk(sim::TestGeometry(), sim::DiskTimingParams{}, &clock);
   core::Fsd fsd(&disk, SmallFsd());
   CEDAR_CHECK_OK(fsd.Format());
-  RecordingFs rec(&fsd, &clock);
   const TenantMix mix{.ops = ops, .files_per_tenant = 20, .seed = seed};
-  CEDAR_CHECK_OK(RunTenantMix(&rec, mix,
-                              [&](const std::string&, sim::Micros think) {
-                                clock.Advance(think);
-                                return fsd.Tick();
-                              })
+  std::vector<TraceEntry> trace;
+  CEDAR_CHECK_OK(RunTenantMix(
+                     &fsd, mix,
+                     [&](const std::string&, sim::Micros think) {
+                       clock.Advance(think);
+                       return fsd.Tick();
+                     },
+                     &trace, &clock)
                      .status());
-  return rec.Trace();
+  if (listing != nullptr) {
+    *listing = ListUnder(fsd, "t");
+  }
+  return trace;
 }
 
+// The recording is pinned bit for bit: the CRC32 below is what the mix's
+// trace serialized to when a file-system decorator recorded it, and any
+// change to what the mix records, or when, moves it. Replayed on a fresh
+// FSD, the trace leaves exactly the files the recorded run left.
 TEST(TraceReplayTest, ReplayAgainstFsd) {
-  const std::vector<TraceEntry> entries = RecordMix(300, 2024);
+  Listing recorded;
+  const std::vector<TraceEntry> entries = RecordMix(300, 2024, &recorded);
+  EXPECT_EQ(Crc32(SerializeTraceBinary(entries)), 0x143f49bdu);
+  for (std::size_t i = 1; i < entries.size(); ++i) {
+    EXPECT_GE(entries[i].vtime_us, entries[i - 1].vtime_us) << i;
+  }
   sim::VirtualClock clock;
   sim::SimDisk disk(sim::TestGeometry(), sim::DiskTimingParams{}, &clock);
   core::Fsd fsd(&disk, SmallFsd());
@@ -119,6 +150,52 @@ TEST(TraceReplayTest, ReplayAgainstFsd) {
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->ops, entries.size());
   ASSERT_TRUE(fsd.CheckNameTableInvariants().ok());
+  EXPECT_FALSE(recorded.empty());
+  EXPECT_EQ(ListUnder(fsd, "t"), recorded);
+}
+
+// Every op a trace speaks, each at least once, replays on a fresh volume:
+// advance thinks, and shutdown leaves a volume that mounts clean.
+TEST(TraceReplayTest, ReplaySpeaksTheWholeVocabulary) {
+  const std::vector<TraceEntry> trace = {
+      {TraceOp::kCreate, "v/a", 1000, 7},
+      {TraceOp::kOpen, "v/a"},
+      {TraceOp::kRead, "v/a", 0, 100},
+      {TraceOp::kWrite, "v/a", 200, 50, 8},
+      {TraceOp::kExtend, "v/a", 500},
+      {TraceOp::kClose, "v/a"},
+      {TraceOp::kList, "v/"},
+      {TraceOp::kAdvance, "", 25},
+      {TraceOp::kTouch, "v/a"},
+      {TraceOp::kSetKeep, "v/a", 2},
+      {TraceOp::kCreate, "v/b", 50, 8},
+      {TraceOp::kDelete, "v/b"},
+      {TraceOp::kForce, ""},
+      {TraceOp::kCheckpoint, ""},
+      {TraceOp::kShutdown, ""},
+  };
+  sim::VirtualClock clock;
+  sim::SimDisk disk(sim::TestGeometry(), sim::DiskTimingParams{}, &clock);
+  core::Fsd fsd(&disk, SmallFsd());
+  ASSERT_TRUE(fsd.Format().ok());
+  sim::Micros thought = 0;
+  auto stats = ReplayTrace(&fsd, trace, [&](sim::Micros think) {
+    thought += think;
+    return OkStatus();
+  });
+  ASSERT_TRUE(stats.ok()) << stats.status().message();
+  EXPECT_EQ(stats->ops, trace.size());
+  EXPECT_EQ(stats->not_found, 0u);
+  EXPECT_EQ(thought, 25 * sim::kMillisecond);
+  ASSERT_TRUE(fsd.Mount().ok());  // the trace shut the volume down
+  auto a = fsd.Open("v/a");
+  ASSERT_TRUE(a.ok());
+  EXPECT_EQ(a->byte_size, 1500u);
+  auto listed = fsd.List("v/");
+  ASSERT_TRUE(listed.ok());
+  ASSERT_EQ(listed->size(), 1u);
+  EXPECT_EQ(listed->front().keep, 2u);
+  EXPECT_EQ(fsd.Open("v/b").status().code(), ErrorCode::kNotFound);
 }
 
 // The determinism property that makes traces useful for cross-system

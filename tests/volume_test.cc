@@ -1,6 +1,6 @@
 // VolumeRouter: shard routing, stateless handle encoding, merged listing,
-// same-volume and cross-volume rename, and an FSD volume
-// running end-to-end on a striped DiskArray.
+// same-volume and cross-volume rename, the maintenance and health fan-out,
+// and an FSD volume running end-to-end on a striped DiskArray.
 
 #include <gtest/gtest.h>
 
@@ -221,6 +221,65 @@ TEST(VolumeRouterTest, ForceAndShutdownFanOut) {
   ASSERT_TRUE(rig.router().Force().ok());
   EXPECT_TRUE(rig.router().RecoveryWindow().ok());
   ASSERT_TRUE(rig.router().Shutdown().ok());
+}
+
+// Checkpoint reaches every volume, Maintenance sums the volumes' counters,
+// and Health sums theirs and tags each note with its volume's index.
+TEST(VolumeRouterTest, MaintenanceAndHealthFanOutAndSum) {
+  ScaleoutRig rig(SmallRig(3));
+  // Two forced groups: a checkpoint retires every log record but the
+  // newest, so each volume needs two.
+  for (int i = 0; i < 24; ++i) {
+    ASSERT_TRUE(
+        rig.router().CreateFile("ops/f" + std::to_string(i), Bytes(700, 5))
+            .ok());
+    if (i % 12 == 11) {
+      ASSERT_TRUE(rig.router().Force().ok());
+    }
+  }
+  ASSERT_TRUE(rig.router().Checkpoint().ok());
+  fs::MaintenanceStats sum;
+  for (std::uint32_t v = 0; v < 3; ++v) {
+    const fs::MaintenanceStats m = rig.fsd(v).Maintenance();
+    EXPECT_GE(m.checkpoint_batches, 1u) << "volume " << v;
+    sum.log_live_bytes += m.log_live_bytes;
+    sum.log_capacity_bytes += m.log_capacity_bytes;
+    sum.recovery_window_bytes += m.recovery_window_bytes;
+    sum.checkpoint_batches += m.checkpoint_batches;
+    sum.checkpoint_pages += m.checkpoint_pages;
+    sum.checkpoint_advances += m.checkpoint_advances;
+    sum.third_flush_fallbacks += m.third_flush_fallbacks;
+  }
+  const fs::MaintenanceStats total = rig.router().Maintenance();
+  EXPECT_GT(total.log_capacity_bytes, 0u);
+  EXPECT_EQ(total.log_live_bytes, sum.log_live_bytes);
+  EXPECT_EQ(total.log_capacity_bytes, sum.log_capacity_bytes);
+  EXPECT_EQ(total.recovery_window_bytes, sum.recovery_window_bytes);
+  EXPECT_EQ(total.checkpoint_batches, sum.checkpoint_batches);
+  EXPECT_EQ(total.checkpoint_pages, sum.checkpoint_pages);
+  EXPECT_EQ(total.checkpoint_advances, sum.checkpoint_advances);
+  EXPECT_EQ(total.third_flush_fallbacks, sum.third_flush_fallbacks);
+
+  // Lose both copies of volume 2's live name-table pages: its scrub can
+  // only report them, and the router's notes say which volume lost them.
+  EXPECT_TRUE(rig.router().Health().notes.empty());
+  const core::FsdLayout layout = rig.fsd(2).layout();
+  for (std::uint32_t pid = 0; pid < 8; ++pid) {
+    rig.device(2).DamageSectors(layout.NtHome(core::FsdLayout::kPrimary, pid),
+                                1);
+    rig.device(2).DamageSectors(layout.NtHome(core::FsdLayout::kReplica, pid),
+                                1);
+  }
+  ASSERT_TRUE(rig.fsd(2).Scrub().ok());
+  const fs::HealthStats lost = rig.fsd(2).Health();
+  ASSERT_FALSE(lost.notes.empty());
+  const fs::HealthStats health = rig.router().Health();
+  EXPECT_EQ(health.unrepairable, lost.unrepairable);
+  EXPECT_EQ(health.nt_pages_lost, lost.nt_pages_lost);
+  ASSERT_EQ(health.notes.size(), lost.notes.size());
+  for (std::size_t i = 0; i < lost.notes.size(); ++i) {
+    EXPECT_EQ(health.notes[i], "vol2: " + lost.notes[i]);
+  }
 }
 
 TEST(ScaleoutRigTest, FsdRunsOnStripedArrayEndToEnd) {

@@ -7,9 +7,7 @@
 #include "src/core/fsd.h"
 #include "src/sim/clock.h"
 #include "src/sim/disk.h"
-#include "src/util/crc32.h"
 #include "src/util/random.h"
-#include "src/workload/recorder.h"
 #include "src/workload/replay.h"
 #include "src/workload/trace.h"
 #include "src/workload/workload.h"
@@ -163,23 +161,24 @@ core::FsdConfig SmallConfig(bool commit_daemon) {
   return config;
 }
 
-// Records a small tenant mix against a live FSD through the RecordingFs
-// decorator. Pure Rng drives the op mix, so the captured trace is a
-// deterministic function of the shape.
+// Records a small tenant mix as it runs against a live FSD. Pure Rng drives
+// the op mix, so the captured trace is a deterministic function of the
+// shape.
 std::vector<TraceEntry> RecordSmallWorkload(
     const TenantMix& mix = {.ops = 90, .files_per_tenant = 9, .seed = 5}) {
   sim::VirtualClock clock;
   sim::SimDisk disk(sim::TestGeometry(), sim::DiskTimingParams{}, &clock);
   core::Fsd fsd(&disk, SmallConfig(false));
   CEDAR_CHECK_OK(fsd.Format());
-  RecordingFs rec(&fsd, &clock);
-  CEDAR_CHECK_OK(RunTenantMix(&rec, mix,
-                              [&](const std::string&, sim::Micros think) {
-                                clock.Advance(think);
-                                return fsd.Tick();
-                              })
+  std::vector<TraceEntry> trace;
+  CEDAR_CHECK_OK(RunTenantMix(
+                     &fsd, mix,
+                     [&](const std::string&, sim::Micros think) {
+                       clock.Advance(think);
+                       return fsd.Tick();
+                     },
+                     &trace, &clock)
                      .status());
-  std::vector<TraceEntry> trace = rec.Trace();
   CEDAR_CHECK_OK(fsd.Shutdown());
   return trace;
 }
@@ -277,83 +276,32 @@ TEST(RecordReplayTest, OpenLoopPacingAdvancesTheClock) {
   CEDAR_CHECK_OK(fsd.Shutdown());
 }
 
-// Every op RecordingFs records, once: each becomes one entry that names
-// what it did, and the trace (with a think-time entry added) replays on a
-// fresh volume.
-TEST(RecordReplayTest, RecorderSpeaksTheWholeVocabulary) {
+// A trace has no rename, so a rename mix is refused before it issues an
+// op or a think, and the same mix unrecorded runs.
+TEST(RecordReplayTest, RenameMixIsRefusedBeforeAnyOp) {
   sim::VirtualClock clock;
   sim::SimDisk disk(sim::TestGeometry(), sim::DiskTimingParams{}, &clock);
   core::Fsd fsd(&disk, engine::SmallConfig(false));
   ASSERT_TRUE(fsd.Format().ok());
-  RecordingFs rec(&fsd, &clock);
-  const std::vector<std::uint8_t> body = Payload(1000, 7);
-  const std::vector<std::uint8_t> patch = Payload(50, 8);
-  std::vector<std::uint8_t> head(100);
-  ASSERT_TRUE(rec.CreateFile("v/a", body).ok());
-  auto handle = rec.Open("v/a");
-  ASSERT_TRUE(handle.ok());
-  ASSERT_TRUE(rec.Read(*handle, 0, head).ok());
-  ASSERT_TRUE(rec.Write(*handle, 200, patch).ok());
-  ASSERT_TRUE(rec.Extend(*handle, 500).ok());
-  ASSERT_TRUE(rec.Close(*handle).ok());
-  ASSERT_TRUE(rec.List("v/").ok());
-  ASSERT_TRUE(rec.Touch("v/a").ok());
-  ASSERT_TRUE(rec.SetKeep("v/a", 2).ok());
-  ASSERT_TRUE(rec.CreateFile("v/b", patch).ok());
-  ASSERT_TRUE(rec.DeleteFile("v/b").ok());
-  ASSERT_TRUE(rec.Force().ok());
-  ASSERT_TRUE(rec.Checkpoint().ok());
-  ASSERT_TRUE(rec.Shutdown().ok());
-
-  const std::vector<TraceEntry> expected = {
-      {TraceOp::kCreate, "v/a", 1000, Crc32(body)},
-      {TraceOp::kOpen, "v/a"},
-      {TraceOp::kRead, "v/a", 0, 100},
-      {TraceOp::kWrite, "v/a", 200, 50, Crc32(patch)},
-      {TraceOp::kExtend, "v/a", 500},
-      {TraceOp::kClose, "v/a"},
-      {TraceOp::kList, "v/"},
-      {TraceOp::kTouch, "v/a"},
-      {TraceOp::kSetKeep, "v/a", 2},
-      {TraceOp::kCreate, "v/b", 50, Crc32(patch)},
-      {TraceOp::kDelete, "v/b"},
-      {TraceOp::kForce, ""},
-      {TraceOp::kCheckpoint, ""},
-      {TraceOp::kShutdown, ""},
-  };
-  std::vector<TraceEntry> trace = rec.Trace();
-  ASSERT_EQ(trace.size(), expected.size());
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    SCOPED_TRACE("entry " + std::to_string(i));
-    EXPECT_GE(trace[i].vtime_us, i == 0 ? 0 : trace[i - 1].vtime_us);
-    EXPECT_EQ(trace[i].op, expected[i].op);
-    EXPECT_EQ(trace[i].name, expected[i].name);
-    EXPECT_EQ(trace[i].arg0, expected[i].arg0);
-    EXPECT_EQ(trace[i].arg1, expected[i].arg1);
-    EXPECT_EQ(trace[i].arg2, expected[i].arg2);
-    EXPECT_EQ(trace[i].tenant, 0u);
-  }
-
-  trace.insert(trace.begin() + 7, TraceEntry{TraceOp::kAdvance, "", 25});
-  sim::VirtualClock replay_clock;
-  sim::SimDisk replay_disk(sim::TestGeometry(), sim::DiskTimingParams{},
-                           &replay_clock);
-  core::Fsd replayed(&replay_disk, engine::SmallConfig(false));
-  ASSERT_TRUE(replayed.Format().ok());
-  sim::Micros thought = 0;
-  auto stats = ReplayTrace(&replayed, trace, [&](sim::Micros think) {
-    thought += think;
+  const TenantMix mix{.ops = 40, .files_per_tenant = 5, .rename_slot = true};
+  std::uint32_t thinks = 0;
+  auto think = [&](const std::string&, sim::Micros) {
+    ++thinks;
     return OkStatus();
-  });
-  ASSERT_TRUE(stats.ok()) << stats.status().message();
-  EXPECT_EQ(stats->ops, trace.size());
-  EXPECT_EQ(stats->not_found, 0u);
-  EXPECT_EQ(thought, 25 * sim::kMillisecond);
-  ASSERT_TRUE(replayed.Mount().ok());  // the trace shut the volume down
-  auto a = replayed.Open("v/a");
-  ASSERT_TRUE(a.ok());
-  EXPECT_EQ(a->byte_size, 1500u);
-  EXPECT_EQ(replayed.Open("v/b").status().code(), ErrorCode::kNotFound);
+  };
+  std::vector<TraceEntry> trace;
+  auto refused = RunTenantMix(&fsd, mix, think, &trace, &clock);
+  EXPECT_EQ(refused.status().code(), ErrorCode::kInvalidArgument);
+  EXPECT_TRUE(trace.empty());
+  EXPECT_EQ(thinks, 0u);
+  auto listed = fsd.List("t");
+  ASSERT_TRUE(listed.ok());
+  EXPECT_TRUE(listed->empty());
+
+  auto ran = RunTenantMix(&fsd, mix, think);
+  ASSERT_TRUE(ran.ok()) << ran.status().message();
+  EXPECT_GT(*ran, 0u);
+  EXPECT_EQ(thinks, mix.ops);
 }
 
 // Four tenants' recorded mix, replayed free-running on eight threads:

@@ -9,10 +9,11 @@ Usage:
 Runs `gcov --json-format --stdout` on every .gcda file under the build
 tree and merges the reports by source line. A header is compiled into
 many translation units, so a line's count is the largest any of them
-saw. Prints line coverage per file under src/, the total, and
-every function that never ran. Counts accumulate across runs; delete
-the .gcda files (or the tree) to start over. Information only: the exit
-status is 0 whenever gcov ran.
+saw. Prints line coverage per file under src/, the total, every
+function that never ran, and src/'s size as the coverage audit counts
+it: the .cc and .h lines that are neither blank nor start with //.
+Counts accumulate across runs; delete the .gcda files (or the tree) to
+start over. Information only: the exit status is 0 whenever gcov ran.
 """
 
 import argparse
@@ -68,6 +69,19 @@ def merge(reports, source_root):
     return lines, functions
 
 
+def counted_lines(source_root):
+    """src/'s .cc and .h lines that are neither blank nor start with //."""
+    count = 0
+    for root, _, names in os.walk(os.path.join(source_root, PREFIX)):
+        for name in names:
+            if name.endswith((".cc", ".h")):
+                with open(os.path.join(root, name)) as f:
+                    count += sum(1 for line in f
+                                 if line.strip() and
+                                 not line.strip().startswith("//"))
+    return count
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("build_dir")
@@ -99,6 +113,8 @@ def main():
     print("\nfunctions never run (%d):" % len(never))
     for (rel, start), name in never:
         print("  %s:%d  %s" % (rel, start, name))
+    print("\n%s: %d non-blank .cc/.h lines not starting with //"
+          % (PREFIX, counted_lines(source_root)))
     return 0
 
 

@@ -1,11 +1,10 @@
 // workloadgen: record and replay CEDWRK02 workload traces.
 //
 //   workloadgen record <out.trace> [--ops N] [--seed S]
-//       Drive the tenant mix (src/workload/workload.h; bench_workload's
+//       Run the tenant mix (src/workload/workload.h; bench_workload's
 //       shape: three tenants, Zipf over 200 files each) against a live FSD
-//       wrapped in workload::RecordingFs and save what the recorder
-//       captured — the same capture path the bench uses. Files are named
-//       t<k>/f<rank>.db.
+//       and save the trace it records — the same capture path the bench
+//       uses. Files are named t<k>/f<rank>.db.
 //
 //   workloadgen replay <in.trace> [--threads N] [--freerun] [--paced]
 //       Replay the trace against a fresh FSD volume and print replay
@@ -32,7 +31,6 @@
 #include "src/sim/clock.h"
 #include "src/sim/disk.h"
 #include "src/util/check.h"
-#include "src/workload/recorder.h"
 #include "src/workload/replay.h"
 #include "src/workload/trace.h"
 #include "src/workload/workload.h"
@@ -103,15 +101,15 @@ std::vector<TraceEntry> Record(std::uint32_t ops, std::uint64_t seed) {
   Rig rig;
   Fsd fsd(&rig.disk, FsdConfig{});
   CEDAR_CHECK_OK(fsd.Format());
-  cedar::workload::RecordingFs rec(&fsd, &rig.clock);
+  std::vector<TraceEntry> trace;
   CEDAR_CHECK_OK(cedar::workload::RunTenantMix(
-                     &rec, {.ops = ops, .seed = seed},
+                     &fsd, {.ops = ops, .seed = seed},
                      [&](const std::string&, cedar::sim::Micros think) {
                        rig.clock.Advance(think);
                        return fsd.Tick();
-                     })
+                     },
+                     &trace, &rig.clock)
                      .status());
-  std::vector<TraceEntry> trace = rec.Trace();
   CEDAR_CHECK_OK(fsd.Shutdown());
   return trace;
 }
