@@ -1,8 +1,8 @@
 // Wall-clock microbenchmarks (google-benchmark) for the library's hot
 // paths: CRC, VAM run search, page-cache eviction, serialization, B-tree
-// operations, the simulated disk, the redo log, the tracer's op scopes, and
-// FSD operation throughput. These measure this codebase, not the paper's
-// hardware.
+// operations, the simulated disk and its cloning, the redo log, the
+// tracer's op scopes, and FSD operation throughput. These measure this
+// codebase, not the paper's hardware.
 
 #include <benchmark/benchmark.h>
 
@@ -135,6 +135,36 @@ void BM_SimDiskWrite(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * state.range(0) * 512);
 }
 BENCHMARK(BM_SimDiskWrite)->Arg(1)->Arg(8)->Arg(64);
+
+// What a fresh default-geometry (300 MB) disk costs to build, and what it
+// costs to clone one: a snapshot of a disk with 256 scattered 8-sector
+// writes, restored onto another disk. The crash sweeps and every bench rig
+// pay these once per case.
+void BM_SimDiskConstruct(benchmark::State& state) {
+  sim::VirtualClock clock;
+  for (auto _ : state) {
+    sim::SimDisk disk(sim::DiskGeometry{}, sim::DiskTimingParams{}, &clock);
+    benchmark::DoNotOptimize(&disk);
+  }
+}
+BENCHMARK(BM_SimDiskConstruct)->Unit(benchmark::kMicrosecond);
+
+void BM_SimDiskSnapshotRestore(benchmark::State& state) {
+  sim::VirtualClock clock;
+  sim::SimDisk source(sim::DiskGeometry{}, sim::DiskTimingParams{}, &clock);
+  sim::SimDisk target(sim::DiskGeometry{}, sim::DiskTimingParams{}, &clock);
+  const std::vector<std::uint8_t> buf(8 * 512, 0x5C);
+  Rng rng(5);
+  for (int i = 0; i < 256; ++i) {
+    CEDAR_CHECK_OK(source.Write(
+        rng.Below(source.geometry().TotalSectors() - 8), buf));
+  }
+  for (auto _ : state) {
+    target.Restore(source.Snapshot());
+    benchmark::DoNotOptimize(&target);
+  }
+}
+BENCHMARK(BM_SimDiskSnapshotRestore)->Unit(benchmark::kMicrosecond);
 
 void BM_LogAppend(benchmark::State& state) {
   sim::VirtualClock clock;

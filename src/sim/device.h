@@ -22,6 +22,7 @@
 #include "src/sim/clock.h"
 #include "src/sim/geometry.h"
 #include "src/sim/label.h"
+#include "src/sim/sector_store.h"
 #include "src/util/status.h"
 
 namespace cedar::obs {
@@ -126,14 +127,13 @@ struct FaultSchedule {
   bool operator==(const FaultSchedule&) const = default;
 };
 
-// Complete single-spindle state for in-memory cloning: media contents,
-// labels, the damage map, and armed-crash/fault-injection state. The crash
-// harness snapshots a device once and restores it before every enumerated
-// crash variant, so replays are bit-identical without touching the host FS.
+// Complete single-spindle state for in-memory cloning: the medium (sector
+// data, labels and damage map, shared copy-on-write with the disk it was
+// taken from) and armed-crash/fault-injection state. The crash harness
+// snapshots a device once and restores it before every enumerated crash
+// variant, so replays are bit-identical without touching the host FS.
 struct DiskSnapshot {
-  std::vector<std::uint8_t> data;
-  std::vector<Label> labels;
-  std::vector<bool> damaged;
+  SectorStore medium;
   bool crashed = false;
   std::optional<CrashPlan> crash_plan;
   std::uint64_t crash_writes_seen = 0;

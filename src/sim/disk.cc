@@ -1,6 +1,7 @@
 #include "src/sim/disk.h"
 
 #include <algorithm>
+#include <functional>
 #include <string>
 
 #include "src/util/check.h"
@@ -15,9 +16,7 @@ SimDisk::SimDisk(const DiskGeometry& geometry, const DiskTimingParams& timing,
     : geometry_(geometry),
       timing_(geometry, timing),
       clock_(clock),
-      data_(static_cast<std::size_t>(geometry.TotalSectors()) * kSectorSize),
-      labels_(geometry.TotalSectors()),
-      damaged_(geometry.TotalSectors(), false) {
+      medium_(geometry.TotalSectors()) {
   CEDAR_CHECK(clock != nullptr);
 }
 
@@ -95,7 +94,7 @@ void SimDisk::AccountRequest(Lba start, std::uint32_t count, bool is_write,
 
 Status SimDisk::CheckLabels(Lba start, std::span<const Label> expected) {
   for (std::size_t i = 0; i < expected.size(); ++i) {
-    if (!(labels_[start + i] == expected[i])) {
+    if (!(medium_.label(start + i) == expected[i])) {
       return MakeError(ErrorCode::kLabelMismatch,
                        "label mismatch at lba " + std::to_string(start + i));
     }
@@ -115,7 +114,7 @@ bool SimDisk::ConsumeTransientReadFault(Lba start, std::uint32_t count) {
 }
 
 bool SimDisk::ReadBlocked(Lba lba) const {
-  if (damaged_[lba]) {
+  if (medium_.damaged(lba)) {
     return true;
   }
   const auto it = persistent_faults_.find(lba);
@@ -126,8 +125,7 @@ bool SimDisk::ReadBlocked(Lba lba) const {
 
 void SimDisk::CorruptLocked(Lba lba, std::uint64_t seed) {
   Rng rng(seed);
-  std::uint8_t* sector =
-      data_.data() + static_cast<std::size_t>(lba) * kSectorSize;
+  std::uint8_t* sector = medium_.MutableData(lba);
   // Bit rot flips a seeded handful of bits; the label stays intact and no
   // request ever errors, so only a content CRC above the device notices.
   const std::uint32_t flips = 1 + static_cast<std::uint32_t>(rng.Below(8));
@@ -189,16 +187,16 @@ Status SimDisk::Read(Lba start, std::span<std::uint8_t> out,
     if (ReadBlocked(lba)) {
       if (bad == nullptr) {
         return MakeError(ErrorCode::kSectorDamaged,
-                         (damaged_[lba] ? "damaged sector at lba "
-                                        : "persistent media fault at lba ") +
+                         (medium_.damaged(lba)
+                              ? "damaged sector at lba "
+                              : "persistent media fault at lba ") +
                              std::to_string(lba));
       }
       std::fill(dst.begin(), dst.end(), std::uint8_t{0});
       bad->push_back(i);
       continue;
     }
-    const std::uint8_t* src =
-        data_.data() + static_cast<std::size_t>(lba) * kSectorSize;
+    const std::uint8_t* src = medium_.Data(lba);
     std::copy(src, src + kSectorSize, dst.begin());
   }
   return OkStatus();
@@ -225,9 +223,7 @@ SimDisk::WriteOutcome SimDisk::MaybeCrashOnWrite(
   Land(start, data, new_labels, done, /*heal=*/false);
   const std::uint32_t ndamaged =
       std::min(crash_plan_->sectors_damaged, count - done);
-  for (std::uint32_t i = 0; i < ndamaged; ++i) {
-    damaged_[start + done + i] = true;
-  }
+  medium_.SetDamaged(start + done, ndamaged, true);
   crashed_ = true;
   crash_plan_.reset();
   return WriteOutcome::kCrashed;
@@ -236,18 +232,12 @@ SimDisk::WriteOutcome SimDisk::MaybeCrashOnWrite(
 void SimDisk::Land(Lba start, std::span<const std::uint8_t> data,
                    std::span<const Label> new_labels, std::uint32_t n,
                    bool heal) {
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const Lba lba = start + i;
-    std::copy(data.begin() + static_cast<std::size_t>(i) * kSectorSize,
-              data.begin() + static_cast<std::size_t>(i + 1) * kSectorSize,
-              data_.begin() + static_cast<std::size_t>(lba) * kSectorSize);
-    damaged_[lba] = false;  // a rewritten sector reads again
-    if (heal) {
-      persistent_faults_.erase(lba);
-    }
-    if (!new_labels.empty()) {
-      labels_[lba] = new_labels[i];
-    }
+  medium_.Write(start, data.first(static_cast<std::size_t>(n) * kSectorSize),
+                new_labels.empty() ? new_labels : new_labels.first(n));
+  medium_.SetDamaged(start, n, false);  // a rewritten sector reads again
+  if (heal) {
+    persistent_faults_.erase(persistent_faults_.lower_bound(start),
+                             persistent_faults_.lower_bound(start + n));
   }
 }
 
@@ -342,16 +332,16 @@ Status SimDisk::ReadLabeled(Lba start, std::span<std::uint8_t> out,
     const Lba lba = start + i;
     if (ReadBlocked(lba)) {
       return MakeError(ErrorCode::kSectorDamaged,
-                       (damaged_[lba] ? "damaged sector at lba "
-                                      : "persistent media fault at lba ") +
+                       (medium_.damaged(lba)
+                            ? "damaged sector at lba "
+                            : "persistent media fault at lba ") +
                            std::to_string(lba));
     }
-    if (!(labels_[lba] == expected[i])) {
+    if (!(medium_.label(lba) == expected[i])) {
       return MakeError(ErrorCode::kLabelMismatch,
                        "label mismatch at lba " + std::to_string(lba));
     }
-    const std::uint8_t* src =
-        data_.data() + static_cast<std::size_t>(lba) * kSectorSize;
+    const std::uint8_t* src = medium_.Data(lba);
     std::copy(src, src + kSectorSize,
               out.begin() + static_cast<std::size_t>(i) * kSectorSize);
   }
@@ -387,12 +377,12 @@ Status SimDisk::ReadLabels(Lba start, std::span<Label> out) {
   for (std::uint32_t i = 0; i < count; ++i) {
     if (ReadBlocked(start + i)) {
       return MakeError(ErrorCode::kSectorDamaged,
-                       (damaged_[start + i]
+                       (medium_.damaged(start + i)
                             ? "damaged sector at lba "
                             : "persistent media fault at lba ") +
                            std::to_string(start + i));
     }
-    out[i] = labels_[start + i];
+    out[i] = medium_.label(start + i);
   }
   return OkStatus();
 }
@@ -417,7 +407,7 @@ Status SimDisk::WriteLabels(Lba start, std::span<const Label> labels,
     }
   }
   for (std::uint32_t i = 0; i < count; ++i) {
-    labels_[start + i] = labels[i];
+    medium_.SetLabel(start + i, labels[i]);
   }
   return OkStatus();
 }
@@ -426,9 +416,7 @@ void SimDisk::DamageSectors(Lba start, std::uint32_t count) {
   std::lock_guard<std::mutex> lock(mu_);
   CEDAR_CHECK(count >= 1 && count <= 2);
   CEDAR_CHECK(start + count <= geometry_.TotalSectors());
-  for (std::uint32_t i = 0; i < count; ++i) {
-    damaged_[start + i] = true;
-  }
+  medium_.SetDamaged(start, count, true);
 }
 
 void SimDisk::DamageTrack(std::uint32_t cylinder, std::uint32_t head) {
@@ -437,9 +425,7 @@ void SimDisk::DamageTrack(std::uint32_t cylinder, std::uint32_t head) {
   CEDAR_CHECK(head < geometry_.heads);
   const Lba start = geometry_.ToLba(
       Chs{.cylinder = cylinder, .head = head, .sector = 0});
-  for (std::uint32_t i = 0; i < geometry_.sectors_per_track; ++i) {
-    damaged_[start + i] = true;
-  }
+  medium_.SetDamaged(start, geometry_.sectors_per_track, true);
 }
 
 void SimDisk::InjectTransientReadError(Lba lba, std::uint32_t failures) {
@@ -456,12 +442,11 @@ void SimDisk::WildWrite(Lba lba, std::uint64_t seed) {
   std::lock_guard<std::mutex> lock(mu_);
   CEDAR_CHECK(lba < geometry_.TotalSectors());
   Rng rng(seed);
-  std::uint8_t* sector =
-      data_.data() + static_cast<std::size_t>(lba) * kSectorSize;
+  std::uint8_t* sector = medium_.MutableData(lba);
   for (std::uint32_t i = 0; i < kSectorSize; ++i) {
     sector[i] = static_cast<std::uint8_t>(rng.Next());
   }
-  damaged_[lba] = false;
+  medium_.SetDamaged(lba, 1, false);
 }
 
 void SimDisk::InjectPersistentFault(Lba lba, FaultMode mode) {
@@ -546,9 +531,10 @@ bool GetFaultMap(ByteReader& r, Lba total, T low, T high,
 }
 
 // The image is a header (magic, geometry), the sector data, and a tail
-// holding the rest of the medium state. EncodeImage and DecodeImage put the
-// three together; SaveImage and LoadImage move the sector data straight
-// between the file and the medium and code only the header and the tail.
+// holding the rest of the medium state. Both directions go a chunk of the
+// medium at a time: StreamImage hands a null chunk's part out as zeros, and
+// DecodeImageFrom leaves an all-zero chunk null, so no flat copy of the
+// medium is ever made.
 constexpr std::size_t kImageHeaderBytes = 8 + 3 * 4;
 
 void EncodeImageHeader(ByteWriter& w, const DiskGeometry& geometry) {
@@ -569,16 +555,42 @@ Status DecodeImageHeader(ByteReader& r, const DiskGeometry& geometry) {
   return OkStatus();
 }
 
-// Everything after the sector data; `snapshot.data` is not read.
-void EncodeImageTail(ByteWriter& w, const DiskSnapshot& snapshot) {
-  for (const Label& label : snapshot.labels) {
-    w.U64(label.file_uid);
-    w.U32(label.page_number);
-    w.U8(static_cast<std::uint8_t>(label.type));
+// The sectors of chunk `index` that lie on a medium of `total` sectors.
+std::size_t SectorsInChunk(std::size_t index, Lba total) {
+  return static_cast<std::size_t>(std::min<Lba>(
+      SectorStore::kChunkSectors, total - index * SectorStore::kChunkSectors));
+}
+
+void StreamImage(const DiskGeometry& geometry, const DiskSnapshot& snapshot,
+                 const ByteSink& sink) {
+  const SectorStore& medium = snapshot.medium;
+  const Lba total = medium.sectors();
+  std::vector<std::uint8_t> buffer;
+  ByteWriter w(&buffer);
+  EncodeImageHeader(w, geometry);
+  sink(buffer);
+  for (std::size_t i = 0; i < medium.chunk_count(); ++i) {
+    sink(std::span(medium.chunk(i).data)
+             .first(SectorsInChunk(i, total) * kSectorSize));
   }
-  for (const bool bad : snapshot.damaged) {
-    w.U8(bad ? 1 : 0);
+  for (std::size_t i = 0; i < medium.chunk_count(); ++i) {
+    buffer.clear();
+    for (std::size_t s = 0; s < SectorsInChunk(i, total); ++s) {
+      const Label& label = medium.chunk(i).labels[s];
+      w.U64(label.file_uid);
+      w.U32(label.page_number);
+      w.U8(static_cast<std::uint8_t>(label.type));
+    }
+    sink(buffer);
   }
+  for (std::size_t i = 0; i < medium.chunk_count(); ++i) {
+    buffer.clear();
+    for (std::size_t s = 0; s < SectorsInChunk(i, total); ++s) {
+      w.U8(medium.chunk(i).damaged[s] ? 1 : 0);
+    }
+    sink(buffer);
+  }
+  buffer.clear();
   w.U8(snapshot.crashed ? 1 : 0);
   w.U8(snapshot.crash_plan.has_value() ? 1 : 0);
   if (const auto& plan = snapshot.crash_plan) {
@@ -602,20 +614,21 @@ void EncodeImageTail(ByteWriter& w, const DiskSnapshot& snapshot) {
   w.U32(schedule.max_events);
   w.U64(snapshot.fault_events);
   w.U64(snapshot.write_seq);
+  sink(buffer);
 }
 
-// The tail into every field of `snap` but the sector data; `r` must end
-// exactly where the tail does.
-Status DecodeImageTail(ByteReader& r, const DiskGeometry& geometry,
-                       DiskSnapshot* snap) {
+// The tail into every field of `snap` but the sector data; `snap->medium`
+// arrives empty and `r` must end exactly where the tail does.
+Status DecodeImageTail(ByteReader& r, DiskSnapshot* snap) {
   const auto corrupt = [] {
     return MakeError(ErrorCode::kCorruptMetadata, "corrupt disk image");
   };
-  const Lba total = geometry.TotalSectors();
+  SectorStore& medium = snap->medium;
+  const Lba total = medium.sectors();
   // The geometry, not the file, sizes the per-sector arrays; a short file
   // reads zeros from here on and fails the final check.
-  snap->labels.resize(static_cast<std::size_t>(total));
-  for (Label& label : snap->labels) {
+  for (Lba lba = 0; lba < total; ++lba) {
+    Label label;
     label.file_uid = r.U64();
     label.page_number = r.U32();
     const std::uint8_t type = r.U8();
@@ -623,14 +636,14 @@ Status DecodeImageTail(ByteReader& r, const DiskGeometry& geometry,
       return corrupt();
     }
     label.type = static_cast<PageType>(type);
+    medium.SetLabel(lba, label);
   }
-  snap->damaged.resize(static_cast<std::size_t>(total));
-  for (std::size_t lba = 0; lba < snap->damaged.size(); ++lba) {
+  for (Lba lba = 0; lba < total; ++lba) {
     const std::uint8_t bad = r.U8();
     if (bad > 1) {
       return corrupt();
     }
-    snap->damaged[lba] = bad == 1;
+    medium.SetDamaged(lba, 1, bad == 1);
   }
   const std::uint8_t crashed = r.U8();
   const std::uint8_t has_plan = r.U8();
@@ -673,67 +686,83 @@ Status DecodeImageTail(ByteReader& r, const DiskGeometry& geometry,
   return r.done() ? OkStatus() : corrupt();
 }
 
+// Decodes an image of `size` bytes that `read(offset, out)` fills `out`
+// from: the header, then the tail, so a malformed image fails before its
+// sector data is read, then the sector data a chunk at a time.
+Result<DiskSnapshot> DecodeImageFrom(
+    const DiskGeometry& geometry, std::uint64_t size,
+    const std::function<Status(std::uint64_t, std::span<std::uint8_t>)>&
+        read) {
+  std::vector<std::uint8_t> buffer(
+      std::min<std::uint64_t>(size, kImageHeaderBytes));
+  CEDAR_RETURN_IF_ERROR(read(0, buffer));
+  ByteReader header(buffer);
+  CEDAR_RETURN_IF_ERROR(DecodeImageHeader(header, geometry));
+  const std::uint64_t tail_at = kImageHeaderBytes + geometry.TotalBytes();
+  if (size < tail_at) {
+    return MakeError(ErrorCode::kCorruptMetadata, "corrupt disk image");
+  }
+  buffer.resize(static_cast<std::size_t>(size - tail_at));
+  CEDAR_RETURN_IF_ERROR(read(tail_at, buffer));
+  DiskSnapshot snap;
+  snap.medium = SectorStore(geometry.TotalSectors());
+  ByteReader tail(buffer);
+  CEDAR_RETURN_IF_ERROR(DecodeImageTail(tail, &snap));
+  for (std::size_t i = 0; i < snap.medium.chunk_count(); ++i) {
+    const Lba first = static_cast<Lba>(i) * SectorStore::kChunkSectors;
+    buffer.resize(SectorsInChunk(i, geometry.TotalSectors()) * kSectorSize);
+    CEDAR_RETURN_IF_ERROR(read(kImageHeaderBytes + first * kSectorSize,
+                               buffer));
+    snap.medium.Write(first, buffer);
+  }
+  return snap;
+}
+
 }  // namespace
 
 std::vector<std::uint8_t> SimDisk::EncodeImage(const DiskGeometry& geometry,
                                                const DiskSnapshot& snapshot) {
   std::vector<std::uint8_t> image;
   // The sector data, labels and damage flags, plus a small tail.
-  image.reserve(snapshot.data.size() + 14 * snapshot.labels.size() + 256);
-  ByteWriter w(&image);
-  EncodeImageHeader(w, geometry);
-  w.Bytes(snapshot.data);
-  EncodeImageTail(w, snapshot);
+  image.reserve(static_cast<std::size_t>(geometry.TotalBytes() +
+                                         14 * geometry.TotalSectors() + 256));
+  StreamImage(geometry, snapshot, [&](std::span<const std::uint8_t> bytes) {
+    image.insert(image.end(), bytes.begin(), bytes.end());
+  });
   return image;
 }
 
 Result<DiskSnapshot> SimDisk::DecodeImage(std::span<const std::uint8_t> bytes,
                                           const DiskGeometry& geometry) {
-  ByteReader r(bytes);
-  CEDAR_RETURN_IF_ERROR(DecodeImageHeader(r, geometry));
-  DiskSnapshot snap;
-  snap.data = r.Bytes(static_cast<std::size_t>(geometry.TotalSectors()) *
-                      kSectorSize);
-  CEDAR_RETURN_IF_ERROR(DecodeImageTail(r, geometry, &snap));
-  return snap;
+  return DecodeImageFrom(
+      geometry, bytes.size(),
+      [&](std::uint64_t offset, std::span<std::uint8_t> out) {
+        std::copy_n(bytes.begin() + static_cast<std::ptrdiff_t>(offset),
+                    out.size(), out.begin());
+        return OkStatus();
+      });
 }
 
 Status SimDisk::SaveImage(const std::string& path) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  ByteWriter header;
-  EncodeImageHeader(header, geometry_);
-  ByteWriter tail;
-  EncodeImageTail(tail, StateLocked());
-  return WriteFileBytes(path, {header.buffer(), data_, tail.buffer()},
-                        "disk image");
+  const DiskSnapshot snapshot = Snapshot();
+  return WriteFileStream(
+      path,
+      [&](const ByteSink& sink) { StreamImage(geometry_, snapshot, sink); },
+      "disk image");
 }
 
 Status SimDisk::LoadImage(const std::string& path) {
-  // The header and the tail decode before the disk changes; the sector
-  // data, which has nothing to check, is then read straight into the
-  // medium (a read that fails part-way leaves the data half loaded).
+  // The whole image decodes before the disk changes.
   CEDAR_ASSIGN_OR_RETURN(const std::uint64_t size,
                          FileSize(path, "disk image"));
+  FileReader file(path, "disk image");
   CEDAR_ASSIGN_OR_RETURN(
-      const std::vector<std::uint8_t> header,
-      ReadFileBytes(path, 0, std::min<std::uint64_t>(size, kImageHeaderBytes),
-                    "disk image"));
-  ByteReader header_reader(header);
-  CEDAR_RETURN_IF_ERROR(DecodeImageHeader(header_reader, geometry_));
-  const std::uint64_t tail_at =
-      kImageHeaderBytes + geometry_.TotalSectors() * kSectorSize;
-  if (size < tail_at) {
-    return MakeError(ErrorCode::kCorruptMetadata, "corrupt disk image");
-  }
-  CEDAR_ASSIGN_OR_RETURN(
-      const std::vector<std::uint8_t> tail,
-      ReadFileBytes(path, tail_at, size - tail_at, "disk image"));
-  ByteReader tail_reader(tail);
-  DiskSnapshot state;
-  CEDAR_RETURN_IF_ERROR(DecodeImageTail(tail_reader, geometry_, &state));
+      DiskSnapshot state,
+      DecodeImageFrom(geometry_, size,
+                      [&](std::uint64_t offset, std::span<std::uint8_t> out) {
+                        return file.ReadAt(offset, out);
+                      }));
   std::lock_guard<std::mutex> lock(mu_);
-  CEDAR_RETURN_IF_ERROR(
-      ReadFileInto(path, kImageHeaderBytes, data_, "disk image"));
   AdoptStateLocked(std::move(state));
   return OkStatus();
 }
@@ -750,15 +779,8 @@ void SimDisk::ArmCrash(const CrashPlan& plan) {
 
 DiskSnapshot SimDisk::Snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
-  DiskSnapshot snap = StateLocked();
-  snap.data = data_;
-  return snap;
-}
-
-DiskSnapshot SimDisk::StateLocked() const {
   DiskSnapshot snap;
-  snap.labels = labels_;
-  snap.damaged = damaged_;
+  snap.medium = medium_;  // shares every chunk
   snap.crashed = crashed_;
   snap.crash_plan = crash_plan_;
   snap.crash_writes_seen = crash_writes_seen_;
@@ -775,18 +797,14 @@ DiskSnapshot SimDisk::StateLocked() const {
 
 void SimDisk::Restore(const DiskSnapshot& snapshot) {
   std::lock_guard<std::mutex> lock(mu_);
-  CEDAR_CHECK(snapshot.data.size() == data_.size());
-  data_ = snapshot.data;  // into the buffer the disk holds: no third image
   AdoptStateLocked(snapshot);
 }
 
 template <typename State>
 void SimDisk::AdoptStateLocked(State&& state) {
-  CEDAR_CHECK(state.labels.size() == labels_.size());
-  CEDAR_CHECK(state.damaged.size() == damaged_.size());
+  CEDAR_CHECK(state.medium.sectors() == medium_.sectors());
   // Each member is moved from an rvalue `state` and copied from an lvalue.
-  labels_ = std::forward<State>(state).labels;
-  damaged_ = std::forward<State>(state).damaged;
+  medium_ = std::forward<State>(state).medium;
   crashed_ = state.crashed;
   crash_plan_ = std::forward<State>(state).crash_plan;
   crash_writes_seen_ = state.crash_writes_seen;
@@ -806,8 +824,7 @@ void SimDisk::RestoreTimeline(const DiskSnapshot& snapshot) {
 
 bool SimDisk::StateEquals(const DiskSnapshot& snapshot) const {
   std::lock_guard<std::mutex> lock(mu_);
-  return data_ == snapshot.data && labels_ == snapshot.labels &&
-         damaged_ == snapshot.damaged && crashed_ == snapshot.crashed &&
+  return medium_ == snapshot.medium && crashed_ == snapshot.crashed &&
          crash_plan_ == snapshot.crash_plan &&
          crash_writes_seen_ == snapshot.crash_writes_seen &&
          transient_read_faults_ == snapshot.transient_read_faults &&

@@ -38,6 +38,7 @@
 #include "src/sim/device.h"
 #include "src/sim/geometry.h"
 #include "src/sim/label.h"
+#include "src/sim/sector_store.h"
 #include "src/sim/timing.h"
 #include "src/util/status.h"
 
@@ -133,7 +134,7 @@ class SimDisk : public BlockDevice {
   // tests and by the scavenger's accounting which issues explicit reads).
   Label PeekLabel(Lba lba) const {
     std::lock_guard<std::mutex> lock(mu_);
-    return labels_[lba];
+    return medium_.label(lba);
   }
 
   // ---- Fault injection.
@@ -216,7 +217,7 @@ class SimDisk : public BlockDevice {
 
   bool IsDamaged(Lba lba) const override {
     std::lock_guard<std::mutex> lock(mu_);
-    return damaged_[lba];
+    return medium_.damaged(lba);
   }
 
   // ---- Batch identity (set by IoScheduler around a Flush). Requests issued
@@ -247,6 +248,13 @@ class SimDisk : public BlockDevice {
   void Restore(const DiskSnapshot& snapshot);
   void RestoreTimeline(const DiskSnapshot& snapshot);
   bool StateEquals(const DiskSnapshot& snapshot) const;
+
+  // Bytes of medium chunks this disk holds (shared with snapshots or not);
+  // tests use it to check what a disk materializes.
+  std::size_t ResidentBytesForTest() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return medium_.ResidentBytes();
+  }
 
   // BlockDevice cloning: a single-spindle device snapshot wraps the one
   // DiskSnapshot (the array-level extras stay default).
@@ -283,9 +291,9 @@ class SimDisk : public BlockDevice {
                                           const DiskGeometry& geometry);
   Status SaveImage(const std::string& path) const override;
   // Loads an image saved with SaveImage; the geometry must match. The disk
-  // changes only once the header and tail have decoded. SaveImage and
-  // LoadImage move the sector data between the file and the medium with no
-  // copy in between.
+  // changes only once the whole image has decoded. SaveImage and
+  // LoadImage stream the sector data chunk by chunk: a null chunk saves as
+  // zeros, and an all-zero chunk loads as null.
   Status LoadImage(const std::string& path);
 
  private:
@@ -333,10 +341,8 @@ class SimDisk : public BlockDevice {
   Status WriteImpl(Lba start, std::span<const std::uint8_t> data,
                    std::span<const Label> new_labels);
   void CorruptLocked(Lba lba, std::uint64_t seed);
-  // Every field of a snapshot but the sector data, and the way back:
-  // every field but data_ taken from `state` (a DiskSnapshot, copied from
-  // when an lvalue, moved from when an rvalue).
-  DiskSnapshot StateLocked() const;
+  // Every field of a snapshot taken from `state` (a DiskSnapshot, copied
+  // from when an lvalue, moved from when an rvalue).
   template <typename State>
   void AdoptStateLocked(State&& state);
 
@@ -364,9 +370,8 @@ class SimDisk : public BlockDevice {
     obs::Histogram* seek_distance_us = nullptr;
   } metrics_;
 
-  std::vector<std::uint8_t> data_;
-  std::vector<Label> labels_;
-  std::vector<bool> damaged_;
+  // Sector data, labels and the damage map, copy-on-write.
+  SectorStore medium_;
 
   bool crashed_ = false;
   std::optional<CrashPlan> crash_plan_;

@@ -7,7 +7,7 @@
 
 #include <cstdint>
 #include <fstream>
-#include <initializer_list>
+#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -17,21 +17,25 @@
 namespace cedar {
 
 // `what` names the file in errors, e.g. "trace file".
-//
-// Writes `parts` back to back, replacing the file.
-inline Status WriteFileBytes(
+
+// Receives a file's bytes in order, one span at a time.
+using ByteSink = std::function<void(std::span<const std::uint8_t>)>;
+
+// Writes everything `produce` hands its sink, back to back, replacing the
+// file.
+inline Status WriteFileStream(
     const std::string& path,
-    std::initializer_list<std::span<const std::uint8_t>> parts,
+    const std::function<void(const ByteSink&)>& produce,
     const std::string& what) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) {
     return MakeError(ErrorCode::kInvalidArgument,
                      "cannot open " + what + " for writing: " + path);
   }
-  for (const std::span<const std::uint8_t> bytes : parts) {
+  produce([&](std::span<const std::uint8_t> bytes) {
     out.write(reinterpret_cast<const char*>(bytes.data()),
               static_cast<std::streamsize>(bytes.size()));
-  }
+  });
   out.flush();
   return out ? OkStatus()
              : MakeError(ErrorCode::kInternal, "short write to " + what);
@@ -40,7 +44,8 @@ inline Status WriteFileBytes(
 inline Status WriteFileBytes(const std::string& path,
                              std::span<const std::uint8_t> bytes,
                              const std::string& what) {
-  return WriteFileBytes(path, {bytes}, what);
+  return WriteFileStream(
+      path, [&](const ByteSink& sink) { sink(bytes); }, what);
 }
 
 inline Result<std::uint64_t> FileSize(const std::string& path,
@@ -53,33 +58,38 @@ inline Result<std::uint64_t> FileSize(const std::string& path,
   return static_cast<std::uint64_t>(size);
 }
 
-// Fills `out` from the file's bytes at `offset`.
-inline Status ReadFileInto(const std::string& path, std::uint64_t offset,
-                           std::span<std::uint8_t> out,
-                           const std::string& what) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return MakeError(ErrorCode::kNotFound, "cannot open " + what + ": " + path);
-  }
-  in.seekg(static_cast<std::streamoff>(offset));
-  in.read(reinterpret_cast<char*>(out.data()),
-          static_cast<std::streamsize>(out.size()));
-  return in ? OkStatus()
-            : MakeError(ErrorCode::kInternal, "short read from " + what);
-}
+// An open file that reads byte ranges, for a decoder that takes a large
+// file a piece at a time.
+class FileReader {
+ public:
+  FileReader(const std::string& path, const std::string& what)
+      : in_(path, std::ios::binary), path_(path), what_(what) {}
 
-inline Result<std::vector<std::uint8_t>> ReadFileBytes(
-    const std::string& path, std::uint64_t offset, std::uint64_t count,
-    const std::string& what) {
-  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(count));
-  CEDAR_RETURN_IF_ERROR(ReadFileInto(path, offset, bytes, what));
-  return bytes;
-}
+  // Fills `out` from the file's bytes at `offset`.
+  Status ReadAt(std::uint64_t offset, std::span<std::uint8_t> out) {
+    if (!in_.is_open()) {
+      return MakeError(ErrorCode::kNotFound,
+                       "cannot open " + what_ + ": " + path_);
+    }
+    in_.seekg(static_cast<std::streamoff>(offset));
+    in_.read(reinterpret_cast<char*>(out.data()),
+             static_cast<std::streamsize>(out.size()));
+    return in_ ? OkStatus()
+               : MakeError(ErrorCode::kInternal, "short read from " + what_);
+  }
+
+ private:
+  std::ifstream in_;
+  std::string path_;
+  std::string what_;
+};
 
 inline Result<std::vector<std::uint8_t>> ReadFileBytes(
     const std::string& path, const std::string& what) {
   CEDAR_ASSIGN_OR_RETURN(const std::uint64_t size, FileSize(path, what));
-  return ReadFileBytes(path, 0, size, what);
+  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
+  CEDAR_RETURN_IF_ERROR(FileReader(path, what).ReadAt(0, bytes));
+  return bytes;
 }
 
 }  // namespace cedar

@@ -724,5 +724,89 @@ TEST(TracerConcurrencyTest, ScopesInternAndAttributeAcrossThreads) {
   }
 }
 
+// The copy-on-write sector store shares chunks between disks: one thread
+// writes disk A while another keeps snapshotting A, restoring the snapshot
+// into disk B, writing B and dropping the snapshot. A writes the even
+// sectors of four chunks and B the odd ones. B writes once while the
+// snapshot lives and once, in another chunk, after it is dropped, so each
+// thread in turn clones a chunk the other then writes in place. Afterwards
+// each disk holds exactly its own writes.
+TEST(SectorStoreConcurrencyTest, SnapshotRestoreAcrossDisksKeepsWritesApart) {
+  constexpr sim::Lba kChunk = sim::SectorStore::kChunkSectors;
+  constexpr sim::Lba kSpan = 4 * kChunk;
+  constexpr int kWritesToA = 4000;
+  constexpr int kRoundsOnB = 400;
+  const auto sector = [](int writer, sim::Lba lba, int version) {
+    std::vector<std::uint8_t> out(sim::kSectorSize);
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      out[i] = static_cast<std::uint8_t>(writer * 101 + lba * 7 +
+                                         version * 13 + i);
+    }
+    return out;
+  };
+  // B's two odd sectors in round `round`, two chunks apart.
+  const auto b_sector = [&](int round, int which) {
+    const auto r = static_cast<sim::Lba>(round);
+    return ((r + 2 * static_cast<sim::Lba>(which)) % 4) * kChunk +
+           2 * (r / 4 % (kChunk / 2)) + 1;
+  };
+  sim::VirtualClock clock_a;
+  sim::VirtualClock clock_b;
+  sim::SimDisk a(sim::TestGeometry(), sim::DiskTimingParams{}, &clock_a);
+  sim::SimDisk b(sim::TestGeometry(), sim::DiskTimingParams{}, &clock_b);
+
+  std::vector<int> a_version(kSpan, -1);
+  std::thread writer([&] {
+    for (int i = 0; i < kWritesToA; ++i) {
+      const sim::Lba lba = (2 * static_cast<sim::Lba>(i)) % kSpan;
+      CEDAR_CHECK_OK(a.Write(lba, sector(1, lba, i)));
+      a_version[lba] = i;
+    }
+  });
+  sim::DiskSnapshot last;
+  for (int round = 0; round < kRoundsOnB; ++round) {
+    {
+      const sim::DiskSnapshot snapshot = a.Snapshot();
+      b.Restore(snapshot);
+      CEDAR_CHECK_OK(
+          b.Write(b_sector(round, 0), sector(2, b_sector(round, 0), round)));
+      if (round == kRoundsOnB - 1) {
+        last = snapshot;
+      }
+    }
+    CEDAR_CHECK_OK(
+        b.Write(b_sector(round, 1), sector(2, b_sector(round, 1), round)));
+  }
+  writer.join();
+
+  // A: its own final writes on the even sectors, nothing of B's.
+  std::vector<std::uint8_t> out(sim::kSectorSize);
+  for (sim::Lba lba = 0; lba < kSpan; ++lba) {
+    ASSERT_TRUE(a.Read(lba, out).ok());
+    EXPECT_EQ(out, lba % 2 == 0 ? sector(1, lba, a_version[lba])
+                                : std::vector<std::uint8_t>(out.size(), 0))
+        << lba;
+  }
+  // B: the last snapshot of A with B's last two writes on top, which the
+  // snapshot itself never saw.
+  sim::VirtualClock clock_c;
+  sim::SimDisk c(sim::TestGeometry(), sim::DiskTimingParams{}, &clock_c);
+  c.Restore(last);
+  EXPECT_TRUE(c.StateEquals(last));
+  EXPECT_FALSE(b.StateEquals(last));
+  std::vector<std::uint8_t> expected(sim::kSectorSize);
+  for (sim::Lba lba = 0; lba < kSpan; ++lba) {
+    ASSERT_TRUE(b.Read(lba, out).ok());
+    ASSERT_TRUE(c.Read(lba, expected).ok());
+    if (lba == b_sector(kRoundsOnB - 1, 0) ||
+        lba == b_sector(kRoundsOnB - 1, 1)) {
+      EXPECT_EQ(out, sector(2, lba, kRoundsOnB - 1));
+      EXPECT_EQ(expected, std::vector<std::uint8_t>(out.size(), 0));
+    } else {
+      EXPECT_EQ(out, expected) << lba;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace cedar::core

@@ -89,6 +89,17 @@ Result<std::unique_ptr<sim::SimDisk>> LoadDisk(const std::string& path,
   return loaded;
 }
 
+// Saves the image back to `path`. A path that cannot be written is bad
+// input like any other: the status goes to stderr and the exit code is 2.
+int SaveImage(const sim::SimDisk& disk, const std::string& path) {
+  const Status saved = disk.SaveImage(path);
+  if (!saved.ok()) {
+    std::fprintf(stderr, "cedarfs: %s\n", saved.ToString().c_str());
+    return 2;
+  }
+  return 0;
+}
+
 int Run(const Options& options) {
   sim::VirtualClock clock;
 
@@ -114,7 +125,9 @@ int Run(const Options& options) {
     disk.DamageSectors(
         static_cast<sim::Lba>(std::stoul(options.args[0])),
         static_cast<std::uint32_t>(std::stoul(options.args[1])));
-    CEDAR_CHECK_OK(disk.SaveImage(options.image));
+    if (const int code = SaveImage(disk, options.image); code != 0) {
+      return code;
+    }
     std::printf("damaged %s sectors at lba %s\n", options.args[1].c_str(),
                 options.args[0].c_str());
     return 0;
@@ -243,8 +256,7 @@ int Run(const Options& options) {
       return 1;
     }
   }
-  CEDAR_CHECK_OK(disk.SaveImage(options.image));
-  return 0;
+  return SaveImage(disk, options.image);
 }
 
 }  // namespace

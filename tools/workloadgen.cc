@@ -165,10 +165,23 @@ void PrintOutcome(const ReplayOutcome& outcome, int threads) {
               (unsigned long long)outcome.warnings);
 }
 
+// Saves `trace` to `path`. A path that cannot be written is bad input like
+// any other: the status goes to stderr and the exit code is 2.
+int SaveTrace(const std::string& path, const std::vector<TraceEntry>& trace) {
+  const cedar::Status saved = cedar::workload::SaveTraceBinary(path, trace);
+  if (!saved.ok()) {
+    std::fprintf(stderr, "workloadgen: %s\n", saved.ToString().c_str());
+    return 2;
+  }
+  return 0;
+}
+
 int Selftest(const std::string& dir) {
   const std::string path = dir + "/workloadgen_selftest.trace";
   const std::vector<TraceEntry> recorded = Record(160, 11);
-  CEDAR_CHECK_OK(cedar::workload::SaveTraceBinary(path, recorded));
+  if (const int code = SaveTrace(path, recorded); code != 0) {
+    return code;
+  }
   auto loaded = cedar::workload::LoadTraceBinary(path);
   CEDAR_CHECK_OK(loaded.status());
   CEDAR_CHECK(loaded.value() == recorded);
@@ -225,7 +238,9 @@ int main(int argc, char** argv) {
     }
     const std::vector<TraceEntry> trace =
         Record(static_cast<std::uint32_t>(ops), seed);
-    CEDAR_CHECK_OK(cedar::workload::SaveTraceBinary(path, trace));
+    if (const int code = SaveTrace(path, trace); code != 0) {
+      return code;
+    }
     std::printf("recorded %zu entries to %s\n", trace.size(), path.c_str());
     return 0;
   }
